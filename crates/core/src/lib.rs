@@ -70,7 +70,7 @@ pub mod viz;
 
 pub use error::SmrpError;
 pub use select::{JoinCandidate, SelectionMode};
-pub use session::{JoinOutcome, ReshapeOutcome, SmrpConfig, SmrpSession};
+pub use session::{JoinOutcome, ReshapeOutcome, ReshapeStats, SmrpConfig, SmrpSession};
 pub use spf::SpfSession;
 pub use steiner::SteinerSession;
 pub use tree::MulticastTree;

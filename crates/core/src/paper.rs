@@ -301,6 +301,30 @@ mod tests {
     }
 
     #[test]
+    fn figure5_reshape_stats_count_attempts_and_switches() {
+        use crate::session::ReshapeStats;
+        let (_, n, mut sess) = figure4();
+        // Reshaping was off during the Figure 4 joins: nothing was asked.
+        assert_eq!(sess.reshape_stats(), ReshapeStats::default());
+        sess.reshape_member(n.e).unwrap();
+        let moved = ReshapeStats {
+            attempts: 1,
+            switched: 1,
+        };
+        assert_eq!(sess.reshape_stats(), moved);
+        // The quiescent sweep asks E, G and F once each and moves nobody.
+        assert_eq!(sess.reshape_sweep(), 0);
+        let swept = ReshapeStats {
+            attempts: 4,
+            switched: 1,
+        };
+        assert_eq!(sess.reshape_stats(), swept);
+        // A refused request is not an attempt.
+        assert!(sess.reshape_member(n.a).is_err());
+        assert_eq!(sess.reshape_stats(), swept);
+    }
+
+    #[test]
     fn figure5_triggers_automatically_with_auto_reshape() {
         let (g, n) = figure4_graph();
         let config = SmrpConfig {
@@ -314,6 +338,9 @@ mod tests {
         sess.join(n.g).unwrap();
         let out = sess.join(n.f).unwrap();
         assert_eq!(out.reshaped, vec![n.e], "F's admission reshapes E");
+        // Condition I asked exactly once over the three joins.
+        let stats = sess.reshape_stats();
+        assert_eq!((stats.attempts, stats.switched), (1, 1));
         assert_eq!(
             sess.tree().path_from_source(n.e).unwrap().nodes(),
             &[n.s, n.a, n.c, n.e]

@@ -102,6 +102,61 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// Per-node state of the sink-constrained search, stamped with the search
+/// that last wrote it so a new search starts in O(1) and touches only the
+/// nodes it reaches.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    epoch: u32,
+    dist: f64,
+    parent: Option<NodeId>,
+    done: bool,
+}
+
+impl Slot {
+    fn fresh(epoch: u32) -> Self {
+        Slot {
+            epoch,
+            dist: f64::INFINITY,
+            parent: None,
+            done: false,
+        }
+    }
+}
+
+/// Reusable working memory for candidate searches.
+///
+/// A session owns one and passes it to every join and reshape, so a search
+/// costs what it settles rather than `O(n)` set-up.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SearchScratch {
+    epoch: u32,
+    slots: Vec<Slot>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl SearchScratch {
+    /// Invalidates every slot and sizes the scratch for `n` nodes.
+    fn begin(&mut self, n: usize) {
+        self.heap.clear();
+        if self.slots.len() != n || self.epoch == u32::MAX {
+            self.slots.clear();
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.slots.resize(n, Slot::fresh(0));
+    }
+
+    /// The slot of `node`, reset first if an earlier search left it.
+    fn slot(&mut self, node: NodeId) -> &mut Slot {
+        let slot = &mut self.slots[node.index()];
+        if slot.epoch != self.epoch {
+            *slot = Slot::fresh(self.epoch);
+        }
+        slot
+    }
+}
+
 /// Enumerates all merge candidates for `nr` under `mode`.
 ///
 /// `nr` must be off-tree (an on-tree node "joins" by simply declaring
@@ -124,97 +179,131 @@ pub fn enumerate_candidates(
     mode: SelectionMode,
     excluded: &[NodeId],
 ) -> Vec<JoinCandidate> {
+    let mut scratch = SearchScratch::default();
+    candidates_within(&mut scratch, graph, tree, spt, nr, mode, excluded, None)
+}
+
+/// [`enumerate_candidates`] on caller-owned scratch, optionally restricted
+/// to what a delay `limit` on the whole multicast path can admit (see
+/// [`sink_constrained_candidates`]; the neighbor-query scheme explores at
+/// most one short walk per neighbor and ignores it).
+#[allow(clippy::too_many_arguments)]
+fn candidates_within(
+    scratch: &mut SearchScratch,
+    graph: &Graph,
+    tree: &MulticastTree,
+    spt: &ShortestPathTree,
+    nr: NodeId,
+    mode: SelectionMode,
+    excluded: &[NodeId],
+    limit: Option<f64>,
+) -> Vec<JoinCandidate> {
     match mode {
-        SelectionMode::FullTopology => sink_constrained_candidates(graph, tree, nr, excluded),
+        SelectionMode::FullTopology => {
+            sink_constrained_candidates(scratch, graph, tree, spt, nr, excluded, limit)
+        }
         SelectionMode::NeighborQuery => neighbor_query_candidates(graph, tree, spt, nr, excluded),
     }
 }
 
-/// Whether `node` is a valid merge target: on-tree, connected to the
-/// source, and not excluded.
-fn is_sink(tree: &MulticastTree, connected: &[bool], node: NodeId, excluded: &[NodeId]) -> bool {
-    tree.is_on_tree(node) && connected[node.index()] && !excluded.contains(&node)
-}
-
-fn connectivity_mask(tree: &MulticastTree, n: usize) -> Vec<bool> {
-    let mut mask = vec![false; n];
-    for u in tree.source_connected_nodes() {
-        mask[u.index()] = true;
+/// Tree delay `S → node` if `node` is a valid merge target — on-tree,
+/// connected to the source (a detached fragment is not) and not excluded.
+fn sink_delay(
+    graph: &Graph,
+    tree: &MulticastTree,
+    node: NodeId,
+    excluded: &[NodeId],
+) -> Option<f64> {
+    if !tree.is_on_tree(node) || excluded.contains(&node) {
+        return None;
     }
-    mask
+    tree.delay_to(graph, node)
 }
 
 /// Single-source Dijkstra from `nr` in which on-tree nodes absorb: their
 /// outgoing edges are never relaxed, so the settled path to each on-tree
 /// node is the shortest approach whose first on-tree contact is that node.
+///
+/// With a `limit`, a node `v` is not relaxed when
+/// `d(NR,v) + D_SPF(S,v) > limit`, where `D_SPF(S,·)` is read off `spt`.
+/// That loses no candidate of total delay `≤ limit` and changes none of
+/// their approaches: a candidate `u` reached through `v` has
+///
+/// ```text
+/// total = D_tree(S,u) + d(NR,u) ≥ D_SPF(S,u) + d(u,v) + d(NR,v)
+///                               ≥ D_SPF(S,v) + d(NR,v)
+/// ```
+///
+/// on an undirected graph, so every node on every shortest approach to it
+/// (tie-equal ones included) passes the test. The argument needs
+/// `D_SPF(S,v)` to be a lower bound over the graph this search walks, so
+/// callers pass a limit only with an unrestricted `spt`.
 fn sink_constrained_candidates(
+    scratch: &mut SearchScratch,
     graph: &Graph,
     tree: &MulticastTree,
+    spt: &ShortestPathTree,
     nr: NodeId,
     excluded: &[NodeId],
+    limit: Option<f64>,
 ) -> Vec<JoinCandidate> {
-    let n = graph.node_count();
-    let connected = connectivity_mask(tree, n);
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
     let mut candidates = Vec::new();
-
     if excluded.contains(&nr) {
         return candidates;
     }
-    dist[nr.index()] = 0.0;
-    heap.push(HeapEntry {
+    let limit = limit.unwrap_or(f64::INFINITY);
+    scratch.begin(graph.node_count());
+    scratch.slot(nr).dist = 0.0;
+    scratch.heap.push(HeapEntry {
         dist: 0.0,
         node: nr,
     });
 
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if done[u.index()] {
+    while let Some(HeapEntry { dist: d, node: u }) = scratch.heap.pop() {
+        let slot = scratch.slot(u);
+        if slot.done {
             continue;
         }
-        done[u.index()] = true;
-        if u != nr && is_sink(tree, &connected, u, excluded) {
-            // Record the candidate and absorb: do not relax outgoing edges.
-            let mut nodes = vec![u];
-            let mut cur = u;
-            while let Some(p) = parent[cur.index()] {
-                nodes.push(p);
-                cur = p;
-            }
-            nodes.reverse(); // now NR -> ... -> u
-            let approach = Path::new(nodes);
-            let tree_delay = tree
-                .delay_to(graph, u)
-                .expect("sink is connected to the source");
-            candidates.push(JoinCandidate {
-                merger: u,
-                total_delay: tree_delay + d,
-                approach,
-                shr: tree.shr(u),
-            });
-            continue;
-        }
-        // An excluded node may not be traversed at all.
-        if u != nr && excluded.contains(&u) {
-            continue;
-        }
-        // A detached/on-tree-but-unconnected node also must not relay.
-        if u != nr && tree.is_on_tree(u) && !connected[u.index()] {
-            continue;
-        }
-        for &(v, l) in graph.adjacency(u) {
-            if done[v.index()] {
+        slot.done = true;
+        if u != nr {
+            if let Some(tree_delay) = sink_delay(graph, tree, u, excluded) {
+                // Record the candidate and absorb: do not relax outgoing edges.
+                let mut nodes = vec![u];
+                let mut cur = u;
+                while let Some(p) = scratch.slot(cur).parent {
+                    nodes.push(p);
+                    cur = p;
+                }
+                nodes.reverse(); // now NR -> ... -> u
+                candidates.push(JoinCandidate {
+                    merger: u,
+                    total_delay: tree_delay + d,
+                    approach: Path::new(nodes),
+                    shr: tree.shr(u),
+                });
                 continue;
             }
+            // An excluded node may not be traversed at all, and neither may
+            // an on-tree node that is detached from the source.
+            if excluded.contains(&u) || tree.is_on_tree(u) {
+                continue;
+            }
+        }
+        for &(v, l) in graph.adjacency(u) {
             let nd = d + graph.link(l).delay();
-            if nd < dist[v.index()]
-                || (nd == dist[v.index()] && parent[v.index()].is_some_and(|p| u < p))
-            {
-                dist[v.index()] = nd;
-                parent[v.index()] = Some(u);
-                heap.push(HeapEntry { dist: nd, node: v });
+            // Outside the ellipse (which, once there is a limit, includes
+            // everything the source cannot reach).
+            if spt.distance(v).map_or(f64::INFINITY, |sv| nd + sv) > limit {
+                continue;
+            }
+            let slot = scratch.slot(v);
+            if slot.done {
+                continue;
+            }
+            if nd < slot.dist || (nd == slot.dist && slot.parent.is_some_and(|p| u < p)) {
+                slot.dist = nd;
+                slot.parent = Some(u);
+                scratch.heap.push(HeapEntry { dist: nd, node: v });
             }
         }
     }
@@ -231,58 +320,40 @@ fn neighbor_query_candidates(
     nr: NodeId,
     excluded: &[NodeId],
 ) -> Vec<JoinCandidate> {
-    let n = graph.node_count();
-    let connected = connectivity_mask(tree, n);
     let mut candidates: Vec<JoinCandidate> = Vec::new();
 
     for neighbor in graph.neighbors(nr) {
         if excluded.contains(&neighbor) {
             continue;
         }
-        // The approach so far: NR -> neighbor.
+        // The approach so far: NR -> neighbor; from there the query follows
+        // the neighbor's unicast shortest path toward the source, read off
+        // the caller's cached source SPT hop by hop.
         let mut approach_nodes = vec![nr, neighbor];
-        let mut merger = None;
-        if is_sink(tree, &connected, neighbor, excluded) {
-            merger = Some(neighbor);
-        } else {
-            // Follow the neighbor's unicast shortest path toward the source,
-            // read off the caller's cached source SPT.
-            let Some(path) = spt.path_to(neighbor) else {
-                continue;
-            };
-            // Walk from the neighbor toward the source (reverse order).
-            let nodes = path.nodes();
-            for &hop in nodes.iter().rev().skip(1) {
-                approach_nodes.push(hop);
-                if is_sink(tree, &connected, hop, excluded) {
-                    merger = Some(hop);
-                    break;
-                }
-                if excluded.contains(&hop) {
-                    break;
-                }
+        let mut hop = neighbor;
+        let tree_delay = loop {
+            // Meeting NR again ends the walk: the SPT path itself is
+            // simple, so that is the only way the relayed path could loop.
+            if hop == nr {
+                break None;
             }
-        }
-        let Some(merger) = merger else {
+            if let Some(tree_delay) = sink_delay(graph, tree, hop, excluded) {
+                break Some(tree_delay);
+            }
+            if excluded.contains(&hop) {
+                break None;
+            }
+            let Some(next) = spt.parent(hop) else {
+                break None;
+            };
+            approach_nodes.push(next);
+            hop = next;
+        };
+        let Some(tree_delay) = tree_delay else {
             continue;
         };
-        // The relayed path must be loop-free and must not cross NR again.
-        let mut seen = vec![false; n];
-        let mut simple = true;
-        for node in &approach_nodes {
-            if seen[node.index()] {
-                simple = false;
-                break;
-            }
-            seen[node.index()] = true;
-        }
-        if !simple {
-            continue;
-        }
+        let merger = hop;
         let approach = Path::new(approach_nodes);
-        let tree_delay = tree
-            .delay_to(graph, merger)
-            .expect("sink is connected to the source");
         let total_delay = tree_delay + approach.delay(graph);
         let candidate = JoinCandidate {
             merger,
@@ -318,14 +389,11 @@ pub fn apply_criterion(
     if candidates.is_empty() {
         return Err(SmrpError::NoFeasiblePath(nr));
     }
-    let bound = (1.0 + d_thresh) * spf_delay;
-    // Tolerate floating-point dust on the boundary (the paper's examples
-    // treat "equal to the bound" as admissible).
-    let eps = 1e-9 * bound.max(1.0);
+    let admit = admission_limit(spf_delay, d_thresh, 1.0);
     let mut best_in: Option<&JoinCandidate> = None;
     let mut best_any: Option<&JoinCandidate> = None;
     for c in &candidates {
-        if c.total_delay <= bound + eps {
+        if c.total_delay <= admit {
             best_in = Some(match best_in {
                 None => c,
                 Some(b) => pick_by_criterion(b, c),
@@ -348,6 +416,14 @@ pub fn apply_criterion(
             within_bound: false,
         }),
     }
+}
+
+/// `(1 + d_thresh) · spf_delay` plus `tolerances` times the floating-point
+/// dust the criterion forgives on the boundary (the paper's examples treat
+/// "equal to the bound" as admissible).
+fn admission_limit(spf_delay: f64, d_thresh: f64, tolerances: f64) -> f64 {
+    let bound = (1.0 + d_thresh) * spf_delay;
+    bound + tolerances * (1e-9 * bound.max(1.0))
 }
 
 fn pick_by_criterion<'a>(a: &'a JoinCandidate, b: &'a JoinCandidate) -> &'a JoinCandidate {
@@ -392,9 +468,64 @@ pub fn select_path(
     mode: SelectionMode,
     excluded: &[NodeId],
 ) -> Result<Selection, SmrpError> {
+    let mut scratch = SearchScratch::default();
+    select_path_in(&mut scratch, graph, tree, spt, nr, d_thresh, mode, excluded)
+}
+
+/// [`select_path`] on caller-owned scratch.
+///
+/// The criterion only ever accepts a candidate inside the delay bound, so
+/// the search is first confined to what the bound can admit; the full
+/// candidate set is enumerated only when nothing fits and the
+/// minimum-delay fallback has to range over all of it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_path_in(
+    scratch: &mut SearchScratch,
+    graph: &Graph,
+    tree: &MulticastTree,
+    spt: &ShortestPathTree,
+    nr: NodeId,
+    d_thresh: f64,
+    mode: SelectionMode,
+    excluded: &[NodeId],
+) -> Result<Selection, SmrpError> {
+    if let Some(sel) = select_within_bound(scratch, graph, tree, spt, nr, d_thresh, mode, excluded)
+    {
+        return Ok(sel);
+    }
     let spf_delay = spt.distance(nr).ok_or(SmrpError::NoFeasiblePath(nr))?;
-    let candidates = enumerate_candidates(graph, tree, spt, nr, mode, excluded);
+    let candidates = candidates_within(scratch, graph, tree, spt, nr, mode, excluded, None);
     apply_criterion(candidates, spf_delay, d_thresh, nr)
+}
+
+/// The criterion's winner if some candidate satisfies the delay bound,
+/// `None` otherwise (which is all reshaping needs to know: an out-of-bound
+/// winner never displaces the current path, so it skips the fallback
+/// search of [`select_path_in`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_within_bound(
+    scratch: &mut SearchScratch,
+    graph: &Graph,
+    tree: &MulticastTree,
+    spt: &ShortestPathTree,
+    nr: NodeId,
+    d_thresh: f64,
+    mode: SelectionMode,
+    excluded: &[NodeId],
+) -> Option<Selection> {
+    let spf_delay = spt.distance(nr)?;
+    // A constrained `spt` gives no lower bound over the graph the search
+    // walks, so it cannot confine it. Otherwise: twice the criterion's
+    // tolerance, once for the candidates it admits at `bound + eps`, once
+    // more so rounding along the way (orders of magnitude smaller) can
+    // never prune one of them.
+    let limit = spt
+        .is_unrestricted()
+        .then(|| admission_limit(spf_delay, d_thresh, 2.0));
+    let candidates = candidates_within(scratch, graph, tree, spt, nr, mode, excluded, limit);
+    apply_criterion(candidates, spf_delay, d_thresh, nr)
+        .ok()
+        .filter(|sel| sel.within_bound)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use smrp_net::dijkstra::{Constraints, ShortestPathTree};
 use smrp_net::{Graph, NodeId, Path};
 
 use crate::error::SmrpError;
-use crate::select::{self, SelectionMode};
+use crate::select::{self, SearchScratch, SelectionMode};
 use crate::tree::MulticastTree;
 
 /// Tunable parameters of the protocol.
@@ -106,6 +106,21 @@ pub enum ReshapeOutcome {
     Kept,
 }
 
+/// How often reshaping was asked and how often it changed anything.
+///
+/// Condition I re-asks a member at every later join for as long as its
+/// `SHR` stays above the baseline, and a `Kept` verdict leaves the baseline
+/// where it was, so `attempts` can exceed `switched` by orders of
+/// magnitude.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReshapeStats {
+    /// Candidate searches run by [`SmrpSession::reshape_member`] (from
+    /// either condition).
+    pub attempts: u64,
+    /// Attempts that ended [`ReshapeOutcome::Switched`].
+    pub switched: u64,
+}
+
 /// An SMRP multicast session over a fixed topology.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
@@ -122,6 +137,10 @@ pub struct SmrpSession<'g> {
     /// relay routes; refreshed explicitly via [`SmrpSession::refresh_spt`]
     /// when the usable topology changes (e.g. a failure scenario strikes).
     spt: ShortestPathTree,
+    /// Working memory of the candidate searches, reused across joins and
+    /// reshape attempts.
+    scratch: SearchScratch,
+    reshape_stats: ReshapeStats,
 }
 
 impl<'g> SmrpSession<'g> {
@@ -140,6 +159,8 @@ impl<'g> SmrpSession<'g> {
             config,
             shr_baseline: vec![0; graph.node_count()],
             spt,
+            scratch: SearchScratch::default(),
+            reshape_stats: ReshapeStats::default(),
         })
     }
 
@@ -172,6 +193,11 @@ impl<'g> SmrpSession<'g> {
     /// can never consume a stale SPT even if the caller forgets to refresh.
     pub fn refresh_spt(&mut self, constraints: Constraints<'_>) {
         self.spt.recompute_constrained(self.graph, constraints);
+    }
+
+    /// Reshape attempts made and switches taken since the session began.
+    pub fn reshape_stats(&self) -> ReshapeStats {
+        self.reshape_stats
     }
 
     /// The topology this session runs over.
@@ -240,7 +266,8 @@ impl<'g> SmrpSession<'g> {
                 .ok_or(SmrpError::NoFeasiblePath(node))?;
             (node, spf, true)
         } else {
-            let sel = select::select_path(
+            let sel = select::select_path_in(
+                &mut self.scratch,
                 self.graph,
                 &self.tree,
                 &self.spt,
@@ -339,17 +366,20 @@ impl<'g> SmrpSession<'g> {
 
     /// Attempts to reshape `member` (both conditions funnel here).
     ///
-    /// The member's subtree is detached from a scratch copy of the tree,
-    /// candidates are enumerated against that reduced tree (yielding
-    /// *adjusted* `SHR` values), and the best candidate is compared with
-    /// the member's current merger. The switch happens only when the new
-    /// merger's adjusted `SHR` is strictly smaller, the new path respects
-    /// the `D_thresh` bound, and the approach path can actually carry the
-    /// subtree (no interior node of the new path belongs to the subtree).
+    /// The member's subtree is detached from the tree, candidates are
+    /// enumerated against that reduced tree (yielding *adjusted* `SHR`
+    /// values), and the best candidate is compared with the member's
+    /// current merger. The switch happens only when the new merger's
+    /// adjusted `SHR` is strictly smaller, the new path respects the
+    /// `D_thresh` bound, and the approach path can actually carry the
+    /// subtree (no interior node of the new path belongs to the subtree);
+    /// otherwise the subtree is put back exactly where it was.
     ///
     /// # Errors
     ///
-    /// [`SmrpError::NotMember`] for non-members.
+    /// [`SmrpError::NotMember`] for non-members;
+    /// [`SmrpError::NoFeasiblePath`] when the cached SPT does not reach the
+    /// member.
     pub fn reshape_member(&mut self, member: NodeId) -> Result<ReshapeOutcome, SmrpError> {
         if !self.tree.is_member(member) {
             return Err(SmrpError::NotMember(member));
@@ -359,45 +389,40 @@ impl<'g> SmrpSession<'g> {
             // is the source itself; nothing to reshape.
             return Ok(ReshapeOutcome::Kept);
         }
+        if self.spt.distance(member).is_none() {
+            return Err(SmrpError::NoFeasiblePath(member));
+        }
+        self.reshape_stats.attempts += 1;
 
-        // Build the reduced tree with the member's branch removed.
-        let mut reduced = self.tree.clone();
-        let old_merger = reduced.detach_subtree(member)?;
-        let subtree = reduced.subtree_nodes(member);
+        // Reduce the tree by the member's branch.
+        let detached = self.tree.detach_recorded(member)?;
+        let old_merger = detached.keeper();
 
         // Candidates against the reduced tree; the moving subtree may be
         // neither merger nor relay.
-        let spf_delay = self
-            .spt
-            .distance(member)
-            .ok_or(SmrpError::NoFeasiblePath(member))?;
-        let mut excluded = subtree.clone();
+        let mut excluded = self.tree.subtree_nodes(member);
         excluded.retain(|&n| n != member);
-        let candidates = select::enumerate_candidates(
+        let selection = select::select_within_bound(
+            &mut self.scratch,
             self.graph,
-            &reduced,
+            &self.tree,
             &self.spt,
             member,
+            self.config.d_thresh,
             self.config.selection,
             &excluded,
         );
-        let Ok(sel) = select::apply_criterion(candidates, spf_delay, self.config.d_thresh, member)
-        else {
-            return Ok(ReshapeOutcome::Kept);
-        };
-        if !sel.within_bound {
-            return Ok(ReshapeOutcome::Kept);
-        }
-
         // Adjusted comparison: candidate merger vs current merger, both in
         // the reduced tree.
-        let new_merger = sel.candidate.merger;
-        if reduced.shr(new_merger) >= reduced.shr(old_merger) {
+        let Some(sel) =
+            selection.filter(|sel| self.tree.shr(sel.candidate.merger) < self.tree.shr(old_merger))
+        else {
+            self.tree.reattach(detached);
             return Ok(ReshapeOutcome::Kept);
-        }
+        };
 
-        // Commit: detach for real and reattach along the new path.
-        self.tree.detach_subtree(member)?;
+        // Commit: the branch is already detached; reattach it along the
+        // new path.
         self.tree.attach_path(&sel.candidate.approach);
         // The move changed SHR for *every* member carried along in the
         // subtree, not just the reshaped one; all of their Condition I
@@ -409,9 +434,10 @@ impl<'g> SmrpSession<'g> {
                 self.shr_baseline[n.index()] = self.tree.shr(n);
             }
         }
+        self.reshape_stats.switched += 1;
         Ok(ReshapeOutcome::Switched {
             old_merger,
-            new_merger,
+            new_merger: sel.candidate.merger,
         })
     }
 
@@ -662,6 +688,97 @@ mod tests {
         // Repair: back to the unrestricted table.
         sess.refresh_spt(Constraints::unrestricted());
         assert_eq!(sess.spt().distance(a2), Some(2.0));
+    }
+
+    #[test]
+    fn constrained_spt_disables_the_delay_bounded_search() {
+        // Regression test: the bounded search prunes with D_SPF(S,v) read
+        // off the cached SPT, which is a lower bound only while that SPT
+        // is unrestricted. Here the tree link S-A fails, so the refreshed
+        // SPT reaches V the long way round (5.0 instead of 2.0) and the
+        // ellipse 1.0 + 5.0 > 1.3 * 4.0 would cut V — and with it the
+        // winning merger A — out of NR's search.
+        let mut g = Graph::with_nodes(5);
+        let ids: Vec<_> = g.node_ids().collect();
+        let [s, a, v, nr, y] = [ids[0], ids[1], ids[2], ids[3], ids[4]];
+        let l_sa = g.add_link(s, a, 1.0).unwrap();
+        g.add_link(a, v, 1.0).unwrap();
+        g.add_link(v, nr, 1.0).unwrap();
+        g.add_link(s, y, 2.0).unwrap();
+        g.add_link(y, nr, 2.0).unwrap();
+        let config = SmrpConfig {
+            auto_reshape: false,
+            ..SmrpConfig::default()
+        };
+        let mut sess = SmrpSession::new(&g, s, config).unwrap();
+        sess.join(a).unwrap();
+        sess.join(y).unwrap();
+        let scenario = smrp_net::FailureScenario::link(l_sa);
+        sess.refresh_spt(Constraints::avoiding_failures(&scenario));
+        assert_eq!(sess.spt().distance(v), Some(5.0));
+
+        // The unbounded search: every candidate, then the criterion.
+        let candidates = select::enumerate_candidates(
+            &g,
+            sess.tree(),
+            sess.spt(),
+            nr,
+            SelectionMode::FullTopology,
+            &[],
+        );
+        let spf_delay = sess.spt().distance(nr).unwrap();
+        let expected = select::apply_criterion(candidates, spf_delay, config.d_thresh, nr).unwrap();
+        assert_eq!(expected.candidate.merger, a);
+
+        let out = sess.join(nr).unwrap();
+        assert_eq!(
+            out,
+            JoinOutcome {
+                member: nr,
+                merger: a,
+                path: Path::new(vec![s, a, v, nr]),
+                spf_delay: 4.0,
+                selected_delay: expected.candidate.total_delay,
+                within_bound: true,
+                reshaped: Vec::new(),
+            }
+        );
+    }
+
+    #[test]
+    fn kept_attempts_leave_tree_and_baselines_untouched() {
+        use smrp_net::waxman::WaxmanConfig;
+        let mut kept = 0;
+        for seed in 0..12 {
+            let graph = WaxmanConfig::new(40)
+                .alpha(0.3)
+                .seed(seed)
+                .generate()
+                .unwrap()
+                .into_graph();
+            let ids: Vec<_> = graph.node_ids().collect();
+            for selection in [SelectionMode::FullTopology, SelectionMode::NeighborQuery] {
+                let config = SmrpConfig {
+                    selection,
+                    ..SmrpConfig::default()
+                };
+                let mut sess = SmrpSession::new(&graph, ids[0], config).unwrap();
+                for &m in ids.iter().skip(1).step_by(3) {
+                    sess.join(m).unwrap();
+                }
+                let members: Vec<_> = sess.members().collect();
+                for m in members {
+                    let tree = sess.tree.clone();
+                    let baselines = sess.shr_baseline.clone();
+                    if sess.reshape_member(m).unwrap() == ReshapeOutcome::Kept {
+                        kept += 1;
+                        assert_eq!(sess.tree, tree);
+                        assert_eq!(sess.shr_baseline, baselines);
+                    }
+                }
+            }
+        }
+        assert!(kept > 100, "only {kept} attempts ended Kept");
     }
 
     #[test]

@@ -82,6 +82,33 @@ pub struct MulticastTree {
     weight: Vec<u32>,
 }
 
+/// What [`MulticastTree::detach_recorded`] removed: enough to restore the
+/// tree exactly with [`MulticastTree::reattach`].
+#[derive(Debug)]
+pub(crate) struct Detached {
+    /// Root of the detached fragment.
+    node: NodeId,
+    /// First surviving ancestor of the fragment.
+    anchor: NodeId,
+    /// Relays pruned between `node` and `anchor`, bottom-up (`node`'s old
+    /// parent first). Each had the chain below it as its only child.
+    relays: Vec<NodeId>,
+    /// Index among `anchor`'s children that the top of the removed chain
+    /// (`node` itself when no relay was pruned) occupied.
+    slot: usize,
+    /// `N` of the fragment at detach time.
+    removed: i64,
+}
+
+impl Detached {
+    /// What [`MulticastTree::detach_subtree`] reports as the node the
+    /// fragment hung off: the old parent if it survived, else the old
+    /// parent's parent (see the defect noted there).
+    pub(crate) fn keeper(&self) -> NodeId {
+        self.relays.get(1).copied().unwrap_or(self.anchor)
+    }
+}
+
 impl MulticastTree {
     /// Creates a tree containing only the source.
     ///
@@ -252,7 +279,22 @@ impl MulticastTree {
     ///
     /// Returns `None` for off-tree or detached nodes.
     pub fn delay_to(&self, graph: &Graph, node: NodeId) -> Option<f64> {
-        self.path_from_source(node).map(|p| p.delay(graph))
+        if !self.on_tree[node.index()] {
+            return None;
+        }
+        // Upstream-link delays, collected walking up and summed source-first
+        // so the result is bit-identical to `path_from_source(..).delay(..)`.
+        let mut delays = Vec::new();
+        let mut cur = node;
+        while cur != self.source {
+            let p = self.parent[cur.index()]?;
+            let delay = graph
+                .delay_between(cur, p)
+                .expect("tree edges correspond to graph links");
+            delays.push(delay);
+            cur = p;
+        }
+        Some(delays.iter().rev().sum())
     }
 
     /// All tree links (the upstream link of every non-root connected node).
@@ -571,6 +613,12 @@ impl MulticastTree {
     /// hang off (the first surviving ancestor — the paper's "current merger"
     /// for reshaping comparisons).
     ///
+    /// Known defect, kept because every recorded tree depends on it: when
+    /// the branch leaves *two or more* relays childless, the node returned
+    /// is the old parent's parent — itself pruned, so its `SHR` reads 0 and
+    /// a reshape comparing against it never switches. Returning the true
+    /// survivor changes which members reshape (see ROADMAP).
+    ///
     /// The fragment keeps its internal structure; its nodes remain marked
     /// on-tree but are no longer connected to the source. Reattach with
     /// [`attach_path`](Self::attach_path) promptly.
@@ -579,6 +627,12 @@ impl MulticastTree {
     ///
     /// Fails if `node` is the source, off-tree, or already detached.
     pub fn detach_subtree(&mut self, node: NodeId) -> Result<NodeId, SmrpError> {
+        self.detach_recorded(node).map(|d| d.keeper())
+    }
+
+    /// [`detach_subtree`](Self::detach_subtree) that also returns what it
+    /// removed, so [`reattach`](Self::reattach) can put it back exactly.
+    pub(crate) fn detach_recorded(&mut self, node: NodeId) -> Result<Detached, SmrpError> {
         if node == self.source {
             return Err(SmrpError::SourceOperation(node));
         }
@@ -590,21 +644,72 @@ impl MulticastTree {
         };
         let removed = i64::from(self.n[node.index()]);
         self.parent[node.index()] = None;
-        self.children[old_parent.index()].retain(|&c| c != node);
+        let mut slot = self.child_slot(old_parent, node);
+        self.children[old_parent.index()].remove(slot);
         // The fragment keeps its internal `N` values (its subtrees did not
         // change); upstream, the surviving path loses `removed` members.
         self.propagate_member_delta(old_parent, -removed, None);
 
-        // Find where the surviving chain ends before pruning mutates it.
-        let mut keeper = old_parent;
-        while keeper != self.source
-            && !self.member[keeper.index()]
-            && self.children[keeper.index()].is_empty()
-        {
-            keeper = self.parent[keeper.index()].expect("connected chain reaches the source");
+        // The relays `prune_from` is about to remove, bottom-up: childless
+        // non-members, each the only child of the next.
+        let mut relays = Vec::new();
+        let mut anchor = old_parent;
+        let mut childless = self.children[old_parent.index()].is_empty();
+        while anchor != self.source && !self.member[anchor.index()] && childless {
+            let up = self.parent[anchor.index()].expect("connected chain reaches the source");
+            slot = self.child_slot(up, anchor);
+            childless = self.children[up.index()].len() == 1;
+            relays.push(anchor);
+            anchor = up;
         }
         self.prune_from(old_parent);
-        Ok(keeper)
+        Ok(Detached {
+            node,
+            anchor,
+            relays,
+            slot,
+            removed,
+        })
+    }
+
+    /// Undoes a [`detach_recorded`](Self::detach_recorded) while the
+    /// fragment is still detached and nothing else has changed: parent
+    /// links, child positions, the pruned relay chain and every `N`/`SHR`
+    /// return to their pre-detach values, so the tree compares equal to its
+    /// earlier self.
+    pub(crate) fn reattach(&mut self, detached: Detached) {
+        let Detached {
+            node,
+            anchor,
+            relays,
+            slot,
+            removed,
+        } = detached;
+        // Relays re-enter as an empty chain below `anchor` (N = 0, so Eq. 2
+        // gives them the anchor's SHR); the propagation below then restores
+        // the fragment's weight along the whole source path.
+        let mut below = node;
+        for &relay in &relays {
+            self.on_tree[relay.index()] = true;
+            self.shr[relay.index()] = self.shr[anchor.index()];
+            self.parent[below.index()] = Some(relay);
+            self.children[relay.index()].push(below);
+            below = relay;
+        }
+        self.parent[below.index()] = Some(anchor);
+        self.children[anchor.index()].insert(slot, below);
+        // The fragment kept its pre-detach `SHR` values; skip it.
+        let old_parent = relays.first().copied().unwrap_or(anchor);
+        self.propagate_member_delta(old_parent, removed, Some(node));
+        self.audit_stats();
+    }
+
+    /// Position of `child` among `parent`'s children.
+    fn child_slot(&self, parent: NodeId, child: NodeId) -> usize {
+        self.children[parent.index()]
+            .iter()
+            .position(|&c| c == child)
+            .expect("child is listed under its parent")
     }
 
     /// Nodes of the subtree rooted at `node` (including `node`), in DFS
@@ -894,6 +999,79 @@ mod tests {
         assert_eq!(keeper, s); // relay A pruned, chain ends at the source.
         assert!(!t.is_on_tree(a));
         let _ = keeper;
+    }
+
+    #[test]
+    fn delay_to_sums_like_the_source_path() {
+        // Delays whose sum depends on the order of addition:
+        // (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1.
+        let mut g = Graph::with_nodes(5);
+        let ids: Vec<_> = g.node_ids().collect();
+        for (w, d) in ids.windows(2).zip([0.1, 0.2, 0.3, 0.4]) {
+            g.add_link(w[0], w[1], d).unwrap();
+        }
+        let mut t = MulticastTree::new(&g, ids[0]).unwrap();
+        t.attach_path(&Path::new(ids.iter().rev().copied().collect()));
+        t.set_member(ids[4], true).unwrap();
+        for &u in &ids {
+            let by_path = t.path_from_source(u).unwrap().delay(&g);
+            assert_eq!(t.delay_to(&g, u).unwrap().to_bits(), by_path.to_bits());
+        }
+        t.detach_subtree(ids[4]).unwrap();
+        assert_eq!(t.delay_to(&g, ids[4]), None, "detached fragment");
+        assert_eq!(t.delay_to(&g, ids[2]), None, "pruned relay");
+    }
+
+    #[test]
+    fn reattach_restores_the_tree_exactly() {
+        // S - r1 - r2 - {m, x}, plus y under S ahead of r1 in child order.
+        let mut g = Graph::with_nodes(6);
+        let ids: Vec<_> = g.node_ids().collect();
+        let [s, r1, r2, m, x, y] = [ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]];
+        g.add_link(s, r1, 1.0).unwrap();
+        g.add_link(r1, r2, 1.0).unwrap();
+        g.add_link(r2, m, 1.0).unwrap();
+        g.add_link(r2, x, 1.0).unwrap();
+        g.add_link(s, y, 1.0).unwrap();
+        let mut t = MulticastTree::new(&g, s).unwrap();
+        for (leaf, path) in [(y, vec![y, s]), (m, vec![m, r2, r1, s]), (x, vec![x, r2])] {
+            t.attach_path(&Path::new(path));
+            t.set_member(leaf, true).unwrap();
+        }
+        t.set_member_weight(m, 7).unwrap();
+
+        // No relay pruned: x keeps r2 alive.
+        let before = t.clone();
+        let d = t.detach_recorded(m).unwrap();
+        assert_eq!(d.keeper(), r2);
+        assert_ne!(t, before);
+        t.reattach(d);
+        assert_eq!(t, before);
+
+        t.set_member(x, false).unwrap();
+        t.prune_from(x);
+        let before = t.clone();
+        // Two relays pruned: the reported keeper is r1, itself gone (the
+        // defect `detach_subtree` documents), yet the undo is exact.
+        let d = t.detach_recorded(m).unwrap();
+        assert_eq!(d.keeper(), r1);
+        assert!(!t.is_on_tree(r1) && !t.is_on_tree(r2));
+        assert_eq!(t.shr(d.keeper()), 0);
+        t.reattach(d);
+        assert_eq!(t, before);
+        t.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn reattach_restores_child_order() {
+        let (g, mut t, [_, a, _, c, d]) = figure1_tree();
+        assert_eq!(t.children(a), &[c, d]);
+        let before = t.clone();
+        let rec = t.detach_recorded(c).unwrap();
+        assert_eq!(t.children(a), &[d]);
+        t.reattach(rec);
+        assert_eq!(t, before);
+        t.validate(&g).unwrap();
     }
 
     #[test]

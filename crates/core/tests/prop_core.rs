@@ -6,7 +6,11 @@ use rand::{Rng, SeedableRng};
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::select::{self, SelectionMode};
-use smrp_core::{SmrpConfig, SmrpSession, SpfSession, SteinerSession};
+use smrp_core::{
+    MulticastTree, ReshapeOutcome, SmrpConfig, SmrpSession, SpfSession, SteinerSession,
+};
+use smrp_net::dijkstra::ShortestPathTree;
+use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::waxman::WaxmanConfig;
 use smrp_net::{FailureScenario, Graph, NodeId};
 
@@ -18,6 +22,88 @@ fn waxman(seed: u64, nodes: usize) -> Graph {
         .expect("valid generator settings")
         .into_graph()
 }
+
+/// A transit-stub graph of `transit · (1 + stubs · stub_nodes)` nodes.
+fn transit_stub(seed: u64, transit: usize, stubs: usize, stub_nodes: usize) -> Graph {
+    TransitStubConfig::new()
+        .transit_nodes(transit)
+        .stubs_per_transit_node(stubs)
+        .stub_nodes(stub_nodes)
+        .seed(seed)
+        .generate()
+        .expect("valid generator settings")
+        .into_graph()
+}
+
+/// Either topology family, ~40 nodes.
+fn either_graph(seed: u64) -> Graph {
+    if seed.is_multiple_of(2) {
+        waxman(seed, 40)
+    } else {
+        transit_stub(seed, 4, 3, 3)
+    }
+}
+
+/// A session over `graph` driven through a random join/leave script, so
+/// the tree is partially built and (with `auto_reshape` off) not yet
+/// reshaped.
+fn churned_session<'g>(
+    graph: &'g Graph,
+    config: SmrpConfig,
+    rng: &mut SmallRng,
+    steps: usize,
+) -> SmrpSession<'g> {
+    let ids: Vec<NodeId> = graph.node_ids().collect();
+    let mut sess = SmrpSession::new(graph, ids[0], config).unwrap();
+    for _ in 0..steps {
+        let node = ids[rng.gen_range(1..ids.len())];
+        if rng.gen_range(0u32..4) == 0 {
+            drop(sess.leave(node));
+        } else {
+            drop(sess.join(node));
+        }
+    }
+    sess
+}
+
+/// The clone-and-search reshape attempt that `SmrpSession::reshape_member`
+/// used to run, kept as its oracle: reduce a *copy* of the tree by the
+/// member's branch, enumerate every candidate against it, apply the
+/// criterion, and move the branch only for a strictly smaller adjusted
+/// `SHR` inside the bound. Returns the tree the attempt should leave.
+fn reference_reshape(
+    graph: &Graph,
+    tree: &MulticastTree,
+    spt: &ShortestPathTree,
+    config: &SmrpConfig,
+    member: NodeId,
+) -> (MulticastTree, ReshapeOutcome) {
+    let mut reduced = tree.clone();
+    let old_merger = reduced.detach_subtree(member).unwrap();
+    let mut excluded = reduced.subtree_nodes(member);
+    excluded.retain(|&n| n != member);
+    let candidates =
+        select::enumerate_candidates(graph, &reduced, spt, member, config.selection, &excluded);
+    let spf_delay = spt.distance(member).unwrap();
+    match select::apply_criterion(candidates, spf_delay, config.d_thresh, member) {
+        Ok(sel)
+            if sel.within_bound && reduced.shr(sel.candidate.merger) < reduced.shr(old_merger) =>
+        {
+            reduced.attach_path(&sel.candidate.approach);
+            let new_merger = sel.candidate.merger;
+            (
+                reduced,
+                ReshapeOutcome::Switched {
+                    old_merger,
+                    new_merger,
+                },
+            )
+        }
+        _ => (tree.clone(), ReshapeOutcome::Kept),
+    }
+}
+
+const D_THRESHOLDS: [f64; 4] = [0.0, 0.1, 0.3, 1.0];
 
 fn pick(graph: &Graph, count: usize) -> (NodeId, Vec<NodeId>) {
     let ids: Vec<NodeId> = graph.node_ids().collect();
@@ -266,6 +352,83 @@ proptest! {
                     prop_assert!(!primary_links.contains(&l));
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases, rare events (a reshape that switches, a join nothing
+    // fits): run more of them.
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn bounded_selection_equals_criterion_over_all_candidates(
+        seed in 0u64..2000,
+        mode in prop_oneof![Just(SelectionMode::FullTopology), Just(SelectionMode::NeighborQuery)],
+    ) {
+        // `select_path` confines its search to what the delay bound can
+        // admit; the answer must be the one the criterion gives over the
+        // full candidate set, whatever the tree, the exclusions and the
+        // threshold — including when nothing fits and it has to fall back.
+        let graph = either_graph(seed);
+        let ids: Vec<NodeId> = graph.node_ids().collect();
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x2545_F491));
+        let config = SmrpConfig { auto_reshape: false, selection: mode, ..SmrpConfig::default() };
+        let steps = rng.gen_range(1..14);
+        let sess = churned_session(&graph, config, &mut rng, steps);
+        let (tree, spt) = (sess.tree(), sess.spt());
+        for _ in 0..6 {
+            let nr = ids[rng.gen_range(1..ids.len())];
+            if tree.is_on_tree(nr) {
+                continue;
+            }
+            let drawn: Vec<NodeId> = (0..rng.gen_range(0..4))
+                .map(|_| ids[rng.gen_range(0..ids.len())])
+                .collect();
+            let spf_delay = spt.distance(nr).unwrap();
+            for d_thresh in D_THRESHOLDS {
+                // Keep excluding whatever fits the bound until nothing does.
+                let mut excluded = drawn.clone();
+                loop {
+                    let all = select::enumerate_candidates(&graph, tree, spt, nr, mode, &excluded);
+                    let want = select::apply_criterion(all, spf_delay, d_thresh, nr);
+                    let got = select::select_path(&graph, tree, spt, nr, d_thresh, mode, &excluded);
+                    prop_assert_eq!(&got, &want, "nr {} d_thresh {} excluded {:?}", nr, d_thresh, excluded);
+                    match want {
+                        Ok(sel) if sel.within_bound => excluded.push(sel.candidate.merger),
+                        _ => break,
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reshape_attempt_matches_clone_and_search_reference(
+        seed in 0u64..2000,
+        mode in prop_oneof![Just(SelectionMode::FullTopology), Just(SelectionMode::NeighborQuery)],
+        d_thresh in prop_oneof![Just(0.0), Just(0.1), Just(0.3), Just(1.0)],
+        auto_reshape in prop_oneof![Just(false), Just(true)],
+    ) {
+        // `reshape_member` works on the live tree: a `Kept` attempt must
+        // leave it exactly as it was, a `Switched` one exactly as the
+        // reference (which works on a copy) builds it.
+        let graph = either_graph(seed.wrapping_add(5000));
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x6C07_8965));
+        let config = SmrpConfig { auto_reshape, selection: mode, d_thresh, ..SmrpConfig::default() };
+        let mut sess = churned_session(&graph, config, &mut rng, 28);
+        // Departures are what open better paths for those who stay.
+        let leavers: Vec<NodeId> = sess.members().step_by(2).collect();
+        for m in leavers {
+            sess.leave(m).unwrap();
+        }
+        let members: Vec<NodeId> = sess.members().collect();
+        for m in members {
+            let before = sess.tree().clone();
+            let (want_tree, want) = reference_reshape(&graph, &before, sess.spt(), &config, m);
+            let got = sess.reshape_member(m).unwrap();
+            prop_assert_eq!(got, want, "member {}", m);
+            prop_assert_eq!(sess.tree(), &want_tree, "member {}", m);
         }
     }
 }

@@ -38,6 +38,8 @@ pub struct PolicyRow {
     pub delay: Stats,
     /// Total path switches performed by reshaping.
     pub switches: usize,
+    /// Reshape attempts (candidate searches) those switches cost.
+    pub attempts: u64,
 }
 
 /// Results of the churn experiment.
@@ -87,6 +89,7 @@ fn run_policy(policy: Policy, effort: Effort) -> PolicyRow {
         rd: Stats::new(),
         delay: Stats::new(),
         switches: 0,
+        attempts: 0,
     };
 
     for step in 0..events {
@@ -96,9 +99,7 @@ fn run_policy(policy: Policy, effort: Effort) -> PolicyRow {
         if join {
             let candidate = pool[rng.gen_range(0..pool.len())];
             if !sess.tree().is_member(candidate) {
-                if let Ok(out) = sess.join(candidate) {
-                    row.switches += out.reshaped.len();
-                }
+                drop(sess.join(candidate));
             }
         } else {
             let members: Vec<NodeId> = sess.members().collect();
@@ -106,7 +107,7 @@ fn run_policy(policy: Policy, effort: Effort) -> PolicyRow {
             sess.leave(leaver).expect("member leaves");
         }
         if matches!(policy, Policy::Full) && step % 20 == 19 {
-            row.switches += sess.reshape_sweep();
+            sess.reshape_sweep();
         }
         // Sample tree quality periodically.
         if step % 10 == 9 {
@@ -129,6 +130,9 @@ fn run_policy(policy: Policy, effort: Effort) -> PolicyRow {
         }
         debug_assert!(sess.tree().validate(&graph).is_ok());
     }
+    let stats = sess.reshape_stats();
+    row.switches = stats.switched as usize;
+    row.attempts = stats.attempts;
     row
 }
 
@@ -153,6 +157,8 @@ impl ChurnResult {
             "mean worst-case RD",
             "mean member delay",
             "path switches",
+            "reshape attempts",
+            "switched / attempts",
         ]);
         for row in &self.rows {
             t.row(vec![
@@ -160,6 +166,12 @@ impl ChurnResult {
                 format!("{:.2}", row.rd.mean()),
                 format!("{:.2}", row.delay.mean()),
                 format!("{}", row.switches),
+                format!("{}", row.attempts),
+                if row.attempts == 0 {
+                    "-".to_string()
+                } else {
+                    format!("{:.4}", row.switches as f64 / row.attempts as f64)
+                },
             ]);
         }
         t
@@ -167,13 +179,20 @@ impl ChurnResult {
 
     /// CSV artifact.
     pub fn to_csv(&self) -> Csv {
-        let mut csv = Csv::new(vec!["policy", "rd_mean", "delay_mean", "switches"]);
+        let mut csv = Csv::new(vec![
+            "policy",
+            "rd_mean",
+            "delay_mean",
+            "switches",
+            "attempts",
+        ]);
         for row in &self.rows {
             csv.row(vec![
                 row.name.to_string(),
                 format!("{}", row.rd.mean()),
                 format!("{}", row.delay.mean()),
                 format!("{}", row.switches),
+                format!("{}", row.attempts),
             ]);
         }
         csv
@@ -185,12 +204,13 @@ impl ChurnResult {
         let full = &self.rows[2];
         format!(
             "over {} churn events, reshaping keeps the mean worst-case recovery \
-             distance at {:.1} vs {:.1} without it ({} path switches) — §3.2.3's \
-             skew-repair in action",
+             distance at {:.1} vs {:.1} without it ({} path switches out of {} \
+             reshape attempts) — §3.2.3's skew-repair in action",
             self.events,
             full.rd.mean(),
             none.rd.mean(),
             full.switches,
+            full.attempts,
         )
     }
 }
@@ -218,6 +238,8 @@ mod tests {
             none.rd.mean()
         );
         assert!(full.switches > 0, "the sweeps never switched a path");
+        assert!(full.attempts >= full.switches as u64);
+        assert_eq!(none.attempts, 0, "reshaping was off");
     }
 
     #[test]

@@ -129,6 +129,8 @@ pub struct ShortestPathTree {
     source: NodeId,
     dist: Vec<f64>,
     parent: Vec<Option<NodeId>>,
+    /// Whether the last computation ran under no restrictions at all.
+    unrestricted: bool,
 }
 
 impl ShortestPathTree {
@@ -150,6 +152,7 @@ impl ShortestPathTree {
             source,
             dist: vec![f64::INFINITY; n],
             parent: vec![None; n],
+            unrestricted: false,
         };
         spt.recompute_constrained(graph, constraints);
         spt
@@ -165,6 +168,9 @@ impl ShortestPathTree {
     pub fn recompute_constrained(&mut self, graph: &Graph, constraints: Constraints<'_>) {
         let n = graph.node_count();
         assert_eq!(n, self.dist.len(), "graph size changed under the SPT");
+        self.unrestricted = constraints.failures.is_none()
+            && constraints.forbidden_nodes.is_empty()
+            && constraints.forbidden_links.is_empty();
         self.dist.fill(f64::INFINITY);
         self.parent.fill(None);
         let mut done = vec![false; n];
@@ -206,6 +212,16 @@ impl ShortestPathTree {
     /// The source node this tree was computed from.
     pub fn source(&self) -> NodeId {
         self.source
+    }
+
+    /// Whether this tree was last computed under
+    /// [`Constraints::unrestricted`], i.e. its distances are the true
+    /// shortest delays of the whole graph. Only then is `distance(v)` a
+    /// lower bound on the delay of *every* `source → v` walk, which is what
+    /// callers pruning a search with it rely on; a failure-constrained tree
+    /// over-estimates relative to the full graph.
+    pub fn is_unrestricted(&self) -> bool {
+        self.unrestricted
     }
 
     /// Shortest distance to `node`, or `None` if unreachable.
@@ -507,6 +523,24 @@ mod tests {
         let spt = ShortestPathTree::compute(&g, ids[0]);
         let reach: Vec<_> = spt.reachable().collect();
         assert_eq!(reach, vec![ids[0], ids[1]]);
+    }
+
+    #[test]
+    fn tree_remembers_whether_it_was_restricted() {
+        let (g, [s, a, ..]) = figure1_graph();
+        let mut spt = ShortestPathTree::compute(&g, s);
+        assert!(spt.is_unrestricted());
+        let failures = FailureScenario::node(a);
+        spt.recompute_constrained(&g, Constraints::avoiding_failures(&failures));
+        assert!(!spt.is_unrestricted());
+        let forbidden = [a];
+        let constraints = Constraints {
+            forbidden_nodes: &forbidden,
+            ..Constraints::default()
+        };
+        assert!(!ShortestPathTree::compute_constrained(&g, s, constraints).is_unrestricted());
+        spt.recompute_constrained(&g, Constraints::unrestricted());
+        assert!(spt.is_unrestricted());
     }
 
     #[test]
