@@ -22,8 +22,8 @@
 //!   stays inside that domain's session node set. For a new-agent
 //!   election the owner's corridor through the elected child (the
 //!   installed plan path) is the one sanctioned extension. The audit
-//!   parses the full simulator trace, so a single stray `Hello` across a
-//!   border fails the campaign;
+//!   observes every simulator event as it happens, so a single stray
+//!   `Hello` across a border fails the campaign;
 //! * **restoration** — every member the failure cut off regains service
 //!   within the run, timed from the injection;
 //! * **determinism** — reports depend only on the configuration: any
@@ -42,15 +42,9 @@ use smrp_metrics::{DomainRollup, LocalityHealth, Stats};
 use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, GroupId, LinkId, NetError, NodeId};
-use smrp_proto::hierarchy::NLevelSession;
+use smrp_proto::hierarchy::{NLevelSession, WirePlan};
 use smrp_proto::{FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryPlan};
 use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceEvent, TraceLog};
-
-/// Trace capacity per case. Hierarchy cases are small (hundreds of nodes,
-/// a handful of groups, sub-2-second horizons), so this holds the whole
-/// run; a case whose trace still overflows is reported *unaudited* and
-/// fails [`HierarchyReport::is_clean`].
-const TRACE_CAP: usize = 2_000_000;
 
 /// Knobs of a hierarchical campaign. Serialized into the report header;
 /// job count and timer backend never enter the report.
@@ -222,7 +216,9 @@ pub struct HierarchyCaseResult {
     pub elections: u32,
     /// Domains the repair touched (0 = unaffected, 1 = confined).
     pub domains_involved: u32,
-    /// Whether the full trace was audited (the buffer did not overflow).
+    /// Whether every event of the run was audited. Always `true`: the
+    /// audit reads events as they happen, so there is no buffer to
+    /// overflow. Kept because reports and the benchmark read it.
     pub audited: bool,
     /// Per-domain control spend and locality verdicts, in group order.
     pub domains: Vec<DomainSlice>,
@@ -256,12 +252,73 @@ struct Lab<'s> {
     allowed: &'s [Vec<bool>],
 }
 
-/// Parses the group id out of a traced message description
-/// (`"GroupMsg { group: GroupId(3), inner: ... }"`).
-fn trace_group(what: &str) -> Option<usize> {
-    let rest = what.strip_prefix("GroupMsg { group: GroupId(")?;
-    let end = rest.find(')')?;
-    rest[..end].parse().ok()
+/// A repair's domain-confined restoration paths as installable wire
+/// plans of the owning domain's group.
+fn wire_plans(owner_group: usize, plans: &[WirePlan]) -> Vec<(GroupId, NodeId, RecoveryPlan)> {
+    plans
+        .iter()
+        .map(|p| {
+            (
+                GroupId::new(owner_group),
+                p.member,
+                RecoveryPlan {
+                    path: p.path.clone(),
+                    wait: SimTime::ZERO,
+                    path_delay: SimTime::from_ms(p.delay_ms),
+                },
+            )
+        })
+        .collect()
+}
+
+/// The DomainLocality audit of one run: every sent message of group `g`
+/// must stay inside `g`'s sanctioned node set. An election extends the
+/// *owner's* set by the installed corridor through the elected child
+/// domain. Fed one event at a time, it keeps only the per-group counts.
+struct LocalityAudit<'a> {
+    allowed: &'a [Vec<bool>],
+    owner_group: usize,
+    owner_allowed: Vec<bool>,
+    /// Border crossings seen so far, in group order.
+    crossings: Vec<u64>,
+}
+
+impl<'a> LocalityAudit<'a> {
+    fn new(
+        allowed: &'a [Vec<bool>],
+        owner_group: usize,
+        plans: &[(GroupId, NodeId, RecoveryPlan)],
+    ) -> Self {
+        let mut owner_allowed = allowed[owner_group].clone();
+        for (_, _, plan) in plans {
+            for n in &plan.path {
+                owner_allowed[n.index()] = true;
+            }
+        }
+        LocalityAudit {
+            allowed,
+            owner_group,
+            owner_allowed,
+            crossings: vec![0; allowed.len()],
+        }
+    }
+
+    fn observe(&mut self, ev: &TraceEvent) {
+        let TraceEvent::Sent { from, to, what, .. } = ev else {
+            return;
+        };
+        let Some(g) = what.group.map(GroupId::index) else {
+            return;
+        };
+        let allowed = if g == self.owner_group {
+            &self.owner_allowed
+        } else {
+            &self.allowed[g]
+        };
+        if !allowed[from.index()] || !allowed[to.index()] {
+            self.crossings[g] += 1;
+        }
+    }
 }
 
 fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
@@ -320,58 +377,18 @@ fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
         .iter()
         .position(|&d| d == rec.owner)
         .expect("owner of an affecting failure runs a session");
-    let plans: Vec<(GroupId, NodeId, RecoveryPlan)> = rec
-        .plans
-        .iter()
-        .map(|p| {
-            (
-                GroupId::new(owner_group),
-                p.member,
-                RecoveryPlan {
-                    path: p.path.clone(),
-                    wait: SimTime::ZERO,
-                    path_delay: SimTime::from_ms(p.delay_ms),
-                },
-            )
-        })
-        .collect();
+    let plans = wire_plans(owner_group, &rec.plans);
 
-    let (report, trace) = lab.multi.run_failure_planned_traced(
+    let mut audit = LocalityAudit::new(lab.allowed, owner_group, &plans);
+    let (report, _) = lab.multi.run_failure_planned_traced(
         &scenario,
         &plans,
         InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(cfg.fail_at_ms))),
         &ChannelSpec::perfect(),
         SimTime::from_ms(cfg.run_until_ms),
-        TraceLog::new(TRACE_CAP),
+        TraceLog::observer(|ev| audit.observe(ev)),
     );
-
-    // DomainLocality audit: every sent message of group `g` must stay
-    // inside `g`'s sanctioned node set. An election extends the *owner's*
-    // set by the installed corridor through the elected child domain.
-    let mut owner_allowed = lab.allowed[owner_group].clone();
-    for p in &rec.plans {
-        for n in &p.path {
-            owner_allowed[n.index()] = true;
-        }
-    }
-    let audited = trace.discarded() == 0;
-    let mut crossings = vec![0u64; lab.domains.len()];
-    for ev in trace.entries() {
-        let TraceEvent::Sent { from, to, what, .. } = ev else {
-            continue;
-        };
-        let Some(g) = trace_group(what) else {
-            continue;
-        };
-        let allowed = if g == owner_group {
-            &owner_allowed
-        } else {
-            &lab.allowed[g]
-        };
-        if !allowed[from.index()] || !allowed[to.index()] {
-            crossings[g] += 1;
-        }
-    }
+    let mut crossings = audit.crossings;
     // A failure leaking into another domain's *data plane* is a
     // confinement violation too: non-owner groups must be untouched.
     for (g, slice) in report.groups.iter().enumerate() {
@@ -413,7 +430,7 @@ fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
         latencies_ms,
         elections: rec.elections.len() as u32,
         domains_involved: rec.domains_involved as u32,
-        audited,
+        audited: true,
         domains,
     }
 }
@@ -809,12 +826,62 @@ mod tests {
     }
 
     #[test]
-    fn trace_group_parses_group_msg_descriptions() {
-        assert_eq!(
-            trace_group("GroupMsg { group: GroupId(3), inner: Hello }"),
-            Some(3)
-        );
-        assert_eq!(trace_group("Hello"), None);
+    fn streaming_audit_counts_what_a_buffered_trace_holds() {
+        let cfg = small();
+        let topo = cfg.topology().unwrap();
+        let (source, members) = cfg.pick_members(&topo);
+        let nsess = NLevelSession::build(&topo, source, &members, SmrpConfig::default()).unwrap();
+        let graph = nsess.topology().graph();
+        let domains = nsess.active_domain_ids();
+        let sessions = domains
+            .iter()
+            .map(|&d| ProtoSession::from_tree(graph, nsess.domain_tree_global(d).unwrap()))
+            .collect();
+        let multi = MultiSession::from_sessions(sessions);
+        let (link, rec) = domains
+            .iter()
+            .flat_map(|&d| nsess.domain_tree_global(d).unwrap().links(graph))
+            .find_map(|l| match nsess.recover(l) {
+                Ok(rec) if !rec.plans.is_empty() => Some((l, rec)),
+                _ => None,
+            })
+            .expect("some repairable tree link exists");
+        let owner_group = domains.iter().position(|&d| d == rec.owner).unwrap();
+        let plans = wire_plans(owner_group, &rec.plans);
+        let run = |log| {
+            multi.run_failure_planned_traced(
+                &FailureScenario::link(link),
+                &plans,
+                InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
+                &ChannelSpec::perfect(),
+                SimTime::from_ms(cfg.run_until_ms),
+                log,
+            )
+        };
+
+        // Sanction nothing, so that every send of every group is a
+        // crossing and the counts are non-trivial.
+        let allowed = vec![vec![false; graph.node_count()]; domains.len()];
+        let (buffered_report, log) = run(TraceLog::new(2_000_000));
+        assert_eq!(log.discarded(), 0, "the buffer must hold the whole run");
+        let mut buffered = LocalityAudit::new(&allowed, owner_group, &[]);
+        log.entries().iter().for_each(|ev| buffered.observe(ev));
+        let sends = log
+            .entries()
+            .iter()
+            .filter(|ev| matches!(ev, TraceEvent::Sent { .. }))
+            .count() as u64;
+        drop(log);
+
+        let mut streamed = LocalityAudit::new(&allowed, owner_group, &[]);
+        let (report, log) = run(TraceLog::observer(|ev| streamed.observe(ev)));
+        assert!(log.is_empty(), "an observer retains nothing");
+        drop(log);
+
+        assert_eq!(streamed.crossings, buffered.crossings);
+        assert!(streamed.crossings.iter().filter(|&&c| c > 0).count() > 1);
+        assert_eq!(streamed.crossings.iter().sum::<u64>(), sends);
+        assert_eq!(format!("{report:?}"), format!("{buffered_report:?}"));
     }
 
     #[test]

@@ -55,11 +55,6 @@ fn build(cfg: &HierarchyConfig) -> (NLevelTopology, NLevelSession) {
     (topo, nsess)
 }
 
-fn trace_group(what: &str) -> Option<usize> {
-    let rest = what.strip_prefix("GroupMsg { group: GroupId(")?;
-    rest[..rest.find(')')?].parse().ok()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -140,7 +135,7 @@ proptest! {
         prop_assert_eq!(trace.discarded(), 0, "trace overflowed; audit incomplete");
         for ev in trace.entries() {
             let TraceEvent::Sent { from, to, what, .. } = ev else { continue };
-            let Some(g) = trace_group(what) else { continue };
+            let Some(g) = what.group.map(GroupId::index) else { continue };
             let allowed = nsess.domain_session_nodes(domains[g]).unwrap();
             let inside = |n: smrp_net::NodeId| {
                 allowed.contains(&n)

@@ -26,11 +26,11 @@ use smrp_core::recovery::{self, DetourKind};
 use smrp_metrics::ControlHealth;
 use smrp_net::{FailureScenario, Graph, GroupId, NodeId};
 use smrp_sim::{
-    ChannelModel, ChannelSpec, Ctx, NetSim, NodeBehavior, NodeCommand, SimTime, TimerBackend,
-    TraceLog,
+    ChannelModel, ChannelSpec, Ctx, Descriptor, NetSim, NodeBehavior, NodeCommand, SimTime,
+    TimerBackend, TraceLog,
 };
 
-use crate::messages::{GroupMsg, GroupTimer};
+use crate::messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
 use crate::router::{ControlCounters, RecoveryPlan, Router, RouterConfig};
 use crate::runner::{InjectionTiming, ProtoSession, RecoveryStrategy};
 
@@ -68,6 +68,8 @@ pub struct MultiRouter {
     slots: Vec<u32>,
     /// Dense lane storage, in first-touch order.
     routers: Vec<Router>,
+    /// The command buffer lent to each lane call's context in turn.
+    lane_commands: Vec<NodeCommand<ProtoMsg, TimerKind>>,
 }
 
 impl MultiRouter {
@@ -80,6 +82,7 @@ impl MultiRouter {
             config,
             slots: Vec::new(),
             routers: Vec::new(),
+            lane_commands: Vec::new(),
         }
     }
 
@@ -128,10 +131,10 @@ impl MultiRouter {
         group: GroupId,
         f: impl FnOnce(&mut Router, &mut Ctx<'_, Router>),
     ) {
-        let lane = self.lane_mut(group);
-        let mut inner = ctx.derive::<Router>();
-        f(lane, &mut inner);
-        for cmd in inner.into_commands() {
+        let mut inner = ctx.derive_into::<Router>(std::mem::take(&mut self.lane_commands));
+        f(self.lane_mut(group), &mut inner);
+        let mut commands = inner.into_commands();
+        for cmd in commands.drain(..) {
             match cmd {
                 NodeCommand::Send { to, msg } => ctx.send(to, GroupMsg { group, inner: msg }),
                 NodeCommand::Timer {
@@ -151,6 +154,7 @@ impl MultiRouter {
                 NodeCommand::CancelTimer { token } => ctx.cancel_timer(token),
             }
         }
+        self.lane_commands = commands;
     }
 }
 
@@ -169,9 +173,10 @@ impl NodeBehavior for MultiRouter {
     }
 
     fn on_reboot(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let groups: Vec<GroupId> = self.groups().collect();
-        for g in groups {
-            self.with_lane(ctx, g, |r, ictx| r.on_reboot(ictx));
+        for g in 0..self.slots.len() {
+            if self.slots[g] != NO_LANE {
+                self.with_lane(ctx, GroupId::new(g), |r, ictx| r.on_reboot(ictx));
+            }
         }
     }
 
@@ -180,6 +185,20 @@ impl NodeBehavior for MultiRouter {
     /// single-session ones.
     fn classify(msg: &GroupMsg) -> &'static str {
         Router::classify(&msg.inner)
+    }
+
+    fn describe(msg: &GroupMsg) -> Descriptor {
+        Descriptor {
+            group: Some(msg.group),
+            ..Router::describe(&msg.inner)
+        }
+    }
+
+    fn describe_timer(timer: &GroupTimer) -> Descriptor {
+        Descriptor {
+            group: Some(timer.group),
+            ..Router::describe_timer(&timer.inner)
+        }
     }
 }
 
@@ -367,16 +386,17 @@ impl<'g> MultiSession<'g> {
 
     /// [`run_failure_spec`](Self::run_failure_spec) that also returns the
     /// simulator trace recorded into `trace` — the hook for golden-trace
-    /// regression tests.
-    pub fn run_failure_spec_traced(
-        &self,
+    /// regression tests. A [`TraceLog::observer`] sees every event of the
+    /// run as it happens instead.
+    pub fn run_failure_spec_traced<'o>(
+        &'o self,
         scenario: &FailureScenario,
         strategy: RecoveryStrategy,
         timing: InjectionTiming,
         channel: &ChannelSpec,
         until: SimTime,
-        trace: TraceLog,
-    ) -> (MultiRecoveryReport, TraceLog) {
+        trace: TraceLog<'o>,
+    ) -> (MultiRecoveryReport, TraceLog<'o>) {
         let (report, trace, _procs) =
             self.run_failure_capture_traced(scenario, strategy, timing, channel, until, trace);
         (report, trace)
@@ -417,15 +437,15 @@ impl<'g> MultiSession<'g> {
     /// *inside* the owning recovery domain (see
     /// [`crate::hierarchy::NLevelSession::recover`]) go onto the wire
     /// without the planner ever seeing topology outside the domain.
-    pub fn run_failure_planned_traced(
-        &self,
+    pub fn run_failure_planned_traced<'o>(
+        &'o self,
         scenario: &FailureScenario,
         plans: &[(GroupId, NodeId, RecoveryPlan)],
         timing: InjectionTiming,
         channel: &ChannelSpec,
         until: SimTime,
-        trace: TraceLog,
-    ) -> (MultiRecoveryReport, TraceLog) {
+        trace: TraceLog<'o>,
+    ) -> (MultiRecoveryReport, TraceLog<'o>) {
         let (report, trace, _procs) = self.run_failure_inner(
             scenario,
             PlanSource::Explicit(plans),
@@ -437,15 +457,15 @@ impl<'g> MultiSession<'g> {
         (report, trace)
     }
 
-    fn run_failure_capture_traced(
-        &self,
+    fn run_failure_capture_traced<'o>(
+        &'o self,
         scenario: &FailureScenario,
         strategy: RecoveryStrategy,
         timing: InjectionTiming,
         channel: &ChannelSpec,
         until: SimTime,
-        trace: TraceLog,
-    ) -> (MultiRecoveryReport, TraceLog, Vec<MultiRouter>) {
+        trace: TraceLog<'o>,
+    ) -> (MultiRecoveryReport, TraceLog<'o>, Vec<MultiRouter>) {
         self.run_failure_inner(
             scenario,
             PlanSource::Strategy(strategy),
@@ -456,15 +476,15 @@ impl<'g> MultiSession<'g> {
         )
     }
 
-    fn run_failure_inner(
-        &self,
+    fn run_failure_inner<'o>(
+        &'o self,
         scenario: &FailureScenario,
         plans: PlanSource<'_>,
         timing: InjectionTiming,
         channel: &ChannelSpec,
         until: SimTime,
-        trace: TraceLog,
-    ) -> (MultiRecoveryReport, TraceLog, Vec<MultiRouter>) {
+        trace: TraceLog<'o>,
+    ) -> (MultiRecoveryReport, TraceLog<'o>, Vec<MultiRouter>) {
         let fail_at = timing.fail_at();
         let config = self.sessions[0]
             .router_config()
@@ -617,7 +637,7 @@ impl<'g> MultiSession<'g> {
             messages_delivered: sim.delivered_count(),
             messages_dropped: sim.dropped_count(),
         };
-        let trace = sim.trace().clone();
+        let trace = sim.take_trace();
         (report, trace, sim.into_nodes())
     }
 }

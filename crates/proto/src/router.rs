@@ -10,7 +10,7 @@
 //! simulated unicast-reconvergence delay for the global detour baseline.
 
 use smrp_net::NodeId;
-use smrp_sim::{Ctx, NodeBehavior, SimTime, TimerToken};
+use smrp_sim::{Ctx, Descriptor, NodeBehavior, SetupRoute, SimTime, TimerToken};
 
 use crate::messages::{ProtoMsg, TimerKind};
 use crate::reliable::{ReliabilityCounters, ReliableConfig, ReliableEndpoint, RetransmitAction};
@@ -981,6 +981,62 @@ impl NodeBehavior for Router {
             // Count envelope losses under the wrapped message's class.
             ProtoMsg::Reliable { inner, .. } => Self::classify(inner),
             ProtoMsg::Ack { .. } => "ack",
+        }
+    }
+
+    fn describe(msg: &ProtoMsg) -> Descriptor {
+        let plain = Descriptor::of_class(Self::classify(msg));
+        match msg {
+            // An envelope is described as the control message it carries,
+            // marked reliable and numbered by the envelope.
+            ProtoMsg::Reliable { seq, inner, .. } => Descriptor {
+                reliable: true,
+                seq: Some(*seq),
+                ..Self::describe(inner)
+            },
+            ProtoMsg::Data { seq } | ProtoMsg::Ack { seq } => Descriptor {
+                seq: Some(*seq),
+                ..plain
+            },
+            ProtoMsg::Setup { path, idx } => Descriptor {
+                setup: path
+                    .first()
+                    .zip(path.last())
+                    .map(|(&origin, &attach)| SetupRoute {
+                        origin,
+                        attach,
+                        hop: *idx as u32,
+                    }),
+                ..plain
+            },
+            // `classify` lumps the two directions of a query under one
+            // loss class; a trace must tell a request from its answer.
+            ProtoMsg::QueryResp { .. } => Descriptor::of_class("query-resp"),
+            _ => plain,
+        }
+    }
+
+    fn describe_timer(timer: &TimerKind) -> Descriptor {
+        let class = match timer {
+            TimerKind::HelloTick => "hello-tick",
+            TimerKind::UpstreamCheck => "upstream-check",
+            TimerKind::RefreshTick => "refresh-tick",
+            TimerKind::ExpiryCheck => "expiry-check",
+            TimerKind::DataTick => "data-tick",
+            TimerKind::StarvationCheck => "starvation-check",
+            TimerKind::QueryTimeout => "query-timeout",
+            TimerKind::ReconvergenceDone => "reconvergence-done",
+            TimerKind::PlanSweep => "plan-sweep",
+            TimerKind::PlanConfirm => "plan-confirm",
+            TimerKind::Retransmit { .. } => "retransmit",
+        };
+        let seq = match timer {
+            TimerKind::Retransmit { seq, .. } => Some(*seq),
+            _ => None,
+        };
+        Descriptor {
+            seq,
+            ..Descriptor::of_class(class)
         }
     }
 

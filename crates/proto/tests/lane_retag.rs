@@ -1,4 +1,4 @@
-//! Direct unit tests for the multiplexing seam: `Ctx::derive`,
+//! Direct unit tests for the multiplexing seam: `Ctx::derive_into`,
 //! `into_commands`, and `MultiRouter::with_lane` re-tagging.
 //!
 //! Before this suite, token preservation across the lane seam was only
@@ -34,9 +34,9 @@ fn derived_contexts_share_one_token_counter() {
     let mut outer: Ctx<'_, MultiRouter> =
         Ctx::standalone(SimTime::ZERO, me, &graph, &failures, &counter);
 
-    let mut inner_a = outer.derive::<Router>();
+    let mut inner_a = outer.derive_into::<Router>(Vec::new());
     let t0 = inner_a.set_timer(SimTime::from_ms(1.0), TimerKind::HelloTick);
-    let mut inner_b = outer.derive::<Router>();
+    let mut inner_b = outer.derive_into::<Router>(Vec::new());
     let t1 = inner_b.set_timer(SimTime::from_ms(2.0), TimerKind::RefreshTick);
     let t2 = outer.set_timer(
         SimTime::from_ms(3.0),

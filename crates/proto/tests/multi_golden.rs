@@ -18,14 +18,15 @@ use smrp_proto::{
 use smrp_sim::{SimTime, TraceEvent, TraceLog};
 
 /// Every post-failure `Setup` send of the Figure 1 local-detour recovery,
-/// exactly as the multi-session engine emits it today. The reliable
-/// envelope (seq/base) and the group tag are part of the pinned surface
-/// on purpose: they are the sharding seam this test guards.
+/// exactly as the multi-session engine emits it today, in the typed
+/// event's one-line rendering (`group class [reliable] #seq
+/// origin=>attach@hop`). The reliable envelope's sequence number and the
+/// group tag are part of the pinned surface on purpose: they are the
+/// sharding seam this test guards.
 /// The whole recovery is one hop: member D (`n4`) detects the cut at
 /// 130 ms (one missed hello past the 100 ms failure) and grafts straight
 /// to the nearest on-tree node C (`n3`).
-const GOLDEN_SETUP_SENDS: &[&str] = &["130.00ms n4->n3 GroupMsg { group: GroupId(0), inner: \
-     Reliable { seq: 0, base: 0, inner: Setup { path: [NodeId(4), NodeId(3)], idx: 1 } } }"];
+const GOLDEN_SETUP_SENDS: &[&str] = &["130.00ms n4->n3 g0 setup reliable #0 n4=>n3@1"];
 
 fn setup_sends(trace: &TraceLog, after: SimTime) -> Vec<String> {
     trace
@@ -37,7 +38,7 @@ fn setup_sends(trace: &TraceLog, after: SimTime) -> Vec<String> {
                 from,
                 to,
                 what,
-            } if *time >= after && what.contains("Setup") => {
+            } if *time >= after && what.setup.is_some() => {
                 Some(format!("{:.2}ms {from}->{to} {what}", time.as_ms()))
             }
             _ => None,

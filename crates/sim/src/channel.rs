@@ -174,13 +174,32 @@ pub struct ChannelModel {
     stats: ChannelStats,
 }
 
-/// Outcome of pushing one message through the channel: the extra delays
-/// (beyond link propagation) of each copy to deliver. Empty means lost;
-/// two entries mean a duplicate.
-#[derive(Debug, Clone, PartialEq)]
+/// Outcome of pushing one message through the channel: the extra delay
+/// (beyond link propagation) of each copy to deliver, held by value. No
+/// copies means lost; two mean a duplicate.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transmit {
-    /// Extra delay in milliseconds for each delivered copy.
-    pub extra_delays_ms: Vec<f64>,
+    delays_ms: [f64; 2],
+    copies: u8,
+}
+
+impl Transmit {
+    /// One copy, no extra delay: what a perfect link does.
+    pub(crate) const PERFECT: Transmit = Transmit {
+        delays_ms: [0.0; 2],
+        copies: 1,
+    };
+
+    const LOST: Transmit = Transmit {
+        delays_ms: [0.0; 2],
+        copies: 0,
+    };
+
+    /// Extra delay in milliseconds for each delivered copy, in delivery
+    /// scheduling order.
+    pub fn delays_ms(&self) -> &[f64] {
+        &self.delays_ms[..usize::from(self.copies)]
+    }
 }
 
 impl ChannelModel {
@@ -220,27 +239,27 @@ impl ChannelModel {
     pub fn transmit(&mut self, link: LinkId, class: &'static str) -> Transmit {
         let p = self.params_for(link);
         if p.is_perfect() {
-            return Transmit {
-                extra_delays_ms: vec![0.0],
-            };
+            return Transmit::PERFECT;
         }
         if p.loss > 0.0 && self.rng.gen_bool(p.loss) {
             *self.stats.lost_by_class.entry(class).or_insert(0) += 1;
-            return Transmit {
-                extra_delays_ms: Vec::new(),
-            };
+            return Transmit::LOST;
         }
         let mut first = self.draw_jitter(p.jitter_ms);
         if p.reorder > 0.0 && self.rng.gen_bool(p.reorder) {
             first += self.draw_jitter(p.reorder_window_ms);
             self.stats.reordered += 1;
         }
-        let mut extra_delays_ms = vec![first];
+        let mut out = Transmit {
+            delays_ms: [first, 0.0],
+            copies: 1,
+        };
         if p.duplicate > 0.0 && self.rng.gen_bool(p.duplicate) {
-            extra_delays_ms.push(self.draw_jitter(p.jitter_ms.max(p.reorder_window_ms)));
+            out.delays_ms[1] = self.draw_jitter(p.jitter_ms.max(p.reorder_window_ms));
+            out.copies = 2;
             self.stats.duplicated += 1;
         }
-        Transmit { extra_delays_ms }
+        out
     }
 
     fn draw_jitter(&mut self, window_ms: f64) -> f64 {
@@ -264,7 +283,7 @@ mod tests {
     fn perfect_channel_passes_everything_untouched() {
         let mut ch = ChannelModel::new(&ChannelSpec::perfect());
         for _ in 0..100 {
-            assert_eq!(ch.transmit(link(0), "m").extra_delays_ms, vec![0.0]);
+            assert_eq!(ch.transmit(link(0), "m").delays_ms(), [0.0]);
         }
         assert_eq!(ch.stats().lost(), 0);
     }
@@ -273,7 +292,7 @@ mod tests {
     fn uniform_loss_drops_roughly_p() {
         let mut ch = ChannelModel::new(&ChannelSpec::uniform_loss(0.2, 7));
         let lost = (0..10_000)
-            .filter(|_| ch.transmit(link(0), "m").extra_delays_ms.is_empty())
+            .filter(|_| ch.transmit(link(0), "m").delays_ms().is_empty())
             .count();
         assert!((1_600..=2_400).contains(&lost), "lost {lost} of 10000");
         assert_eq!(ch.stats().lost(), lost as u64);
@@ -301,8 +320,8 @@ mod tests {
             seed: 0,
         };
         let mut ch = ChannelModel::new(&spec);
-        assert_eq!(ch.transmit(link(0), "m").extra_delays_ms.len(), 1);
-        assert!(ch.transmit(link(1), "m").extra_delays_ms.is_empty());
+        assert_eq!(ch.transmit(link(0), "m").delays_ms().len(), 1);
+        assert!(ch.transmit(link(1), "m").delays_ms().is_empty());
     }
 
     #[test]
@@ -320,8 +339,8 @@ mod tests {
         };
         let mut ch = ChannelModel::new(&spec);
         let t = ch.transmit(link(0), "m");
-        assert_eq!(t.extra_delays_ms.len(), 2);
-        assert!(t.extra_delays_ms.iter().all(|&d| (0.0..2.0).contains(&d)));
+        assert_eq!(t.delays_ms().len(), 2);
+        assert!(t.delays_ms().iter().all(|&d| (0.0..2.0).contains(&d)));
         assert_eq!(ch.stats().duplicated, 1);
     }
 
@@ -340,8 +359,8 @@ mod tests {
         };
         let mut ch = ChannelModel::new(&spec);
         let t = ch.transmit(link(0), "m");
-        assert_eq!(t.extra_delays_ms.len(), 1);
-        assert!((0.0..10.0).contains(&t.extra_delays_ms[0]));
+        assert_eq!(t.delays_ms().len(), 1);
+        assert!((0.0..10.0).contains(&t.delays_ms()[0]));
         assert_eq!(ch.stats().reordered, 1);
     }
 

@@ -2,13 +2,14 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
 
-use crate::channel::{ChannelModel, ChannelStats};
+use crate::channel::{ChannelModel, ChannelStats, Transmit};
 use crate::event::EventQueue;
 use crate::time::SimTime;
-use crate::trace::{DropReason, TraceEvent, TraceLog};
+use crate::trace::{Descriptor, DropReason, TraceEvent, TraceLog};
 use crate::wheel::{TimerHandle, TimerWheel};
 
 /// An engine-issued identity for one armed timer.
@@ -34,6 +35,26 @@ impl TimerToken {
     /// The raw counter value behind this token.
     pub fn as_raw(self) -> u64 {
         self.0
+    }
+}
+
+/// Hasher for the token → wheel-handle map. Tokens are a private dense
+/// counter, never outside input, so one multiply spreads them as well as
+/// SipHash at a fraction of the cost.
+#[derive(Default)]
+struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("token keys hash through write_u64");
+    }
+
+    fn write_u64(&mut self, token: u64) {
+        self.0 = token.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
@@ -86,6 +107,20 @@ pub trait NodeBehavior: Sized {
     fn classify(_msg: &Self::Msg) -> &'static str {
         "message"
     }
+
+    /// Describes a message for the trace (see [`Descriptor`]). Called
+    /// once per send and once per delivery, only while a trace is
+    /// installed; must not allocate. The default carries the
+    /// [`classify`](Self::classify) class alone.
+    fn describe(msg: &Self::Msg) -> Descriptor {
+        Descriptor::of_class(Self::classify(msg))
+    }
+
+    /// Describes a fired timer for the trace, under the same rules as
+    /// [`describe`](Self::describe). The default says only `"timer"`.
+    fn describe_timer(_timer: &Self::Timer) -> Descriptor {
+        Descriptor::of_class("timer")
+    }
 }
 
 /// One queued output of a behavior handler, captured by a [`Ctx`].
@@ -93,7 +128,7 @@ pub trait NodeBehavior: Sized {
 /// Normally the engine applies commands internally and protocols never see
 /// this type. It is public for *multiplexing* behaviors — e.g. a router
 /// process hosting independent per-group protocol lanes — which run an
-/// inner behavior's handler against a [`Ctx::derive`]d context, then
+/// inner behavior's handler against a [`Ctx::derive_into`] context, then
 /// translate the inner commands (tagging messages and timers with the lane
 /// id) back onto their own context. See `smrp-proto`'s multi-session
 /// router for the canonical use.
@@ -236,20 +271,26 @@ impl<'a, N: NodeBehavior> Ctx<'a, N> {
 
     /// Derives a context for an *inner* behavior `N2` sharing this node's
     /// view of the simulation (same time, node, topology and failure
-    /// state) but collecting its own commands.
+    /// state) but collecting its own commands into `buffer` (cleared
+    /// first; pass `Vec::new()` when there is none to reuse).
     ///
     /// This is the hook for multiplexing behaviors: run the inner
     /// behavior's handler against the derived context, then drain its
     /// commands with [`Ctx::into_commands`] and re-issue them through the
     /// outer context, tagging messages and timers with the lane they
-    /// belong to.
-    pub fn derive<N2: NodeBehavior>(&self) -> Ctx<'a, N2> {
+    /// belong to. A multiplexer dispatching many handler calls keeps one
+    /// buffer's capacity by passing the drained vector to the next call.
+    pub fn derive_into<N2: NodeBehavior>(
+        &self,
+        mut buffer: Vec<NodeCommand<N2::Msg, N2::Timer>>,
+    ) -> Ctx<'a, N2> {
+        buffer.clear();
         Ctx {
             now: self.now,
             me: self.me,
             graph: self.graph,
             failures: self.failures,
-            commands: Vec::new(),
+            commands: buffer,
             // The token counter is shared: tokens allocated by inner
             // lanes stay globally unique, so re-issuing them on the outer
             // context cannot collide.
@@ -258,7 +299,7 @@ impl<'a, N: NodeBehavior> Ctx<'a, N> {
     }
 
     /// Consumes the context, yielding the commands its handler queued, in
-    /// issue order. Only useful on [`Ctx::derive`]d contexts — contexts
+    /// issue order. Only useful on [`Ctx::derive_into`] contexts — contexts
     /// handed out by the engine are applied by the engine itself.
     pub fn into_commands(self) -> Vec<NodeCommand<N::Msg, N::Timer>> {
         self.commands
@@ -368,17 +409,20 @@ pub struct NetSim<'g, N: NodeBehavior> {
     next_token: Cell<u64>,
     /// Wheel backend: token → wheel handle, for cancellation. Entries are
     /// removed when the timer fires or is cancelled.
-    timer_handles: HashMap<u64, TimerHandle>,
+    timer_handles: HashMap<u64, TimerHandle, BuildHasherDefault<TokenHasher>>,
     /// Reference backend: tokens cancelled before firing; the heap entry
     /// is filtered when it surfaces.
     cancelled_tokens: HashSet<u64>,
     now: SimTime,
     failures: FailureScenario,
     processing_delay: SimTime,
-    trace: TraceLog,
+    trace: TraceLog<'g>,
     channel: Option<ChannelModel>,
     delivered: u64,
     dropped: DropCounts,
+    /// The command buffer lent to each handler's [`Ctx`] in turn, so a
+    /// handler call costs no allocation once it has grown.
+    commands: Vec<NodeCommand<N::Msg, N::Timer>>,
 }
 
 impl<'g, N: NodeBehavior> NetSim<'g, N> {
@@ -402,7 +446,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             backend: TimerBackend::default(),
             seq: 0,
             next_token: Cell::new(0),
-            timer_handles: HashMap::new(),
+            timer_handles: HashMap::default(),
             cancelled_tokens: HashSet::new(),
             now: SimTime::ZERO,
             failures: FailureScenario::none(),
@@ -411,6 +455,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             channel: None,
             delivered: 0,
             dropped: DropCounts::default(),
+            commands: Vec::new(),
         }
     }
 
@@ -440,9 +485,15 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         s
     }
 
-    /// Replaces the trace log (e.g. [`TraceLog::disabled`] for long runs).
-    pub fn set_trace(&mut self, trace: TraceLog) {
+    /// Replaces the trace log (e.g. [`TraceLog::disabled`] for long
+    /// runs, [`TraceLog::observer`] to consume events as they happen).
+    pub fn set_trace(&mut self, trace: TraceLog<'g>) {
         self.trace = trace;
+    }
+
+    /// Takes the trace log out of the simulator, leaving a disabled one.
+    pub fn take_trace(&mut self) -> TraceLog<'g> {
+        std::mem::replace(&mut self.trace, TraceLog::disabled())
     }
 
     /// Installs a degraded channel; subsequent sends pass through it.
@@ -485,7 +536,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     }
 
     /// The trace recorded so far.
-    pub fn trace(&self) -> &TraceLog {
+    pub fn trace(&self) -> &TraceLog<'g> {
         &self.trace
     }
 
@@ -554,27 +605,31 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             me: id,
             graph: self.graph,
             failures: &self.failures,
-            commands: Vec::new(),
+            commands: std::mem::take(&mut self.commands),
             next_token: &self.next_token,
         };
         f(&mut self.nodes[id.index()], &mut ctx);
-        let commands = ctx.commands;
-        self.apply(id, commands);
+        let mut commands = ctx.commands;
+        self.apply(id, &mut commands);
+        self.commands = commands;
     }
 
     /// The single drop site: counts the drop under its cause and traces it.
     fn drop_msg(&mut self, time: SimTime, from: NodeId, to: NodeId, reason: DropReason) {
         self.dropped.record(reason);
-        self.trace.push(TraceEvent::Dropped {
-            time,
-            from,
-            to,
-            reason,
-        });
+        if self.trace.is_enabled() {
+            self.trace.push(TraceEvent::Dropped {
+                time,
+                from,
+                to,
+                reason,
+            });
+        }
     }
 
-    fn apply(&mut self, from: NodeId, commands: Vec<NodeCommand<N::Msg, N::Timer>>) {
-        for c in commands {
+    /// Applies and empties `commands`, in issue order.
+    fn apply(&mut self, from: NodeId, commands: &mut Vec<NodeCommand<N::Msg, N::Timer>>) {
+        for c in commands.drain(..) {
             match c {
                 NodeCommand::Send { to, msg } => {
                     if !self.failures.node_usable(from) {
@@ -590,35 +645,29 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                             time: self.now,
                             from,
                             to,
-                            what: format!("{msg:?}"),
+                            what: N::describe(&msg),
                         });
                     }
                     // The degraded channel may lose the message, duplicate
                     // it, or stretch its delay; a perfect channel delivers
                     // exactly one copy with no extra delay.
-                    let extra_delays_ms = match &mut self.channel {
-                        Some(ch) => ch.transmit(link, N::classify(&msg)).extra_delays_ms,
-                        None => vec![0.0],
+                    let transmit = match &mut self.channel {
+                        Some(ch) => ch.transmit(link, N::classify(&msg)),
+                        None => Transmit::PERFECT,
                     };
-                    if extra_delays_ms.is_empty() {
+                    let Some((&last, duplicates)) = transmit.delays_ms().split_last() else {
                         self.drop_msg(self.now, from, to, DropReason::ChannelLoss);
                         continue;
-                    }
+                    };
                     let base =
                         SimTime::from_ms(self.graph.link(link).delay()) + self.processing_delay;
-                    for extra in extra_delays_ms {
-                        let seq = self.next_seq();
-                        self.queue.schedule_keyed(
-                            self.now + base + SimTime::from_ms(extra),
-                            seq,
-                            SimEvent::Deliver {
-                                from,
-                                to,
-                                link,
-                                msg: msg.clone(),
-                            },
-                        );
+                    // Only a duplicate costs a clone; the message itself
+                    // moves into the last copy's event.
+                    for &extra in duplicates {
+                        let msg = msg.clone();
+                        self.schedule_delivery(base + SimTime::from_ms(extra), from, to, link, msg);
                     }
+                    self.schedule_delivery(base + SimTime::from_ms(last), from, to, link, msg);
                 }
                 NodeCommand::Timer {
                     delay,
@@ -659,6 +708,27 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         }
     }
 
+    fn schedule_delivery(
+        &mut self,
+        delay: SimTime,
+        from: NodeId,
+        to: NodeId,
+        link: LinkId,
+        msg: N::Msg,
+    ) {
+        let seq = self.next_seq();
+        self.queue.schedule_keyed(
+            self.now + delay,
+            seq,
+            SimEvent::Deliver {
+                from,
+                to,
+                link,
+                msg,
+            },
+        );
+    }
+
     /// `(time, seq)` of the earliest pending event across the heap and
     /// the timer wheel.
     fn peek_next_key(&mut self) -> Option<(SimTime, u64)> {
@@ -680,7 +750,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             self.trace.push(TraceEvent::TimerFired {
                 time,
                 node,
-                what: format!("{timer:?}"),
+                what: N::describe_timer(&timer),
             });
         }
         self.with_node(node, |n, ctx| n.on_timer(ctx, timer));
@@ -729,7 +799,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                         time,
                         from,
                         to,
-                        what: format!("{msg:?}"),
+                        what: N::describe(&msg),
                     });
                 }
                 self.with_node(to, |n, ctx| n.on_message(ctx, from, msg));
@@ -825,6 +895,20 @@ mod tests {
                 ctx.set_timer(SimTime::from_ms(1.0), 2);
             }
             self.received += 100;
+        }
+        // Traces must tell Ping from Pong and one timer tag from another,
+        // or the ordering tests below compare indistinguishable entries.
+        fn describe(msg: &Msg) -> Descriptor {
+            Descriptor::of_class(match msg {
+                Msg::Ping => "ping",
+                Msg::Pong => "pong",
+            })
+        }
+        fn describe_timer(timer: &u8) -> Descriptor {
+            Descriptor {
+                seq: Some(u64::from(*timer)),
+                ..Descriptor::of_class("timer")
+            }
         }
     }
 

@@ -21,8 +21,11 @@
 //!   failed nodes neither process nor send;
 //! * an optional degraded channel ([`ChannelModel`]) adding seeded
 //!   per-link loss, duplication, reordering and latency jitter;
-//! * a bounded trace of everything that happened, for tests and the
-//!   `protocol_trace` example.
+//! * a typed event stream of everything that happened ([`TraceEvent`]
+//!   with a `Copy` [`Descriptor`], no formatting and no allocation per
+//!   event), delivered to a [`TraceLog`]: a bounded buffer for tests and
+//!   golden transcripts, or an observer closure that audits events as
+//!   they pass and retains none.
 //!
 //! Protocol logic plugs in through the [`NodeBehavior`] trait; see
 //! `smrp-proto` for the SMRP router implementation.
@@ -40,5 +43,5 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use engine::{Ctx, DropCounts, NetSim, NodeBehavior, NodeCommand, TimerBackend, TimerToken};
 pub use event::EventQueue;
 pub use time::SimTime;
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{Descriptor, SetupRoute, TraceEvent, TraceLog};
 pub use wheel::{TimerHandle, TimerWheel};

@@ -1,12 +1,93 @@
-//! Bounded simulation trace.
+//! Typed simulation events and the log that receives them.
+//!
+//! The engine describes every send, delivery, drop and timer firing as a
+//! [`TraceEvent`] carrying a fixed-size [`Descriptor`] and hands it to the
+//! installed [`TraceLog`] the moment it happens: either a bounded buffer
+//! (tests, golden transcripts) or an observer closure that consumes the
+//! stream without retaining it (the DomainLocality audit). Building and
+//! delivering an event formats nothing and allocates nothing.
 
-use smrp_net::NodeId;
+use smrp_net::{GroupId, NodeId};
 
 use crate::time::SimTime;
 
+/// What a traced message or timer was, as a small `Copy` value.
+///
+/// Filled in by the behaviour through [`crate::NodeBehavior::describe`]
+/// and [`crate::NodeBehavior::describe_timer`]; fields a message does not
+/// have stay `None`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Descriptor {
+    /// The message class, in the vocabulary of
+    /// [`crate::NodeBehavior::classify`] (split further where `classify`
+    /// lumps distinct messages together) — or, for timers, the timer kind.
+    pub class: &'static str,
+    /// The session the message or timer belongs to, when the behaviour
+    /// multiplexes several.
+    pub group: Option<GroupId>,
+    /// The sequence number it carries: a data packet's, an ack's, a
+    /// retransmission timer's, or the reliable envelope's around a
+    /// control message.
+    pub seq: Option<u64>,
+    /// Whether the message travels in a reliable-delivery envelope.
+    pub reliable: bool,
+    /// For source-routed state installation, the route being installed.
+    pub setup: Option<SetupRoute>,
+}
+
+impl Descriptor {
+    /// A descriptor carrying only a class.
+    pub const fn of_class(class: &'static str) -> Self {
+        Descriptor {
+            class,
+            group: None,
+            seq: None,
+            reliable: false,
+            setup: None,
+        }
+    }
+}
+
+/// Renders as `[g<group> ]<class>[ reliable][ #<seq>][ <origin>=><attach>@<hop>]`,
+/// the stable one-line form golden transcripts pin.
+impl std::fmt::Display for Descriptor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(g) = self.group {
+            write!(f, "{g} ")?;
+        }
+        f.write_str(self.class)?;
+        if self.reliable {
+            f.write_str(" reliable")?;
+        }
+        if let Some(seq) = self.seq {
+            write!(f, " #{seq}")?;
+        }
+        if let Some(s) = self.setup {
+            write!(f, " {}=>{}@{}", s.origin, s.attach, s.hop)?;
+        }
+        Ok(())
+    }
+}
+
+/// The identifying part of a source-routed `Setup`: where the route
+/// starts, where it attaches, and which hop of it this copy addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetupRoute {
+    /// The initiating node (first node of the path).
+    pub origin: NodeId,
+    /// The attach point (last node of the path).
+    pub attach: NodeId,
+    /// Index of the receiving hop within the path.
+    pub hop: u32,
+}
+
 /// One traced occurrence in the simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
+///
+/// `W` is the description attached to messages and timers. The engine
+/// produces [`Descriptor`]s; the parameter exists so tools can log events
+/// with a payload of their own.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraceEvent<W = Descriptor> {
     /// A message left a node toward a neighbor.
     Sent {
         /// Departure time.
@@ -15,8 +96,8 @@ pub enum TraceEvent {
         from: NodeId,
         /// Receiving neighbor.
         to: NodeId,
-        /// Short description of the message.
-        what: String,
+        /// Description of the message.
+        what: W,
     },
     /// A message arrived and was processed.
     Delivered {
@@ -26,8 +107,8 @@ pub enum TraceEvent {
         from: NodeId,
         /// Receiving node.
         to: NodeId,
-        /// Short description of the message.
-        what: String,
+        /// Description of the message.
+        what: W,
     },
     /// A message was dropped.
     Dropped {
@@ -46,12 +127,12 @@ pub enum TraceEvent {
         time: SimTime,
         /// Owning node.
         node: NodeId,
-        /// Short description of the timer.
-        what: String,
+        /// Description of the timer.
+        what: W,
     },
 }
 
-impl TraceEvent {
+impl<W> TraceEvent<W> {
     /// The virtual time of the event.
     pub fn time(&self) -> SimTime {
         match self {
@@ -91,50 +172,65 @@ impl std::fmt::Display for DropReason {
     }
 }
 
-/// A bounded in-memory trace; older entries are discarded once the cap is
-/// reached (the count of discarded entries is retained).
-#[derive(Debug, Clone)]
-pub struct TraceLog {
-    entries: Vec<TraceEvent>,
+/// Where the engine's events go: a bounded in-memory buffer (entries past
+/// the cap are discarded and counted), an observer that sees each event
+/// as it happens and keeps nothing, or nowhere.
+pub struct TraceLog<'o, W = Descriptor> {
+    entries: Vec<TraceEvent<W>>,
     capacity: usize,
     discarded: u64,
+    observer: Option<Observer<'o, W>>,
 }
 
-impl TraceLog {
-    /// Creates a log bounded to `capacity` entries.
+type Observer<'o, W> = Box<dyn FnMut(&TraceEvent<W>) + 'o>;
+
+impl<'o, W> TraceLog<'o, W> {
+    /// Creates a log that retains the first `capacity` events.
     pub fn new(capacity: usize) -> Self {
         TraceLog {
             entries: Vec::new(),
             capacity,
             discarded: 0,
+            observer: None,
         }
     }
 
-    /// Creates a disabled log that records nothing (and, unlike a full
-    /// bounded log, counts nothing as discarded).
+    /// Creates a disabled log: the engine never pushes to it, and it
+    /// retains and counts nothing.
     pub fn disabled() -> Self {
         TraceLog::new(0)
     }
 
-    /// Whether this log records at all. The engine skips building trace
-    /// events (which involves formatting message payloads) entirely for
-    /// disabled logs, so long campaign runs pay no tracing cost.
+    /// Creates a log that hands every event to `observe` as it happens
+    /// and retains none — for consumers that need the whole stream of a
+    /// run but only a summary of it.
+    pub fn observer(observe: impl FnMut(&TraceEvent<W>) + 'o) -> Self {
+        TraceLog {
+            observer: Some(Box::new(observe)),
+            ..TraceLog::new(0)
+        }
+    }
+
+    /// Whether this log receives events at all. The engine skips
+    /// describing events entirely for disabled logs.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
+        self.capacity > 0 || self.observer.is_some()
     }
 
-    /// Records an event.
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.entries.len() >= self.capacity {
+    /// Records an event. A no-op on a disabled log.
+    pub fn push(&mut self, event: TraceEvent<W>) {
+        if let Some(observe) = &mut self.observer {
+            observe(&event);
+        } else if self.entries.len() < self.capacity {
+            self.entries.push(event);
+        } else if self.capacity > 0 {
             self.discarded += 1;
-            return;
         }
-        self.entries.push(event);
     }
 
-    /// Recorded entries, oldest first.
-    pub fn entries(&self) -> &[TraceEvent] {
+    /// Retained entries, oldest first (always empty for an observer).
+    pub fn entries(&self) -> &[TraceEvent<W>] {
         &self.entries
     }
 
@@ -154,6 +250,17 @@ impl TraceLog {
     }
 }
 
+impl<W> std::fmt::Debug for TraceLog<'_, W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceLog")
+            .field("retained", &self.entries.len())
+            .field("capacity", &self.capacity)
+            .field("discarded", &self.discarded)
+            .field("observer", &self.observer.is_some())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +269,7 @@ mod tests {
         TraceEvent::TimerFired {
             time: SimTime::from_ms(ms),
             node: NodeId::new(0),
-            what: "t".into(),
+            what: Descriptor::of_class("t"),
         }
     }
 
@@ -180,9 +287,43 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::disabled();
+        assert!(!log.is_enabled());
         log.push(ev(1.0));
         assert!(log.is_empty());
-        assert_eq!(log.discarded(), 1);
+        assert_eq!(log.discarded(), 0);
+    }
+
+    #[test]
+    fn observer_sees_every_event_and_retains_none() {
+        let mut seen = Vec::new();
+        let mut log = TraceLog::observer(|e: &TraceEvent| seen.push(e.time()));
+        assert!(log.is_enabled());
+        log.push(ev(1.0));
+        log.push(ev(2.0));
+        assert!(log.is_empty());
+        assert_eq!(log.discarded(), 0);
+        drop(log);
+        assert_eq!(seen, [SimTime::from_ms(1.0), SimTime::from_ms(2.0)]);
+    }
+
+    #[test]
+    fn descriptor_rendering_tells_setups_apart() {
+        let setup = |origin: usize, attach: usize, hop| Descriptor {
+            group: Some(GroupId::new(2)),
+            seq: Some(5),
+            reliable: true,
+            setup: Some(SetupRoute {
+                origin: NodeId::new(origin),
+                attach: NodeId::new(attach),
+                hop,
+            }),
+            ..Descriptor::of_class("setup")
+        };
+        assert_eq!(setup(4, 3, 1).to_string(), "g2 setup reliable #5 n4=>n3@1");
+        assert_ne!(setup(4, 3, 1).to_string(), setup(4, 3, 2).to_string());
+        assert_ne!(setup(4, 3, 1).to_string(), setup(4, 5, 1).to_string());
+        assert_ne!(setup(4, 3, 1).to_string(), setup(2, 3, 1).to_string());
+        assert_eq!(Descriptor::of_class("hello").to_string(), "hello");
     }
 
     #[test]

@@ -240,7 +240,11 @@ impl<E> TimerWheel<E> {
             let shift = SLOT_BITS * level as u32;
             if c & ((1 << shift) - 1) == 0 {
                 let slot = ((c >> shift) & (SLOTS as u64 - 1)) as usize;
-                for index in std::mem::take(&mut self.levels[level][slot]) {
+                // Cascading re-places strictly below `level`, so the
+                // slot's buffer can be lent out and handed back emptied,
+                // capacity intact.
+                let mut parked = std::mem::take(&mut self.levels[level][slot]);
+                for index in parked.drain(..) {
                     self.in_levels -= 1;
                     if self.slab[index as usize].live {
                         self.place(index);
@@ -248,6 +252,8 @@ impl<E> TimerWheel<E> {
                         self.release(index);
                     }
                 }
+                debug_assert!(self.levels[level][slot].is_empty());
+                self.levels[level][slot] = parked;
             }
         }
         let slot = (c & (SLOTS as u64 - 1)) as usize;
@@ -265,7 +271,8 @@ impl<E> TimerWheel<E> {
             let e = &self.slab[index as usize];
             (e.time, e.seq)
         });
-        self.ready.extend(batch);
+        self.ready.extend(batch.drain(..));
+        self.levels[0][slot] = batch;
         self.cursor = c + 1;
     }
 

@@ -1,0 +1,109 @@
+//! The event path allocates nothing.
+//!
+//! Once its buffers have grown (command buffer, event heap, timer-wheel
+//! slots, token map), handling one more simulated event — a timer that
+//! greets every neighbor and re-arms, and each greeting's delivery —
+//! must not touch the heap, with the trace off and with an observer
+//! reading every event.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
+use smrp_net::{Graph, NodeId};
+use smrp_sim::{Ctx, NetSim, NodeBehavior, SimTime, TraceEvent, TraceLog};
+
+/// Every node ticks, greets each neighbor, and ignores what it hears.
+struct Beacon {
+    ticks: u64,
+    heard: u64,
+}
+
+impl NodeBehavior for Beacon {
+    type Msg = u32;
+    type Timer = ();
+
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _from: NodeId, _msg: u32) {
+        self.heard += 1;
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, _timer: ()) {
+        self.ticks += 1;
+        let me = ctx.me();
+        for (n, _) in ctx.graph().adjacency(me) {
+            ctx.send(*n, self.ticks as u32);
+        }
+        ctx.set_timer(SimTime::from_ms(10.0), ());
+    }
+}
+
+/// A ring with chords: degree 4, link delays spread over 1–7 ms.
+fn topology() -> Graph {
+    const N: usize = 16;
+    let mut g = Graph::with_nodes(N);
+    let ids: Vec<NodeId> = g.node_ids().collect();
+    for i in 0..N {
+        g.add_link(ids[i], ids[(i + 1) % N], 1.0 + (i % 7) as f64)
+            .unwrap();
+        g.add_link(ids[i], ids[(i + 5) % N], 2.5 + (i % 3) as f64)
+            .unwrap();
+    }
+    g
+}
+
+/// Runs the beacon network through a warm-up, then returns the events
+/// handled and the allocations made over two more seconds.
+fn steady_state(graph: &Graph, trace: TraceLog<'_>) -> (u64, u64) {
+    let nodes = graph
+        .node_ids()
+        .map(|_| Beacon { ticks: 0, heard: 0 })
+        .collect();
+    let mut sim = NetSim::new(graph, nodes);
+    sim.set_trace(trace);
+    for n in graph.node_ids() {
+        sim.with_node(n, |_, ctx| {
+            ctx.set_timer(SimTime::from_ms(10.0), ());
+        });
+    }
+    let handled = |sim: &NetSim<'_, Beacon>| -> u64 {
+        graph
+            .node_ids()
+            .map(|n| sim.node(n).ticks + sim.node(n).heard)
+            .sum()
+    };
+    // 400 periods: every level-0 wheel slot has held a full batch.
+    sim.run_until(SimTime::from_ms(4000.0));
+    let (events_before, allocs_before) = (handled(&sim), allocations());
+    sim.run_until(SimTime::from_ms(6000.0));
+    let allocs = allocations() - allocs_before;
+    (handled(&sim) - events_before, allocs)
+}
+
+#[test]
+fn steady_state_events_allocate_nothing() {
+    let graph = topology();
+
+    let (events, allocs) = steady_state(&graph, TraceLog::disabled());
+    assert!(events > 10_000, "only {events} events ran");
+    assert_eq!(
+        allocs, 0,
+        "untraced: {allocs} allocations in {events} events"
+    );
+
+    let mut observed = 0u64;
+    let (events, allocs) = steady_state(
+        &graph,
+        TraceLog::observer(|ev| {
+            if !matches!(ev, TraceEvent::Dropped { .. }) {
+                observed += 1;
+            }
+        }),
+    );
+    assert_eq!(
+        allocs, 0,
+        "observed: {allocs} allocations in {events} events"
+    );
+    // Each send, delivery and timer firing reached the observer: the
+    // measured window alone accounts for `events` deliveries and timers.
+    assert!(observed > events, "observer saw {observed} of {events}");
+}
