@@ -14,11 +14,8 @@ use std::hint::black_box;
 
 use smrp_core::SmrpConfig;
 use smrp_net::{FailureScenario, Graph, NodeId};
-use smrp_proto::{
-    FailureTiming, InjectionTiming, ProtoSession, RecoveryStrategy, Router, RouterConfig,
-    TreeProtocol,
-};
-use smrp_sim::{ChannelSpec, NetSim, SimTime, TimerBackend, TimerWheel};
+use smrp_proto::{FailureSpec, ProtoSession, RecoveryStrategy, Router, RouterConfig, TreeProtocol};
+use smrp_sim::{NetSim, SimTime, TimerBackend, TimerWheel};
 
 /// Soft-state churn: schedule a working set of timers, then repeatedly
 /// cancel-and-re-arm the whole set one interval later — the SMRP
@@ -116,16 +113,16 @@ fn bench_recovery_run(c: &mut Criterion) {
             )
             .unwrap();
             session.set_timer_backend(backend);
+            let spec = FailureSpec::persistent(
+                &scenario,
+                RecoveryStrategy::LocalDetour,
+                SimTime::from_ms(100.0),
+                SimTime::from_ms(3000.0),
+            );
             b.iter(|| {
-                let report = session.run_failure_spec(
-                    &scenario,
-                    RecoveryStrategy::LocalDetour,
-                    InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
-                    &ChannelSpec::perfect(),
-                    SimTime::from_ms(3000.0),
-                );
+                let report = session.run(&spec);
                 assert!(report.all_restored());
-                black_box(report.restorations.len())
+                black_box(report.groups[0].restorations.len())
             })
         });
     }

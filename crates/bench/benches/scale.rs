@@ -32,10 +32,8 @@ use smrp_core::recovery::DetourKind;
 use smrp_faultlab::audit_recovery;
 use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
-use smrp_proto::{
-    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
-};
-use smrp_sim::{ChannelSpec, SimTime};
+use smrp_proto::{FailureSpec, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_sim::{SimTime, TraceLog};
 
 const GROUP_SIZE: usize = 8;
 const FAIL_AT_MS: f64 = 100.0;
@@ -177,13 +175,13 @@ fn run_cell(n: usize, m: usize) -> Cell {
     let scenario = FailureScenario::link(cut.unwrap());
     let multi = MultiSession::from_sessions(affected);
     let t = Instant::now();
-    let report = multi.run_failure_spec(
+    let spec = FailureSpec::persistent(
         &scenario,
         RecoveryStrategy::LocalDetour,
-        InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(FAIL_AT_MS))),
-        &ChannelSpec::perfect(),
+        SimTime::from_ms(FAIL_AT_MS),
         SimTime::from_ms(RUN_UNTIL_MS),
     );
+    let report = multi.run(&spec, TraceLog::disabled()).report;
     let sim_ms = t.elapsed().as_secs_f64() * 1e3;
     black_box(&report);
 

@@ -1,7 +1,8 @@
 //! Hierarchical recovery confinement (§3.3.3, Figure 6).
 //!
 //! On transit-stub topologies, compares flat SMRP recovery against the
-//! 2-level hierarchical architecture: for every tree link of the flat
+//! 2-level hierarchical architecture (the N-level engine on
+//! `NLevelTopology::from_transit_stub`): for every tree link of the flat
 //! session, fail it and record (a) how many members lose service and
 //! (b) whether the hierarchical repair stays inside one recovery domain.
 
@@ -10,9 +11,10 @@ use smrp_core::{SmrpConfig, SmrpSession};
 use smrp_metrics::csvout::Csv;
 use smrp_metrics::table::Table;
 use smrp_metrics::Stats;
+use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::{TransitStubConfig, TransitStubTopology};
 use smrp_net::FailureScenario;
-use smrp_proto::hierarchy::{FailureScope, HierarchicalSession};
+use smrp_proto::hierarchy::NLevelSession;
 
 use crate::Effort;
 
@@ -79,9 +81,15 @@ pub fn run(effort: Effort) -> HierarchyResult {
         for &m in &members {
             flat.join(m).expect("member joins flat session");
         }
-        // Hierarchical session.
-        let hier = HierarchicalSession::build(&topo, source, &members, SmrpConfig::default())
-            .expect("hierarchy builds");
+        // Hierarchical session: the transit domain is the root, the stubs
+        // its children.
+        let hier = NLevelSession::build(
+            &NLevelTopology::from_transit_stub(&topo),
+            source,
+            &members,
+            SmrpConfig::default(),
+        )
+        .expect("hierarchy builds");
 
         // Fail every flat tree link once.
         for link in flat.tree().links(graph) {
@@ -118,7 +126,6 @@ pub fn run(effort: Effort) -> HierarchyResult {
                     if rec.domains_involved <= 1 {
                         result.confined += 1;
                     }
-                    let _ = matches!(rec.scope, FailureScope::Stub(_));
                 }
                 Err(_) => result.unrepairable += 1,
             }
@@ -200,9 +207,6 @@ pub struct NLevelResult {
 /// is failed once and the repair is attributed/confined by the N-level
 /// session.
 pub fn run_nlevel(effort: Effort) -> NLevelResult {
-    use smrp_net::nlevel::NLevelConfig;
-    use smrp_proto::hierarchy::NLevelSession;
-
     let seeds = effort.scale(5).max(1) as u64;
     let mut result = NLevelResult {
         cases: 0,

@@ -12,7 +12,7 @@ use smrp_metrics::csvout::Csv;
 use smrp_metrics::table::Table;
 use smrp_metrics::Stats;
 use smrp_net::FailureScenario;
-use smrp_proto::{ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_proto::{FailureSpec, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_sim::SimTime;
 
 use crate::measure::smrp_config;
@@ -95,15 +95,14 @@ pub fn run(effort: Effort) -> LatencyResult {
         let fail_at = SimTime::from_ms(200.0);
         let until = SimTime::from_ms(RECONVERGENCE_MS + 5_000.0);
 
-        let local = session.run_failure(&fail, RecoveryStrategy::LocalDetour, fail_at, until);
-        let global = session.run_failure(
-            &fail,
-            RecoveryStrategy::GlobalDetour {
-                reconvergence: SimTime::from_ms(RECONVERGENCE_MS),
-            },
-            fail_at,
-            until,
-        );
+        let run = |strategy| {
+            let spec = FailureSpec::persistent(&fail, strategy, fail_at, until);
+            session.run(&spec).groups.remove(0)
+        };
+        let local = run(RecoveryStrategy::LocalDetour);
+        let global = run(RecoveryStrategy::GlobalDetour {
+            reconvergence: SimTime::from_ms(RECONVERGENCE_MS),
+        });
         ran += 1;
         for (_, latency) in &local.restorations {
             if let Some(t) = latency {

@@ -13,7 +13,7 @@ use smrp_metrics::csvout::Csv;
 use smrp_metrics::table::{percent, Table};
 use smrp_metrics::Stats;
 use smrp_net::{import, FailureScenario, Graph, NodeId};
-use smrp_proto::{ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_proto::{FailureSpec, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_sim::SimTime;
 
 use crate::measure::{measure_scenario, smrp_config};
@@ -100,13 +100,13 @@ fn run_backbone(
             .expect("session builds");
             if let Some(link) = recovery::worst_case_failure_for(&graph, session.tree(), members[0])
             {
-                let report = session.run_failure(
+                let report = session.run(&FailureSpec::persistent(
                     &FailureScenario::link(link),
                     RecoveryStrategy::LocalDetour,
                     SimTime::from_ms(150.0),
                     SimTime::from_ms(3000.0),
-                );
-                row.local_latency_ms = report.mean_latency_ms();
+                ));
+                row.local_latency_ms = report.groups[0].mean_latency_ms();
             }
         }
     }

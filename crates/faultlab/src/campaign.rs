@@ -9,16 +9,12 @@
 //! (case, protocol) pair is classified into one aggregate [`Outcome`]
 //! plus one [`GroupOutcome`] per session.
 //!
-//! Evaluation fans out over worker threads with a shared work-stealing
-//! index at (case, protocol) granularity — groups within a scenario share
-//! one event queue (they contend for the same links), so the protocol run
-//! is the finest unit that can move between threads without changing the
-//! physics. Results are keyed by (case id, protocol) and reassembled in
-//! that order, so the campaign output is byte-identical for any `--jobs`
-//! value.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! Evaluation fans out over worker threads (the crate's one ordered
+//! parallel map) at (case, protocol) granularity — groups within a
+//! scenario share one event queue (they contend for the same links), so
+//! the protocol run is the finest unit that can move between threads
+//! without changing the physics. Results come back in (case id, protocol)
+//! order, so the campaign output is byte-identical for any `--jobs` value.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -28,15 +24,16 @@ use smrp_core::recovery::{self, DetourKind};
 use smrp_core::SmrpConfig;
 use smrp_metrics::{ControlHealth, ProtectionHealth};
 use smrp_net::waxman::WaxmanConfig;
-use smrp_net::{Graph, GroupId, NetError, NodeId};
+use smrp_net::{FailureScenario, Graph, GroupId, NetError, NodeId};
 use smrp_proto::{
-    ControlCounters, FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryPlans,
-    RecoveryStrategy, TreeProtocol,
+    ControlCounters, FailureSpec, FailureTiming, GroupRecoveryReport, InjectionTiming,
+    MultiSession, PlanSource, ProtoSession, RecoveryPlans, RecoveryStrategy, TreeProtocol,
 };
-use smrp_sim::{ChannelSpec, SimTime, TimerBackend};
+use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceLog};
 
 use crate::audit::{audit_recovery, Violation};
 use crate::generate::{generate_mix, FaultCase, GeneratorConfig};
+use crate::par::ordered_par_map;
 
 /// The protocol a case was evaluated against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -312,14 +309,82 @@ impl CaseResult {
     }
 }
 
-/// Pre-simulation analysis of one group: affected set, recovery plans,
-/// audit verdict, and — when the group cannot possibly need the
+/// Pre-simulation triage of one session: affected set, recovery plans,
+/// audit verdict, and — when the session cannot possibly need the
 /// simulator — its already-decided outcome.
-struct GroupPre {
-    affected: Vec<NodeId>,
-    plans: Option<RecoveryPlans>,
-    violations: Vec<Violation>,
-    fixed: Option<Outcome>,
+pub(crate) struct Triage {
+    pub(crate) affected: Vec<NodeId>,
+    /// `None` only when nothing was affected (so nothing was planned).
+    pub(crate) plans: Option<RecoveryPlans>,
+    pub(crate) violations: Vec<Violation>,
+    /// `Unaffected` (the failure misses the tree), `InvariantViolation`
+    /// (the auditor rejected the plans) or `SourcePartitioned` (the source
+    /// itself died: no protocol can restore it); `None` means simulate.
+    pub(crate) fixed: Option<Outcome>,
+}
+
+/// Triages `scenario` against one session under detour `kind`. The audit
+/// checks the *planner's* output, so arms that differ only in strategy
+/// share one verdict.
+pub(crate) fn triage(
+    graph: &Graph,
+    session: &ProtoSession<'_>,
+    scenario: &FailureScenario,
+    kind: DetourKind,
+) -> Triage {
+    let affected = recovery::affected_members(graph, session.tree(), scenario);
+    if affected.is_empty() {
+        return Triage {
+            affected,
+            plans: None,
+            violations: Vec::new(),
+            fixed: Some(Outcome::Unaffected),
+        };
+    }
+    let plans = session.plan_recoveries(scenario, kind);
+    let violations = audit_recovery(graph, session.tree(), scenario, &plans);
+    let fixed = if !violations.is_empty() {
+        Some(Outcome::InvariantViolation)
+    } else if !scenario.node_usable(session.source()) {
+        Some(Outcome::SourcePartitioned)
+    } else {
+        None
+    };
+    Triage {
+        affected,
+        plans: Some(plans),
+        violations,
+        fixed,
+    }
+}
+
+/// The verdict on a slice with unrestored members: partitioned when every
+/// one of them is dead or physically cut off from the source and the
+/// outage never heals, a detection miss otherwise.
+///
+/// Transient and flapping outages heal, so an unrestored-but-reachable
+/// member under repair is still a detection miss, and a partitioned member
+/// that the repair would have reconnected counts as partitioned only if it
+/// stayed unrestored to the end of the run — which the simulator already
+/// told us.
+pub(crate) fn unrestored_verdict(
+    graph: &Graph,
+    source: NodeId,
+    scenario: &FailureScenario,
+    slice: &GroupRecoveryReport,
+    heals: bool,
+) -> Outcome {
+    let reach = recovery::reachable_from_source(graph, source, scenario);
+    let unrestored_partitioned = slice
+        .restorations
+        .iter()
+        .filter(|(_, l)| l.is_none())
+        .all(|(m, _)| !scenario.node_usable(*m) || !reach[m.index()]);
+    if unrestored_partitioned && !heals {
+        Outcome::SourcePartitioned
+    } else {
+        Outcome::DetectionMissed
+    }
 }
 
 /// Evaluates one case against one protocol's multi-session: plans and
@@ -344,38 +409,9 @@ fn evaluate_proto(
         ),
     };
 
-    let pre: Vec<GroupPre> = multi
+    let pre: Vec<Triage> = multi
         .groups()
-        .map(|g| {
-            let session = multi.session(g);
-            let affected = recovery::affected_members(graph, session.tree(), scenario);
-            if affected.is_empty() {
-                // The failure misses this group's tree entirely; nothing
-                // to recover for it.
-                return GroupPre {
-                    affected,
-                    plans: None,
-                    violations: Vec::new(),
-                    fixed: Some(Outcome::Unaffected),
-                };
-            }
-            let plans = session.plan_recoveries(scenario, kind);
-            let violations = audit_recovery(graph, session.tree(), scenario, &plans);
-            let fixed = if !violations.is_empty() {
-                Some(Outcome::InvariantViolation)
-            } else if !scenario.node_usable(session.source()) {
-                // This group's source died: no protocol can restore it.
-                Some(Outcome::SourcePartitioned)
-            } else {
-                None
-            };
-            GroupPre {
-                affected,
-                plans: Some(plans),
-                violations,
-                fixed,
-            }
-        })
+        .map(|g| triage(graph, multi.session(g), scenario, kind))
         .collect();
 
     // Fast path: when every group's verdict is already decided (missed
@@ -409,13 +445,14 @@ fn evaluate_proto(
                 case.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93),
             )
         };
-        Some(multi.run_failure_spec(
+        let spec = FailureSpec {
             scenario,
-            strategy,
+            plans: PlanSource::Strategy(strategy),
             timing,
-            &channel,
-            SimTime::from_ms(cfg.run_until_ms),
-        ))
+            channel,
+            until: SimTime::from_ms(cfg.run_until_ms),
+        };
+        Some(multi.run(&spec, TraceLog::disabled()).report)
     } else {
         None
     };
@@ -469,23 +506,7 @@ fn evaluate_proto(
             }
         } else {
             let source = multi.session(g).source();
-            let reach = recovery::reachable_from_source(graph, source, scenario);
-            let unrestored_partitioned = slice
-                .restorations
-                .iter()
-                .filter(|(_, l)| l.is_none())
-                .all(|(m, _)| !scenario.node_usable(*m) || !reach[m.index()]);
-            // Transient and flapping outages heal, so an unrestored-but-
-            // reachable member under repair is still a detection miss,
-            // and a partitioned member that the repair would have
-            // reconnected counts as partitioned only if it stayed
-            // unrestored to the end of the run — which the simulator
-            // already told us.
-            if unrestored_partitioned && !case.timing.heals() {
-                Outcome::SourcePartitioned
-            } else {
-                Outcome::DetectionMissed
-            }
+            unrestored_verdict(graph, source, scenario, slice, case.timing.heals())
         };
         groups.push(GroupOutcome {
             group: g,
@@ -550,9 +571,9 @@ pub struct CampaignRun {
 /// Runs a full campaign on `jobs` worker threads.
 ///
 /// Determinism contract: the result depends only on `cfg` — cases are
-/// generated up front from the base seed, workers pull cases off a shared
-/// atomic index, and results are reassembled in case-id order, so any job
-/// count (including 1) produces an identical [`CampaignRun`].
+/// generated up front from the base seed and evaluated through the
+/// crate's ordered parallel map, so any job count (0 is read as 1)
+/// produces an identical [`CampaignRun`].
 ///
 /// # Errors
 ///
@@ -584,7 +605,6 @@ pub fn run_campaign_with_backend(
     jobs: usize,
     backend: TimerBackend,
 ) -> Result<CampaignRun, NetError> {
-    let jobs = jobs.max(1);
     let graph = cfg.topology()?;
     // Generated topologies are connected and the member picker only hands
     // out existing nodes, so tree construction cannot fail here.
@@ -615,46 +635,22 @@ pub fn run_campaign_with_backend(
 
     // One work item per (case, protocol): groups inside a case share one
     // event queue so the protocol run is the finest deterministic unit.
-    let total = cases.len() * ProtoKind::ALL.len();
-    let next = AtomicUsize::new(0);
-    let evaluated: Mutex<Vec<(usize, ProtoOutcome)>> = Mutex::new(Vec::with_capacity(total));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(total.max(1)) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let case = &cases[i / ProtoKind::ALL.len()];
-                    let proto = ProtoKind::ALL[i % ProtoKind::ALL.len()];
-                    let multi = match proto {
-                        ProtoKind::Smrp => &smrp,
-                        ProtoKind::Spf => &spf,
-                    };
-                    local.push((i, evaluate_proto(&graph, multi, cfg, case, proto)));
-                }
-                evaluated.lock().expect("no poisoned workers").extend(local);
-            });
-        }
+    let arms = ProtoKind::ALL.len();
+    let evaluated = ordered_par_map(jobs, cases.len() * arms, |i| {
+        let proto = ProtoKind::ALL[i % arms];
+        let multi = match proto {
+            ProtoKind::Smrp => &smrp,
+            ProtoKind::Spf => &spf,
+        };
+        evaluate_proto(&graph, multi, cfg, &cases[i / arms], proto)
     });
-
-    // Reassemble by work-item index: scheduling order never leaks into
-    // the report.
-    let mut slots: Vec<Option<ProtoOutcome>> = vec![None; total];
-    for (i, outcome) in evaluated.into_inner().expect("workers joined") {
-        slots[i] = Some(outcome);
-    }
     let results = cases
         .into_iter()
-        .enumerate()
-        .map(|(ci, case)| CaseResult {
+        .zip(evaluated.chunks_exact(arms))
+        .map(|(case, arm)| CaseResult {
             case,
-            smrp: slots[ci * 2].take().expect("every work item was evaluated"),
-            spf: slots[ci * 2 + 1]
-                .take()
-                .expect("every work item was evaluated"),
+            smrp: arm[0].clone(),
+            spf: arm[1].clone(),
         })
         .collect();
     Ok(CampaignRun {

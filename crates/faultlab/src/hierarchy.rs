@@ -10,7 +10,7 @@
 //! [`MultiSession`], the failure is injected into the shared simulator,
 //! and the domain-confined restoration paths are installed verbatim as
 //! recovery plans — the planner never sees topology outside the owning
-//! domain (`run_failure_planned_traced` is the seam).
+//! domain (`PlanSource::Explicit` is the seam).
 //!
 //! Each domain's group models that domain's data plane: its root (the real
 //! source, or the domain's agent) feeds the domain's members, aggregated
@@ -30,8 +30,6 @@
 //!   `--jobs` value and either timer backend produce identical runs.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -43,8 +41,10 @@ use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, GroupId, LinkId, NetError, NodeId};
 use smrp_proto::hierarchy::{NLevelSession, WirePlan};
-use smrp_proto::{FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryPlan};
-use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceEvent, TraceLog};
+use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};
+use smrp_sim::{SimTime, TimerBackend, TraceEvent, TraceLog};
+
+use crate::par::ordered_par_map;
 
 /// Knobs of a hierarchical campaign. Serialized into the report header;
 /// job count and timer backend never enter the report.
@@ -324,52 +324,37 @@ impl<'a> LocalityAudit<'a> {
 fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
     let cfg = lab.cfg;
     let scenario = FailureScenario::link(case.link);
-    let empty_slices = |lab: &Lab<'_>| {
-        lab.domains
+    // A case with no run: nobody affected on the wire, nothing spent,
+    // nothing to audit.
+    let undecided = |outcome| HierarchyCaseResult {
+        case,
+        outcome,
+        affected_members: 0,
+        affected_population: 0,
+        wire_affected: 0,
+        restored: 0,
+        latencies_ms: Vec::new(),
+        elections: 0,
+        domains_involved: 0,
+        audited: true,
+        domains: lab
+            .domains
             .iter()
             .map(|&d| DomainSlice {
                 domain: d,
                 control_messages: 0,
                 border_crossings: 0,
             })
-            .collect::<Vec<_>>()
+            .collect(),
     };
 
-    let rec = match lab.nsess.recover(case.link) {
-        Ok(rec) => rec,
-        Err(_) => {
-            // No in-domain detour and no backup gateway: the architecture
-            // has no doctrine to put on the wire, so there is no run (and
-            // nothing to audit).
-            return HierarchyCaseResult {
-                case,
-                outcome: HierarchyOutcome::Unrepairable,
-                affected_members: 0,
-                affected_population: 0,
-                wire_affected: 0,
-                restored: 0,
-                latencies_ms: Vec::new(),
-                elections: 0,
-                domains_involved: 0,
-                audited: true,
-                domains: empty_slices(lab),
-            };
-        }
+    // No in-domain detour and no backup gateway: the architecture has no
+    // doctrine to put on the wire.
+    let Ok(rec) = lab.nsess.recover(case.link) else {
+        return undecided(HierarchyOutcome::Unrepairable);
     };
     if rec.domains_involved == 0 {
-        return HierarchyCaseResult {
-            case,
-            outcome: HierarchyOutcome::Unaffected,
-            affected_members: 0,
-            affected_population: 0,
-            wire_affected: 0,
-            restored: 0,
-            latencies_ms: Vec::new(),
-            elections: 0,
-            domains_involved: 0,
-            audited: true,
-            domains: empty_slices(lab),
-        };
+        return undecided(HierarchyOutcome::Unaffected);
     }
 
     let owner_group = lab
@@ -380,14 +365,16 @@ fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
     let plans = wire_plans(owner_group, &rec.plans);
 
     let mut audit = LocalityAudit::new(lab.allowed, owner_group, &plans);
-    let (report, _) = lab.multi.run_failure_planned_traced(
+    let spec = FailureSpec::persistent(
         &scenario,
-        &plans,
-        InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(cfg.fail_at_ms))),
-        &ChannelSpec::perfect(),
+        PlanSource::Explicit(&plans),
+        SimTime::from_ms(cfg.fail_at_ms),
         SimTime::from_ms(cfg.run_until_ms),
-        TraceLog::observer(|ev| audit.observe(ev)),
     );
+    let report = lab
+        .multi
+        .run(&spec, TraceLog::observer(|ev| audit.observe(ev)))
+        .report;
     let mut crossings = audit.crossings;
     // A failure leaking into another domain's *data plane* is a
     // confinement violation too: non-owner groups must be untouched.
@@ -510,7 +497,6 @@ pub fn run_hierarchy_with_backend(
     jobs: usize,
     backend: TimerBackend,
 ) -> Result<HierarchyRun, NetError> {
-    let jobs = jobs.max(1);
     let topo = cfg.topology()?;
     let (source, members) = cfg.pick_members(&topo);
     let nsess = NLevelSession::build(&topo, source, &members, SmrpConfig::default())
@@ -546,32 +532,7 @@ pub fn run_hierarchy_with_backend(
         allowed: &allowed,
     };
 
-    let total = cases.len();
-    let next = AtomicUsize::new(0);
-    let evaluated: Mutex<Vec<(usize, HierarchyCaseResult)>> = Mutex::new(Vec::with_capacity(total));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(total.max(1)) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    local.push((i, evaluate_case(&lab, cases[i])));
-                }
-                evaluated.lock().expect("no poisoned workers").extend(local);
-            });
-        }
-    });
-    let mut slots: Vec<Option<HierarchyCaseResult>> = vec![None; total];
-    for (i, r) in evaluated.into_inner().expect("workers joined") {
-        slots[i] = Some(r);
-    }
-    let results = slots
-        .into_iter()
-        .map(|s| s.expect("every case was evaluated"))
-        .collect();
+    let results = ordered_par_map(jobs, cases.len(), |i| evaluate_case(&lab, cases[i]));
     let domain_levels = domains
         .iter()
         .map(|d| topo.domains()[d.index()].level())
@@ -848,15 +809,16 @@ mod tests {
             .expect("some repairable tree link exists");
         let owner_group = domains.iter().position(|&d| d == rec.owner).unwrap();
         let plans = wire_plans(owner_group, &rec.plans);
+        let scenario = FailureScenario::link(link);
+        let spec = FailureSpec::persistent(
+            &scenario,
+            PlanSource::Explicit(&plans),
+            SimTime::from_ms(100.0),
+            SimTime::from_ms(cfg.run_until_ms),
+        );
         let run = |log| {
-            multi.run_failure_planned_traced(
-                &FailureScenario::link(link),
-                &plans,
-                InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
-                &ChannelSpec::perfect(),
-                SimTime::from_ms(cfg.run_until_ms),
-                log,
-            )
+            let run = multi.run(&spec, log);
+            (run.report, run.trace)
         };
 
         // Sanction nothing, so that every send of every group is a

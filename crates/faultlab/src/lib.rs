@@ -63,6 +63,7 @@ pub mod audit;
 pub mod campaign;
 pub mod generate;
 pub mod hierarchy;
+mod par;
 pub mod protect;
 pub mod report;
 pub mod trace;

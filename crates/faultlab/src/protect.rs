@@ -22,27 +22,22 @@
 //! (activations, stale discards).
 //!
 //! Execution follows the campaign's determinism contract: one work item
-//! per (case, mode), workers pull off a shared atomic index, results are
-//! reassembled by index, and job count never enters the report — any
-//! `--jobs` value produces a byte-identical report.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! per (case, mode) through the crate's ordered parallel map, and job
+//! count never enters the report — any `--jobs` value produces a
+//! byte-identical report.
 
 use serde::{Deserialize, Serialize};
-use smrp_core::recovery::{self, DetourKind};
+use smrp_core::recovery::DetourKind;
 use smrp_core::SmrpConfig;
 use smrp_metrics::{ControlHealth, ProtectionHealth};
 use smrp_net::waxman::WaxmanConfig;
 use smrp_net::{Graph, GroupId, NetError, NodeId};
-use smrp_proto::{
-    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
-};
-use smrp_sim::{ChannelSpec, SimTime};
+use smrp_proto::{FailureSpec, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_sim::{ChannelSpec, SimTime, TraceLog};
 
-use crate::audit::audit_recovery;
-use crate::campaign::Outcome;
+use crate::campaign::{triage, unrestored_verdict, Outcome};
 use crate::generate::{derive_srlgs, generate_case, FaultCase, FaultFamily, GeneratorConfig};
+use crate::par::ordered_par_map;
 use crate::report::LatencySummary;
 
 /// The recovery regime one evaluation ran under.
@@ -256,24 +251,12 @@ pub fn evaluate_protect(
 ) -> ProtectEval {
     let scenario = &pc.case.scenario;
     let session = multi.session(GroupId::new(0));
-    let affected = recovery::affected_members(graph, session.tree(), scenario);
-    if affected.is_empty() {
-        return ProtectEval::short_circuit(Outcome::Unaffected, 0, 0);
-    }
-    // The auditor checks the *planner's* output against the scenario; the
-    // strategy only changes when/where plans come from, so one audit
-    // covers both arms.
-    let plans = session.plan_recoveries(scenario, DetourKind::Local);
-    let violations = audit_recovery(graph, session.tree(), scenario, &plans);
-    if !violations.is_empty() {
-        return ProtectEval::short_circuit(
-            Outcome::InvariantViolation,
-            affected.len() as u32,
-            violations.len() as u32,
-        );
-    }
-    if !scenario.node_usable(session.source()) {
-        return ProtectEval::short_circuit(Outcome::SourcePartitioned, affected.len() as u32, 0);
+    // The strategy only changes when/where plans come from, so the
+    // campaign's triage (and its one audit) covers both arms.
+    let pre = triage(graph, session, scenario, DetourKind::Local);
+    let affected = pre.affected.len() as u32;
+    if let Some(outcome) = pre.fixed {
+        return ProtectEval::short_circuit(outcome, affected, pre.violations.len() as u32);
     }
 
     let strategy = match mode {
@@ -282,7 +265,6 @@ pub fn evaluate_protect(
             search: SimTime::from_ms(cfg.search_ms),
         },
     };
-    let timing = InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(cfg.fail_at_ms)));
     // Both modes of a case draw the same channel seed, so they fight the
     // same loss pattern.
     let channel = if pc.loss > 0.0 {
@@ -290,13 +272,16 @@ pub fn evaluate_protect(
     } else {
         ChannelSpec::perfect()
     };
-    let report = multi.run_failure_spec(
-        scenario,
-        strategy,
-        timing,
-        &channel,
-        SimTime::from_ms(cfg.run_until_ms),
-    );
+    let spec = FailureSpec {
+        channel,
+        ..FailureSpec::persistent(
+            scenario,
+            strategy,
+            SimTime::from_ms(cfg.fail_at_ms),
+            SimTime::from_ms(cfg.run_until_ms),
+        )
+    };
+    let report = multi.run(&spec, TraceLog::disabled()).report;
     let slice = &report.groups[0];
     let mut protection = ProtectionHealth::default();
     protection.absorb(
@@ -313,25 +298,15 @@ pub fn evaluate_protect(
             Outcome::RestoredLocalDetour
         }
     } else {
-        let source = session.source();
-        let reach = recovery::reachable_from_source(graph, source, scenario);
-        let unrestored_partitioned = slice
-            .restorations
-            .iter()
-            .filter(|(_, l)| l.is_none())
-            .all(|(m, _)| !scenario.node_usable(*m) || !reach[m.index()]);
-        if unrestored_partitioned {
-            Outcome::SourcePartitioned
-        } else {
-            Outcome::DetectionMissed
-        }
+        // The sweep injects every case persistently: nothing heals.
+        unrestored_verdict(graph, session.source(), scenario, slice, false)
     };
     ProtectEval {
         outcome,
-        affected: affected.len() as u32,
+        affected,
         restored,
         latencies_ms,
-        health: report.health.clone(),
+        health: report.health,
         protection,
         control_messages: slice.control.total(),
         violations: 0,
@@ -371,9 +346,9 @@ pub struct ProtectRun {
 /// Runs a protection-vs-reactive sweep on `jobs` worker threads.
 ///
 /// Determinism contract: identical to [`crate::campaign::run_campaign`] —
-/// cases are generated up front, workers pull (case, mode) items off a
-/// shared atomic index, and results are reassembled by index, so any job
-/// count produces an identical [`ProtectRun`].
+/// cases are generated up front and (case, mode) items go through the
+/// crate's ordered parallel map, so any job count (0 is read as 1)
+/// produces an identical [`ProtectRun`].
 ///
 /// # Errors
 ///
@@ -383,7 +358,6 @@ pub struct ProtectRun {
 ///
 /// Panics if a worker thread panics (a bug in the evaluator itself).
 pub fn run_protect(cfg: &ProtectConfig, jobs: usize) -> Result<ProtectRun, NetError> {
-    let jobs = jobs.max(1);
     let graph = cfg.topology()?;
     let (source, members) = cfg.pick_members(&graph);
     let mut session = ProtoSession::build(
@@ -399,40 +373,23 @@ pub fn run_protect(cfg: &ProtectConfig, jobs: usize) -> Result<ProtectRun, NetEr
     let multi = MultiSession::from_sessions(vec![session]);
 
     let cases = cfg.cases(&graph);
-    let total = cases.len() * ProtectMode::ALL.len();
-    let next = AtomicUsize::new(0);
-    let evaluated: Mutex<Vec<(usize, ProtectEval)>> = Mutex::new(Vec::with_capacity(total));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(total.max(1)) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let pc = &cases[i / ProtectMode::ALL.len()];
-                    let mode = ProtectMode::ALL[i % ProtectMode::ALL.len()];
-                    local.push((i, evaluate_protect(&graph, &multi, cfg, pc, mode)));
-                }
-                evaluated.lock().expect("no poisoned workers").extend(local);
-            });
-        }
+    let arms = ProtectMode::ALL.len();
+    let evaluated = ordered_par_map(jobs, cases.len() * arms, |i| {
+        evaluate_protect(
+            &graph,
+            &multi,
+            cfg,
+            &cases[i / arms],
+            ProtectMode::ALL[i % arms],
+        )
     });
-
-    let mut slots: Vec<Option<ProtectEval>> = vec![None; total];
-    for (i, eval) in evaluated.into_inner().expect("workers joined") {
-        slots[i] = Some(eval);
-    }
     let results = cases
         .into_iter()
-        .enumerate()
-        .map(|(ci, case)| ProtectCaseResult {
+        .zip(evaluated.chunks_exact(arms))
+        .map(|(case, arm)| ProtectCaseResult {
             case,
-            protection: slots[ci * 2].take().expect("every work item was evaluated"),
-            reactive: slots[ci * 2 + 1]
-                .take()
-                .expect("every work item was evaluated"),
+            protection: arm[0].clone(),
+            reactive: arm[1].clone(),
         })
         .collect();
     Ok(ProtectRun {

@@ -12,25 +12,22 @@
 //! minimal, human-readable reproducer of one scripted experiment.
 //!
 //! Determinism matters: `faultlab --dump-trace <dir>` must emit
-//! byte-identical files regardless of `--jobs`, so trace generation
-//! follows the campaign runner's pattern — work-stealing over a fixed
-//! scenario list, results reassembled in list order.
+//! byte-identical files regardless of `--jobs`, so trace generation goes
+//! through the same ordered parallel map as the campaign runners.
 
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use smrp_core::paper;
 use smrp_core::recovery::{self, DetourKind};
-use smrp_net::{FailureScenario, Graph, LinkWeights, NodeId};
+use smrp_net::{FailureScenario, Graph, GroupId, LinkWeights, NodeId};
 use smrp_proto::snapshot::{AffectedGroup, SessionState};
-use smrp_proto::{
-    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
-};
-use smrp_sim::{ChannelSpec, SimTime};
+use smrp_proto::{FailureSpec, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_sim::{ChannelSpec, SimTime, TraceLog};
+
+use crate::par::ordered_par_map;
 
 /// Version of the trace file format.
 ///
@@ -387,31 +384,29 @@ fn build_trace(script: &Script) -> GoldenTrace {
         horizon,
     } = script;
 
-    let built: Vec<ProtoSession<'_>> = sessions
-        .iter()
-        .map(|(source, members)| {
-            ProtoSession::build(graph, *source, members, TreeProtocol::Spf)
-                .expect("scripted session builds")
-        })
-        .collect();
-
-    let chan = if channel.loss > 0.0 {
-        ChannelSpec::uniform_loss(channel.loss, channel.seed)
-    } else {
-        ChannelSpec::perfect()
-    };
-    let timing = InjectionTiming::Once(FailureTiming::persistent(*fail_at));
-    let multi = MultiSession::from_sessions(built.clone());
-    let (report, procs) = multi.run_failure_capture(
-        scenario,
-        RecoveryStrategy::LocalDetour,
-        timing,
-        &chan,
-        *horizon,
+    let multi = MultiSession::from_sessions(
+        sessions
+            .iter()
+            .map(|(source, members)| {
+                ProtoSession::build(graph, *source, members, TreeProtocol::Spf)
+                    .expect("scripted session builds")
+            })
+            .collect(),
     );
 
-    let mut groups = Vec::with_capacity(built.len());
-    for (gi, sess) in built.iter().enumerate() {
+    let spec = FailureSpec {
+        channel: if channel.loss > 0.0 {
+            ChannelSpec::uniform_loss(channel.loss, channel.seed)
+        } else {
+            ChannelSpec::perfect()
+        },
+        ..FailureSpec::persistent(scenario, RecoveryStrategy::LocalDetour, *fail_at, *horizon)
+    };
+    let run = multi.run(&spec, TraceLog::disabled());
+
+    let mut groups = Vec::with_capacity(multi.group_count());
+    for g in multi.groups() {
+        let sess = multi.session(g);
         let tree = sess.tree();
         let mut nodes: Vec<TraceNodeState> = tree
             .on_tree_nodes()
@@ -454,7 +449,7 @@ fn build_trace(script: &Script) -> GoldenTrace {
         affected.sort_unstable();
 
         groups.push(TraceGroup {
-            group: gi as u32,
+            group: g.index() as u32,
             source: sess.source().index() as u32,
             members: tree.members().map(|m| m.index() as u32).collect(),
             nodes,
@@ -471,8 +466,14 @@ fn build_trace(script: &Script) -> GoldenTrace {
         })
         .collect();
     let down: BTreeSet<NodeId> = scenario.failed_nodes().collect();
-    let data_interval = built[0].router_config().data_interval;
-    let expected = SessionState::capture(&procs, &affected, &down, report.fail_at, data_interval);
+    let data_interval = multi.session(GroupId::new(0)).router_config().data_interval;
+    let expected = SessionState::capture(
+        &run.routers,
+        &affected,
+        &down,
+        run.report.fail_at,
+        data_interval,
+    );
     let expected_digest = expected.digest();
 
     GoldenTrace {
@@ -514,41 +515,20 @@ pub fn golden_scenarios() -> Vec<GoldenTrace> {
 /// Generates every golden scenario using up to `jobs` worker threads and
 /// writes one `<name>.json` per scenario into `dir` (created if absent).
 ///
-/// Output is byte-identical regardless of `jobs`: workers steal scripts
-/// from a shared index, results are reassembled in script order, and
-/// files are written sequentially.
+/// Output is byte-identical regardless of `jobs` (0 is read as 1):
+/// scripts run through the crate's ordered parallel map and files are
+/// written sequentially, in script order.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
 pub fn dump_traces(dir: &Path, jobs: usize) -> io::Result<Vec<PathBuf>> {
-    assert!(jobs > 0, "at least one worker is required");
     let scripts = scripts();
-    let slots: Mutex<Vec<Option<GoldenTrace>>> = Mutex::new(vec![None; scripts.len()]);
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(scripts.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= scripts.len() {
-                    break;
-                }
-                let trace = build_trace(&scripts[i]);
-                slots.lock().expect("no poisoned workers")[i] = Some(trace);
-            });
-        }
-    });
+    let traces = ordered_par_map(jobs, scripts.len(), |i| build_trace(&scripts[i]));
 
     std::fs::create_dir_all(dir)?;
-    let traces = slots.into_inner().expect("workers finished");
     let mut paths = Vec::with_capacity(traces.len());
     for trace in traces {
-        let trace = trace.expect("every slot filled");
         let path = dir.join(format!("{}.json", trace.name));
         std::fs::write(&path, trace.to_json())?;
         paths.push(path);

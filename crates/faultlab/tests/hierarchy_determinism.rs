@@ -12,8 +12,8 @@ use smrp_core::SmrpConfig;
 use smrp_faultlab::{run_hierarchy, run_hierarchy_with_backend, HierarchyConfig, HierarchyReport};
 use smrp_net::FailureScenario;
 use smrp_proto::hierarchy::NLevelSession;
-use smrp_proto::{FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryPlan};
-use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceEvent, TraceLog};
+use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};
+use smrp_sim::{SimTime, TimerBackend, TraceEvent, TraceLog};
 
 fn levels2_config() -> HierarchyConfig {
     HierarchyConfig {
@@ -112,17 +112,17 @@ fn run_fixed_case(backend: TimerBackend) -> u64 {
             )
         })
         .collect();
-    let (report, trace) = multi.run_failure_planned_traced(
-        &FailureScenario::link(link),
-        &plans,
-        InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
-        &ChannelSpec::perfect(),
+    let scenario = FailureScenario::link(link);
+    let spec = FailureSpec::persistent(
+        &scenario,
+        PlanSource::Explicit(&plans),
+        SimTime::from_ms(100.0),
         SimTime::from_ms(1200.0),
-        TraceLog::new(2_000_000),
     );
-    assert!(report.groups[owner_group].all_restored());
-    assert_eq!(trace.discarded(), 0);
-    setup_digest(&trace)
+    let run = multi.run(&spec, TraceLog::new(2_000_000));
+    assert!(run.report.groups[owner_group].all_restored());
+    assert_eq!(run.trace.discarded(), 0);
+    setup_digest(&run.trace)
 }
 
 #[test]

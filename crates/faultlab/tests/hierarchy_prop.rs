@@ -25,8 +25,8 @@ use smrp_faultlab::HierarchyConfig;
 use smrp_net::nlevel::NLevelTopology;
 use smrp_net::{FailureScenario, GroupId, LinkId};
 use smrp_proto::hierarchy::NLevelSession;
-use smrp_proto::{FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryPlan};
-use smrp_sim::{ChannelSpec, SimTime, TraceEvent, TraceLog};
+use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};
+use smrp_sim::{SimTime, TraceEvent, TraceLog};
 
 fn config(seed: u64, levels: u32) -> HierarchyConfig {
     // Deep trees multiply domains (hence groups and data traffic); keep
@@ -123,15 +123,16 @@ proptest! {
                 },
             ))
             .collect();
-        let (report, trace) = multi.run_failure_planned_traced(
-            &FailureScenario::link(link),
-            &plans,
-            InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
-            &ChannelSpec::perfect(),
+        let scenario = FailureScenario::link(link);
+        let spec = FailureSpec::persistent(
+            &scenario,
+            PlanSource::Explicit(&plans),
+            SimTime::from_ms(100.0),
             SimTime::from_ms(cfg.run_until_ms),
-            TraceLog::new(2_000_000),
         );
-        prop_assert!(report.groups[owner_group].all_restored());
+        let run = multi.run(&spec, TraceLog::new(2_000_000));
+        let trace = &run.trace;
+        prop_assert!(run.report.groups[owner_group].all_restored());
         prop_assert_eq!(trace.discarded(), 0, "trace overflowed; audit incomplete");
         for ev in trace.entries() {
             let TraceEvent::Sent { from, to, what, .. } = ev else { continue };

@@ -20,26 +20,17 @@
 //! second domain participate.
 //!
 //! The 2-level transit-stub instantiation the paper evaluates is
-//! [`HierarchicalSession`], now a thin wrapper over [`NLevelSession`] at
-//! `levels = 2` (see [`NLevelTopology::from_transit_stub`]); the
-//! `hierarchy_differential` test proves the wrapper reproduces the original
+//! [`NLevelSession`] on [`NLevelTopology::from_transit_stub`] (the transit
+//! domain is the root, so "owner == root" is the paper's transit scope);
+//! the `hierarchy_differential` test proves it reproduces the original
 //! 2-level engine case-for-case.
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession};
 use smrp_net::dijkstra::{self, Constraints};
 use smrp_net::nlevel::{AggregatedPopulation, NLevelTopology};
-use smrp_net::transit_stub::{DomainId, TransitStubTopology};
+use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId, Path};
-
-/// Where a failure landed in the 2-level (transit-stub) hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureScope {
-    /// Inside one stub recovery domain.
-    Stub(DomainId),
-    /// In the transit domain or on a stub-transit gateway link.
-    Transit,
-}
 
 /// One per-domain session: a tree over a domain subgraph.
 #[derive(Debug, Clone)]
@@ -109,23 +100,6 @@ impl DomainSession {
     }
 }
 
-/// Outcome of a confined recovery in the 2-level instantiation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HierarchicalRecovery {
-    /// Which level handled the failure.
-    pub scope: FailureScope,
-    /// Members (global ids) that lost service.
-    pub affected_members: Vec<NodeId>,
-    /// Restoration paths in global node ids, one per disconnected fragment
-    /// root inside the owning domain.
-    pub restoration_paths: Vec<Vec<NodeId>>,
-    /// Total recovery distance (sum over restoration paths).
-    pub recovery_distance: f64,
-    /// Number of domains whose state was touched by the repair (always 1
-    /// here — the point of the architecture).
-    pub domains_involved: usize,
-}
-
 /// A new-agent election performed when a domain's primary border
 /// attachment died and a redundant backup gateway could take over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +157,7 @@ pub struct DomainRecovery {
     /// New-agent elections performed (empty for a confined repair).
     pub elections: Vec<AgentElection>,
     /// Wire-installable plans, one per disconnected fragment root — the
-    /// seam into `MultiSession::run_failure_planned_traced`.
+    /// seam into [`crate::PlanSource::Explicit`].
     pub plans: Vec<WirePlan>,
 }
 
@@ -728,269 +702,8 @@ impl NLevelSession {
     }
 }
 
-/// A 2-level hierarchical SMRP session over a transit-stub topology — the
-/// instantiation the paper evaluates.
-///
-/// Since the N-level generalization landed this is a thin wrapper over
-/// [`NLevelSession`] on [`NLevelTopology::from_transit_stub`]; the
-/// `hierarchy_differential` test pins the wrapper to the original 2-level
-/// engine's behavior case-for-case.
-#[derive(Debug, Clone)]
-pub struct HierarchicalSession<'t> {
-    topo: &'t TransitStubTopology,
-    inner: NLevelSession,
-    members: Vec<NodeId>,
-}
-
-impl<'t> HierarchicalSession<'t> {
-    /// Builds the hierarchy: per-stub SMRP sessions rooted at each stub's
-    /// agent, plus a transit-level session connecting the active agents.
-    ///
-    /// `source` and every member must live in stub domains.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the source is not inside a stub domain, or if tree
-    /// construction fails.
-    pub fn build(
-        topo: &'t TransitStubTopology,
-        source: NodeId,
-        members: &[NodeId],
-        config: SmrpConfig,
-    ) -> Result<Self, SmrpError> {
-        let transit_id = topo.transit_domain().id();
-        if topo.domain_of(source) == transit_id {
-            return Err(SmrpError::InvalidConfig {
-                name: "source",
-                reason: "the source must live in a stub domain",
-            });
-        }
-        // Transit-domain members were silently ignored by the 2-level
-        // engine; keep that contract.
-        let stub_members: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|&m| topo.domain_of(m) != transit_id)
-            .collect();
-        let nlevel = NLevelTopology::from_transit_stub(topo);
-        let inner = NLevelSession::build(&nlevel, source, &stub_members, config)?;
-        Ok(HierarchicalSession {
-            topo,
-            inner,
-            members: members.to_vec(),
-        })
-    }
-
-    /// The real multicast source.
-    pub fn source(&self) -> NodeId {
-        self.inner.source()
-    }
-
-    /// All members.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// Attributes a link failure to its owning recovery domain.
-    pub fn domain_of_link(&self, link: LinkId) -> FailureScope {
-        let owner = self.inner.owning_domain(link);
-        if owner == self.topo.transit_domain().id() {
-            FailureScope::Transit
-        } else {
-            FailureScope::Stub(owner)
-        }
-    }
-
-    /// Recovers from a single link failure, confining the repair to the
-    /// owning recovery domain (the paper's Figure 6 walk-through).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message when a fragment cannot be repaired inside
-    /// its domain (the domain's subgraph offers no detour).
-    pub fn recover(&self, link: LinkId) -> Result<HierarchicalRecovery, String> {
-        let rec = self.inner.recover(link)?;
-        let scope = if rec.owner == self.topo.transit_domain().id() {
-            FailureScope::Transit
-        } else {
-            FailureScope::Stub(rec.owner)
-        };
-        Ok(HierarchicalRecovery {
-            scope,
-            affected_members: rec.affected_members,
-            restoration_paths: rec.restoration_paths,
-            recovery_distance: rec.recovery_distance,
-            domains_involved: rec.domains_involved,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use smrp_net::transit_stub::TransitStubConfig;
-
-    fn topo() -> TransitStubTopology {
-        TransitStubConfig::new()
-            .transit_nodes(3)
-            .stubs_per_transit_node(2)
-            .stub_nodes(6)
-            .extra_edge_prob(0.5)
-            .seed(7)
-            .generate()
-            .unwrap()
-    }
-
-    /// Picks a source and members spread over several stub domains.
-    fn pick_members(t: &TransitStubTopology) -> (NodeId, Vec<NodeId>) {
-        let stubs: Vec<_> = t.stub_domains().collect();
-        let source = stubs[0].nodes()[1];
-        let members = vec![
-            stubs[0].nodes()[2],
-            stubs[1].nodes()[0],
-            stubs[1].nodes()[3],
-            stubs[2].nodes()[4],
-        ];
-        (source, members)
-    }
-
-    #[test]
-    fn builds_sessions_for_active_domains_only() {
-        let t = topo();
-        let (source, members) = pick_members(&t);
-        let h = HierarchicalSession::build(&t, source, &members, SmrpConfig::default()).unwrap();
-        // Three stub domains host the source or members, plus the transit
-        // session at the root.
-        assert_eq!(h.inner.active_domains(), 4);
-        assert_eq!(h.members().len(), 4);
-    }
-
-    #[test]
-    fn transit_source_is_rejected() {
-        let t = topo();
-        let transit_node = t.transit_domain().nodes()[0];
-        let err = HierarchicalSession::build(&t, transit_node, &[], SmrpConfig::default());
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn link_attribution_matches_domains() {
-        let t = topo();
-        let (source, members) = pick_members(&t);
-        let h = HierarchicalSession::build(&t, source, &members, SmrpConfig::default()).unwrap();
-        let g = t.graph();
-        for l in g.link_ids() {
-            let link = g.link(l);
-            let scope = h.domain_of_link(l);
-            let same_stub = t.domain_of(link.a()) == t.domain_of(link.b())
-                && t.domain_of(link.a()) != t.transit_domain().id();
-            match scope {
-                FailureScope::Stub(d) => {
-                    assert!(same_stub);
-                    assert_eq!(d, t.domain_of(link.a()));
-                }
-                FailureScope::Transit => assert!(!same_stub),
-            }
-        }
-    }
-
-    #[test]
-    fn stub_failure_is_confined_to_one_domain() {
-        let t = topo();
-        let (source, members) = pick_members(&t);
-        let h = HierarchicalSession::build(&t, source, &members, SmrpConfig::default()).unwrap();
-
-        // Find a stub-internal tree link in a member-hosting domain.
-        let stubs: Vec<_> = t.stub_domains().collect();
-        let target_domain = stubs[1].id();
-        let sess = h.inner.sessions[target_domain.index()].as_ref().unwrap();
-        let mut candidate = None;
-        for n in sess.tree.on_tree_nodes() {
-            if let Some(p) = sess.tree.parent(n) {
-                let a = sess.to_global[n.index()];
-                let b = sess.to_global[p.index()];
-                candidate = t.graph().link_between(a, b);
-                if candidate.is_some() {
-                    break;
-                }
-            }
-        }
-        let link = candidate.expect("member domain has tree links");
-        let rec = h.recover(link).unwrap();
-        assert_eq!(rec.scope, FailureScope::Stub(target_domain));
-        assert!(rec.domains_involved <= 1);
-        // Affected members all live in the failed domain.
-        for m in &rec.affected_members {
-            assert_eq!(t.domain_of(*m), target_domain);
-        }
-        // Restoration paths stay inside the domain.
-        for path in &rec.restoration_paths {
-            for n in path {
-                assert_eq!(t.domain_of(*n), target_domain);
-            }
-        }
-    }
-
-    #[test]
-    fn off_tree_failure_affects_nobody() {
-        let t = topo();
-        let (source, members) = pick_members(&t);
-        let h = HierarchicalSession::build(&t, source, &members, SmrpConfig::default()).unwrap();
-        // A link inside a memberless stub domain cannot affect the session.
-        let stubs: Vec<_> = t.stub_domains().collect();
-        let empty = stubs
-            .iter()
-            .find(|s| {
-                !members.iter().any(|m| t.domain_of(*m) == s.id()) && t.domain_of(source) != s.id()
-            })
-            .expect("some stub is empty");
-        let a = empty.nodes()[0];
-        let link = t.graph().adjacency(a).iter().map(|&(_, l)| l).find(|&l| {
-            let lk = t.graph().link(l);
-            t.domain_of(lk.a()) == empty.id() && t.domain_of(lk.b()) == empty.id()
-        });
-        if let Some(link) = link {
-            let rec = h.recover(link).unwrap();
-            assert!(rec.affected_members.is_empty());
-            assert_eq!(rec.domains_involved, 0);
-        }
-    }
-
-    #[test]
-    fn transit_failure_is_handled_at_level_zero() {
-        let t = topo();
-        let (source, members) = pick_members(&t);
-        let h = HierarchicalSession::build(&t, source, &members, SmrpConfig::default()).unwrap();
-        // Fail a transit tree link used by some agent.
-        let root = t.transit_domain().id();
-        let sess = h.inner.sessions[root.index()].as_ref().unwrap();
-        let mut candidate = None;
-        for n in sess.tree.on_tree_nodes() {
-            if let Some(p) = sess.tree.parent(n) {
-                let a = sess.to_global[n.index()];
-                let b = sess.to_global[p.index()];
-                candidate = t.graph().link_between(a, b);
-                if candidate.is_some() {
-                    break;
-                }
-            }
-        }
-        let link = candidate.expect("transit session has tree links");
-        let rec = h.recover(link);
-        match rec {
-            Ok(r) => {
-                assert_eq!(r.scope, FailureScope::Transit);
-                // Repaired inside the transit domain only.
-                assert!(r.domains_involved <= 1);
-            }
-            Err(msg) => {
-                // Sparse transit domains may offer no detour; the error
-                // must say so explicitly.
-                assert!(msg.contains("cannot recover"), "{msg}");
-            }
-        }
-    }
-
     mod nlevel {
         use super::super::*;
         use smrp_net::nlevel::NLevelConfig;

@@ -11,30 +11,47 @@
 //!   refreshes stop), hop-by-hop `Setup` propagation for joins and grafts,
 //!   data forwarding down the tree, and heartbeat (`Hello`) exchange with
 //!   the upstream neighbor for failure detection;
-//! * [`runner`] — [`ProtoSession`]: builds a tree with `smrp-core`, loads
-//!   it into routers, pumps data from the source, injects a persistent
-//!   failure and measures each member's **service restoration latency**
-//!   under either recovery strategy:
-//!   [`RecoveryStrategy::LocalDetour`] (SMRP: graft to the nearest
-//!   connected on-tree node as soon as the failure is detected) or
-//!   [`RecoveryStrategy::GlobalDetour`] (PIM/MOSPF: wait out unicast
-//!   reconvergence — tens of seconds per Wang et al.'s ICNP 2000
-//!   measurements cited by the paper — then re-join along the new
-//!   shortest path);
+//! * [`runner`] — [`ProtoSession`]: one session's tree (built with
+//!   `smrp-core`, SMRP or the SPF baseline), its recovery planners
+//!   (scenario-aware detours, the precomputed protection plane) and the
+//!   experiment vocabulary: [`RecoveryStrategy::LocalDetour`] (SMRP:
+//!   graft to the nearest connected on-tree node as soon as the failure
+//!   is detected), [`RecoveryStrategy::GlobalDetour`] (PIM/MOSPF: wait
+//!   out unicast reconvergence — tens of seconds per Wang et al.'s ICNP
+//!   2000 measurements cited by the paper — then re-join along the new
+//!   shortest path), reactive search and protection, and
+//!   [`InjectionTiming`] (persistent, transient, flapping);
 //! * [`multi`] — multi-session sharding: one [`MultiRouter`] process per
 //!   node hosting independent per-group [`Router`] lanes (tree, SHR,
 //!   soft state and reliable-delivery sequence lanes all keyed by
-//!   [`smrp_net::GroupId`]) over shared links, and [`MultiSession`]
-//!   running N concurrent groups through one failure experiment;
+//!   [`smrp_net::GroupId`]) over shared links, and [`MultiSession`],
+//!   which runs N concurrent groups through one failure experiment;
 //! * [`hierarchy`] — the N-level recovery architecture of §3.3.3
-//!   instantiated for 2 levels on transit-stub topologies: per-domain
-//!   SMRP sessions with border *agents*, failure attribution to a domain,
+//!   ([`hierarchy::NLevelSession`]; the paper's 2-level transit-stub
+//!   shape is `NLevelTopology::from_transit_stub`): per-domain SMRP
+//!   sessions with border *agents*, failure attribution to a domain,
 //!   and confinement metrics;
 //! * [`wire`] — the versioned binary codec that puts [`GroupMsg`] values
 //!   on a real transport (the `smrpd` daemon's UDP datagrams and framed
 //!   streams);
 //! * [`snapshot`] — timing-insensitive final-state capture and the
 //!   conformance digest that ties daemon replays back to sim runs.
+//!
+//! # Running a failure
+//!
+//! There is one way: describe the experiment in a [`FailureSpec`] — the
+//! scenario, a [`PlanSource`] (a [`RecoveryStrategy`], or an explicit
+//! `(group, member, plan)` list from an external planner), an
+//! [`InjectionTiming`], a channel and a horizon;
+//! [`FailureSpec::persistent`] covers the paper's case — and hand it to
+//! [`MultiSession::run`] with a [`smrp_sim::TraceLog`] (disabled,
+//! buffering, or an observer). It loads every group's tree into one
+//! simulator, pumps data, injects the failure and returns a
+//! [`FailureRun`]: each member's **service restoration latency** per
+//! group, the trace, and the final routers. [`ProtoSession::run`] is the
+//! same call for a single session. `MultiSession::run_failure_spec` and
+//! `run_failure_spec_traced` are one-expression shims over `run`, kept
+//! only because the repository benchmark compiles against them.
 
 pub mod hierarchy;
 pub mod membership;
@@ -49,12 +66,15 @@ pub mod wire;
 
 pub use membership::DynamicSession;
 pub use messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
-pub use multi::{GroupRecoveryReport, MultiRecoveryReport, MultiRouter, MultiSession};
+pub use multi::{
+    FailureRun, FailureSpec, GroupRecoveryReport, MultiRecoveryReport, MultiRouter, MultiSession,
+    PlanSource,
+};
 pub use reliable::{ReliabilityCounters, ReliableConfig};
 pub use router::{ControlCounters, ProtectionCounters, RecoveryPlan, Router, RouterConfig};
 pub use runner::{
-    FailureTiming, InjectionTiming, OverheadReport, ProtoSession, RecoveryPlans, RecoveryReport,
-    RecoveryStrategy, TreeProtocol,
+    FailureTiming, InjectionTiming, OverheadReport, ProtoSession, RecoveryPlans, RecoveryStrategy,
+    TreeProtocol,
 };
 pub use snapshot::{AffectedGroup, GroupState, NodeTreeState, SessionState};
 pub use wire::{WireError, WIRE_VERSION};

@@ -17,10 +17,11 @@
 //!   simulator: a failure scenario is injected once and every group
 //!   detects and recovers concurrently, contending for the same links.
 //!
-//! A single-group [`MultiSession`] is the degenerate case and behaves
-//! *identically* to [`ProtoSession::run_failure_spec`]: the lane dispatch
-//! adds no virtual time and preserves event order, which the golden-trace
-//! regression test in `tests/multi_golden.rs` pins down.
+//! [`MultiSession::run`] is the crate's one failure experiment. A
+//! single-group [`MultiSession`] is how one session runs
+//! ([`ProtoSession::run`]): the lane dispatch adds no virtual time and
+//! preserves event order, and `tests/multi_golden.rs` pins the Figure 1
+//! numbers the retired single-`Router` loop produced.
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_metrics::ControlHealth;
@@ -32,18 +33,82 @@ use smrp_sim::{
 
 use crate::messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
 use crate::router::{ControlCounters, RecoveryPlan, Router, RouterConfig};
-use crate::runner::{InjectionTiming, ProtoSession, RecoveryStrategy};
+use crate::runner::{FailureTiming, InjectionTiming, ProtoSession, RecoveryStrategy};
 
 /// Sentinel for "this group has no lane on this node".
 const NO_LANE: u32 = u32::MAX;
 
-/// Where a failure run's recovery plans come from: derived from a
-/// [`RecoveryStrategy`] over the whole graph (the classic campaigns), or
-/// supplied verbatim by an external planner (hierarchical recovery, whose
-/// detour search is confined to the failure's owning domain).
-enum PlanSource<'p> {
+/// Where a failure run's recovery plans come from.
+#[derive(Debug, Clone, Copy)]
+pub enum PlanSource<'p> {
+    /// Derived per group from a [`RecoveryStrategy`] over the whole graph
+    /// (the classic campaigns).
     Strategy(RecoveryStrategy),
+    /// Supplied by an external planner as `(group, member, plan)` triples,
+    /// each installed verbatim into that member's lane for that group —
+    /// hierarchical recovery, whose detour search is confined to the
+    /// failure's owning domain (see
+    /// [`crate::hierarchy::NLevelSession::recover`]).
     Explicit(&'p [(GroupId, NodeId, RecoveryPlan)]),
+}
+
+impl From<RecoveryStrategy> for PlanSource<'_> {
+    fn from(strategy: RecoveryStrategy) -> Self {
+        PlanSource::Strategy(strategy)
+    }
+}
+
+/// Everything one failure experiment needs besides the sessions: what
+/// breaks, who planned the detours, when it breaks (and heals), what the
+/// control channel does meanwhile, and when the run ends.
+#[derive(Debug, Clone)]
+pub struct FailureSpec<'s> {
+    /// The components that fail.
+    pub scenario: &'s FailureScenario,
+    /// Where the recovery plans come from.
+    pub plans: PlanSource<'s>,
+    /// When the scenario is injected and (optionally) repaired.
+    pub timing: InjectionTiming,
+    /// The control channel's degradation.
+    pub channel: ChannelSpec,
+    /// The run horizon.
+    pub until: SimTime,
+}
+
+impl<'s> FailureSpec<'s> {
+    /// The paper's experiment: `scenario` fails for good at `fail_at` over
+    /// a perfect channel, with detours from `plans` — a
+    /// [`RecoveryStrategy`] or a [`PlanSource::Explicit`] list. Other
+    /// timings and channels override the fields
+    /// (`FailureSpec { channel, ..spec }`).
+    pub fn persistent(
+        scenario: &'s FailureScenario,
+        plans: impl Into<PlanSource<'s>>,
+        fail_at: SimTime,
+        until: SimTime,
+    ) -> Self {
+        FailureSpec {
+            scenario,
+            plans: plans.into(),
+            timing: InjectionTiming::Once(FailureTiming::persistent(fail_at)),
+            channel: ChannelSpec::perfect(),
+            until,
+        }
+    }
+}
+
+/// What [`MultiSession::run`] hands back.
+#[derive(Debug)]
+pub struct FailureRun<'o> {
+    /// Per-group restoration latencies and the substrate-level aggregate.
+    pub report: MultiRecoveryReport,
+    /// The log the run recorded into (empty for a disabled or observing
+    /// log).
+    pub trace: TraceLog<'o>,
+    /// Every node's final router process, in node-id order — what
+    /// [`crate::snapshot::SessionState::capture`] digests for the daemon
+    /// conformance harness.
+    pub routers: Vec<MultiRouter>,
 }
 
 /// One node's multi-session router process: independent per-group
@@ -239,6 +304,18 @@ impl GroupRecoveryReport {
             .filter_map(|(_, l)| l.map(SimTime::as_ms))
             .collect()
     }
+
+    /// Mean restoration latency in milliseconds over restored members
+    /// (`None` if nothing restored).
+    pub fn mean_latency_ms(&self) -> Option<f64> {
+        let restored = self.latencies_ms();
+        (!restored.is_empty()).then(|| restored.iter().sum::<f64>() / restored.len() as f64)
+    }
+
+    /// Worst restoration latency in milliseconds among restored members.
+    pub fn max_latency_ms(&self) -> Option<f64> {
+        self.latencies_ms().into_iter().reduce(f64::max)
+    }
 }
 
 /// Result of one multi-session failure experiment: one shared run, one
@@ -357,141 +434,32 @@ impl<'g> MultiSession<'g> {
         procs
     }
 
-    /// Runs the shared failure experiment: every group's tree is loaded
-    /// into one simulator, `scenario` is injected once, and each group
-    /// detects and recovers independently while contending for the same
-    /// links (and, when `channel` is degraded, the same loss process).
+    /// Runs one failure experiment — the only function in this crate that
+    /// builds a simulator for one. Every group's tree is loaded into one
+    /// [`NetSim`], `spec.scenario` is injected once on `spec.timing`, and
+    /// each group detects and recovers independently while contending for
+    /// the same links (and, when `spec.channel` is degraded, the same loss
+    /// process).
     ///
-    /// Mirrors [`ProtoSession::run_failure_spec`] semantics per group —
-    /// including [`RouterConfig::hardened_for_loss`] when the channel's
-    /// default lane is lossy.
-    pub fn run_failure_spec(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-    ) -> MultiRecoveryReport {
-        self.run_failure_spec_traced(
-            scenario,
-            strategy,
-            timing,
-            channel,
-            until,
-            TraceLog::disabled(),
-        )
-        .0
-    }
-
-    /// [`run_failure_spec`](Self::run_failure_spec) that also returns the
-    /// simulator trace recorded into `trace` — the hook for golden-trace
-    /// regression tests. A [`TraceLog::observer`] sees every event of the
-    /// run as it happens instead.
-    pub fn run_failure_spec_traced<'o>(
-        &'o self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-        trace: TraceLog<'o>,
-    ) -> (MultiRecoveryReport, TraceLog<'o>) {
-        let (report, trace, _procs) =
-            self.run_failure_capture_traced(scenario, strategy, timing, channel, until, trace);
-        (report, trace)
-    }
-
-    /// [`run_failure_spec`](Self::run_failure_spec) that additionally
-    /// returns every node's final [`MultiRouter`] state, in node-id order.
+    /// When the channel's *default* lane is lossy, the router config is
+    /// hardened via [`RouterConfig::hardened_for_loss`] — uniform loss is
+    /// ambient noise every router experiences, so timers must tolerate it.
+    /// Gray-link overrides do **not** harden: a single rotten link
+    /// *should* look like a failure to the routers behind it.
     ///
-    /// This is the sim side of the conformance harness: the final states
-    /// feed [`crate::snapshot::SessionState::capture`], whose digest a
-    /// daemon replay of the same scenario must reproduce.
-    pub fn run_failure_capture(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-    ) -> (MultiRecoveryReport, Vec<MultiRouter>) {
-        let (report, _trace, procs) = self.run_failure_capture_traced(
-            scenario,
-            strategy,
-            timing,
-            channel,
-            until,
-            TraceLog::disabled(),
-        );
-        (report, procs)
-    }
-
-    /// Runs the shared failure experiment with externally supplied
-    /// recovery plans instead of plans derived from a
-    /// [`RecoveryStrategy`] over the whole graph. Each `(group, member,
-    /// plan)` triple is installed verbatim into that member's lane for
-    /// that group; no global planning happens at all.
-    ///
-    /// This is the hierarchical-recovery seam: restoration paths computed
-    /// *inside* the owning recovery domain (see
-    /// [`crate::hierarchy::NLevelSession::recover`]) go onto the wire
-    /// without the planner ever seeing topology outside the domain.
-    pub fn run_failure_planned_traced<'o>(
-        &'o self,
-        scenario: &FailureScenario,
-        plans: &[(GroupId, NodeId, RecoveryPlan)],
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-        trace: TraceLog<'o>,
-    ) -> (MultiRecoveryReport, TraceLog<'o>) {
-        let (report, trace, _procs) = self.run_failure_inner(
-            scenario,
-            PlanSource::Explicit(plans),
-            timing,
-            channel,
-            until,
-            trace,
-        );
-        (report, trace)
-    }
-
-    fn run_failure_capture_traced<'o>(
-        &'o self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-        trace: TraceLog<'o>,
-    ) -> (MultiRecoveryReport, TraceLog<'o>, Vec<MultiRouter>) {
-        self.run_failure_inner(
-            scenario,
-            PlanSource::Strategy(strategy),
-            timing,
-            channel,
-            until,
-            trace,
-        )
-    }
-
-    fn run_failure_inner<'o>(
-        &'o self,
-        scenario: &FailureScenario,
-        plans: PlanSource<'_>,
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-        trace: TraceLog<'o>,
-    ) -> (MultiRecoveryReport, TraceLog<'o>, Vec<MultiRouter>) {
-        let fail_at = timing.fail_at();
+    /// `trace` is the typed-event sink: [`TraceLog::disabled`] for plain
+    /// runs, [`TraceLog::new`] to get the buffered events back in
+    /// [`FailureRun::trace`] (golden tests), [`TraceLog::observer`] to see
+    /// every event as it happens (the locality audit).
+    pub fn run<'o>(&'o self, spec: &FailureSpec<'_>, trace: TraceLog<'o>) -> FailureRun<'o> {
+        let scenario = spec.scenario;
+        let fail_at = spec.timing.fail_at();
         let config = self.sessions[0]
             .router_config()
-            .hardened_for_loss(channel.default.loss);
+            .hardened_for_loss(spec.channel.default.loss);
         let mut procs = self.processes(config);
 
-        match plans {
+        match spec.plans {
             PlanSource::Strategy(RecoveryStrategy::Protection) => {
                 // Each group's precomputed plane goes into its own lanes —
                 // per-lane caches keep one group's stale-plan discards from
@@ -530,6 +498,8 @@ impl<'g> MultiSession<'g> {
                 }
             }
             PlanSource::Explicit(list) => {
+                // Installed verbatim: no planner sees the topology at all
+                // (hierarchical recovery searches only the owning domain).
                 for (group, member, plan) in list {
                     procs[member.index()]
                         .lane_mut(*group)
@@ -541,8 +511,8 @@ impl<'g> MultiSession<'g> {
         let mut sim = NetSim::new(self.graph, procs);
         sim.set_timer_backend(self.timer_backend);
         sim.set_trace(trace);
-        if !channel.is_perfect() {
-            sim.set_channel(Some(ChannelModel::new(channel)));
+        if !spec.channel.is_perfect() {
+            sim.set_channel(Some(ChannelModel::new(&spec.channel)));
         }
         for (gi, sess) in self.sessions.iter().enumerate() {
             let group = GroupId::new(gi);
@@ -552,7 +522,7 @@ impl<'g> MultiSession<'g> {
                 });
             }
         }
-        for (down_at, up_at) in timing.schedule() {
+        for (down_at, up_at) in spec.timing.schedule() {
             for l in scenario.failed_links() {
                 sim.schedule_link_failure(down_at, l);
                 if let Some(up_at) = up_at {
@@ -566,7 +536,7 @@ impl<'g> MultiSession<'g> {
                 }
             }
         }
-        sim.run_until(until);
+        sim.run_until(spec.until);
 
         // Packets in flight when the failure hit don't count as restored
         // service: only packets the source sent after `fail_at` qualify
@@ -638,14 +608,62 @@ impl<'g> MultiSession<'g> {
             messages_dropped: sim.dropped_count(),
         };
         let trace = sim.take_trace();
-        (report, trace, sim.into_nodes())
+        FailureRun {
+            report,
+            trace,
+            routers: sim.into_nodes(),
+        }
+    }
+
+    /// [`run`](Self::run) with strategy-derived plans and no trace,
+    /// returning the report alone. Kept under this name and signature
+    /// only because `benchmark/` compiles against it.
+    pub fn run_failure_spec(
+        &self,
+        scenario: &FailureScenario,
+        strategy: RecoveryStrategy,
+        timing: InjectionTiming,
+        channel: &ChannelSpec,
+        until: SimTime,
+    ) -> MultiRecoveryReport {
+        let spec = FailureSpec {
+            scenario,
+            plans: PlanSource::Strategy(strategy),
+            timing,
+            channel: channel.clone(),
+            until,
+        };
+        self.run(&spec, TraceLog::disabled()).report
+    }
+
+    /// [`run`](Self::run) with strategy-derived plans, returning the
+    /// report and the trace. Kept under this name and signature only
+    /// because `benchmark/` compiles against it.
+    pub fn run_failure_spec_traced<'o>(
+        &'o self,
+        scenario: &FailureScenario,
+        strategy: RecoveryStrategy,
+        timing: InjectionTiming,
+        channel: &ChannelSpec,
+        until: SimTime,
+        trace: TraceLog<'o>,
+    ) -> (MultiRecoveryReport, TraceLog<'o>) {
+        let spec = FailureSpec {
+            scenario,
+            plans: PlanSource::Strategy(strategy),
+            timing,
+            channel: channel.clone(),
+            until,
+        };
+        let run = self.run(&spec, trace);
+        (run.report, run.trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{FailureTiming, TreeProtocol};
+    use crate::runner::TreeProtocol;
     use smrp_core::paper;
 
     fn figure1_session() -> (Graph, paper::Figure1Nodes) {
@@ -654,37 +672,6 @@ mod tests {
 
     fn spf_session<'a>(graph: &'a Graph, nodes: &paper::Figure1Nodes) -> ProtoSession<'a> {
         ProtoSession::build(graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap()
-    }
-
-    #[test]
-    fn single_group_matches_the_single_session_runner() {
-        let (graph, nodes) = figure1_session();
-        let session = spf_session(&graph, &nodes);
-        let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
-        let scenario = FailureScenario::link(l_ad);
-        let timing = InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0)));
-        let until = SimTime::from_ms(3000.0);
-
-        let single = session.run_failure_spec(
-            &scenario,
-            RecoveryStrategy::LocalDetour,
-            timing,
-            &ChannelSpec::perfect(),
-            until,
-        );
-        let multi = MultiSession::from_sessions(vec![session.clone()]).run_failure_spec(
-            &scenario,
-            RecoveryStrategy::LocalDetour,
-            timing,
-            &ChannelSpec::perfect(),
-            until,
-        );
-        assert_eq!(multi.groups.len(), 1);
-        assert_eq!(multi.groups[0].restorations, single.restorations);
-        assert_eq!(multi.groups[0].unaffected, single.unaffected);
-        assert_eq!(multi.messages_delivered, single.messages_delivered);
-        assert_eq!(multi.messages_dropped, single.messages_dropped);
-        assert_eq!(multi.health, single.health);
     }
 
     #[test]
@@ -701,13 +688,14 @@ mod tests {
         assert_eq!(multi.group_count(), 2);
 
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
-        let report = multi.run_failure_spec(
-            &FailureScenario::link(l_ad),
+        let scenario = FailureScenario::link(l_ad);
+        let spec = FailureSpec::persistent(
+            &scenario,
             RecoveryStrategy::LocalDetour,
-            InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
-            &ChannelSpec::perfect(),
+            SimTime::from_ms(100.0),
             SimTime::from_ms(3000.0),
         );
+        let report = multi.run(&spec, TraceLog::disabled()).report;
         for g in &report.groups {
             assert!(
                 g.all_restored(),

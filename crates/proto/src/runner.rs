@@ -1,21 +1,23 @@
-//! Protocol-level failure/recovery experiments.
+//! One multicast session at the protocol level: its tree, its recovery
+//! plans, and the vocabulary of a failure experiment.
 //!
-//! [`ProtoSession`] ties the layers together: `smrp-core` builds the
-//! multicast tree (SMRP or the SPF baseline), the tree is loaded into
-//! [`Router`]s on a [`NetSim`], the source pumps data, a persistent failure
-//! is injected mid-run, and the report captures each member's **service
-//! restoration latency** — the motivating quantity of §1: local detours
-//! restore service in heartbeat-detection time, while SPF-based recovery
-//! waits for unicast routing to reconverge (tens of seconds, per the
-//! ICNP 2000 measurements the paper cites).
+//! [`ProtoSession`] holds what `smrp-core` built (an SMRP tree or the SPF
+//! baseline) and plans its recoveries; [`RecoveryStrategy`] and
+//! [`InjectionTiming`] say how and when a failure is handled. The
+//! experiment itself — load the trees into routers, pump data, inject the
+//! failure, measure each member's **service restoration latency** (the
+//! motivating quantity of §1: local detours restore service in
+//! heartbeat-detection time, while SPF-based recovery waits for unicast
+//! routing to reconverge) — has one implementation,
+//! [`MultiSession::run`]; [`ProtoSession::run`] is its one-group case.
 
 use smrp_core::recovery::{self, DetourKind, Recovery};
 use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession, SpfSession};
-use smrp_metrics::ControlHealth;
 use smrp_net::backup::{BackupPlanner, DetourRequest};
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
-use smrp_sim::{ChannelModel, ChannelSpec, NetSim, SimTime, TimerBackend, TraceLog};
+use smrp_sim::{NetSim, SimTime, TimerBackend, TraceLog};
 
+use crate::multi::{FailureSpec, MultiRecoveryReport, MultiSession};
 use crate::router::{RecoveryPlan, Router, RouterConfig};
 
 /// Which algorithm builds the multicast tree.
@@ -150,7 +152,7 @@ impl InjectionTiming {
 
 /// The recovery plans one failure scenario induces on a session's tree:
 /// which nodes will graft, where, and who is beyond help. Produced by
-/// [`ProtoSession::plan_recoveries`]; consumed by the failure runner and by
+/// [`ProtoSession::plan_recoveries`]; consumed by [`MultiSession::run`] and by
 /// external auditors (the faultlab campaign subsystem) that need the exact
 /// restoration paths the routers will execute.
 #[derive(Debug, Clone)]
@@ -172,60 +174,6 @@ impl RecoveryPlans {
     /// fall back to individual, starvation-triggered recovery).
     pub fn all_root_grafts(&self) -> bool {
         self.cornered_roots.is_empty()
-    }
-}
-
-/// Result of one protocol-level failure experiment.
-#[derive(Debug, Clone)]
-pub struct RecoveryReport {
-    /// When the failure was injected.
-    pub fail_at: SimTime,
-    /// Per affected member: restoration latency (`None` if service never
-    /// resumed within the run).
-    pub restorations: Vec<(NodeId, Option<SimTime>)>,
-    /// Members that never lost service.
-    pub unaffected: Vec<NodeId>,
-    /// Total messages delivered by the simulator during the run.
-    pub messages_delivered: u64,
-    /// Total messages dropped (failed links/nodes/channel).
-    pub messages_dropped: u64,
-    /// Control-plane health: reliable-layer counters aggregated across all
-    /// routers plus what the degraded channel did. All-zero for lossless
-    /// runs.
-    pub health: ControlHealth,
-    /// Protection-plane counters aggregated across all routers: plans
-    /// held, local activations, stale-plan discards. All-zero unless the
-    /// run used [`RecoveryStrategy::Protection`].
-    pub protection: crate::router::ProtectionCounters,
-}
-
-impl RecoveryReport {
-    /// Whether every affected member restored service.
-    pub fn all_restored(&self) -> bool {
-        self.restorations.iter().all(|(_, l)| l.is_some())
-    }
-
-    /// Mean restoration latency in milliseconds over restored members
-    /// (`None` if nothing restored).
-    pub fn mean_latency_ms(&self) -> Option<f64> {
-        let restored: Vec<f64> = self
-            .restorations
-            .iter()
-            .filter_map(|(_, l)| l.map(SimTime::as_ms))
-            .collect();
-        if restored.is_empty() {
-            None
-        } else {
-            Some(restored.iter().sum::<f64>() / restored.len() as f64)
-        }
-    }
-
-    /// Worst restoration latency in milliseconds among restored members.
-    pub fn max_latency_ms(&self) -> Option<f64> {
-        self.restorations
-            .iter()
-            .filter_map(|(_, l)| l.map(SimTime::as_ms))
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 }
 
@@ -376,14 +324,8 @@ impl<'g> ProtoSession<'g> {
 
     /// Instantiates routers preloaded with the session tree.
     fn routers(&self) -> Vec<Router> {
-        self.routers_with(self.router_config)
-    }
-
-    /// Like [`routers`](Self::routers) with an explicit config — lossy
-    /// runs load loss-hardened timers without mutating the session.
-    fn routers_with(&self, config: RouterConfig) -> Vec<Router> {
         let mut routers: Vec<Router> = (0..self.graph.node_count())
-            .map(|_| Router::new(config))
+            .map(|_| Router::new(self.router_config))
             .collect();
         for n in self.tree.on_tree_nodes() {
             let upstream = self.tree.parent(n);
@@ -644,168 +586,13 @@ impl<'g> ProtoSession<'g> {
         out
     }
 
-    /// Runs a failure experiment: warm up, inject `scenario` at `fail_at`,
-    /// run until `until`, report restoration latencies for affected
-    /// members.
-    ///
-    /// Recovery plans are computed with the `smrp-core` recovery engine and
-    /// installed on the fragment roots (standing in for their own path
-    /// computation at detection time).
-    pub fn run_failure(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        fail_at: SimTime,
-        until: SimTime,
-    ) -> RecoveryReport {
-        self.run_failure_timed(
-            scenario,
-            strategy,
-            FailureTiming::persistent(fail_at),
-            until,
-        )
-    }
-
-    /// [`run_failure`](Self::run_failure) with explicit failure timing:
-    /// persistent scenarios behave identically; transient timing schedules
-    /// repair events for every failed component at `timing.repair_at`.
-    pub fn run_failure_timed(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: FailureTiming,
-        until: SimTime,
-    ) -> RecoveryReport {
-        self.run_failure_spec(
-            scenario,
-            strategy,
-            InjectionTiming::Once(timing),
-            &ChannelSpec::perfect(),
-            until,
-        )
-    }
-
-    /// The full-control failure runner: any [`InjectionTiming`] (including
-    /// flapping cycles) over any [`ChannelSpec`].
-    ///
-    /// When the channel's *default* lane is lossy, the router config is
-    /// hardened via [`RouterConfig::hardened_for_loss`] — uniform loss is
-    /// ambient noise every router experiences, so timers must tolerate it.
-    /// Gray-link overrides do **not** harden: a single rotten link
-    /// *should* look like a failure to the routers behind it.
-    pub fn run_failure_spec(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-    ) -> RecoveryReport {
-        let fail_at = timing.fail_at();
-        let config = self.router_config.hardened_for_loss(channel.default.loss);
-        let mut routers = self.routers_with(config);
-
-        if let RecoveryStrategy::Protection = strategy {
-            // Protection installs the precomputed plane on *every*
-            // protected node, before (and regardless of) the scenario —
-            // restoration is local activation of whatever was cached.
-            for (node, plans) in self.protection_plans() {
-                routers[node.index()].install_backup_plans(plans);
-            }
-        } else {
-            let (kind, wait) = match strategy {
-                RecoveryStrategy::LocalDetour => (DetourKind::Local, SimTime::ZERO),
-                RecoveryStrategy::ReactiveSearch { search } => (DetourKind::Local, search),
-                RecoveryStrategy::GlobalDetour { reconvergence } => {
-                    (DetourKind::Global, reconvergence)
-                }
-                RecoveryStrategy::Protection => unreachable!(),
-            };
-            for rec in self.plan_recoveries(scenario, kind).recoveries {
-                routers[rec.member().index()].install_recovery_plan(RecoveryPlan {
-                    path: rec.restoration_path().nodes().to_vec(),
-                    wait,
-                    path_delay: SimTime::from_ms(rec.restoration_path().delay(self.graph)),
-                });
-            }
-        }
-
-        let mut sim = NetSim::new(self.graph, routers);
-        sim.set_timer_backend(self.timer_backend);
-        sim.set_trace(TraceLog::disabled());
-        if !channel.is_perfect() {
-            sim.set_channel(Some(ChannelModel::new(channel)));
-        }
-        for n in self.tree.on_tree_nodes() {
-            sim.with_node(n, |r, ctx| r.start_timers(ctx));
-        }
-        for (down_at, up_at) in timing.schedule() {
-            for l in scenario.failed_links() {
-                sim.schedule_link_failure(down_at, l);
-                if let Some(up_at) = up_at {
-                    sim.schedule_link_repair(up_at, l);
-                }
-            }
-            for n in scenario.failed_nodes() {
-                sim.schedule_node_failure(down_at, n);
-                if let Some(up_at) = up_at {
-                    sim.schedule_node_repair(up_at, n);
-                }
-            }
-        }
-        sim.run_until(until);
-
-        let affected = recovery::affected_members(self.graph, &self.tree, scenario);
-        let affected_set: Vec<NodeId> = affected.clone();
-        // A packet that was already in flight when the failure hit still
-        // arrives and must not count as restored service: only packets the
-        // source *sent* after the failure qualify. The source emits seq `s`
-        // at `(s + 1) · data_interval`.
-        let interval = self.router_config.data_interval.as_ms();
-        let sent_at = |seq: u64| SimTime::from_ms(interval * (seq as f64 + 1.0));
-        let restorations = affected
-            .into_iter()
-            .map(|m| {
-                let latency = sim
-                    .node(m)
-                    .deliveries()
-                    .iter()
-                    .find(|d| sent_at(d.seq) > fail_at)
-                    .map(|d| d.time - fail_at);
-                (m, latency)
-            })
-            .collect();
-        let unaffected = self
-            .tree
-            .members()
-            .filter(|m| !affected_set.contains(m))
-            .collect();
-        let mut health = ControlHealth::default();
-        let mut protection = crate::router::ProtectionCounters::default();
-        for n in self.graph.node_ids() {
-            let r = sim.node(n).reliability();
-            health.retransmits += r.retransmits;
-            health.dup_drops += r.dup_drops;
-            health.retry_exhaustions += r.retry_exhaustions;
-            health.acks += r.acks_sent;
-            protection.merge(&sim.node(n).protection_counters());
-        }
-        if let Some(ch) = sim.channel_stats() {
-            health.channel_dupes = ch.duplicated;
-            health.channel_reorders = ch.reordered;
-            for (&class, &n) in &ch.lost_by_class {
-                *health.loss_by_class.entry(class.to_string()).or_insert(0) += n;
-            }
-        }
-        RecoveryReport {
-            fail_at,
-            restorations,
-            unaffected,
-            messages_delivered: sim.delivered_count(),
-            messages_dropped: sim.dropped_count(),
-            health,
-            protection,
-        }
+    /// Runs one failure experiment on this session alone: the `M = 1` case
+    /// of [`MultiSession::run`], untraced. Read the one group's slice at
+    /// `report.groups[0]`.
+    pub fn run(&self, spec: &FailureSpec<'_>) -> MultiRecoveryReport {
+        MultiSession::from_sessions(vec![self.clone()])
+            .run(spec, TraceLog::disabled())
+            .report
     }
 }
 
@@ -813,6 +600,7 @@ impl<'g> ProtoSession<'g> {
 mod tests {
     use super::*;
     use smrp_core::paper;
+    use smrp_sim::ChannelSpec;
 
     #[test]
     fn figure1_protocol_recovery_local_vs_global() {
@@ -824,19 +612,32 @@ mod tests {
 
         let fail_at = SimTime::from_ms(100.0);
         let until = SimTime::from_ms(5000.0);
-        let local = session.run_failure(&scenario, RecoveryStrategy::LocalDetour, fail_at, until);
-        let global = session.run_failure(
+        let local = session.run(&FailureSpec::persistent(
+            &scenario,
+            RecoveryStrategy::LocalDetour,
+            fail_at,
+            until,
+        ));
+        let global = session.run(&FailureSpec::persistent(
             &scenario,
             RecoveryStrategy::GlobalDetour {
                 reconvergence: SimTime::from_ms(1000.0),
             },
             fail_at,
             until,
+        ));
+        assert!(
+            local.all_restored(),
+            "local: {:?}",
+            local.groups[0].restorations
         );
-        assert!(local.all_restored(), "local: {:?}", local.restorations);
-        assert!(global.all_restored(), "global: {:?}", global.restorations);
-        let l = local.mean_latency_ms().unwrap();
-        let g = global.mean_latency_ms().unwrap();
+        assert!(
+            global.all_restored(),
+            "global: {:?}",
+            global.groups[0].restorations
+        );
+        let l = local.groups[0].mean_latency_ms().unwrap();
+        let g = global.groups[0].mean_latency_ms().unwrap();
         assert!(
             l * 5.0 < g,
             "local detour ({l}ms) should be far faster than waiting for \
@@ -851,15 +652,15 @@ mod tests {
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let scenario = FailureScenario::link(l_ad);
-        let report = session.run_failure(
+        let report = session.run(&FailureSpec::persistent(
             &scenario,
             RecoveryStrategy::LocalDetour,
             SimTime::from_ms(50.0),
             SimTime::from_ms(1000.0),
-        );
-        assert_eq!(report.unaffected, vec![nodes.c]);
-        assert_eq!(report.restorations.len(), 1);
-        assert_eq!(report.restorations[0].0, nodes.d);
+        ));
+        assert_eq!(report.groups[0].unaffected, vec![nodes.c]);
+        assert_eq!(report.groups[0].restorations.len(), 1);
+        assert_eq!(report.groups[0].restorations[0].0, nodes.d);
     }
 
     #[test]
@@ -897,13 +698,13 @@ mod tests {
         );
         // Failing L_SA now leaves D untouched, and C recovers quickly.
         let l_sa = graph.link_between(nodes.s, nodes.a).unwrap();
-        let report = session.run_failure(
+        let report = session.run(&FailureSpec::persistent(
             &FailureScenario::link(l_sa),
             RecoveryStrategy::LocalDetour,
             SimTime::from_ms(50.0),
             SimTime::from_ms(2000.0),
-        );
-        assert_eq!(report.unaffected, vec![nodes.d]);
+        ));
+        assert_eq!(report.groups[0].unaffected, vec![nodes.d]);
         assert!(report.all_restored());
     }
 
@@ -955,21 +756,27 @@ mod tests {
         g.add_link(ids[1], ids[2], 1.0).unwrap();
         let session = ProtoSession::build(&g, ids[0], &[ids[2]], TreeProtocol::Spf).unwrap();
         let scenario = FailureScenario::link(l_sa);
-        let persistent = session.run_failure(
+        let persistent = session.run(&FailureSpec::persistent(
             &scenario,
             RecoveryStrategy::LocalDetour,
             SimTime::from_ms(50.0),
             SimTime::from_ms(1500.0),
-        );
+        ));
         assert!(!persistent.all_restored(), "no detour exists");
-        let transient = session.run_failure_timed(
-            &scenario,
-            RecoveryStrategy::LocalDetour,
-            FailureTiming::transient(SimTime::from_ms(50.0), SimTime::from_ms(300.0)),
-            SimTime::from_ms(1500.0),
-        );
+        let transient = session.run(&FailureSpec {
+            timing: InjectionTiming::Once(FailureTiming::transient(
+                SimTime::from_ms(50.0),
+                SimTime::from_ms(300.0),
+            )),
+            ..FailureSpec::persistent(
+                &scenario,
+                RecoveryStrategy::LocalDetour,
+                SimTime::from_ms(50.0),
+                SimTime::from_ms(1500.0),
+            )
+        });
         assert!(transient.all_restored(), "repair heals the only path");
-        let latency = transient.restorations[0].1.unwrap();
+        let latency = transient.groups[0].restorations[0].1.unwrap();
         assert!(
             latency >= SimTime::from_ms(250.0),
             "service was out until the repair: {latency:?}"
@@ -985,15 +792,15 @@ mod tests {
         g.add_link(ids[1], ids[2], 1.0).unwrap();
         let session = ProtoSession::build(&g, ids[0], &[ids[2]], TreeProtocol::Spf).unwrap();
         let scenario = FailureScenario::node(ids[1]);
-        let report = session.run_failure(
+        let report = session.run(&FailureSpec::persistent(
             &scenario,
             RecoveryStrategy::LocalDetour,
             SimTime::from_ms(50.0),
             SimTime::from_ms(1000.0),
-        );
-        assert_eq!(report.restorations, vec![(ids[2], None)]);
+        ));
+        assert_eq!(report.groups[0].restorations, vec![(ids[2], None)]);
         assert!(!report.all_restored());
-        assert!(report.mean_latency_ms().is_none());
+        assert!(report.groups[0].mean_latency_ms().is_none());
     }
 
     #[test]
@@ -1015,20 +822,20 @@ mod tests {
             session.tree().path_from_source(ids[3]).unwrap().nodes(),
             &[ids[0], ids[1], ids[2], ids[3]]
         );
-        let report = session.run_failure(
+        let report = session.run(&FailureSpec::persistent(
             &FailureScenario::link(l_bm),
             RecoveryStrategy::GlobalDetour {
                 reconvergence: SimTime::from_ms(800.0),
             },
             SimTime::from_ms(100.0),
             SimTime::from_ms(3000.0),
-        );
+        ));
         assert!(
             report.all_restored(),
             "graft must resurrect the pruned branch: {:?}",
-            report.restorations
+            report.groups[0].restorations
         );
-        let latency = report.restorations[0].1.unwrap();
+        let latency = report.groups[0].restorations[0].1.unwrap();
         assert!(
             latency >= SimTime::from_ms(800.0),
             "restoration waited out reconvergence: {latency:?}"
@@ -1042,17 +849,19 @@ mod tests {
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let channel = ChannelSpec::uniform_loss(0.1, 0xC0FFEE);
-        let report = session.run_failure_spec(
-            &FailureScenario::link(l_ad),
-            RecoveryStrategy::LocalDetour,
-            InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
-            &channel,
-            SimTime::from_ms(3000.0),
-        );
+        let report = session.run(&FailureSpec {
+            channel,
+            ..FailureSpec::persistent(
+                &FailureScenario::link(l_ad),
+                RecoveryStrategy::LocalDetour,
+                SimTime::from_ms(100.0),
+                SimTime::from_ms(3000.0),
+            )
+        });
         assert!(
             report.all_restored(),
             "10% uniform loss must not defeat restoration: {:?}",
-            report.restorations
+            report.groups[0].restorations
         );
         // The reliable layer worked for its living: losses happened and
         // were covered; nothing ran out of budget.
@@ -1070,17 +879,19 @@ mod tests {
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let channel = ChannelSpec::uniform_loss(0.1, 42);
         let run = || {
-            session.run_failure_spec(
-                &FailureScenario::link(l_ad),
-                RecoveryStrategy::LocalDetour,
-                InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
-                &channel,
-                SimTime::from_ms(2000.0),
-            )
+            session.run(&FailureSpec {
+                channel: channel.clone(),
+                ..FailureSpec::persistent(
+                    &FailureScenario::link(l_ad),
+                    RecoveryStrategy::LocalDetour,
+                    SimTime::from_ms(100.0),
+                    SimTime::from_ms(2000.0),
+                )
+            })
         };
         let a = run();
         let b = run();
-        assert_eq!(a.restorations, b.restorations);
+        assert_eq!(a.groups[0].restorations, b.groups[0].restorations);
         assert_eq!(a.messages_delivered, b.messages_delivered);
         assert_eq!(a.health, b.health);
     }
@@ -1100,22 +911,24 @@ mod tests {
             up: SimTime::from_ms(400.0),
             cycles: 3,
         };
-        let report = session.run_failure_spec(
-            &FailureScenario::link(l_sa),
-            RecoveryStrategy::LocalDetour,
+        let report = session.run(&FailureSpec {
             timing,
-            &ChannelSpec::perfect(),
-            SimTime::from_ms(3000.0),
-        );
+            ..FailureSpec::persistent(
+                &FailureScenario::link(l_sa),
+                RecoveryStrategy::LocalDetour,
+                SimTime::from_ms(100.0),
+                SimTime::from_ms(3000.0),
+            )
+        });
         assert!(
             report.all_restored(),
             "service heals after the flaps: {:?}",
-            report.restorations
+            report.groups[0].restorations
         );
         // The last cycle ends at 100 + 3*650 - 400 = 1650ms (final repair);
         // service must also be alive *after* that point.
         let member = ids[2];
-        assert_eq!(report.restorations[0].0, member);
+        assert_eq!(report.groups[0].restorations[0].0, member);
     }
 
     #[test]
@@ -1165,29 +978,50 @@ mod tests {
         let fail_at = SimTime::from_ms(100.0);
         let until = SimTime::from_ms(3000.0);
 
-        let reactive = session.run_failure(
+        let reactive = session.run(&FailureSpec::persistent(
             &scenario,
             RecoveryStrategy::ReactiveSearch {
                 search: SimTime::from_ms(25.0),
             },
             fail_at,
             until,
+        ));
+        let protected = session.run(&FailureSpec::persistent(
+            &scenario,
+            RecoveryStrategy::Protection,
+            fail_at,
+            until,
+        ));
+        assert!(
+            reactive.all_restored(),
+            "{:?}",
+            reactive.groups[0].restorations
         );
-        let protected =
-            session.run_failure(&scenario, RecoveryStrategy::Protection, fail_at, until);
-        assert!(reactive.all_restored(), "{:?}", reactive.restorations);
-        assert!(protected.all_restored(), "{:?}", protected.restorations);
-        let r = reactive.mean_latency_ms().unwrap();
-        let p = protected.mean_latency_ms().unwrap();
+        assert!(
+            protected.all_restored(),
+            "{:?}",
+            protected.groups[0].restorations
+        );
+        let r = reactive.groups[0].mean_latency_ms().unwrap();
+        let p = protected.groups[0].mean_latency_ms().unwrap();
         assert!(
             p < r,
             "local activation ({p}ms) must beat the on-demand search ({r}ms)"
         );
-        assert!(protected.protection.plans_held > 0, "plans stay cached");
-        assert!(protected.protection.activations >= 1, "the plan fired");
-        assert_eq!(protected.protection.stale_discards, 0, "nothing staled");
+        assert!(
+            protected.groups[0].protection.plans_held > 0,
+            "plans stay cached"
+        );
+        assert!(
+            protected.groups[0].protection.activations >= 1,
+            "the plan fired"
+        );
         assert_eq!(
-            reactive.protection.plans_held, 0,
+            protected.groups[0].protection.stale_discards, 0,
+            "nothing staled"
+        );
+        assert_eq!(
+            reactive.groups[0].protection.plans_held, 0,
             "reactive runs hold no protection state"
         );
     }
@@ -1200,14 +1034,14 @@ mod tests {
         let (graph, nodes) = paper::figure1_graph();
         let session =
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
-        let report = session.run_failure(
+        let report = session.run(&FailureSpec::persistent(
             &FailureScenario::node(nodes.a),
             RecoveryStrategy::Protection,
             SimTime::from_ms(100.0),
             SimTime::from_ms(3000.0),
-        );
-        assert!(report.all_restored(), "{:?}", report.restorations);
-        assert!(report.protection.activations >= 1);
+        ));
+        assert!(report.all_restored(), "{:?}", report.groups[0].restorations);
+        assert!(report.groups[0].protection.activations >= 1);
         assert_eq!(report.health.retry_exhaustions, 0);
     }
 
@@ -1232,13 +1066,13 @@ mod tests {
         // The primary (most conservative) plan must detour via C, not B.
         assert_eq!(chain[0].path, vec![m, c, s]);
         // And the shared-fate failure itself is survived by activation.
-        let report = session.run_failure(
+        let report = session.run(&FailureSpec::persistent(
             &FailureScenario::links([l_am, l_bm]),
             RecoveryStrategy::Protection,
             SimTime::from_ms(100.0),
             SimTime::from_ms(3000.0),
-        );
-        assert!(report.all_restored(), "{:?}", report.restorations);
+        ));
+        assert!(report.all_restored(), "{:?}", report.groups[0].restorations);
         assert_eq!(report.health.retry_exhaustions, 0);
     }
 
@@ -1253,18 +1087,24 @@ mod tests {
         g.add_link(ids[0], ids[1], 1.0).unwrap();
         g.add_link(ids[1], ids[2], 1.0).unwrap();
         let session = ProtoSession::build(&g, ids[0], &[ids[2]], TreeProtocol::Spf).unwrap();
-        let report = session.run_failure_timed(
-            &FailureScenario::node(ids[2]),
-            RecoveryStrategy::LocalDetour,
-            FailureTiming::transient(SimTime::from_ms(100.0), SimTime::from_ms(500.0)),
-            SimTime::from_ms(2000.0),
-        );
+        let report = session.run(&FailureSpec {
+            timing: InjectionTiming::Once(FailureTiming::transient(
+                SimTime::from_ms(100.0),
+                SimTime::from_ms(500.0),
+            )),
+            ..FailureSpec::persistent(
+                &FailureScenario::node(ids[2]),
+                RecoveryStrategy::LocalDetour,
+                SimTime::from_ms(100.0),
+                SimTime::from_ms(2000.0),
+            )
+        });
         assert!(
             report.all_restored(),
             "refresh must re-extend the pruned branch: {:?}",
-            report.restorations
+            report.groups[0].restorations
         );
-        let latency = report.restorations[0].1.unwrap();
+        let latency = report.groups[0].restorations[0].1.unwrap();
         assert!(
             latency >= SimTime::from_ms(400.0),
             "service resumed only after the repair: {latency:?}"

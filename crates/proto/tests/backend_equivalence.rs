@@ -8,17 +8,57 @@
 //! statistically equivalent. These tests replay the repo's golden
 //! protocol scenarios under both backends and diff the full simulator
 //! trace and the resulting reports, byte for byte.
+//!
+//! The same scenarios and the same diff also hold the two plan sources of
+//! a `FailureSpec` to one pipeline: handing `run` the plans
+//! `plan_recoveries` computes, as an explicit list, must be
+//! indistinguishable from naming the strategy that computes them.
 
+use smrp_core::recovery::DetourKind;
 use smrp_core::SmrpConfig;
-use smrp_net::{FailureScenario, Graph, NodeId};
+use smrp_net::{FailureScenario, Graph, GroupId, NodeId};
 use smrp_proto::{
-    FailureTiming, InjectionTiming, MultiRecoveryReport, MultiSession, ProtoSession,
+    FailureSpec, MultiRecoveryReport, MultiSession, PlanSource, ProtoSession, RecoveryPlan,
     RecoveryStrategy, TreeProtocol,
 };
 use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceLog};
 
-/// Runs one multi-session failure experiment under `backend`, returning
-/// the report and the full trace rendered to strings.
+/// The local-detour experiment every test here runs: `scenario` cut for
+/// good at 100 ms.
+fn local_detour_spec<'s>(
+    scenario: &'s FailureScenario,
+    channel: &ChannelSpec,
+    until: SimTime,
+) -> FailureSpec<'s> {
+    FailureSpec {
+        channel: channel.clone(),
+        ..FailureSpec::persistent(
+            scenario,
+            RecoveryStrategy::LocalDetour,
+            SimTime::from_ms(100.0),
+            until,
+        )
+    }
+}
+
+/// Runs `spec` over `sessions`, returning the report and the full trace
+/// rendered to strings.
+fn run_traced(
+    multi: &MultiSession<'_>,
+    spec: &FailureSpec<'_>,
+) -> (MultiRecoveryReport, Vec<String>) {
+    let run = multi.run(spec, TraceLog::new(1 << 20));
+    assert_eq!(run.trace.discarded(), 0, "trace capacity must hold the run");
+    let lines = run
+        .trace
+        .entries()
+        .iter()
+        .map(|e| format!("{e:?}"))
+        .collect();
+    (run.report, lines)
+}
+
+/// Runs one multi-session failure experiment under `backend`.
 fn run_with_backend(
     sessions: &[ProtoSession<'_>],
     scenario: &FailureScenario,
@@ -28,17 +68,7 @@ fn run_with_backend(
 ) -> (MultiRecoveryReport, Vec<String>) {
     let mut multi = MultiSession::from_sessions(sessions.to_vec());
     multi.set_timer_backend(backend);
-    let (report, trace) = multi.run_failure_spec_traced(
-        scenario,
-        RecoveryStrategy::LocalDetour,
-        InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
-        channel,
-        until,
-        TraceLog::new(1 << 20),
-    );
-    assert_eq!(trace.discarded(), 0, "trace capacity must hold the run");
-    let lines = trace.entries().iter().map(|e| format!("{e:?}")).collect();
-    (report, lines)
+    run_traced(&multi, &local_detour_spec(scenario, channel, until))
 }
 
 /// Asserts byte-identical traces and reports across the two backends.
@@ -143,4 +173,64 @@ fn lossy_figure1_is_byte_identical_across_backends() {
         &ChannelSpec::uniform_loss(0.1, 0xFEED),
         SimTime::from_ms(3000.0),
     );
+}
+
+/// `run` on the explicit plan list built from `plan_recoveries` must equal
+/// `run` on `RecoveryStrategy::LocalDetour`: same report, same trace.
+fn assert_plan_sources_agree(sessions: &[ProtoSession<'_>], scenario: &FailureScenario) {
+    let multi = MultiSession::from_sessions(sessions.to_vec());
+    let by_strategy =
+        local_detour_spec(scenario, &ChannelSpec::perfect(), SimTime::from_ms(3000.0));
+    let plans: Vec<(GroupId, NodeId, RecoveryPlan)> = sessions
+        .iter()
+        .enumerate()
+        .flat_map(|(g, session)| {
+            let recoveries = session
+                .plan_recoveries(scenario, DetourKind::Local)
+                .recoveries;
+            recoveries.into_iter().map(move |rec| {
+                let path = rec.restoration_path();
+                let plan = RecoveryPlan {
+                    path: path.nodes().to_vec(),
+                    wait: SimTime::ZERO,
+                    path_delay: SimTime::from_ms(path.delay(session.graph())),
+                };
+                (GroupId::new(g), rec.member(), plan)
+            })
+        })
+        .collect();
+    assert!(!plans.is_empty(), "the cut must need a detour");
+    let by_list = FailureSpec {
+        plans: PlanSource::Explicit(&plans),
+        ..by_strategy.clone()
+    };
+
+    let (strategy_report, strategy_trace) = run_traced(&multi, &by_strategy);
+    let (list_report, list_trace) = run_traced(&multi, &by_list);
+    assert_eq!(strategy_trace, list_trace, "traces diverged");
+    assert_eq!(
+        format!("{strategy_report:?}"),
+        format!("{list_report:?}"),
+        "reports diverged"
+    );
+    assert!(strategy_report.all_restored());
+}
+
+#[test]
+fn explicit_plans_equal_strategy_plans_on_figure1() {
+    let (graph, nodes) = smrp_core::paper::figure1_graph();
+    let session =
+        ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
+    let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
+    assert_plan_sources_agree(&[session], &FailureScenario::link(l_ad));
+}
+
+#[test]
+fn explicit_plans_equal_strategy_plans_on_shared_fate_srlg() {
+    let (graph, [s0, s1, _x, y, m0, m1, _d]) = shared_fate_topology();
+    let g0 = ProtoSession::build(&graph, s0, &[m0], TreeProtocol::Spf).unwrap();
+    let g1 = ProtoSession::build(&graph, s1, &[m1], TreeProtocol::Spf).unwrap();
+    let l_ym0 = graph.link_between(y, m0).unwrap();
+    let l_ym1 = graph.link_between(y, m1).unwrap();
+    assert_plan_sources_agree(&[g0, g1], &FailureScenario::links([l_ym0, l_ym1]));
 }

@@ -2,8 +2,8 @@
 //!
 //! The original 2-level transit-stub recovery engine is vendored below,
 //! verbatim in behavior, as `legacy`. The gate drives it and the new
-//! N-level engine (via the `HierarchicalSession` wrapper at `levels = 2`)
-//! through every single-link failure on a battery of seeded transit-stub
+//! N-level engine (`NLevelSession` on `NLevelTopology::from_transit_stub`,
+//! i.e. `levels = 2`) through every single-link failure on a battery of seeded transit-stub
 //! topologies — including the `hierarchy.csv` experiment's exact
 //! parameters — and demands *identical* outcomes case by case, plus an
 //! FNV-1a digest over the full outcome stream that must match bit for
@@ -11,9 +11,10 @@
 //! be deleted from `src/hierarchy.rs`.
 
 use smrp_core::SmrpConfig;
-use smrp_net::transit_stub::{TransitStubConfig, TransitStubTopology};
+use smrp_net::nlevel::NLevelTopology;
+use smrp_net::transit_stub::{DomainId, TransitStubConfig, TransitStubTopology};
 use smrp_net::NodeId;
-use smrp_proto::hierarchy::{FailureScope, HierarchicalSession};
+use smrp_proto::hierarchy::{DomainRecovery, NLevelSession};
 
 /// The 2-level engine exactly as it shipped before the N-level rewrite.
 mod legacy {
@@ -375,14 +376,13 @@ fn legacy_outcome(r: Result<legacy::HierarchicalRecovery, String>) -> Outcome {
     }
 }
 
-fn new_outcome(r: Result<smrp_proto::hierarchy::HierarchicalRecovery, String>) -> Outcome {
+/// The N-level engine's outcome in the 2-level vocabulary: the root of a
+/// transit-stub hierarchy is the transit domain, every other owner a stub.
+fn new_outcome(r: Result<DomainRecovery, String>, transit: DomainId) -> Outcome {
     match r {
         Ok(rec) => Outcome {
-            is_transit: matches!(rec.scope, FailureScope::Transit),
-            stub: match rec.scope {
-                FailureScope::Stub(d) => Some(d.index()),
-                FailureScope::Transit => None,
-            },
+            is_transit: rec.owner == transit,
+            stub: (rec.owner != transit).then(|| rec.owner.index()),
             affected: rec.affected_members,
             paths: rec.restoration_paths,
             rd_bits: rec.recovery_distance.to_bits(),
@@ -407,6 +407,38 @@ struct Case {
     topo: TransitStubTopology,
     source: NodeId,
     members: Vec<NodeId>,
+}
+
+impl Case {
+    fn legacy(&self) -> legacy::HierarchicalSession<'_> {
+        legacy::HierarchicalSession::build(
+            &self.topo,
+            self.source,
+            &self.members,
+            SmrpConfig::default(),
+        )
+        .expect("legacy builds")
+    }
+
+    /// The N-level engine at `levels = 2`. The 2-level engine silently
+    /// ignored members living in the transit domain; the comparison keeps
+    /// that contract by not handing them over.
+    fn nlevel(&self) -> NLevelSession {
+        let transit = self.topo.transit_domain().id();
+        let stub_members: Vec<NodeId> = self
+            .members
+            .iter()
+            .copied()
+            .filter(|&m| self.topo.domain_of(m) != transit)
+            .collect();
+        NLevelSession::build(
+            &NLevelTopology::from_transit_stub(&self.topo),
+            self.source,
+            &stub_members,
+            SmrpConfig::default(),
+        )
+        .expect("N-level builds")
+    }
 }
 
 /// The `hierarchy.csv` experiment's exact member-selection scheme.
@@ -474,23 +506,11 @@ fn cases() -> Vec<Case> {
 #[test]
 fn nlevel_at_two_levels_matches_legacy_case_for_case() {
     for case in cases() {
-        let old = legacy::HierarchicalSession::build(
-            &case.topo,
-            case.source,
-            &case.members,
-            SmrpConfig::default(),
-        )
-        .expect("legacy builds");
-        let new = HierarchicalSession::build(
-            &case.topo,
-            case.source,
-            &case.members,
-            SmrpConfig::default(),
-        )
-        .expect("wrapper builds");
+        let (old, new) = (case.legacy(), case.nlevel());
+        let transit = case.topo.transit_domain().id();
         for link in case.topo.graph().link_ids() {
             let a = legacy_outcome(old.recover(link));
-            let b = new_outcome(new.recover(link));
+            let b = new_outcome(new.recover(link), transit);
             assert_eq!(
                 a, b,
                 "case {} link {link}: legacy and N-level outcomes diverge",
@@ -507,23 +527,11 @@ fn differential_digest_is_identical() {
     let mut old_h = Fnv::new();
     let mut new_h = Fnv::new();
     for case in cases() {
-        let old = legacy::HierarchicalSession::build(
-            &case.topo,
-            case.source,
-            &case.members,
-            SmrpConfig::default(),
-        )
-        .unwrap();
-        let new = HierarchicalSession::build(
-            &case.topo,
-            case.source,
-            &case.members,
-            SmrpConfig::default(),
-        )
-        .unwrap();
+        let (old, new) = (case.legacy(), case.nlevel());
+        let transit = case.topo.transit_domain().id();
         for link in case.topo.graph().link_ids() {
             legacy_outcome(old.recover(link)).digest_into(&mut old_h);
-            new_outcome(new.recover(link)).digest_into(&mut new_h);
+            new_outcome(new.recover(link), transit).digest_into(&mut new_h);
         }
     }
     assert_eq!(
@@ -538,30 +546,14 @@ fn differential_digest_is_identical() {
 #[test]
 fn attribution_matches_legacy_on_every_link() {
     for case in cases() {
-        let old = legacy::HierarchicalSession::build(
-            &case.topo,
-            case.source,
-            &case.members,
-            SmrpConfig::default(),
-        )
-        .unwrap();
-        let new = HierarchicalSession::build(
-            &case.topo,
-            case.source,
-            &case.members,
-            SmrpConfig::default(),
-        )
-        .unwrap();
+        let (old, new) = (case.legacy(), case.nlevel());
+        let transit = case.topo.transit_domain().id();
         for link in case.topo.graph().link_ids() {
-            let a = old.domain_of_link(link);
-            let b = new.domain_of_link(link);
-            let same = matches!(
-                (a, b),
-                (legacy::FailureScope::Transit, FailureScope::Transit)
-            ) || matches!(
-                (a, b),
-                (legacy::FailureScope::Stub(x), FailureScope::Stub(y)) if x == y
-            );
+            let owner = new.owning_domain(link);
+            let same = match old.domain_of_link(link) {
+                legacy::FailureScope::Transit => owner == transit,
+                legacy::FailureScope::Stub(d) => owner == d,
+            };
             assert!(same, "case {}: attribution diverged on {link}", case.name);
         }
     }

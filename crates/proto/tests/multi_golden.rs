@@ -1,20 +1,17 @@
-//! Golden-trace regression test for the canonical Figure 1 experiment
-//! under the multi-session engine.
+//! Golden regression test for the canonical Figure 1 experiment.
 //!
-//! The single-group `MultiSession` is contractually the degenerate case
-//! of `ProtoSession::run_failure_spec` — same event order, same recovery,
-//! same latencies. This test pins that down at the message level: the
+//! `MultiSession::run` is the only failure loop; a single session runs as
+//! its one-group case. This test pins that case at the message level: the
 //! exact sequence of `Setup` sends after the A–D cut (the local-detour
 //! graft propagating hop by hop) must match a golden transcript, and the
-//! measured restoration latencies must equal the single-session runner's
-//! to the bit. Any change to lane dispatch, timer ordering or reliable
+//! restoration latency and engine message counts must equal what the
+//! retired single-`Router` loop produced for the same experiment, to the
+//! nanosecond. Any change to lane dispatch, timer ordering or reliable
 //! sequencing that perturbs the wire behavior shows up here as a diff.
 
 use smrp_core::SmrpConfig;
 use smrp_net::FailureScenario;
-use smrp_proto::{
-    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
-};
+use smrp_proto::{FailureSpec, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_sim::{SimTime, TraceEvent, TraceLog};
 
 /// Every post-failure `Setup` send of the Figure 1 local-detour recovery,
@@ -27,6 +24,16 @@ use smrp_sim::{SimTime, TraceEvent, TraceLog};
 /// 130 ms (one missed hello past the 100 ms failure) and grafts straight
 /// to the nearest on-tree node C (`n3`).
 const GOLDEN_SETUP_SENDS: &[&str] = &["130.00ms n4->n3 g0 setup reliable #0 n4=>n3@1"];
+
+/// What `ProtoSession::run_failure_spec` — the single-`Router` loop this
+/// crate had until `MultiSession::run` became the only one — reported for
+/// this experiment at the last commit that carried it: D (`n4`) back in
+/// service 34 ms after the cut, C (`n3`) untouched, and the engine's
+/// delivered/dropped message totals over the 3 s run.
+const GOLDEN_RESTORATION_NS: &[(usize, Option<u64>)] = &[(4, Some(34_000_000))];
+const GOLDEN_UNAFFECTED: &[usize] = &[3];
+const GOLDEN_MESSAGES_DELIVERED: u64 = 3931;
+const GOLDEN_MESSAGES_DROPPED: u64 = 81;
 
 fn setup_sends(trace: &TraceLog, after: SimTime) -> Vec<String> {
     trace
@@ -59,33 +66,33 @@ fn figure1_local_detour_trace_is_golden() {
     let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
     let scenario = FailureScenario::link(l_ad);
     let fail_at = SimTime::from_ms(100.0);
-    let timing = InjectionTiming::Once(FailureTiming::persistent(fail_at));
-    let until = SimTime::from_ms(3000.0);
-    let channel = smrp_sim::ChannelSpec::perfect();
-
-    let single = session.run_failure_spec(
+    let spec = FailureSpec::persistent(
         &scenario,
         RecoveryStrategy::LocalDetour,
-        timing,
-        &channel,
-        until,
+        fail_at,
+        SimTime::from_ms(3000.0),
     );
 
     let multi = MultiSession::from_sessions(vec![session]);
-    let (report, trace) = multi.run_failure_spec_traced(
-        &scenario,
-        RecoveryStrategy::LocalDetour,
-        timing,
-        &channel,
-        until,
-        TraceLog::new(65_536),
-    );
+    let run = multi.run(&spec, TraceLog::new(65_536));
+    let (report, trace) = (run.report, run.trace);
     assert_eq!(trace.discarded(), 0, "trace capacity must hold the run");
 
-    // M=1 equivalence: identical restorations, to the bit.
     assert_eq!(report.groups.len(), 1);
-    assert_eq!(report.groups[0].restorations, single.restorations);
-    assert!(report.all_restored(), "{:?}", report.groups[0].restorations);
+    let restorations: Vec<(usize, Option<u64>)> = report.groups[0]
+        .restorations
+        .iter()
+        .map(|(m, l)| (m.index(), l.map(SimTime::as_ns)))
+        .collect();
+    assert_eq!(restorations, GOLDEN_RESTORATION_NS);
+    let unaffected: Vec<usize> = report.groups[0]
+        .unaffected
+        .iter()
+        .map(|m| m.index())
+        .collect();
+    assert_eq!(unaffected, GOLDEN_UNAFFECTED);
+    assert_eq!(report.messages_delivered, GOLDEN_MESSAGES_DELIVERED);
+    assert_eq!(report.messages_dropped, GOLDEN_MESSAGES_DROPPED);
 
     let actual = setup_sends(&trace, fail_at);
     assert!(

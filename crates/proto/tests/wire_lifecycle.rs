@@ -6,7 +6,7 @@ use smrp_core::recovery;
 use smrp_core::SmrpConfig;
 use smrp_net::waxman::WaxmanConfig;
 use smrp_net::{FailureScenario, Graph, NodeId};
-use smrp_proto::{DynamicSession, ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_proto::{DynamicSession, FailureSpec, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_sim::SimTime;
 
 fn topology(seed: u64) -> Graph {
@@ -113,13 +113,13 @@ fn recovery_after_failure_on_random_topology_restores_all() {
         let link = graph.link_between(ids[0], worst).unwrap();
         let scenario = FailureScenario::link(link);
 
-        let report = session.run_failure(
+        let report = session.run(&FailureSpec::persistent(
             &scenario,
             RecoveryStrategy::LocalDetour,
             SimTime::from_ms(150.0),
             SimTime::from_ms(6000.0),
-        );
-        for (m, latency) in &report.restorations {
+        ));
+        for (m, latency) in &report.groups[0].restorations {
             let algorithmic =
                 recovery::recover(&graph, tree, &scenario, *m, recovery::DetourKind::Local);
             match algorithmic {

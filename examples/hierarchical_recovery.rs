@@ -5,8 +5,9 @@
 //! Run with: `cargo run --example hierarchical_recovery`
 
 use smrp_repro::core::SmrpConfig;
+use smrp_repro::net::nlevel::NLevelTopology;
 use smrp_repro::net::transit_stub::TransitStubConfig;
-use smrp_repro::proto::hierarchy::{FailureScope, HierarchicalSession};
+use smrp_repro::proto::hierarchy::NLevelSession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo = TransitStubConfig::new()
@@ -32,8 +33,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stubs[2].nodes()[5],
         stubs[4].nodes()[2],
     ];
-    let session = HierarchicalSession::build(&topo, source, &members, SmrpConfig::default())
-        .map_err(|e| format!("hierarchy failed to build: {e}"))?;
+    // Two levels of recovery domains: the transit domain is the root, the
+    // stubs are its children.
+    let transit = topo.transit_domain().id();
+    let session = NLevelSession::build(
+        &NLevelTopology::from_transit_stub(&topo),
+        source,
+        &members,
+        SmrpConfig::default(),
+    )
+    .map_err(|e| format!("hierarchy failed to build: {e}"))?;
     println!("source {source}, members {members:?}\n");
 
     // Walk over every link; show where failures land and how they are
@@ -41,15 +50,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut shown_stub = false;
     let mut shown_transit = false;
     for link in topo.graph().link_ids() {
-        let scope = session.domain_of_link(link);
         let Ok(rec) = session.recover(link) else {
             continue;
         };
         if rec.affected_members.is_empty() {
             continue;
         }
-        match scope {
-            FailureScope::Stub(d) if !shown_stub => {
+        match rec.owner {
+            d if d != transit && !shown_stub => {
                 shown_stub = true;
                 println!(
                     "link {link} fails inside stub domain {d}: {} member(s) disrupted, \
@@ -60,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     rec.restoration_paths.len()
                 );
             }
-            FailureScope::Transit if !shown_transit => {
+            d if d == transit && !shown_transit => {
                 shown_transit = true;
                 println!(
                     "link {link} fails at transit level: agents re-route inside the \

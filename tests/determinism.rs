@@ -4,7 +4,7 @@
 
 use smrp_repro::experiments::{fig7, fig8, Effort};
 use smrp_repro::net::waxman::WaxmanConfig;
-use smrp_repro::proto::{ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_repro::proto::{FailureSpec, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_repro::sim::SimTime;
 
 #[test]
@@ -36,17 +36,18 @@ fn protocol_simulations_are_replayable() {
     let scenario = smrp_repro::net::FailureScenario::link(link);
 
     let run = || {
-        session.run_failure(
+        session.run(&FailureSpec::persistent(
             &scenario,
             RecoveryStrategy::LocalDetour,
             SimTime::from_ms(100.0),
             SimTime::from_ms(2000.0),
-        )
+        ))
     };
     let a = run();
     let b = run();
-    assert_eq!(a.restorations.len(), b.restorations.len());
-    for ((ma, la), (mb, lb)) in a.restorations.iter().zip(&b.restorations) {
+    let (ra, rb) = (&a.groups[0].restorations, &b.groups[0].restorations);
+    assert_eq!(ra.len(), rb.len());
+    for ((ma, la), (mb, lb)) in ra.iter().zip(rb) {
         assert_eq!(ma, mb);
         assert_eq!(la.map(SimTime::as_ms), lb.map(SimTime::as_ms));
     }

@@ -5,7 +5,7 @@ use smrp_repro::core::recovery::{self, DetourKind};
 use smrp_repro::core::{SmrpConfig, SmrpSession, SpfSession};
 use smrp_repro::net::waxman::WaxmanConfig;
 use smrp_repro::net::{FailureScenario, NodeId};
-use smrp_repro::proto::{ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_repro::proto::{FailureSpec, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_repro::sim::SimTime;
 
 fn topology(seed: u64) -> smrp_repro::net::Graph {
@@ -109,12 +109,15 @@ fn protocol_simulation_matches_algorithmic_affectedness() {
         panic!("member has a worst-case link");
     };
     let scenario = FailureScenario::link(link);
-    let report = session.run_failure(
-        &scenario,
-        RecoveryStrategy::LocalDetour,
-        SimTime::from_ms(150.0),
-        SimTime::from_ms(4000.0),
-    );
+    let report = session
+        .run(&FailureSpec::persistent(
+            &scenario,
+            RecoveryStrategy::LocalDetour,
+            SimTime::from_ms(150.0),
+            SimTime::from_ms(4000.0),
+        ))
+        .groups
+        .remove(0);
     let affected = recovery::affected_members(&graph, session.tree(), &scenario);
     assert_eq!(report.restorations.len(), affected.len());
     // Everyone the algorithm says is recoverable must actually restore in
