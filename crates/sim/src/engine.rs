@@ -58,21 +58,24 @@ impl Hasher for TokenHasher {
     }
 }
 
-/// Which structure carries timer events.
+/// Which structure carries the simulator's events — all of them:
+/// deliveries, timers, scheduled failures and repairs.
 ///
-/// The default [`TimerBackend::Wheel`] parks timers in a hierarchical
-/// [`TimerWheel`] with O(1) schedule/cancel. [`TimerBackend::ReferenceHeap`]
-/// keeps timers in the main binary-heap event queue (the pre-wheel engine
-/// layout) and realizes cancellation by filtering tokens at fire time; it
-/// exists so differential tests can assert that both engines produce
-/// byte-identical traces.
+/// The default [`TimerBackend::Wheel`] parks every event in one
+/// hierarchical [`TimerWheel`] with O(1) schedule/cancel and no sifting of
+/// fat entries. [`TimerBackend::ReferenceHeap`] keeps every event in one
+/// binary-heap [`EventQueue`] (the pre-wheel engine layout) and realizes
+/// timer cancellation by filtering tokens at fire time; it exists so
+/// differential tests can assert that both engines pop the same
+/// `(time, seq)` order and produce byte-identical traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimerBackend {
-    /// Hierarchical timer wheel (the production path).
+    /// Hierarchical event wheel (the production path).
     #[default]
     Wheel,
-    /// Timers ride the binary-heap event queue; cancellations are
-    /// filtered at fire time. Reference semantics for differential tests.
+    /// Everything rides the binary-heap event queue; timer cancellations
+    /// are filtered at fire time. Reference semantics for differential
+    /// tests.
     ReferenceHeap,
 }
 
@@ -342,6 +345,17 @@ impl DropCounts {
     }
 }
 
+/// A channel's extra delay as [`SimTime`]. Zero — every copy on a perfect
+/// or merely lossy channel — skips the float conversion it would round
+/// to anyway.
+fn extra_delay(ms: f64) -> SimTime {
+    if ms == 0.0 {
+        SimTime::ZERO
+    } else {
+        SimTime::from_ms(ms)
+    }
+}
+
 enum SimEvent<M, T> {
     Deliver {
         from: NodeId,
@@ -349,8 +363,6 @@ enum SimEvent<M, T> {
         link: LinkId,
         msg: M,
     },
-    /// Only present in [`TimerBackend::ReferenceHeap`] mode; the wheel
-    /// backend carries timers outside the heap.
     Timer {
         node: NodeId,
         timer: T,
@@ -397,14 +409,20 @@ enum SimEvent<M, T> {
 pub struct NetSim<'g, N: NodeBehavior> {
     graph: &'g Graph,
     nodes: Vec<N>,
+    /// Every pending event under [`TimerBackend::Wheel`]; empty otherwise.
+    wheel: TimerWheel<SimEvent<N::Msg, N::Timer>>,
+    /// Every pending event under [`TimerBackend::ReferenceHeap`]; empty
+    /// otherwise.
     queue: EventQueue<SimEvent<N::Msg, N::Timer>>,
-    /// Timer events (wheel backend). Shares the global `seq` with
-    /// `queue`, so the merged pop order is identical to one heap keyed by
-    /// `(time, seq)`.
-    wheel: TimerWheel<(NodeId, N::Timer, TimerToken)>,
     backend: TimerBackend,
-    /// Global scheduling sequence shared by the heap and the wheel.
+    /// Global scheduling sequence: the tie-break among same-instant
+    /// events, allocated in the same order under either backend.
     seq: u64,
+    /// Node `i`'s neighbors as `(neighbor, link, propagation delay)` in
+    /// `hops[hop_rows[i]..hop_rows[i + 1]]`: what a send needs to know
+    /// about its link, looked up and converted to [`SimTime`] once.
+    hops: Vec<(NodeId, LinkId, SimTime)>,
+    hop_rows: Vec<usize>,
     /// Timer-token allocator, shared with every [`Ctx`] handed out.
     next_token: Cell<u64>,
     /// Wheel backend: token → wheel handle, for cancellation. Entries are
@@ -438,13 +456,27 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             graph.node_count(),
             "one behavior per graph node is required"
         );
+        let mut hops = Vec::with_capacity(2 * graph.link_count());
+        let mut hop_rows = Vec::with_capacity(nodes.len() + 1);
+        hop_rows.push(0);
+        for node in graph.node_ids() {
+            hops.extend(
+                graph
+                    .adjacency(node)
+                    .iter()
+                    .map(|&(n, l)| (n, l, SimTime::from_ms(graph.link(l).delay()))),
+            );
+            hop_rows.push(hops.len());
+        }
         NetSim {
             graph,
             nodes,
-            queue: EventQueue::new(),
             wheel: TimerWheel::new(),
+            queue: EventQueue::new(),
             backend: TimerBackend::default(),
             seq: 0,
+            hops,
+            hop_rows,
             next_token: Cell::new(0),
             timer_handles: HashMap::default(),
             cancelled_tokens: HashSet::new(),
@@ -464,25 +496,36 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         self.processing_delay = delay;
     }
 
-    /// Selects the timer backend. Must be called before any timers are
-    /// armed; switching mid-run would strand pending timers in the other
-    /// structure.
+    /// Selects the event backend. Must be called before anything is
+    /// scheduled — a timer, a send, a failure or a repair: each backend
+    /// pops from its own structure only, so an event scheduled before the
+    /// switch would be stranded in the other one.
     ///
     /// # Panics
     ///
-    /// Panics if timers are already pending.
+    /// Panics if an event of any kind is pending or a timer token was
+    /// ever issued.
     pub fn set_timer_backend(&mut self, backend: TimerBackend) {
         assert!(
-            self.timer_handles.is_empty() && self.wheel.is_empty() && self.next_token.get() == 0,
-            "timer backend must be chosen before timers are armed"
+            self.wheel.is_empty() && self.queue.is_empty() && self.next_token.get() == 0,
+            "timer backend must be chosen before timers are armed or events scheduled"
         );
         self.backend = backend;
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// Parks `event` at `at` in the backend's structure under the next
+    /// global sequence number. Returns the wheel's handle, which only a
+    /// cancellable event (a timer) keeps.
+    fn schedule(&mut self, at: SimTime, event: SimEvent<N::Msg, N::Timer>) -> Option<TimerHandle> {
+        let seq = self.seq;
         self.seq += 1;
-        s
+        match self.backend {
+            TimerBackend::Wheel => Some(self.wheel.schedule(at, seq, event)),
+            TimerBackend::ReferenceHeap => {
+                self.queue.schedule_keyed(at, seq, event);
+                None
+            }
+        }
     }
 
     /// Replaces the trace log (e.g. [`TraceLog::disabled`] for long
@@ -567,14 +610,12 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
 
     /// Schedules a link failure at absolute time `at`.
     pub fn schedule_link_failure(&mut self, at: SimTime, link: LinkId) {
-        let seq = self.next_seq();
-        self.queue.schedule_keyed(at, seq, SimEvent::FailLink(link));
+        self.schedule(at, SimEvent::FailLink(link));
     }
 
     /// Schedules a node failure at absolute time `at`.
     pub fn schedule_node_failure(&mut self, at: SimTime, node: NodeId) {
-        let seq = self.next_seq();
-        self.queue.schedule_keyed(at, seq, SimEvent::FailNode(node));
+        self.schedule(at, SimEvent::FailNode(node));
     }
 
     /// Schedules a link repair at absolute time `at` — models *transient*
@@ -582,18 +623,14 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     /// the paper's persistent cuts. Messages sent while the link was down
     /// stay lost; traffic sent after the repair flows normally.
     pub fn schedule_link_repair(&mut self, at: SimTime, link: LinkId) {
-        let seq = self.next_seq();
-        self.queue
-            .schedule_keyed(at, seq, SimEvent::RepairLink(link));
+        self.schedule(at, SimEvent::RepairLink(link));
     }
 
     /// Schedules a node repair at absolute time `at`. The node resumes
     /// forwarding on the next message it receives; timers that elapsed
     /// while it was down are gone (a rebooted router restarts cold).
     pub fn schedule_node_repair(&mut self, at: SimTime, node: NodeId) {
-        let seq = self.next_seq();
-        self.queue
-            .schedule_keyed(at, seq, SimEvent::RepairNode(node));
+        self.schedule(at, SimEvent::RepairNode(node));
     }
 
     /// Runs `f` against a node with a live [`Ctx`], applying any sends and
@@ -636,7 +673,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                         self.drop_msg(self.now, from, to, DropReason::SenderDown);
                         continue;
                     }
-                    let Some(link) = self.graph.link_between(from, to) else {
+                    let Some((link, propagation)) = self.hop(from, to) else {
                         self.drop_msg(self.now, from, to, DropReason::NotAdjacent);
                         continue;
                     };
@@ -659,39 +696,27 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                         self.drop_msg(self.now, from, to, DropReason::ChannelLoss);
                         continue;
                     };
-                    let base =
-                        SimTime::from_ms(self.graph.link(link).delay()) + self.processing_delay;
+                    let base = self.now + propagation + self.processing_delay;
                     // Only a duplicate costs a clone; the message itself
                     // moves into the last copy's event.
                     for &extra in duplicates {
                         let msg = msg.clone();
-                        self.schedule_delivery(base + SimTime::from_ms(extra), from, to, link, msg);
+                        self.schedule_delivery(base + extra_delay(extra), from, to, link, msg);
                     }
-                    self.schedule_delivery(base + SimTime::from_ms(last), from, to, link, msg);
+                    self.schedule_delivery(base + extra_delay(last), from, to, link, msg);
                 }
                 NodeCommand::Timer {
                     delay,
                     timer,
                     token,
                 } => {
-                    let at = self.now + delay;
-                    let seq = self.next_seq();
-                    match self.backend {
-                        TimerBackend::Wheel => {
-                            let handle = self.wheel.schedule(at, seq, (from, timer, token));
-                            self.timer_handles.insert(token.0, handle);
-                        }
-                        TimerBackend::ReferenceHeap => {
-                            self.queue.schedule_keyed(
-                                at,
-                                seq,
-                                SimEvent::Timer {
-                                    node: from,
-                                    timer,
-                                    token,
-                                },
-                            );
-                        }
+                    let event = SimEvent::Timer {
+                        node: from,
+                        timer,
+                        token,
+                    };
+                    if let Some(handle) = self.schedule(self.now + delay, event) {
+                        self.timer_handles.insert(token.0, handle);
                     }
                 }
                 NodeCommand::CancelTimer { token } => match self.backend {
@@ -708,18 +733,26 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         }
     }
 
+    /// The link from `from` to its neighbor `to` and its propagation
+    /// delay, or `None` if they are not adjacent.
+    fn hop(&self, from: NodeId, to: NodeId) -> Option<(LinkId, SimTime)> {
+        let row = self.hop_rows[from.index()]..self.hop_rows[from.index() + 1];
+        self.hops[row]
+            .iter()
+            .find(|&&(n, ..)| n == to)
+            .map(|&(_, link, delay)| (link, delay))
+    }
+
     fn schedule_delivery(
         &mut self,
-        delay: SimTime,
+        at: SimTime,
         from: NodeId,
         to: NodeId,
         link: LinkId,
         msg: N::Msg,
     ) {
-        let seq = self.next_seq();
-        self.queue.schedule_keyed(
-            self.now + delay,
-            seq,
+        self.schedule(
+            at,
             SimEvent::Deliver {
                 from,
                 to,
@@ -729,14 +762,11 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         );
     }
 
-    /// `(time, seq)` of the earliest pending event across the heap and
-    /// the timer wheel.
+    /// `(time, seq)` of the earliest pending event.
     fn peek_next_key(&mut self) -> Option<(SimTime, u64)> {
-        match (self.queue.peek_key(), self.wheel.peek_key()) {
-            (None, None) => None,
-            (Some(h), None) => Some(h),
-            (None, Some(w)) => Some(w),
-            (Some(h), Some(w)) => Some(h.min(w)),
+        match self.backend {
+            TimerBackend::Wheel => self.wheel.peek_key(),
+            TimerBackend::ReferenceHeap => self.queue.peek_key(),
         }
     }
 
@@ -756,27 +786,18 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         self.with_node(node, |n, ctx| n.on_timer(ctx, timer));
     }
 
-    /// Processes one event. Returns `false` when the queue is empty.
+    /// Processes one event. Returns `false` when none is pending.
     ///
-    /// The heap (deliveries, failures, repairs) and the wheel (timers)
-    /// share one sequence counter, so popping whichever holds the smaller
-    /// `(time, seq)` key reproduces the order of a single merged queue.
+    /// Each backend holds every pending event in one structure ordered by
+    /// `(time, seq)`, so there is nothing to merge: pop and dispatch.
     pub fn step(&mut self) -> bool {
-        let take_wheel = match (self.queue.peek_key(), self.wheel.peek_key()) {
-            (None, None) => return false,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(h), Some(w)) => w < h,
+        let next = match self.backend {
+            TimerBackend::Wheel => self.wheel.pop().map(|(time, _seq, event)| (time, event)),
+            TimerBackend::ReferenceHeap => self.queue.pop(),
         };
-        if take_wheel {
-            let (time, _seq, (node, timer, token)) =
-                self.wheel.pop().expect("peeked wheel entry exists");
-            self.now = time;
-            self.timer_handles.remove(&token.0);
-            self.fire_timer(time, node, timer);
-            return true;
-        }
-        let (time, event) = self.queue.pop().expect("peeked heap entry exists");
+        let Some((time, event)) = next else {
+            return false;
+        };
         self.now = time;
         match event {
             SimEvent::Deliver {
@@ -805,10 +826,18 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                 self.with_node(to, |n, ctx| n.on_message(ctx, from, msg));
             }
             SimEvent::Timer { node, timer, token } => {
-                if self.cancelled_tokens.remove(&token.0) {
-                    return true; // cancelled before firing (reference mode).
+                // The wheel never surfaces a cancelled timer; the heap
+                // cannot remove one, so its token is filtered here.
+                let cancelled = match self.backend {
+                    TimerBackend::Wheel => {
+                        self.timer_handles.remove(&token.0);
+                        false
+                    }
+                    TimerBackend::ReferenceHeap => self.cancelled_tokens.remove(&token.0),
+                };
+                if !cancelled {
+                    self.fire_timer(time, node, timer);
                 }
-                self.fire_timer(time, node, timer);
             }
             SimEvent::FailLink(link) => {
                 self.failures.fail_link(link);
@@ -1169,6 +1198,125 @@ mod tests {
             ctx.set_timer(SimTime::from_ms(1.0), 1);
         });
         sim.set_timer_backend(TimerBackend::ReferenceHeap);
+    }
+
+    #[test]
+    #[should_panic(expected = "before timers are armed or events scheduled")]
+    fn backend_switch_after_scheduling_a_failure_panics() {
+        let (g, ids) = line_graph();
+        let link = g.link_between(ids[0], ids[1]).unwrap();
+        let mut sim = NetSim::new(&g, fresh(&g));
+        // No timer was ever armed, but the failure already waits in the
+        // wheel, where the heap backend would never look.
+        sim.schedule_link_failure(SimTime::from_ms(1.0), link);
+        sim.set_timer_backend(TimerBackend::ReferenceHeap);
+    }
+
+    #[test]
+    fn each_backend_keeps_every_event_in_its_one_structure() {
+        for backend in [TimerBackend::Wheel, TimerBackend::ReferenceHeap] {
+            let (g, ids) = line_graph();
+            let link = g.link_between(ids[0], ids[1]).unwrap();
+            let mut sim = NetSim::new(&g, fresh(&g));
+            sim.set_timer_backend(backend);
+            // One event of every kind: a flap, a reboot, a timer chain, a
+            // cancelled timer and deliveries both lost and echoed.
+            sim.schedule_link_failure(SimTime::from_ms(1.0), link);
+            sim.schedule_link_repair(SimTime::from_ms(5.0), link);
+            sim.schedule_node_failure(SimTime::from_ms(6.0), ids[2]);
+            sim.schedule_node_repair(SimTime::from_ms(9.0), ids[2]);
+            let mut token = None;
+            sim.with_node(ids[0], |_, ctx| {
+                ctx.send(ids[1], Msg::Ping);
+                ctx.set_timer(SimTime::from_ms(7.0), 1);
+                token = Some(ctx.set_timer(SimTime::from_ms(8.0), 3));
+            });
+            sim.with_node(ids[0], |_, ctx| ctx.cancel_timer(token.unwrap()));
+            let mut steps = 0;
+            loop {
+                let (in_wheel, in_heap) = (sim.wheel.len(), sim.queue.len());
+                match backend {
+                    TimerBackend::Wheel => assert_eq!(in_heap, 0, "step {steps}"),
+                    TimerBackend::ReferenceHeap => assert_eq!(in_wheel, 0, "step {steps}"),
+                }
+                if sim.now() == SimTime::from_ms(5.0) {
+                    sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
+                }
+                if !sim.step() {
+                    break;
+                }
+                steps += 1;
+            }
+            assert!(steps >= 8, "{backend:?}: only {steps} events ran");
+            assert_eq!(sim.drops().link_down, 1, "{backend:?}");
+            assert_eq!(sim.delivered_count(), 2, "{backend:?}"); // ping + pong.
+            assert_eq!(sim.node(ids[0]).received, 201, "{backend:?}"); // pong + 2 timers.
+        }
+    }
+
+    #[test]
+    fn sub_tick_delivery_merges_into_the_ready_batch_in_key_order() {
+        /// Timer 1 greets the neighbor and arms a same-delay timer; every
+        /// other event is only traced.
+        struct Greeter(NodeId);
+        impl NodeBehavior for Greeter {
+            type Msg = ();
+            type Timer = u8;
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _from: NodeId, _msg: ()) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: u8) {
+                if timer == 1 {
+                    ctx.send(self.0, ());
+                    ctx.set_timer(SimTime::from_ms(0.1), 5);
+                }
+            }
+            fn describe_timer(timer: &u8) -> Descriptor {
+                Descriptor {
+                    seq: Some(u64::from(*timer)),
+                    ..Descriptor::of_class("timer")
+                }
+            }
+        }
+        let run = |backend: TimerBackend| -> Vec<String> {
+            let mut g = Graph::with_nodes(2);
+            let ids: Vec<_> = g.node_ids().collect();
+            // 0.1 ms: a fifth of a 0.524 ms wheel tick.
+            g.add_link(ids[0], ids[1], 0.1).unwrap();
+            let mut sim = NetSim::new(&g, vec![Greeter(ids[1]), Greeter(ids[0])]);
+            sim.set_timer_backend(backend);
+            // All inside the tick [1.049 ms, 1.573 ms): when timer 1 fires
+            // at 1.10 ms the tick is drained and timers 2–4 wait in the
+            // ready batch, so the 1.20 ms delivery must be merged between
+            // them, after timer 3 (same instant, armed earlier) and before
+            // timer 5 (same instant, armed later).
+            sim.with_node(ids[1], |_, ctx| {
+                ctx.set_timer(SimTime::from_ms(1.15), 2);
+                ctx.set_timer(SimTime::from_ms(1.20), 3);
+                ctx.set_timer(SimTime::from_ms(1.25), 4);
+            });
+            sim.with_node(ids[0], |_, ctx| {
+                ctx.set_timer(SimTime::from_ms(1.10), 1);
+            });
+            sim.run_to_completion(100);
+            sim.trace()
+                .entries()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::TimerFired { what, .. } => Some(format!("timer {}", what.seq?)),
+                    TraceEvent::Delivered { time, .. } => Some(format!("delivery at {time}")),
+                    _ => None,
+                })
+                .collect()
+        };
+        let expected = [
+            "timer 1",
+            "timer 2",
+            "timer 3",
+            "delivery at 1.200ms",
+            "timer 5",
+            "timer 4",
+        ];
+        assert_eq!(run(TimerBackend::Wheel), expected);
+        assert_eq!(run(TimerBackend::ReferenceHeap), expected);
     }
 
     #[test]

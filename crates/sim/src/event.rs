@@ -73,10 +73,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at `time` under a caller-supplied sequence
-    /// number. This lets an engine share one global ordering sequence
-    /// between this heap and other event structures (the timer wheel):
-    /// popping whichever structure holds the smaller `(time, seq)` key
-    /// reproduces the order of a single merged heap.
+    /// number. This lets the engine key this heap by the same global
+    /// sequence it gives the event wheel, so both backends pop one
+    /// `(time, seq)` order.
     ///
     /// Do not mix with [`EventQueue::schedule`] on the same queue — the
     /// internal counter knows nothing about caller-supplied values.

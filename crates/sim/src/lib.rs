@@ -8,10 +8,13 @@
 //! framing, queuing) affects the paper's metrics, so the simulator models
 //! exactly what matters:
 //!
-//! * integer-nanosecond virtual time ([`SimTime`]) with a deterministic
-//!   event queue ([`EventQueue`]) — ties broken by insertion sequence;
-//!   timer traffic runs on a hierarchical [`TimerWheel`] with O(1)
-//!   schedule and cancel ([`TimerToken`]);
+//! * integer-nanosecond virtual time ([`SimTime`]) and one deterministic
+//!   event structure ordered by `(time, insertion sequence)`: every event
+//!   — delivery, timer, scheduled failure or repair — rides a
+//!   hierarchical [`TimerWheel`] with O(1) schedule and cancel
+//!   ([`TimerToken`]); a binary-heap [`EventQueue`] carries the same
+//!   events under [`TimerBackend::ReferenceHeap`] as the reference the
+//!   differential tests compare against;
 //! * hop-by-hop message delivery over the links of a
 //!   [`smrp_net::Graph`], honoring per-link propagation delay and a
 //!   configurable per-hop processing delay;

@@ -1,17 +1,25 @@
-//! Hierarchical timer wheel with generation-stamped handles.
+//! Hierarchical event wheel with generation-stamped handles.
 //!
-//! The engine's timer traffic is dominated by short, frequently re-armed
-//! soft-state timers (Hello ticks, refresh re-arms, RTO retransmits). A
-//! binary heap charges `O(log n)` per schedule and cannot cancel at all —
-//! dead timers must be filtered when they fire. The wheel here gives
-//! `O(1)` schedule and cancel:
+//! The engine parks every pending event here: message deliveries, timers,
+//! scheduled failures and repairs. Most are short-lived — a delivery a few
+//! milliseconds out, a soft-state timer (Hello tick, refresh re-arm, RTO
+//! retransmit) that is re-armed or cancelled before it fires — and the
+//! payloads are fat (a message plus its addressing, ~100 bytes). A binary
+//! heap sifts those payloads through `O(log n)` levels per push and pop
+//! and cannot cancel at all — dead timers must be filtered when they
+//! fire. The wheel moves 4-byte slab indices instead and gives `O(1)`
+//! schedule and cancel:
 //!
 //! * virtual time is bucketed into ticks of 2^19 ns (≈ 0.52 ms);
 //! * [`LEVELS`] levels of [`SLOTS`] slots each cover spans of 64, 64²,
 //!   64³ and 64⁴ ticks — entries land in the coarsest level that can hold
 //!   their delay and cascade down as the cursor crosses level boundaries;
+//!   a stretch of empty ticks is skipped, not walked — the cursor jumps
+//!   to the next slot boundary of the lowest occupied level;
 //! * entries beyond level coverage (≈ 2.4 h of virtual time) wait in an
-//!   overflow list and are re-anchored when the levels drain;
+//!   overflow list; they join the levels as the cursor brings them within
+//!   coverage, and the cursor jumps to the earliest one when the levels
+//!   drain;
 //! * every entry lives in a slab slot stamped with a *generation*; a
 //!   [`TimerHandle`] is `(slot, generation)`, so a stale handle — one
 //!   whose timer already fired or was cancelled, even if the slab slot
@@ -60,8 +68,8 @@ pub struct TimerWheel<E> {
     free: Vec<u32>,
     levels: [[Vec<u32>; SLOTS]; LEVELS],
     overflow: Vec<u32>,
-    /// Entries (live or cancelled) currently parked in `levels`.
-    in_levels: usize,
+    /// Entries (live or cancelled) currently parked in each level.
+    parked: [usize; LEVELS],
     /// Drained-but-unconsumed entries, sorted ascending by `(time, seq)`.
     ready: VecDeque<u32>,
     /// Next tick to drain; every entry with `tick < cursor` is in `ready`.
@@ -84,7 +92,7 @@ impl<E> TimerWheel<E> {
             free: Vec::new(),
             levels: std::array::from_fn(|_| std::array::from_fn(|_| Vec::new())),
             overflow: Vec::new(),
-            in_levels: 0,
+            parked: [0; LEVELS],
             ready: VecDeque::new(),
             cursor: 0,
             live: 0,
@@ -206,7 +214,7 @@ impl<E> TimerWheel<E> {
             if self.live == 0 {
                 return;
             }
-            if self.in_levels == 0 {
+            let Some(level) = self.parked.iter().position(|&n| n != 0) else {
                 // Everything live waits in the overflow: re-anchor the
                 // cursor at the earliest overflow tick and re-place.
                 let min_tick = self
@@ -216,15 +224,16 @@ impl<E> TimerWheel<E> {
                     .min()
                     .expect("live entries must be parked somewhere");
                 self.cursor = self.cursor.max(min_tick);
-                for index in std::mem::take(&mut self.overflow) {
-                    if self.slab[index as usize].live {
-                        self.place(index);
-                    } else {
-                        self.release(index);
-                    }
-                }
+                self.replace_overflow();
                 continue;
-            }
+            };
+            // Nothing is parked below `level`, and a parked entry's slot
+            // never starts before the cursor, so every tick short of the
+            // next level-`level` slot boundary is empty: skip them. (At
+            // level 0 the boundary is the cursor itself.)
+            self.cursor = self
+                .cursor
+                .next_multiple_of(1 << (SLOT_BITS * level as u32));
             self.drain_tick();
         }
     }
@@ -234,6 +243,13 @@ impl<E> TimerWheel<E> {
     /// `ready` in `(time, seq)` order.
     fn drain_tick(&mut self) {
         let c = self.cursor;
+        // Entering a new top-level slot: overflow entries the levels now
+        // span must join them here, or a level entry parked since, for a
+        // later tick, would be drained first.
+        let top_span = 1u64 << (SLOT_BITS * (LEVELS as u32 - 1));
+        if c & (top_span - 1) == 0 && !self.overflow.is_empty() {
+            self.replace_overflow();
+        }
         // Highest level first, so entries can cascade down through
         // several levels at a shared boundary.
         for level in (1..LEVELS).rev() {
@@ -243,9 +259,9 @@ impl<E> TimerWheel<E> {
                 // Cascading re-places strictly below `level`, so the
                 // slot's buffer can be lent out and handed back emptied,
                 // capacity intact.
-                let mut parked = std::mem::take(&mut self.levels[level][slot]);
-                for index in parked.drain(..) {
-                    self.in_levels -= 1;
+                let mut cascading = std::mem::take(&mut self.levels[level][slot]);
+                self.parked[level] -= cascading.len();
+                for index in cascading.drain(..) {
                     if self.slab[index as usize].live {
                         self.place(index);
                     } else {
@@ -253,12 +269,12 @@ impl<E> TimerWheel<E> {
                     }
                 }
                 debug_assert!(self.levels[level][slot].is_empty());
-                self.levels[level][slot] = parked;
+                self.levels[level][slot] = cascading;
             }
         }
         let slot = (c & (SLOTS as u64 - 1)) as usize;
         let mut batch = std::mem::take(&mut self.levels[0][slot]);
-        self.in_levels -= batch.len();
+        self.parked[0] -= batch.len();
         batch.retain(|&index| {
             if self.slab[index as usize].live {
                 true
@@ -274,6 +290,18 @@ impl<E> TimerWheel<E> {
         self.ready.extend(batch.drain(..));
         self.levels[0][slot] = batch;
         self.cursor = c + 1;
+    }
+
+    /// Re-places every overflow entry relative to the current cursor;
+    /// those still beyond level coverage go back to the overflow.
+    fn replace_overflow(&mut self) {
+        for index in std::mem::take(&mut self.overflow) {
+            if self.slab[index as usize].live {
+                self.place(index);
+            } else {
+                self.release(index);
+            }
+        }
     }
 
     /// Parks `index` in the structure appropriate for its delay: the
@@ -305,7 +333,7 @@ impl<E> TimerWheel<E> {
             let slot_shift = SLOT_BITS * level as u32;
             let slot = ((tick >> slot_shift) & (SLOTS as u64 - 1)) as usize;
             self.levels[level][slot].push(index);
-            self.in_levels += 1;
+            self.parked[level] += 1;
             return;
         }
         self.overflow.push(index);
@@ -316,7 +344,7 @@ impl<E> std::fmt::Debug for TimerWheel<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimerWheel")
             .field("live", &self.live)
-            .field("in_levels", &self.in_levels)
+            .field("in_levels", &self.parked.iter().sum::<usize>())
             .field("ready", &self.ready.len())
             .field("overflow", &self.overflow.len())
             .field("cursor_tick", &self.cursor)
@@ -411,6 +439,23 @@ mod tests {
         assert_eq!(w.peek_key(), Some((far, 1)));
         assert_eq!(w.pop().unwrap().2, "far");
         assert!(!w.cancel(h), "already popped");
+    }
+
+    #[test]
+    fn overflow_entry_is_not_overtaken_by_a_later_level_entry() {
+        let mut w = TimerWheel::new();
+        let tick = |t: u64| SimTime::from_ns(t << TICK_BITS);
+        let coverage = (SLOTS as u64).pow(LEVELS as u32);
+        // Beyond coverage as seen from tick 0: parks in the overflow.
+        w.schedule(tick(coverage + 100), 0, "overflow");
+        w.schedule(tick(200), 1, "near");
+        assert_eq!(w.pop().unwrap().2, "near");
+        // Within coverage of the cursor as it stands now, so it parks in
+        // the top level — for a later tick than the overflow entry's.
+        w.schedule(tick(coverage + 150), 2, "top level");
+        assert_eq!(w.pop().unwrap().2, "overflow");
+        assert_eq!(w.pop().unwrap().2, "top level");
+        assert!(w.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The event path allocates nothing.
 //!
-//! Once its buffers have grown (command buffer, event heap, timer-wheel
-//! slots, token map), handling one more simulated event — a timer that
+//! Once its buffers have grown (command buffer, event-wheel slab, slots
+//! and ready batch, token map), handling one more simulated event — a timer that
 //! greets every neighbor and re-arms, and each greeting's delivery —
 //! must not touch the heap, with the trace off and with an observer
 //! reading every event.
@@ -52,7 +52,7 @@ fn topology() -> Graph {
 }
 
 /// Runs the beacon network through a warm-up, then returns the events
-/// handled and the allocations made over two more seconds.
+/// handled and the allocations made over two more simulated seconds.
 fn steady_state(graph: &Graph, trace: TraceLog<'_>) -> (u64, u64) {
     let nodes = graph
         .node_ids()
@@ -71,10 +71,16 @@ fn steady_state(graph: &Graph, trace: TraceLog<'_>) -> (u64, u64) {
             .map(|n| sim.node(n).ticks + sim.node(n).heard)
             .sum()
     };
-    // 400 periods: every level-0 wheel slot has held a full batch.
-    sim.run_until(SimTime::from_ms(4000.0));
+    // Deliveries park in the wheel's 64 level-0 slots, and a slot's buffer
+    // only stops growing once it has held its fullest tick. The 10 ms
+    // period is not a multiple of the 0.524 ms tick, so which arrivals
+    // share a tick drifts from period to period and the fullest
+    // coincidences visit each slot rarely: the last slot buffer grows in
+    // the 20th second (and none in the 380 s after it). 4000 periods
+    // leave that well behind.
+    sim.run_until(SimTime::from_ms(40_000.0));
     let (events_before, allocs_before) = (handled(&sim), allocations());
-    sim.run_until(SimTime::from_ms(6000.0));
+    sim.run_until(SimTime::from_ms(42_000.0));
     let allocs = allocations() - allocs_before;
     (handled(&sim) - events_before, allocs)
 }
