@@ -61,6 +61,10 @@ impl std::fmt::Display for TreeAudit {
 
 /// Audits `tree` against the delay bound `1 + d_thresh`.
 ///
+/// The unicast distances come from [`ShortestPathTree::shared`], so an
+/// audit right after a session built from the same source and graph runs
+/// no Dijkstra.
+///
 /// # Example
 ///
 /// ```
@@ -73,7 +77,7 @@ impl std::fmt::Display for TreeAudit {
 /// assert_eq!(report.mean_delay_stretch, 1.0); // the SPF tree of Fig. 1(a).
 /// ```
 pub fn audit(graph: &Graph, tree: &MulticastTree, d_thresh: f64) -> TreeAudit {
-    let spt = ShortestPathTree::compute(graph, tree.source());
+    let spt = ShortestPathTree::shared(graph, tree.source());
     let mut member_count = 0;
     let mut shr_total = 0u64;
     let mut max_shr = 0u32;

@@ -310,13 +310,17 @@ mod tests {
         let moved = ReshapeStats {
             attempts: 1,
             switched: 1,
+            settled_without_search: 0,
         };
         assert_eq!(sess.reshape_stats(), moved);
         // The quiescent sweep asks E, G and F once each and moves nobody.
+        // G's branch S-B-G hangs off the source, whose SHR of 0 no
+        // candidate can beat, so G's attempt needs no search.
         assert_eq!(sess.reshape_sweep(), 0);
         let swept = ReshapeStats {
             attempts: 4,
             switched: 1,
+            settled_without_search: 1,
         };
         assert_eq!(sess.reshape_stats(), swept);
         // A refused request is not an attempt.

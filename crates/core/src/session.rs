@@ -18,6 +18,8 @@
 //! value of SHR may be inaccurate and should be adjusted before the path
 //! comparison is made").
 
+use std::sync::Arc;
+
 use smrp_net::dijkstra::{Constraints, ShortestPathTree};
 use smrp_net::{Graph, NodeId, Path};
 
@@ -114,11 +116,16 @@ pub enum ReshapeOutcome {
 /// magnitude.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReshapeStats {
-    /// Candidate searches run by [`SmrpSession::reshape_member`] (from
+    /// Reshape attempts made by [`SmrpSession::reshape_member`] (from
     /// either condition).
     pub attempts: u64,
     /// Attempts that ended [`ReshapeOutcome::Switched`].
     pub switched: u64,
+    /// Attempts that ended `Kept` without a candidate search, because the
+    /// current merger's adjusted `SHR` was 0 and no candidate can beat it:
+    /// the merger is the source, or a pruned relay (the keeper defect
+    /// documented on [`MulticastTree::detach_subtree`]).
+    pub settled_without_search: u64,
 }
 
 /// An SMRP multicast session over a fixed topology.
@@ -132,11 +139,12 @@ pub struct SmrpSession<'g> {
     /// Condition I baseline per member (`SHR` at last join/reshape).
     shr_baseline: Vec<u32>,
     /// Cached unicast shortest-path tree from the source (the routers'
-    /// steady-state routing table). Computed once at construction and
-    /// reused by every join/reshape for `D_SPF` lookups and neighbor-query
-    /// relay routes; refreshed explicitly via [`SmrpSession::refresh_spt`]
-    /// when the usable topology changes (e.g. a failure scenario strikes).
-    spt: ShortestPathTree,
+    /// steady-state routing table). Taken from
+    /// [`ShortestPathTree::shared`] at construction and reused by every
+    /// join/reshape for `D_SPF` lookups and neighbor-query relay routes;
+    /// refreshed explicitly via [`SmrpSession::refresh_spt`] when the
+    /// usable topology changes (e.g. a failure scenario strikes).
+    spt: Arc<ShortestPathTree>,
     /// Working memory of the candidate searches, reused across joins and
     /// reshape attempts.
     scratch: SearchScratch,
@@ -152,7 +160,7 @@ impl<'g> SmrpSession<'g> {
     pub fn new(graph: &'g Graph, source: NodeId, config: SmrpConfig) -> Result<Self, SmrpError> {
         config.validate()?;
         let tree = MulticastTree::new(graph, source)?;
-        let spt = ShortestPathTree::compute(graph, source);
+        let spt = ShortestPathTree::shared(graph, source);
         Ok(SmrpSession {
             graph,
             tree,
@@ -180,8 +188,9 @@ impl<'g> SmrpSession<'g> {
         &self.spt
     }
 
-    /// Recomputes the cached source SPT under `constraints`, reusing its
-    /// buffers.
+    /// Recomputes the cached source SPT under `constraints`. The session
+    /// takes its own copy first if the tree is shared (with the graph's
+    /// slot or a cloned session), so nobody else sees the constrained tree.
     ///
     /// **Invalidation contract:** the session never detects topology
     /// changes on its own — whoever injects a [`smrp_net::FailureScenario`]
@@ -192,7 +201,7 @@ impl<'g> SmrpSession<'g> {
     /// detours are per-scenario constrained searches, so a recovery pass
     /// can never consume a stale SPT even if the caller forgets to refresh.
     pub fn refresh_spt(&mut self, constraints: Constraints<'_>) {
-        self.spt.recompute_constrained(self.graph, constraints);
+        Arc::make_mut(&mut self.spt).recompute_constrained(self.graph, constraints);
     }
 
     /// Reshape attempts made and switches taken since the session began.
@@ -373,7 +382,9 @@ impl<'g> SmrpSession<'g> {
     /// adjusted `SHR` is strictly smaller, the new path respects the
     /// `D_thresh` bound, and the approach path can actually carry the
     /// subtree (no interior node of the new path belongs to the subtree);
-    /// otherwise the subtree is put back exactly where it was.
+    /// otherwise the subtree is put back exactly where it was. A current
+    /// merger whose adjusted `SHR` is 0 cannot be beaten, so then the
+    /// subtree goes straight back and no candidate is searched.
     ///
     /// # Errors
     ///
@@ -397,6 +408,12 @@ impl<'g> SmrpSession<'g> {
         // Reduce the tree by the member's branch.
         let detached = self.tree.detach_recorded(member)?;
         let old_merger = detached.keeper();
+        let old_shr = self.tree.shr(old_merger);
+        if old_shr == 0 {
+            self.tree.reattach(detached);
+            self.reshape_stats.settled_without_search += 1;
+            return Ok(ReshapeOutcome::Kept);
+        }
 
         // Candidates against the reduced tree; the moving subtree may be
         // neither merger nor relay.
@@ -414,8 +431,7 @@ impl<'g> SmrpSession<'g> {
         );
         // Adjusted comparison: candidate merger vs current merger, both in
         // the reduced tree.
-        let Some(sel) =
-            selection.filter(|sel| self.tree.shr(sel.candidate.merger) < self.tree.shr(old_merger))
+        let Some(sel) = selection.filter(|sel| self.tree.shr(sel.candidate.merger) < old_shr)
         else {
             self.tree.reattach(detached);
             return Ok(ReshapeOutcome::Kept);
@@ -688,6 +704,60 @@ mod tests {
         // Repair: back to the unrestricted table.
         sess.refresh_spt(Constraints::unrestricted());
         assert_eq!(sess.spt().distance(a2), Some(2.0));
+    }
+
+    #[test]
+    fn constrained_refresh_leaves_siblings_and_the_shared_slot_alone() {
+        let (g, ids) = ladder();
+        let [s, a1, a2, ..] = [ids[0], ids[1], ids[2], ids[3], ids[4]];
+        let mut hurt = SmrpSession::new(&g, s, SmrpConfig::default()).unwrap();
+        let sibling = SmrpSession::new(&g, s, SmrpConfig::default()).unwrap();
+        let slot = ShortestPathTree::shared(&g, s);
+        assert!(std::ptr::eq(hurt.spt(), &*slot) && std::ptr::eq(sibling.spt(), &*slot));
+
+        let scenario = smrp_net::FailureScenario::node(a1);
+        hurt.refresh_spt(Constraints::avoiding_failures(&scenario));
+        assert_eq!(hurt.spt().distance(a2), Some(3.0));
+        assert!(Arc::ptr_eq(&slot, &ShortestPathTree::shared(&g, s)));
+        for spt in [sibling.spt(), &*slot] {
+            assert!(spt.is_unrestricted());
+            assert_eq!(spt.distance(a2), Some(2.0));
+            assert_eq!(spt.distance(a1), Some(1.0));
+        }
+    }
+
+    #[test]
+    fn keeper_with_zero_shr_settles_without_a_search() {
+        // Chain s - r1 - r2 - m.
+        let mut g = Graph::with_nodes(4);
+        let ids: Vec<_> = g.node_ids().collect();
+        let [s, r1, r2, m] = [ids[0], ids[1], ids[2], ids[3]];
+        g.add_link(s, r1, 1.0).unwrap();
+        g.add_link(r1, r2, 1.0).unwrap();
+        g.add_link(r2, m, 1.0).unwrap();
+        let config = SmrpConfig {
+            auto_reshape: false,
+            ..SmrpConfig::default()
+        };
+        let mut sess = SmrpSession::new(&g, s, config).unwrap();
+        sess.join(m).unwrap();
+        let mut expect = ReshapeStats::default();
+        let mut attempt = |sess: &mut SmrpSession<'_>, member, searched: bool| {
+            let before = sess.tree.clone();
+            assert_eq!(sess.reshape_member(member).unwrap(), ReshapeOutcome::Kept);
+            assert_eq!(sess.tree, before);
+            expect.attempts += 1;
+            expect.settled_without_search += u64::from(!searched);
+            assert_eq!(sess.reshape_stats(), expect);
+        };
+        // m's branch leaves r2 and r1 childless: the reported keeper is the
+        // pruned r1 (the `detach_subtree` defect), whose SHR reads 0.
+        attempt(&mut sess, m, false);
+        sess.join(r1).unwrap();
+        // Now the keeper is the member r1 with SHR 1: a real search.
+        attempt(&mut sess, m, true);
+        // r1's branch hangs off the source itself.
+        attempt(&mut sess, r1, false);
     }
 
     #[test]

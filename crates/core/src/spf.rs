@@ -12,6 +12,8 @@
 //! PIM's `Join` propagation, which stops at the first router that already
 //! has state for the group.
 
+use std::sync::Arc;
+
 use smrp_net::dijkstra::ShortestPathTree;
 use smrp_net::{Graph, NodeId, Path};
 
@@ -42,8 +44,9 @@ pub struct SpfSession<'g> {
     graph: &'g Graph,
     tree: MulticastTree,
     /// Shortest-path tree from the source, reused across joins (unicast
-    /// routing state is stable absent failures).
-    spt: ShortestPathTree,
+    /// routing state is stable absent failures) and shared through the
+    /// graph ([`ShortestPathTree::shared`]).
+    spt: Arc<ShortestPathTree>,
 }
 
 impl<'g> SpfSession<'g> {
@@ -54,7 +57,7 @@ impl<'g> SpfSession<'g> {
     /// Fails on an unknown source node.
     pub fn new(graph: &'g Graph, source: NodeId) -> Result<Self, SmrpError> {
         let tree = MulticastTree::new(graph, source)?;
-        let spt = ShortestPathTree::compute(graph, source);
+        let spt = ShortestPathTree::shared(graph, source);
         Ok(SpfSession { graph, tree, spt })
     }
 

@@ -8,8 +8,8 @@
 //! * `N_R` — the number of members in the subtree rooted at `R`
 //!   (equivalently `N_L` for the upstream link `L(R, R_u)`, since everyone
 //!   in the subtree receives through that link);
-//! * `SHR(S,R)` — the sharing metric of Eq. 1, maintained incrementally via
-//!   the recurrence of Eq. 2: `SHR(S,R) = SHR(S,R_u) + N_R`, `SHR(S,S)=0`.
+//! * `SHR(S,R)` — the sharing metric of Eq. 1, read through the recurrence
+//!   of Eq. 2: `SHR(S,R) = SHR(S,R_u) + N_R`, `SHR(S,S)=0`.
 //!
 //! The per-downstream-interface counts `N_R^i` of the paper are simply the
 //! `N` values of `R`'s children, exposed by [`MulticastTree::downstream_counts`].
@@ -19,34 +19,37 @@
 //! [`MulticastTree::prune_from`], [`MulticastTree::detach_subtree`] — out of which the
 //! join/leave/reshape procedures of [`crate::session`] are composed.
 //!
-//! # Incremental maintenance
+//! # What a membership operation costs
 //!
-//! Aggregate state is maintained *incrementally* from the Eq. 2 recurrence
-//! rather than recomputed from scratch. A mutation that changes the member
-//! count of the subtree hanging below a pivot node `P` by `δ`:
+//! A join or reshape pays for its tree path, not for the whole tree:
 //!
-//! * adds `δ` to `N_R` of every node on the tree path `S → P` (each such
-//!   node gains the `δ` members in its subtree);
-//! * adds `i·δ` to `SHR(S,R)` of every node `R` whose tree path crosses `i`
-//!   of those updated links — i.e. nodes hanging off the `S → P` path at
-//!   depth `i` (Eq. 1: the path sum picks up `δ` once per shared updated
-//!   link).
-//!
-//! [`attach_path`](MulticastTree::attach_path) combines that upward
-//! propagation (with `δ` = grafted-fragment member count) with a direct
-//! Eq. 2 seeding pass over the grafted suffix; pruning a relay chain needs
-//! no propagation at all because prunable relays carry `N_R = 0` by
-//! definition. Each mutation therefore touches only the source→pivot path
-//! and the subtrees hanging off it instead of the whole connected
-//! component.
+//! * **`N` is incremental.** A mutation that changes the member count of
+//!   the subtree below a pivot node `P` by `δ` adds `δ` to `N_R` of every
+//!   node on the tree path `S → P`, and to nothing else: O(depth). Pruning
+//!   a relay chain needs no propagation at all, because prunable relays
+//!   carry `N_R = 0` by definition.
+//! * **`SHR` is read when asked.** §3.3.2 recomputes `SHR` "only when a
+//!   query needs it", and the join (§3.2.2) and Condition I/II reshaping
+//!   (§3.2.3) ask for it only at candidate mergers and members.
+//!   [`shr`](MulticastTree::shr) is therefore not stored: it is Eq. 2
+//!   unrolled, the sum of `N` up the parent chain, O(depth) per read. An
+//!   off-tree node reads 0.
+//! * **The source SPT is shared.** The other per-source input, the unicast
+//!   shortest-path tree behind `D_SPF` and the neighbor-query relay routes,
+//!   comes from [`ShortestPathTree::shared`](smrp_net::dijkstra::ShortestPathTree::shared):
+//!   one slot on the graph keeps the last unrestricted tree. On the
+//!   benchmark's `join_scale` workload (two SMRP arms, their audits and an
+//!   SPF arm per group, all from one source) it answers 4 of the 5 calls
+//!   per group; on `multigroup_cut`, where every group has its own source,
+//!   it almost never hits.
 //!
 //! [`recompute_stats`](MulticastTree::recompute_stats) retains the
-//! from-scratch evaluation and serves as the oracle: under
+//! from-scratch evaluation of `N` and serves as the oracle: under
 //! `debug_assertions` (or the `audit-stats` feature) every mutating
-//! operation re-derives `N`/`SHR` from scratch afterwards and asserts the
+//! operation re-derives `N` from scratch afterwards and asserts the
 //! incremental state matches; [`validate`](MulticastTree::validate)
-//! additionally re-checks `SHR` against the Eq. 1 link-sharing definition,
-//! independent of the Eq. 2 recurrence.
+//! additionally re-checks [`shr`](MulticastTree::shr) against the Eq. 1
+//! link-sharing definition, independent of the Eq. 2 recurrence.
 
 use serde::{Deserialize, Serialize};
 use smrp_net::{Graph, LinkId, NodeId, Path};
@@ -69,12 +72,10 @@ pub struct MulticastTree {
     member: Vec<bool>,
     /// `N_R`: members in the subtree rooted at each node, each weighted by
     /// its aggregated population (see [`set_member_weight`]). Valid for
-    /// nodes connected to the source after `recompute_stats`.
+    /// on-tree nodes; 0 for a pruned one.
     ///
     /// [`set_member_weight`]: Self::set_member_weight
     n: Vec<u32>,
-    /// `SHR(S,R)` per Eq. 2. Valid for nodes connected to the source.
-    shr: Vec<u32>,
     member_count: usize,
     /// Aggregated receiver population behind each member (1 = a plain
     /// receiver). Lazily materialized: an empty vector means every member
@@ -127,7 +128,6 @@ impl MulticastTree {
             on_tree: vec![false; n],
             member: vec![false; n],
             n: vec![0; n],
-            shr: vec![0; n],
             member_count: 0,
             weight: Vec::new(),
         };
@@ -171,10 +171,20 @@ impl MulticastTree {
         self.n[node.index()]
     }
 
-    /// `SHR(S, node)` — the sharing metric of Eq. 1/2.
-    #[inline]
+    /// `SHR(S, node)` — the sharing metric of Eq. 1, read per §3.3.2 when
+    /// asked: Eq. 2 unrolled, the sum of `N` over the tree path `S → node`
+    /// without the source. 0 for the source and for an off-tree node.
     pub fn shr(&self, node: NodeId) -> u32 {
-        self.shr[node.index()]
+        if !self.on_tree[node.index()] {
+            return 0;
+        }
+        let mut shr = 0;
+        let mut cur = node;
+        while let Some(p) = self.parent[cur.index()] {
+            shr += self.n[cur.index()];
+            cur = p;
+        }
+        shr
     }
 
     /// The paper's `N_R^i`: member count behind each downstream interface.
@@ -356,10 +366,9 @@ impl MulticastTree {
     /// or the root of a fragment previously detached with
     /// [`detach_subtree`](Self::detach_subtree).
     ///
-    /// Updates aggregate state incrementally (see the [module
-    /// documentation](self)): the grafted fragment's member count is
-    /// propagated up the `S → merger` path and the grafted suffix is seeded
-    /// directly from the Eq. 2 recurrence.
+    /// Updates `N` incrementally (see the [module documentation](self)):
+    /// the grafted chain carries the fragment's member count, and so does
+    /// every node of the `S → merger` path.
     ///
     /// # Panics
     ///
@@ -404,75 +413,29 @@ impl MulticastTree {
         for &v in &nodes[..nodes.len() - 1] {
             self.n[v.index()] = delta as u32;
         }
-        // Upward propagation along S → merger. The freshly grafted chain is
-        // excluded from the downstream SHR sweep — it is seeded exactly
-        // below.
-        let chain_child = nodes[nodes.len() - 2];
-        self.propagate_member_delta(merger, delta, Some(chain_child));
-        // Seed the grafted suffix (chain + fragment) top-down via Eq. 2.
-        let mut stack = vec![chain_child];
-        while let Some(u) = stack.pop() {
-            let p = self.parent[u.index()].expect("grafted nodes have parents");
-            self.shr[u.index()] = self.shr[p.index()] + self.n[u.index()];
-            stack.extend(self.children[u.index()].iter().copied());
-        }
+        self.propagate_member_delta(merger, delta);
         self.audit_stats();
     }
 
     /// Propagates a change of `delta` members in the subtree hanging below
-    /// `pivot` (Eq. 2 delta rule, see the [module documentation](self)):
-    /// `N` gains `delta` along the whole `S → pivot` path, and `SHR` of
-    /// every node hanging off that path at depth `i` gains `i·delta`.
-    ///
-    /// `exclude` names one child of `pivot` to skip in the downstream SHR
-    /// sweep ([`attach_path`](Self::attach_path) seeds that freshly grafted
-    /// child exactly instead).
-    fn propagate_member_delta(&mut self, pivot: NodeId, delta: i64, exclude: Option<NodeId>) {
+    /// `pivot`: `N` gains `delta` along the whole `S → pivot` path (see the
+    /// [module documentation](self)).
+    fn propagate_member_delta(&mut self, pivot: NodeId, delta: i64) {
         if delta == 0 {
             return;
         }
-        // Tree path source → pivot, source first.
-        let mut path = vec![pivot];
         let mut cur = pivot;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
+        loop {
+            self.n[cur.index()] = (i64::from(self.n[cur.index()]) + delta) as u32;
+            match self.parent[cur.index()] {
+                Some(p) => cur = p,
+                None => break,
+            }
         }
         debug_assert_eq!(cur, self.source, "pivot {pivot} must be source-connected");
-        path.reverse();
-
-        for depth in 0..path.len() {
-            let v = path[depth];
-            self.n[v.index()] = (i64::from(self.n[v.index()]) + delta) as u32;
-            if depth == 0 {
-                continue; // SHR(S,S) is pinned at 0.
-            }
-            let bump = depth as i64 * delta;
-            self.shr[v.index()] = (i64::from(self.shr[v.index()]) + bump) as u32;
-            // Subtrees hanging off the path at this depth cross exactly
-            // `depth` updated links.
-            let next_on_path = path.get(depth + 1).copied();
-            let offs: Vec<NodeId> = self.children[v.index()]
-                .iter()
-                .copied()
-                .filter(|&c| Some(c) != next_on_path && !(v == pivot && Some(c) == exclude))
-                .collect();
-            for c in offs {
-                self.bump_subtree_shr(c, bump);
-            }
-        }
     }
 
-    /// Adds `bump` to `SHR` of every node in the subtree rooted at `root`.
-    fn bump_subtree_shr(&mut self, root: NodeId, bump: i64) {
-        let mut stack = vec![root];
-        while let Some(u) = stack.pop() {
-            self.shr[u.index()] = (i64::from(self.shr[u.index()]) + bump) as u32;
-            stack.extend(self.children[u.index()].iter().copied());
-        }
-    }
-
-    /// Asserts the incremental `N`/`SHR` state equals a from-scratch
+    /// Asserts the incremental `N` equals a from-scratch
     /// [`recompute_stats`](Self::recompute_stats) evaluation (the oracle).
     ///
     /// Compiled in under `debug_assertions` or the `audit-stats` feature;
@@ -480,18 +443,12 @@ impl MulticastTree {
     #[cfg(any(debug_assertions, feature = "audit-stats"))]
     fn audit_stats(&mut self) {
         let n_inc = self.n.clone();
-        let shr_inc = self.shr.clone();
         self.recompute_stats();
         for u in self.source_connected_nodes() {
             assert_eq!(
                 n_inc[u.index()],
                 self.n[u.index()],
                 "incremental N_{u} diverged from the from-scratch oracle"
-            );
-            assert_eq!(
-                shr_inc[u.index()],
-                self.shr[u.index()],
-                "incremental SHR({u}) diverged from the from-scratch oracle"
             );
         }
     }
@@ -524,7 +481,7 @@ impl MulticastTree {
                 if !self.weight.is_empty() {
                     self.weight[node.index()] = 1;
                 }
-                self.propagate_member_delta(node, 1, None);
+                self.propagate_member_delta(node, 1);
                 self.audit_stats();
             }
         } else {
@@ -537,7 +494,7 @@ impl MulticastTree {
             if !self.weight.is_empty() {
                 self.weight[node.index()] = 1;
             }
-            self.propagate_member_delta(node, -removed, None);
+            self.propagate_member_delta(node, -removed);
             self.audit_stats();
         }
         Ok(())
@@ -547,8 +504,7 @@ impl MulticastTree {
     /// serving `weight` receivers (§3.3.3 at scale: a leaf-domain agent
     /// fronting thousands of users). The weight enters the Eq. 2
     /// maintenance exactly like `weight` individual members behind one
-    /// node: `N` along the source path and `SHR` of off-path subtrees move
-    /// by the weight delta.
+    /// node: `N` along the source path moves by the weight delta.
     ///
     /// # Errors
     ///
@@ -568,7 +524,7 @@ impl MulticastTree {
         let old = i64::from(self.weight_of(node.index()));
         let delta = i64::from(weight) - old;
         *self.weight_slot(node.index()) = weight;
-        self.propagate_member_delta(node, delta, None);
+        self.propagate_member_delta(node, delta);
         self.audit_stats();
         Ok(())
     }
@@ -581,7 +537,7 @@ impl MulticastTree {
     /// non-null member set underneath is reached.
     pub fn prune_from(&mut self, node: NodeId) {
         // Pruned relays carry `N_R = 0` (childless non-members), so removing
-        // them changes no other node's `N` or `SHR` — no propagation needed.
+        // them changes no other node's `N` — no propagation needed.
         let mut cur = node;
         loop {
             let i = cur.index();
@@ -596,7 +552,6 @@ impl MulticastTree {
             self.on_tree[i] = false;
             self.parent[i] = None;
             self.n[i] = 0;
-            self.shr[i] = 0;
             match up {
                 Some(p) => {
                     self.children[p.index()].retain(|&c| c != cur);
@@ -648,7 +603,7 @@ impl MulticastTree {
         self.children[old_parent.index()].remove(slot);
         // The fragment keeps its internal `N` values (its subtrees did not
         // change); upstream, the surviving path loses `removed` members.
-        self.propagate_member_delta(old_parent, -removed, None);
+        self.propagate_member_delta(old_parent, -removed);
 
         // The relays `prune_from` is about to remove, bottom-up: childless
         // non-members, each the only child of the next.
@@ -674,8 +629,8 @@ impl MulticastTree {
 
     /// Undoes a [`detach_recorded`](Self::detach_recorded) while the
     /// fragment is still detached and nothing else has changed: parent
-    /// links, child positions, the pruned relay chain and every `N`/`SHR`
-    /// return to their pre-detach values, so the tree compares equal to its
+    /// links, child positions, the pruned relay chain and every `N` return
+    /// to their pre-detach values, so the tree compares equal to its
     /// earlier self.
     pub(crate) fn reattach(&mut self, detached: Detached) {
         let Detached {
@@ -685,22 +640,20 @@ impl MulticastTree {
             slot,
             removed,
         } = detached;
-        // Relays re-enter as an empty chain below `anchor` (N = 0, so Eq. 2
-        // gives them the anchor's SHR); the propagation below then restores
-        // the fragment's weight along the whole source path.
+        // Relays re-enter as an empty chain below `anchor` (N = 0); the
+        // propagation below then restores the fragment's weight along the
+        // whole source path.
         let mut below = node;
         for &relay in &relays {
             self.on_tree[relay.index()] = true;
-            self.shr[relay.index()] = self.shr[anchor.index()];
             self.parent[below.index()] = Some(relay);
             self.children[relay.index()].push(below);
             below = relay;
         }
         self.parent[below.index()] = Some(anchor);
         self.children[anchor.index()].insert(slot, below);
-        // The fragment kept its pre-detach `SHR` values; skip it.
         let old_parent = relays.first().copied().unwrap_or(anchor);
-        self.propagate_member_delta(old_parent, removed, Some(node));
+        self.propagate_member_delta(old_parent, removed);
         self.audit_stats();
     }
 
@@ -724,31 +677,22 @@ impl MulticastTree {
         out
     }
 
-    /// Recomputes `N_R` and `SHR(S,R)` for the source-connected component
-    /// via the recurrence of Eq. 2, from scratch.
+    /// Recomputes `N_R` for the source-connected component from scratch
+    /// (`SHR` is derived from it on every read).
     ///
-    /// The mutating operations maintain this state incrementally; this
+    /// The mutating operations maintain `N` incrementally; this
     /// from-scratch evaluation is the *oracle* they are audited against
     /// (under `debug_assertions` or the `audit-stats` feature) and remains
     /// public so advanced callers composing raw mutations can refresh
     /// state, or benchmarks can emulate the non-incremental scheme.
     pub fn recompute_stats(&mut self) {
-        // Post-order accumulation of N, then pre-order SHR.
-        let order = self.source_connected_nodes(); // parents before children
-        for &u in order.iter().rev() {
+        // Post-order accumulation: children before parents.
+        for u in self.source_connected_nodes().into_iter().rev() {
             let mut count = self.member_weight(u);
             for &c in &self.children[u.index()] {
                 count += self.n[c.index()];
             }
             self.n[u.index()] = count;
-        }
-        for &u in &order {
-            if u == self.source {
-                self.shr[u.index()] = 0;
-            } else {
-                let p = self.parent[u.index()].expect("connected non-root has a parent");
-                self.shr[u.index()] = self.shr[p.index()] + self.n[u.index()];
-            }
         }
     }
 
@@ -762,9 +706,9 @@ impl MulticastTree {
     /// 5. leaf relays do not exist (every leaf is a member), except the
     ///    bare source;
     /// 6. `N_R` equals the recount of subtree members;
-    /// 7. `SHR` matches a from-scratch evaluation of Eq. 1 (link-sharing
-    ///    definition), independently of the Eq. 2 recurrence used for
-    ///    maintenance.
+    /// 7. [`shr`](Self::shr) matches a from-scratch evaluation of Eq. 1
+    ///    (link-sharing definition), independently of the Eq. 2 recurrence
+    ///    it reads through.
     ///
     /// # Errors
     ///
@@ -847,10 +791,10 @@ impl MulticastTree {
                 .iter()
                 .map(|l| link_load.get(l).copied().unwrap_or(0))
                 .sum();
-            if expected != self.shr[u.index()] {
+            if expected != self.shr(u) {
                 return Err(format!(
                     "SHR({u}) is {} but Eq. 1 gives {expected}",
-                    self.shr[u.index()]
+                    self.shr(u)
                 ));
             }
         }

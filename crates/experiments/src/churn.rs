@@ -38,8 +38,11 @@ pub struct PolicyRow {
     pub delay: Stats,
     /// Total path switches performed by reshaping.
     pub switches: usize,
-    /// Reshape attempts (candidate searches) those switches cost.
+    /// Reshape attempts those switches cost.
     pub attempts: u64,
+    /// Attempts settled `Kept` without a candidate search (the current
+    /// merger's `SHR` was 0, so nothing could beat it).
+    pub settled_without_search: u64,
 }
 
 /// Results of the churn experiment.
@@ -90,6 +93,7 @@ fn run_policy(policy: Policy, effort: Effort) -> PolicyRow {
         delay: Stats::new(),
         switches: 0,
         attempts: 0,
+        settled_without_search: 0,
     };
 
     for step in 0..events {
@@ -133,6 +137,7 @@ fn run_policy(policy: Policy, effort: Effort) -> PolicyRow {
     let stats = sess.reshape_stats();
     row.switches = stats.switched as usize;
     row.attempts = stats.attempts;
+    row.settled_without_search = stats.settled_without_search;
     row
 }
 
@@ -158,6 +163,7 @@ impl ChurnResult {
             "mean member delay",
             "path switches",
             "reshape attempts",
+            "settled without search",
             "switched / attempts",
         ]);
         for row in &self.rows {
@@ -167,6 +173,7 @@ impl ChurnResult {
                 format!("{:.2}", row.delay.mean()),
                 format!("{}", row.switches),
                 format!("{}", row.attempts),
+                format!("{}", row.settled_without_search),
                 if row.attempts == 0 {
                     "-".to_string()
                 } else {
@@ -185,6 +192,7 @@ impl ChurnResult {
             "delay_mean",
             "switches",
             "attempts",
+            "settled_without_search",
         ]);
         for row in &self.rows {
             csv.row(vec![
@@ -193,6 +201,7 @@ impl ChurnResult {
                 format!("{}", row.delay.mean()),
                 format!("{}", row.switches),
                 format!("{}", row.attempts),
+                format!("{}", row.settled_without_search),
             ]);
         }
         csv
@@ -238,7 +247,7 @@ mod tests {
             none.rd.mean()
         );
         assert!(full.switches > 0, "the sweeps never switched a path");
-        assert!(full.attempts >= full.switches as u64);
+        assert!(full.attempts >= full.switches as u64 + full.settled_without_search);
         assert_eq!(none.attempts, 0, "reshaping was off");
     }
 

@@ -18,6 +18,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use crate::failure::FailureScenario;
 use crate::graph::Graph;
@@ -137,6 +138,24 @@ impl ShortestPathTree {
     /// Runs Dijkstra from `source` with no restrictions.
     pub fn compute(graph: &Graph, source: NodeId) -> Self {
         Self::compute_constrained(graph, source, Constraints::unrestricted())
+    }
+
+    /// [`compute`](Self::compute), shared through `graph`.
+    ///
+    /// The graph keeps the last tree this returned in one slot, so every
+    /// session, audit and routing install from one source over an unchanged
+    /// graph runs Dijkstra once. A miss computes without holding the lock
+    /// and replaces the slot. Any `&mut Graph` method empties it, and a
+    /// clone or deserialized graph starts empty. The tree is unrestricted;
+    /// a caller that constrains it takes its own copy with
+    /// [`Arc::make_mut`].
+    pub fn shared(graph: &Graph, source: NodeId) -> Arc<Self> {
+        if let Some(spt) = graph.cached_spt(source) {
+            return spt;
+        }
+        let spt = Arc::new(Self::compute(graph, source));
+        graph.cache_spt(Arc::clone(&spt));
+        spt
     }
 
     /// Runs Dijkstra from `source` under `constraints`.
@@ -541,6 +560,80 @@ mod tests {
         assert!(!ShortestPathTree::compute_constrained(&g, s, constraints).is_unrestricted());
         spt.recompute_constrained(&g, Constraints::unrestricted());
         assert!(spt.is_unrestricted());
+    }
+
+    /// Asserts two trees agree bit for bit on every node.
+    fn assert_same_tree(g: &Graph, a: &ShortestPathTree, b: &ShortestPathTree) {
+        assert_eq!(a.source(), b.source());
+        assert_eq!(a.is_unrestricted(), b.is_unrestricted());
+        for n in g.node_ids() {
+            assert_eq!(
+                a.distance(n).map(f64::to_bits),
+                b.distance(n).map(f64::to_bits)
+            );
+            assert_eq!(a.parent(n), b.parent(n));
+        }
+    }
+
+    #[test]
+    fn shared_tree_is_the_computed_tree() {
+        let (g, nodes) = figure1_graph();
+        for &s in &nodes {
+            let shared = ShortestPathTree::shared(&g, s);
+            assert_same_tree(&g, &shared, &ShortestPathTree::compute(&g, s));
+        }
+    }
+
+    #[test]
+    fn shared_slot_hits_on_one_source_and_is_replaced_by_another() {
+        let (g, [s, a, ..]) = figure1_graph();
+        let first = ShortestPathTree::shared(&g, s);
+        assert!(Arc::ptr_eq(&first, &ShortestPathTree::shared(&g, s)));
+        let other = ShortestPathTree::shared(&g, a);
+        assert_eq!(other.source(), a);
+        assert!(Arc::ptr_eq(&other, &ShortestPathTree::shared(&g, a)));
+        let again = ShortestPathTree::shared(&g, s);
+        assert!(!Arc::ptr_eq(&first, &again), "one slot: `a` replaced `s`");
+        assert_same_tree(&g, &first, &again);
+    }
+
+    #[test]
+    fn graph_mutators_and_clones_empty_the_shared_slot() {
+        let (mut g, [s, _, _, c, _]) = figure1_graph();
+        let before = ShortestPathTree::shared(&g, s);
+        let copy = g.clone();
+        assert!(!Arc::ptr_eq(&before, &ShortestPathTree::shared(&copy, s)));
+
+        let e = g.add_node();
+        let after_node = ShortestPathTree::shared(&g, s);
+        assert!(!Arc::ptr_eq(&before, &after_node));
+        assert_eq!(after_node.distance(e), None);
+
+        g.add_link(c, e, 0.5).unwrap();
+        let after_link = ShortestPathTree::shared(&g, s);
+        assert!(!Arc::ptr_eq(&after_node, &after_link));
+        assert_eq!(after_link.distance(e), Some(2.5));
+        assert_same_tree(&g, &after_link, &ShortestPathTree::compute(&g, s));
+    }
+
+    #[test]
+    fn serialized_graph_is_only_its_topology() {
+        let (g, [s, ..]) = figure1_graph();
+        let shared = ShortestPathTree::shared(&g, s);
+        let value = serde::Serialize::serialize(&g);
+        let keys: Vec<&str> = value
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["nodes", "links"]);
+        let back: Graph = serde::Deserialize::deserialize(&value).unwrap();
+        assert_eq!(back.node_count(), g.node_count());
+        assert_eq!(back.link_count(), g.link_count());
+        let fresh = ShortestPathTree::shared(&back, s);
+        assert!(!Arc::ptr_eq(&shared, &fresh));
+        assert_same_tree(&g, &shared, &fresh);
     }
 
     #[test]

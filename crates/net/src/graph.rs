@@ -12,8 +12,12 @@
 //! so generators default to `cost == delay`, but the two are kept separate so
 //! unit-cost experiments ("tree cost as link count") remain expressible.
 
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
+
 use serde::{Deserialize, Serialize};
 
+use crate::dijkstra::ShortestPathTree;
 use crate::error::NetError;
 use crate::geometry::Point;
 use crate::ids::{LinkId, NodeId};
@@ -129,10 +133,59 @@ struct NodeRecord {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<NodeRecord>,
     links: Vec<Link>,
+    /// The last unrestricted tree [`ShortestPathTree::shared`] computed
+    /// over this graph. Not part of the topology: every `&mut self` method
+    /// empties it, and a clone or a deserialized graph starts without one.
+    spt: SptSlot,
+}
+
+/// At most one shared source SPT, behind a lock so `&Graph` can fill it.
+/// A poisoned lock is recovered: every update is one assignment, so the
+/// slot always holds either nothing or a complete tree.
+#[derive(Default)]
+struct SptSlot(Mutex<Option<Arc<ShortestPathTree>>>);
+
+impl SptSlot {
+    fn clear(&mut self) {
+        *self.0.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+}
+
+impl Clone for SptSlot {
+    fn clone(&self) -> Self {
+        SptSlot::default()
+    }
+}
+
+impl fmt::Debug for SptSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SptSlot")
+    }
+}
+
+// Written out because the offline serde derive has no `#[serde(skip)]`:
+// the serialized form is the topology, `nodes` and `links`, and nothing else.
+impl Serialize for Graph {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("nodes".to_string(), self.nodes.serialize()),
+            ("links".to_string(), self.links.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for Graph {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Graph {
+            nodes: Deserialize::deserialize(serde::field(value, "nodes")?)?,
+            links: Deserialize::deserialize(serde::field(value, "links")?)?,
+            spt: SptSlot::default(),
+        })
+    }
 }
 
 impl Graph {
@@ -152,6 +205,7 @@ impl Graph {
 
     /// Adds a node without a plane position and returns its id.
     pub fn add_node(&mut self) -> NodeId {
+        self.spt.clear();
         let id = NodeId::new(self.nodes.len());
         self.nodes.push(NodeRecord {
             position: None,
@@ -202,6 +256,7 @@ impl Graph {
         if self.link_between(a, b).is_some() {
             return Err(NetError::DuplicateLink(a, b));
         }
+        self.spt.clear();
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let id = LinkId::new(self.links.len());
         self.links.push(Link {
@@ -212,6 +267,19 @@ impl Graph {
         self.nodes[a.index()].adjacency.push((b, id));
         self.nodes[b.index()].adjacency.push((a, id));
         Ok(id)
+    }
+
+    /// The tree in the shared-SPT slot if it is rooted at `source`, or
+    /// else `None`.
+    pub(crate) fn cached_spt(&self, source: NodeId) -> Option<Arc<ShortestPathTree>> {
+        let slot = self.spt.0.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.as_ref().filter(|spt| spt.source() == source).cloned()
+    }
+
+    /// Puts `spt`, an unrestricted tree over this graph, in the
+    /// shared-SPT slot. The tree it replaces is dropped.
+    pub(crate) fn cache_spt(&self, spt: Arc<ShortestPathTree>) {
+        *self.spt.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(spt);
     }
 
     fn check_node(&self, n: NodeId) -> Result<(), NetError> {

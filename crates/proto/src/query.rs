@@ -15,9 +15,10 @@ use smrp_sim::NetSim;
 use crate::router::Router;
 
 /// Installs unicast routing state (next hop and distance to `source`) on
-/// every router, as OSPF convergence would.
+/// every router, as OSPF convergence would. The tree is the graph's
+/// [`ShortestPathTree::shared`] one, usually left there by the session.
 pub fn install_unicast_routing(sim: &mut NetSim<'_, Router>, source: NodeId) {
-    let spt = ShortestPathTree::compute(sim.graph(), source);
+    let spt = ShortestPathTree::shared(sim.graph(), source);
     for n in sim.graph().node_ids() {
         // The next hop toward the source is this node's parent in the
         // source-rooted shortest-path tree.
