@@ -177,6 +177,11 @@ impl<'g> SmrpSession<'g> {
         &self.tree
     }
 
+    /// Ends the session and hands over its tree without copying it.
+    pub fn into_tree(self) -> MulticastTree {
+        self.tree
+    }
+
     /// The cached unicast shortest-path tree from the source.
     ///
     /// This is the `D_SPF` oracle used by the join bound and, under

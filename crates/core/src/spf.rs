@@ -66,6 +66,11 @@ impl<'g> SpfSession<'g> {
         &self.tree
     }
 
+    /// Ends the session and hands over its tree without copying it.
+    pub fn into_tree(self) -> MulticastTree {
+        self.tree
+    }
+
     /// The topology this session runs over.
     pub fn graph(&self) -> &'g Graph {
         self.graph
@@ -180,6 +185,28 @@ mod tests {
         sess.join(d).unwrap();
         // Only the A-D link is added; S-A is shared.
         assert_eq!(sess.tree().links(&g).len(), before + 1);
+    }
+
+    #[test]
+    fn every_session_hands_over_the_tree_it_built() {
+        let (g, [s, _, b, c, d]) = figure1();
+        let mut spf = SpfSession::new(&g, s).unwrap();
+        let mut smrp = crate::SmrpSession::new(&g, s, crate::SmrpConfig::default()).unwrap();
+        let mut steiner = crate::SteinerSession::new(&g, s).unwrap();
+        for m in [c, d, b] {
+            spf.join(m).unwrap();
+            smrp.join(m).unwrap();
+            steiner.join(m).unwrap();
+        }
+        let built = [
+            spf.tree().clone(),
+            smrp.tree().clone(),
+            steiner.tree().clone(),
+        ];
+        assert_eq!(
+            [spf.into_tree(), smrp.into_tree(), steiner.into_tree()],
+            built
+        );
     }
 
     #[test]

@@ -61,6 +61,11 @@ impl<'g> SteinerSession<'g> {
         &self.tree
     }
 
+    /// Ends the session and hands over its tree without copying it.
+    pub fn into_tree(self) -> MulticastTree {
+        self.tree
+    }
+
     /// The multicast source.
     pub fn source(&self) -> NodeId {
         self.tree.source()

@@ -45,7 +45,7 @@ fn build_steiner_tree(scenario: &Scenario) -> Result<MulticastTree, SmrpError> {
     for &m in &scenario.members {
         sess.join(m)?;
     }
-    Ok(sess.tree().clone())
+    Ok(sess.into_tree())
 }
 
 /// Runs the comparison on the Figure 8 base setup.

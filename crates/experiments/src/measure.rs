@@ -98,7 +98,7 @@ pub fn build_smrp_tree(
     for &m in &scenario.members {
         sess.join(m)?;
     }
-    Ok(sess.tree().clone())
+    Ok(sess.into_tree())
 }
 
 /// Builds the SPF baseline tree for a scenario.
@@ -111,7 +111,7 @@ pub fn build_spf_tree(scenario: &Scenario) -> Result<MulticastTree, SmrpError> {
     for &m in &scenario.members {
         sess.join(m)?;
     }
-    Ok(sess.tree().clone())
+    Ok(sess.into_tree())
 }
 
 /// Worst-case local-detour recovery distance for `member` on `tree`

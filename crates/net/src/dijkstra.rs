@@ -15,8 +15,29 @@
 //!
 //! All ties are broken deterministically (lower node id wins), so results
 //! are stable across runs for a fixed topology.
+//!
+//! # Bucketed search
+//!
+//! [`ShortestPathTree`] settles nodes a bucket at a time instead of popping
+//! a binary heap. Buckets are `min/2` wide, where `min` is the graph's
+//! smallest link delay ([`Graph::delay_range`]), and sit in a ring that
+//! spans the largest delay. Every relaxation then moves at least one bucket
+//! forward, so every node in the lowest non-empty bucket is final and the
+//! bucket drains in any order (Dinitz 1978, "Dial with real weights"). The
+//! result does not depend on that order: `D(v)` is the minimum of
+//! `fl(D(u) + w)` over its neighbours, and `parent(v)` the lowest-id `u`
+//! achieving it, because every achiever settled in an earlier bucket.
+//!
+//! Two kinds of graph fall back to an ordered drain, where each bucket is
+//! sorted by `(distance bits, node)` as it becomes current and pushes into
+//! it are inserted in place, so nodes settle in exactly the heap's order:
+//! a delay ratio the 4 096-slot ring can only span with wider buckets, and
+//! a delay small enough to vanish in the rounding of a path sum
+//! (`min < 2⁻⁴⁰·n·max`). The mode is derived from the graph, not
+//! configured. [`shortest_path_to_any`] keeps its heap: its callers read
+//! the first target it settles.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -105,6 +126,203 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// Ring size cap. A graph whose delay ratio needs more slots gets wider
+/// buckets, and with them the ordered drain.
+const MAX_BUCKETS: u64 = 4096;
+
+/// `min < ABSORPTION·n·max` means a delay could vanish in the rounding of
+/// a path sum (`fl(d + w) == d`). Above it a sum of at most `n` delays is
+/// off by less than `min·2⁻¹²`, far inside the one-bucket margin the
+/// unordered drain needs.
+const ABSORPTION: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The end of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// How the bucket queue covers one graph's delays.
+#[derive(Debug, Clone, Copy)]
+struct Buckets {
+    /// Reciprocal of the bucket width.
+    inv_width: f64,
+    /// Ring size minus one; the ring size is a power of two.
+    mask: u64,
+    /// Drain each bucket in `(distance bits, node)` order.
+    ordered: bool,
+}
+
+impl Buckets {
+    fn for_graph(graph: &Graph) -> Self {
+        let (min, max) = graph.delay_range();
+        Self::plan(min, max, graph.node_count())
+    }
+
+    /// Buckets `min/2` wide in a ring of the next power of two at least
+    /// `max/width + 2` slots, or as wide as [`MAX_BUCKETS`] slots require.
+    /// A push lands at most `ceil(max/width) + 1` buckets ahead of the one
+    /// draining, so the ring never wraps onto a live bucket.
+    fn plan(min: f64, max: f64, nodes: usize) -> Self {
+        let span = |inv_width: f64| ((max * inv_width).ceil() as u64).saturating_add(2);
+        let mut inv_width = 2.0 / min;
+        let widened = span(inv_width) > MAX_BUCKETS;
+        if widened {
+            inv_width = (MAX_BUCKETS - 3) as f64 / max;
+        }
+        if !inv_width.is_finite() {
+            // Subnormal delays: one sorted bucket, a plain priority queue.
+            return Buckets {
+                inv_width: 0.0,
+                mask: 1,
+                ordered: true,
+            };
+        }
+        let slots = span(inv_width).next_power_of_two();
+        assert!(slots <= MAX_BUCKETS, "ring of {slots} slots");
+        Buckets {
+            inv_width,
+            mask: slots - 1,
+            ordered: widened || min < ABSORPTION * nodes as f64 * max,
+        }
+    }
+
+    /// The absolute bucket of `dist` (a saturating cast).
+    #[inline]
+    fn bucket(&self, dist: f64) -> u64 {
+        (dist * self.inv_width) as u64
+    }
+
+    #[inline]
+    fn slot(&self, bucket: u64) -> usize {
+        (bucket & self.mask) as usize
+    }
+}
+
+/// A queued `(dist, node)`, threaded onto its bucket's list through `next`.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    dist: f64,
+    node: NodeId,
+    next: u32,
+}
+
+/// The sort key of the ordered drain, which is the heap's order.
+fn drain_key(&(dist, node): &(f64, NodeId)) -> (u64, NodeId) {
+    (dist.to_bits(), node)
+}
+
+/// A min-distance bucket queue over one graph's delay range.
+///
+/// Each ring slot holds an intrusive list in one `entries` vector, so a
+/// search allocates a few vectors, not one per bucket.
+struct BucketQueue {
+    buckets: Buckets,
+    /// Absolute index of the bucket being drained.
+    current: u64,
+    /// First entry of each ring slot's list, or [`NIL`].
+    heads: Vec<u32>,
+    entries: Vec<Entry>,
+    /// Pushed and not yet popped.
+    queued: usize,
+    /// Ordered drain only: the current bucket, sorted so the next pop is
+    /// the last element.
+    draining: Vec<(f64, NodeId)>,
+}
+
+impl BucketQueue {
+    /// A queue holding `source` at distance 0.
+    fn new(graph: &Graph, source: NodeId) -> Self {
+        let buckets = Buckets::for_graph(graph);
+        let mut queue = BucketQueue {
+            buckets,
+            current: 0,
+            heads: vec![NIL; buckets.mask as usize + 1],
+            entries: Vec::with_capacity(graph.node_count()),
+            queued: 1,
+            draining: Vec::new(),
+        };
+        if buckets.ordered {
+            queue.draining.push((0.0, source));
+        } else {
+            queue.link(0, 0.0, source);
+        }
+        queue
+    }
+
+    fn link(&mut self, bucket: u64, dist: f64, node: NodeId) {
+        let head = &mut self.heads[self.buckets.slot(bucket)];
+        self.entries.push(Entry {
+            dist,
+            node,
+            next: *head,
+        });
+        *head = (self.entries.len() - 1) as u32;
+    }
+
+    fn push(&mut self, dist: f64, node: NodeId) {
+        let bucket = self.buckets.bucket(dist);
+        let ahead = bucket.wrapping_sub(self.current);
+        assert!(ahead <= self.buckets.mask, "push beyond the ring's span");
+        self.queued += 1;
+        if ahead > 0 {
+            self.link(bucket, dist, node);
+            return;
+        }
+        // Every delay is two bucket widths unless the buckets were widened
+        // or a delay can be absorbed, and then the drain is ordered.
+        assert!(
+            self.buckets.ordered,
+            "push into the unordered bucket being drained"
+        );
+        let key = drain_key(&(dist, node));
+        let at = self.draining.partition_point(|e| drain_key(e) > key);
+        self.draining.insert(at, (dist, node));
+    }
+
+    fn pop(&mut self) -> Option<(f64, NodeId)> {
+        loop {
+            let next = if self.buckets.ordered {
+                self.draining.pop()
+            } else {
+                let head = &mut self.heads[self.buckets.slot(self.current)];
+                (*head != NIL).then(|| {
+                    let e = self.entries[*head as usize];
+                    *head = e.next;
+                    (e.dist, e.node)
+                })
+            };
+            if next.is_some() {
+                self.queued -= 1;
+                return next;
+            }
+            if self.queued == 0 {
+                return None;
+            }
+            self.advance();
+        }
+    }
+
+    /// Moves to the next non-empty bucket; under the ordered drain its list
+    /// becomes the sorted `draining` vector.
+    fn advance(&mut self) {
+        loop {
+            self.current += 1;
+            if self.heads[self.buckets.slot(self.current)] != NIL {
+                break;
+            }
+        }
+        if self.buckets.ordered {
+            let head = &mut self.heads[self.buckets.slot(self.current)];
+            let mut i = std::mem::replace(head, NIL);
+            while i != NIL {
+                let e = self.entries[i as usize];
+                self.draining.push((e.dist, e.node));
+                i = e.next;
+            }
+            self.draining
+                .sort_unstable_by_key(|e| Reverse(drain_key(e)));
+        }
+    }
+}
+
 /// A single-source shortest-path tree by link delay.
 ///
 /// Produced by [`ShortestPathTree::compute`]; answers distance and path
@@ -185,44 +403,60 @@ impl ShortestPathTree {
     /// the set of usable links/nodes changes — e.g. when a
     /// [`FailureScenario`] strikes — so no stale routing state survives.
     pub fn recompute_constrained(&mut self, graph: &Graph, constraints: Constraints<'_>) {
-        let n = graph.node_count();
-        assert_eq!(n, self.dist.len(), "graph size changed under the SPT");
+        assert_eq!(
+            graph.node_count(),
+            self.dist.len(),
+            "graph size changed under the SPT"
+        );
         self.unrestricted = constraints.failures.is_none()
             && constraints.forbidden_nodes.is_empty()
             && constraints.forbidden_links.is_empty();
         self.dist.fill(f64::INFINITY);
         self.parent.fill(None);
-        let mut done = vec![false; n];
-        let mut heap = BinaryHeap::new();
-
-        if constraints.node_allowed(self.source) {
-            self.dist[self.source.index()] = 0.0;
-            heap.push(HeapEntry {
-                dist: 0.0,
-                node: self.source,
+        if !constraints.node_allowed(self.source) {
+            return;
+        }
+        if self.unrestricted {
+            self.search(graph, |_, _| true);
+        } else {
+            self.search(graph, |v, l| {
+                constraints.node_allowed(v) && constraints.link_allowed(graph, l)
             });
         }
+    }
 
-        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-            if done[u.index()] {
+    /// The bucketed search from the source over the arcs `usable` admits
+    /// (see the [module docs](self)).
+    fn search(&mut self, graph: &Graph, usable: impl Fn(NodeId, LinkId) -> bool) {
+        let mut settled = vec![false; graph.node_count()];
+        let mut queue = BucketQueue::new(graph, self.source);
+        self.dist[self.source.index()] = 0.0;
+        while let Some((d, u)) = queue.pop() {
+            // A node is pushed once per strictly shorter distance, so only
+            // its last entry carries `dist[u]`.
+            if d > self.dist[u.index()] {
                 continue;
             }
-            done[u.index()] = true;
+            settled[u.index()] = true;
             for &(v, l) in graph.adjacency(u) {
-                if done[v.index()]
-                    || !constraints.node_allowed(v)
-                    || !constraints.link_allowed(graph, l)
-                {
+                if !usable(v, l) {
                     continue;
                 }
                 let nd = d + graph.link(l).delay();
                 let slot = &mut self.dist[v.index()];
-                // Deterministic tie-break: on equal distance keep the parent
-                // with the lower node id.
-                if nd < *slot || (nd == *slot && self.parent[v.index()].is_some_and(|p| u < p)) {
+                if nd < *slot {
                     *slot = nd;
                     self.parent[v.index()] = Some(u);
-                    heap.push(HeapEntry { dist: nd, node: v });
+                    queue.push(nd, v);
+                } else if nd == *slot
+                    && !settled[v.index()]
+                    && self.parent[v.index()].is_some_and(|p| u < p)
+                {
+                    // Deterministic tie-break: on equal distance keep the
+                    // parent with the lower node id. A settled node can only
+                    // tie when a delay was absorbed (ordered drain); the heap
+                    // never revisited it, so neither does this.
+                    self.parent[v.index()] = Some(u);
                 }
             }
         }
@@ -634,6 +868,108 @@ mod tests {
         let fresh = ShortestPathTree::shared(&back, s);
         assert!(!Arc::ptr_eq(&shared, &fresh));
         assert_same_tree(&g, &shared, &fresh);
+    }
+
+    #[test]
+    fn generated_topologies_drain_unordered() {
+        use crate::transit_stub::TransitStubConfig;
+        use crate::waxman::WaxmanConfig;
+        for seed in [1, 7919, 20050628] {
+            // The n = 4000 shape of the join and multi-group benchmarks.
+            let ts = TransitStubConfig::new()
+                .transit_nodes(40)
+                .stubs_per_transit_node(9)
+                .stub_nodes(11)
+                .seed(seed)
+                .generate()
+                .unwrap()
+                .into_graph();
+            assert_eq!(ts.node_count(), 4000);
+            let plan = Buckets::for_graph(&ts);
+            assert!(!plan.ordered, "transit-stub seed {seed}: {plan:?}");
+            // The fault campaign's Waxman graph.
+            let wax = WaxmanConfig::new(400)
+                .alpha(0.2)
+                .seed(seed)
+                .generate()
+                .unwrap()
+                .into_graph();
+            let plan = Buckets::for_graph(&wax);
+            assert!(!plan.ordered, "Waxman seed {seed}: {plan:?}");
+        }
+    }
+
+    #[test]
+    fn wide_or_absorbable_delays_drain_ordered() {
+        // Ratio 1000: 2002 buckets of width 0.5 fit the ring.
+        let fits = Buckets::plan(1.0, 1000.0, 4000);
+        assert_eq!(
+            (fits.inv_width, fits.mask, fits.ordered),
+            (2.0, 2047, false)
+        );
+        // Ratio 10⁴ needs 20 002 buckets: the cap widens them.
+        let wide = Buckets::plan(1.0, 1e4, 4000);
+        assert!(wide.ordered);
+        assert_eq!(wide.mask + 1, MAX_BUCKETS);
+        assert!(wide.inv_width < 2.0);
+        // Equal delays, but 2⁴¹ of them could absorb one.
+        assert!(!Buckets::plan(1.0, 1.0, 1 << 20).ordered);
+        assert!(Buckets::plan(1.0, 1.0, 1 << 41).ordered);
+        // No links: one trivial bucket; subnormal delays: one sorted bucket.
+        assert!(!Buckets::plan(f64::INFINITY, 0.0, 3).ordered);
+        assert!(Buckets::plan(5e-324, 1e-323, 3).ordered);
+    }
+
+    #[test]
+    fn chain_spanning_eighteen_decades_matches_its_prefix_sums() {
+        // Delays 10^k for k in -9..=9, visited in a scrambled order, so sums
+        // absorb the small delays next to the large ones.
+        let n = 4000;
+        let mut g = Graph::with_nodes(n);
+        for i in 0..n - 1 {
+            let k = (i * 7 % 19) as i32 - 9;
+            g.add_link(NodeId::new(i), NodeId::new(i + 1), 10f64.powi(k))
+                .unwrap();
+        }
+        assert_eq!(g.delay_range(), (1e-9, 1e9));
+        assert!(Buckets::for_graph(&g).ordered);
+        for src in [0, 1234, n - 1] {
+            let spt = ShortestPathTree::compute(&g, NodeId::new(src));
+            let mut expect = vec![(0.0, None); n];
+            for i in src + 1..n {
+                let w = g.delay_between(NodeId::new(i - 1), NodeId::new(i)).unwrap();
+                expect[i] = (expect[i - 1].0 + w, Some(NodeId::new(i - 1)));
+            }
+            for i in (0..src).rev() {
+                let w = g.delay_between(NodeId::new(i), NodeId::new(i + 1)).unwrap();
+                expect[i] = (expect[i + 1].0 + w, Some(NodeId::new(i + 1)));
+            }
+            for (i, &(d, p)) in expect.iter().enumerate() {
+                let v = NodeId::new(i);
+                assert_eq!(spt.distance(v).map(f64::to_bits), Some(d.to_bits()));
+                assert_eq!(spt.parent(v), p);
+            }
+        }
+    }
+
+    #[test]
+    fn graphs_without_links_or_with_subnormal_delays_still_search() {
+        let mut g = Graph::with_nodes(3);
+        let ids: Vec<_> = g.node_ids().collect();
+        let spt = ShortestPathTree::compute(&g, ids[1]);
+        let reach: Vec<_> = spt.reachable().collect();
+        assert_eq!(reach, vec![ids[1]]);
+        assert_eq!(spt.distance(ids[1]), Some(0.0));
+
+        // 1/w overflows here; the tie at c keeps the lower-id parent.
+        let tiny = f64::from_bits(1);
+        g.add_link(ids[0], ids[1], tiny).unwrap();
+        g.add_link(ids[1], ids[2], tiny).unwrap();
+        g.add_link(ids[0], ids[2], 2.0 * tiny).unwrap();
+        let spt = ShortestPathTree::compute(&g, ids[0]);
+        assert_eq!(spt.distance(ids[2]), Some(2.0 * tiny));
+        assert_eq!(spt.parent(ids[2]), Some(ids[0]));
+        assert_eq!(spt.parent(ids[1]), Some(ids[0]));
     }
 
     #[test]

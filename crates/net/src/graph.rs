@@ -133,10 +133,14 @@ struct NodeRecord {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     nodes: Vec<NodeRecord>,
     links: Vec<Link>,
+    /// `(min, max)` link delay, `(INF, 0)` without links. Kept up to date by
+    /// [`Graph::add_link_weighted`], which is sound because links are never
+    /// removed; the bucketed shortest-path search sizes its buckets by it.
+    delay_range: (f64, f64),
     /// The last unrestricted tree [`ShortestPathTree::shared`] computed
     /// over this graph. Not part of the topology: every `&mut self` method
     /// empties it, and a clone or a deserialized graph starts without one.
@@ -180,11 +184,34 @@ impl Serialize for Graph {
 
 impl Deserialize for Graph {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let nodes = Deserialize::deserialize(serde::field(value, "nodes")?)?;
+        let links: Vec<Link> = Deserialize::deserialize(serde::field(value, "links")?)?;
+        let delay_range = links.iter().map(Link::delay).fold(NO_DELAYS, widen);
         Ok(Graph {
-            nodes: Deserialize::deserialize(serde::field(value, "nodes")?)?,
-            links: Deserialize::deserialize(serde::field(value, "links")?)?,
+            nodes,
+            links,
+            delay_range,
             spt: SptSlot::default(),
         })
+    }
+}
+
+/// The delay range of a graph without links.
+const NO_DELAYS: (f64, f64) = (f64::INFINITY, 0.0);
+
+/// `range` widened to cover `delay`.
+fn widen((min, max): (f64, f64), delay: f64) -> (f64, f64) {
+    (min.min(delay), max.max(delay))
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph {
+            nodes: Vec::new(),
+            links: Vec::new(),
+            delay_range: NO_DELAYS,
+            spt: SptSlot::default(),
+        }
     }
 }
 
@@ -257,6 +284,7 @@ impl Graph {
             return Err(NetError::DuplicateLink(a, b));
         }
         self.spt.clear();
+        self.delay_range = widen(self.delay_range, weights.delay);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let id = LinkId::new(self.links.len());
         self.links.push(Link {
@@ -390,6 +418,13 @@ impl Graph {
             return 0.0;
         }
         2.0 * self.links.len() as f64 / self.nodes.len() as f64
+    }
+
+    /// Smallest and largest link delay, `(f64::INFINITY, 0.0)` for a graph
+    /// without links.
+    #[inline]
+    pub fn delay_range(&self) -> (f64, f64) {
+        self.delay_range
     }
 
     /// Sum of link delays over the whole graph (diagnostic).
@@ -593,6 +628,39 @@ mod tests {
         let (sub, mapping) = g.induced_subgraph(&[a, b, a]);
         assert_eq!(sub.node_count(), 2);
         assert_eq!(mapping, vec![a, b]);
+    }
+
+    #[test]
+    fn delay_range_follows_links_clones_and_deserialization() {
+        assert_eq!(Graph::new().delay_range(), (f64::INFINITY, 0.0));
+        assert_eq!(Graph::with_nodes(3).delay_range(), (f64::INFINITY, 0.0));
+
+        let (mut g, [a, b, c], _) = triangle();
+        assert_eq!(g.delay_range(), (1.0, 3.0));
+        let d = g.add_node();
+        assert_eq!(g.delay_range(), (1.0, 3.0));
+        g.add_link_weighted(
+            a,
+            d,
+            LinkWeights {
+                delay: 0.25,
+                cost: 9.0,
+            },
+        )
+        .unwrap();
+        assert_eq!(g.delay_range(), (0.25, 3.0), "cost does not count");
+        // A rejected link leaves the range alone.
+        assert!(g.add_link(b, c, 100.0).is_err());
+        assert!(g.add_link(b, d, f64::NAN).is_err());
+        assert_eq!(g.delay_range(), (0.25, 3.0));
+        g.add_link(c, d, 7.5).unwrap();
+        assert_eq!(g.delay_range(), (0.25, 7.5));
+
+        assert_eq!(g.clone().delay_range(), (0.25, 7.5));
+        let back: Graph = Deserialize::deserialize(&g.serialize()).unwrap();
+        assert_eq!(back.delay_range(), (0.25, 7.5));
+        let empty: Graph = Deserialize::deserialize(&Graph::with_nodes(2).serialize()).unwrap();
+        assert_eq!(empty.delay_range(), (f64::INFINITY, 0.0));
     }
 
     #[test]

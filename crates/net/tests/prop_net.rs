@@ -1,8 +1,14 @@
 //! Property tests for the network substrate.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use smrp_net::dijkstra::{self, Constraints, ShortestPathTree};
+use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::traversal::{connected_components, is_connected, reachable_from};
 use smrp_net::waxman::WaxmanConfig;
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
@@ -155,6 +161,214 @@ proptest! {
             (None, None) => {}
             (p, d) => prop_assert!(false, "mismatch: {p:?} vs {d:?}"),
         }
+    }
+}
+
+/// Heap entry ordered for a min-heap over (distance, node id).
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    dist: f64,
+    node: NodeId,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for HeapEntry {}
+
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .dist
+            .total_cmp(&self.dist)
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The binary-heap Dijkstra `ShortestPathTree` ran before its bucket
+/// queue, kept as the bit-identity oracle: `(dist, parent)` per node.
+fn heap_spt(g: &Graph, source: NodeId, c: Constraints<'_>) -> (Vec<f64>, Vec<Option<NodeId>>) {
+    let node_allowed =
+        |n: NodeId| c.failures.is_none_or(|f| f.node_usable(n)) && !c.forbidden_nodes.contains(&n);
+    let link_allowed = |l: LinkId| {
+        c.failures.is_none_or(|f| f.link_usable(g, l)) && !c.forbidden_links.contains(&l)
+    };
+    let n = g.node_count();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut done = vec![false; n];
+    let mut heap = BinaryHeap::new();
+    if node_allowed(source) {
+        dist[source.index()] = 0.0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: source,
+        });
+    }
+    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+        if done[u.index()] {
+            continue;
+        }
+        done[u.index()] = true;
+        for &(v, l) in g.adjacency(u) {
+            if done[v.index()] || !node_allowed(v) || !link_allowed(l) {
+                continue;
+            }
+            let nd = d + g.link(l).delay();
+            let slot = &mut dist[v.index()];
+            if nd < *slot || (nd == *slot && parent[v.index()].is_some_and(|p| u < p)) {
+                *slot = nd;
+                parent[v.index()] = Some(u);
+                heap.push(HeapEntry { dist: nd, node: v });
+            }
+        }
+    }
+    (dist, parent)
+}
+
+/// Compares the tree from `source` with the oracle's, distance bits and
+/// parent of every node.
+fn same_as_heap(g: &Graph, source: NodeId, c: Constraints<'_>) -> Result<(), String> {
+    let spt = ShortestPathTree::compute_constrained(g, source, c);
+    let (dist, parent) = heap_spt(g, source, c);
+    for v in g.node_ids() {
+        let want = dist[v.index()];
+        let want = want.is_finite().then_some(want.to_bits());
+        let got = spt.distance(v).map(f64::to_bits);
+        if got != want || spt.parent(v) != parent[v.index()] {
+            return Err(format!(
+                "{source}->{v}: dist {got:?} parent {:?}, heap says {want:?} {:?}",
+                spt.parent(v),
+                parent[v.index()]
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A link delay from one of five families: small integers (exact ties),
+/// `k/7` (sums that round), `10^[-6,6]` and `10^[-20,20]` (ratios past the
+/// bucket ring's cap, and sums that absorb a delay), and small integers
+/// with one link in eight at `10^5` (ties inside the widened buckets, where
+/// the drain order decides which tied parent is seen first).
+fn draw_delay(family: usize, rng: &mut SmallRng) -> f64 {
+    match family {
+        0 => f64::from(rng.gen_range(1u32..4)),
+        1 => f64::from(rng.gen_range(1u32..30)) / 7.0,
+        2 => 10f64.powf(rng.gen_range(-6.0..6.0)),
+        3 => 10f64.powf(rng.gen_range(-20.0..20.0)),
+        _ if rng.gen_range(0..8) == 0 => 1e5,
+        _ => f64::from(rng.gen_range(1u32..4)),
+    }
+}
+
+/// `n` nodes and about `degree·n/2` random links with `family` delays.
+fn random_graph(family: usize, n: usize, degree: usize, rng: &mut SmallRng) -> Graph {
+    let mut g = Graph::with_nodes(n);
+    for _ in 0..degree * n / 2 {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            let _ = g.add_link(NodeId::new(a), NodeId::new(b), draw_delay(family, rng));
+        }
+    }
+    g
+}
+
+/// A few failed links and nodes plus a few forbidden ones.
+fn random_restrictions(
+    g: &Graph,
+    rng: &mut SmallRng,
+) -> (FailureScenario, Vec<NodeId>, Vec<LinkId>) {
+    let (n, m) = (g.node_count(), g.link_count().max(1));
+    let mut failures = FailureScenario::none();
+    for _ in 0..m / 10 + 1 {
+        failures.fail_link(LinkId::new(rng.gen_range(0..m)));
+    }
+    failures.fail_node(NodeId::new(rng.gen_range(0..n)));
+    let forbidden_nodes = (0..n / 20 + 1)
+        .map(|_| NodeId::new(rng.gen_range(0..n)))
+        .collect();
+    let forbidden_links = (0..m / 20 + 1)
+        .map(|_| LinkId::new(rng.gen_range(0..m)))
+        .collect();
+    (failures, forbidden_nodes, forbidden_links)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn bucketed_tree_is_the_heap_tree_bit_for_bit(
+        family in 0usize..5,
+        n in 2usize..80,
+        degree in 1usize..7,
+        seed in 0u64..1 << 40,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = random_graph(family, n, degree, &mut rng);
+        let (failures, forbidden_nodes, forbidden_links) = random_restrictions(&g, &mut rng);
+        let restricted = Constraints {
+            failures: Some(&failures),
+            forbidden_nodes: &forbidden_nodes,
+            forbidden_links: &forbidden_links,
+        };
+        for src in g.node_ids() {
+            let unrestricted = same_as_heap(&g, src, Constraints::unrestricted());
+            prop_assert!(unrestricted.is_ok(), "{}", unrestricted.unwrap_err());
+            let constrained = same_as_heap(&g, src, restricted);
+            prop_assert!(constrained.is_ok(), "{}", constrained.unwrap_err());
+        }
+    }
+}
+
+#[test]
+fn bucketed_tree_is_the_heap_tree_on_waxman_from_every_source() {
+    let g = WaxmanConfig::new(400)
+        .alpha(0.2)
+        .seed(7919)
+        .generate()
+        .unwrap()
+        .into_graph();
+    let mut rng = SmallRng::seed_from_u64(7919);
+    let (failures, forbidden_nodes, forbidden_links) = random_restrictions(&g, &mut rng);
+    let restricted = Constraints {
+        failures: Some(&failures),
+        forbidden_nodes: &forbidden_nodes,
+        forbidden_links: &forbidden_links,
+    };
+    for src in g.node_ids() {
+        same_as_heap(&g, src, Constraints::unrestricted()).unwrap();
+        same_as_heap(&g, src, restricted).unwrap();
+    }
+}
+
+#[test]
+fn bucketed_tree_is_the_heap_tree_on_transit_stub() {
+    let g = TransitStubConfig::new()
+        .transit_nodes(40)
+        .stubs_per_transit_node(9)
+        .stub_nodes(11)
+        .seed(20050628)
+        .generate()
+        .unwrap()
+        .into_graph();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let (failures, forbidden_nodes, forbidden_links) = random_restrictions(&g, &mut rng);
+    let restricted = Constraints {
+        failures: Some(&failures),
+        forbidden_nodes: &forbidden_nodes,
+        forbidden_links: &forbidden_links,
+    };
+    for src in g.node_ids().step_by(127) {
+        same_as_heap(&g, src, Constraints::unrestricted()).unwrap();
+        same_as_heap(&g, src, restricted).unwrap();
     }
 }
 

@@ -68,7 +68,7 @@ impl DomainSession {
                 sess.join_weighted(local, w)?;
             }
         }
-        let tree = sess.tree().clone();
+        let tree = sess.into_tree();
         Ok(DomainSession {
             graph,
             to_global,

@@ -241,14 +241,14 @@ impl<'g> ProtoSession<'g> {
                 for &m in members {
                     sess.join(m)?;
                 }
-                sess.tree().clone()
+                sess.into_tree()
             }
             TreeProtocol::Spf => {
                 let mut sess = SpfSession::new(graph, source)?;
                 for &m in members {
                     sess.join(m)?;
                 }
-                sess.tree().clone()
+                sess.into_tree()
             }
         };
         Ok(ProtoSession {
