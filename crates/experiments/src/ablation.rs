@@ -1,5 +1,4 @@
-//! Ablations over SMRP's design choices (DESIGN.md's design-choice
-//! benches).
+//! Ablations over SMRP's design choices (DESIGN.md §4, "Ablations").
 //!
 //! Three axes, all evaluated on the Figure 8 base setup
 //! (`N = 100`, `N_G = 30`, `α = 0.2`, `D_thresh = 0.3`):

@@ -14,12 +14,6 @@
 //!   loss (n=100, 203 scenarios — a multiple of the 7 fault families);
 //! * `--smoke-multi` — small CI campaign with 8 concurrent sessions
 //!   sharing the topology (n=60, 28 scenarios);
-//! * `--bench` — acceptance benchmark: runs the configured campaign twice
-//!   (lossless, then under `--loss` ambient loss, default 10%), plus the
-//!   protection-vs-restoration sweep, and writes one artifact with all
-//!   reports, the per-protocol restoration-latency inflation factor and
-//!   the per-loss-point protection-vs-reactive medians (this is how
-//!   `BENCH_faultlab.json` is produced);
 //! * `--protect` — the protection-vs-restoration axis on its own: SMRP
 //!   with precomputed backup detours against SMRP with on-demand search,
 //!   swept over single-link, single-node and shared-risk-group failures
@@ -29,15 +23,6 @@
 //!   byte-identical for any `--jobs`;
 //! * `--search-ms X` — modelled on-demand detour-search delay charged to
 //!   the reactive arm of a protection sweep (default 25);
-//! * `--bench-multi` — multi-session benchmark sweep: the campaign at
-//!   M ∈ {1, 8, 32} concurrent sessions, each at 0% and at `--loss`
-//!   (default 10%) ambient loss, writing one artifact with aggregate
-//!   restoration latency and per-group control-message overhead per
-//!   cell (this is how `BENCH_multisession.json` is produced). Presets
-//!   70 scenarios of 12-member sessions on the default 400-node
-//!   topology — a 32-session case simulates 32 trees in one event
-//!   queue, so the sweep trades scenario count for session count;
-//!   later flags override the preset;
 //! * `--hierarchy` — wire-level N-level recovery-domain campaign: every
 //!   active domain's session runs as one group over the shared topology,
 //!   repairs stay confined to the owning domain, and the full message
@@ -54,7 +39,8 @@
 //!   its digest embedded, replayable through the `smrpd` daemon and handy
 //!   standalone as minimal reproducers. Byte-identical for any `--jobs`;
 //! * `--loss P` — ambient control-plane loss probability applied to every
-//!   case that doesn't carry its own degraded channel (default 0);
+//!   case that doesn't carry its own degraded channel (default 0); a
+//!   protection sweep runs at 0 and, if `P > 0`, at `P`;
 //! * `--scenarios N` — number of fault cases (default 1000);
 //! * `--nodes N` — topology size (default 400);
 //! * `--group N` — multicast group size (default 30);
@@ -72,11 +58,10 @@
 
 use std::process::ExitCode;
 
-use serde::Serialize;
 use smrp_experiments::results_dir;
 use smrp_faultlab::{
     run_campaign, run_hierarchy, run_protect, CampaignConfig, CampaignReport, HierarchyConfig,
-    HierarchyReport, ProtectConfig, ProtectReport, ProtoKind,
+    HierarchyReport, ProtectConfig, ProtectReport,
 };
 
 struct Args {
@@ -84,174 +69,10 @@ struct Args {
     protect_config: ProtectConfig,
     hierarchy_config: HierarchyConfig,
     jobs: usize,
-    bench: bool,
-    bench_multi: bool,
     protect: bool,
     hierarchy: bool,
     dump_trace: Option<std::path::PathBuf>,
     out: std::path::PathBuf,
-}
-
-/// One protocol's restoration-latency inflation under ambient loss.
-#[derive(Serialize)]
-struct Inflation {
-    proto: ProtoKind,
-    lossless_mean_ms: f64,
-    lossy_mean_ms: f64,
-    factor: f64,
-}
-
-/// The `--bench` artifact: the same campaign lossless and lossy, plus the
-/// latency inflation the ambient loss costs each protocol, plus the
-/// protection-vs-restoration sweep (precomputed activation against
-/// on-demand search over the same seeds).
-#[derive(Serialize)]
-struct BenchReport {
-    ambient_loss: f64,
-    latency_inflation: Vec<Inflation>,
-    lossless: CampaignReport,
-    lossy: CampaignReport,
-    protection: ProtectReport,
-}
-
-fn inflation(lossless: &CampaignReport, lossy: &CampaignReport) -> Vec<Inflation> {
-    let mean = |r: &CampaignReport, proto: ProtoKind| {
-        r.latencies
-            .iter()
-            .find(|l| l.proto == proto)
-            .map(|l| l.mean_ms)
-    };
-    [ProtoKind::Smrp, ProtoKind::Spf]
-        .into_iter()
-        .filter_map(|proto| {
-            let (a, b) = (mean(lossless, proto)?, mean(lossy, proto)?);
-            Some(Inflation {
-                proto,
-                lossless_mean_ms: a,
-                lossy_mean_ms: b,
-                factor: if a > 0.0 { b / a } else { f64::NAN },
-            })
-        })
-        .collect()
-}
-
-/// One (session count, ambient loss) cell of the `--bench-multi` sweep,
-/// with the headline numbers lifted out of the full report.
-#[derive(Serialize)]
-struct MultiCell {
-    groups: usize,
-    ambient_loss: f64,
-    /// Aggregate SMRP restoration-latency distribution across all groups.
-    smrp_mean_latency_ms: f64,
-    smrp_p95_latency_ms: f64,
-    smrp_restored_members: u64,
-    /// Mean control messages one group's SMRP lanes spend over the whole
-    /// campaign — the per-group overhead of sharing the substrate.
-    smrp_control_messages_per_group: f64,
-    total_violations: u32,
-    report: CampaignReport,
-}
-
-/// The `--bench-multi` artifact: the same campaign swept over session
-/// counts and ambient-loss levels.
-#[derive(Serialize)]
-struct MultiBenchReport {
-    group_counts: Vec<usize>,
-    loss_levels: Vec<f64>,
-    cells: Vec<MultiCell>,
-}
-
-fn multi_cell(groups: usize, ambient_loss: f64, report: CampaignReport) -> MultiCell {
-    let smrp = report
-        .latencies
-        .iter()
-        .find(|l| l.proto == ProtoKind::Smrp)
-        .expect("smrp latency row exists");
-    let smrp_groups: Vec<_> = report
-        .group_summaries
-        .iter()
-        .filter(|g| g.proto == ProtoKind::Smrp)
-        .collect();
-    let per_group = smrp_groups.iter().map(|g| g.control_messages).sum::<u64>() as f64
-        / smrp_groups.len().max(1) as f64;
-    MultiCell {
-        groups,
-        ambient_loss,
-        smrp_mean_latency_ms: smrp.mean_ms,
-        smrp_p95_latency_ms: smrp.p95_ms,
-        smrp_restored_members: smrp.count,
-        smrp_control_messages_per_group: per_group,
-        total_violations: report.total_violations,
-        report,
-    }
-}
-
-/// The `--bench-multi` path: sweep M ∈ {1, 8, 32} sessions, each at 0%
-/// and at the configured ambient loss.
-fn run_bench_multi(args: &Args) -> ExitCode {
-    let ambient_loss = if args.config.ambient_loss > 0.0 {
-        args.config.ambient_loss
-    } else {
-        0.1
-    };
-    let group_counts = vec![1usize, 8, 32];
-    let loss_levels = vec![0.0, ambient_loss];
-    let mut cells = Vec::new();
-    let mut healthy = true;
-    for &groups in &group_counts {
-        for &loss in &loss_levels {
-            let config = CampaignConfig {
-                groups,
-                ambient_loss: loss,
-                ..args.config.clone()
-            };
-            let started = std::time::Instant::now();
-            let run = match run_campaign(&config, args.jobs) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("faultlab: campaign failed: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let report = CampaignReport::from_run(&run);
-            println!("=== M={groups} sessions, ambient loss {loss} ===");
-            print!("{}", report.synopsis());
-            println!(
-                "  ({:.2}s on {} jobs)",
-                started.elapsed().as_secs_f64(),
-                args.jobs
-            );
-            if !report.is_healthy() {
-                report_failures(&report, &args.out);
-                healthy = false;
-            }
-            cells.push(multi_cell(groups, loss, report));
-        }
-    }
-    for c in &cells {
-        println!(
-            "cell M={:<2} loss={}: smrp mean={:.2}ms p95={:.2}ms control-msgs/group={:.0}",
-            c.groups,
-            c.ambient_loss,
-            c.smrp_mean_latency_ms,
-            c.smrp_p95_latency_ms,
-            c.smrp_control_messages_per_group,
-        );
-    }
-    let bench = MultiBenchReport {
-        group_counts,
-        loss_levels,
-        cells,
-    };
-    let json = serde_json::to_string_pretty(&bench).expect("multi bench report serializes");
-    if let Err(code) = write_out(&args.out, json) {
-        return code;
-    }
-    if healthy {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -264,8 +85,6 @@ fn parse_args() -> Result<Args, String> {
     let mut protect_config = ProtectConfig::default();
     let mut hierarchy_config = HierarchyConfig::default();
     let mut jobs = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut bench = false;
-    let mut bench_multi = false;
     let mut protect = false;
     let mut hierarchy = false;
     let mut dump_trace: Option<std::path::PathBuf> = None;
@@ -289,9 +108,6 @@ fn parse_args() -> Result<Args, String> {
                 config.group_size = 10;
                 config.scenarios = 28;
                 config.groups = 8;
-            }
-            "--bench" => {
-                bench = true;
             }
             "--protect" => {
                 protect = true;
@@ -331,11 +147,6 @@ fn parse_args() -> Result<Args, String> {
             "--dump-trace" => {
                 dump_trace = Some(value("--dump-trace")?.into());
             }
-            "--bench-multi" => {
-                bench_multi = true;
-                config.group_size = 12;
-                config.scenarios = 70;
-            }
             "--loss" => {
                 config.ambient_loss = value("--loss")?
                     .parse()
@@ -344,8 +155,11 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--loss expects a probability in [0, 1)".into());
                 }
                 // The protection sweep always keeps the lossless baseline
-                // point; `--loss` moves its degraded point.
-                protect_config.loss_points = vec![0.0, config.ambient_loss];
+                // point; a non-zero `--loss` moves its degraded point.
+                protect_config.loss_points = vec![0.0];
+                if config.ambient_loss > 0.0 {
+                    protect_config.loss_points.push(config.ambient_loss);
+                }
             }
             "--scenarios" => {
                 config.scenarios = value("--scenarios")?
@@ -399,17 +213,11 @@ fn parse_args() -> Result<Args, String> {
         protect_config,
         hierarchy_config,
         jobs,
-        bench,
-        bench_multi,
         protect,
         hierarchy,
         dump_trace,
         out: out.unwrap_or_else(|| {
-            results_dir().join(if bench_multi {
-                "faultlab-multisession.json"
-            } else if bench {
-                "faultlab-bench.json"
-            } else if protect {
+            results_dir().join(if protect {
                 "faultlab-protect.json"
             } else if hierarchy {
                 "faultlab-hierarchy.json"
@@ -480,9 +288,8 @@ fn protect_report(args: &Args) -> Result<ProtectReport, ExitCode> {
     Ok(report)
 }
 
-/// Gate shared by `--protect` and the bench's protection section: the
-/// sweep must be healthy *and* activation must strictly beat search at
-/// every loss point.
+/// The `--protect` gate: the sweep must be healthy *and* activation must
+/// strictly beat search at every loss point.
 fn protect_gate(report: &ProtectReport) -> bool {
     if !report.is_healthy() {
         eprintln!("faultlab: protection sweep is unhealthy");
@@ -512,80 +319,6 @@ fn run_protect_cli(args: &Args) -> ExitCode {
     if protect_gate(&report) {
         ExitCode::SUCCESS
     } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// The `--bench` path: the configured campaign lossless, then under
-/// ambient loss, reporting the latency inflation between them.
-fn run_bench(args: &Args) -> ExitCode {
-    let ambient_loss = if args.config.ambient_loss > 0.0 {
-        args.config.ambient_loss
-    } else {
-        0.1
-    };
-    let mut reports = Vec::new();
-    for loss in [0.0, ambient_loss] {
-        let config = CampaignConfig {
-            ambient_loss: loss,
-            ..args.config.clone()
-        };
-        let started = std::time::Instant::now();
-        let run = match run_campaign(&config, args.jobs) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("faultlab: campaign failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let report = CampaignReport::from_run(&run);
-        println!("=== ambient loss {loss} ===");
-        print!("{}", report.synopsis());
-        println!(
-            "  ({:.2}s on {} jobs)",
-            started.elapsed().as_secs_f64(),
-            args.jobs
-        );
-        reports.push(report);
-    }
-    let lossy = reports.pop().expect("two runs");
-    let lossless = reports.pop().expect("two runs");
-    let protection = match protect_report(args) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let bench = BenchReport {
-        ambient_loss,
-        latency_inflation: inflation(&lossless, &lossy),
-        lossless,
-        lossy,
-        protection,
-    };
-    for i in &bench.latency_inflation {
-        println!(
-            "latency inflation[{}]: {:.2}ms -> {:.2}ms (x{:.3})",
-            i.proto, i.lossless_mean_ms, i.lossy_mean_ms, i.factor
-        );
-    }
-    for lp in &bench.protection.loss_points {
-        println!(
-            "protection[loss={:.0}%]: activation p50={:.2}ms vs search p50={:.2}ms",
-            lp.loss * 100.0,
-            lp.protection_p50_ms,
-            lp.reactive_p50_ms,
-        );
-    }
-    let json = serde_json::to_string_pretty(&bench).expect("bench report serializes");
-    if let Err(code) = write_out(&args.out, json) {
-        return code;
-    }
-    let healthy =
-        bench.lossless.is_healthy() && bench.lossy.is_healthy() && protect_gate(&bench.protection);
-    if healthy {
-        ExitCode::SUCCESS
-    } else {
-        report_failures(&bench.lossless, &args.out);
-        report_failures(&bench.lossy, &args.out);
         ExitCode::FAILURE
     }
 }
@@ -651,12 +384,6 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         };
-    }
-    if args.bench_multi {
-        return run_bench_multi(&args);
-    }
-    if args.bench {
-        return run_bench(&args);
     }
     if args.protect {
         return run_protect_cli(&args);

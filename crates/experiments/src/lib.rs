@@ -2,17 +2,18 @@
 
 //! Experiment harness reproducing the SMRP paper's evaluation (§4).
 //!
-//! Every figure of the paper maps to one module/binary pair:
+//! Every figure of the paper maps to one module/binary pair; each binary
+//! runs at paper scale, or with `--quick` at a fifth of the samples:
 //!
-//! | Paper artifact | Module | Binary | Bench |
-//! |---|---|---|---|
-//! | Figure 7 (local vs global detour scatter) | [`fig7`] | `fig7` | `fig07_detour_scatter` |
-//! | Figure 8 (effect of `D_thresh`) | [`fig8`] | `fig8` | `fig08_dthresh` |
-//! | Figure 9 (effect of `α` / node degree) | [`fig9`] | `fig9` | `fig09_alpha` |
-//! | Figure 10 (effect of group size `N_G`) | [`fig10`] | `fig10` | `fig10_group_size` |
-//! | §1 motivation: restoration latency | [`latency`] | `latency` | — |
-//! | §3.3.3 hierarchical confinement (Fig. 6) | [`hierarchy_exp`] | `hierarchy` | — |
-//! | Design-choice ablations | [`ablation`] | `ablation` | — |
+//! | Paper artifact | Module | Binary |
+//! |---|---|---|
+//! | Figure 7 (local vs global detour scatter) | [`fig7`] | `fig7` |
+//! | Figure 8 (effect of `D_thresh`) | [`fig8`] | `fig8` |
+//! | Figure 9 (effect of `α` / node degree) | [`fig9`] | `fig9` |
+//! | Figure 10 (effect of group size `N_G`) | [`fig10`] | `fig10` |
+//! | §1 motivation: restoration latency | [`latency`] | `latency` |
+//! | §3.3.3 hierarchical confinement (Fig. 6) | [`hierarchy_exp`] | `hierarchy` |
+//! | Design-choice ablations | [`ablation`] | `ablation` |
 //!
 //! Shared infrastructure: [`scenario`] generates seeded (topology,
 //! member-set) pairs exactly as §4.1 describes (GT-ITM-style Waxman
@@ -51,7 +52,7 @@ pub enum Effort {
     /// Paper-scale sample counts (the defaults of §4.3).
     #[default]
     Paper,
-    /// Reduced sample counts for CI and smoke benches.
+    /// A fifth of the paper's sample counts (`--bin <figure> --quick`).
     Quick,
 }
 

@@ -352,12 +352,22 @@ pub struct ProtectRun {
 ///
 /// # Errors
 ///
-/// Propagates topology-generation failures.
+/// Returns [`NetError::InvalidParameter`] if a loss point lies outside
+/// `[0, 1)` or appears twice (the report files each case under one
+/// point); otherwise propagates topology-generation failures.
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics (a bug in the evaluator itself).
 pub fn run_protect(cfg: &ProtectConfig, jobs: usize) -> Result<ProtectRun, NetError> {
+    let points = &cfg.loss_points;
+    let repeated = (1..points.len()).any(|i| points[..i].contains(&points[i]));
+    if repeated || !points.iter().all(|p| (0.0..1.0).contains(p)) {
+        return Err(NetError::InvalidParameter {
+            name: "loss_points",
+            reason: "each loss point must lie in [0, 1) and appear once",
+        });
+    }
     let graph = cfg.topology()?;
     let (source, members) = cfg.pick_members(&graph);
     let mut session = ProtoSession::build(
@@ -808,6 +818,31 @@ mod tests {
             assert_eq!(total, report.cases, "{mode}: every case lands in one class");
         }
         assert!(report.synopsis().contains("protection p50"));
+    }
+
+    #[test]
+    fn repeated_or_out_of_range_loss_points_are_rejected() {
+        for points in [
+            vec![0.0, 0.0],
+            vec![0.0, 0.1, 0.1],
+            vec![0.0, 1.0],
+            vec![-0.1],
+        ] {
+            let cfg = ProtectConfig {
+                loss_points: points.clone(),
+                ..smoke_config()
+            };
+            assert!(
+                matches!(
+                    run_protect(&cfg, 1),
+                    Err(NetError::InvalidParameter {
+                        name: "loss_points",
+                        ..
+                    })
+                ),
+                "{points:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * **Clock** — a [`MonotonicClock`] maps wall time onto protocol
 //!   [`SimTime`], optionally sped up, all nodes anchored to one shared
 //!   origin instant.
-//! * **Timers** — [`TimerDriver`] reproduces the engine's token
-//!   semantics (never-reused tokens, O(1) cancel, re-arm supersedes).
+//! * **Timers** — [`TimerDriver`] parks timers on the engine's own
+//!   wheel with its token semantics (never-reused tokens, O(1) cancel).
 //! * **Failures** — each node holds the scripted injection schedule and
 //!   applies it to a local [`FailureScenario`] view as its clock passes
 //!   each injection, mirroring the simulator's global oracle:

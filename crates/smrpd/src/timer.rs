@@ -5,35 +5,35 @@
 //! cancelling a token silences exactly that entry, and a timer armed
 //! *before* a node crash but due *after* its repair still fires. The
 //! daemon needs identical semantics on wall-clock time, so this driver
-//! keeps the same token-keyed bookkeeping over a binary heap:
+//! parks its timers on the engine's own [`TimerWheel`]:
 //!
 //! * [`schedule`](TimerDriver::schedule) files a `(deadline, payload)`
 //!   entry under a caller-supplied token (the one the router saw from
-//!   its [`smrp_sim::Ctx`]);
-//! * [`cancel`](TimerDriver::cancel) tombstones the token — stale heap
-//!   entries are skipped lazily on pop, the standard lazy-deletion
-//!   pattern, so cancel is O(1);
-//! * re-arming an existing token replaces its payload and deadline
-//!   (matching the engine, where `set_timer_with_token` supersedes the
-//!   previous entry for that token).
+//!   its [`smrp_sim::Ctx`]) and remembers the token's wheel handle;
+//! * [`cancel`](TimerDriver::cancel) cancels that handle, O(1);
+//! * timers pop in `(deadline, arm order)` order, the engine's
+//!   `(time, seq)` order.
+//!
+//! Re-arming a token that is still pending cancels its old entry, so
+//! only the latest deadline fires. The engine does not do this — it
+//! overwrites the token's handle and both entries fire — but the two
+//! never disagree in practice: routers arm every timer under a fresh
+//! token, and the multi-group router forwards its lanes' tokens
+//! unchanged.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
-use smrp_sim::{SimTime, TimerToken};
+use smrp_sim::{SimTime, TimerHandle, TimerToken, TimerWheel};
 
 /// Pending-timer store keyed by [`TimerToken`], generic over the
 /// router's timer payload.
 #[derive(Debug)]
 pub struct TimerDriver<T> {
-    /// Min-heap of `(deadline, epoch)`; `epoch` disambiguates re-armed
-    /// tokens (only the latest epoch for a token is live).
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// epoch → (token, payload) for live entries.
-    live: HashMap<u64, (TimerToken, T)>,
-    /// token → its current epoch.
-    by_token: HashMap<TimerToken, u64>,
-    next_epoch: u64,
+    wheel: TimerWheel<(TimerToken, T)>,
+    /// token → the wheel handle of its pending entry.
+    handles: HashMap<TimerToken, TimerHandle>,
+    /// Arm order; breaks deadline ties on the wheel.
+    seq: u64,
 }
 
 impl<T> Default for TimerDriver<T> {
@@ -46,64 +46,47 @@ impl<T> TimerDriver<T> {
     /// An empty driver.
     pub fn new() -> Self {
         TimerDriver {
-            heap: BinaryHeap::new(),
-            live: HashMap::new(),
-            by_token: HashMap::new(),
-            next_epoch: 0,
+            wheel: TimerWheel::new(),
+            handles: HashMap::new(),
+            seq: 0,
         }
     }
 
     /// Arms (or re-arms) `token` to deliver `payload` at `deadline`.
     pub fn schedule(&mut self, deadline: SimTime, token: TimerToken, payload: T) {
-        if let Some(old) = self.by_token.remove(&token) {
-            self.live.remove(&old);
-        }
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        self.heap.push(Reverse((deadline, epoch)));
-        self.live.insert(epoch, (token, payload));
-        self.by_token.insert(token, epoch);
+        self.cancel(token);
+        let handle = self.wheel.schedule(deadline, self.seq, (token, payload));
+        self.seq += 1;
+        self.handles.insert(token, handle);
     }
 
     /// Silences `token` if it is armed; unknown tokens are a no-op,
     /// matching the engine's tolerance for cancelling already-fired
     /// timers.
     pub fn cancel(&mut self, token: TimerToken) {
-        if let Some(epoch) = self.by_token.remove(&token) {
-            self.live.remove(&epoch);
+        if let Some(handle) = self.handles.remove(&token) {
+            self.wheel.cancel(handle);
         }
     }
 
     /// Earliest live deadline, if any.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
-        while let Some(Reverse((at, epoch))) = self.heap.peek().copied() {
-            if self.live.contains_key(&epoch) {
-                return Some(at);
-            }
-            self.heap.pop();
-        }
-        None
+        self.wheel.peek_key().map(|(at, _)| at)
     }
 
     /// Pops one timer whose deadline is `<= now`, in deadline order.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(TimerToken, T)> {
-        while let Some(Reverse((at, epoch))) = self.heap.peek().copied() {
-            if at > now {
-                return None;
-            }
-            self.heap.pop();
-            if let Some((token, payload)) = self.live.remove(&epoch) {
-                self.by_token.remove(&token);
-                return Some((token, payload));
-            }
-            // Tombstoned entry — keep draining.
+        if self.next_deadline()? > now {
+            return None;
         }
-        None
+        let (_, _, (token, payload)) = self.wheel.pop()?;
+        self.handles.remove(&token);
+        Some((token, payload))
     }
 
     /// Number of live (non-cancelled) timers.
     pub fn pending(&self) -> usize {
-        self.live.len()
+        self.wheel.len()
     }
 }
 
@@ -162,5 +145,27 @@ mod tests {
         // The old 5 ms deadline is dead; nothing fires before 50 ms.
         assert_eq!(d.pop_due(SimTime::from_ms(40.0)), None);
         assert_eq!(d.pop_due(SimTime::from_ms(50.0)), Some((t, 2u32)));
+    }
+
+    /// The daemon's loop peeks the next deadline to size its sleep, and a
+    /// frame that arrives meanwhile can arm a nearer timer. Peeking has
+    /// already moved the wheel's cursor past the far entry's tick, so the
+    /// nearer one lands behind the cursor and must still pop first.
+    #[test]
+    fn a_timer_armed_after_a_far_peek_pops_first() {
+        let mut c = 0;
+        let mut d = TimerDriver::new();
+        let (far, near, tie) = (tok(&mut c), tok(&mut c), tok(&mut c));
+        d.schedule(SimTime::from_ms(500.0), far, "far");
+        assert_eq!(d.next_deadline(), Some(SimTime::from_ms(500.0)));
+        d.schedule(SimTime::from_ms(20.0), near, "near");
+        d.schedule(SimTime::from_ms(500.0), tie, "tie");
+        assert_eq!(d.next_deadline(), Some(SimTime::from_ms(20.0)));
+        assert_eq!(d.pop_due(SimTime::from_ms(19.0)), None);
+        assert_eq!(d.pop_due(SimTime::from_ms(20.0)), Some((near, "near")));
+        // Equal deadlines pop in arm order.
+        assert_eq!(d.pop_due(SimTime::from_ms(500.0)), Some((far, "far")));
+        assert_eq!(d.pop_due(SimTime::from_ms(500.0)), Some((tie, "tie")));
+        assert_eq!(d.pending(), 0);
     }
 }
