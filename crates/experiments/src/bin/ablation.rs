@@ -2,16 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin ablation [--quick]`
 
-use smrp_experiments::{ablation, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = ablation::run(effort);
-    println!("Ablations (N=100, N_G=30, alpha=0.2, D_thresh=0.3)\n");
-    println!("{}", result.table());
-    let path = results_dir().join("ablation.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    cli::ablation(Effort::from_args());
 }

@@ -1,107 +1,16 @@
-//! Runs every experiment in sequence (the full evaluation of the paper).
+//! Runs every experiment in sequence (the full evaluation of the paper):
+//! the same blocks and artifacts as the 14 figure binaries, in order.
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin all [--quick]`
 
-use smrp_experiments::{
-    ablation, baselines, churn, fig10, fig7, fig8, fig9, hierarchy_exp, latency, node_failures,
-    overhead, proactive, realnet, results_dir, scalability, Effort,
-};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
     let effort = Effort::from_args();
-    let dir = results_dir();
-
-    println!("=== Figure 7: local vs global detour ===\n");
-    let r7 = fig7::run(effort);
-    println!("{}", r7.plot());
-    println!("{}\n", r7.summary());
-    r7.to_csv()
-        .write_to(&dir.join("fig7_detour_scatter.csv"))
-        .ok();
-
-    println!("=== Figure 8: effect of D_thresh ===\n");
-    let r8 = fig8::run(effort);
-    println!("{}", r8.table());
-    println!("{}\n", r8.summary());
-    r8.to_csv().write_to(&dir.join("fig8_dthresh.csv")).ok();
-
-    println!("=== Figure 9: effect of alpha ===\n");
-    let r9 = fig9::run(effort);
-    println!("{}", r9.table());
-    println!("{}\n", r9.summary());
-    r9.to_csv().write_to(&dir.join("fig9_alpha.csv")).ok();
-
-    println!("=== Figure 10: effect of N_G ===\n");
-    let r10 = fig10::run(effort);
-    println!("{}", r10.table());
-    println!("{}\n", r10.summary());
-    r10.to_csv()
-        .write_to(&dir.join("fig10_group_size.csv"))
-        .ok();
-
-    println!("=== Restoration latency (protocol level) ===\n");
-    let rl = latency::run(effort);
-    println!("{}", rl.table());
-    println!("{}\n", rl.summary());
-    rl.to_csv().write_to(&dir.join("latency.csv")).ok();
-
-    println!("=== Hierarchical confinement ===\n");
-    let rh = hierarchy_exp::run(effort);
-    println!("{}", rh.table());
-    println!("{}\n", rh.summary());
-    rh.to_csv().write_to(&dir.join("hierarchy.csv")).ok();
-
-    println!("=== Ablations ===\n");
-    let ra = ablation::run(effort);
-    println!("{}", ra.table());
-    ra.to_csv().write_to(&dir.join("ablation.csv")).ok();
-
-    println!("\n=== Baselines: SPF vs Steiner vs SMRP ===\n");
-    let rb = baselines::run(effort);
-    println!("{}", rb.table());
-    println!("{}\n", rb.summary());
-    rb.to_csv().write_to(&dir.join("baselines.csv")).ok();
-
-    println!("=== Control-plane overhead (§3.3.2) ===\n");
-    let ro = overhead::run(effort);
-    println!("{}", ro.table());
-    println!("{}\n", ro.summary());
-    ro.to_csv().write_to(&dir.join("overhead.csv")).ok();
-
-    println!("=== Proactive backups vs reactive detours ===\n");
-    let rp = proactive::run(effort);
-    println!("{}", rp.table());
-    println!("{}\n", rp.summary());
-    rp.to_csv().write_to(&dir.join("proactive.csv")).ok();
-
-    println!("=== Real backbone topologies ===\n");
-    let rr = realnet::run(effort);
-    println!("{}", rr.table());
-    println!("{}\n", rr.summary());
-    rr.to_csv().write_to(&dir.join("realnet.csv")).ok();
-
-    println!("=== Node failures (router crashes) ===\n");
-    let rn = node_failures::run(effort);
-    println!("{}", rn.table());
-    println!("{}\n", rn.summary());
-    rn.to_csv().write_to(&dir.join("node_failures.csv")).ok();
-
-    println!("=== Membership churn and reshaping ===\n");
-    let rc = churn::run(effort);
-    println!("{}", rc.table());
-    println!("{}\n", rc.summary());
-    rc.to_csv().write_to(&dir.join("churn.csv")).ok();
-
-    println!("=== Scalability with N ===\n");
-    let rs = scalability::run(effort);
-    println!("{}", rs.table());
-    println!("{}\n", rs.summary());
-    rs.to_csv().write_to(&dir.join("scalability.csv")).ok();
-
-    println!("=== N-level hierarchy (3 levels) ===\n");
-    let rnl = hierarchy_exp::run_nlevel(effort);
-    println!("{}", rnl.table());
-    println!("{}\n", rnl.summary());
-
-    println!("artifacts written under {}", dir.display());
+    for (i, experiment) in cli::ALL.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        experiment(effort);
+    }
 }

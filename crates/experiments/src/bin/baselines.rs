@@ -2,16 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin baselines [--quick]`
 
-use smrp_experiments::{baselines, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = baselines::run(effort);
-    println!("{}", result.table());
-    println!("{}", result.summary());
-    let path = results_dir().join("baselines.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    cli::baselines(Effort::from_args());
 }

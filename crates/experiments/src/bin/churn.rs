@@ -2,16 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin churn [--quick]`
 
-use smrp_experiments::{churn, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = churn::run(effort);
-    println!("{}", result.table());
-    println!("{}", result.summary());
-    let path = results_dir().join("churn.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    cli::churn(Effort::from_args());
 }

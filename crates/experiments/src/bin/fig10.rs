@@ -2,22 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin fig10 [--quick]`
 
-use smrp_experiments::{fig10, report, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = fig10::run(effort);
-    println!("Figure 10: effect of N_G (N=100, alpha=0.2, D_thresh=0.3)\n");
-    println!("{}", result.table());
-    println!("{}", result.summary());
-    let path = results_dir().join("fig10_group_size.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    let json = results_dir().join("fig10_group_size.json");
-    match report::write_json(&json, &result) {
-        Ok(()) => println!("wrote {}", json.display()),
-        Err(e) => eprintln!("could not write {}: {e}", json.display()),
-    }
+    cli::fig10(Effort::from_args());
 }

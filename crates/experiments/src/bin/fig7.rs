@@ -2,21 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin fig7 [--quick]`
 
-use smrp_experiments::{fig7, report, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = fig7::run(effort);
-    println!("{}", result.plot());
-    println!("{}", result.summary());
-    let path = results_dir().join("fig7_detour_scatter.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    let json = results_dir().join("fig7_detour_scatter.json");
-    match report::write_json(&json, &result) {
-        Ok(()) => println!("wrote {}", json.display()),
-        Err(e) => eprintln!("could not write {}: {e}", json.display()),
-    }
+    cli::fig7(Effort::from_args());
 }

@@ -2,22 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin fig8 [--quick]`
 
-use smrp_experiments::{fig8, report, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = fig8::run(effort);
-    println!("Figure 8: effect of D_thresh (N=100, N_G=30, alpha=0.2)\n");
-    println!("{}", result.table());
-    println!("{}", result.summary());
-    let path = results_dir().join("fig8_dthresh.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    let json = results_dir().join("fig8_dthresh.json");
-    match report::write_json(&json, &result) {
-        Ok(()) => println!("wrote {}", json.display()),
-        Err(e) => eprintln!("could not write {}: {e}", json.display()),
-    }
+    cli::fig8(Effort::from_args());
 }

@@ -3,22 +3,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin fig9 [--quick]`
 
-use smrp_experiments::{fig9, report, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = fig9::run(effort);
-    println!("Figure 9: effect of alpha (N=100, N_G=30, D_thresh=0.3)\n");
-    println!("{}", result.table());
-    println!("{}", result.summary());
-    let path = results_dir().join("fig9_alpha.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    let json = results_dir().join("fig9_alpha.json");
-    match report::write_json(&json, &result) {
-        Ok(()) => println!("wrote {}", json.display()),
-        Err(e) => eprintln!("could not write {}: {e}", json.display()),
-    }
+    cli::fig9(Effort::from_args());
 }

@@ -2,22 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin hierarchy [--quick]`
 
-use smrp_experiments::{hierarchy_exp, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = hierarchy_exp::run(effort);
-    println!("Hierarchical recovery confinement (2-level transit-stub)\n");
-    println!("{}", result.table());
-    println!("{}", result.summary());
-    let path = results_dir().join("hierarchy.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-
-    println!("\nN-level generalization (3 levels)\n");
-    let nres = hierarchy_exp::run_nlevel(effort);
-    println!("{}", nres.table());
-    println!("{}", nres.summary());
+    cli::hierarchy(Effort::from_args());
 }

@@ -2,18 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin latency [--quick]`
 
-use smrp_experiments::{latency, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = latency::run(effort);
-    println!("Service restoration latency: local vs global detour\n");
-    println!("{}", result.table());
-    println!("{}", result.histogram_text());
-    println!("{}", result.summary());
-    let path = results_dir().join("latency.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    cli::latency(Effort::from_args());
 }

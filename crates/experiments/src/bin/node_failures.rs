@@ -2,16 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin node_failures [--quick]`
 
-use smrp_experiments::{node_failures, results_dir, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = node_failures::run(effort);
-    println!("{}", result.table());
-    println!("{}", result.summary());
-    let path = results_dir().join("node_failures.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    cli::node_failures(Effort::from_args());
 }

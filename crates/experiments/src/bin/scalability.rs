@@ -2,16 +2,8 @@
 //!
 //! Usage: `cargo run -p smrp-experiments --release --bin scalability [--quick]`
 
-use smrp_experiments::{results_dir, scalability, Effort};
+use smrp_experiments::{cli, Effort};
 
 fn main() {
-    let effort = Effort::from_args();
-    let result = scalability::run(effort);
-    println!("{}", result.table());
-    println!("{}", result.summary());
-    let path = results_dir().join("scalability.csv");
-    match result.to_csv().write_to(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    cli::scalability(Effort::from_args());
 }

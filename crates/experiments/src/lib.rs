@@ -22,11 +22,14 @@
 //! worst-case failure, record recovery distances, delays and tree costs).
 //!
 //! All experiments are deterministic for a fixed base seed and emit both a
-//! human-readable report and CSV/JSON artifacts under `results/`.
+//! human-readable report and CSV/JSON artifacts under `results/`: each
+//! binary's body is one function in [`cli`], and `--bin all` runs them
+//! all.
 
 pub mod ablation;
 pub mod baselines;
 pub mod churn;
+pub mod cli;
 pub mod fig10;
 pub mod fig7;
 pub mod fig8;
@@ -80,6 +83,29 @@ pub fn results_dir() -> std::path::PathBuf {
     std::env::var_os("SMRP_RESULTS_DIR")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("results"))
+}
+
+/// Prints an experiment's `text`, then writes its CSV — and its JSON, for
+/// the experiments that have one — as `<stem>.csv` and `<stem>.json` under
+/// [`results_dir`]. Each written file is announced on stdout; a failed
+/// write is reported on stderr and does not stop the run.
+pub fn publish<T: serde::Serialize + ?Sized>(
+    text: &str,
+    stem: &str,
+    csv: &smrp_metrics::csvout::Csv,
+    json: Option<&T>,
+) {
+    print!("{text}");
+    let announce = |path: &std::path::Path, written: std::io::Result<()>| match written {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    };
+    let path = results_dir().join(format!("{stem}.csv"));
+    announce(&path, csv.write_to(&path));
+    if let Some(value) = json {
+        let path = results_dir().join(format!("{stem}.json"));
+        announce(&path, report::write_json(&path, value));
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use smrp_proto::{
     ControlCounters, FailureSpec, FailureTiming, GroupRecoveryReport, InjectionTiming,
     MultiSession, PlanSource, ProtoSession, RecoveryPlans, RecoveryStrategy, TreeProtocol,
 };
-use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceLog};
+use smrp_sim::{ChannelSpec, SimTime, TraceLog};
 
 use crate::audit::{audit_recovery, Violation};
 use crate::generate::{generate_mix, FaultCase, GeneratorConfig};
@@ -463,14 +463,7 @@ fn evaluate_proto(
         // Lanes of pre-decided groups still ran if any *other* group
         // forced a simulation; report their control spend honestly.
         let control = slice.map(|s| s.control).unwrap_or_default();
-        let mut protection = ProtectionHealth::default();
-        if let Some(s) = slice {
-            protection.absorb(
-                s.protection.plans_held,
-                s.protection.activations,
-                s.protection.stale_discards,
-            );
-        }
+        let protection = slice.map(|s| s.protection).unwrap_or_default();
         if let Some(outcome) = p.fixed {
             groups.push(GroupOutcome {
                 group: g,
@@ -583,28 +576,6 @@ pub struct CampaignRun {
 ///
 /// Panics if a worker thread panics (a bug in the evaluator itself).
 pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> Result<CampaignRun, NetError> {
-    run_campaign_with_backend(cfg, jobs, TimerBackend::default())
-}
-
-/// [`run_campaign`] with an explicit engine timer backend.
-///
-/// The backend is an execution detail, like the job count: it never enters
-/// the report, and the production wheel and the reference heap are
-/// contractually byte-identical (the differential tests in
-/// `tests/backend_equivalence.rs` hold them to it).
-///
-/// # Errors
-///
-/// Propagates topology-generation and tree-construction failures.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (a bug in the evaluator itself).
-pub fn run_campaign_with_backend(
-    cfg: &CampaignConfig,
-    jobs: usize,
-    backend: TimerBackend,
-) -> Result<CampaignRun, NetError> {
     let graph = cfg.topology()?;
     // Generated topologies are connected and the member picker only hands
     // out existing nodes, so tree construction cannot fail here.
@@ -626,10 +597,8 @@ pub fn run_campaign_with_backend(
                 .expect("SPF session builds on a connected topology"),
         );
     }
-    let mut smrp = MultiSession::from_sessions(smrp_sessions);
-    let mut spf = MultiSession::from_sessions(spf_sessions);
-    smrp.set_timer_backend(backend);
-    spf.set_timer_backend(backend);
+    let smrp = MultiSession::from_sessions(smrp_sessions);
+    let spf = MultiSession::from_sessions(spf_sessions);
 
     let cases = generate_mix(&graph, &cfg.generator, cfg.scenarios, cfg.base_seed);
 

@@ -27,7 +27,7 @@
 //! * **restoration** — every member the failure cut off regains service
 //!   within the run, timed from the injection;
 //! * **determinism** — reports depend only on the configuration: any
-//!   `--jobs` value and either timer backend produce identical runs.
+//!   `--jobs` value produces identical runs.
 
 use std::collections::BTreeMap;
 
@@ -42,12 +42,12 @@ use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, GroupId, LinkId, NetError, NodeId};
 use smrp_proto::hierarchy::{NLevelSession, WirePlan};
 use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};
-use smrp_sim::{SimTime, TimerBackend, TraceEvent, TraceLog};
+use smrp_sim::{SimTime, TraceEvent, TraceLog};
 
 use crate::par::ordered_par_map;
 
 /// Knobs of a hierarchical campaign. Serialized into the report header;
-/// job count and timer backend never enter the report.
+/// the job count never enters the report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HierarchyConfig {
     /// Depth of the domain tree (2 = the paper's transit-stub shape).
@@ -467,8 +467,7 @@ fn generate_cases(
         .collect()
 }
 
-/// Runs a hierarchical campaign on `jobs` worker threads with the default
-/// timer backend.
+/// Runs a hierarchical campaign on `jobs` worker threads.
 ///
 /// # Errors
 ///
@@ -478,25 +477,6 @@ fn generate_cases(
 ///
 /// Panics if a worker thread panics (a bug in the evaluator itself).
 pub fn run_hierarchy(cfg: &HierarchyConfig, jobs: usize) -> Result<HierarchyRun, NetError> {
-    run_hierarchy_with_backend(cfg, jobs, TimerBackend::default())
-}
-
-/// [`run_hierarchy`] with an explicit engine timer backend. Like the flat
-/// campaigns, the backend is an execution detail: the wheel and the
-/// reference heap must produce byte-identical runs.
-///
-/// # Errors
-///
-/// Propagates topology-generation failures.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (a bug in the evaluator itself).
-pub fn run_hierarchy_with_backend(
-    cfg: &HierarchyConfig,
-    jobs: usize,
-    backend: TimerBackend,
-) -> Result<HierarchyRun, NetError> {
     let topo = cfg.topology()?;
     let (source, members) = cfg.pick_members(&topo);
     let nsess = NLevelSession::build(&topo, source, &members, SmrpConfig::default())
@@ -520,8 +500,7 @@ pub fn run_hierarchy_with_backend(
         }
         allowed.push(bits);
     }
-    let mut multi = MultiSession::from_sessions(sessions);
-    multi.set_timer_backend(backend);
+    let multi = MultiSession::from_sessions(sessions);
 
     let cases = generate_cases(cfg, &nsess, &domains);
     let lab = Lab {
@@ -761,14 +740,6 @@ mod tests {
         let cfg = small();
         let a = run_hierarchy(&cfg, 1).unwrap();
         let b = run_hierarchy(&cfg, 4).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn timer_backends_agree() {
-        let cfg = small();
-        let a = run_hierarchy_with_backend(&cfg, 2, TimerBackend::Wheel).unwrap();
-        let b = run_hierarchy_with_backend(&cfg, 2, TimerBackend::ReferenceHeap).unwrap();
         assert_eq!(a, b);
     }
 

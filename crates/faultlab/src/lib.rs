@@ -70,16 +70,16 @@ pub mod trace;
 
 pub use audit::{audit_recovery, rebuild_after_recovery, Invariant, Violation};
 pub use campaign::{
-    evaluate_case, run_campaign, run_campaign_with_backend, CampaignConfig, CampaignRun,
-    CaseResult, GroupOutcome, Outcome, ProtoKind, ProtoOutcome,
+    evaluate_case, run_campaign, CampaignConfig, CampaignRun, CaseResult, GroupOutcome, Outcome,
+    ProtoKind, ProtoOutcome,
 };
 pub use generate::{
     derive_srlgs, generate_case, generate_mix, shared_fate_srlgs, FaultCase, FaultFamily,
     GeneratorConfig, Timing,
 };
 pub use hierarchy::{
-    run_hierarchy, run_hierarchy_with_backend, DomainSlice, HierarchyCase, HierarchyCaseResult,
-    HierarchyConfig, HierarchyLatency, HierarchyOutcome, HierarchyReport, HierarchyRun,
+    run_hierarchy, DomainSlice, HierarchyCase, HierarchyCaseResult, HierarchyConfig,
+    HierarchyLatency, HierarchyOutcome, HierarchyReport, HierarchyRun,
 };
 pub use protect::{
     evaluate_protect, run_protect, LossPointSummary, ModeOutcomeRow, ModeSummary, ProtectCase,

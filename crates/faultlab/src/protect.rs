@@ -283,12 +283,7 @@ pub fn evaluate_protect(
     };
     let report = multi.run(&spec, TraceLog::disabled()).report;
     let slice = &report.groups[0];
-    let mut protection = ProtectionHealth::default();
-    protection.absorb(
-        slice.protection.plans_held,
-        slice.protection.activations,
-        slice.protection.stale_discards,
-    );
+    let protection = slice.protection;
     let latencies_ms = slice.latencies_ms();
     let restored = latencies_ms.len() as u32;
     let outcome = if slice.all_restored() {

@@ -22,9 +22,11 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 use smrp_core::paper;
 use smrp_core::recovery::{self, DetourKind};
-use smrp_net::{FailureScenario, Graph, GroupId, LinkWeights, NodeId};
+use smrp_net::{FailureScenario, Graph, LinkWeights, NodeId};
 use smrp_proto::snapshot::{AffectedGroup, SessionState};
-use smrp_proto::{FailureSpec, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_proto::{
+    FailureSpec, MultiSession, ProtoSession, RecoveryStrategy, RouterConfig, TreeProtocol,
+};
 use smrp_sim::{ChannelSpec, SimTime, TraceLog};
 
 use crate::par::ordered_par_map;
@@ -466,7 +468,7 @@ fn build_trace(script: &Script) -> GoldenTrace {
         })
         .collect();
     let down: BTreeSet<NodeId> = scenario.failed_nodes().collect();
-    let data_interval = multi.session(GroupId::new(0)).router_config().data_interval;
+    let data_interval = RouterConfig::default().data_interval;
     let expected = SessionState::capture(
         &run.routers,
         &affected,

@@ -2,14 +2,14 @@
 //!
 //! The N-level engine at `levels = 2` is the transit-stub shape the
 //! repository grew up on; these tests pin its wire behavior down:
-//! byte-identical campaign reports across worker counts and across both
-//! engine timer backends, and a golden digest of every `Setup` message
-//! the restoration cascade puts on the wire for a fixed case — so a
+//! byte-identical campaign reports across worker counts, and a golden
+//! digest of every `Setup` message the restoration cascade puts on the
+//! wire for a fixed case, equal under both engine timer backends — so a
 //! refactor of the hierarchy layer that silently changes graft traffic
 //! fails here, not in production figures.
 
 use smrp_core::SmrpConfig;
-use smrp_faultlab::{run_hierarchy, run_hierarchy_with_backend, HierarchyConfig, HierarchyReport};
+use smrp_faultlab::{run_hierarchy, HierarchyConfig, HierarchyReport};
 use smrp_net::FailureScenario;
 use smrp_proto::hierarchy::NLevelSession;
 use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};
@@ -30,19 +30,13 @@ fn levels2_config() -> HierarchyConfig {
 }
 
 #[test]
-fn levels2_reports_are_byte_identical_across_jobs_and_backends() {
+fn levels2_reports_are_byte_identical_across_jobs() {
     let cfg = levels2_config();
     let baseline = HierarchyReport::from_run(&run_hierarchy(&cfg, 1).unwrap()).to_json();
     assert!(HierarchyReport::from_run(&run_hierarchy(&cfg, 1).unwrap()).is_clean());
     for jobs in [1usize, 8] {
-        for backend in [TimerBackend::Wheel, TimerBackend::ReferenceHeap] {
-            let run = run_hierarchy_with_backend(&cfg, jobs, backend).unwrap();
-            let json = HierarchyReport::from_run(&run).to_json();
-            assert_eq!(
-                json, baseline,
-                "report diverged at jobs={jobs} backend={backend:?}"
-            );
-        }
+        let json = HierarchyReport::from_run(&run_hierarchy(&cfg, jobs).unwrap()).to_json();
+        assert_eq!(json, baseline, "report diverged at jobs={jobs}");
     }
 }
 

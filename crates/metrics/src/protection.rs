@@ -1,17 +1,18 @@
-//! Protection-plane accounting for campaign reports.
+//! Protection-plane accounting, from one router to a whole campaign.
 //!
 //! Protection mode trades standing state (precomputed backup plans kept
 //! warm on every on-tree node) for restoration speed (activation instead
-//! of on-demand search). [`ProtectionHealth`] is the campaign-side
-//! aggregate of that trade: how many plans the fleet held, how many
-//! activations actually fired, and how many plans were discarded as stale
-//! — the counter that proves the safety property "an activated plan is
-//! never used against a topology it was not computed for" is doing work.
+//! of on-demand search). [`ProtectionHealth`] counts that trade — per
+//! router, per group and, merged, per campaign slice: how many plans the
+//! fleet held, how many activations actually fired, and how many plans
+//! were discarded as stale — the counter that proves the safety property
+//! "an activated plan is never used against a topology it was not
+//! computed for" is doing work.
 
 use serde::{Deserialize, Serialize};
 
-/// Aggregated protection-plane counters for one run (or, after merging,
-/// one campaign slice).
+/// Protection-plane counters of one router (or, after merging, one group,
+/// run or campaign slice).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProtectionHealth {
     /// Backup plans held across the fleet at capture time — the state
@@ -35,15 +36,6 @@ impl ProtectionHealth {
         self.stale_discards += other.stale_discards;
     }
 
-    /// Absorbs one router's raw counter triple — the seam that keeps
-    /// `smrp-metrics` free of a dependency on the protocol crate's
-    /// counter type.
-    pub fn absorb(&mut self, plans_held: u64, activations: u64, stale_discards: u64) {
-        self.plans_held += plans_held;
-        self.activations += activations;
-        self.stale_discards += stale_discards;
-    }
-
     /// Merges an iterator of slices into one aggregate.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a ProtectionHealth>) -> ProtectionHealth {
         let mut total = ProtectionHealth::default();
@@ -65,7 +57,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_and_absorb_accumulate() {
+    fn merge_accumulates() {
         let mut a = ProtectionHealth {
             plans_held: 5,
             activations: 1,
@@ -76,10 +68,9 @@ mod tests {
             activations: 2,
             stale_discards: 1,
         });
-        a.absorb(1, 0, 1);
-        assert_eq!(a.plans_held, 9);
+        assert_eq!(a.plans_held, 8);
         assert_eq!(a.activations, 3);
-        assert_eq!(a.stale_discards, 2);
+        assert_eq!(a.stale_discards, 1);
         assert!(!a.is_quiet());
         assert!(ProtectionHealth::default().is_quiet());
     }

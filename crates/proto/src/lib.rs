@@ -49,9 +49,14 @@
 //! simulator, pumps data, injects the failure and returns a
 //! [`FailureRun`]: each member's **service restoration latency** per
 //! group, the trace, and the final routers. [`ProtoSession::run`] is the
-//! same call for a single session. `MultiSession::run_failure_spec` and
-//! `run_failure_spec_traced` are one-expression shims over `run`, kept
-//! only because the repository benchmark compiles against them.
+//! same call for one session and [`ProtoSession::run_steady`] the same
+//! call with no failure: one loop, failure or not, configured on the run
+//! (routers load [`RouterConfig::default`];
+//! [`MultiSession::set_timer_backend`] is the one backend switch). Only
+//! [`DynamicSession`], which drives joins over time, has a simulator of
+//! its own. `MultiSession::run_failure_spec` and `run_failure_spec_traced`
+//! are one-expression shims over `run`, kept only because the repository
+//! benchmark compiles against them.
 
 pub mod hierarchy;
 pub mod membership;
@@ -71,7 +76,7 @@ pub use multi::{
     PlanSource,
 };
 pub use reliable::{ReliabilityCounters, ReliableConfig};
-pub use router::{ControlCounters, ProtectionCounters, RecoveryPlan, Router, RouterConfig};
+pub use router::{ControlCounters, RecoveryPlan, Router, RouterConfig};
 pub use runner::{
     FailureTiming, InjectionTiming, OverheadReport, ProtoSession, RecoveryPlans, RecoveryStrategy,
     TreeProtocol,

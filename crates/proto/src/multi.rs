@@ -17,14 +17,17 @@
 //!   simulator: a failure scenario is injected once and every group
 //!   detects and recovers concurrently, contending for the same links.
 //!
-//! [`MultiSession::run`] is the crate's one failure experiment. A
-//! single-group [`MultiSession`] is how one session runs
-//! ([`ProtoSession::run`]): the lane dispatch adds no virtual time and
-//! preserves event order, and `tests/multi_golden.rs` pins the Figure 1
-//! numbers the retired single-`Router` loop produced.
+//! [`MultiSession::run`] is the crate's one loop over preloaded trees,
+//! failure or not, and the one place a run is configured. A single-group
+//! [`MultiSession`] is how one session runs ([`ProtoSession::run`],
+//! [`ProtoSession::run_steady`]): the lane dispatch adds no virtual time
+//! and preserves event order, and `tests/multi_golden.rs` pins the Figure
+//! 1 numbers the retired single-`Router` loop produced. The exception is
+//! [`crate::DynamicSession`], which drives joins and leaves over time and
+//! so keeps its own simulator.
 
 use smrp_core::recovery::{self, DetourKind};
-use smrp_metrics::ControlHealth;
+use smrp_metrics::{ControlHealth, ProtectionHealth};
 use smrp_net::{FailureScenario, Graph, GroupId, NodeId};
 use smrp_sim::{
     ChannelModel, ChannelSpec, Ctx, Descriptor, NetSim, NodeBehavior, NodeCommand, SimTime,
@@ -287,7 +290,7 @@ pub struct GroupRecoveryReport {
     /// Protection-plane counters of this group's lanes (plans held,
     /// activations, stale discards). All-zero unless the run used
     /// [`RecoveryStrategy::Protection`].
-    pub protection: crate::router::ProtectionCounters,
+    pub protection: ProtectionHealth,
 }
 
 impl GroupRecoveryReport {
@@ -353,37 +356,32 @@ pub struct MultiSession<'g> {
 
 impl<'g> MultiSession<'g> {
     /// Hosts prebuilt sessions together. All sessions must live on the
-    /// same graph and share one [`RouterConfig`] (the lanes of a router
-    /// process run one timer profile).
+    /// same graph.
     ///
     /// # Panics
     ///
-    /// Panics if `sessions` is empty, if a session was built on a
-    /// different graph, or if router configs disagree.
+    /// Panics if `sessions` is empty or if a session was built on a
+    /// different graph.
     pub fn from_sessions(sessions: Vec<ProtoSession<'g>>) -> Self {
         assert!(!sessions.is_empty(), "at least one session is required");
         let graph = sessions[0].graph();
-        let config = sessions[0].router_config();
         for s in &sessions[1..] {
             assert!(
                 std::ptr::eq(s.graph(), graph),
                 "all sessions must share one graph"
             );
-            assert!(
-                s.router_config() == config,
-                "all sessions must share one router config"
-            );
         }
-        let timer_backend = sessions[0].timer_backend();
         MultiSession {
             graph,
             sessions,
-            timer_backend,
+            timer_backend: TimerBackend::default(),
         }
     }
 
-    /// Selects the engine timer backend for this experiment's runs (see
-    /// [`ProtoSession::set_timer_backend`]).
+    /// Selects the engine timer backend for this experiment's runs.
+    /// Defaults to the production timer wheel; the reference heap exists
+    /// for differential tests (the two must produce byte-identical
+    /// traces).
     pub fn set_timer_backend(&mut self, backend: TimerBackend) {
         self.timer_backend = backend;
     }
@@ -434,15 +432,17 @@ impl<'g> MultiSession<'g> {
         procs
     }
 
-    /// Runs one failure experiment — the only function in this crate that
-    /// builds a simulator for one. Every group's tree is loaded into one
-    /// [`NetSim`], `spec.scenario` is injected once on `spec.timing`, and
-    /// each group detects and recovers independently while contending for
-    /// the same links (and, when `spec.channel` is degraded, the same loss
+    /// Runs one experiment — the only function in this crate that builds a
+    /// simulator over preloaded trees. Every group's tree is loaded into
+    /// one [`NetSim`], `spec.scenario` is injected once on `spec.timing`
+    /// (an empty scenario makes a failure-free run), and each group
+    /// detects and recovers independently while contending for the same
+    /// links (and, when `spec.channel` is degraded, the same loss
     /// process).
     ///
-    /// When the channel's *default* lane is lossy, the router config is
-    /// hardened via [`RouterConfig::hardened_for_loss`] — uniform loss is
+    /// Routers run [`RouterConfig::default`]. When the channel's *default*
+    /// lane is lossy, that config is hardened via
+    /// [`RouterConfig::hardened_for_loss`] — uniform loss is
     /// ambient noise every router experiences, so timers must tolerate it.
     /// Gray-link overrides do **not** harden: a single rotten link
     /// *should* look like a failure to the routers behind it.
@@ -454,9 +454,7 @@ impl<'g> MultiSession<'g> {
     pub fn run<'o>(&'o self, spec: &FailureSpec<'_>, trace: TraceLog<'o>) -> FailureRun<'o> {
         let scenario = spec.scenario;
         let fail_at = spec.timing.fail_at();
-        let config = self.sessions[0]
-            .router_config()
-            .hardened_for_loss(spec.channel.default.loss);
+        let config = RouterConfig::default().hardened_for_loss(spec.channel.default.loss);
         let mut procs = self.processes(config);
 
         match spec.plans {
@@ -541,7 +539,7 @@ impl<'g> MultiSession<'g> {
         // Packets in flight when the failure hit don't count as restored
         // service: only packets the source sent after `fail_at` qualify
         // (the source emits seq `s` at `(s + 1) · data_interval`).
-        let interval = self.sessions[0].router_config().data_interval.as_ms();
+        let interval = config.data_interval.as_ms();
         let sent_at = |seq: u64| SimTime::from_ms(interval * (seq as f64 + 1.0));
 
         let mut groups = Vec::with_capacity(self.sessions.len());
@@ -568,7 +566,7 @@ impl<'g> MultiSession<'g> {
                 .collect();
             let mut reliability = ControlHealth::default();
             let mut control = ControlCounters::default();
-            let mut protection = crate::router::ProtectionCounters::default();
+            let mut protection = ProtectionHealth::default();
             for n in self.graph.node_ids() {
                 if let Some(lane) = sim.node(n).lane(group) {
                     let r = lane.reliability();
@@ -666,10 +664,6 @@ mod tests {
     use crate::runner::TreeProtocol;
     use smrp_core::paper;
 
-    fn figure1_session() -> (Graph, paper::Figure1Nodes) {
-        paper::figure1_graph()
-    }
-
     fn spf_session<'a>(graph: &'a Graph, nodes: &paper::Figure1Nodes) -> ProtoSession<'a> {
         ProtoSession::build(graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap()
     }
@@ -680,7 +674,7 @@ mod tests {
         // S, one rooted at B — both crossing link A–D through their trees'
         // neighborhoods. Cutting A–D must leave each group's recovery
         // intact and independent.
-        let (graph, nodes) = figure1_session();
+        let (graph, nodes) = paper::figure1_graph();
         let g0 = spf_session(&graph, &nodes);
         let g1 =
             ProtoSession::build(&graph, nodes.b, &[nodes.a, nodes.c], TreeProtocol::Spf).unwrap();
@@ -709,7 +703,7 @@ mod tests {
 
     #[test]
     fn lanes_are_independent_per_group() {
-        let (graph, nodes) = figure1_session();
+        let (graph, nodes) = paper::figure1_graph();
         let g0 = spf_session(&graph, &nodes);
         let g1 = ProtoSession::build(&graph, nodes.b, &[nodes.d], TreeProtocol::Spf).unwrap();
         let multi = MultiSession::from_sessions(vec![g0, g1]);

@@ -9,6 +9,7 @@
 //! its [`RecoveryPlan`] — immediately for a local detour, or after a
 //! simulated unicast-reconvergence delay for the global detour baseline.
 
+use smrp_metrics::ProtectionHealth;
 use smrp_net::NodeId;
 use smrp_sim::{Ctx, Descriptor, NodeBehavior, SetupRoute, SimTime, TimerToken};
 
@@ -130,30 +131,6 @@ struct CachedPlan {
     plan: RecoveryPlan,
     epoch: u64,
     valid: bool,
-}
-
-/// Protection-plane accounting (plans held, activations, stale-plan
-/// discards). Serializable so campaign reports can record the state and
-/// activation overhead of protection mode.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ProtectionCounters {
-    /// Backup plans currently cached and valid (state overhead gauge).
-    pub plans_held: u64,
-    /// Cached plans executed (each graft initiated from the cache).
-    pub activations: u64,
-    /// Plans abandoned because their path crossed a neighbor presumed
-    /// dead — each counts one valid→invalid transition.
-    pub stale_discards: u64,
-}
-
-impl ProtectionCounters {
-    /// Accumulates `other` into `self`. `plans_held` is a gauge and sums
-    /// across routers (total standing state), like the counters.
-    pub fn merge(&mut self, other: &ProtectionCounters) {
-        self.plans_held += other.plans_held;
-        self.activations += other.activations;
-        self.stale_discards += other.stale_discards;
-    }
 }
 
 /// Downstream interface set in struct-of-arrays layout: the soft state
@@ -448,24 +425,19 @@ impl Router {
             .collect();
     }
 
-    /// Whether this router runs in protection mode.
-    pub fn protection_enabled(&self) -> bool {
-        self.protection
-    }
-
     /// Protection-plane accounting: plans currently held (valid cache
     /// entries, the standing state overhead of protection mode — reactive
     /// routers report zero even while a scenario-installed plan is
     /// cached), cached-plan activations, and stale-plan discards. The
     /// latter two count in every mode: reactive recovery flows through the
     /// same cache and staleness machinery.
-    pub fn protection_counters(&self) -> ProtectionCounters {
+    pub fn protection_counters(&self) -> ProtectionHealth {
         let held = if self.protection {
             self.plan_cache.iter().filter(|cp| cp.valid).count() as u64
         } else {
             0
         };
-        ProtectionCounters {
+        ProtectionHealth {
             plans_held: held,
             activations: self.activations,
             stale_discards: self.stale_discards,

@@ -2,23 +2,25 @@
 //! plans, and the vocabulary of a failure experiment.
 //!
 //! [`ProtoSession`] holds what `smrp-core` built (an SMRP tree or the SPF
-//! baseline) and plans its recoveries; [`RecoveryStrategy`] and
-//! [`InjectionTiming`] say how and when a failure is handled. The
+//! baseline) and plans its recoveries; it carries no run settings (router
+//! timers and the engine backend belong to the run). [`RecoveryStrategy`]
+//! and [`InjectionTiming`] say how and when a failure is handled. The
 //! experiment itself — load the trees into routers, pump data, inject the
 //! failure, measure each member's **service restoration latency** (the
 //! motivating quantity of §1: local detours restore service in
 //! heartbeat-detection time, while SPF-based recovery waits for unicast
 //! routing to reconverge) — has one implementation,
-//! [`MultiSession::run`]; [`ProtoSession::run`] is its one-group case.
+//! [`MultiSession::run`]; [`ProtoSession::run`] is its one-group case and
+//! [`ProtoSession::run_steady`] its one-group, failure-free case.
 
 use smrp_core::recovery::{self, DetourKind, Recovery};
 use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession, SpfSession};
 use smrp_net::backup::{BackupPlanner, DetourRequest};
-use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
-use smrp_sim::{NetSim, SimTime, TimerBackend, TraceLog};
+use smrp_net::{FailureScenario, Graph, GroupId, LinkId, NodeId};
+use smrp_sim::{SimTime, TraceLog};
 
 use crate::multi::{FailureSpec, MultiRecoveryReport, MultiSession};
-use crate::router::{RecoveryPlan, Router, RouterConfig};
+use crate::router::{ControlCounters, RecoveryPlan};
 
 /// Which algorithm builds the multicast tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,7 +185,7 @@ pub struct OverheadReport {
     /// Observation window.
     pub duration: SimTime,
     /// Control messages sent across all routers, by type.
-    pub control: crate::router::ControlCounters,
+    pub control: ControlCounters,
     /// Data packets delivered to members.
     pub data_delivered: u64,
     /// Data packets forwarded by routers (link crossings).
@@ -218,8 +220,6 @@ pub struct ProtoSession<'g> {
     graph: &'g Graph,
     source: NodeId,
     tree: MulticastTree,
-    router_config: RouterConfig,
-    timer_backend: TimerBackend,
     srlgs: Vec<Vec<LinkId>>,
 }
 
@@ -255,8 +255,6 @@ impl<'g> ProtoSession<'g> {
             graph,
             source,
             tree,
-            router_config: RouterConfig::default(),
-            timer_backend: TimerBackend::default(),
             srlgs: Vec::new(),
         })
     }
@@ -271,15 +269,8 @@ impl<'g> ProtoSession<'g> {
             graph,
             source,
             tree,
-            router_config: RouterConfig::default(),
-            timer_backend: TimerBackend::default(),
             srlgs: Vec::new(),
         }
-    }
-
-    /// Overrides the protocol timing parameters.
-    pub fn set_router_config(&mut self, config: RouterConfig) {
-        self.router_config = config;
     }
 
     /// Declares the shared-risk link groups protection plans must respect:
@@ -288,23 +279,6 @@ impl<'g> ProtoSession<'g> {
     /// Has no effect on the reactive strategies.
     pub fn set_srlgs(&mut self, srlgs: Vec<Vec<LinkId>>) {
         self.srlgs = srlgs;
-    }
-
-    /// Selects the engine timer backend for this session's runs. Defaults
-    /// to the production timer wheel; the reference heap exists for
-    /// differential tests (the two must produce byte-identical traces).
-    pub fn set_timer_backend(&mut self, backend: TimerBackend) {
-        self.timer_backend = backend;
-    }
-
-    /// The engine timer backend this session's runs use.
-    pub fn timer_backend(&self) -> TimerBackend {
-        self.timer_backend
-    }
-
-    /// The protocol timing parameters routers are loaded with.
-    pub fn router_config(&self) -> RouterConfig {
-        self.router_config
     }
 
     /// The graph this session's tree lives on.
@@ -320,20 +294,6 @@ impl<'g> ProtoSession<'g> {
     /// The multicast source.
     pub fn source(&self) -> NodeId {
         self.source
-    }
-
-    /// Instantiates routers preloaded with the session tree.
-    fn routers(&self) -> Vec<Router> {
-        let mut routers: Vec<Router> = (0..self.graph.node_count())
-            .map(|_| Router::new(self.router_config))
-            .collect();
-        for n in self.tree.on_tree_nodes() {
-            let upstream = self.tree.parent(n);
-            let downstream: Vec<NodeId> = self.tree.children(n).to_vec();
-            routers[n.index()].load_state(upstream, &downstream, self.tree.is_member(n));
-        }
-        routers[self.source.index()].set_source();
-        routers
     }
 
     /// Fragment roots: usable on-tree nodes whose upstream link is broken
@@ -360,22 +320,24 @@ impl<'g> ProtoSession<'g> {
 
     /// Runs the session with no failures for `duration` and reports the
     /// control-plane overhead (§3.3.2): how many hellos, refreshes and
-    /// setups the tree costs per unit of useful data delivered.
+    /// setups the tree costs per unit of useful data delivered. This is
+    /// the failure-free `M = 1` case of [`MultiSession::run`], read off the
+    /// one group's router lanes.
     pub fn run_steady(&self, duration: SimTime) -> OverheadReport {
-        let routers = self.routers();
-        let mut sim = NetSim::new(self.graph, routers);
-        sim.set_timer_backend(self.timer_backend);
-        sim.set_trace(TraceLog::disabled());
-        for n in self.tree.on_tree_nodes() {
-            sim.with_node(n, |r, ctx| r.start_timers(ctx));
-        }
-        sim.run_until(duration);
+        let none = FailureScenario::none();
+        let spec = FailureSpec::persistent(
+            &none,
+            RecoveryStrategy::LocalDetour,
+            SimTime::ZERO,
+            duration,
+        );
+        let multi = MultiSession::from_sessions(vec![self.clone()]);
+        let run = multi.run(&spec, TraceLog::disabled());
 
-        let mut control = crate::router::ControlCounters::default();
+        let mut control = ControlCounters::default();
         let mut data_delivered = 0u64;
         let mut data_forwarded = 0u64;
-        for n in self.graph.node_ids() {
-            let r = sim.node(n);
+        for r in run.routers.iter().filter_map(|p| p.lane(GroupId::new(0))) {
             control.merge(&r.control_sent());
             data_forwarded += r.forwarded_count();
             if r.is_member() {
@@ -714,11 +676,15 @@ mod tests {
         let session =
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
         let report = session.run_steady(SimTime::from_ms(1000.0));
-        assert!(report.data_delivered > 100, "members received data");
-        assert!(report.control.hellos > 0);
-        assert!(report.control.refreshes > 0);
+        // The exact Figure 1 counts under the default timers: 4 on-tree
+        // routers, 2 members, one second, no joins or grafts.
+        assert_eq!(report.control.hellos, 600);
+        assert_eq!(report.control.refreshes, 60);
         assert_eq!(report.control.setups, 0, "no joins/grafts at steady state");
         assert_eq!(report.control.leaves, 0);
+        assert_eq!(report.data_delivered, 398);
+        assert_eq!(report.data_forwarded, 598);
+        assert_eq!(report.on_tree_nodes, 4);
         // Hellos dominate but stay within an order of magnitude of the
         // data volume with the default timers.
         let ratio = report.control_per_delivery();

@@ -7,7 +7,9 @@
 //! counter, so they are contractually *byte-identical* — not just
 //! statistically equivalent. These tests replay the repo's golden
 //! protocol scenarios under both backends and diff the full simulator
-//! trace and the resulting reports, byte for byte.
+//! trace and the resulting reports, byte for byte: plain, shared-fate and
+//! lossy cuts, a node reboot, a flapping link, a gray link, the SPF
+//! baseline's global detour and SRLG-aware protection.
 //!
 //! The same scenarios and the same diff also hold the two plan sources of
 //! a `FailureSpec` to one pipeline: handing `run` the plans
@@ -18,10 +20,10 @@ use smrp_core::recovery::DetourKind;
 use smrp_core::SmrpConfig;
 use smrp_net::{FailureScenario, Graph, GroupId, NodeId};
 use smrp_proto::{
-    FailureSpec, MultiRecoveryReport, MultiSession, PlanSource, ProtoSession, RecoveryPlan,
-    RecoveryStrategy, TreeProtocol,
+    FailureSpec, FailureTiming, InjectionTiming, MultiRecoveryReport, MultiSession, PlanSource,
+    ProtoSession, RecoveryPlan, RecoveryStrategy, TreeProtocol,
 };
-use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceLog};
+use smrp_sim::{ChannelParams, ChannelSpec, LinkDegrade, SimTime, TimerBackend, TraceLog};
 
 /// The local-detour experiment every test here runs: `scenario` cut for
 /// good at 100 ms.
@@ -58,35 +60,25 @@ fn run_traced(
     (run.report, lines)
 }
 
-/// Runs one multi-session failure experiment under `backend`.
+/// Runs one multi-session experiment under `backend`.
 fn run_with_backend(
     sessions: &[ProtoSession<'_>],
-    scenario: &FailureScenario,
-    channel: &ChannelSpec,
-    until: SimTime,
+    spec: &FailureSpec<'_>,
     backend: TimerBackend,
 ) -> (MultiRecoveryReport, Vec<String>) {
     let mut multi = MultiSession::from_sessions(sessions.to_vec());
     multi.set_timer_backend(backend);
-    run_traced(&multi, &local_detour_spec(scenario, channel, until))
+    run_traced(&multi, spec)
 }
 
-/// Asserts byte-identical traces and reports across the two backends.
+/// Asserts byte-identical traces and reports across the two backends and
+/// returns the (shared) report.
 fn assert_backends_agree(
     sessions: &[ProtoSession<'_>],
-    scenario: &FailureScenario,
-    channel: &ChannelSpec,
-    until: SimTime,
-) {
-    let (wheel_report, wheel_trace) =
-        run_with_backend(sessions, scenario, channel, until, TimerBackend::Wheel);
-    let (heap_report, heap_trace) = run_with_backend(
-        sessions,
-        scenario,
-        channel,
-        until,
-        TimerBackend::ReferenceHeap,
-    );
+    spec: &FailureSpec<'_>,
+) -> MultiRecoveryReport {
+    let (wheel_report, wheel_trace) = run_with_backend(sessions, spec, TimerBackend::Wheel);
+    let (heap_report, heap_trace) = run_with_backend(sessions, spec, TimerBackend::ReferenceHeap);
     for (i, (w, h)) in wheel_trace.iter().zip(&heap_trace).enumerate() {
         assert_eq!(w, h, "trace diverged at entry {i}");
     }
@@ -101,6 +93,7 @@ fn assert_backends_agree(
         "golden cases restore: {:?}",
         wheel_report.groups
     );
+    wheel_report
 }
 
 /// Figure 1 local detour: member D grafts to C after the A–D cut.
@@ -115,11 +108,10 @@ fn figure1_detour_is_byte_identical_across_backends() {
     )
     .unwrap();
     let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
+    let scenario = FailureScenario::link(l_ad);
     assert_backends_agree(
         &[session],
-        &FailureScenario::link(l_ad),
-        &ChannelSpec::perfect(),
-        SimTime::from_ms(3000.0),
+        &local_detour_spec(&scenario, &ChannelSpec::perfect(), SimTime::from_ms(3000.0)),
     );
 }
 
@@ -150,29 +142,109 @@ fn shared_fate_srlg_is_byte_identical_across_backends() {
     let g1 = ProtoSession::build(&graph, s1, &[m1], TreeProtocol::Spf).unwrap();
     let l_ym0 = graph.link_between(y, m0).unwrap();
     let l_ym1 = graph.link_between(y, m1).unwrap();
+    let scenario = FailureScenario::links([l_ym0, l_ym1]);
     assert_backends_agree(
         &[g0, g1],
-        &FailureScenario::links([l_ym0, l_ym1]),
-        &ChannelSpec::perfect(),
-        SimTime::from_ms(3000.0),
+        &local_detour_spec(&scenario, &ChannelSpec::perfect(), SimTime::from_ms(3000.0)),
     );
 }
 
-/// A lossy channel multiplies retransmission timers — cancel-heavy wheel
-/// traffic (every ack kills a timer). The backends must still agree on
-/// every event.
+/// The Figure 1 SPF session in the regimes a clean cut does not reach:
+/// 10 % uniform loss under the A–D cut (retransmission timers, every ack
+/// cancels one); relay A crashes and reboots (`on_reboot` re-arms its
+/// timers mid-run); link A–D flaps three times; a gray link S–A (lossy,
+/// duplicating, reordering, jittery, but up) under the A–D cut; and the
+/// SPF baseline's global detour, which waits out unicast reconvergence.
 #[test]
-fn lossy_figure1_is_byte_identical_across_backends() {
+fn figure1_spf_regimes_are_byte_identical_across_backends() {
     let (graph, nodes) = smrp_core::paper::figure1_graph();
     let session =
         ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
-    let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
-    assert_backends_agree(
-        &[session],
-        &FailureScenario::link(l_ad),
-        &ChannelSpec::uniform_loss(0.1, 0xFEED),
+    let at = SimTime::from_ms;
+    let crash = FailureScenario::node(nodes.a);
+    let cut = FailureScenario::link(graph.link_between(nodes.a, nodes.d).unwrap());
+    let cut_spec = local_detour_spec(&cut, &ChannelSpec::perfect(), at(3000.0));
+    let gray = ChannelSpec {
+        overrides: vec![LinkDegrade {
+            link: graph.link_between(nodes.s, nodes.a).unwrap(),
+            params: ChannelParams {
+                loss: 0.3,
+                duplicate: 0.1,
+                reorder: 0.2,
+                reorder_window_ms: 3.0,
+                jitter_ms: 1.0,
+            },
+        }],
+        seed: 0x6EA7,
+        ..ChannelSpec::perfect()
+    };
+    let lossy = FailureSpec {
+        channel: ChannelSpec::uniform_loss(0.1, 0xFEED),
+        ..cut_spec.clone()
+    };
+    let reboot = FailureSpec {
+        timing: InjectionTiming::Once(FailureTiming::transient(at(100.0), at(600.0))),
+        ..local_detour_spec(&crash, &ChannelSpec::perfect(), at(3000.0))
+    };
+    let flap = FailureSpec {
+        timing: InjectionTiming::Flapping {
+            fail_at: at(100.0),
+            down: at(250.0),
+            up: at(400.0),
+            cycles: 3,
+        },
+        ..cut_spec.clone()
+    };
+    let gray_link = FailureSpec {
+        channel: gray,
+        ..cut_spec.clone()
+    };
+    let global = FailureSpec {
+        plans: PlanSource::Strategy(RecoveryStrategy::GlobalDetour {
+            reconvergence: at(500.0),
+        }),
+        ..cut_spec
+    };
+    for (name, spec) in [
+        ("lossy", lossy),
+        ("reboot", reboot),
+        ("flap", flap),
+        ("gray link", gray_link),
+        ("global detour", global),
+    ] {
+        println!("case: {name}");
+        assert_backends_agree(std::slice::from_ref(&session), &spec);
+    }
+}
+
+/// Protection with SRLG-aware plans on the shared-fate topology: cached
+/// plans activate in both groups when the whole conduit fails.
+#[test]
+fn srlg_protection_is_byte_identical_across_backends() {
+    let (graph, [s0, s1, _x, y, m0, m1, _d]) = shared_fate_topology();
+    let conduit = vec![
+        graph.link_between(y, m0).unwrap(),
+        graph.link_between(y, m1).unwrap(),
+    ];
+    let sessions: Vec<_> = [(s0, m0), (s1, m1)]
+        .into_iter()
+        .map(|(s, m)| {
+            let mut session = ProtoSession::build(&graph, s, &[m], TreeProtocol::Spf).unwrap();
+            session.set_srlgs(vec![conduit.clone()]);
+            session
+        })
+        .collect();
+    let scenario = FailureScenario::links(conduit.iter().copied());
+    let spec = FailureSpec::persistent(
+        &scenario,
+        RecoveryStrategy::Protection,
+        SimTime::from_ms(100.0),
         SimTime::from_ms(3000.0),
     );
+    let report = assert_backends_agree(&sessions, &spec);
+    for g in &report.groups {
+        assert!(g.protection.activations > 0, "group {} activated", g.group);
+    }
 }
 
 /// `run` on the explicit plan list built from `plan_recoveries` must equal

@@ -31,11 +31,6 @@ impl TimerToken {
     pub fn from_raw(raw: u64) -> Self {
         TimerToken(raw)
     }
-
-    /// The raw counter value behind this token.
-    pub fn as_raw(self) -> u64 {
-        self.0
-    }
 }
 
 /// Hasher for the token → wheel-handle map. Tokens are a private dense
@@ -231,9 +226,8 @@ impl<'a, N: NodeBehavior> Ctx<'a, N> {
     }
 
     /// Queues a message to an adjacent node. Delivery happens after the
-    /// link's propagation delay (plus the engine's per-hop processing
-    /// delay); messages over failed links are silently lost, as on a real
-    /// cut cable.
+    /// link's propagation delay; messages over failed links are silently
+    /// lost, as on a real cut cable.
     pub fn send(&mut self, to: NodeId, msg: N::Msg) {
         self.commands.push(NodeCommand::Send { to, msg });
     }
@@ -433,7 +427,6 @@ pub struct NetSim<'g, N: NodeBehavior> {
     cancelled_tokens: HashSet<u64>,
     now: SimTime,
     failures: FailureScenario,
-    processing_delay: SimTime,
     trace: TraceLog<'g>,
     channel: Option<ChannelModel>,
     delivered: u64,
@@ -482,18 +475,12 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             cancelled_tokens: HashSet::new(),
             now: SimTime::ZERO,
             failures: FailureScenario::none(),
-            processing_delay: SimTime::ZERO,
             trace: TraceLog::new(4096),
             channel: None,
             delivered: 0,
             dropped: DropCounts::default(),
             commands: Vec::new(),
         }
-    }
-
-    /// Sets the per-hop processing delay added on top of link propagation.
-    pub fn set_processing_delay(&mut self, delay: SimTime) {
-        self.processing_delay = delay;
     }
 
     /// Selects the event backend. Must be called before anything is
@@ -696,7 +683,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                         self.drop_msg(self.now, from, to, DropReason::ChannelLoss);
                         continue;
                     };
-                    let base = self.now + propagation + self.processing_delay;
+                    let base = self.now + propagation;
                     // Only a duplicate costs a clone; the message itself
                     // moves into the last copy's event.
                     for &extra in duplicates {
@@ -963,16 +950,6 @@ mod tests {
         assert_eq!(sim.node(ids[0]).received, 1); // the pong.
         assert_eq!(sim.now(), SimTime::from_ms(4.0));
         assert_eq!(sim.delivered_count(), 2);
-    }
-
-    #[test]
-    fn processing_delay_adds_per_hop() {
-        let (g, ids) = line_graph();
-        let mut sim = NetSim::new(&g, fresh(&g));
-        sim.set_processing_delay(SimTime::from_ms(0.5));
-        sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
-        sim.run_to_completion(10);
-        assert_eq!(sim.now(), SimTime::from_ms(5.0)); // 2×(2.0 + 0.5).
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   events under [`TimerBackend::ReferenceHeap`] as the reference the
 //!   differential tests compare against;
 //! * hop-by-hop message delivery over the links of a
-//!   [`smrp_net::Graph`], honoring per-link propagation delay and a
-//!   configurable per-hop processing delay;
+//!   [`smrp_net::Graph`], honoring per-link propagation delay;
 //! * node-local timers;
 //! * persistent failures via [`smrp_net::FailureScenario`]: messages
 //!   crossing a failed link or addressed to a failed node are dropped,

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use smrp_net::{Graph, NodeId};
 use smrp_sim::{
-    Ctx, Descriptor, EventQueue, NetSim, NodeBehavior, SimTime, TimerBackend, TimerToken,
-    TimerWheel, TraceEvent, TraceLog,
+    Ctx, Descriptor, EventQueue, NetSim, NodeBehavior, NodeCommand, SimTime, TimerBackend,
+    TimerToken, TimerWheel, TraceEvent, TraceLog,
 };
 
 #[derive(Default, Clone)]
@@ -85,7 +85,8 @@ fn heap_next(
 /// A node that answers every event with a choice drawn from its own
 /// seeded generator: forward to a neighbor, arm a timer (same instant,
 /// sub-tick, a few ticks, past a level-0 lap), cancel the pending one and
-/// re-arm. `budget` bounds the run.
+/// re-arm, or arm one the way a multiplexed lane does. `budget` bounds the
+/// run.
 struct Chatter {
     rng: u64,
     budget: u32,
@@ -112,7 +113,7 @@ impl Chatter {
         let (neighbor, _) = adjacency[(r >> 8) as usize % adjacency.len()];
         const DELAYS_NS: [u64; 6] = [0, 50_000, 300_000, 1_000_000, 7_000_000, 40_000_000];
         let delay = SimTime::from_ns(DELAYS_NS[(r >> 16) as usize % DELAYS_NS.len()]);
-        match r % 5 {
+        match r % 6 {
             0 | 1 => ctx.send(neighbor, tag + 1),
             2 => {
                 ctx.send(neighbor, tag + 1);
@@ -123,6 +124,24 @@ impl Chatter {
                     ctx.cancel_timer(token);
                 }
                 self.pending = Some(ctx.set_timer(delay, tag));
+            }
+            4 => {
+                // The lane path every protocol timer takes: the token comes
+                // from a derived context, the timer is re-armed on this one
+                // under that token, and a later handler may cancel it.
+                let mut lane = ctx.derive_into::<Self>(Vec::new());
+                let token = lane.set_timer(delay, tag);
+                for cmd in lane.into_commands() {
+                    if let NodeCommand::Timer {
+                        delay,
+                        timer,
+                        token,
+                    } = cmd
+                    {
+                        ctx.set_timer_with_token(delay, timer, token);
+                    }
+                }
+                self.pending = Some(token);
             }
             _ => {
                 // Fan out: several deliveries scheduled in one handler.
