@@ -48,7 +48,14 @@
 //!   (default 1); every fault case is injected once against all of them;
 //! * `--seed S` — base seed (default 0x5EED);
 //! * `--jobs N` — worker threads (default: available parallelism);
-//! * `--out PATH` — report path (default `results/faultlab.json`).
+//! * `--out PATH` — report path (default `results/faultlab.json`; not
+//!   read by `--dump-trace`).
+//!
+//! Each mode reads only its own flags: `--loss`, `--nodes` and `--group`
+//! go with a campaign or a protection sweep, `--scenarios` and `--seed`
+//! with any of the three, `--groups` and the `--smoke*` presets with a
+//! campaign only, and `--dump-trace` with `--jobs` only. Two modes at
+//! once, or a flag the chosen mode would ignore, exits 2 naming the flag.
 //!
 //! The report depends only on the configuration — never on `--jobs`, the
 //! machine, or wall-clock — so identical seeds yield byte-identical files.
@@ -89,6 +96,7 @@ fn parse_args() -> Result<Args, String> {
     let mut hierarchy = false;
     let mut dump_trace: Option<std::path::PathBuf> = None;
     let mut out: Option<std::path::PathBuf> = None;
+    let mut seen: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -207,7 +215,9 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument {other}")),
         }
+        seen.push(arg);
     }
+    check_mode(&seen)?;
     Ok(Args {
         config,
         protect_config,
@@ -226,6 +236,73 @@ fn parse_args() -> Result<Args, String> {
             })
         }),
     })
+}
+
+/// The flags that pick a mode other than the default campaign.
+const MODE_FLAGS: [&str; 4] = [
+    "--protect",
+    "--protect-smoke",
+    "--hierarchy",
+    "--dump-trace",
+];
+
+/// The flags `mode` reads (`None` is the default campaign).
+fn flags_read_by(mode: Option<&str>) -> &'static [&'static str] {
+    match mode {
+        None => &[
+            "--smoke",
+            "--smoke-lossy",
+            "--smoke-multi",
+            "--loss",
+            "--scenarios",
+            "--nodes",
+            "--group",
+            "--groups",
+            "--seed",
+            "--jobs",
+            "--out",
+        ],
+        Some("--protect" | "--protect-smoke") => &[
+            "--protect",
+            "--protect-smoke",
+            "--search-ms",
+            "--loss",
+            "--scenarios",
+            "--nodes",
+            "--group",
+            "--seed",
+            "--jobs",
+            "--out",
+        ],
+        Some("--hierarchy") => &[
+            "--hierarchy",
+            "--levels",
+            "--population",
+            "--scenarios",
+            "--seed",
+            "--jobs",
+            "--out",
+        ],
+        Some(_) => &["--dump-trace", "--jobs"],
+    }
+}
+
+/// Rejects a second mode and any flag the chosen mode would silently
+/// ignore, naming the first such flag.
+fn check_mode(seen: &[String]) -> Result<(), String> {
+    let mode = seen
+        .iter()
+        .map(String::as_str)
+        .find(|f| MODE_FLAGS.contains(f));
+    let reads = flags_read_by(mode);
+    match (seen.iter().find(|f| !reads.contains(&f.as_str())), mode) {
+        (None, _) => Ok(()),
+        (Some(flag), Some(mode)) if MODE_FLAGS.contains(&flag.as_str()) => Err(format!(
+            "{flag} and {mode} select different modes; pick one"
+        )),
+        (Some(flag), Some(mode)) => Err(format!("{flag} has no effect with {mode}")),
+        (Some(flag), None) => Err(format!("{flag} has no effect on a campaign run")),
+    }
 }
 
 fn write_out(out: &std::path::Path, json: String) -> Result<(), ExitCode> {

@@ -7,7 +7,9 @@
 //! audited per group, the message-level simulator runs all groups over
 //! the shared substrate and measures restoration latency, and each
 //! (case, protocol) pair is classified into one aggregate [`Outcome`]
-//! plus one [`GroupOutcome`] per session.
+//! plus one [`GroupOutcome`] per session. The evaluator that does this
+//! takes the arm as a [`RecoveryStrategy`], and the protection sweep
+//! ([`crate::protect`]) runs its two arms through it too.
 //!
 //! Evaluation fans out over worker threads (the crate's one ordered
 //! parallel map) at (case, protocol) granularity — groups within a
@@ -23,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::SmrpConfig;
 use smrp_metrics::{ControlHealth, ProtectionHealth};
-use smrp_net::waxman::WaxmanConfig;
+use smrp_net::waxman::{WaxmanConfig, DEFAULT_BETA};
 use smrp_net::{FailureScenario, Graph, GroupId, NetError, NodeId};
 use smrp_proto::{
     ControlCounters, FailureSpec, FailureTiming, GroupRecoveryReport, InjectionTiming,
@@ -197,11 +199,7 @@ impl CampaignConfig {
     ///
     /// Propagates generator configuration errors.
     pub fn topology(&self) -> Result<Graph, NetError> {
-        Ok(WaxmanConfig::new(self.nodes)
-            .alpha(self.alpha)
-            .seed(self.base_seed ^ 0x9E37_79B9)
-            .generate()?
-            .into_graph())
+        waxman_topology(self.nodes, self.alpha, DEFAULT_BETA, self.base_seed)
     }
 
     /// Samples the source and member set of group 0 — kept as the
@@ -216,16 +214,68 @@ impl CampaignConfig {
     /// one; higher groups perturb the seed with a splitmix-style odd
     /// constant for independent draws.
     pub fn pick_group_members(&self, graph: &Graph, group: usize) -> (NodeId, Vec<NodeId>) {
-        let seed = self
-            .base_seed
-            .wrapping_add(0xA5A5_A5A5)
-            .wrapping_add((group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut ids: Vec<NodeId> = graph.node_ids().collect();
-        ids.shuffle(&mut rng);
-        let take = self.group_size.min(ids.len() - 1);
-        (ids[0], ids[1..=take].to_vec())
+        draw_members(graph, self.base_seed, self.group_size, group)
     }
+
+    /// Runs `case` through one protocol's arm: SMRP recovers by local
+    /// detour, the SPF baseline by global detour after reconvergence.
+    fn evaluate(
+        &self,
+        graph: &Graph,
+        multi: &MultiSession<'_>,
+        case: &FaultCase,
+        proto: ProtoKind,
+    ) -> ProtoOutcome {
+        let strategy = match proto {
+            ProtoKind::Smrp => RecoveryStrategy::LocalDetour,
+            ProtoKind::Spf => RecoveryStrategy::GlobalDetour {
+                reconvergence: SimTime::from_ms(self.reconvergence_ms),
+            },
+        };
+        evaluate_arm(
+            graph,
+            multi,
+            case,
+            strategy,
+            self.ambient_loss,
+            self.fail_at_ms,
+            self.run_until_ms,
+        )
+    }
+}
+
+/// The seeded Waxman topology a campaign-style run with base seed `seed`
+/// draws.
+pub(crate) fn waxman_topology(
+    nodes: usize,
+    alpha: f64,
+    beta: f64,
+    seed: u64,
+) -> Result<Graph, NetError> {
+    Ok(WaxmanConfig::new(nodes)
+        .alpha(alpha)
+        .beta(beta)
+        .seed(seed ^ 0x9E37_79B9)
+        .generate()?
+        .into_graph())
+}
+
+/// Draws the source and `group_size` members of one group (see
+/// [`CampaignConfig::pick_group_members`]).
+pub(crate) fn draw_members(
+    graph: &Graph,
+    base_seed: u64,
+    group_size: usize,
+    group: usize,
+) -> (NodeId, Vec<NodeId>) {
+    let seed = base_seed
+        .wrapping_add(0xA5A5_A5A5)
+        .wrapping_add((group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut ids: Vec<NodeId> = graph.node_ids().collect();
+    ids.shuffle(&mut rng);
+    let take = group_size.min(ids.len() - 1);
+    (ids[0], ids[1..=take].to_vec())
 }
 
 /// One group's slice of a (case, protocol) evaluation.
@@ -312,21 +362,21 @@ impl CaseResult {
 /// Pre-simulation triage of one session: affected set, recovery plans,
 /// audit verdict, and — when the session cannot possibly need the
 /// simulator — its already-decided outcome.
-pub(crate) struct Triage {
-    pub(crate) affected: Vec<NodeId>,
+struct Triage {
+    affected: Vec<NodeId>,
     /// `None` only when nothing was affected (so nothing was planned).
-    pub(crate) plans: Option<RecoveryPlans>,
-    pub(crate) violations: Vec<Violation>,
+    plans: Option<RecoveryPlans>,
+    violations: Vec<Violation>,
     /// `Unaffected` (the failure misses the tree), `InvariantViolation`
     /// (the auditor rejected the plans) or `SourcePartitioned` (the source
     /// itself died: no protocol can restore it); `None` means simulate.
-    pub(crate) fixed: Option<Outcome>,
+    fixed: Option<Outcome>,
 }
 
 /// Triages `scenario` against one session under detour `kind`. The audit
 /// checks the *planner's* output, so arms that differ only in strategy
 /// share one verdict.
-pub(crate) fn triage(
+fn triage(
     graph: &Graph,
     session: &ProtoSession<'_>,
     scenario: &FailureScenario,
@@ -358,55 +408,79 @@ pub(crate) fn triage(
     }
 }
 
-/// The verdict on a slice with unrestored members: partitioned when every
-/// one of them is dead or physically cut off from the source and the
-/// outage never heals, a detection miss otherwise.
+/// The one classifier: how a simulated group's affected members came
+/// back, given the arm's plans and the kind of detour it plans.
 ///
-/// Transient and flapping outages heal, so an unrestored-but-reachable
-/// member under repair is still a detection miss, and a partitioned member
-/// that the repair would have reconnected counts as partitioned only if it
-/// stayed unrestored to the end of the run — which the simulator already
-/// told us.
-pub(crate) fn unrestored_verdict(
+/// A fully restored group reads [`Outcome::RestoredAfterReplan`] when a
+/// cached plan was discarded as stale (the discard disqualifies "clean"
+/// either way, so it takes precedence over the local/global split),
+/// [`Outcome::RestoredLocalDetour`] when a local arm's every graft was a
+/// clean fragment-root detour and nothing healed, and
+/// [`Outcome::FellBackGlobal`] otherwise. A group with unrestored members
+/// is partitioned when every one of them is dead or physically cut off
+/// from the source and the outage never heals, a detection miss
+/// otherwise: an unrestored-but-reachable member under repair is still a
+/// miss, and a partitioned member the repair would have reconnected
+/// counts only because it stayed unrestored to the end of the run.
+fn classify(
     graph: &Graph,
     source: NodeId,
-    scenario: &FailureScenario,
+    case: &FaultCase,
+    plans: &RecoveryPlans,
     slice: &GroupRecoveryReport,
-    heals: bool,
+    kind: DetourKind,
 ) -> Outcome {
-    let reach = recovery::reachable_from_source(graph, source, scenario);
-    let unrestored_partitioned = slice
-        .restorations
-        .iter()
-        .filter(|(_, l)| l.is_none())
-        .all(|(m, _)| !scenario.node_usable(*m) || !reach[m.index()]);
-    if unrestored_partitioned && !heals {
-        Outcome::SourcePartitioned
+    let scenario = &case.scenario;
+    let heals = case.timing.heals();
+    if !slice.all_restored() {
+        let reach = recovery::reachable_from_source(graph, source, scenario);
+        let partitioned = slice
+            .restorations
+            .iter()
+            .filter(|(_, l)| l.is_none())
+            .all(|(m, _)| !scenario.node_usable(*m) || !reach[m.index()]);
+        if partitioned && !heals {
+            Outcome::SourcePartitioned
+        } else {
+            Outcome::DetectionMissed
+        }
+    } else if slice.protection.stale_discards > 0 {
+        Outcome::RestoredAfterReplan
+    } else if kind == DetourKind::Local
+        && plans.all_root_grafts()
+        && plans.unrecoverable.is_empty()
+        && !heals
+    {
+        Outcome::RestoredLocalDetour
     } else {
-        Outcome::DetectionMissed
+        Outcome::FellBackGlobal
     }
 }
 
-/// Evaluates one case against one protocol's multi-session: plans and
-/// audits every group, runs the shared simulation once if any group
-/// needs it, and classifies each group independently before rolling up
-/// the aggregate.
-fn evaluate_proto(
+/// Evaluates one case against one arm — a multi-session and the
+/// [`RecoveryStrategy`] all its groups recover with — and classifies it:
+/// plans and audits every group, runs the shared simulation once if any
+/// group needs it, and classifies each group independently before rolling
+/// up the aggregate. This is the one evaluator behind both the campaign
+/// (SMRP against SPF) and the protection sweep (protection against
+/// reactive search).
+///
+/// Only the global strategy plans global detours, and only a local arm
+/// can restore by a clean local detour. Cases with their own degraded
+/// channel keep it; every other case runs under `ambient_loss`.
+pub(crate) fn evaluate_arm(
     graph: &Graph,
     multi: &MultiSession<'_>,
-    cfg: &CampaignConfig,
     case: &FaultCase,
-    proto: ProtoKind,
+    strategy: RecoveryStrategy,
+    ambient_loss: f64,
+    fail_at_ms: f64,
+    run_until_ms: f64,
 ) -> ProtoOutcome {
     let scenario = &case.scenario;
-    let (kind, strategy) = match proto {
-        ProtoKind::Smrp => (DetourKind::Local, RecoveryStrategy::LocalDetour),
-        ProtoKind::Spf => (
-            DetourKind::Global,
-            RecoveryStrategy::GlobalDetour {
-                reconvergence: SimTime::from_ms(cfg.reconvergence_ms),
-            },
-        ),
+    let kind = match strategy {
+        RecoveryStrategy::GlobalDetour { .. } => DetourKind::Global,
+        _ => DetourKind::Local,
     };
 
     let pre: Vec<Triage> = multi
@@ -421,105 +495,79 @@ fn evaluate_proto(
     let report = if pre.iter().any(|p| p.fixed.is_none()) {
         let timing = if case.timing.is_flapping() {
             InjectionTiming::Flapping {
-                fail_at: SimTime::from_ms(cfg.fail_at_ms),
+                fail_at: SimTime::from_ms(fail_at_ms),
                 down: SimTime::from_ms(case.timing.flap_down_ms),
                 up: SimTime::from_ms(case.timing.flap_up_ms),
                 cycles: case.timing.flap_cycles,
             }
         } else if case.timing.transient {
             InjectionTiming::Once(FailureTiming::transient(
-                SimTime::from_ms(cfg.fail_at_ms),
-                SimTime::from_ms(cfg.fail_at_ms + case.timing.repair_after_ms),
+                SimTime::from_ms(fail_at_ms),
+                SimTime::from_ms(fail_at_ms + case.timing.repair_after_ms),
             ))
         } else {
-            InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(cfg.fail_at_ms)))
+            InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(fail_at_ms)))
         };
         // Cases with their own degraded channel (UniformLoss/GrayLinks)
-        // keep it; everything else picks up the campaign's ambient loss,
-        // seeded off the case so no two cases share a loss pattern.
-        let channel = if !case.channel.is_perfect() || cfg.ambient_loss <= 0.0 {
+        // keep it; everything else picks up the ambient loss, seeded off
+        // the case so no two cases share a loss pattern (and both arms of
+        // one case fight the same one).
+        let channel = if !case.channel.is_perfect() || ambient_loss <= 0.0 {
             case.channel.clone()
         } else {
-            ChannelSpec::uniform_loss(
-                cfg.ambient_loss,
-                case.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93),
-            )
+            ChannelSpec::uniform_loss(ambient_loss, case.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93))
         };
         let spec = FailureSpec {
             scenario,
             plans: PlanSource::Strategy(strategy),
             timing,
             channel,
-            until: SimTime::from_ms(cfg.run_until_ms),
+            until: SimTime::from_ms(run_until_ms),
         };
         Some(multi.run(&spec, TraceLog::disabled()).report)
     } else {
         None
     };
 
-    let mut groups = Vec::with_capacity(pre.len());
-    for (g, p) in multi.groups().zip(&pre) {
-        let slice = report.as_ref().map(|r| &r.groups[g.index()]);
-        // Lanes of pre-decided groups still ran if any *other* group
-        // forced a simulation; report their control spend honestly.
-        let control = slice.map(|s| s.control).unwrap_or_default();
-        let protection = slice.map(|s| s.protection).unwrap_or_default();
-        if let Some(outcome) = p.fixed {
-            groups.push(GroupOutcome {
+    let groups: Vec<GroupOutcome> = multi
+        .groups()
+        .zip(pre)
+        .map(|(g, p)| {
+            let slice = report.as_ref().map(|r| &r.groups[g.index()]);
+            let (outcome, latencies_ms) = match p.fixed {
+                Some(outcome) => (outcome, Vec::new()),
+                None => {
+                    let slice = slice.expect("simulation ran for undecided groups");
+                    let plans = p.plans.as_ref().expect("affected groups were planned");
+                    let source = multi.session(g).source();
+                    let outcome = classify(graph, source, case, plans, slice, kind);
+                    (outcome, slice.latencies_ms())
+                }
+            };
+            GroupOutcome {
                 group: g,
                 outcome,
                 affected: p.affected.len() as u32,
-                restored: 0,
-                latencies_ms: Vec::new(),
-                violations: p.violations.clone(),
-                control,
-                protection,
-            });
-            continue;
-        }
-        let slice = slice.expect("simulation ran for undecided groups");
-        let plans = p.plans.as_ref().expect("affected groups were planned");
-        let latencies_ms = slice.latencies_ms();
-        let restored = latencies_ms.len() as u32;
-        let outcome = if slice.all_restored() {
-            let clean_local = proto == ProtoKind::Smrp
-                && plans.all_root_grafts()
-                && plans.unrecoverable.is_empty()
-                && !case.timing.heals();
-            if protection.stale_discards > 0 {
-                // At least one cached plan was discarded as stale and the
-                // group still restored fully: the re-plan worked. The
-                // discard disqualifies "clean" either way, so this takes
-                // precedence over the local/global split.
-                Outcome::RestoredAfterReplan
-            } else if clean_local {
-                Outcome::RestoredLocalDetour
-            } else {
-                Outcome::FellBackGlobal
+                restored: latencies_ms.len() as u32,
+                latencies_ms,
+                // Only a failed audit leaves violations, and it decides
+                // the group before simulation.
+                violations: p.violations,
+                // Lanes of pre-decided groups still ran if any *other*
+                // group forced a simulation; report their spend honestly.
+                control: slice.map(|s| s.control).unwrap_or_default(),
+                protection: slice.map(|s| s.protection).unwrap_or_default(),
             }
-        } else {
-            let source = multi.session(g).source();
-            unrestored_verdict(graph, source, scenario, slice, case.timing.heals())
-        };
-        groups.push(GroupOutcome {
-            group: g,
-            outcome,
-            affected: p.affected.len() as u32,
-            restored,
-            latencies_ms,
-            violations: Vec::new(),
-            control,
-            protection,
-        });
-    }
+        })
+        .collect();
 
-    let outcome = groups
-        .iter()
-        .map(|g| g.outcome)
-        .max()
-        .unwrap_or(Outcome::Unaffected);
     ProtoOutcome {
-        outcome,
+        // The case reads as its worst group.
+        outcome: groups
+            .iter()
+            .map(|g| g.outcome)
+            .max()
+            .unwrap_or(Outcome::Unaffected),
         affected: groups.iter().map(|g| g.affected).sum(),
         restored: groups.iter().map(|g| g.restored).sum(),
         latencies_ms: groups
@@ -546,8 +594,8 @@ pub fn evaluate_case(
 ) -> CaseResult {
     CaseResult {
         case: case.clone(),
-        smrp: evaluate_proto(graph, smrp, cfg, case, ProtoKind::Smrp),
-        spf: evaluate_proto(graph, spf, cfg, case, ProtoKind::Spf),
+        smrp: cfg.evaluate(graph, smrp, case, ProtoKind::Smrp),
+        spf: cfg.evaluate(graph, spf, case, ProtoKind::Spf),
     }
 }
 
@@ -611,7 +659,7 @@ pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> Result<CampaignRun, Ne
             ProtoKind::Smrp => &smrp,
             ProtoKind::Spf => &spf,
         };
-        evaluate_proto(&graph, multi, cfg, &cases[i / arms], proto)
+        cfg.evaluate(&graph, multi, &cases[i / arms], proto)
     });
     let results = cases
         .into_iter()
@@ -724,35 +772,27 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The Figure 1 session (members C and D) under `protocol`.
+    fn figure1_multi<'g>(
+        graph: &'g Graph,
+        nodes: &smrp_core::paper::Figure1Nodes,
+        protocol: TreeProtocol,
+    ) -> MultiSession<'g> {
+        let members = [nodes.c, nodes.d];
+        let session = ProtoSession::build(graph, nodes.s, &members, protocol).unwrap();
+        MultiSession::from_sessions(vec![session])
+    }
+
     #[test]
     fn single_link_cut_on_figure1_restores_locally() {
         // A campaign over the 5-node paper graph would be noise; instead
         // check the classifier directly on the canonical Figure 1 cut.
         let (graph, nodes) = smrp_core::paper::figure1_graph();
-        let smrp = MultiSession::from_sessions(vec![ProtoSession::build(
-            &graph,
-            nodes.s,
-            &[nodes.c, nodes.d],
-            TreeProtocol::Smrp(SmrpConfig::default()),
-        )
-        .unwrap()]);
-        let spf = MultiSession::from_sessions(vec![ProtoSession::build(
-            &graph,
-            nodes.s,
-            &[nodes.c, nodes.d],
-            TreeProtocol::Spf,
-        )
-        .unwrap()]);
+        let smrp = figure1_multi(&graph, &nodes, TreeProtocol::Smrp(SmrpConfig::default()));
+        let spf = figure1_multi(&graph, &nodes, TreeProtocol::Spf);
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let cfg = CampaignConfig::default();
-        let case = FaultCase {
-            id: 0,
-            family: FaultFamily::KLink,
-            seed: 1,
-            scenario: smrp_net::FailureScenario::link(l_ad),
-            timing: crate::generate::Timing::persistent(),
-            channel: smrp_sim::ChannelSpec::perfect(),
-        };
+        let case = FaultCase::directed(FaultFamily::KLink, FailureScenario::link(l_ad));
         let result = evaluate_case(&graph, &smrp, &spf, &cfg, &case);
         assert_eq!(result.smrp.outcome, Outcome::RestoredLocalDetour);
         assert_eq!(result.spf.outcome, Outcome::FellBackGlobal);
@@ -771,28 +811,9 @@ mod tests {
     #[test]
     fn source_failure_is_partitioned_for_both_protocols() {
         let (graph, nodes) = smrp_core::paper::figure1_graph();
-        let smrp = MultiSession::from_sessions(vec![ProtoSession::build(
-            &graph,
-            nodes.s,
-            &[nodes.c, nodes.d],
-            TreeProtocol::Smrp(SmrpConfig::default()),
-        )
-        .unwrap()]);
-        let spf = MultiSession::from_sessions(vec![ProtoSession::build(
-            &graph,
-            nodes.s,
-            &[nodes.c, nodes.d],
-            TreeProtocol::Spf,
-        )
-        .unwrap()]);
-        let case = FaultCase {
-            id: 0,
-            family: FaultFamily::KNode,
-            seed: 1,
-            scenario: smrp_net::FailureScenario::node(nodes.s),
-            timing: crate::generate::Timing::persistent(),
-            channel: smrp_sim::ChannelSpec::perfect(),
-        };
+        let smrp = figure1_multi(&graph, &nodes, TreeProtocol::Smrp(SmrpConfig::default()));
+        let spf = figure1_multi(&graph, &nodes, TreeProtocol::Spf);
+        let case = FaultCase::directed(FaultFamily::KNode, FailureScenario::node(nodes.s));
         let result = evaluate_case(&graph, &smrp, &spf, &CampaignConfig::default(), &case);
         assert_eq!(result.smrp.outcome, Outcome::SourcePartitioned);
         assert_eq!(result.spf.outcome, Outcome::SourcePartitioned);

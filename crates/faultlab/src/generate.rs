@@ -223,6 +223,22 @@ pub struct FaultCase {
     pub channel: ChannelSpec,
 }
 
+#[cfg(test)]
+impl FaultCase {
+    /// Case 0 of `family`: `scenario` injected persistently over a perfect
+    /// channel — the shape directed tests build by hand.
+    pub(crate) fn directed(family: FaultFamily, scenario: FailureScenario) -> Self {
+        FaultCase {
+            id: 0,
+            family,
+            seed: 1,
+            scenario,
+            timing: Timing::persistent(),
+            channel: ChannelSpec::perfect(),
+        }
+    }
+}
+
 /// Derives the shared-risk link groups of `graph` from its geometry: links
 /// whose midpoints fall in the same cell of a `grid × grid` partition of
 /// the unit square are assumed to share a physical conduit. Groups of at

@@ -36,7 +36,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use smrp_core::SmrpConfig;
-use smrp_metrics::{DomainRollup, LocalityHealth, Stats};
+use smrp_metrics::{DomainRollup, LocalityHealth};
 use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, GroupId, LinkId, NetError, NodeId};
@@ -45,6 +45,7 @@ use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPl
 use smrp_sim::{SimTime, TraceEvent, TraceLog};
 
 use crate::par::ordered_par_map;
+use crate::report::Quantiles;
 
 /// Knobs of a hierarchical campaign. Serialized into the report header;
 /// the job count never enters the report.
@@ -526,49 +527,6 @@ pub fn run_hierarchy(cfg: &HierarchyConfig, jobs: usize) -> Result<HierarchyRun,
     })
 }
 
-/// Restoration-latency distribution of a hierarchy campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HierarchyLatency {
-    /// Restored members across all cases.
-    pub count: u64,
-    /// Mean latency in milliseconds.
-    pub mean_ms: f64,
-    /// Median latency.
-    pub p50_ms: f64,
-    /// 95th percentile.
-    pub p95_ms: f64,
-    /// Worst restoration.
-    pub max_ms: f64,
-}
-
-impl HierarchyLatency {
-    fn from_samples(mut samples: Vec<f64>) -> Self {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let mut stats = Stats::new();
-        for &s in &samples {
-            stats.push(s);
-        }
-        let q = |p: f64| -> f64 {
-            if samples.is_empty() {
-                return 0.0;
-            }
-            let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-            samples[idx]
-        };
-        HierarchyLatency {
-            count: samples.len() as u64,
-            mean_ms: if samples.is_empty() {
-                0.0
-            } else {
-                stats.mean()
-            },
-            p50_ms: q(0.5),
-            p95_ms: q(0.95),
-            max_ms: samples.last().copied().unwrap_or(0.0),
-        }
-    }
-}
-
 /// The stable JSON report of a hierarchy campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HierarchyReport {
@@ -589,7 +547,7 @@ pub struct HierarchyReport {
     /// Per-domain rollups, in group order.
     pub domains: Vec<DomainRollup>,
     /// Restoration-latency distribution across every restored member.
-    pub restoration: HierarchyLatency,
+    pub restoration: Quantiles,
     /// New-agent elections across the campaign.
     pub elections: u64,
 }
@@ -656,7 +614,7 @@ impl HierarchyReport {
             outcomes,
             locality,
             domains,
-            restoration: HierarchyLatency::from_samples(latencies),
+            restoration: Quantiles::of(latencies),
             elections,
         }
     }

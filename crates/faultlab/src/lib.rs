@@ -43,7 +43,10 @@
 //!   on-demand detour search, swept over single-link, single-node and
 //!   shared-risk-group failures at multiple ambient-loss points, with
 //!   restoration-latency medians, control overhead and protection-plane
-//!   state/safety counters per mode.
+//!   state/safety counters per mode. Both arms run through the
+//!   campaign's one evaluator (`campaign::evaluate_arm`, the arm named by
+//!   its `RecoveryStrategy`), so a case is classified by one rule
+//!   whichever axis runs it.
 //!
 //! ```
 //! use smrp_faultlab::{run_campaign, CampaignConfig, CampaignReport};
@@ -79,15 +82,14 @@ pub use generate::{
 };
 pub use hierarchy::{
     run_hierarchy, DomainSlice, HierarchyCase, HierarchyCaseResult, HierarchyConfig,
-    HierarchyLatency, HierarchyOutcome, HierarchyReport, HierarchyRun,
+    HierarchyOutcome, HierarchyReport, HierarchyRun,
 };
 pub use protect::{
-    evaluate_protect, run_protect, LossPointSummary, ModeOutcomeRow, ModeSummary, ProtectCase,
-    ProtectCaseResult, ProtectCell, ProtectConfig, ProtectEval, ProtectMode, ProtectReport,
-    ProtectRun, PROTECT_FAMILIES,
+    run_protect, LossPointSummary, ModeOutcomeRow, ModeSummary, ProtectCase, ProtectCaseResult,
+    ProtectCell, ProtectConfig, ProtectMode, ProtectReport, ProtectRun, PROTECT_FAMILIES,
 };
 pub use report::{
     CampaignReport, CaseRow, FamilyLatency, GroupSummary, HealthSummary, LatencySummary,
-    OutcomeCounts, Reproducer,
+    OutcomeCounts, Quantiles, Reproducer,
 };
 pub use trace::{dump_traces, golden_scenarios, GoldenTrace, TRACE_VERSION};

@@ -21,24 +21,28 @@
 //! protection plane's standing state (plans held) plus its safety counters
 //! (activations, stale discards).
 //!
-//! Execution follows the campaign's determinism contract: one work item
-//! per (case, mode) through the crate's ordered parallel map, and job
-//! count never enters the report — any `--jobs` value produces a
+//! The module owns only the sweep's configuration, its case grid (loss
+//! points × [`PROTECT_FAMILIES`]) and its report. Each (case, mode) pair
+//! is run and classified by the campaign's evaluator (`evaluate_arm`,
+//! also behind [`crate::campaign::evaluate_case`]) — the same triage,
+//! simulation and [`Outcome`] rule as the base campaign's SMRP arm, with
+//! the mode's [`RecoveryStrategy`] — so both axes judge a restoration the
+//! same way. Execution follows the campaign's determinism contract: one
+//! work item per (case, mode) through the crate's ordered parallel map,
+//! and job count never enters the report — any `--jobs` value produces a
 //! byte-identical report.
 
 use serde::{Deserialize, Serialize};
-use smrp_core::recovery::DetourKind;
 use smrp_core::SmrpConfig;
 use smrp_metrics::{ControlHealth, ProtectionHealth};
-use smrp_net::waxman::WaxmanConfig;
-use smrp_net::{Graph, GroupId, NetError, NodeId};
-use smrp_proto::{FailureSpec, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol};
-use smrp_sim::{ChannelSpec, SimTime, TraceLog};
+use smrp_net::{Graph, NetError};
+use smrp_proto::{MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol};
+use smrp_sim::SimTime;
 
-use crate::campaign::{triage, unrestored_verdict, Outcome};
+use crate::campaign::{draw_members, evaluate_arm, waxman_topology, Outcome, ProtoOutcome};
 use crate::generate::{derive_srlgs, generate_case, FaultCase, FaultFamily, GeneratorConfig};
 use crate::par::ordered_par_map;
-use crate::report::LatencySummary;
+use crate::report::{ArmTally, Quantiles};
 
 /// The recovery regime one evaluation ran under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -130,35 +134,6 @@ impl Default for ProtectConfig {
 }
 
 impl ProtectConfig {
-    /// Generates the campaign topology (same seeded-Waxman idiom as the
-    /// base campaign).
-    ///
-    /// # Errors
-    ///
-    /// Propagates generator configuration errors.
-    pub fn topology(&self) -> Result<Graph, NetError> {
-        Ok(WaxmanConfig::new(self.nodes)
-            .alpha(self.alpha)
-            .beta(self.beta)
-            .seed(self.base_seed ^ 0x9E37_79B9)
-            .generate()?
-            .into_graph())
-    }
-
-    /// Samples the source and member set (the base campaign's group-0
-    /// draw, so a protection sweep and a campaign with the same seed
-    /// study the same session).
-    pub fn pick_members(&self, graph: &Graph) -> (NodeId, Vec<NodeId>) {
-        use rand::rngs::SmallRng;
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(self.base_seed.wrapping_add(0xA5A5_A5A5));
-        let mut ids: Vec<NodeId> = graph.node_ids().collect();
-        ids.shuffle(&mut rng);
-        let take = self.group_size.min(ids.len() - 1);
-        (ids[0], ids[1..=take].to_vec())
-    }
-
     /// The scenario-generator knobs the axis uses: strictly single-event
     /// families (`k = 1`), always persistent — protection plans answer
     /// "one thing broke", and the two-failure regime is exercised by the
@@ -171,6 +146,33 @@ impl ProtectConfig {
             transient_fraction: 0.0,
             ..GeneratorConfig::default()
         }
+    }
+
+    /// Runs `pc` through one mode's arm of the campaign's evaluator:
+    /// protection activates precomputed plans, the reactive arm pays the
+    /// modelled search before it grafts.
+    fn evaluate(
+        &self,
+        graph: &Graph,
+        multi: &MultiSession<'_>,
+        pc: &ProtectCase,
+        mode: ProtectMode,
+    ) -> ProtoOutcome {
+        let strategy = match mode {
+            ProtectMode::Protection => RecoveryStrategy::Protection,
+            ProtectMode::Reactive => RecoveryStrategy::ReactiveSearch {
+                search: SimTime::from_ms(self.search_ms),
+            },
+        };
+        evaluate_arm(
+            graph,
+            multi,
+            &pc.case,
+            strategy,
+            pc.loss,
+            self.fail_at_ms,
+            self.run_until_ms,
+        )
     }
 
     /// Generates every case of the sweep: `loss_points × PROTECT_FAMILIES
@@ -204,124 +206,20 @@ pub struct ProtectCase {
     pub loss: f64,
 }
 
-/// One (case, mode) evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProtectEval {
-    /// The classification, in the base campaign's taxonomy.
-    pub outcome: Outcome,
-    /// Members whose tree path the failure broke.
-    pub affected: u32,
-    /// Affected members that regained service within the run.
-    pub restored: u32,
-    /// Restoration latencies of restored members, milliseconds.
-    pub latencies_ms: Vec<f64>,
-    /// Control-plane health during the run.
-    pub health: ControlHealth,
-    /// Protection-plane counters (plans held, activations, discards).
-    pub protection: ProtectionHealth,
-    /// Control messages the session's lanes sent.
-    pub control_messages: u64,
-    /// Invariant violations the auditor found (shared by both modes: the
-    /// audit checks the planner, not the strategy).
-    pub violations: u32,
-}
-
-impl ProtectEval {
-    fn short_circuit(outcome: Outcome, affected: u32, violations: u32) -> ProtectEval {
-        ProtectEval {
-            outcome,
-            affected,
-            restored: 0,
-            latencies_ms: Vec::new(),
-            health: ControlHealth::default(),
-            protection: ProtectionHealth::default(),
-            control_messages: 0,
-            violations,
-        }
-    }
-}
-
-/// Evaluates one case in one recovery mode against the shared session.
-pub fn evaluate_protect(
-    graph: &Graph,
-    multi: &MultiSession<'_>,
-    cfg: &ProtectConfig,
-    pc: &ProtectCase,
-    mode: ProtectMode,
-) -> ProtectEval {
-    let scenario = &pc.case.scenario;
-    let session = multi.session(GroupId::new(0));
-    // The strategy only changes when/where plans come from, so the
-    // campaign's triage (and its one audit) covers both arms.
-    let pre = triage(graph, session, scenario, DetourKind::Local);
-    let affected = pre.affected.len() as u32;
-    if let Some(outcome) = pre.fixed {
-        return ProtectEval::short_circuit(outcome, affected, pre.violations.len() as u32);
-    }
-
-    let strategy = match mode {
-        ProtectMode::Protection => RecoveryStrategy::Protection,
-        ProtectMode::Reactive => RecoveryStrategy::ReactiveSearch {
-            search: SimTime::from_ms(cfg.search_ms),
-        },
-    };
-    // Both modes of a case draw the same channel seed, so they fight the
-    // same loss pattern.
-    let channel = if pc.loss > 0.0 {
-        ChannelSpec::uniform_loss(pc.loss, pc.case.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-    } else {
-        ChannelSpec::perfect()
-    };
-    let spec = FailureSpec {
-        channel,
-        ..FailureSpec::persistent(
-            scenario,
-            strategy,
-            SimTime::from_ms(cfg.fail_at_ms),
-            SimTime::from_ms(cfg.run_until_ms),
-        )
-    };
-    let report = multi.run(&spec, TraceLog::disabled()).report;
-    let slice = &report.groups[0];
-    let protection = slice.protection;
-    let latencies_ms = slice.latencies_ms();
-    let restored = latencies_ms.len() as u32;
-    let outcome = if slice.all_restored() {
-        if protection.stale_discards > 0 {
-            Outcome::RestoredAfterReplan
-        } else {
-            Outcome::RestoredLocalDetour
-        }
-    } else {
-        // The sweep injects every case persistently: nothing heals.
-        unrestored_verdict(graph, session.source(), scenario, slice, false)
-    };
-    ProtectEval {
-        outcome,
-        affected,
-        restored,
-        latencies_ms,
-        health: report.health,
-        protection,
-        control_messages: slice.control.total(),
-        violations: 0,
-    }
-}
-
-/// One case evaluated in both modes.
+/// One case evaluated in both modes, each by the campaign's evaluator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtectCaseResult {
     /// The case (fault + cell loss).
     pub case: ProtectCase,
     /// The protection-mode evaluation.
-    pub protection: ProtectEval,
+    pub protection: ProtoOutcome,
     /// The reactive-mode evaluation.
-    pub reactive: ProtectEval,
+    pub reactive: ProtoOutcome,
 }
 
 impl ProtectCaseResult {
     /// The evaluation for `mode`.
-    pub fn for_mode(&self, mode: ProtectMode) -> &ProtectEval {
+    pub fn for_mode(&self, mode: ProtectMode) -> &ProtoOutcome {
         match mode {
             ProtectMode::Protection => &self.protection,
             ProtectMode::Reactive => &self.reactive,
@@ -363,8 +261,10 @@ pub fn run_protect(cfg: &ProtectConfig, jobs: usize) -> Result<ProtectRun, NetEr
             reason: "each loss point must lie in [0, 1) and appear once",
         });
     }
-    let graph = cfg.topology()?;
-    let (source, members) = cfg.pick_members(&graph);
+    let graph = waxman_topology(cfg.nodes, cfg.alpha, cfg.beta, cfg.base_seed)?;
+    // The campaign's group-0 draw: a sweep and a campaign with the same
+    // seed study the same session.
+    let (source, members) = draw_members(&graph, cfg.base_seed, cfg.group_size, 0);
     let mut session = ProtoSession::build(
         &graph,
         source,
@@ -380,13 +280,7 @@ pub fn run_protect(cfg: &ProtectConfig, jobs: usize) -> Result<ProtectRun, NetEr
     let cases = cfg.cases(&graph);
     let arms = ProtectMode::ALL.len();
     let evaluated = ordered_par_map(jobs, cases.len() * arms, |i| {
-        evaluate_protect(
-            &graph,
-            &multi,
-            cfg,
-            &cases[i / arms],
-            ProtectMode::ALL[i % arms],
-        )
+        cfg.evaluate(&graph, &multi, &cases[i / arms], ProtectMode::ALL[i % arms])
     });
     let results = cases
         .into_iter()
@@ -508,151 +402,96 @@ pub struct ProtectReport {
 impl ProtectReport {
     /// Builds the report from a finished sweep.
     pub fn from_run(run: &ProtectRun) -> Self {
-        let mut total_violations = 0u32;
-        let mut outcome_counts = vec![0u32; ProtectMode::ALL.len() * Outcome::ALL.len()];
-        let mut mode_samples: Vec<Vec<f64>> = vec![Vec::new(); ProtectMode::ALL.len()];
-        let mut modes: Vec<ModeSummary> = ProtectMode::ALL
+        let mut outcomes: Vec<ModeOutcomeRow> = ProtectMode::ALL
             .iter()
-            .map(|&mode| ModeSummary {
-                mode,
-                restored_members: 0,
-                mean_ms: 0.0,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                max_ms: 0.0,
-                control_messages: 0,
-                health: ControlHealth::default(),
-                exhaustions_without_gray: 0,
-                protection: ProtectionHealth::default(),
+            .flat_map(|&mode| {
+                Outcome::ALL.iter().map(move |&outcome| ModeOutcomeRow {
+                    mode,
+                    outcome,
+                    count: 0,
+                })
             })
             .collect();
-        // (loss index, family index, mode index) → latency samples.
-        let fam_idx = |f: FaultFamily| {
-            PROTECT_FAMILIES
-                .iter()
-                .position(|&pf| pf == f)
-                .expect("sweep cases come from PROTECT_FAMILIES")
-        };
-        let loss_idx = |loss: f64| {
-            run.config
-                .loss_points
-                .iter()
-                .position(|&l| l == loss)
-                .expect("sweep cases come from configured loss points")
-        };
-        let mut cell_samples: Vec<Vec<f64>> =
-            vec![
-                Vec::new();
-                run.config.loss_points.len() * PROTECT_FAMILIES.len() * ProtectMode::ALL.len()
-            ];
-        let mut cell_cases =
-            vec![
-                0u32;
-                run.config.loss_points.len() * PROTECT_FAMILIES.len() * ProtectMode::ALL.len()
-            ];
-
+        let mut tallies = ProtectMode::ALL.map(|_| ArmTally::default());
+        let mut control_messages = ProtectMode::ALL.map(|_| 0u64);
+        let mut total_violations = 0u32;
         for r in &run.results {
             // Both arms audit the same planner, so count violations once.
-            total_violations += r.protection.violations;
+            total_violations += r.protection.violations.len() as u32;
             for (mi, &mode) in ProtectMode::ALL.iter().enumerate() {
-                let e = r.for_mode(mode);
-                outcome_counts[mi * Outcome::ALL.len()
-                    + Outcome::ALL
-                        .iter()
-                        .position(|&o| o == e.outcome)
-                        .expect("every outcome is in ALL")] += 1;
-                mode_samples[mi].extend_from_slice(&e.latencies_ms);
-                modes[mi].restored_members += u64::from(e.restored);
-                modes[mi].control_messages += e.control_messages;
-                modes[mi].health.merge(&e.health);
-                modes[mi].protection.merge(&e.protection);
-                if r.case.case.channel.overrides.is_empty()
-                    && e.outcome != Outcome::RestoredAfterReplan
-                {
-                    modes[mi].exhaustions_without_gray += e.health.retry_exhaustions;
-                }
-                let ci = (loss_idx(r.case.loss) * PROTECT_FAMILIES.len()
-                    + fam_idx(r.case.case.family))
-                    * ProtectMode::ALL.len()
-                    + mi;
-                cell_samples[ci].extend_from_slice(&e.latencies_ms);
-                cell_cases[ci] += 1;
+                let o = r.for_mode(mode);
+                outcomes
+                    .iter_mut()
+                    .find(|row| row.mode == mode && row.outcome == o.outcome)
+                    .expect("every (mode, outcome) row exists")
+                    .count += 1;
+                tallies[mi].absorb(&r.case.case, o);
+                control_messages[mi] += o.groups[0].control.total();
             }
         }
 
-        for (mi, samples) in mode_samples.iter().enumerate() {
-            let s = LatencySummary::from_samples(crate::campaign::ProtoKind::Smrp, samples.clone());
-            modes[mi].mean_ms = s.mean_ms;
-            modes[mi].p50_ms = s.p50_ms;
-            modes[mi].p95_ms = s.p95_ms;
-            modes[mi].max_ms = s.max_ms;
-        }
-
+        // The number of cases `keep` selects, and `mode`'s restoration
+        // latencies over them.
+        let sample = |mode: ProtectMode, keep: &dyn Fn(&ProtectCase) -> bool| {
+            let rows: Vec<&ProtectCaseResult> =
+                run.results.iter().filter(|r| keep(&r.case)).collect();
+            let latencies = rows
+                .iter()
+                .flat_map(|r| r.for_mode(mode).latencies_ms.iter().copied());
+            (rows.len() as u32, Quantiles::of(latencies.collect()))
+        };
         let mut cells = Vec::new();
-        for (li, &loss) in run.config.loss_points.iter().enumerate() {
-            for (fi, &family) in PROTECT_FAMILIES.iter().enumerate() {
-                for (mi, &mode) in ProtectMode::ALL.iter().enumerate() {
-                    let ci = (li * PROTECT_FAMILIES.len() + fi) * ProtectMode::ALL.len() + mi;
-                    let s = LatencySummary::from_samples(
-                        crate::campaign::ProtoKind::Smrp,
-                        cell_samples[ci].clone(),
-                    );
+        for &loss in &run.config.loss_points {
+            for family in PROTECT_FAMILIES {
+                for mode in ProtectMode::ALL {
+                    let (cases, q) = sample(mode, &|c| c.loss == loss && c.case.family == family);
                     cells.push(ProtectCell {
                         family,
                         loss,
                         mode,
-                        cases: cell_cases[ci],
-                        restored_members: s.count,
-                        mean_ms: s.mean_ms,
-                        p50_ms: s.p50_ms,
-                        max_ms: s.max_ms,
+                        cases,
+                        restored_members: q.count,
+                        mean_ms: q.mean_ms,
+                        p50_ms: q.p50_ms,
+                        max_ms: q.max_ms,
                     });
                 }
             }
         }
-
         let loss_points = run
             .config
             .loss_points
             .iter()
             .map(|&loss| {
-                let per_mode: Vec<(u64, f64)> = ProtectMode::ALL
-                    .iter()
-                    .map(|&mode| {
-                        let samples: Vec<f64> = run
-                            .results
-                            .iter()
-                            .filter(|r| r.case.loss == loss)
-                            .flat_map(|r| r.for_mode(mode).latencies_ms.iter().copied())
-                            .collect();
-                        let s =
-                            LatencySummary::from_samples(crate::campaign::ProtoKind::Smrp, samples);
-                        (s.count, s.p50_ms)
-                    })
-                    .collect();
+                let [(_, protection), (_, reactive)] =
+                    ProtectMode::ALL.map(|mode| sample(mode, &|c| c.loss == loss));
                 LossPointSummary {
                     loss,
-                    protection_restored: per_mode[0].0,
-                    protection_p50_ms: per_mode[0].1,
-                    reactive_restored: per_mode[1].0,
-                    reactive_p50_ms: per_mode[1].1,
+                    protection_restored: protection.count,
+                    protection_p50_ms: protection.p50_ms,
+                    reactive_restored: reactive.count,
+                    reactive_p50_ms: reactive.p50_ms,
                 }
             })
             .collect();
-
-        let outcomes = ProtectMode::ALL
-            .iter()
-            .enumerate()
-            .flat_map(|(mi, &mode)| {
-                Outcome::ALL
-                    .iter()
-                    .enumerate()
-                    .map(move |(oi, &outcome)| (mode, outcome, mi * Outcome::ALL.len() + oi))
-            })
-            .map(|(mode, outcome, idx)| ModeOutcomeRow {
-                mode,
-                outcome,
-                count: outcome_counts[idx],
+        let modes = ProtectMode::ALL
+            .into_iter()
+            .zip(tallies)
+            .zip(control_messages)
+            .map(|((mode, t), control_messages)| {
+                let q = Quantiles::of(t.latencies_ms);
+                ModeSummary {
+                    mode,
+                    restored_members: q.count,
+                    mean_ms: q.mean_ms,
+                    p50_ms: q.p50_ms,
+                    p95_ms: q.p95_ms,
+                    max_ms: q.max_ms,
+                    control_messages,
+                    health: t.health,
+                    exhaustions_without_gray: t.exhaustions_without_gray,
+                    protection: t.protection,
+                }
             })
             .collect();
 
@@ -747,8 +586,7 @@ impl ProtectReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::Timing;
-    use smrp_net::FailureScenario;
+    use smrp_net::{FailureScenario, NodeId};
 
     // Small enough to run fast, dense enough that single cuts actually
     // hit the tree (a 10-member tree on 18 nodes covers most links).
@@ -888,23 +726,16 @@ mod tests {
         let mut scenario = FailureScenario::link(l_ad);
         scenario.fail_node(x);
         let pc = ProtectCase {
-            case: FaultCase {
-                id: 0,
-                family: FaultFamily::KLink,
-                seed: 1,
-                scenario,
-                timing: Timing::persistent(),
-                channel: ChannelSpec::perfect(),
-            },
+            case: FaultCase::directed(FaultFamily::KLink, scenario),
             loss: 0.0,
         };
-        let prot = evaluate_protect(&g, &multi, &cfg, &pc, ProtectMode::Protection);
+        let prot = cfg.evaluate(&g, &multi, &pc, ProtectMode::Protection);
         assert_eq!(prot.outcome, Outcome::RestoredAfterReplan, "{prot:#?}");
         assert_eq!(prot.restored, prot.affected);
         assert!(prot.protection.stale_discards >= 1);
         // The reactive arm plans around both failures up front: no
         // discard, clean local restoration.
-        let react = evaluate_protect(&g, &multi, &cfg, &pc, ProtectMode::Reactive);
+        let react = cfg.evaluate(&g, &multi, &pc, ProtectMode::Reactive);
         assert_eq!(react.outcome, Outcome::RestoredLocalDetour, "{react:#?}");
         assert_eq!(react.protection.stale_discards, 0);
         // And the report-side health gate treats the replan exhaustions
@@ -930,5 +761,58 @@ mod tests {
                 .count,
             1
         );
+    }
+
+    /// One classifier for every arm: a cut that isolates a relay
+    /// fragment root (`d` loses both its links) leaves member `e` to graft
+    /// on its own over `e-s`. Everyone is restored, but not by a clean
+    /// fragment-root detour, so the reactive arm reads
+    /// [`Outcome::FellBackGlobal`] exactly as the campaign's SMRP arm does;
+    /// the protection arm first activates `d`'s cached plan, which crosses
+    /// the dead `d-e`, and restores after the discard.
+    #[test]
+    fn cornered_relay_root_reads_the_same_in_every_local_arm() {
+        use crate::campaign::evaluate_arm;
+        use smrp_core::MulticastTree;
+        use smrp_net::path::Path;
+        use smrp_proto::RecoveryStrategy;
+
+        let mut g = Graph::with_nodes(4);
+        let ids: Vec<NodeId> = g.node_ids().collect();
+        let (s, a, d, e) = (ids[0], ids[1], ids[2], ids[3]);
+        g.add_link(s, a, 1.0).unwrap();
+        let l_ad = g.add_link(a, d, 1.0).unwrap();
+        let l_de = g.add_link(d, e, 1.0).unwrap();
+        g.add_link(e, s, 5.0).unwrap();
+        let mut tree = MulticastTree::new(&g, s).unwrap();
+        tree.attach_path(&Path::new(vec![e, d, a, s]));
+        tree.set_member(e, true).unwrap();
+        let multi = MultiSession::from_sessions(vec![ProtoSession::from_tree(&g, tree)]);
+        let cfg = ProtectConfig {
+            nodes: 4,
+            group_size: 1,
+            ..ProtectConfig::default()
+        };
+        let pc = ProtectCase {
+            case: FaultCase::directed(FaultFamily::Srlg, FailureScenario::links([l_ad, l_de])),
+            loss: 0.0,
+        };
+        let smrp = evaluate_arm(
+            &g,
+            &multi,
+            &pc.case,
+            RecoveryStrategy::LocalDetour,
+            0.0,
+            cfg.fail_at_ms,
+            cfg.run_until_ms,
+        );
+        let react = cfg.evaluate(&g, &multi, &pc, ProtectMode::Reactive);
+        let prot = cfg.evaluate(&g, &multi, &pc, ProtectMode::Protection);
+        assert_eq!(smrp.outcome, Outcome::FellBackGlobal, "{smrp:#?}");
+        assert_eq!(react.outcome, Outcome::FellBackGlobal, "{react:#?}");
+        assert_eq!(prot.outcome, Outcome::RestoredAfterReplan, "{prot:#?}");
+        for o in [&smrp, &react, &prot] {
+            assert_eq!((o.affected, o.restored), (1, 1));
+        }
     }
 }

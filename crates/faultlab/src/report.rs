@@ -12,7 +12,7 @@ use smrp_metrics::{ControlHealth, ProtectionHealth, Stats};
 use smrp_net::GroupId;
 
 use crate::audit::Violation;
-use crate::campaign::{CampaignConfig, CampaignRun, CaseResult, Outcome, ProtoKind};
+use crate::campaign::{CampaignConfig, CampaignRun, CaseResult, Outcome, ProtoKind, ProtoOutcome};
 use crate::generate::{FaultCase, FaultFamily};
 
 /// Outcome counts of one (family, protocol) cell.
@@ -67,15 +67,22 @@ impl OutcomeCounts {
         }
     }
 
+    /// Cases in this cell that landed in `outcome`.
+    fn count(&self, outcome: Outcome) -> u32 {
+        match outcome {
+            Outcome::Unaffected => self.unaffected,
+            Outcome::RestoredLocalDetour => self.restored_local_detour,
+            Outcome::RestoredAfterReplan => self.restored_after_replan,
+            Outcome::FellBackGlobal => self.fell_back_global,
+            Outcome::SourcePartitioned => self.source_partitioned,
+            Outcome::DetectionMissed => self.detection_missed,
+            Outcome::InvariantViolation => self.invariant_violation,
+        }
+    }
+
     /// Total cases in this cell.
     pub fn total(&self) -> u32 {
-        self.unaffected
-            + self.restored_local_detour
-            + self.restored_after_replan
-            + self.fell_back_global
-            + self.source_partitioned
-            + self.detection_missed
-            + self.invariant_violation
+        Outcome::ALL.iter().map(|&o| self.count(o)).sum()
     }
 }
 
@@ -99,7 +106,40 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarises a latency sample (empty samples yield all-zero rows).
-    pub fn from_samples(proto: ProtoKind, mut samples: Vec<f64>) -> Self {
+    pub fn from_samples(proto: ProtoKind, samples: Vec<f64>) -> Self {
+        let q = Quantiles::of(samples);
+        LatencySummary {
+            proto,
+            count: q.count,
+            mean_ms: q.mean_ms,
+            p50_ms: q.p50_ms,
+            p95_ms: q.p95_ms,
+            max_ms: q.max_ms,
+        }
+    }
+}
+
+/// Nearest-rank five-number summary of a latency sample, in milliseconds:
+/// the one quantile rule behind every faultlab report's latency columns
+/// (and, whole, the hierarchy report's `restoration`). Empty samples
+/// yield all zeros.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Quantiles {
+    /// Samples summarised.
+    pub count: u64,
+    /// Mean latency.
+    pub mean_ms: f64,
+    /// Median latency.
+    pub p50_ms: f64,
+    /// 95th-percentile latency.
+    pub p95_ms: f64,
+    /// Worst latency.
+    pub max_ms: f64,
+}
+
+impl Quantiles {
+    /// Summarises `samples`.
+    pub fn of(mut samples: Vec<f64>) -> Self {
         samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
         let mut stats = Stats::new();
         for &s in &samples {
@@ -112,8 +152,7 @@ impl LatencySummary {
             let idx = ((samples.len() - 1) as f64 * p).round() as usize;
             samples[idx]
         };
-        LatencySummary {
-            proto,
+        Quantiles {
             count: stats.count(),
             mean_ms: if stats.count() == 0 {
                 0.0
@@ -123,6 +162,33 @@ impl LatencySummary {
             p50_ms: q(0.5),
             p95_ms: q(0.95),
             max_ms: samples.last().copied().unwrap_or(0.0),
+        }
+    }
+}
+
+/// What the campaign and protection reports sum per arm over a run:
+/// restored members' latencies, control-plane and protection counters,
+/// and the clear-channel exhaustion gate.
+#[derive(Debug, Default)]
+pub(crate) struct ArmTally {
+    pub(crate) latencies_ms: Vec<f64>,
+    pub(crate) health: ControlHealth,
+    pub(crate) exhaustions_without_gray: u64,
+    pub(crate) protection: ProtectionHealth,
+}
+
+impl ArmTally {
+    /// Adds one (case, arm) evaluation.
+    pub(crate) fn absorb(&mut self, case: &FaultCase, o: &ProtoOutcome) {
+        self.latencies_ms.extend_from_slice(&o.latencies_ms);
+        self.health.merge(&o.health);
+        self.protection.merge(&o.protection);
+        // Stale-plan discards are triggered by exhaustions that correctly
+        // gave up on a dead component; once the re-plan restored everyone,
+        // those exhaustions are evidence the safety property worked, not a
+        // calibration bug.
+        if case.channel.overrides.is_empty() && o.outcome != Outcome::RestoredAfterReplan {
+            self.exhaustions_without_gray += o.health.retry_exhaustions;
         }
     }
 }
@@ -313,21 +379,13 @@ impl CampaignReport {
                     .map(move |&p| OutcomeCounts::new(f, p))
             })
             .collect();
-        let mut latency_samples: Vec<Vec<f64>> = vec![Vec::new(); ProtoKind::ALL.len()];
+        let mut tallies: Vec<ArmTally> =
+            ProtoKind::ALL.iter().map(|_| ArmTally::default()).collect();
         let mut family_samples: std::collections::BTreeMap<(FaultFamily, ProtoKind), Vec<f64>> =
             FaultFamily::ALL
                 .iter()
                 .flat_map(|&f| ProtoKind::ALL.iter().map(move |&p| ((f, p), Vec::new())))
                 .collect();
-        let mut health: Vec<HealthSummary> = ProtoKind::ALL
-            .iter()
-            .map(|&p| HealthSummary {
-                proto: p,
-                health: ControlHealth::default(),
-                exhaustions_without_gray: 0,
-                protection: ProtectionHealth::default(),
-            })
-            .collect();
         let groups_n = run.config.groups.max(1);
         let mut group_summaries: Vec<GroupSummary> = (0..groups_n)
             .flat_map(|g| {
@@ -356,21 +414,11 @@ impl CampaignReport {
                     .find(|c| c.family == r.case.family && c.proto == proto)
                     .expect("every (family, proto) cell exists");
                 cell.bump(o.outcome);
-                latency_samples[pi].extend_from_slice(&o.latencies_ms);
+                tallies[pi].absorb(&r.case, o);
                 family_samples
                     .get_mut(&(r.case.family, proto))
                     .expect("every (family, proto) sample exists")
                     .extend_from_slice(&o.latencies_ms);
-                health[pi].health.merge(&o.health);
-                health[pi].protection.merge(&o.protection);
-                // Stale-plan discards are triggered by exhaustions that
-                // correctly gave up on a dead component; once the re-plan
-                // restored everyone, those exhaustions are evidence the
-                // safety property worked, not a calibration bug.
-                if r.case.channel.overrides.is_empty() && o.outcome != Outcome::RestoredAfterReplan
-                {
-                    health[pi].exhaustions_without_gray += o.health.retry_exhaustions;
-                }
                 if !o.violations.is_empty() {
                     total_violations += o.violations.len() as u32;
                     reproducers.push(Reproducer {
@@ -383,11 +431,19 @@ impl CampaignReport {
             case_rows.push(case_row(r));
         }
 
-        let latencies = ProtoKind::ALL
+        let (latencies, health) = ProtoKind::ALL
             .iter()
-            .zip(latency_samples)
-            .map(|(&p, s)| LatencySummary::from_samples(p, s))
-            .collect();
+            .zip(tallies)
+            .map(|(&proto, t)| {
+                let health = HealthSummary {
+                    proto,
+                    health: t.health,
+                    exhaustions_without_gray: t.exhaustions_without_gray,
+                    protection: t.protection,
+                };
+                (LatencySummary::from_samples(proto, t.latencies_ms), health)
+            })
+            .unzip();
         let family_latencies = family_samples
             .into_iter()
             .map(|((family, proto), samples)| {
@@ -474,15 +530,7 @@ impl CampaignReport {
                         .outcomes
                         .iter()
                         .filter(|c| c.proto == p)
-                        .map(|c| match o {
-                            Outcome::Unaffected => c.unaffected,
-                            Outcome::RestoredLocalDetour => c.restored_local_detour,
-                            Outcome::RestoredAfterReplan => c.restored_after_replan,
-                            Outcome::FellBackGlobal => c.fell_back_global,
-                            Outcome::SourcePartitioned => c.source_partitioned,
-                            Outcome::DetectionMissed => c.detection_missed,
-                            Outcome::InvariantViolation => c.invariant_violation,
-                        })
+                        .map(|c| c.count(o))
                         .sum();
                     format!("{p}={n}")
                 })

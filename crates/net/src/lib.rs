@@ -9,8 +9,7 @@
 //! * an arena-style undirected weighted [`Graph`] with typed [`NodeId`] /
 //!   [`LinkId`] handles,
 //! * shortest-path machinery ([`dijkstra`]): plain, avoid-set constrained and
-//!   multi-target Dijkstra, plus Yen's k-shortest loopless paths
-//!   ([`kpaths`]),
+//!   multi-target Dijkstra,
 //! * random topology generators matching the paper's simulation setup:
 //!   the Waxman model ([`waxman`], GT-ITM's "pure random" model) and a
 //!   2-level transit-stub model ([`transit_stub`]) for the hierarchical
@@ -45,7 +44,6 @@ pub mod geometry;
 pub mod graph;
 pub mod ids;
 pub mod import;
-pub mod kpaths;
 pub mod nlevel;
 pub mod path;
 pub mod transit_stub;

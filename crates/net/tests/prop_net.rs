@@ -371,69 +371,3 @@ fn bucketed_tree_is_the_heap_tree_on_transit_stub() {
         same_as_heap(&g, src, restricted).unwrap();
     }
 }
-
-/// Brute-force enumeration of all simple paths between two nodes, sorted
-/// by (delay, node sequence) — the oracle for Yen's algorithm.
-fn all_simple_paths(g: &Graph, src: NodeId, dst: NodeId) -> Vec<(f64, Vec<NodeId>)> {
-    fn dfs(
-        g: &Graph,
-        cur: NodeId,
-        dst: NodeId,
-        visited: &mut Vec<bool>,
-        path: &mut Vec<NodeId>,
-        delay: f64,
-        out: &mut Vec<(f64, Vec<NodeId>)>,
-    ) {
-        if cur == dst {
-            out.push((delay, path.clone()));
-            return;
-        }
-        for &(next, l) in g.adjacency(cur) {
-            if visited[next.index()] {
-                continue;
-            }
-            visited[next.index()] = true;
-            path.push(next);
-            dfs(g, next, dst, visited, path, delay + g.link(l).delay(), out);
-            path.pop();
-            visited[next.index()] = false;
-        }
-    }
-    let mut out = Vec::new();
-    let mut visited = vec![false; g.node_count()];
-    visited[src.index()] = true;
-    dfs(g, src, dst, &mut visited, &mut vec![src], 0.0, &mut out);
-    out.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn yen_matches_brute_force_on_small_graphs(
-        g in arb_graph(),
-        src_i in 0usize..12,
-        dst_i in 0usize..12,
-        k in 1usize..6,
-    ) {
-        prop_assume!(g.node_count() <= 8);
-        let src = NodeId::new(src_i % g.node_count());
-        let dst = NodeId::new(dst_i % g.node_count());
-        prop_assume!(src != dst);
-        let oracle = all_simple_paths(&g, src, dst);
-        let yen = smrp_net::kpaths::k_shortest_paths(&g, src, dst, k);
-        prop_assert_eq!(yen.len(), k.min(oracle.len()));
-        // Yen's i-th path delay equals the oracle's i-th smallest delay
-        // (the exact node sequence may differ on ties).
-        for (i, p) in yen.iter().enumerate() {
-            prop_assert!(
-                (p.delay(&g) - oracle[i].0).abs() < 1e-9,
-                "k-path {} has delay {} but oracle says {}",
-                i,
-                p.delay(&g),
-                oracle[i].0
-            );
-        }
-    }
-}

@@ -9,7 +9,6 @@ use proptest::prelude::*;
 use smrp_repro::core::recovery::{self, DetourKind};
 use smrp_repro::core::{SmrpConfig, SmrpSession};
 use smrp_repro::net::dijkstra::{self, Constraints};
-use smrp_repro::net::kpaths::k_shortest_paths;
 use smrp_repro::net::waxman::WaxmanConfig;
 use smrp_repro::net::{FailureScenario, Graph, NodeId};
 
@@ -74,31 +73,6 @@ proptest! {
             // pruning discipline, N_R recounts and the Eq. 1 == Eq. 2
             // SHR cross-check — must hold after every operation.
             sess.tree().validate(&graph).unwrap();
-        }
-    }
-
-    #[test]
-    fn dijkstra_is_no_longer_than_any_k_path(
-        seed in 0u64..500,
-        src_i in 0usize..24,
-        dst_i in 0usize..24,
-    ) {
-        let graph = waxman(seed.wrapping_add(1000), 24);
-        let src = NodeId::new(src_i % graph.node_count());
-        let dst = NodeId::new(dst_i % graph.node_count());
-        prop_assume!(src != dst);
-        let best = dijkstra::shortest_path(&graph, src, dst);
-        let alts = k_shortest_paths(&graph, src, dst, 4);
-        match best {
-            Some(best) => {
-                prop_assert!(!alts.is_empty());
-                for alt in &alts {
-                    prop_assert!(best.delay(&graph) <= alt.delay(&graph) + 1e-9);
-                }
-                // Yen's first path IS the shortest path.
-                prop_assert!((alts[0].delay(&graph) - best.delay(&graph)).abs() < 1e-9);
-            }
-            None => prop_assert!(alts.is_empty()),
         }
     }
 
