@@ -219,11 +219,6 @@ impl<'g> SmrpSession<'g> {
         self.graph
     }
 
-    /// The session configuration.
-    pub fn config(&self) -> &SmrpConfig {
-        &self.config
-    }
-
     /// The multicast source.
     pub fn source(&self) -> NodeId {
         self.tree.source()

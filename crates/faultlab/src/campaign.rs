@@ -521,6 +521,7 @@ pub(crate) fn evaluate_arm(
             scenario,
             plans: PlanSource::Strategy(strategy),
             timing,
+            membership: &[],
             channel,
             until: SimTime::from_ms(run_until_ms),
         };

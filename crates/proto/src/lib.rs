@@ -42,21 +42,21 @@
 //! There is one way: describe the experiment in a [`FailureSpec`] — the
 //! scenario, a [`PlanSource`] (a [`RecoveryStrategy`], or an explicit
 //! `(group, member, plan)` list from an external planner), an
-//! [`InjectionTiming`], a channel and a horizon;
+//! [`InjectionTiming`], timed [`MemberChange`]s, a channel and a horizon;
 //! [`FailureSpec::persistent`] covers the paper's case — and hand it to
 //! [`MultiSession::run`] with a [`smrp_sim::TraceLog`] (disabled,
 //! buffering, or an observer). It loads every group's tree into one
-//! simulator, pumps data, injects the failure and returns a
-//! [`FailureRun`]: each member's **service restoration latency** per
-//! group, the trace, and the final routers. [`ProtoSession::run`] is the
-//! same call for one session and [`ProtoSession::run_steady`] the same
-//! call with no failure: one loop, failure or not, configured on the run
-//! (routers load [`RouterConfig::default`];
-//! [`MultiSession::set_timer_backend`] is the one backend switch). Only
-//! [`DynamicSession`], which drives joins over time, has a simulator of
-//! its own. `MultiSession::run_failure_spec` and `run_failure_spec_traced`
-//! are one-expression shims over `run`, kept only because the repository
-//! benchmark compiles against them.
+//! simulator, pumps data, injects the failure, applies the membership
+//! changes and returns a [`FailureRun`]: each member's **service
+//! restoration latency** per group, the trace, and the final routers.
+//! [`ProtoSession::run`] is the same call for one session and
+//! [`ProtoSession::run_steady`] the same call with no failure: one loop,
+//! configured on the run (routers load [`RouterConfig::default`];
+//! [`MultiSession::set_timer_backend`] is the one backend switch).
+//! [`MembershipMirror`] writes joins, leaves and reshapes from an
+//! `smrp-core` mirror. `MultiSession::run_failure_spec` and
+//! `run_failure_spec_traced` are one-expression shims over `run`, kept
+//! only because the repository benchmark compiles against them.
 
 pub mod hierarchy;
 pub mod membership;
@@ -69,11 +69,11 @@ pub mod runner;
 pub mod snapshot;
 pub mod wire;
 
-pub use membership::DynamicSession;
+pub use membership::MembershipMirror;
 pub use messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
 pub use multi::{
-    FailureRun, FailureSpec, GroupRecoveryReport, MultiRecoveryReport, MultiRouter, MultiSession,
-    PlanSource,
+    FailureRun, FailureSpec, GroupRecoveryReport, MemberChange, MultiRecoveryReport, MultiRouter,
+    MultiSession, PlanSource,
 };
 pub use reliable::{ReliabilityCounters, ReliableConfig};
 pub use router::{ControlCounters, RecoveryPlan, Router, RouterConfig};

@@ -1,313 +1,136 @@
-//! Dynamic membership at the message level.
+//! Dynamic membership: the control-plane mirror that scripts it.
 //!
-//! [`DynamicSession`] drives a live protocol simulation through explicit
-//! join and leave events, mirroring the control-plane state in an
-//! `smrp-core` session so each join uses the real SMRP path selection
-//! (§3.2.2) while the wire behavior — `Setup` propagation, soft-state
-//! refresh, pruning after departures — runs entirely through
-//! [`crate::router::Router`]s on the simulator.
+//! Joins, leaves and reshapes (§3.2.2–§3.2.3) are timed [`MemberChange`]
+//! entries of [`crate::FailureSpec::membership`], applied by the one run
+//! loop, [`crate::MultiSession::run`]. [`MembershipMirror`] writes them
+//! from an `smrp-core` [`SmrpSession`], so each join takes the real SMRP
+//! path selection and each reshape the real Condition I/II decision; the
+//! wire behaviour is the routers' own.
 
-use smrp_core::select::{self, SelectionMode};
-use smrp_core::{SmrpConfig, SmrpError, SmrpSession};
-use smrp_net::{Graph, NodeId};
-use smrp_sim::{NetSim, SimTime, TraceLog};
+use smrp_core::session::ReshapeOutcome;
+use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession};
+use smrp_net::{Graph, GroupId, NodeId};
+use smrp_sim::SimTime;
 
-use crate::router::{Router, RouterConfig};
+use crate::multi::MemberChange;
 
-/// A live protocol session accepting joins and leaves over virtual time.
-pub struct DynamicSession<'g> {
-    graph: &'g Graph,
-    sim: NetSim<'g, Router>,
-    /// Control-plane mirror used for SMRP path selection.
+/// One group's control-plane mirror, turning membership operations at
+/// given instants into a run's membership list.
+#[derive(Debug)]
+pub struct MembershipMirror<'g> {
     control: SmrpSession<'g>,
+    group: GroupId,
+    script: Vec<(SimTime, GroupId, NodeId, MemberChange)>,
 }
 
-impl<'g> DynamicSession<'g> {
-    /// Creates a session rooted at `source` with default protocol timers.
+impl<'g> MembershipMirror<'g> {
+    /// Mirrors `group`, rooted at `source`, starting with no members.
     ///
     /// # Errors
     ///
     /// Fails on an unknown source or invalid configuration.
-    pub fn new(graph: &'g Graph, source: NodeId, config: SmrpConfig) -> Result<Self, SmrpError> {
-        let control = SmrpSession::new(graph, source, config)?;
-        let mut routers: Vec<Router> = (0..graph.node_count())
-            .map(|_| Router::new(RouterConfig::default()))
-            .collect();
-        routers[source.index()].set_source();
-        routers[source.index()].load_state(None, &[], false);
-        let mut sim = NetSim::new(graph, routers);
-        sim.set_trace(TraceLog::disabled());
-        sim.with_node(source, |r, ctx| r.start_timers(ctx));
-        Ok(DynamicSession {
-            graph,
-            sim,
-            control,
+    pub fn new(
+        graph: &'g Graph,
+        source: NodeId,
+        config: SmrpConfig,
+        group: GroupId,
+    ) -> Result<Self, SmrpError> {
+        Ok(MembershipMirror {
+            control: SmrpSession::new(graph, source, config)?,
+            group,
+            script: Vec::new(),
         })
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Read access to a router.
-    pub fn router(&self, node: NodeId) -> &Router {
-        self.sim.node(node)
-    }
-
-    /// The control-plane view of the tree.
-    pub fn control_tree(&self) -> &smrp_core::MulticastTree {
+    /// The mirror's current tree (it prunes at once; the wire prunes on
+    /// holdtime).
+    pub fn tree(&self) -> &MulticastTree {
         self.control.tree()
     }
 
-    /// Joins `member` now: the control plane selects the SMRP path, the
-    /// member issues the source-routed `Setup`, and state installs hop by
-    /// hop.
+    /// The membership list written so far, in call order.
+    pub fn script(&self) -> &[(SimTime, GroupId, NodeId, MemberChange)] {
+        &self.script
+    }
+
+    /// Joins `member` at `at`. A relay is promoted in place; otherwise the
+    /// member source-routes a `Setup` along its new branch, from itself to
+    /// the merger the mirror chose. Members the join reshaped (Condition I
+    /// under [`SmrpConfig::auto_reshape`]) re-route as [`reshape`](Self::reshape)
+    /// does.
     ///
     /// # Errors
     ///
     /// Propagates control-plane selection errors.
-    pub fn join(&mut self, member: NodeId) -> Result<(), SmrpError> {
-        // Path selection against the mirror (reshaping disabled at the
-        // wire level: path switches would need teardown messages that the
-        // scope of this driver omits).
-        if self.control.tree().is_on_tree(member) {
-            // Already a relay: membership is local state.
-            self.control.join(member)?;
-            self.sim.with_node(member, |r, ctx| {
-                r.load_state(r.upstream(), &r.downstream(), true);
-                r.start_timers(ctx);
-            });
-            return Ok(());
+    pub fn join(&mut self, at: SimTime, member: NodeId) -> Result<(), SmrpError> {
+        let out = self.control.join(member)?;
+        let nodes = out.path.nodes();
+        let merger = nodes.iter().position(|&n| n == out.merger);
+        let change = match &nodes[merger.expect("the path crosses its merger")..] {
+            [_] => MemberChange::Promote,
+            branch => MemberChange::Setup(branch.iter().rev().copied().collect()),
+        };
+        self.script.push((at, self.group, member, change));
+        for m in out.reshaped {
+            self.reroute(at, m);
         }
-        let selection = select::select_path(
-            self.graph,
-            self.control.tree(),
-            self.control.spt(),
-            member,
-            self.control.config().d_thresh,
-            SelectionMode::FullTopology,
-            &[],
-        )?;
-        self.control.join(member)?;
-        let mut path = selection.candidate.approach.nodes().to_vec();
-        debug_assert_eq!(path[0], member);
-        if path.len() == 1 {
-            path.push(selection.candidate.merger);
-        }
-        self.sim
-            .with_node(member, |r, ctx| r.initiate_setup(ctx, path, true));
         Ok(())
     }
 
-    /// Leaves `member` now; pruning happens through soft-state expiry.
+    /// Leaves `member` at `at`; the wire prunes through soft-state expiry.
     ///
     /// # Errors
     ///
     /// Propagates control-plane membership errors.
-    pub fn leave(&mut self, member: NodeId) -> Result<(), SmrpError> {
+    pub fn leave(&mut self, at: SimTime, member: NodeId) -> Result<(), SmrpError> {
         self.control.leave(member)?;
-        self.sim.with_node(member, |r, _| r.leave_group());
+        self.script
+            .push((at, self.group, member, MemberChange::Leave));
         Ok(())
     }
 
-    /// Attempts the §3.2.3 reshaping for `member` and, if the control plane
-    /// switches its path, re-synchronizes the wire state: the member issues
-    /// a `Setup` along its new source path (reorienting every hop), and the
-    /// abandoned branch decays through soft-state expiry.
-    ///
+    /// Attempts the §3.2.3 reshaping for `member` at `at`. On a switch the
+    /// member issues a `Setup` along its new source path (reorienting every
+    /// hop), and the abandoned branch decays through soft-state expiry.
     /// Returns whether a switch happened.
     ///
     /// # Errors
     ///
     /// Propagates control-plane errors.
-    pub fn reshape(&mut self, member: NodeId) -> Result<bool, SmrpError> {
-        use smrp_core::session::ReshapeOutcome;
-        match self.control.reshape_member(member)? {
-            ReshapeOutcome::Kept => Ok(false),
-            ReshapeOutcome::Switched { .. } => {
-                let path = self
-                    .control
-                    .tree()
-                    .path_from_source(member)
-                    .expect("member stays on the tree")
-                    .reversed();
-                let nodes = path.nodes().to_vec();
-                self.sim
-                    .with_node(member, |r, ctx| r.initiate_setup(ctx, nodes, true));
-                Ok(true)
-            }
-        }
-    }
-
-    /// Runs one Condition II sweep over all members, resyncing switched
-    /// paths onto the wire. Returns the number of switches.
-    ///
-    /// # Errors
-    ///
-    /// Propagates control-plane errors.
-    pub fn reshape_sweep(&mut self) -> Result<usize, SmrpError> {
-        let members: Vec<NodeId> = self.control.members().collect();
-        let mut switched = 0;
-        for m in members {
-            if self.reshape(m)? {
-                switched += 1;
-            }
+    pub fn reshape(&mut self, at: SimTime, member: NodeId) -> Result<bool, SmrpError> {
+        let switched = matches!(
+            self.control.reshape_member(member)?,
+            ReshapeOutcome::Switched { .. }
+        );
+        if switched {
+            self.reroute(at, member);
         }
         Ok(switched)
     }
 
-    /// Advances virtual time by `delta`.
-    pub fn run_for(&mut self, delta: SimTime) {
-        let target = self.sim.now() + delta;
-        self.sim.run_until(target);
+    /// One Condition II sweep over all members at `at`. Returns the number
+    /// of switches.
+    ///
+    /// # Errors
+    ///
+    /// Propagates control-plane errors.
+    pub fn reshape_sweep(&mut self, at: SimTime) -> Result<usize, SmrpError> {
+        let members: Vec<NodeId> = self.control.members().collect();
+        let mut switched = 0;
+        for m in members {
+            switched += usize::from(self.reshape(at, m)?);
+        }
+        Ok(switched)
     }
 
-    /// Data packets delivered to `member` so far.
-    pub fn deliveries(&self, member: NodeId) -> usize {
-        self.sim.node(member).deliveries().len()
-    }
-}
-
-impl std::fmt::Debug for DynamicSession<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DynamicSession")
-            .field("now", &self.sim.now())
-            .field("members", &self.control.tree().member_count())
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use smrp_core::paper;
-
-    fn session(graph: &Graph, source: NodeId) -> DynamicSession<'_> {
-        let config = SmrpConfig {
-            auto_reshape: false,
-            ..SmrpConfig::default()
-        };
-        DynamicSession::new(graph, source, config).unwrap()
-    }
-
-    #[test]
-    fn dynamic_join_starts_data_flow() {
-        let (graph, n) = paper::figure1_graph();
-        let mut s = session(&graph, n.s);
-        s.run_for(SimTime::from_ms(50.0));
-        s.join(n.c).unwrap();
-        s.run_for(SimTime::from_ms(200.0));
-        assert!(
-            s.deliveries(n.c) > 10,
-            "C got {} packets",
-            s.deliveries(n.c)
-        );
-        // The wire tree matches the control tree.
-        assert_eq!(s.router(n.a).downstream(), vec![n.c]);
-        assert!(s.control_tree().is_member(n.c));
-    }
-
-    #[test]
-    fn staggered_joins_share_state() {
-        let (graph, n) = paper::figure1_graph();
-        let mut s = session(&graph, n.s);
-        s.join(n.c).unwrap();
-        s.run_for(SimTime::from_ms(100.0));
-        s.join(n.d).unwrap();
-        s.run_for(SimTime::from_ms(200.0));
-        assert!(s.deliveries(n.c) > 0);
-        assert!(s.deliveries(n.d) > 0);
-        // A carries both children, exactly as in Figure 1(a).
-        let mut down = s.router(n.a).downstream();
-        down.sort();
-        assert_eq!(down, vec![n.c, n.d]);
-    }
-
-    #[test]
-    fn leave_prunes_via_soft_state() {
-        let (graph, n) = paper::figure1_graph();
-        let mut s = session(&graph, n.s);
-        s.join(n.c).unwrap();
-        s.run_for(SimTime::from_ms(100.0));
-        let before = s.deliveries(n.c);
-        s.leave(n.c).unwrap();
-        // Past the holdtime, C and its relay A are gone from the wire tree.
-        s.run_for(SimTime::from_ms(600.0));
-        assert!(!s.router(n.c).is_on_tree());
-        assert!(!s.router(n.a).is_on_tree());
-        assert!(s.router(n.s).downstream().is_empty());
-        // No deliveries after the prune settled.
-        let after = s.deliveries(n.c);
-        assert!(after - before < 60, "C kept receiving long after leaving");
-    }
-
-    #[test]
-    fn rejoin_after_leave_works() {
-        let (graph, n) = paper::figure1_graph();
-        let mut s = session(&graph, n.s);
-        s.join(n.d).unwrap();
-        s.run_for(SimTime::from_ms(100.0));
-        s.leave(n.d).unwrap();
-        s.run_for(SimTime::from_ms(600.0));
-        s.join(n.d).unwrap();
-        s.run_for(SimTime::from_ms(200.0));
-        let total = s.deliveries(n.d);
-        assert!(total > 20, "D resumed with only {total} packets");
-        assert!(s.control_tree().is_member(n.d));
-    }
-
-    #[test]
-    fn figure5_reshaping_happens_on_the_wire() {
-        // Drive the Figure 4 join sequence (E, G, F) at the message level,
-        // then reshape E: the wire tree must converge to Figure 5(d) —
-        // E reaches the source via C and A — while data keeps flowing.
-        let (graph, n) = paper::figure4_graph();
-        let mut s = session(&graph, n.s);
-        s.join(n.e).unwrap();
-        s.run_for(SimTime::from_ms(60.0));
-        s.join(n.g).unwrap();
-        s.run_for(SimTime::from_ms(60.0));
-        s.join(n.f).unwrap();
-        s.run_for(SimTime::from_ms(120.0));
-
-        let before = s.deliveries(n.e);
-        let switched = s.reshape(n.e).unwrap();
-        assert!(switched, "Condition I should move E after F's admission");
-        // Let the new branch install and the old one expire.
-        s.run_for(SimTime::from_ms(800.0));
-
-        assert_eq!(s.router(n.e).upstream(), Some(n.c));
-        assert_eq!(s.router(n.c).upstream(), Some(n.a));
-        assert!(s.router(n.c).is_on_tree());
-        // D no longer carries E (only F remains beneath it).
-        assert_eq!(s.router(n.d).downstream(), vec![n.f]);
-        // E kept receiving data across the switch.
-        let after = s.deliveries(n.e);
-        assert!(after > before + 50, "E stalled during reshaping");
-        // The other members were untouched.
-        assert!(s.deliveries(n.f) > 0);
-        assert!(s.deliveries(n.g) > 0);
-    }
-
-    #[test]
-    fn quiescent_sweep_switches_nothing() {
-        let (graph, n) = paper::figure1_graph();
-        let mut s = session(&graph, n.s);
-        s.join(n.c).unwrap();
-        s.run_for(SimTime::from_ms(100.0));
-        assert_eq!(s.reshape_sweep().unwrap(), 0);
-    }
-
-    #[test]
-    fn relay_upgrade_join() {
-        let (graph, n) = paper::figure1_graph();
-        let mut s = session(&graph, n.s);
-        s.join(n.c).unwrap(); // path S-A-C puts A on-tree.
-        s.run_for(SimTime::from_ms(100.0));
-        s.join(n.a).unwrap(); // the relay becomes a member.
-        s.run_for(SimTime::from_ms(150.0));
-        assert!(s.deliveries(n.a) > 0, "relay member receives data");
-        assert!(s.router(n.a).is_member());
+    fn reroute(&mut self, at: SimTime, member: NodeId) {
+        let path = self
+            .control
+            .tree()
+            .path_from_source(member)
+            .expect("member stays on the tree")
+            .reversed();
+        let change = MemberChange::Setup(path.nodes().to_vec());
+        self.script.push((at, self.group, member, change));
     }
 }

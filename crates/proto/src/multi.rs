@@ -17,14 +17,14 @@
 //!   simulator: a failure scenario is injected once and every group
 //!   detects and recovers concurrently, contending for the same links.
 //!
-//! [`MultiSession::run`] is the crate's one loop over preloaded trees,
+//! [`MultiSession::run`] is the crate's one loop over trees in time,
 //! failure or not, and the one place a run is configured. A single-group
 //! [`MultiSession`] is how one session runs ([`ProtoSession::run`],
 //! [`ProtoSession::run_steady`]): the lane dispatch adds no virtual time
 //! and preserves event order, and `tests/multi_golden.rs` pins the Figure
-//! 1 numbers the retired single-`Router` loop produced. The exception is
-//! [`crate::DynamicSession`], which drives joins and leaves over time and
-//! so keeps its own simulator.
+//! 1 numbers the retired single-`Router` loop produced. Joins and leaves
+//! ride the same run as [`FailureSpec::membership`] entries, which
+//! [`crate::MembershipMirror`] writes.
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_metrics::{ControlHealth, ProtectionHealth};
@@ -61,9 +61,21 @@ impl From<RecoveryStrategy> for PlanSource<'_> {
     }
 }
 
+/// What one membership entry of a run does to its member's lane.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MemberChange {
+    /// The member joins (or re-routes) along this source-routed path,
+    /// member first: [`Router::initiate_setup`] installs it hop by hop.
+    Setup(Vec<NodeId>),
+    /// A relay becomes a member: local state only, no message.
+    Promote,
+    /// The member leaves; its branch prunes on soft-state expiry.
+    Leave,
+}
+
 /// Everything one failure experiment needs besides the sessions: what
-/// breaks, who planned the detours, when it breaks (and heals), what the
-/// control channel does meanwhile, and when the run ends.
+/// breaks, who planned the detours, when it breaks (and heals), who joins
+/// and leaves, what the control channel does, and when the run ends.
 #[derive(Debug, Clone)]
 pub struct FailureSpec<'s> {
     /// The components that fail.
@@ -72,6 +84,10 @@ pub struct FailureSpec<'s> {
     pub plans: PlanSource<'s>,
     /// When the scenario is injected and (optionally) repaired.
     pub timing: InjectionTiming,
+    /// Timed membership changes `(at, group, member, change)` from an
+    /// outside producer such as [`crate::MembershipMirror`], applied as
+    /// given: in time order, stable for equal instants, none past `until`.
+    pub membership: &'s [(SimTime, GroupId, NodeId, MemberChange)],
     /// The control channel's degradation.
     pub channel: ChannelSpec,
     /// The run horizon.
@@ -94,6 +110,7 @@ impl<'s> FailureSpec<'s> {
             scenario,
             plans: plans.into(),
             timing: InjectionTiming::Once(FailureTiming::persistent(fail_at)),
+            membership: &[],
             channel: ChannelSpec::perfect(),
             until,
         }
@@ -433,12 +450,12 @@ impl<'g> MultiSession<'g> {
     }
 
     /// Runs one experiment — the only function in this crate that builds a
-    /// simulator over preloaded trees. Every group's tree is loaded into
-    /// one [`NetSim`], `spec.scenario` is injected once on `spec.timing`
-    /// (an empty scenario makes a failure-free run), and each group
-    /// detects and recovers independently while contending for the same
-    /// links (and, when `spec.channel` is degraded, the same loss
-    /// process).
+    /// simulator. Every group's tree is loaded into one [`NetSim`],
+    /// `spec.scenario` is injected once on `spec.timing` (an empty scenario
+    /// makes a failure-free run), each `spec.membership` entry is applied
+    /// to its member's lane at its instant, and each group detects and
+    /// recovers independently while contending for the same links (and,
+    /// when `spec.channel` is degraded, the same loss process).
     ///
     /// Routers run [`RouterConfig::default`]. When the channel's *default*
     /// lane is lossy, that config is hardened via
@@ -534,6 +551,22 @@ impl<'g> MultiSession<'g> {
                 }
             }
         }
+        let mut changes: Vec<_> = spec
+            .membership
+            .iter()
+            .filter(|c| c.0 <= spec.until)
+            .collect();
+        changes.sort_by_key(|c| c.0);
+        for (at, group, member, change) in changes {
+            sim.run_until(*at);
+            sim.with_node(*member, |p, ctx| {
+                p.with_lane(ctx, *group, |r, ictx| match change {
+                    MemberChange::Setup(path) => r.initiate_setup(ictx, path.clone(), true),
+                    MemberChange::Promote => r.join_group(),
+                    MemberChange::Leave => r.leave_group(),
+                });
+            });
+        }
         sim.run_until(spec.until);
 
         // Packets in flight when the failure hit don't count as restored
@@ -625,11 +658,9 @@ impl<'g> MultiSession<'g> {
         until: SimTime,
     ) -> MultiRecoveryReport {
         let spec = FailureSpec {
-            scenario,
-            plans: PlanSource::Strategy(strategy),
             timing,
             channel: channel.clone(),
-            until,
+            ..FailureSpec::persistent(scenario, strategy, timing.fail_at(), until)
         };
         self.run(&spec, TraceLog::disabled()).report
     }
@@ -647,11 +678,9 @@ impl<'g> MultiSession<'g> {
         trace: TraceLog<'o>,
     ) -> (MultiRecoveryReport, TraceLog<'o>) {
         let spec = FailureSpec {
-            scenario,
-            plans: PlanSource::Strategy(strategy),
             timing,
             channel: channel.clone(),
-            until,
+            ..FailureSpec::persistent(scenario, strategy, timing.fail_at(), until)
         };
         let run = self.run(&spec, trace);
         (run.report, run.trace)

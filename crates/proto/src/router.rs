@@ -564,6 +564,15 @@ impl Router {
         self.is_member = false;
     }
 
+    /// Joins the multicast group in place, the inverse of
+    /// [`leave_group`](Self::leave_group): membership is local state, so
+    /// tree state and timers stay as they are. A relay promoted while the
+    /// `Setup` that makes it one is still in flight is grafted by that
+    /// `Setup` and starts receiving when it lands.
+    pub fn join_group(&mut self) {
+        self.is_member = true;
+    }
+
     /// Installs unicast routing state: the next hop and distance toward the
     /// multicast source, as the underlying routing protocol would provide.
     pub fn set_unicast_routing(&mut self, next_hop: Option<NodeId>, distance: f64) {

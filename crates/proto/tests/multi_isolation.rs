@@ -18,149 +18,124 @@
 
 use proptest::prelude::*;
 use smrp_core::paper;
-use smrp_net::{Graph, GroupId, LinkId, NodeId};
-use smrp_proto::{MultiRouter, ProtoSession, RouterConfig, TreeProtocol};
-use smrp_sim::{NetSim, SimTime};
+use smrp_net::{FailureScenario, GroupId, LinkId, NodeId};
+use smrp_proto::{
+    FailureSpec, FailureTiming, InjectionTiming, MemberChange, MultiSession, PlanSource,
+    ProtoSession, TreeProtocol,
+};
+use smrp_sim::{ChannelSpec, SimTime, TraceLog};
 
 /// One lane's structural end state: on-tree, member, upstream,
 /// downstream (sorted), advertised SHR, deliveries, control spend.
 type LaneDigest = (bool, bool, Option<NodeId>, Vec<NodeId>, u32, usize, u64);
 
-/// One group's membership event: which member (index into the group's
-/// member list) and what it does. Values ≥ 2 are deliberate no-ops so
-/// the generator also produces sparse streams.
-#[derive(Debug, Clone, Copy)]
-struct Op {
-    member: u8,
-    kind: u8,
-}
+/// One membership entry of a group, before the run tags it with the group.
+type Change = (SimTime, NodeId, MemberChange);
 
-struct GroupSpec<'g> {
-    /// The group's identity — stable across the solo and combined runs,
-    /// so lane state lands under the same key either way.
-    id: GroupId,
-    session: ProtoSession<'g>,
-    members: Vec<NodeId>,
-    /// Source-to-member graft path of each member on the original tree.
-    paths: Vec<Vec<NodeId>>,
-    ops: Vec<Op>,
-    /// When this group's k-th op fires, in milliseconds.
-    op_at: fn(usize) -> f64,
-}
-
-/// The member's graft path on the original tree: member first (setup
-/// paths are source-routed from the initiator), then parents up to the
-/// source.
-fn member_path(session: &ProtoSession<'_>, member: NodeId) -> Vec<NodeId> {
+/// One group's membership stream: op `k` fires at `first + 300·k` ms on
+/// member `m % members.len()` and leaves (`kind` 0) or re-grafts along
+/// the member's path on the original tree (1). Other kinds are deliberate
+/// no-ops, so the generator also produces sparse streams.
+fn stream(
+    session: &ProtoSession<'_>,
+    members: &[NodeId],
+    ops: &[(u8, u8)],
+    first: f64,
+) -> Vec<Change> {
     let tree = session.tree();
-    let mut path = vec![member];
-    let mut cur = member;
-    while let Some(p) = tree.parent(cur) {
-        path.push(p);
-        cur = p;
+    let mut out = Vec::new();
+    for (k, &(m, kind)) in ops.iter().enumerate() {
+        let member = members[usize::from(m) % members.len()];
+        let change = match kind {
+            0 => MemberChange::Leave,
+            1 => {
+                let path = tree
+                    .path_from_source(member)
+                    .expect("members are on the tree");
+                MemberChange::Setup(path.reversed().nodes().to_vec())
+            }
+            _ => continue,
+        };
+        out.push((SimTime::from_ms(first + 300.0 * k as f64), member, change));
     }
-    path
+    out
 }
 
-fn load_group(procs: &mut [MultiRouter], session: &ProtoSession<'_>, group: GroupId) {
-    let tree = session.tree();
-    for n in tree.on_tree_nodes() {
-        let upstream = tree.parent(n);
-        let downstream: Vec<NodeId> = tree.children(n).to_vec();
-        procs[n.index()]
-            .lane_mut(group)
-            .load_state(upstream, &downstream, tree.is_member(n));
-    }
-    procs[session.source().index()].lane_mut(group).set_source();
-}
-
-/// Runs the scenario hosting `groups` (one or both) and returns the
-/// digest of every node's lane for group `observe`.
+/// Runs `groups` (one or both, each a session and its stream) over the
+/// shared substrate on the one run loop and returns, per hosted group,
+/// the digest of every node's lane. Group `i` of the run is `groups[i]`:
+/// lanes never read their group id, so a group's solo run and its slot in
+/// the shared run are comparable.
 fn run_groups(
-    graph: &Graph,
-    groups: &[&GroupSpec<'_>],
-    substrate: &[(SimTime, bool, LinkId)],
-    observe: GroupId,
-) -> Vec<LaneDigest> {
-    let config = RouterConfig::default();
-    let mut procs: Vec<MultiRouter> = (0..graph.node_count())
-        .map(|_| MultiRouter::new(config))
-        .collect();
-    for g in groups {
-        load_group(&mut procs, &g.session, g.id);
-    }
-
-    let mut sim = NetSim::new(graph, procs);
-    for g in groups {
-        let gid = g.id;
-        for n in g.session.tree().on_tree_nodes() {
-            sim.with_node(n, |p, ctx| {
-                p.with_lane(ctx, gid, |r, ictx| r.start_timers(ictx));
-            });
+    groups: &[(&ProtoSession<'_>, &[Change])],
+    scenario: &FailureScenario,
+    timing: InjectionTiming,
+) -> Vec<Vec<LaneDigest>> {
+    // Every op fires at the same instant whether or not the other group
+    // runs; the run interleaves the groups' entries in time order.
+    let mut membership = Vec::new();
+    for (gi, (_, ops)) in groups.iter().enumerate() {
+        for (at, member, change) in ops.iter() {
+            membership.push((*at, GroupId::new(gi), *member, change.clone()));
         }
     }
-    for &(at, down, link) in substrate {
-        if down {
-            sim.schedule_link_failure(at, link);
-        } else {
-            sim.schedule_link_repair(at, link);
-        }
-    }
+    let multi = MultiSession::from_sessions(groups.iter().map(|(s, _)| (*s).clone()).collect());
+    let spec = FailureSpec {
+        scenario,
+        plans: PlanSource::Explicit(&[]),
+        timing,
+        membership: &membership,
+        channel: ChannelSpec::perfect(),
+        until: SimTime::from_ms(3000.0),
+    };
+    let routers = multi.run(&spec, TraceLog::disabled()).routers;
 
-    // Interleave every hosted group's ops in absolute-time order; each
-    // op fires at the same instant whether or not the other group runs.
-    let mut events: Vec<(SimTime, GroupId, Op, NodeId, Vec<NodeId>)> = Vec::new();
-    for g in groups {
-        for (k, &op) in g.ops.iter().enumerate() {
-            let mi = usize::from(op.member) % g.members.len();
-            events.push((
-                SimTime::from_ms((g.op_at)(k)),
-                g.id,
-                op,
-                g.members[mi],
-                g.paths[mi].clone(),
-            ));
-        }
-    }
-    events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-
-    for (at, gid, op, member, path) in events {
-        sim.run_until(at);
-        sim.with_node(member, |p, ctx| {
-            p.with_lane(ctx, gid, |r, ictx| match op.kind {
-                0 => r.leave_group(),
-                1 => r.initiate_setup(ictx, path.clone(), true),
-                _ => {}
-            });
-        });
-    }
-    sim.run_until(SimTime::from_ms(3000.0));
-
-    graph
-        .node_ids()
-        .map(|n| {
-            let lane = sim.node(n).lane(observe);
-            lane.map_or((false, false, None, Vec::new(), 0, 0, 0), |r| {
-                let mut down = r.downstream();
-                down.sort();
-                (
-                    r.is_on_tree(),
-                    r.is_member(),
-                    r.upstream(),
-                    down,
-                    r.advertised_shr(),
-                    r.deliveries().len(),
-                    r.control_sent().total(),
-                )
-            })
+    multi
+        .groups()
+        .map(|group| {
+            routers
+                .iter()
+                .map(|p| {
+                    p.lane(group)
+                        .map_or((false, false, None, Vec::new(), 0, 0, 0), |r| {
+                            let mut down = r.downstream();
+                            down.sort();
+                            (
+                                r.is_on_tree(),
+                                r.is_member(),
+                                r.upstream(),
+                                down,
+                                r.advertised_shr(),
+                                r.deliveries().len(),
+                                r.control_sent().total(),
+                            )
+                        })
+                })
+                .collect()
         })
         .collect()
 }
 
-fn substrate_schedule(toggles: usize, link: LinkId) -> Vec<(SimTime, bool, LinkId)> {
-    (0..toggles)
-        .map(|k| (SimTime::from_ms(350.0 + 400.0 * k as f64), k % 2 == 0, link))
-        .collect()
+/// The shared link's failures, by `kind`: none, a persistent cut at
+/// 350 ms, a 350–750 ms outage, or two 400 ms outages 400 ms apart.
+fn substrate(kind: usize, link: LinkId) -> (FailureScenario, InjectionTiming) {
+    let at = SimTime::from_ms;
+    let timing = match kind {
+        0 | 1 => InjectionTiming::Once(FailureTiming::persistent(at(350.0))),
+        2 => InjectionTiming::Once(FailureTiming::transient(at(350.0), at(750.0))),
+        _ => InjectionTiming::Flapping {
+            fail_at: at(350.0),
+            down: at(400.0),
+            up: at(400.0),
+            cycles: 2,
+        },
+    };
+    let scenario = if kind == 0 {
+        FailureScenario::none()
+    } else {
+        FailureScenario::link(link)
+    };
+    (scenario, timing)
 }
 
 proptest! {
@@ -170,7 +145,7 @@ proptest! {
     fn groups_are_isolated_under_interleaved_streams(
         raw0 in proptest::collection::vec((0u8..4, 0u8..4), 0..5),
         raw1 in proptest::collection::vec((0u8..4, 0u8..4), 0..5),
-        toggles in 0usize..4,
+        outage in 0usize..4,
     ) {
         let (graph, nodes) = paper::figure1_graph();
         let s0 =
@@ -178,31 +153,16 @@ proptest! {
         let s1 =
             ProtoSession::build(&graph, nodes.b, &[nodes.a, nodes.c], TreeProtocol::Spf).unwrap();
 
-        let g0 = GroupSpec {
-            id: GroupId::new(0),
-            members: vec![nodes.c, nodes.d],
-            paths: vec![member_path(&s0, nodes.c), member_path(&s0, nodes.d)],
-            session: s0,
-            ops: raw0.iter().map(|&(member, kind)| Op { member, kind }).collect(),
-            op_at: |k| 200.0 + 300.0 * k as f64,
-        };
-        let g1 = GroupSpec {
-            id: GroupId::new(1),
-            members: vec![nodes.a, nodes.c],
-            paths: vec![member_path(&s1, nodes.a), member_path(&s1, nodes.c)],
-            session: s1,
-            ops: raw1.iter().map(|&(member, kind)| Op { member, kind }).collect(),
-            op_at: |k| 350.0 + 300.0 * k as f64,
-        };
+        let ops0 = stream(&s0, &[nodes.c, nodes.d], &raw0, 200.0);
+        let ops1 = stream(&s1, &[nodes.a, nodes.c], &raw1, 350.0);
         let link = graph.link_between(nodes.a, nodes.d).unwrap();
-        let substrate = substrate_schedule(toggles, link);
+        let (scenario, timing) = substrate(outage, link);
 
-        let together0 = run_groups(&graph, &[&g0, &g1], &substrate, GroupId::new(0));
-        let together1 = run_groups(&graph, &[&g0, &g1], &substrate, GroupId::new(1));
-        let alone0 = run_groups(&graph, &[&g0], &substrate, GroupId::new(0));
-        let alone1 = run_groups(&graph, &[&g1], &substrate, GroupId::new(1));
+        let together = run_groups(&[(&s0, &ops0), (&s1, &ops1)], &scenario, timing);
+        let alone0 = run_groups(&[(&s0, &ops0)], &scenario, timing);
+        let alone1 = run_groups(&[(&s1, &ops1)], &scenario, timing);
 
-        prop_assert_eq!(together0, alone0, "group 0 saw its neighbor");
-        prop_assert_eq!(together1, alone1, "group 1 saw its neighbor");
+        prop_assert_eq!(&together[0], &alone0[0], "group 0 saw its neighbor");
+        prop_assert_eq!(&together[1], &alone1[0], "group 1 saw its neighbor");
     }
 }
