@@ -36,7 +36,7 @@ pub struct BackupPlan {
 impl BackupPlan {
     /// Links of the backup path that are not part of `tree` — the
     /// resources the plan reserves in advance.
-    pub fn reserved_links(&self, graph: &Graph, tree: &MulticastTree) -> Vec<LinkId> {
+    pub(crate) fn reserved_links(&self, graph: &Graph, tree: &MulticastTree) -> Vec<LinkId> {
         let tree_links = tree.links(graph);
         self.backup
             .links(graph)
@@ -53,7 +53,11 @@ impl BackupPlan {
 /// failures); if none exists, falls back to the plain post-exclusion
 /// shortest path with only the primary's links removed; if even that fails
 /// the member is unprotectable and `None` is returned.
-pub fn plan_backup(graph: &Graph, tree: &MulticastTree, member: NodeId) -> Option<BackupPlan> {
+pub(crate) fn plan_backup(
+    graph: &Graph,
+    tree: &MulticastTree,
+    member: NodeId,
+) -> Option<BackupPlan> {
     let primary = tree.path_from_source(member)?;
     let source = tree.source();
     let primary_links = primary.links(graph);

@@ -12,7 +12,7 @@
 //!
 //! # Components
 //!
-//! * [`tree`] — the shared multicast tree representation with the paper's
+//! * `tree` — the shared multicast tree representation with the paper's
 //!   per-node state: subtree member counts `N_R` and the sharing metric
 //!   `SHR(S,R)` (Eqs. 1–2).
 //! * [`select`] — the join path-selection criterion of §3.2.2
@@ -20,7 +20,7 @@
 //!   full-topology and neighbor-query (§3.3.1) modes.
 //! * [`session`] — [`SmrpSession`]: incremental join/leave plus the
 //!   tree-reshaping procedure of §3.2.3 (Conditions I and II).
-//! * [`spf`] — the SPF baseline ([`SpfSession`]): joins along unicast
+//! * `spf` — the SPF baseline ([`SpfSession`]): joins along unicast
 //!   shortest paths, exactly what PIM-style protocols build.
 //! * [`recovery`] — the failure/recovery engine of §4: local-detour and
 //!   global-detour restoration paths and the recovery-distance metric
@@ -58,19 +58,19 @@
 
 pub mod audit;
 pub mod backup;
-pub mod error;
+mod error;
 pub mod paper;
 pub mod recovery;
 pub mod select;
 pub mod session;
-pub mod spf;
-pub mod steiner;
-pub mod tree;
+mod spf;
+mod steiner;
+mod tree;
 pub mod viz;
 
 pub use error::SmrpError;
-pub use select::{JoinCandidate, SelectionMode};
-pub use session::{JoinOutcome, ReshapeOutcome, ReshapeStats, SmrpConfig, SmrpSession};
+pub use select::SelectionMode;
+pub use session::{ReshapeOutcome, SmrpConfig, SmrpSession};
 pub use spf::SpfSession;
 pub use steiner::SteinerSession;
 pub use tree::MulticastTree;

@@ -19,8 +19,6 @@
 //! The worst-case failure model of §4.3.1 — "the link closest to the source
 //! node on R's multicast path" — is provided by [`worst_case_failure_for`].
 
-use std::collections::HashSet;
-
 use smrp_net::dijkstra::{self, Constraints};
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId, Path};
 
@@ -68,11 +66,9 @@ impl std::error::Error for RecoveryError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovery {
     member: NodeId,
-    kind: DetourKind,
     restoration_path: Path,
     attach: NodeId,
     recovery_distance: f64,
-    new_links: Vec<LinkId>,
     new_end_to_end_delay: f64,
 }
 
@@ -80,11 +76,6 @@ impl Recovery {
     /// The recovered member.
     pub fn member(&self) -> NodeId {
         self.member
-    }
-
-    /// Which strategy produced this recovery.
-    pub fn kind(&self) -> DetourKind {
-        self.kind
     }
 
     /// The restoration path from the member to its recovery on-tree node.
@@ -100,12 +91,6 @@ impl Recovery {
     /// `RD_R`: delay of the restoration path (§4.2).
     pub fn recovery_distance(&self) -> f64 {
         self.recovery_distance
-    }
-
-    /// Links of the restoration path that were not already part of the
-    /// (surviving) multicast tree — the state that must be newly installed.
-    pub fn new_links(&self) -> &[LinkId] {
-        &self.new_links
     }
 
     /// The member's end-to-end delay after re-attachment (tree delay to the
@@ -280,49 +265,16 @@ pub fn recover(
 
     let attach = restoration.target();
     let recovery_distance = restoration.delay(graph);
-    // Links the restoration path must newly establish: everything except
-    // tree links that are still usable. Failed tree links drop out of the
-    // set up front (they can no longer carry traffic even if the path
-    // could somehow name them), and hashing makes the filter O(path
-    // length) instead of a quadratic scan over the tree's link list.
-    let usable_tree_links: HashSet<LinkId> = tree
-        .links(graph)
-        .into_iter()
-        .filter(|&l| scenario.link_usable(graph, l))
-        .collect();
-    let new_links: Vec<LinkId> = restoration
-        .links(graph)
-        .into_iter()
-        .filter(|l| !usable_tree_links.contains(l))
-        .collect();
     let attach_delay = tree
         .delay_to(graph, attach)
         .expect("attach point is connected to the source");
     Ok(Recovery {
         member,
-        kind,
         restoration_path: restoration,
         attach,
         recovery_distance,
-        new_links,
         new_end_to_end_delay: attach_delay + recovery_distance,
     })
-}
-
-/// Convenience: recovery distances of both strategies for one member.
-///
-/// # Errors
-///
-/// Propagates the first strategy error ([`RecoveryError`]).
-pub fn compare_detours(
-    graph: &Graph,
-    tree: &MulticastTree,
-    scenario: &FailureScenario,
-    member: NodeId,
-) -> Result<(Recovery, Recovery), RecoveryError> {
-    let local = recover(graph, tree, scenario, member, DetourKind::Local)?;
-    let global = recover(graph, tree, scenario, member, DetourKind::Global)?;
-    Ok((local, global))
 }
 
 #[cfg(test)]
@@ -358,7 +310,6 @@ mod tests {
         assert_eq!(rec.attach(), c);
         assert_eq!(rec.recovery_distance(), 2.0);
         assert_eq!(rec.restoration_path().nodes(), &[d, c]);
-        assert_eq!(rec.new_links().len(), 1);
         // New end-to-end delay: S->A->C (2) + C->D (2).
         assert_eq!(rec.new_end_to_end_delay(), 4.0);
     }
@@ -373,28 +324,6 @@ mod tests {
         assert_eq!(rec.restoration_path().nodes(), &[d, b, s]);
         assert_eq!(rec.attach(), s);
         assert_eq!(rec.recovery_distance(), 3.0);
-        assert_eq!(rec.new_links().len(), 2);
-    }
-
-    #[test]
-    fn new_links_exclude_reused_usable_tree_links() {
-        // Figure 1 topology, source-incident failure S-A: member C's local
-        // detour to the surviving tree (just S) runs C-A-D-B-S, reusing the
-        // still-usable tree links C-A and A-D inside the disconnected
-        // fragment. Only D-B and B-S need to be newly established.
-        let (g, t, [s, a, b, c, d]) = figure1();
-        let l_sa = g.link_between(s, a).unwrap();
-        let scenario = FailureScenario::link(l_sa);
-        let rec = recover(&g, &t, &scenario, c, DetourKind::Local).unwrap();
-        assert_eq!(rec.restoration_path().nodes(), &[c, a, d, b, s]);
-        assert_eq!(rec.attach(), s);
-        let mut new_links = rec.new_links().to_vec();
-        new_links.sort();
-        let mut expected = vec![g.link_between(d, b).unwrap(), g.link_between(b, s).unwrap()];
-        expected.sort();
-        assert_eq!(new_links, expected);
-        // The failed tree link itself never shows up as reusable.
-        assert!(!rec.new_links().contains(&l_sa));
     }
 
     #[test]
@@ -402,7 +331,8 @@ mod tests {
         let (g, t, [_, a, _, _, d]) = figure1();
         let l_ad = g.link_between(a, d).unwrap();
         let scenario = FailureScenario::link(l_ad);
-        let (local, global) = compare_detours(&g, &t, &scenario, d).unwrap();
+        let local = recover(&g, &t, &scenario, d, DetourKind::Local).unwrap();
+        let global = recover(&g, &t, &scenario, d, DetourKind::Global).unwrap();
         assert!(local.recovery_distance() <= global.recovery_distance());
     }
 

@@ -64,7 +64,7 @@ impl SmrpConfig {
     ///
     /// [`SmrpError::InvalidConfig`] if `d_thresh` is negative or not
     /// finite.
-    pub fn validate(&self) -> Result<(), SmrpError> {
+    pub(crate) fn validate(&self) -> Result<(), SmrpError> {
         if !self.d_thresh.is_finite() || self.d_thresh < 0.0 {
             return Err(SmrpError::InvalidConfig {
                 name: "d_thresh",
@@ -212,16 +212,6 @@ impl<'g> SmrpSession<'g> {
     /// Reshape attempts made and switches taken since the session began.
     pub fn reshape_stats(&self) -> ReshapeStats {
         self.reshape_stats
-    }
-
-    /// The topology this session runs over.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// The multicast source.
-    pub fn source(&self) -> NodeId {
-        self.tree.source()
     }
 
     /// Iterator over current members.

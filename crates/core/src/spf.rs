@@ -71,21 +71,6 @@ impl<'g> SpfSession<'g> {
         self.tree
     }
 
-    /// The topology this session runs over.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// The multicast source.
-    pub fn source(&self) -> NodeId {
-        self.tree.source()
-    }
-
-    /// Iterator over current members.
-    pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.tree.members()
-    }
-
     /// Joins `node` along its unicast shortest path to the source.
     ///
     /// Returns the member's resulting multicast path.
@@ -128,20 +113,6 @@ impl<'g> SpfSession<'g> {
             .tree
             .path_from_source(node)
             .expect("member was just attached"))
-    }
-
-    /// Removes `node` from the session, pruning the released branch.
-    ///
-    /// # Errors
-    ///
-    /// [`SmrpError::NotMember`] if the node is not a member.
-    pub fn leave(&mut self, node: NodeId) -> Result<(), SmrpError> {
-        if !self.tree.is_member(node) {
-            return Err(SmrpError::NotMember(node));
-        }
-        self.tree.set_member(node, false)?;
-        self.tree.prune_from(node);
-        Ok(())
     }
 }
 
@@ -210,26 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn join_and_leave_round_trip() {
-        let (g, [s, _, _, c, d]) = figure1();
-        let mut sess = SpfSession::new(&g, s).unwrap();
-        sess.join(c).unwrap();
-        sess.join(d).unwrap();
-        sess.leave(c).unwrap();
-        sess.leave(d).unwrap();
-        assert_eq!(sess.tree().member_count(), 0);
-        assert_eq!(sess.tree().links(&g).len(), 0);
-        sess.tree().validate(&g).unwrap();
-    }
-
-    #[test]
     fn error_paths() {
         let (g, [s, _, _, c, _]) = figure1();
         let mut sess = SpfSession::new(&g, s).unwrap();
         assert!(matches!(sess.join(s), Err(SmrpError::SourceOperation(_))));
         sess.join(c).unwrap();
         assert!(matches!(sess.join(c), Err(SmrpError::AlreadyMember(_))));
-        assert!(matches!(sess.leave(s), Err(SmrpError::NotMember(_))));
         assert!(matches!(
             sess.join(NodeId::new(50)),
             Err(SmrpError::UnknownNode(_))

@@ -20,7 +20,7 @@ use crate::tree::MulticastTree;
 /// # Example
 ///
 /// ```
-/// use smrp_core::steiner::SteinerSession;
+/// use smrp_core::SteinerSession;
 /// use smrp_net::Graph;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -66,16 +66,6 @@ impl<'g> SteinerSession<'g> {
         self.tree
     }
 
-    /// The multicast source.
-    pub fn source(&self) -> NodeId {
-        self.tree.source()
-    }
-
-    /// Iterator over current members.
-    pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.tree.members()
-    }
-
     /// Joins `node` through the minimum-delay path to the *nearest* node of
     /// the current tree (Takahashi–Matsuyama step).
     ///
@@ -110,20 +100,6 @@ impl<'g> SteinerSession<'g> {
             .tree
             .path_from_source(node)
             .expect("member was just attached"))
-    }
-
-    /// Removes `node` from the session, pruning the released branch.
-    ///
-    /// # Errors
-    ///
-    /// [`SmrpError::NotMember`] if the node is not a member.
-    pub fn leave(&mut self, node: NodeId) -> Result<(), SmrpError> {
-        if !self.tree.is_member(node) {
-            return Err(SmrpError::NotMember(node));
-        }
-        self.tree.set_member(node, false)?;
-        self.tree.prune_from(node);
-        Ok(())
     }
 }
 
@@ -190,18 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn join_and_leave_round_trip() {
-        let (g, ids) = comb();
-        let mut sess = SteinerSession::new(&g, ids[0]).unwrap();
-        sess.join(ids[4]).unwrap();
-        sess.join(ids[5]).unwrap();
-        sess.leave(ids[4]).unwrap();
-        sess.tree().validate(&g).unwrap();
-        sess.leave(ids[5]).unwrap();
-        assert_eq!(sess.tree().links(&g).len(), 0);
-    }
-
-    #[test]
     fn error_paths() {
         let (g, ids) = comb();
         let mut sess = SteinerSession::new(&g, ids[0]).unwrap();
@@ -214,7 +178,6 @@ mod tests {
             sess.join(ids[4]),
             Err(SmrpError::AlreadyMember(_))
         ));
-        assert!(matches!(sess.leave(ids[5]), Err(SmrpError::NotMember(_))));
         assert!(matches!(
             sess.join(NodeId::new(99)),
             Err(SmrpError::UnknownNode(_))

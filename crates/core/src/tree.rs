@@ -58,7 +58,7 @@ use crate::error::SmrpError;
 
 /// A rooted multicast (Steiner) tree with SMRP bookkeeping.
 ///
-/// See the [module documentation](self) for the maintained state.
+/// See the module documentation for the maintained state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MulticastTree {
     source: NodeId,
@@ -185,14 +185,6 @@ impl MulticastTree {
             cur = p;
         }
         shr
-    }
-
-    /// The paper's `N_R^i`: member count behind each downstream interface.
-    pub fn downstream_counts(&self, node: NodeId) -> Vec<(NodeId, u32)> {
-        self.children[node.index()]
-            .iter()
-            .map(|&c| (c, self.n[c.index()]))
-            .collect()
     }
 
     /// Number of members (attachment points; aggregated populations count
@@ -330,15 +322,6 @@ impl MulticastTree {
             .sum()
     }
 
-    /// Total tree delay (diagnostic; the paper reports cost and per-member
-    /// delay).
-    pub fn total_delay(&self, graph: &Graph) -> f64 {
-        self.links(graph)
-            .into_iter()
-            .map(|l| graph.link(l).delay())
-            .sum()
-    }
-
     /// Average end-to-end delay over all members.
     ///
     /// Returns `0.0` for an empty membership.
@@ -366,7 +349,7 @@ impl MulticastTree {
     /// or the root of a fragment previously detached with
     /// [`detach_subtree`](Self::detach_subtree).
     ///
-    /// Updates `N` incrementally (see the [module documentation](self)):
+    /// Updates `N` incrementally (see the module documentation):
     /// the grafted chain carries the fragment's member count, and so does
     /// every node of the `S → merger` path.
     ///
@@ -861,14 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn downstream_counts_match_children() {
-        let (_, t, [_, a, _, c, d]) = figure1_tree();
-        let mut counts = t.downstream_counts(a);
-        counts.sort();
-        assert_eq!(counts, vec![(c, 1), (d, 1)]);
-    }
-
-    #[test]
     fn leave_with_prune_removes_relay_chain() {
         let (g, mut t, [s, a, _, c, d]) = figure1_tree();
         t.set_member(c, false).unwrap();
@@ -1071,7 +1046,6 @@ mod tests {
         let mut expected = expected;
         expected.sort_unstable();
         assert_eq!(links, expected);
-        assert_eq!(t.total_delay(&g), 3.0);
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub struct DotExport<'a> {
     tree: &'a MulticastTree,
     failures: Option<&'a FailureScenario>,
     restoration: Option<&'a Path>,
-    show_weights: bool,
 }
 
 impl<'a> DotExport<'a> {
@@ -31,7 +30,6 @@ impl<'a> DotExport<'a> {
             tree,
             failures: None,
             restoration: None,
-            show_weights: true,
         }
     }
 
@@ -44,12 +42,6 @@ impl<'a> DotExport<'a> {
     /// Draws a restoration path as a dashed overlay.
     pub fn restoration(mut self, path: &'a Path) -> Self {
         self.restoration = Some(path);
-        self
-    }
-
-    /// Toggles delay labels on links.
-    pub fn show_weights(mut self, show: bool) -> Self {
-        self.show_weights = show;
         self
     }
 
@@ -87,11 +79,10 @@ impl<'a> DotExport<'a> {
             .unwrap_or_default();
         for l in self.graph.link_ids() {
             let link = self.graph.link(l);
-            let mut attrs: Vec<String> = Vec::new();
-            if self.show_weights {
-                attrs.push(format!("label=\"{:.1}\"", link.delay()));
-                attrs.push("fontsize=8".into());
-            }
+            let mut attrs = vec![
+                format!("label=\"{:.1}\"", link.delay()),
+                "fontsize=8".into(),
+            ];
             let failed = self.failures.is_some_and(|f| !f.link_usable(self.graph, l));
             if failed {
                 attrs.push("color=red".into());
@@ -157,16 +148,6 @@ mod tests {
             .render();
         assert!(dot.contains("color=red"));
         assert!(dot.contains("forestgreen"));
-    }
-
-    #[test]
-    fn weights_can_be_hidden() {
-        let (g, tree, _) = paper::figure1();
-        let with = DotExport::new(&g, &tree).render();
-        let without = DotExport::new(&g, &tree).show_weights(false).render();
-        assert!(with.contains("label="));
-        assert!(!without.contains("label="));
-        assert!(without.len() < with.len());
     }
 
     #[test]

@@ -14,16 +14,16 @@
 
 use smrp_core::select::SelectionMode;
 use smrp_core::SmrpConfig;
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::{percent, Table};
 
+use crate::csvout::Csv;
 use crate::scenario::ScenarioConfig;
 use crate::sweep::{self, SweepPoint};
+use crate::table::{percent, Table};
 use crate::Effort;
 
 /// One ablation variant and its measurements.
 #[derive(Debug, Clone)]
-pub struct Variant {
+pub(crate) struct Variant {
     /// Human-readable variant name.
     pub name: &'static str,
     /// Aggregated metrics.
@@ -32,7 +32,7 @@ pub struct Variant {
 
 /// Results of the ablation study.
 #[derive(Debug, Clone)]
-pub struct AblationResult {
+pub(crate) struct AblationResult {
     /// All measured variants, first one is the full protocol.
     pub variants: Vec<Variant>,
 }
@@ -47,7 +47,7 @@ fn config(selection: SelectionMode, auto_reshape: bool, threshold: u32) -> SmrpC
 }
 
 /// Runs the ablation grid.
-pub fn run(effort: Effort) -> AblationResult {
+pub(crate) fn run(effort: Effort) -> AblationResult {
     // Like the figure sweeps, variant comparisons are mean-vs-mean over a
     // high-variance per-scenario metric; keep a floor of 5×3 scenarios so
     // `Effort::Quick` stays statistically meaningful.
@@ -91,7 +91,7 @@ pub fn run(effort: Effort) -> AblationResult {
 
 impl AblationResult {
     /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec!["variant", "RD_rel", "D_rel", "Cost_rel"]);
         for v in &self.variants {
             t.row(vec![
@@ -105,7 +105,7 @@ impl AblationResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec!["variant", "rd_rel", "delay_rel", "cost_rel"]);
         for v in &self.variants {
             csv.row(vec![
@@ -116,16 +116,6 @@ impl AblationResult {
             ]);
         }
         csv
-    }
-
-    /// The full-protocol variant.
-    pub fn full(&self) -> &Variant {
-        &self.variants[0]
-    }
-
-    /// Looks a variant up by name.
-    pub fn variant(&self, name: &str) -> Option<&Variant> {
-        self.variants.iter().find(|v| v.name == name)
     }
 }
 
@@ -150,9 +140,11 @@ mod tests {
     #[test]
     fn full_protocol_beats_or_matches_the_query_scheme() {
         let r = run(Effort::Quick);
-        let full = r.full().point.rd_rel.mean;
+        let full = r.variants[0].point.rd_rel.mean;
         let query = r
-            .variant("neighbor-query selection")
+            .variants
+            .iter()
+            .find(|v| v.name == "neighbor-query selection")
             .expect("variant exists")
             .point
             .rd_rel
@@ -170,6 +162,6 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("variant"));
-        assert_eq!(r.to_csv().len(), 5);
+        assert_eq!(r.to_csv().render().lines().count(), 6);
     }
 }

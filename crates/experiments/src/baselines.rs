@@ -10,17 +10,17 @@
 
 use smrp_core::recovery::DetourKind;
 use smrp_core::{MulticastTree, SmrpError, SteinerSession};
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::Table;
 use smrp_metrics::Stats;
 
+use crate::csvout::Csv;
 use crate::measure::{build_smrp_tree, build_spf_tree, smrp_config, worst_case_rd};
 use crate::scenario::{Scenario, ScenarioConfig};
+use crate::table::Table;
 use crate::Effort;
 
 /// Aggregated metrics for one tree-construction protocol.
 #[derive(Debug, Clone)]
-pub struct ProtocolRow {
+pub(crate) struct ProtocolRow {
     /// Protocol name.
     pub name: &'static str,
     /// Worst-case local-detour recovery distance over members.
@@ -33,11 +33,9 @@ pub struct ProtocolRow {
 
 /// Results of the baseline comparison.
 #[derive(Debug, Clone)]
-pub struct BaselinesResult {
+pub(crate) struct BaselinesResult {
     /// One row per protocol: SPF, Steiner, SMRP.
     pub rows: Vec<ProtocolRow>,
-    /// Scenarios measured.
-    pub scenarios: usize,
 }
 
 fn build_steiner_tree(scenario: &Scenario) -> Result<MulticastTree, SmrpError> {
@@ -49,7 +47,7 @@ fn build_steiner_tree(scenario: &Scenario) -> Result<MulticastTree, SmrpError> {
 }
 
 /// Runs the comparison on the Figure 8 base setup.
-pub fn run(effort: Effort) -> BaselinesResult {
+pub(crate) fn run(effort: Effort) -> BaselinesResult {
     let config = ScenarioConfig::default();
     let topologies = effort.scale(10).max(2) as u32;
     let member_sets = effort.scale(5).max(1) as u32;
@@ -85,15 +83,12 @@ pub fn run(effort: Effort) -> BaselinesResult {
             }
         }
     }
-    BaselinesResult {
-        rows,
-        scenarios: scenarios.len(),
-    }
+    BaselinesResult { rows }
 }
 
 impl BaselinesResult {
     /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec![
             "protocol",
             "mean worst-case RD",
@@ -112,7 +107,7 @@ impl BaselinesResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec!["protocol", "rd_mean", "delay_mean", "cost_mean"]);
         for row in &self.rows {
             csv.row(vec![
@@ -126,20 +121,20 @@ impl BaselinesResult {
     }
 
     /// Row accessors by position: SPF, Steiner, SMRP.
-    pub fn spf(&self) -> &ProtocolRow {
+    pub(crate) fn spf(&self) -> &ProtocolRow {
         &self.rows[0]
     }
     /// The cost-minimizing baseline row.
-    pub fn steiner(&self) -> &ProtocolRow {
+    pub(crate) fn steiner(&self) -> &ProtocolRow {
         &self.rows[1]
     }
     /// The SMRP row.
-    pub fn smrp(&self) -> &ProtocolRow {
+    pub(crate) fn smrp(&self) -> &ProtocolRow {
         &self.rows[2]
     }
 
     /// Textual summary of the sharing spectrum.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "worst-case RD: Steiner {:.1} ≥ SPF {:.1} ≥ SMRP {:.1}; tree cost: \
              Steiner {:.1} ≤ SPF {:.1} ≤ SMRP {:.1} — recovery speed is bought \
@@ -161,7 +156,6 @@ mod tests {
     #[test]
     fn sharing_spectrum_orders_protocols() {
         let r = run(Effort::Quick);
-        assert!(r.scenarios >= 2);
         // Cost: Steiner <= SPF (cost-min by construction, heuristically).
         assert!(
             r.steiner().cost.mean() <= r.spf().cost.mean() * 1.05,
@@ -185,7 +179,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("Steiner"));
-        assert_eq!(r.to_csv().len(), 3);
+        assert_eq!(r.to_csv().render().lines().count(), 4);
         assert!(r.summary().contains("sharing"));
     }
 }

@@ -18,18 +18,18 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use smrp_core::recovery::DetourKind;
 use smrp_core::{SmrpConfig, SmrpSession};
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::Table;
 use smrp_metrics::Stats;
 use smrp_net::NodeId;
 
+use crate::csvout::Csv;
 use crate::measure::worst_case_rd;
 use crate::scenario::ScenarioConfig;
+use crate::table::Table;
 use crate::Effort;
 
 /// One reshaping policy under churn.
 #[derive(Debug, Clone)]
-pub struct PolicyRow {
+pub(crate) struct PolicyRow {
     /// Policy name.
     pub name: &'static str,
     /// Mean worst-case recovery distance across sampled instants.
@@ -47,7 +47,7 @@ pub struct PolicyRow {
 
 /// Results of the churn experiment.
 #[derive(Debug, Clone)]
-pub struct ChurnResult {
+pub(crate) struct ChurnResult {
     /// One row per policy.
     pub rows: Vec<PolicyRow>,
     /// Join/leave events driven per policy.
@@ -142,7 +142,7 @@ fn run_policy(policy: Policy, effort: Effort) -> PolicyRow {
 }
 
 /// Runs the churn experiment for all three policies.
-pub fn run(effort: Effort) -> ChurnResult {
+pub(crate) fn run(effort: Effort) -> ChurnResult {
     let rows = vec![
         run_policy(Policy::NoReshaping, effort),
         run_policy(Policy::ConditionI, effort),
@@ -156,7 +156,7 @@ pub fn run(effort: Effort) -> ChurnResult {
 
 impl ChurnResult {
     /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec![
             "policy",
             "mean worst-case RD",
@@ -185,7 +185,7 @@ impl ChurnResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec![
             "policy",
             "rd_mean",
@@ -208,7 +208,7 @@ impl ChurnResult {
     }
 
     /// Textual summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let none = &self.rows[0];
         let full = &self.rows[2];
         format!(
@@ -255,7 +255,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("policy"));
-        assert_eq!(r.to_csv().len(), 3);
+        assert_eq!(r.to_csv().render().lines().count(), 4);
         assert!(r.summary().contains("churn"));
     }
 }

@@ -1,7 +1,7 @@
 //! What each experiment binary prints and writes.
 //!
 //! One function per binary: it runs the experiment and hands its text and
-//! artifacts to [`publish`]. Each `--bin <name>` calls its function;
+//! artifacts to `publish`. Each `--bin <name>` calls its function;
 //! `--bin all` calls every function in [`ALL`], so the full evaluation
 //! prints the same blocks and writes the same files as the 14 binaries.
 

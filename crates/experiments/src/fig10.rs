@@ -14,17 +14,17 @@ use crate::sweep::{self, SweepPoint};
 use crate::Effort;
 
 /// The `N_G` values swept by the paper.
-pub const GROUP_SIZES: [usize; 4] = [20, 30, 40, 50];
+pub(crate) const GROUP_SIZES: [usize; 4] = [20, 30, 40, 50];
 
 /// Results of the Figure 10 experiment.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct Fig10Result {
+pub(crate) struct Fig10Result {
     /// One aggregated point per group size (x = `N_G`).
     pub points: Vec<SweepPoint>,
 }
 
 /// Runs the Figure 10 sweep.
-pub fn run(effort: Effort) -> Fig10Result {
+pub(crate) fn run(effort: Effort) -> Fig10Result {
     let topologies = effort.scale(10).max(2) as u32;
     let member_sets = effort.scale(10).max(2) as u32;
     let base = ScenarioConfig::default();
@@ -43,17 +43,17 @@ pub fn run(effort: Effort) -> Fig10Result {
 
 impl Fig10Result {
     /// Paper-style table.
-    pub fn table(&self) -> smrp_metrics::table::Table {
+    pub(crate) fn table(&self) -> crate::table::Table {
         sweep::table("N_G", &self.points)
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> smrp_metrics::csvout::Csv {
+    pub(crate) fn to_csv(&self) -> crate::csvout::Csv {
         sweep::to_csv("n_g", &self.points)
     }
 
     /// Textual summary against the paper's claims.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let mins = self
             .points
             .iter()
@@ -101,7 +101,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("N_G"));
-        assert_eq!(r.to_csv().len(), 4);
+        assert_eq!(r.to_csv().render().lines().count(), 5);
         assert!(r.summary().contains("paper"));
     }
 }

@@ -10,12 +10,12 @@
 
 use serde::Serialize;
 use smrp_core::recovery::{self, DetourKind};
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::scatter::ScatterPlot;
 use smrp_metrics::Stats;
 use smrp_net::FailureScenario;
 
+use crate::csvout::Csv;
 use crate::measure::{build_smrp_tree, smrp_config};
+use crate::scatter::ScatterPlot;
 use crate::scenario::ScenarioConfig;
 use crate::Effort;
 
@@ -96,7 +96,7 @@ pub fn run(effort: Effort) -> Fig7Result {
 
 impl Fig7Result {
     /// Renders the paper-style scatter plot.
-    pub fn plot(&self) -> String {
+    pub(crate) fn plot(&self) -> String {
         let mut plot = ScatterPlot::new(
             "Figure 7: recovery distance, local vs global detour (worst-case failures)",
         )
@@ -117,7 +117,7 @@ impl Fig7Result {
     }
 
     /// One-paragraph textual summary comparing against the paper's claims.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "{} member recovery points; {:.0}% below y = x (paper: \"most\"); \
              mean local-detour reduction {:.1}% (paper: ~33%)",

@@ -16,7 +16,7 @@ use crate::Effort;
 
 /// The `D_thresh` values swept (the paper plots four; 0.0–0.4 covers the
 /// interesting range and 0.0 is the degenerate "SPF-delays only" corner).
-pub const D_THRESH_VALUES: [f64; 4] = [0.1, 0.2, 0.3, 0.4];
+pub(crate) const D_THRESH_VALUES: [f64; 4] = [0.1, 0.2, 0.3, 0.4];
 
 /// Results of the Figure 8 experiment.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -44,12 +44,12 @@ pub fn run(effort: Effort) -> Fig8Result {
 
 impl Fig8Result {
     /// Paper-style table.
-    pub fn table(&self) -> smrp_metrics::table::Table {
+    pub(crate) fn table(&self) -> crate::table::Table {
         sweep::table("D_thresh", &self.points)
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> smrp_metrics::csvout::Csv {
+    pub fn to_csv(&self) -> crate::csvout::Csv {
         sweep::to_csv("d_thresh", &self.points)
     }
 
@@ -62,7 +62,7 @@ impl Fig8Result {
     }
 
     /// Textual summary against the paper's claims.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let h = self.headline();
         format!(
             "at D_thresh=0.3: RD reduced {:.1}% (paper ~20%), delay penalty {:.1}% \
@@ -113,7 +113,7 @@ mod tests {
         let table = r.table().render();
         assert!(table.contains("D_thresh"));
         assert!(table.contains('±'));
-        assert_eq!(r.to_csv().len(), 4);
+        assert_eq!(r.to_csv().render().lines().count(), 5);
         assert!(r.summary().contains("paper"));
     }
 }

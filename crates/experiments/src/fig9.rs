@@ -18,11 +18,11 @@ use crate::sweep::{self, SweepPoint};
 use crate::Effort;
 
 /// The `α` values swept by the paper.
-pub const ALPHA_VALUES: [f64; 4] = [0.15, 0.2, 0.25, 0.3];
+pub(crate) const ALPHA_VALUES: [f64; 4] = [0.15, 0.2, 0.25, 0.3];
 
 /// Results of the Figure 9 experiment.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct Fig9Result {
+pub(crate) struct Fig9Result {
     /// One aggregated point per `α` value (x = α).
     pub points: Vec<SweepPoint>,
     /// The §4.3.3 text claim: a calibrated high-degree point
@@ -31,12 +31,12 @@ pub struct Fig9Result {
 }
 
 /// Runs the Figure 9 sweep.
-pub fn run(effort: Effort) -> Fig9Result {
+pub(crate) fn run(effort: Effort) -> Fig9Result {
     run_with_degree10(effort, matches!(effort, Effort::Paper))
 }
 
 /// Runs the sweep, optionally including the calibrated degree-10 point.
-pub fn run_with_degree10(effort: Effort, include_degree10: bool) -> Fig9Result {
+pub(crate) fn run_with_degree10(effort: Effort, include_degree10: bool) -> Fig9Result {
     let topologies = effort.scale(10).max(2) as u32;
     let member_sets = effort.scale(10).max(2) as u32;
     let base = ScenarioConfig::default();
@@ -59,7 +59,7 @@ pub fn run_with_degree10(effort: Effort, include_degree10: bool) -> Fig9Result {
 
 impl Fig9Result {
     /// Paper-style table (α on the x column, degree annotated).
-    pub fn table(&self) -> smrp_metrics::table::Table {
+    pub(crate) fn table(&self) -> crate::table::Table {
         let mut points = self.points.clone();
         if let Some(d10) = &self.degree10 {
             points.push(d10.clone());
@@ -68,7 +68,7 @@ impl Fig9Result {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> smrp_metrics::csvout::Csv {
+    pub(crate) fn to_csv(&self) -> crate::csvout::Csv {
         let mut points = self.points.clone();
         if let Some(d10) = &self.degree10 {
             points.push(d10.clone());
@@ -77,7 +77,7 @@ impl Fig9Result {
     }
 
     /// Textual summary against the paper's claims.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let first = &self.points[0];
         let last = self.points.last().expect("sweep is non-empty");
         let mut s = format!(
@@ -138,7 +138,7 @@ mod tests {
     fn artifacts_render() {
         let r = run_with_degree10(Effort::Quick, false);
         assert!(r.table().render().contains("alpha"));
-        assert_eq!(r.to_csv().len(), 4);
+        assert_eq!(r.to_csv().render().lines().count(), 5);
         assert!(r.degree10.is_none());
         assert!(r.summary().contains("paper"));
     }

@@ -8,19 +8,19 @@
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::{SmrpConfig, SmrpSession};
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::Table;
 use smrp_metrics::Stats;
 use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::{TransitStubConfig, TransitStubTopology};
 use smrp_net::FailureScenario;
 use smrp_proto::hierarchy::NLevelSession;
 
+use crate::csvout::Csv;
+use crate::table::Table;
 use crate::Effort;
 
 /// Results of the confinement experiment.
 #[derive(Debug, Clone)]
-pub struct HierarchyResult {
+pub(crate) struct HierarchyResult {
     /// Link-failure cases evaluated.
     pub cases: usize,
     /// Cases the hierarchy confined to a single recovery domain.
@@ -49,7 +49,7 @@ fn build_topology(seed: u64) -> TransitStubTopology {
 }
 
 /// Runs the confinement comparison over several seeded topologies.
-pub fn run(effort: Effort) -> HierarchyResult {
+pub(crate) fn run(effort: Effort) -> HierarchyResult {
     let seeds = effort.scale(5).max(1) as u64;
     let mut result = HierarchyResult {
         cases: 0,
@@ -136,7 +136,7 @@ pub fn run(effort: Effort) -> HierarchyResult {
 
 impl HierarchyResult {
     /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec!["metric", "flat", "hierarchical"]);
         t.row(vec![
             "mean affected members per failure".into(),
@@ -157,7 +157,7 @@ impl HierarchyResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec![
             "cases",
             "confined",
@@ -180,7 +180,7 @@ impl HierarchyResult {
     }
 
     /// Textual summary against the paper's claim.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "{}/{} failures confined to a single recovery domain ({} unrepairable \
              in-domain); paper §3.3.3: \"all tree reconfigurations are confined inside\" \
@@ -192,7 +192,7 @@ impl HierarchyResult {
 
 /// Results of the N-level (3-level) confinement experiment.
 #[derive(Debug, Clone)]
-pub struct NLevelResult {
+pub(crate) struct NLevelResult {
     /// Link-failure cases where the hierarchy's tree was affected.
     pub cases: usize,
     /// Cases repaired inside exactly one domain.
@@ -206,7 +206,7 @@ pub struct NLevelResult {
 /// Runs the §3.3.3 generalization on 3-level hierarchies: every graph link
 /// is failed once and the repair is attributed/confined by the N-level
 /// session.
-pub fn run_nlevel(effort: Effort) -> NLevelResult {
+pub(crate) fn run_nlevel(effort: Effort) -> NLevelResult {
     let seeds = effort.scale(5).max(1) as u64;
     let mut result = NLevelResult {
         cases: 0,
@@ -258,7 +258,7 @@ pub fn run_nlevel(effort: Effort) -> NLevelResult {
 
 impl NLevelResult {
     /// Renders the result table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec!["metric", "value"]);
         t.row(vec![
             "tree-affecting failures".into(),
@@ -280,7 +280,7 @@ impl NLevelResult {
     }
 
     /// Textual summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "3-level hierarchy: {}/{} tree-affecting failures repaired inside exactly \
              one recovery domain ({} unrepairable, dominated by single-attachment \
@@ -327,7 +327,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("confined"));
-        assert_eq!(r.to_csv().len(), 1);
+        assert_eq!(r.to_csv().render().lines().count(), 2);
         assert!(r.summary().contains("domain"));
     }
 }

@@ -8,42 +8,40 @@
 //! failures and reports wall-clock (simulated) restoration latencies.
 
 use smrp_core::recovery;
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::Table;
+use smrp_faultlab::Quantiles;
 use smrp_metrics::Stats;
 use smrp_net::FailureScenario;
 use smrp_proto::{FailureSpec, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_sim::SimTime;
 
+use crate::csvout::Csv;
+use crate::histogram::Histogram;
 use crate::measure::smrp_config;
 use crate::scenario::ScenarioConfig;
+use crate::table::Table;
 use crate::Effort;
 
 /// Modelled OSPF reconvergence delay (milliseconds). Wang et al. report
 /// PIM-over-OSPF recovery in the tens of seconds; 30 s is the
 /// conservative middle of their range.
-pub const RECONVERGENCE_MS: f64 = 30_000.0;
+pub(crate) const RECONVERGENCE_MS: f64 = 30_000.0;
 
 /// Results of the restoration-latency experiment.
 #[derive(Debug, Clone)]
-pub struct LatencyResult {
-    /// Distribution of per-member local-detour latencies (ms).
-    pub local_histogram: smrp_metrics::Histogram,
+pub(crate) struct LatencyResult {
+    /// Every restored member's local-detour latency (ms), in run order.
+    pub local_latencies_ms: Vec<f64>,
     /// Per-failure mean latency (ms) via local detour.
     pub local_ms: Stats,
     /// Per-failure mean latency (ms) via global detour.
     pub global_ms: Stats,
-    /// Failures where the local detour failed to restore everyone.
-    pub local_incomplete: usize,
-    /// Failures where the global detour failed to restore everyone.
-    pub global_incomplete: usize,
     /// Number of failure cases run.
     pub cases: usize,
 }
 
 /// Runs the experiment: for several scenarios, apply the worst-case
 /// failure of a sampled member and measure both strategies.
-pub fn run(effort: Effort) -> LatencyResult {
+pub(crate) fn run(effort: Effort) -> LatencyResult {
     let scenario_config = ScenarioConfig {
         nodes: 60,
         group_size: 12,
@@ -58,9 +56,7 @@ pub fn run(effort: Effort) -> LatencyResult {
 
     let mut local_ms = Stats::new();
     let mut global_ms = Stats::new();
-    let mut local_histogram = smrp_metrics::Histogram::new(0.0, 1_000.0, 20);
-    let mut local_incomplete = 0;
-    let mut global_incomplete = 0;
+    let mut local_latencies_ms = Vec::new();
     let mut ran = 0;
 
     for scenario in &scenarios {
@@ -104,34 +100,31 @@ pub fn run(effort: Effort) -> LatencyResult {
             reconvergence: SimTime::from_ms(RECONVERGENCE_MS),
         });
         ran += 1;
-        for (_, latency) in &local.restorations {
-            if let Some(t) = latency {
-                local_histogram.push(t.as_ms());
-            }
+        local_latencies_ms.extend(
+            local
+                .restorations
+                .iter()
+                .flat_map(|(_, t)| t.map(|t| t.as_ms())),
+        );
+        if let Some(ms) = local.mean_latency_ms().filter(|_| local.all_restored()) {
+            local_ms.push(ms);
         }
-        match local.mean_latency_ms() {
-            Some(ms) if local.all_restored() => local_ms.push(ms),
-            _ => local_incomplete += 1,
-        }
-        match global.mean_latency_ms() {
-            Some(ms) if global.all_restored() => global_ms.push(ms),
-            _ => global_incomplete += 1,
+        if let Some(ms) = global.mean_latency_ms().filter(|_| global.all_restored()) {
+            global_ms.push(ms);
         }
     }
 
     LatencyResult {
-        local_histogram,
+        local_latencies_ms,
         local_ms,
         global_ms,
-        local_incomplete,
-        global_incomplete,
         cases: ran,
     }
 }
 
 impl LatencyResult {
     /// Mean speedup of the local detour over the global detour.
-    pub fn speedup(&self) -> Option<f64> {
+    pub(crate) fn speedup(&self) -> Option<f64> {
         if self.local_ms.count() == 0 || self.global_ms.count() == 0 {
             return None;
         }
@@ -139,7 +132,7 @@ impl LatencyResult {
     }
 
     /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec!["strategy", "mean latency (ms)", "restored cases"]);
         t.row(vec![
             "local detour (SMRP)".into(),
@@ -155,7 +148,7 @@ impl LatencyResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec!["strategy", "mean_latency_ms", "restored", "cases"]);
         csv.row(vec![
             "local".into(),
@@ -173,17 +166,22 @@ impl LatencyResult {
     }
 
     /// Renders the local-latency distribution.
-    pub fn histogram_text(&self) -> String {
+    pub(crate) fn histogram_text(&self) -> String {
         let mut out = String::from("local-detour restoration latency distribution (ms):\n");
-        out.push_str(&self.local_histogram.render(40));
-        if let Some(p95) = self.local_histogram.quantile(0.95) {
+        let mut histogram = Histogram::new(0.0, 1_000.0, 20);
+        for &ms in &self.local_latencies_ms {
+            histogram.push(ms);
+        }
+        out.push_str(&histogram.render(40));
+        if !self.local_latencies_ms.is_empty() {
+            let p95 = Quantiles::of(self.local_latencies_ms.clone()).p95_ms;
             out.push_str(&format!("p95 ~= {p95:.0} ms\n"));
         }
         out
     }
 
     /// Textual summary against the paper's motivation.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         match self.speedup() {
             Some(s) => format!(
                 "local detour restores in {:.0} ms vs {:.0} ms for the global detour — \
@@ -222,7 +220,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("local detour"));
-        assert_eq!(r.to_csv().len(), 2);
+        assert_eq!(r.to_csv().render().lines().count(), 3);
         assert!(r.summary().contains("faster"));
     }
 }

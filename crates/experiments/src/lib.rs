@@ -9,11 +9,11 @@
 //! |---|---|---|
 //! | Figure 7 (local vs global detour scatter) | [`fig7`] | `fig7` |
 //! | Figure 8 (effect of `D_thresh`) | [`fig8`] | `fig8` |
-//! | Figure 9 (effect of `α` / node degree) | [`fig9`] | `fig9` |
-//! | Figure 10 (effect of group size `N_G`) | [`fig10`] | `fig10` |
-//! | §1 motivation: restoration latency | [`latency`] | `latency` |
-//! | §3.3.3 hierarchical confinement (Fig. 6) | [`hierarchy_exp`] | `hierarchy` |
-//! | Design-choice ablations | [`ablation`] | `ablation` |
+//! | Figure 9 (effect of `α` / node degree) | `fig9` | `fig9` |
+//! | Figure 10 (effect of group size `N_G`) | `fig10` | `fig10` |
+//! | §1 motivation: restoration latency | `latency` | `latency` |
+//! | §3.3.3 hierarchical confinement (Fig. 6) | `hierarchy_exp` | `hierarchy` |
+//! | Design-choice ablations | `ablation` | `ablation` |
 //!
 //! Shared infrastructure: [`scenario`] generates seeded (topology,
 //! member-set) pairs exactly as §4.1 describes (GT-ITM-style Waxman
@@ -26,28 +26,33 @@
 //! binary's body is one function in [`cli`], and `--bin all` runs them
 //! all.
 
-pub mod ablation;
-pub mod baselines;
-pub mod churn;
+mod ablation;
+mod baselines;
+mod churn;
+mod ci;
 pub mod cli;
-pub mod fig10;
+mod csvout;
+mod fig10;
 pub mod fig7;
 pub mod fig8;
-pub mod fig9;
-pub mod hierarchy_exp;
-pub mod latency;
+mod fig9;
+mod hierarchy_exp;
+mod histogram;
+mod latency;
 pub mod measure;
-pub mod node_failures;
-pub mod overhead;
-pub mod proactive;
-pub mod realnet;
-pub mod report;
-pub mod scalability;
+mod node_failures;
+mod overhead;
+mod proactive;
+mod realnet;
+mod relative;
+mod report;
+mod scalability;
+mod scatter;
 pub mod scenario;
-pub mod sweep;
+mod sweep;
+mod table;
 
-pub use measure::{MemberOutcome, ScenarioOutcome};
-pub use scenario::{Scenario, ScenarioConfig};
+pub use ci::ConfidenceInterval;
 
 /// Effort level of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,7 +75,7 @@ impl Effort {
     }
 
     /// Scales a paper-scale count down in quick mode.
-    pub fn scale(&self, paper_count: usize) -> usize {
+    pub(crate) fn scale(&self, paper_count: usize) -> usize {
         match self {
             Effort::Paper => paper_count,
             Effort::Quick => (paper_count / 5).max(1),
@@ -89,10 +94,10 @@ pub fn results_dir() -> std::path::PathBuf {
 /// the experiments that have one — as `<stem>.csv` and `<stem>.json` under
 /// [`results_dir`]. Each written file is announced on stdout; a failed
 /// write is reported on stderr and does not stop the run.
-pub fn publish<T: serde::Serialize + ?Sized>(
+pub(crate) fn publish<T: serde::Serialize + ?Sized>(
     text: &str,
     stem: &str,
-    csv: &smrp_metrics::csvout::Csv,
+    csv: &crate::csvout::Csv,
     json: Option<&T>,
 ) {
     print!("{text}");

@@ -13,9 +13,9 @@
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::select::SelectionMode;
 use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession, SpfSession};
-use smrp_metrics::relative;
 use smrp_net::{FailureScenario, Graph, NodeId};
 
+use crate::relative;
 use crate::scenario::Scenario;
 
 /// Per-member measurements across both trees.
@@ -79,7 +79,7 @@ impl ScenarioOutcome {
     }
 
     /// `Cost^relative` of the trees.
-    pub fn cost_relative(&self) -> f64 {
+    pub(crate) fn cost_relative(&self) -> f64 {
         relative::cost_relative(self.cost_smrp, self.cost_spf)
     }
 }
@@ -90,7 +90,7 @@ impl ScenarioOutcome {
 ///
 /// Propagates join failures (disconnected members cannot occur on the
 /// connected topologies the generators produce).
-pub fn build_smrp_tree(
+pub(crate) fn build_smrp_tree(
     scenario: &Scenario,
     config: SmrpConfig,
 ) -> Result<MulticastTree, SmrpError> {
@@ -106,7 +106,7 @@ pub fn build_smrp_tree(
 /// # Errors
 ///
 /// Propagates join failures.
-pub fn build_spf_tree(scenario: &Scenario) -> Result<MulticastTree, SmrpError> {
+pub(crate) fn build_spf_tree(scenario: &Scenario) -> Result<MulticastTree, SmrpError> {
     let mut sess = SpfSession::new(&scenario.graph, scenario.source)?;
     for &m in &scenario.members {
         sess.join(m)?;
@@ -120,7 +120,7 @@ pub fn build_spf_tree(scenario: &Scenario) -> Result<MulticastTree, SmrpError> {
 ///
 /// Returns `None` if the member has no failure to recover from (degenerate)
 /// or is unrecoverable under the worst-case failure.
-pub fn worst_case_rd(
+pub(crate) fn worst_case_rd(
     graph: &Graph,
     tree: &MulticastTree,
     member: NodeId,

@@ -8,18 +8,19 @@
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::MulticastTree;
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::{percent, Table};
-use smrp_metrics::{ConfidenceInterval, Stats};
+use smrp_metrics::Stats;
 use smrp_net::{FailureScenario, Graph, NodeId};
 
+use crate::ci::ConfidenceInterval;
+use crate::csvout::Csv;
 use crate::measure::{build_smrp_tree, build_spf_tree, smrp_config};
 use crate::scenario::ScenarioConfig;
+use crate::table::{percent, Table};
 use crate::Effort;
 
 /// Results of the node-failure comparison.
 #[derive(Debug, Clone)]
-pub struct NodeFailureResult {
+pub(crate) struct NodeFailureResult {
     /// `RD^relative` under worst-case node failures.
     pub rd_rel: ConfidenceInterval,
     /// Fraction of (member, failure) cases recoverable on the SPF tree.
@@ -34,7 +35,7 @@ pub struct NodeFailureResult {
 /// after the source on the member's path. `None` when the member is
 /// directly adjacent to the source (there is no intermediate router to
 /// crash).
-pub fn worst_case_node_failure(tree: &MulticastTree, member: NodeId) -> Option<NodeId> {
+pub(crate) fn worst_case_node_failure(tree: &MulticastTree, member: NodeId) -> Option<NodeId> {
     let path = tree.path_from_source(member)?;
     let nodes = path.nodes();
     // nodes[0] is the source; nodes[1] is the first router. Crashing the
@@ -54,7 +55,7 @@ fn rd_under_node_failure(graph: &Graph, tree: &MulticastTree, member: NodeId) ->
 }
 
 /// Runs the node-failure experiment on the Figure 8 base setup.
-pub fn run(effort: Effort) -> NodeFailureResult {
+pub(crate) fn run(effort: Effort) -> NodeFailureResult {
     let config = ScenarioConfig::default();
     let topologies = effort.scale(10).max(2) as u32;
     let member_sets = effort.scale(5).max(1) as u32;
@@ -123,7 +124,7 @@ pub fn run(effort: Effort) -> NodeFailureResult {
 
 impl NodeFailureResult {
     /// Renders the result table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec!["metric", "value"]);
         t.row(vec![
             "RD_rel under worst-case node crash".into(),
@@ -146,7 +147,7 @@ impl NodeFailureResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec![
             "rd_rel_mean",
             "rd_rel_ci",
@@ -165,7 +166,7 @@ impl NodeFailureResult {
     }
 
     /// Textual summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "under worst-case router crashes SMRP still shortens recovery paths by \
              {:.1}% and keeps {:.0}% of cases recoverable (SPF: {:.0}%) — the link-cut \
@@ -217,7 +218,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("node crash"));
-        assert_eq!(r.to_csv().len(), 1);
+        assert_eq!(r.to_csv().render().lines().count(), 2);
         assert!(r.summary().contains("router crashes"));
     }
 }

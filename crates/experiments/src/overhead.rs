@@ -7,19 +7,19 @@
 //! SPF trees over the same scenarios — SMRP's extra cost is just the
 //! larger tree (more on-tree routers exchanging the same timers).
 
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::Table;
 use smrp_metrics::Stats;
 use smrp_proto::{ProtoSession, TreeProtocol};
 use smrp_sim::SimTime;
 
+use crate::csvout::Csv;
 use crate::measure::smrp_config;
 use crate::scenario::ScenarioConfig;
+use crate::table::Table;
 use crate::Effort;
 
 /// Aggregated overhead for one tree protocol.
 #[derive(Debug, Clone)]
-pub struct OverheadRow {
+pub(crate) struct OverheadRow {
     /// Protocol name.
     pub name: &'static str,
     /// Control messages per delivered data packet.
@@ -32,15 +32,13 @@ pub struct OverheadRow {
 
 /// Results of the overhead experiment.
 #[derive(Debug, Clone)]
-pub struct OverheadResult {
+pub(crate) struct OverheadResult {
     /// SPF and SMRP rows.
     pub rows: Vec<OverheadRow>,
-    /// Scenarios measured.
-    pub scenarios: usize,
 }
 
 /// Runs the steady-state overhead measurement.
-pub fn run(effort: Effort) -> OverheadResult {
+pub(crate) fn run(effort: Effort) -> OverheadResult {
     let config = ScenarioConfig {
         nodes: 60,
         group_size: 12,
@@ -80,15 +78,12 @@ pub fn run(effort: Effort) -> OverheadResult {
             row.tree_size.push(report.on_tree_nodes as f64);
         }
     }
-    OverheadResult {
-        rows,
-        scenarios: scenarios.len(),
-    }
+    OverheadResult { rows }
 }
 
 impl OverheadResult {
     /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec![
             "protocol",
             "ctrl msgs / delivery",
@@ -107,7 +102,7 @@ impl OverheadResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec![
             "protocol",
             "control_per_delivery",
@@ -126,7 +121,7 @@ impl OverheadResult {
     }
 
     /// Relative extra control burden of SMRP over SPF.
-    pub fn smrp_extra_fraction(&self) -> f64 {
+    pub(crate) fn smrp_extra_fraction(&self) -> f64 {
         let spf = self.rows[0].control_per_delivery.mean();
         let smrp = self.rows[1].control_per_delivery.mean();
         if spf == 0.0 {
@@ -137,7 +132,7 @@ impl OverheadResult {
     }
 
     /// Textual summary against §3.3.2.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "SMRP's control overhead is {:.0}% above SPF's ({:.2} vs {:.2} control \
              messages per delivery) — the paper's \"fairly small overhead\" (§3.3.2)",
@@ -172,7 +167,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("protocol"));
-        assert_eq!(r.to_csv().len(), 2);
+        assert_eq!(r.to_csv().render().lines().count(), 3);
         assert!(r.summary().contains("overhead"));
     }
 }

@@ -15,18 +15,18 @@
 
 use smrp_core::backup::{self, Activation};
 use smrp_core::recovery::{self, DetourKind};
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::{percent, Table};
 use smrp_metrics::Stats;
 use smrp_net::FailureScenario;
 
+use crate::csvout::Csv;
 use crate::measure::{build_smrp_tree, smrp_config};
 use crate::scenario::ScenarioConfig;
+use crate::table::{percent, Table};
 use crate::Effort;
 
 /// Results of the proactive-vs-reactive comparison.
 #[derive(Debug, Clone)]
-pub struct ProactiveResult {
+pub(crate) struct ProactiveResult {
     /// Members examined (across scenarios).
     pub members: usize,
     /// Members with a plannable backup path.
@@ -46,7 +46,7 @@ pub struct ProactiveResult {
 }
 
 /// Runs the comparison.
-pub fn run(effort: Effort) -> ProactiveResult {
+pub(crate) fn run(effort: Effort) -> ProactiveResult {
     let config = ScenarioConfig::default();
     let topologies = effort.scale(10).max(2) as u32;
     let member_sets = effort.scale(5).max(1) as u32;
@@ -112,7 +112,7 @@ pub fn run(effort: Effort) -> ProactiveResult {
 
 impl ProactiveResult {
     /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec!["metric", "preplanned backup", "reactive local detour"]);
         t.row(vec![
             "members protectable / recovering".into(),
@@ -142,7 +142,7 @@ impl ProactiveResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec![
             "members",
             "protectable",
@@ -167,7 +167,7 @@ impl ProactiveResult {
     }
 
     /// Textual summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "preplanned backups protect {}/{} members at a standing cost of \
              {:.0}% of the tree; the reactive local detour recovers {}/{} with \
@@ -206,7 +206,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("standing overhead"));
-        assert_eq!(r.to_csv().len(), 1);
+        assert_eq!(r.to_csv().render().lines().count(), 2);
         assert!(r.summary().contains("trade-off"));
     }
 }

@@ -9,20 +9,20 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use smrp_core::recovery;
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::{percent, Table};
 use smrp_metrics::Stats;
 use smrp_net::{import, FailureScenario, Graph, NodeId};
 use smrp_proto::{FailureSpec, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_sim::SimTime;
 
+use crate::csvout::Csv;
 use crate::measure::{measure_scenario, smrp_config};
 use crate::scenario::Scenario;
+use crate::table::{percent, Table};
 use crate::Effort;
 
 /// Per-backbone aggregated results.
 #[derive(Debug, Clone)]
-pub struct BackboneRow {
+pub(crate) struct BackboneRow {
     /// Backbone name.
     pub name: &'static str,
     /// Nodes in the backbone.
@@ -39,7 +39,7 @@ pub struct BackboneRow {
 
 /// Results over all bundled backbones.
 #[derive(Debug, Clone)]
-pub struct RealnetResult {
+pub(crate) struct RealnetResult {
     /// One row per backbone.
     pub rows: Vec<BackboneRow>,
 }
@@ -114,7 +114,7 @@ fn run_backbone(
 }
 
 /// Runs the real-topology evaluation.
-pub fn run(effort: Effort) -> RealnetResult {
+pub(crate) fn run(effort: Effort) -> RealnetResult {
     // Fixed backbones leave member placement as the only randomness; keep
     // enough sets under `Effort::Quick` for the mean comparison to settle.
     let sets = effort.scale(10).max(6) as u32;
@@ -128,7 +128,7 @@ pub fn run(effort: Effort) -> RealnetResult {
 
 impl RealnetResult {
     /// Renders the comparison table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec![
             "backbone",
             "nodes",
@@ -152,7 +152,7 @@ impl RealnetResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec![
             "backbone",
             "nodes",
@@ -175,7 +175,7 @@ impl RealnetResult {
     }
 
     /// Textual summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let parts: Vec<String> = self
             .rows
             .iter()
@@ -217,7 +217,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("Abilene"));
-        assert_eq!(r.to_csv().len(), 2);
+        assert_eq!(r.to_csv().render().lines().count(), 3);
         assert!(r.summary().contains("backbone"));
     }
 }

@@ -14,7 +14,7 @@ use serde::Serialize;
 /// # Errors
 ///
 /// Propagates serialization and filesystem errors.
-pub fn write_json<T: Serialize + ?Sized>(path: &Path, value: &T) -> std::io::Result<()> {
+pub(crate) fn write_json<T: Serialize + ?Sized>(path: &Path, value: &T) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }

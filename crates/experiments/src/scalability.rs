@@ -10,17 +10,17 @@
 
 use std::time::Instant;
 
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::{percent, Table};
 use smrp_metrics::Stats;
 
+use crate::csvout::Csv;
 use crate::measure::{measure_scenario, smrp_config};
 use crate::scenario::ScenarioConfig;
+use crate::table::{percent, Table};
 use crate::Effort;
 
 /// Measurements at one network size.
 #[derive(Debug, Clone)]
-pub struct SizePoint {
+pub(crate) struct SizePoint {
     /// Number of nodes `N`.
     pub nodes: usize,
     /// Members `N_G` (scaled with `N`).
@@ -36,17 +36,17 @@ pub struct SizePoint {
 
 /// Results of the scalability sweep.
 #[derive(Debug, Clone)]
-pub struct ScalabilityResult {
+pub(crate) struct ScalabilityResult {
     /// One point per network size.
     pub points: Vec<SizePoint>,
 }
 
 /// The swept sizes.
-pub const SIZES: [usize; 4] = [50, 100, 200, 400];
+pub(crate) const SIZES: [usize; 4] = [50, 100, 200, 400];
 
 /// Runs the sweep; the group size scales with `N` (30% of the nodes) to
 /// keep member density comparable across sizes.
-pub fn run(effort: Effort) -> ScalabilityResult {
+pub(crate) fn run(effort: Effort) -> ScalabilityResult {
     let scenarios_per_size = effort.scale(10).max(2) as u32;
     let points = SIZES
         .iter()
@@ -88,7 +88,7 @@ pub fn run(effort: Effort) -> ScalabilityResult {
 
 impl ScalabilityResult {
     /// Renders the sweep table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut t = Table::new(vec!["N", "N_G", "RD_rel", "D_rel", "ms/scenario"]);
         for p in &self.points {
             t.row(vec![
@@ -103,7 +103,7 @@ impl ScalabilityResult {
     }
 
     /// CSV artifact.
-    pub fn to_csv(&self) -> Csv {
+    pub(crate) fn to_csv(&self) -> Csv {
         let mut csv = Csv::new(vec![
             "nodes",
             "group",
@@ -124,7 +124,7 @@ impl ScalabilityResult {
     }
 
     /// Textual summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let first = &self.points[0];
         let last = self.points.last().expect("non-empty sweep");
         format!(
@@ -172,7 +172,7 @@ mod tests {
     fn artifacts_render() {
         let r = run(Effort::Quick);
         assert!(r.table().render().contains("ms/scenario"));
-        assert_eq!(r.to_csv().len(), 4);
+        assert_eq!(r.to_csv().render().lines().count(), 5);
         assert!(r.summary().contains("practical"));
     }
 }

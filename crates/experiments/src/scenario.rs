@@ -50,7 +50,7 @@ impl ScenarioConfig {
     /// # Errors
     ///
     /// Propagates generator configuration errors.
-    pub fn topology(&self, t: u32) -> Result<Graph, NetError> {
+    pub(crate) fn topology(&self, t: u32) -> Result<Graph, NetError> {
         Ok(WaxmanConfig::new(self.nodes)
             .alpha(self.alpha)
             .seed(self.base_seed ^ (0x9E3779B9u64.wrapping_mul(u64::from(t) + 1)))
@@ -59,7 +59,7 @@ impl ScenarioConfig {
     }
 
     /// Samples the source and member set `m` for a given topology.
-    pub fn pick_members(&self, graph: &Graph, t: u32, m: u32) -> (NodeId, Vec<NodeId>) {
+    pub(crate) fn pick_members(&self, graph: &Graph, t: u32, m: u32) -> (NodeId, Vec<NodeId>) {
         let seed = self
             .base_seed
             .wrapping_add(0xA5A5_A5A5u64.wrapping_mul(u64::from(t) + 3))

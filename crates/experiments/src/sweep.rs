@@ -7,12 +7,13 @@
 
 use serde::Serialize;
 use smrp_core::SmrpConfig;
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::table::{percent, Table};
-use smrp_metrics::{ConfidenceInterval, Stats};
+use smrp_metrics::Stats;
 
+use crate::ci::ConfidenceInterval;
+use crate::csvout::Csv;
 use crate::measure::measure_scenario;
 use crate::scenario::ScenarioConfig;
+use crate::table::{percent, Table};
 
 /// Aggregated metrics for one sweep point.
 #[derive(Debug, Clone, Serialize)]
@@ -38,7 +39,7 @@ pub struct SweepPoint {
 ///
 /// Panics on scenario-generation or tree-construction failures, which
 /// cannot occur with validated parameters on connected topologies.
-pub fn run_point(
+pub(crate) fn run_point(
     x: f64,
     scenario_config: &ScenarioConfig,
     smrp_config: SmrpConfig,
@@ -76,7 +77,7 @@ pub fn run_point(
 }
 
 /// Renders sweep points as a paper-style table.
-pub fn table(x_name: &str, points: &[SweepPoint]) -> Table {
+pub(crate) fn table(x_name: &str, points: &[SweepPoint]) -> Table {
     let mut t = Table::new(vec![
         x_name,
         "avg_degree",
@@ -111,7 +112,7 @@ pub fn table(x_name: &str, points: &[SweepPoint]) -> Table {
 }
 
 /// CSV artifact with one row per sweep point.
-pub fn to_csv(x_name: &str, points: &[SweepPoint]) -> Csv {
+pub(crate) fn to_csv(x_name: &str, points: &[SweepPoint]) -> Csv {
     let mut csv = Csv::new(vec![
         x_name,
         "avg_degree",

@@ -34,17 +34,7 @@ pub enum Invariant {
     AttachOnSurvivingTree,
 }
 
-impl Invariant {
-    /// Stable lowercase name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Invariant::TreeStructure => "tree-structure",
-            Invariant::MembersAttached => "members-attached",
-            Invariant::NoFailedLinks => "no-failed-links",
-            Invariant::AttachOnSurvivingTree => "attach-on-surviving-tree",
-        }
-    }
-}
+impl Invariant {}
 
 /// One violated invariant with a human-readable detail line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -321,6 +311,5 @@ mod tests {
         let text = serde_json::to_string(&v).unwrap();
         let back: Violation = serde_json::from_str(&text).unwrap();
         assert_eq!(v, back);
-        assert_eq!(Invariant::TreeStructure.name(), "tree-structure");
     }
 }

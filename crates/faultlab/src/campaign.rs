@@ -48,10 +48,10 @@ pub enum ProtoKind {
 
 impl ProtoKind {
     /// Both protocols, in evaluation order.
-    pub const ALL: [ProtoKind; 2] = [ProtoKind::Smrp, ProtoKind::Spf];
+    pub(crate) const ALL: [ProtoKind; 2] = [ProtoKind::Smrp, ProtoKind::Spf];
 
     /// Stable lowercase name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ProtoKind::Smrp => "smrp",
             ProtoKind::Spf => "spf",
@@ -104,7 +104,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Every outcome class, in report order.
-    pub const ALL: [Outcome; 7] = [
+    pub(crate) const ALL: [Outcome; 7] = [
         Outcome::Unaffected,
         Outcome::RestoredLocalDetour,
         Outcome::RestoredAfterReplan,
@@ -115,7 +115,7 @@ impl Outcome {
     ];
 
     /// Stable kebab-case name (used as report keys).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Outcome::Unaffected => "unaffected",
             Outcome::RestoredLocalDetour => "restored-local-detour",
@@ -213,7 +213,7 @@ impl CampaignConfig {
     /// `groups = 1` campaign is byte-identical to a pre-multi-session
     /// one; higher groups perturb the seed with a splitmix-style odd
     /// constant for independent draws.
-    pub fn pick_group_members(&self, graph: &Graph, group: usize) -> (NodeId, Vec<NodeId>) {
+    pub(crate) fn pick_group_members(&self, graph: &Graph, group: usize) -> (NodeId, Vec<NodeId>) {
         draw_members(graph, self.base_seed, self.group_size, group)
     }
 
@@ -305,7 +305,7 @@ pub struct GroupOutcome {
 }
 
 /// The evaluation of one case against one protocol — the aggregate over
-/// every hosted group plus one [`GroupOutcome`] slice per group.
+/// every hosted group plus one `GroupOutcome` slice per group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtoOutcome {
     /// The aggregate classification: the worst (maximum-severity) group
@@ -346,16 +346,11 @@ pub struct CaseResult {
 
 impl CaseResult {
     /// The evaluation for `proto`.
-    pub fn for_proto(&self, proto: ProtoKind) -> &ProtoOutcome {
+    pub(crate) fn for_proto(&self, proto: ProtoKind) -> &ProtoOutcome {
         match proto {
             ProtoKind::Smrp => &self.smrp,
             ProtoKind::Spf => &self.spf,
         }
-    }
-
-    /// Whether either protocol's auditor flagged this case.
-    pub fn has_violations(&self) -> bool {
-        !self.smrp.violations.is_empty() || !self.spf.violations.is_empty()
     }
 }
 
@@ -761,7 +756,12 @@ mod tests {
     fn campaign_has_no_invariant_violations() {
         let run = run_campaign(&small_config(), 2).unwrap();
         for r in &run.results {
-            assert!(!r.has_violations(), "case {}: {:?}", r.case.id, r);
+            assert!(
+                r.smrp.violations.is_empty() && r.spf.violations.is_empty(),
+                "case {}: {:?}",
+                r.case.id,
+                r
+            );
         }
     }
 

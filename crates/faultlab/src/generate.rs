@@ -57,7 +57,7 @@ pub enum FaultFamily {
 
 impl FaultFamily {
     /// All families, in the round-robin order the mixed generator uses.
-    pub const ALL: [FaultFamily; 7] = [
+    pub(crate) const ALL: [FaultFamily; 7] = [
         FaultFamily::KLink,
         FaultFamily::KNode,
         FaultFamily::Srlg,
@@ -68,7 +68,7 @@ impl FaultFamily {
     ];
 
     /// Stable lowercase name (used in reports and tables).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultFamily::KLink => "k-link",
             FaultFamily::KNode => "k-node",
@@ -117,7 +117,7 @@ impl Timing {
     }
 
     /// A single-repair transient outage.
-    pub fn transient(repair_after_ms: f64) -> Self {
+    pub(crate) fn transient(repair_after_ms: f64) -> Self {
         Timing {
             transient: true,
             repair_after_ms,
@@ -126,7 +126,7 @@ impl Timing {
     }
 
     /// Repeated down/up cycles; the run ends with the component repaired.
-    pub fn flapping(cycles: u32, down_ms: f64, up_ms: f64) -> Self {
+    pub(crate) fn flapping(cycles: u32, down_ms: f64, up_ms: f64) -> Self {
         Timing {
             transient: false,
             repair_after_ms: 0.0,
@@ -247,7 +247,7 @@ impl FaultCase {
 /// Graphs without node positions (imported topologies) fall back to
 /// node-incidence conduits: every node of degree ≥ 2 forms a group of its
 /// incident links, modelling a site whose cable tray fails as one.
-pub fn derive_srlgs(graph: &Graph, grid: usize) -> Vec<Vec<LinkId>> {
+pub(crate) fn derive_srlgs(graph: &Graph, grid: usize) -> Vec<Vec<LinkId>> {
     let grid = grid.max(1);
     let has_positions = graph.node_ids().all(|n| graph.position(n).is_some());
     if has_positions {
@@ -307,7 +307,7 @@ fn sample_distinct(rng: &mut SmallRng, n: usize, k: usize) -> Vec<usize> {
 
 /// Generates the case with index `id` of `family`, seeded from
 /// `base_seed`. Identical arguments always produce identical cases.
-pub fn generate_case(
+pub(crate) fn generate_case(
     graph: &Graph,
     cfg: &GeneratorConfig,
     family: FaultFamily,

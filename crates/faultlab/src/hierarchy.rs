@@ -31,12 +31,12 @@
 
 use std::collections::BTreeMap;
 
+use crate::locality::{DomainRollup, LocalityHealth};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use smrp_core::SmrpConfig;
-use smrp_metrics::{DomainRollup, LocalityHealth};
 use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, GroupId, LinkId, NetError, NodeId};
@@ -171,7 +171,7 @@ pub enum HierarchyOutcome {
 
 impl HierarchyOutcome {
     /// Stable kebab-case name (used as report keys).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             HierarchyOutcome::Unaffected => "unaffected",
             HierarchyOutcome::ConfinedRepair => "confined-repair",

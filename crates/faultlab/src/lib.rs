@@ -7,7 +7,7 @@
 //! Monte-Carlo campaigns of *correlated* failures, and audits every
 //! recovery against the protocol's safety invariants:
 //!
-//! * [`generate`] — deterministic scenario generation: `k`-random-link,
+//! * `generate` — deterministic scenario generation: `k`-random-link,
 //!   `k`-random-node, shared-risk link groups derived from the topology's
 //!   geometry (links sharing a conduit cell fail together), regional
 //!   outages (all nodes within a radius of an epicenter), each drawn
@@ -15,7 +15,7 @@
 //!   families: cuts under ambient uniform message loss, gray links that
 //!   stay up but drop heavily, and components flapping through repeated
 //!   down/up cycles;
-//! * [`campaign`] — the parallel Monte-Carlo runner: every case is
+//! * `campaign` — the parallel Monte-Carlo runner: every case is
 //!   evaluated against both SMRP (local detour) and the SPF baseline
 //!   (global detour), classified into an [`Outcome`], and timed through
 //!   the message-level simulator. Campaigns host one or many concurrent
@@ -24,21 +24,21 @@
 //!   is classified independently, and the aggregate reads as the worst
 //!   group. Results are deterministic in the base seed and independent
 //!   of the worker-thread count;
-//! * [`audit`] — the invariant auditor: reconstructs the post-recovery
+//! * `audit` — the invariant auditor: reconstructs the post-recovery
 //!   tree and checks structure (acyclicity + SHR/N bookkeeping via the
 //!   `MulticastTree::validate` oracle), member coverage against the
 //!   physical-reachability oracle, absence of failed links, and that
 //!   every detour lands on the surviving tree. Violations become minimal
 //!   reproducers (case seed + scenario JSON);
-//! * [`report`] — stable JSON campaign reports with per-family×protocol
+//! * `report` — stable JSON campaign reports with per-family×protocol
 //!   outcome tables, restoration-latency distributions and control-plane
 //!   health summaries (loss, retransmissions, retry-budget exhaustions);
-//! * [`hierarchy`] — wire-level campaigns over N-level recovery domains
+//! * `hierarchy` — wire-level campaigns over N-level recovery domains
 //!   with aggregated member populations: every active domain's session
 //!   runs as one group of a shared-substrate `MultiSession`, repairs are
 //!   installed via the explicit-plan seam, and every case's full message
 //!   trace is audited against the DomainLocality confinement invariant;
-//! * [`protect`] — the protection-vs-restoration axis: SMRP with
+//! * `protect` — the protection-vs-restoration axis: SMRP with
 //!   precomputed, locally-activated backup detours against SMRP with
 //!   on-demand detour search, swept over single-link, single-node and
 //!   shared-risk-group failures at multiple ambient-loss points, with
@@ -62,34 +62,25 @@
 //! assert!(report.is_clean());
 //! ```
 
-pub mod audit;
-pub mod campaign;
-pub mod generate;
-pub mod hierarchy;
+mod audit;
+mod campaign;
+mod generate;
+mod hierarchy;
+mod locality;
 mod par;
-pub mod protect;
-pub mod report;
-pub mod trace;
+mod protect;
+mod report;
+mod trace;
 
-pub use audit::{audit_recovery, rebuild_after_recovery, Invariant, Violation};
+pub use audit::{audit_recovery, rebuild_after_recovery};
 pub use campaign::{
-    evaluate_case, run_campaign, CampaignConfig, CampaignRun, CaseResult, GroupOutcome, Outcome,
-    ProtoKind, ProtoOutcome,
+    evaluate_case, run_campaign, CampaignConfig, CampaignRun, CaseResult, Outcome, ProtoKind,
+    ProtoOutcome,
 };
-pub use generate::{
-    derive_srlgs, generate_case, generate_mix, shared_fate_srlgs, FaultCase, FaultFamily,
-    GeneratorConfig, Timing,
-};
+pub use generate::{generate_mix, shared_fate_srlgs, FaultCase, FaultFamily, Timing};
 pub use hierarchy::{
-    run_hierarchy, DomainSlice, HierarchyCase, HierarchyCaseResult, HierarchyConfig,
-    HierarchyOutcome, HierarchyReport, HierarchyRun,
+    run_hierarchy, HierarchyConfig, HierarchyOutcome, HierarchyReport, HierarchyRun,
 };
-pub use protect::{
-    run_protect, LossPointSummary, ModeOutcomeRow, ModeSummary, ProtectCase, ProtectCaseResult,
-    ProtectCell, ProtectConfig, ProtectMode, ProtectReport, ProtectRun, PROTECT_FAMILIES,
-};
-pub use report::{
-    CampaignReport, CaseRow, FamilyLatency, GroupSummary, HealthSummary, LatencySummary,
-    OutcomeCounts, Quantiles, Reproducer,
-};
-pub use trace::{dump_traces, golden_scenarios, GoldenTrace, TRACE_VERSION};
+pub use protect::{run_protect, ProtectConfig, ProtectReport};
+pub use report::{CampaignReport, Quantiles};
+pub use trace::{dump_traces, golden_scenarios, GoldenTrace};

@@ -55,10 +55,10 @@ pub enum ProtectMode {
 
 impl ProtectMode {
     /// Both modes, in evaluation order.
-    pub const ALL: [ProtectMode; 2] = [ProtectMode::Protection, ProtectMode::Reactive];
+    pub(crate) const ALL: [ProtectMode; 2] = [ProtectMode::Protection, ProtectMode::Reactive];
 
     /// Stable lowercase name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ProtectMode::Protection => "protection",
             ProtectMode::Reactive => "reactive",
@@ -74,7 +74,7 @@ impl std::fmt::Display for ProtectMode {
 
 /// The fault families the axis sweeps: one of each single-event kind the
 /// protection plane precomputes contingencies for.
-pub const PROTECT_FAMILIES: [FaultFamily; 3] =
+pub(crate) const PROTECT_FAMILIES: [FaultFamily; 3] =
     [FaultFamily::KLink, FaultFamily::KNode, FaultFamily::Srlg];
 
 /// Knobs of a protection-axis campaign. Serialized verbatim into the
@@ -98,7 +98,7 @@ pub struct ProtectConfig {
     /// own sub-seeds from it.
     pub base_seed: u64,
     /// Conduit-grid resolution for SRLG derivation (see
-    /// [`derive_srlgs`]); also feeds the session's SRLG metadata so
+    /// `derive_srlgs`); also feeds the session's SRLG metadata so
     /// protection plans can cover whole conduits.
     pub srlg_grid: usize,
     /// Modelled on-demand detour-search delay charged to the reactive
@@ -177,7 +177,7 @@ impl ProtectConfig {
 
     /// Generates every case of the sweep: `loss_points × PROTECT_FAMILIES
     /// × scenarios_per_cell`, ids sequential in that order.
-    pub fn cases(&self, graph: &Graph) -> Vec<ProtectCase> {
+    pub(crate) fn cases(&self, graph: &Graph) -> Vec<ProtectCase> {
         let gen_cfg = self.generator();
         let mut out = Vec::new();
         let mut id = 0u32;
@@ -219,7 +219,7 @@ pub struct ProtectCaseResult {
 
 impl ProtectCaseResult {
     /// The evaluation for `mode`.
-    pub fn for_mode(&self, mode: ProtectMode) -> &ProtoOutcome {
+    pub(crate) fn for_mode(&self, mode: ProtectMode) -> &ProtoOutcome {
         match mode {
             ProtectMode::Protection => &self.protection,
             ProtectMode::Reactive => &self.reactive,
@@ -241,7 +241,7 @@ pub struct ProtectRun {
 /// Determinism contract: identical to [`crate::campaign::run_campaign`] —
 /// cases are generated up front and (case, mode) items go through the
 /// crate's ordered parallel map, so any job count (0 is read as 1)
-/// produces an identical [`ProtectRun`].
+/// produces an identical `ProtectRun`.
 ///
 /// # Errors
 ///
@@ -376,7 +376,7 @@ pub struct ModeOutcomeRow {
 }
 
 /// The full protection-sweep report, as written to disk. A pure function
-/// of the [`ProtectRun`], so byte-identical across machines and `--jobs`
+/// of the `ProtectRun`, so byte-identical across machines and `--jobs`
 /// values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtectReport {
@@ -386,14 +386,14 @@ pub struct ProtectReport {
     pub cases: u32,
     /// Total invariant violations across all cases.
     pub total_violations: u32,
-    /// Outcome tallies, modes in [`ProtectMode::ALL`] order, outcomes in
-    /// [`Outcome::ALL`] order within a mode.
+    /// Outcome tallies, modes in `ProtectMode::ALL` order, outcomes in
+    /// `Outcome::ALL` order within a mode.
     pub outcomes: Vec<ModeOutcomeRow>,
-    /// Per-mode aggregates, in [`ProtectMode::ALL`] order.
+    /// Per-mode aggregates, in `ProtectMode::ALL` order.
     pub modes: Vec<ModeSummary>,
     /// Per-(family × loss × mode) latency cells, loss points in config
-    /// order, families in [`PROTECT_FAMILIES`] order, modes in
-    /// [`ProtectMode::ALL`] order.
+    /// order, families in `PROTECT_FAMILIES` order, modes in
+    /// `ProtectMode::ALL` order.
     pub cells: Vec<ProtectCell>,
     /// The headline medians per loss point, in config order.
     pub loss_points: Vec<LossPointSummary>,
@@ -507,7 +507,7 @@ impl ProtectReport {
     }
 
     /// Whether the sweep is clean (no invariant violations anywhere).
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.total_violations == 0
     }
 

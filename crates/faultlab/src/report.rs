@@ -79,11 +79,6 @@ impl OutcomeCounts {
             Outcome::InvariantViolation => self.invariant_violation,
         }
     }
-
-    /// Total cases in this cell.
-    pub fn total(&self) -> u32 {
-        Outcome::ALL.iter().map(|&o| self.count(o)).sum()
-    }
 }
 
 /// Five-number summary of one protocol's restoration-latency distribution
@@ -106,7 +101,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarises a latency sample (empty samples yield all-zero rows).
-    pub fn from_samples(proto: ProtoKind, samples: Vec<f64>) -> Self {
+    pub(crate) fn from_samples(proto: ProtoKind, samples: Vec<f64>) -> Self {
         let q = Quantiles::of(samples);
         LatencySummary {
             proto,
@@ -350,7 +345,7 @@ pub struct CampaignReport {
     /// Total invariant violations across all cases and protocols.
     pub total_violations: u32,
     /// Outcome counts per (family × protocol) cell, families in
-    /// [`FaultFamily::ALL`] order, protocols in [`ProtoKind::ALL`] order.
+    /// `FaultFamily::ALL` order, protocols in `ProtoKind::ALL` order.
     pub outcomes: Vec<OutcomeCounts>,
     /// Latency distribution per protocol.
     pub latencies: Vec<LatencySummary>,
@@ -360,7 +355,7 @@ pub struct CampaignReport {
     /// Control-plane health per protocol.
     pub health: Vec<HealthSummary>,
     /// Per-group roll-ups, groups ascending, protocols in
-    /// [`ProtoKind::ALL`] order within a group.
+    /// `ProtoKind::ALL` order within a group.
     pub group_summaries: Vec<GroupSummary>,
     /// One reproducer per (case, protocol) with violations.
     pub reproducers: Vec<Reproducer>,
@@ -632,7 +627,7 @@ mod tests {
                 .outcomes
                 .iter()
                 .filter(|c| c.proto == proto)
-                .map(OutcomeCounts::total)
+                .map(|c| Outcome::ALL.iter().map(|&o| c.count(o)).sum::<u32>())
                 .sum();
             assert_eq!(total, 16, "{proto}: every case lands in one cell");
         }
@@ -658,6 +653,46 @@ mod tests {
         let empty = LatencySummary::from_samples(ProtoKind::Spf, Vec::new());
         assert_eq!(empty.count, 0);
         assert_eq!(empty.max_ms, 0.0);
+    }
+
+    #[test]
+    fn quantiles_follow_the_nearest_rank_rule() {
+        let zero = Quantiles {
+            count: 0,
+            mean_ms: 0.0,
+            p50_ms: 0.0,
+            p95_ms: 0.0,
+            max_ms: 0.0,
+        };
+        assert_eq!(Quantiles::of(Vec::new()), zero);
+
+        let one = Quantiles::of(vec![7.5]);
+        assert_eq!(
+            (one.count, one.p50_ms, one.p95_ms, one.max_ms),
+            (1, 7.5, 7.5, 7.5)
+        );
+        assert_eq!(one.mean_ms, 7.5);
+
+        // Even n: the median index is round((n - 1) / 2), the upper middle.
+        assert_eq!(Quantiles::of(vec![1.0, 2.0, 3.0, 4.0]).p50_ms, 3.0);
+
+        // n = 20: p95 is index round(19 * 0.95) = 18, the 19th sorted value;
+        // the input arrives reversed, so the rule must sort it first.
+        let samples: Vec<f64> = (1..=20).rev().map(f64::from).collect();
+        let q = Quantiles::of(samples.clone());
+        assert_eq!(q.count, 20);
+        assert_eq!(q.p50_ms, 11.0);
+        assert_eq!(q.p95_ms, 19.0);
+        assert_eq!(q.max_ms, 20.0);
+
+        let mut stats = Stats::new();
+        let unsorted = [0.3, 2.7, 0.1, 9.9, 1.4, 0.7];
+        for &s in &unsorted {
+            stats.push(s);
+        }
+        let q = Quantiles::of(unsorted.to_vec());
+        assert_eq!(q.mean_ms.to_bits(), stats.mean().to_bits());
+        assert_eq!((q.p50_ms, q.max_ms), (1.4, 9.9));
     }
 
     #[test]

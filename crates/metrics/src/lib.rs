@@ -1,40 +1,22 @@
 #![warn(missing_docs)]
 
-//! Statistics and reporting utilities for the SMRP reproduction.
+//! The counters and the one accumulator that cross crate lines.
 //!
-//! The paper's evaluation (§4) reports *relative* metrics averaged over
-//! randomized scenarios with 95% confidence intervals (Figure 8's error
-//! bars). This crate provides everything those reports need, implemented
-//! from scratch:
+//! * `stats` — Welford online mean/variance accumulation, shared by the
+//!   experiment reports and the fault-injection campaign reports;
+//! * `health` / `protection` — control-plane and protection-plane
+//!   counter aggregates that the protocol's routers fill and the campaign
+//!   reports, the daemon and the benchmark read.
 //!
-//! * [`stats`] — Welford online mean/variance accumulation;
-//! * [`ci`] — Student-t 95% confidence intervals;
-//! * [`relative`] — the three relative metrics of §4.2
-//!   (`RD^relative`, `D^relative`, `Cost^relative`);
-//! * [`table`] — fixed-width text tables for terminal reports;
-//! * [`scatter`] — an ASCII scatter plot with the `y = x` reference line
-//!   used to render Figure 7;
-//! * [`csvout`] — a minimal CSV writer so every experiment leaves a
-//!   machine-readable artifact;
-//! * [`health`] / [`protection`] — control-plane and protection-plane
-//!   counter aggregates campaign reports roll up;
-//! * [`locality`] — per-recovery-domain rollups and the DomainLocality
-//!   confinement verdict for hierarchical campaigns.
+//! Everything else the reports need lives with its one user: confidence
+//! intervals, tables, CSV, scatter plots, histograms and the relative
+//! metrics in `smrp-experiments`, the recovery-domain rollups in
+//! `smrp-faultlab`.
 
-pub mod ci;
-pub mod csvout;
-pub mod health;
-pub mod histogram;
-pub mod locality;
-pub mod protection;
-pub mod relative;
-pub mod scatter;
-pub mod stats;
-pub mod table;
+mod health;
+mod protection;
+mod stats;
 
-pub use ci::ConfidenceInterval;
 pub use health::ControlHealth;
-pub use histogram::Histogram;
-pub use locality::{DomainRollup, LocalityHealth};
 pub use protection::ProtectionHealth;
 pub use stats::Stats;

@@ -97,7 +97,7 @@ impl Stats {
     }
 
     /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
+    pub(crate) fn sample_stddev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 

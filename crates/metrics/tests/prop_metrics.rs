@@ -1,10 +1,7 @@
-//! Property tests for the statistics layer.
+//! Property tests for the Welford accumulator.
 
 use proptest::prelude::*;
 
-use smrp_metrics::ci::{t_critical_95, ConfidenceInterval};
-use smrp_metrics::csvout::Csv;
-use smrp_metrics::relative;
 use smrp_metrics::Stats;
 
 fn naive_mean(xs: &[f64]) -> f64 {
@@ -52,52 +49,5 @@ proptest! {
         prop_assert!((left.mean() - right.mean()).abs() < 1e-9);
         prop_assert!((left.sample_variance() - right.sample_variance()).abs() < 1e-6);
         prop_assert_eq!(left.count(), right.count());
-    }
-
-    #[test]
-    fn ci_narrows_with_replication(
-        xs in proptest::collection::vec(-10f64..10.0, 3..40),
-        reps in 2usize..6,
-    ) {
-        let base: Stats = xs.iter().copied().collect();
-        let replicated: Stats =
-            std::iter::repeat_n(xs.iter().copied(), reps).flatten().collect();
-        let ci_base = ConfidenceInterval::from_stats(&base);
-        let ci_rep = ConfidenceInterval::from_stats(&replicated);
-        // Same mean, tighter (or equal, when variance is 0) interval.
-        prop_assert!((ci_base.mean - ci_rep.mean).abs() < 1e-9);
-        prop_assert!(ci_rep.half_width <= ci_base.half_width + 1e-12);
-    }
-
-    #[test]
-    fn t_table_is_monotone(df1 in 1u64..10_000, df2 in 1u64..10_000) {
-        let (lo, hi) = if df1 <= df2 { (df1, df2) } else { (df2, df1) };
-        prop_assert!(t_critical_95(hi) <= t_critical_95(lo) + 1e-12);
-        prop_assert!(t_critical_95(hi) >= 1.959);
-    }
-
-    #[test]
-    fn relative_metrics_identities(spf in 0.001f64..1e4, smrp in 0.0f64..1e4) {
-        let rd = relative::rd_relative(spf, smrp);
-        prop_assert!(rd <= 1.0 + 1e-12);
-        // Identity: rd_relative == -delay_relative with roles swapped.
-        let d = relative::delay_relative(smrp, spf);
-        prop_assert!((rd + d).abs() < 1e-9);
-        // Zero difference means zero metric.
-        prop_assert!(relative::cost_relative(spf, spf).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_escaping_round_trips_simple_fields(
-        cells in proptest::collection::vec("[a-z0-9 ,\"]{0,12}", 1..6),
-    ) {
-        let mut csv = Csv::new(vec!["h".to_string(); cells.len()]);
-        csv.row(cells.clone());
-        let rendered = csv.render();
-        // The rendered document has exactly two lines (header + row) and
-        // the number of unquoted commas in the header matches arity.
-        let lines: Vec<&str> = rendered.lines().collect();
-        prop_assert_eq!(lines.len(), 2);
-        prop_assert_eq!(lines[0].split(',').count(), cells.len());
     }
 }

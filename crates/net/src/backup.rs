@@ -10,12 +10,11 @@
 //! answers with the same forbidden-set Dijkstra that reactive recovery
 //! uses ([`crate::dijkstra::shortest_path_to_any`]).
 //!
-//! Requests are dirty-tracked: inserting a request marks it dirty, and
-//! tree or metric changes mark affected requests dirty again
-//! ([`BackupPlanner::mark_dirty`] / [`BackupPlanner::mark_all_dirty`]);
-//! [`BackupPlanner::refresh`] then recomputes only the dirty subset, so a
-//! soft-state maintenance sweep that touches one branch does not pay for
-//! the whole session's plans.
+//! Requests are dirty-tracked: inserting a request marks it dirty, and a
+//! change whose blast radius is unknown marks every request dirty again
+//! ([`BackupPlanner::mark_all_dirty`]); [`BackupPlanner::refresh`] then
+//! recomputes only the dirty subset, so registering one new request does
+//! not pay for the whole session's plans.
 
 use crate::dijkstra::{self, Constraints};
 use crate::failure::FailureScenario;
@@ -75,16 +74,6 @@ impl BackupPlanner {
         BackupPlanner::default()
     }
 
-    /// Number of registered requests.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether no requests are registered.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
     /// Registers a request and returns its id. The request starts dirty:
     /// it has no plan until the next [`refresh`](Self::refresh).
     pub fn insert(&mut self, request: DetourRequest) -> usize {
@@ -94,27 +83,10 @@ impl BackupPlanner {
         self.requests.len() - 1
     }
 
-    /// The request registered under `id`.
-    pub fn request(&self, id: usize) -> &DetourRequest {
-        &self.requests[id]
-    }
-
-    /// Marks one request dirty — its plan is recomputed on the next
-    /// refresh. Used when a tree or metric change invalidates a single
-    /// node's detour (e.g. its upstream changed).
-    pub fn mark_dirty(&mut self, id: usize) {
-        self.dirty[id] = true;
-    }
-
     /// Marks every request dirty — used after a change whose blast radius
     /// is unknown (topology import, bulk metric update).
     pub fn mark_all_dirty(&mut self) {
         self.dirty.iter_mut().for_each(|d| *d = true);
-    }
-
-    /// Number of requests currently dirty.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.iter().filter(|d| **d).count()
     }
 
     /// The current plan for `id`: the shortest detour found by the last
@@ -179,12 +151,11 @@ mod tests {
             from: b,
             avoid: FailureScenario::node(a),
         });
-        assert_eq!(planner.dirty_count(), 2);
         let recomputed = planner.refresh(&g, |_, n| n == a || n == d);
         assert_eq!(recomputed, 2);
         assert_eq!(planner.plan(r1).unwrap().nodes(), &[c, d]);
         assert_eq!(planner.plan(r2).unwrap().nodes(), &[b, c, d]);
-        assert_eq!(planner.dirty_count(), 0);
+        assert_eq!(planner.refresh(&g, |_, n| n == a || n == d), 0);
     }
 
     #[test]
@@ -205,27 +176,6 @@ mod tests {
         assert_eq!(planner.refresh(&g, |_, n| n == a), 1);
         assert!(planner.plan(r1).is_some());
         assert!(planner.plan(r2).is_some());
-    }
-
-    #[test]
-    fn metric_change_refreshes_only_marked_requests() {
-        let (mut g, ids) = square();
-        let (a, b, c, d) = (ids[0], ids[1], ids[2], ids[3]);
-        let mut planner = BackupPlanner::new();
-        let id = planner.insert(DetourRequest {
-            from: c,
-            avoid: FailureScenario::node(b),
-        });
-        planner.refresh(&g, |_, n| n == a);
-        assert_eq!(planner.plan(id).unwrap().nodes(), &[c, d, a]);
-        // A new cheap chord c-a changes the best detour, but only once the
-        // request is marked dirty and refreshed.
-        g.add_link(c, a, 0.5).unwrap();
-        assert_eq!(planner.refresh(&g, |_, n| n == a), 0);
-        assert_eq!(planner.plan(id).unwrap().nodes(), &[c, d, a]);
-        planner.mark_dirty(id);
-        assert_eq!(planner.refresh(&g, |_, n| n == a), 1);
-        assert_eq!(planner.plan(id).unwrap().nodes(), &[c, a]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Three query styles are provided, matching what the SMRP algorithms need:
 //!
-//! * [`shortest_path`] / [`shortest_path_constrained`] — point-to-point
-//!   shortest path by delay, optionally under a [`FailureScenario`] and
+//! * [`shortest_path_constrained`] — point-to-point shortest path by
+//!   delay, optionally under a [`FailureScenario`] and
 //!   forbidden-node/link sets (used for detour paths that must avoid the
 //!   faulty component, and for merger-candidate paths that must not cross
 //!   other on-tree nodes);
@@ -20,7 +20,7 @@
 //!
 //! [`ShortestPathTree`] settles nodes a bucket at a time instead of popping
 //! a binary heap. Buckets are `min/2` wide, where `min` is the graph's
-//! smallest link delay ([`Graph::delay_range`]), and sit in a ring that
+//! smallest link delay (`Graph::delay_range`), and sit in a ring that
 //! spans the largest delay. Every relaxation then moves at least one bucket
 //! forward, so every node in the lowest non-empty bucket is final and the
 //! bucket drains in any order (Dinitz 1978, "Dial with real weights"). The
@@ -463,7 +463,7 @@ impl ShortestPathTree {
     }
 
     /// The source node this tree was computed from.
-    pub fn source(&self) -> NodeId {
+    pub(crate) fn source(&self) -> NodeId {
         self.source
     }
 
@@ -505,22 +505,6 @@ impl ShortestPathTree {
         nodes.reverse();
         Some(Path::new(nodes))
     }
-
-    /// Iterator over all reachable nodes (including the source).
-    pub fn reachable(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite())
-            .map(|(i, _)| NodeId::new(i))
-    }
-}
-
-/// Point-to-point shortest path by delay.
-///
-/// Returns `None` when `dst` is unreachable from `src`.
-pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
-    shortest_path_constrained(graph, src, dst, Constraints::unrestricted())
 }
 
 /// Point-to-point shortest path under constraints.
@@ -635,7 +619,7 @@ mod tests {
     #[test]
     fn shortest_path_prefers_low_delay() {
         let (g, [s, a, _, _, d]) = figure1_graph();
-        let p = shortest_path(&g, s, d).unwrap();
+        let p = shortest_path_constrained(&g, s, d, Constraints::unrestricted()).unwrap();
         assert_eq!(p.nodes(), &[s, a, d]);
         assert_eq!(p.delay(&g), 2.0);
     }
@@ -673,7 +657,9 @@ mod tests {
     fn unreachable_returns_none() {
         let mut g = Graph::with_nodes(2);
         let ids: Vec<_> = g.node_ids().collect();
-        assert!(shortest_path(&g, ids[0], ids[1]).is_none());
+        assert!(
+            shortest_path_constrained(&g, ids[0], ids[1], Constraints::unrestricted()).is_none()
+        );
         assert_eq!(distance(&g, ids[0], ids[1]), None);
         let _ = &mut g;
     }
@@ -681,7 +667,7 @@ mod tests {
     #[test]
     fn same_node_is_trivial_path() {
         let (g, [s, ..]) = figure1_graph();
-        let p = shortest_path(&g, s, s).unwrap();
+        let p = shortest_path_constrained(&g, s, s, Constraints::unrestricted()).unwrap();
         assert_eq!(p.hop_count(), 0);
     }
 
@@ -764,18 +750,6 @@ mod tests {
         )
         .unwrap();
         assert!(!p.links(&g).contains(&l_sa));
-    }
-
-    #[test]
-    fn reachable_enumerates_component() {
-        let mut g = Graph::with_nodes(4);
-        let ids: Vec<_> = g.node_ids().collect();
-        g.add_link(ids[0], ids[1], 1.0).unwrap();
-        // ids[2], ids[3] isolated from ids[0].
-        g.add_link(ids[2], ids[3], 1.0).unwrap();
-        let spt = ShortestPathTree::compute(&g, ids[0]);
-        let reach: Vec<_> = spt.reachable().collect();
-        assert_eq!(reach, vec![ids[0], ids[1]]);
     }
 
     #[test]
@@ -957,8 +931,8 @@ mod tests {
         let mut g = Graph::with_nodes(3);
         let ids: Vec<_> = g.node_ids().collect();
         let spt = ShortestPathTree::compute(&g, ids[1]);
-        let reach: Vec<_> = spt.reachable().collect();
-        assert_eq!(reach, vec![ids[1]]);
+        let reach: Vec<_> = ids.iter().filter(|&&n| spt.distance(n).is_some()).collect();
+        assert_eq!(reach, vec![&ids[1]]);
         assert_eq!(spt.distance(ids[1]), Some(0.0));
 
         // 1/w overflows here; the tie at c keeps the lower-id parent.

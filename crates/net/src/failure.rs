@@ -174,13 +174,13 @@ impl FailureScenario {
     /// Merges another scenario into this one (set union, so overlapping
     /// failures dedupe). Returns `&mut Self` so merges chain:
     /// `s.merge(&a).merge(&b)`.
-    pub fn merge(&mut self, other: &FailureScenario) -> &mut Self {
+    pub(crate) fn merge(&mut self, other: &FailureScenario) -> &mut Self {
         self.failed_links.extend(other.failed_links.iter().copied());
         self.failed_nodes.extend(other.failed_nodes.iter().copied());
         self
     }
 
-    /// Owned-`self` counterpart of [`merge`](Self::merge):
+    /// Owned-`self` counterpart of `merge`:
     /// `a.merged(&b).merged(&c)` builds the union without a binding.
     #[must_use]
     pub fn merged(mut self, other: &FailureScenario) -> Self {

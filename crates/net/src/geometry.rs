@@ -36,15 +36,6 @@ impl Point {
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Squared Euclidean distance (avoids the square root when only
-    /// comparisons are needed).
-    #[inline]
-    pub fn distance_sq(self, other: Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
 }
 
 /// Maximum pairwise distance among a set of points.
@@ -54,7 +45,7 @@ impl Point {
 /// Euclidean distance.
 ///
 /// Returns `0.0` for fewer than two points.
-pub fn max_pairwise_distance(points: &[Point]) -> f64 {
+pub(crate) fn max_pairwise_distance(points: &[Point]) -> f64 {
     let mut max = 0.0f64;
     for (i, a) in points.iter().enumerate() {
         for b in &points[i + 1..] {
@@ -76,14 +67,6 @@ mod tests {
         let a = Point::new(1.0, 2.0);
         let b = Point::new(-3.0, 5.5);
         assert!((a.distance(b) - b.distance(a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distance_matches_squared_distance() {
-        let a = Point::new(0.3, 0.4);
-        let b = Point::new(0.9, 0.1);
-        let d = a.distance(b);
-        assert!((d * d - a.distance_sq(b)).abs() < 1e-12);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct LinkWeights {
 impl LinkWeights {
     /// Creates weights with identical delay and cost, the paper's default.
     #[inline]
-    pub fn symmetric(value: f64) -> Self {
+    pub(crate) fn symmetric(value: f64) -> Self {
         LinkWeights {
             delay: value,
             cost: value,
@@ -80,28 +80,6 @@ impl Link {
     pub fn cost(&self) -> f64 {
         self.weights.cost
     }
-
-    /// Given one endpoint, returns the opposite endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not an endpoint of this link.
-    #[inline]
-    pub fn opposite(&self, node: NodeId) -> NodeId {
-        if node == self.a {
-            self.b
-        } else if node == self.b {
-            self.a
-        } else {
-            panic!("node {node} is not an endpoint of this link");
-        }
-    }
-
-    /// Whether `node` is one of the two endpoints.
-    #[inline]
-    pub fn touches(&self, node: NodeId) -> bool {
-        node == self.a || node == self.b
-    }
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -124,11 +102,10 @@ struct NodeRecord {
 /// use smrp_net::Graph;
 ///
 /// # fn main() -> Result<(), smrp_net::NetError> {
-/// let mut g = Graph::new();
-/// let a = g.add_node();
-/// let b = g.add_node();
+/// let mut g = Graph::with_nodes(2);
+/// let (a, b) = (g.node_ids().next().unwrap(), g.node_ids().last().unwrap());
 /// let l = g.add_link(a, b, 2.5)?;
-/// assert_eq!(g.link(l).opposite(a), b);
+/// assert_eq!(g.link(l).endpoints(), (a, b));
 /// assert_eq!(g.degree(a), 1);
 /// # Ok(())
 /// # }
@@ -217,7 +194,7 @@ impl Default for Graph {
 
 impl Graph {
     /// Creates an empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Graph::default()
     }
 
@@ -231,7 +208,7 @@ impl Graph {
     }
 
     /// Adds a node without a plane position and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
+    pub(crate) fn add_node(&mut self) -> NodeId {
         self.spt.clear();
         let id = NodeId::new(self.nodes.len());
         self.nodes.push(NodeRecord {
@@ -242,7 +219,7 @@ impl Graph {
     }
 
     /// Adds a node placed at `position` and returns its id.
-    pub fn add_node_at(&mut self, position: Point) -> NodeId {
+    pub(crate) fn add_node_at(&mut self, position: Point) -> NodeId {
         let id = self.add_node();
         self.nodes[id.index()].position = Some(position);
         id
@@ -357,7 +334,7 @@ impl Graph {
     }
 
     /// Plane position of `node`, if it was placed with
-    /// [`Graph::add_node_at`].
+    /// `Graph::add_node_at`.
     #[inline]
     pub fn position(&self, node: NodeId) -> Option<Point> {
         self.nodes[node.index()].position
@@ -423,13 +400,8 @@ impl Graph {
     /// Smallest and largest link delay, `(f64::INFINITY, 0.0)` for a graph
     /// without links.
     #[inline]
-    pub fn delay_range(&self) -> (f64, f64) {
+    pub(crate) fn delay_range(&self) -> (f64, f64) {
         self.delay_range
-    }
-
-    /// Sum of link delays over the whole graph (diagnostic).
-    pub fn total_delay(&self) -> f64 {
-        self.links.iter().map(Link::delay).sum()
     }
 
     /// Extracts the subgraph induced by `nodes`, preserving positions and
@@ -551,21 +523,6 @@ mod tests {
         let a = NodeId::new(0);
         let ghost = NodeId::new(42);
         assert_eq!(g.add_link(a, ghost, 1.0), Err(NetError::UnknownNode(ghost)));
-    }
-
-    #[test]
-    fn opposite_endpoint() {
-        let (g, [a, b, _], [ab, ..]) = triangle();
-        assert_eq!(g.link(ab).opposite(a), b);
-        assert_eq!(g.link(ab).opposite(b), a);
-        assert!(g.link(ab).touches(a));
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn opposite_of_non_endpoint_panics() {
-        let (g, [_, _, c], [ab, ..]) = triangle();
-        let _ = g.link(ab).opposite(c);
     }
 
     #[test]

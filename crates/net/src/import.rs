@@ -4,7 +4,7 @@
 //!
 //! Two pieces:
 //!
-//! * [`parse_edge_list`] — a plain-text edge-list loader
+//! * `parse_edge_list` — a plain-text edge-list loader
 //!   (`u v delay [cost]` per line, `#` comments), the lingua franca of
 //!   topology datasets (Rocketfuel, Internet Topology Zoo exports);
 //! * bundled reference backbones — [`abilene`] (the Internet2/Abilene
@@ -28,20 +28,7 @@ use crate::ids::NodeId;
 ///
 /// Returns [`NetError::InvalidParameter`] on malformed lines and the usual
 /// graph errors on duplicate links, self-loops or bad weights.
-///
-/// # Example
-///
-/// ```
-/// use smrp_net::import::parse_edge_list;
-///
-/// # fn main() -> Result<(), smrp_net::NetError> {
-/// let g = parse_edge_list("# tiny triangle\n0 1 2.5\n1 2 1.0 3.0\n2 0 2.0\n")?;
-/// assert_eq!(g.node_count(), 3);
-/// assert_eq!(g.link_count(), 3);
-/// # Ok(())
-/// # }
-/// ```
-pub fn parse_edge_list(text: &str) -> Result<Graph, NetError> {
+pub(crate) fn parse_edge_list(text: &str) -> Result<Graph, NetError> {
     let mut edges: Vec<(usize, usize, f64, f64)> = Vec::new();
     let mut max_node = 0usize;
     for line in text.lines() {

@@ -14,7 +14,7 @@
 //!   the Waxman model ([`waxman`], GT-ITM's "pure random" model) and a
 //!   2-level transit-stub model ([`transit_stub`]) for the hierarchical
 //!   recovery architecture of §3.3.3,
-//! * persistent-failure scenarios ([`failure`]) that mask out links/nodes
+//! * persistent-failure scenarios (`failure`) that mask out links/nodes
 //!   without mutating the underlying graph,
 //! * batch backup-detour precomputation with incremental refresh
 //!   ([`backup`]), the network-layer half of proactive protection.
@@ -25,13 +25,15 @@
 //! # Example
 //!
 //! ```
-//! use smrp_net::{waxman::WaxmanConfig, dijkstra};
+//! use smrp_net::dijkstra::{self, Constraints};
+//! use smrp_net::waxman::WaxmanConfig;
 //!
 //! # fn main() -> Result<(), smrp_net::NetError> {
 //! let graph = WaxmanConfig::new(100).alpha(0.2).seed(42).generate()?.into_graph();
 //! let src = graph.node_ids().next().unwrap();
 //! let dst = graph.node_ids().last().unwrap();
-//! let path = dijkstra::shortest_path(&graph, src, dst).expect("connected");
+//! let path = dijkstra::shortest_path_constrained(&graph, src, dst, Constraints::unrestricted())
+//!     .expect("connected");
 //! assert!(path.delay(&graph) > 0.0);
 //! # Ok(())
 //! # }
@@ -39,10 +41,10 @@
 
 pub mod backup;
 pub mod dijkstra;
-pub mod failure;
-pub mod geometry;
-pub mod graph;
-pub mod ids;
+mod failure;
+mod geometry;
+mod graph;
+mod ids;
 pub mod import;
 pub mod nlevel;
 pub mod path;
@@ -55,6 +57,6 @@ mod error;
 pub use error::NetError;
 pub use failure::FailureScenario;
 pub use geometry::Point;
-pub use graph::{Graph, Link, LinkWeights};
+pub use graph::{Graph, LinkWeights};
 pub use ids::{GroupId, LinkId, NodeId};
 pub use path::Path;

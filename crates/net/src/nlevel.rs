@@ -103,7 +103,7 @@ impl LevelDomain {
 ///     .level(2, 4)
 ///     .seed(1)
 ///     .generate()?;
-/// assert_eq!(topo.depth(), 3);
+/// assert_eq!(topo.leaf_domains().count(), 4 * 2 * 5 * 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -415,11 +415,6 @@ impl NLevelTopology {
         &self.domains[0]
     }
 
-    /// Number of levels.
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
     /// The domain a node belongs to.
     pub fn domain_of(&self, node: NodeId) -> DomainId {
         self.node_domain[node.index()]
@@ -549,7 +544,7 @@ mod tests {
     fn shape_and_connectivity() {
         let t = three_level();
         assert!(is_connected(t.graph()));
-        assert_eq!(t.depth(), 3);
+        assert_eq!(t.depth, 3);
         // 1 root + 3 level-1 domains + (3*4 nodes)*2 level-2 domains.
         assert_eq!(t.domains().len(), 1 + 3 + 24);
         assert_eq!(t.graph().node_count(), 3 + 3 * 4 + 24 * 3);
@@ -623,7 +618,7 @@ mod tests {
     #[test]
     fn two_level_config_matches_transit_stub_shape() {
         let t = NLevelConfig::new(4).level(2, 6).seed(9).generate().unwrap();
-        assert_eq!(t.depth(), 2);
+        assert_eq!(t.depth, 2);
         assert_eq!(t.leaf_domains().count(), 8);
         assert!(is_connected(t.graph()));
     }
@@ -709,7 +704,7 @@ mod tests {
     #[test]
     fn depth_one_tree_is_flat() {
         let t = NLevelConfig::new(6).seed(3).generate().unwrap();
-        assert_eq!(t.depth(), 1);
+        assert_eq!(t.depth, 1);
         assert_eq!(t.domains().len(), 1);
         assert!(t.root().attachment().is_none());
         assert_eq!(t.leaf_domains().count(), 1);
@@ -852,7 +847,7 @@ mod tests {
             .generate()
             .unwrap();
         let t = NLevelTopology::from_transit_stub(&ts);
-        assert_eq!(t.depth(), 2);
+        assert_eq!(t.depth, 2);
         assert_eq!(t.domains().len(), ts.domains().len());
         assert_eq!(t.graph().node_count(), ts.graph().node_count());
         assert_eq!(t.graph().link_count(), ts.graph().link_count());

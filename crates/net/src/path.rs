@@ -46,7 +46,7 @@ impl Path {
     }
 
     /// The trivial path consisting of a single node.
-    pub fn trivial(node: NodeId) -> Self {
+    pub(crate) fn trivial(node: NodeId) -> Self {
         Path { nodes: vec![node] }
     }
 
@@ -74,13 +74,8 @@ impl Path {
         self.nodes.len() - 1
     }
 
-    /// Whether the path visits `node`.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
-    }
-
     /// Iterator over consecutive node pairs.
-    pub fn hops(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    pub(crate) fn hops(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.nodes.windows(2).map(|w| (w[0], w[1]))
     }
 
@@ -112,22 +107,6 @@ impl Path {
                     .link_between(a, b)
                     .unwrap_or_else(|| panic!("no link between {a} and {b}"));
                 graph.link(l).delay()
-            })
-            .sum()
-    }
-
-    /// Total cost of the path in `graph`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a hop has no corresponding link.
-    pub fn cost(&self, graph: &Graph) -> f64 {
-        self.hops()
-            .map(|(a, b)| {
-                let l = graph
-                    .link_between(a, b)
-                    .unwrap_or_else(|| panic!("no link between {a} and {b}"));
-                graph.link(l).cost()
             })
             .sum()
     }
@@ -165,22 +144,6 @@ impl Path {
         nodes.reverse();
         Path { nodes }
     }
-
-    /// Concatenates `self` with `other`, which must start where `self` ends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other.source() != self.target()`.
-    pub fn join(&self, other: &Path) -> Path {
-        assert_eq!(
-            self.target(),
-            other.source(),
-            "joined path must start where the first ends"
-        );
-        let mut nodes = self.nodes.clone();
-        nodes.extend_from_slice(&other.nodes[1..]);
-        Path { nodes }
-    }
 }
 
 impl std::fmt::Display for Path {
@@ -213,7 +176,6 @@ mod tests {
         let (g, ids) = chain();
         let p = Path::new(ids.clone());
         assert_eq!(p.delay(&g), 7.0);
-        assert_eq!(p.cost(&g), 7.0);
         assert_eq!(p.hop_count(), 3);
     }
 
@@ -264,66 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn join_concatenates() {
-        let (_, ids) = chain();
-        let p1 = Path::new(vec![ids[0], ids[1]]);
-        let p2 = Path::new(vec![ids[1], ids[2], ids[3]]);
-        let joined = p1.join(&p2);
-        assert_eq!(joined.nodes(), &[ids[0], ids[1], ids[2], ids[3]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must start where")]
-    fn join_mismatched_panics() {
-        let (_, ids) = chain();
-        let p1 = Path::new(vec![ids[0], ids[1]]);
-        let p2 = Path::new(vec![ids[2], ids[3]]);
-        let _ = p1.join(&p2);
-    }
-
-    #[test]
     fn links_resolves_hops() {
         let (g, ids) = chain();
         let p = Path::new(ids.clone());
         let links = p.links(&g);
         assert_eq!(links.len(), 3);
         assert_eq!(g.link(links[0]).endpoints(), (ids[0], ids[1]));
-    }
-
-    #[test]
-    fn cost_uses_cost_weights_not_delay() {
-        let mut g = Graph::with_nodes(3);
-        let ids: Vec<_> = g.node_ids().collect();
-        g.add_link_weighted(
-            ids[0],
-            ids[1],
-            crate::graph::LinkWeights {
-                delay: 2.0,
-                cost: 1.0,
-            },
-        )
-        .unwrap();
-        g.add_link_weighted(
-            ids[1],
-            ids[2],
-            crate::graph::LinkWeights {
-                delay: 3.0,
-                cost: 1.0,
-            },
-        )
-        .unwrap();
-        let p = Path::new(ids.clone());
-        assert_eq!(p.delay(&g), 5.0);
-        assert_eq!(p.cost(&g), 2.0);
-    }
-
-    #[test]
-    fn contains_checks_membership() {
-        let (_, ids) = chain();
-        let p = Path::new(vec![ids[0], ids[1]]);
-        assert!(p.contains(ids[0]));
-        assert!(p.contains(ids[1]));
-        assert!(!p.contains(ids[3]));
     }
 
     #[test]

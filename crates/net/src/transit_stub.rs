@@ -44,7 +44,7 @@ impl std::fmt::Display for DomainId {
 
 /// Role of a domain in the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DomainKind {
+pub(crate) enum DomainKind {
     /// Top-level domain interconnecting stub gateways.
     Transit,
     /// Leaf domain containing multicast members.
@@ -69,7 +69,7 @@ impl Domain {
     }
 
     /// Whether this is the transit domain or a stub.
-    pub fn kind(&self) -> DomainKind {
+    pub(crate) fn kind(&self) -> DomainKind {
         self.kind
     }
 
@@ -81,11 +81,6 @@ impl Domain {
     /// `(stub_border, transit_attachment)` for stub domains.
     pub fn attachment(&self) -> Option<(NodeId, NodeId)> {
         self.attachment
-    }
-
-    /// Whether `node` belongs to this domain.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
     }
 }
 
@@ -377,7 +372,7 @@ mod tests {
         let t = sample();
         for n in t.graph().node_ids() {
             let d = t.domain_of(n);
-            assert!(t.domains()[d.index()].contains(n));
+            assert!(t.domains()[d.index()].nodes().contains(&n));
         }
     }
 
@@ -386,8 +381,8 @@ mod tests {
         let t = sample();
         for stub in t.stub_domains() {
             let (border, attach) = stub.attachment().unwrap();
-            assert!(stub.contains(border));
-            assert!(t.transit_domain().contains(attach));
+            assert!(stub.nodes().contains(&border));
+            assert!(t.transit_domain().nodes().contains(&attach));
             assert!(t.graph().link_between(border, attach).is_some());
         }
     }
@@ -401,7 +396,7 @@ mod tests {
         let mut min_transit = f64::INFINITY;
         for l in g.link_ids() {
             let (a, b) = g.link(l).endpoints();
-            let intra_transit = transit.contains(a) && transit.contains(b);
+            let intra_transit = transit.nodes().contains(&a) && transit.nodes().contains(&b);
             let same_stub = t.domain_of(a) == t.domain_of(b) && !intra_transit;
             if intra_transit {
                 min_transit = min_transit.min(g.link(l).delay());

@@ -17,8 +17,7 @@
 //! same up to a retry budget, then falls back to patching the largest gaps
 //! with minimum-distance inter-component links so that low-`α` settings
 //! (sparse graphs) still terminate. Patching adds at most
-//! `components − 1` links and is recorded in
-//! [`GeneratedTopology::patch_links`].
+//! `components − 1` links.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use crate::error::NetError;
 use crate::geometry::{max_pairwise_distance, Point};
 use crate::graph::{Graph, LinkWeights};
-use crate::ids::{LinkId, NodeId};
+use crate::ids::NodeId;
 use crate::traversal::{connected_components, is_connected};
 
 /// Default fixed `β` (the paper fixes β and sweeps α).
@@ -34,7 +33,7 @@ pub const DEFAULT_BETA: f64 = 0.2;
 
 /// Default multiplier converting unit-square Euclidean distance into link
 /// delay, giving delays in the "tens of milliseconds" range.
-pub const DEFAULT_DELAY_SCALE: f64 = 100.0;
+const DELAY_SCALE: f64 = 100.0;
 
 /// Configuration/builder for Waxman topology generation.
 ///
@@ -45,8 +44,7 @@ pub const DEFAULT_DELAY_SCALE: f64 = 100.0;
 ///
 /// # fn main() -> Result<(), smrp_net::NetError> {
 /// let topo = WaxmanConfig::new(100).alpha(0.2).seed(7).generate()?;
-/// assert_eq!(topo.node_count(), 100);
-/// assert!(topo.average_degree() > 1.5);
+/// assert_eq!(topo.graph().node_count(), 100);
 /// # Ok(())
 /// # }
 /// ```
@@ -55,8 +53,6 @@ pub struct WaxmanConfig {
     nodes: usize,
     alpha: f64,
     beta: f64,
-    delay_scale: f64,
-    unit_cost: bool,
     seed: u64,
     max_attempts: u32,
 }
@@ -69,8 +65,6 @@ impl WaxmanConfig {
             nodes,
             alpha: 0.2,
             beta: DEFAULT_BETA,
-            delay_scale: DEFAULT_DELAY_SCALE,
-            unit_cost: true,
             seed: 0,
             max_attempts: 200,
         }
@@ -88,31 +82,10 @@ impl WaxmanConfig {
         self
     }
 
-    /// Sets the delay per unit Euclidean distance.
-    pub fn delay_scale(mut self, scale: f64) -> Self {
-        self.delay_scale = scale;
-        self
-    }
-
-    /// Chooses the link-cost convention: `true` (default) assigns every
-    /// link unit cost, so the tree cost `Cost_T` counts links — the GT-ITM
-    /// convention the paper's setup inherits; `false` sets `cost = delay`.
-    pub fn unit_cost(mut self, unit: bool) -> Self {
-        self.unit_cost = unit;
-        self
-    }
-
     /// Sets the RNG seed; identical configurations produce identical
     /// topologies.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets how many whole-graph redraws to attempt before patching
-    /// connectivity.
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
         self
     }
 
@@ -135,12 +108,6 @@ impl WaxmanConfig {
                 reason: "must satisfy 0 < beta <= 1",
             });
         }
-        if !(self.delay_scale.is_finite() && self.delay_scale > 0.0) {
-            return Err(NetError::InvalidParameter {
-                name: "delay_scale",
-                reason: "must be finite and positive",
-            });
-        }
         Ok(())
     }
 
@@ -159,19 +126,11 @@ impl WaxmanConfig {
             attempts += 1;
             let (graph, points) = self.sample(&mut rng);
             if is_connected(&graph) {
-                return Ok(GeneratedTopology {
-                    graph,
-                    attempts,
-                    patch_links: Vec::new(),
-                });
+                return Ok(GeneratedTopology { graph });
             }
             if attempts >= self.max_attempts {
-                let (graph, patch_links) = self.patch(graph, &points);
-                return Ok(GeneratedTopology {
-                    graph,
-                    attempts,
-                    patch_links,
-                });
+                let graph = self.patch(graph, &points);
+                return Ok(GeneratedTopology { graph });
             }
         }
     }
@@ -203,25 +162,22 @@ impl WaxmanConfig {
     fn link_delay(&self, euclidean: f64) -> f64 {
         // Coincident points would yield a zero-delay link, which the graph
         // rejects; clamp to a tiny positive floor.
-        (euclidean * self.delay_scale).max(1e-6)
+        (euclidean * DELAY_SCALE).max(1e-6)
     }
 
+    /// Every link costs one, so the tree cost `Cost_T` counts links — the
+    /// GT-ITM convention the paper's setup inherits.
     fn link_weights(&self, euclidean: f64) -> LinkWeights {
         LinkWeights {
             delay: self.link_delay(euclidean),
-            cost: if self.unit_cost {
-                1.0
-            } else {
-                self.link_delay(euclidean)
-            },
+            cost: 1.0,
         }
     }
 
     /// Connects a disconnected sample by repeatedly adding the
     /// minimum-Euclidean-distance link between the first component and the
     /// nearest other component.
-    fn patch(&self, mut graph: Graph, points: &[Point]) -> (Graph, Vec<LinkId>) {
-        let mut added = Vec::new();
+    fn patch(&self, mut graph: Graph, points: &[Point]) -> Graph {
         loop {
             let comps = connected_components(&graph);
             if comps.len() <= 1 {
@@ -240,21 +196,18 @@ impl WaxmanConfig {
                 }
             }
             let (d, u, v) = best.expect("more than one component implies a candidate");
-            let link = graph
+            graph
                 .add_link_weighted(u, v, self.link_weights(d))
                 .expect("patch endpoints are distinct and unlinked");
-            added.push(link);
         }
-        (graph, added)
+        graph
     }
 }
 
-/// A generated topology plus provenance information.
+/// A generated connected topology.
 #[derive(Debug, Clone)]
 pub struct GeneratedTopology {
     graph: Graph,
-    attempts: u32,
-    patch_links: Vec<LinkId>,
 }
 
 impl GeneratedTopology {
@@ -268,25 +221,9 @@ impl GeneratedTopology {
         self.graph
     }
 
-    /// How many whole-graph samples were drawn.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// Links added by the connectivity patch pass (empty when a natural
-    /// sample was connected).
-    pub fn patch_links(&self) -> &[LinkId] {
-        &self.patch_links
-    }
-
-    /// Number of nodes (convenience passthrough).
-    pub fn node_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
     /// Average node degree (convenience passthrough, annotated under each α
     /// in the paper's Figure 9).
-    pub fn average_degree(&self) -> f64 {
+    pub(crate) fn average_degree(&self) -> f64 {
         self.graph.average_degree()
     }
 }
@@ -299,7 +236,7 @@ impl From<GeneratedTopology> for Graph {
 
 /// Estimates the average node degree produced by `(alpha, beta)` at size
 /// `nodes` by averaging over `samples` seeded draws.
-pub fn estimate_average_degree(
+pub(crate) fn estimate_average_degree(
     nodes: usize,
     alpha: f64,
     beta: f64,
@@ -351,7 +288,7 @@ mod tests {
             .seed(1)
             .generate()
             .unwrap();
-        assert_eq!(topo.node_count(), 100);
+        assert_eq!(topo.graph().node_count(), 100);
         assert!(is_connected(topo.graph()));
     }
 
@@ -414,13 +351,10 @@ mod tests {
         let topo = WaxmanConfig::new(40).alpha(0.3).seed(3).generate().unwrap();
         let g = topo.graph();
         for l in g.link_ids() {
-            if topo.patch_links().contains(&l) {
-                continue;
-            }
             let link = g.link(l);
             let pa = g.position(link.a()).unwrap();
             let pb = g.position(link.b()).unwrap();
-            let expected = (pa.distance(pb) * DEFAULT_DELAY_SCALE).max(1e-6);
+            let expected = (pa.distance(pb) * DELAY_SCALE).max(1e-6);
             assert!((link.delay() - expected).abs() < 1e-9);
         }
     }
@@ -431,18 +365,17 @@ mod tests {
         assert!(WaxmanConfig::new(10).alpha(0.0).generate().is_err());
         assert!(WaxmanConfig::new(10).alpha(1.5).generate().is_err());
         assert!(WaxmanConfig::new(10).beta(0.0).generate().is_err());
-        assert!(WaxmanConfig::new(10).delay_scale(-1.0).generate().is_err());
     }
 
     #[test]
     fn patching_connects_sparse_graphs() {
         // Tiny alpha at small attempt budget forces the patch path.
-        let topo = WaxmanConfig::new(30)
-            .alpha(0.02)
-            .seed(11)
-            .max_attempts(2)
-            .generate()
-            .unwrap();
+        let topo = WaxmanConfig {
+            max_attempts: 2,
+            ..WaxmanConfig::new(30).alpha(0.02).seed(11)
+        }
+        .generate()
+        .unwrap();
         assert!(is_connected(topo.graph()));
     }
 

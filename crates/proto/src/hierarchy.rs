@@ -173,7 +173,6 @@ pub struct DomainRecovery {
 pub struct NLevelSession {
     topo: NLevelTopology,
     sessions: Vec<Option<DomainSession>>,
-    source: NodeId,
     members: Vec<NodeId>,
     populations: Vec<AggregatedPopulation>,
 }
@@ -210,7 +209,7 @@ impl NLevelSession {
     /// # Errors
     ///
     /// Fails if tree construction fails inside any active domain.
-    pub fn build_weighted(
+    pub(crate) fn build_weighted(
         topo: &NLevelTopology,
         source: NodeId,
         members: &[NodeId],
@@ -332,25 +331,9 @@ impl NLevelSession {
         Ok(NLevelSession {
             topo: topo.clone(),
             sessions,
-            source,
             members: members.to_vec(),
             populations: populations.to_vec(),
         })
-    }
-
-    /// The real multicast source.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// All real members.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// The aggregated populations this session serves.
-    pub fn populations(&self) -> &[AggregatedPopulation] {
-        &self.populations
     }
 
     /// Total receivers served: one per real member plus every aggregated
@@ -392,26 +375,6 @@ impl NLevelSession {
         self.sessions[domain.index()]
             .as_ref()
             .map(|s| s.to_global.as_slice())
-    }
-
-    /// The session root (agent or real source) of an active domain, in
-    /// global node ids.
-    pub fn domain_root(&self, domain: DomainId) -> Option<NodeId> {
-        self.sessions[domain.index()]
-            .as_ref()
-            .map(|s| s.to_global[s.tree.source().index()])
-    }
-
-    /// Weighted members of an active domain's session in global node ids
-    /// (real members, population attachment points, and child agents).
-    pub fn domain_members_global(&self, domain: DomainId) -> Option<Vec<(NodeId, u32)>> {
-        let s = self.sessions[domain.index()].as_ref()?;
-        Some(
-            s.tree
-                .members()
-                .map(|m| (s.to_global[m.index()], s.tree.member_weight(m)))
-                .collect(),
-        )
     }
 
     /// Re-expresses an active domain's session tree in global node ids
@@ -798,7 +761,7 @@ mod tests {
             let (source, members) = pick(&t);
             let h = NLevelSession::build(&t, source, &members, SmrpConfig::default()).unwrap();
             let sd = t.domain_of(source);
-            assert_eq!(h.domain_root(sd), Some(source));
+            assert_eq!(h.domain_tree_global(sd).unwrap().source(), source);
         }
 
         #[test]
@@ -834,18 +797,20 @@ mod tests {
             // served outside the source's level-1 branch... at minimum, the
             // root tree's population is far larger than its member count.
             let root = t.root().id();
-            let weighted = h.domain_members_global(root).unwrap();
-            let total: u64 = weighted.iter().map(|&(_, w)| u64::from(w)).sum();
+            let tree = h.domain_tree_global(root).unwrap();
+            let total: u64 = tree
+                .members()
+                .map(|m| u64::from(tree.member_weight(m)))
+                .sum();
             assert!(
                 total > 10_000,
                 "root agents carry aggregated populations, got {total}"
             );
             // And a leaf session carries its own population directly.
             let p = &t.populations()[0];
-            let leaf_members = h.domain_members_global(p.domain);
-            if let Some(lm) = leaf_members {
-                if let Some(&(_, w)) = lm.iter().find(|&&(n, _)| n == p.node) {
-                    assert!(w >= p.receivers);
+            if let Some(leaf) = h.domain_tree_global(p.domain) {
+                if leaf.is_member(p.node) {
+                    assert!(leaf.member_weight(p.node) >= p.receivers);
                 }
             }
         }
@@ -858,11 +823,12 @@ mod tests {
             for d in h.active_domain_ids() {
                 let tree = h.domain_tree_global(d).expect("active domain exports");
                 tree.validate(t.graph()).expect("exported tree validates");
-                assert_eq!(Some(tree.source()), h.domain_root(d));
-                let want = h.domain_members_global(d).unwrap();
-                for (m, w) in want {
-                    assert!(tree.is_member(m));
-                    assert_eq!(tree.member_weight(m), w);
+                let s = h.sessions[d.index()].as_ref().unwrap();
+                assert_eq!(tree.source(), s.to_global[s.tree.source().index()]);
+                for m in s.tree.members() {
+                    let global = s.to_global[m.index()];
+                    assert!(tree.is_member(global));
+                    assert_eq!(tree.member_weight(global), s.tree.member_weight(m));
                 }
             }
         }

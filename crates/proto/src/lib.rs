@@ -6,12 +6,12 @@
 //! `smrp-core` implements SMRP's *algorithms* (path selection, reshaping,
 //! detour computation); this crate implements SMRP as a *protocol*:
 //!
-//! * [`router`] — the per-node state machine: soft-state multicast routing
+//! * `router` — the per-node state machine: soft-state multicast routing
 //!   entries refreshed by periodic `Refresh` messages (and expired when
 //!   refreshes stop), hop-by-hop `Setup` propagation for joins and grafts,
 //!   data forwarding down the tree, and heartbeat (`Hello`) exchange with
 //!   the upstream neighbor for failure detection;
-//! * [`runner`] — [`ProtoSession`]: one session's tree (built with
+//! * `runner` — [`ProtoSession`]: one session's tree (built with
 //!   `smrp-core`, SMRP or the SPF baseline), its recovery planners
 //!   (scenario-aware detours, the precomputed protection plane) and the
 //!   experiment vocabulary: [`RecoveryStrategy::LocalDetour`] (SMRP:
@@ -21,7 +21,7 @@
 //!   2000 measurements cited by the paper — then re-join along the new
 //!   shortest path), reactive search and protection, and
 //!   [`InjectionTiming`] (persistent, transient, flapping);
-//! * [`multi`] — multi-session sharding: one [`MultiRouter`] process per
+//! * `multi` — multi-session sharding: one [`MultiRouter`] process per
 //!   node hosting independent per-group [`Router`] lanes (tree, SHR,
 //!   soft state and reliable-delivery sequence lanes all keyed by
 //!   [`smrp_net::GroupId`]) over shared links, and [`MultiSession`],
@@ -47,7 +47,7 @@
 //! [`MultiSession::run`] with a [`smrp_sim::TraceLog`] (disabled,
 //! buffering, or an observer). It loads every group's tree into one
 //! simulator, pumps data, injects the failure, applies the membership
-//! changes and returns a [`FailureRun`]: each member's **service
+//! changes and returns a `FailureRun`: each member's **service
 //! restoration latency** per group, the trace, and the final routers.
 //! [`ProtoSession::run`] is the same call for one session and
 //! [`ProtoSession::run_steady`] the same call with no failure: one loop,
@@ -59,27 +59,23 @@
 //! only because the repository benchmark compiles against them.
 
 pub mod hierarchy;
-pub mod membership;
-pub mod messages;
-pub mod multi;
+mod membership;
+mod messages;
+mod multi;
 pub mod query;
 pub mod reliable;
-pub mod router;
-pub mod runner;
+mod router;
+mod runner;
 pub mod snapshot;
 pub mod wire;
 
 pub use membership::MembershipMirror;
 pub use messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
 pub use multi::{
-    FailureRun, FailureSpec, GroupRecoveryReport, MemberChange, MultiRecoveryReport, MultiRouter,
-    MultiSession, PlanSource,
+    FailureSpec, GroupRecoveryReport, MemberChange, MultiRecoveryReport, MultiRouter, MultiSession,
+    PlanSource,
 };
-pub use reliable::{ReliabilityCounters, ReliableConfig};
 pub use router::{ControlCounters, RecoveryPlan, Router, RouterConfig};
 pub use runner::{
-    FailureTiming, InjectionTiming, OverheadReport, ProtoSession, RecoveryPlans, RecoveryStrategy,
-    TreeProtocol,
+    FailureTiming, InjectionTiming, ProtoSession, RecoveryPlans, RecoveryStrategy, TreeProtocol,
 };
-pub use snapshot::{AffectedGroup, GroupState, NodeTreeState, SessionState};
-pub use wire::{WireError, WIRE_VERSION};

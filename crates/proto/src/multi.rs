@@ -331,11 +331,6 @@ impl GroupRecoveryReport {
         let restored = self.latencies_ms();
         (!restored.is_empty()).then(|| restored.iter().sum::<f64>() / restored.len() as f64)
     }
-
-    /// Worst restoration latency in milliseconds among restored members.
-    pub fn max_latency_ms(&self) -> Option<f64> {
-        self.latencies_ms().into_iter().reduce(f64::max)
-    }
 }
 
 /// Result of one multi-session failure experiment: one shared run, one
@@ -403,11 +398,6 @@ impl<'g> MultiSession<'g> {
         self.timer_backend = backend;
     }
 
-    /// The shared topology.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
     /// Number of hosted groups.
     pub fn group_count(&self) -> usize {
         self.sessions.len()
@@ -466,7 +456,7 @@ impl<'g> MultiSession<'g> {
     ///
     /// `trace` is the typed-event sink: [`TraceLog::disabled`] for plain
     /// runs, [`TraceLog::new`] to get the buffered events back in
-    /// [`FailureRun::trace`] (golden tests), [`TraceLog::observer`] to see
+    /// `FailureRun::trace` (golden tests), [`TraceLog::observer`] to see
     /// every event as it happens (the locality audit).
     pub fn run<'o>(&'o self, spec: &FailureSpec<'_>, trace: TraceLog<'o>) -> FailureRun<'o> {
         let scenario = spec.scenario;

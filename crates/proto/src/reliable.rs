@@ -37,7 +37,7 @@
 //!   received and acked — the sender moved on *because* of the acks) and
 //!   advances to `base`, unwedging the lane;
 //! * **dead-neighbor garbage collection** — when the router declares a
-//!   neighbor dead ([`ReliableEndpoint::gc_peer`]) its receive lane and
+//!   neighbor dead (`ReliableEndpoint::gc_peer`) its receive lane and
 //!   pending envelopes are dropped wholesale, so long lossy campaigns
 //!   with churn stay bounded. The *transmit* sequence counter survives:
 //!   a neighbor declared dead by mistake still holds our old receive
@@ -91,7 +91,7 @@ impl Default for ReliableConfig {
 impl ReliableConfig {
     /// Retransmission delay before attempt `attempts + 1`, given the
     /// neighbor's base RTO.
-    pub fn delay_for_attempt(&self, base_rto: SimTime, attempts: u32) -> SimTime {
+    pub(crate) fn delay_for_attempt(&self, base_rto: SimTime, attempts: u32) -> SimTime {
         SimTime::from_ms(base_rto.as_ms() * self.backoff.powi(attempts as i32))
     }
 }
@@ -127,7 +127,7 @@ struct PendingTx {
 
 /// Outcome of a retransmission-timer firing.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RetransmitAction {
+pub(crate) enum RetransmitAction {
     /// Send this copy again, then re-arm after the given delay.
     Retry {
         /// The envelope payload to resend.
@@ -165,7 +165,7 @@ pub struct ReliableEndpoint {
 
 impl ReliableEndpoint {
     /// Counter snapshot.
-    pub fn counters(&self) -> ReliabilityCounters {
+    pub(crate) fn counters(&self) -> ReliabilityCounters {
         self.counters
     }
 
@@ -192,7 +192,7 @@ impl ReliableEndpoint {
     /// that saw traffic (and was not garbage-collected) or at least one
     /// pending envelope. Campaign audits use this to check that lanes to
     /// dead neighbors are reclaimed.
-    pub fn lane_count(&self) -> usize {
+    pub(crate) fn lane_count(&self) -> usize {
         (0..self.peers.len())
             .filter(|&s| self.rx_active[s] || !self.pending[s].is_empty())
             .count()
@@ -201,7 +201,7 @@ impl ReliableEndpoint {
     /// Registers `msg` for reliable delivery to `to` and returns the
     /// sequence number to stamp on the envelope. The caller performs the
     /// actual send, arms the first retransmission timer and records its
-    /// token via [`Self::set_retransmit_token`].
+    /// token via `Self::set_retransmit_token`.
     pub fn register(&mut self, to: NodeId, msg: ProtoMsg) -> u64 {
         let s = self.slot_or_insert(to);
         let assigned = self.next_tx[s];
@@ -220,7 +220,7 @@ impl ReliableEndpoint {
     /// armed for `(to, seq)`, returning the replaced one (if any) so the
     /// caller can cancel it. A no-op returning `None` when the envelope is
     /// no longer pending.
-    pub fn set_retransmit_token(
+    pub(crate) fn set_retransmit_token(
         &mut self,
         to: NodeId,
         seq: u64,
@@ -242,7 +242,7 @@ impl ReliableEndpoint {
     }
 
     /// Notes that an ack is being sent (bookkeeping only).
-    pub fn note_ack_sent(&mut self) {
+    pub(crate) fn note_ack_sent(&mut self) {
         self.counters.acks_sent += 1;
     }
 
@@ -250,7 +250,7 @@ impl ReliableEndpoint {
     /// sequence number still pending, or the next unused number if nothing
     /// is pending. Everything below the base is settled from the sender's
     /// point of view — acked, abandoned, or exhausted.
-    pub fn base_for(&self, to: NodeId) -> u64 {
+    pub(crate) fn base_for(&self, to: NodeId) -> u64 {
         match self.slot(to) {
             Some(s) => self.pending[s].first().map_or(self.next_tx[s], |p| p.seq),
             None => 0,
@@ -259,7 +259,7 @@ impl ReliableEndpoint {
 
     /// Whether the envelope `(to, seq)` is still awaiting an ack (i.e. not
     /// yet acked, abandoned, or exhausted).
-    pub fn is_pending(&self, to: NodeId, seq: u64) -> bool {
+    pub(crate) fn is_pending(&self, to: NodeId, seq: u64) -> bool {
         self.slot(to).is_some_and(|s| {
             self.pending[s]
                 .binary_search_by_key(&seq, |p| p.seq)
@@ -309,7 +309,7 @@ impl ReliableEndpoint {
 
     /// Decides what to do when the retransmission timer for `(to, seq)`
     /// fires.
-    pub fn on_retransmit_timer(
+    pub(crate) fn on_retransmit_timer(
         &mut self,
         to: NodeId,
         seq: u64,
@@ -343,7 +343,7 @@ impl ReliableEndpoint {
     /// failure detection) or re-points its upstream elsewhere. Returns the
     /// tokens of the dropped entries' retransmission timers, for the
     /// caller to cancel.
-    pub fn abandon(&mut self, peer: NodeId) -> Vec<TimerToken> {
+    pub(crate) fn abandon(&mut self, peer: NodeId) -> Vec<TimerToken> {
         let Some(s) = self.slot(peer) else {
             return Vec::new();
         };
@@ -361,7 +361,7 @@ impl ReliableEndpoint {
     /// neighbor's receive lane.
     ///
     /// Returns the retransmission-timer tokens to cancel.
-    pub fn gc_peer(&mut self, peer: NodeId) -> Vec<TimerToken> {
+    pub(crate) fn gc_peer(&mut self, peer: NodeId) -> Vec<TimerToken> {
         let tokens = self.abandon(peer);
         if let Some(s) = self.slot(peer) {
             self.rx_next[s] = 0;
@@ -374,7 +374,7 @@ impl ReliableEndpoint {
 
     /// Pending `(neighbor, seq)` pairs, ascending — used by `on_reboot` to
     /// re-arm retransmission timers that died with the node.
-    pub fn pending_keys(&self) -> Vec<(NodeId, u64)> {
+    pub(crate) fn pending_keys(&self) -> Vec<(NodeId, u64)> {
         let mut keys: Vec<(NodeId, u64)> = (0..self.peers.len())
             .flat_map(|s| self.pending[s].iter().map(move |p| (self.peers[s], p.seq)))
             .collect();

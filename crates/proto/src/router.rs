@@ -413,7 +413,7 @@ impl Router {
     /// any on-demand search; later entries are progressively less
     /// conservative fallbacks. Enables the plan-sweep maintenance chain
     /// the next time timers are (re)armed.
-    pub fn install_backup_plans(&mut self, plans: Vec<RecoveryPlan>) {
+    pub(crate) fn install_backup_plans(&mut self, plans: Vec<RecoveryPlan>) {
         self.protection = true;
         self.plan_cache = plans
             .into_iter()
@@ -431,7 +431,7 @@ impl Router {
     /// cached), cached-plan activations, and stale-plan discards. The
     /// latter two count in every mode: reactive recovery flows through the
     /// same cache and staleness machinery.
-    pub fn protection_counters(&self) -> ProtectionHealth {
+    pub(crate) fn protection_counters(&self) -> ProtectionHealth {
         let held = if self.protection {
             self.plan_cache.iter().filter(|cp| cp.valid).count() as u64
         } else {
@@ -524,7 +524,7 @@ impl Router {
     }
 
     /// Number of reliable-delivery lanes currently holding state (see
-    /// [`ReliableEndpoint::lane_count`]). Campaign audits use this to
+    /// `ReliableEndpoint::lane_count`). Campaign audits use this to
     /// verify that lanes toward dead neighbors are reclaimed.
     pub fn reliable_lane_count(&self) -> usize {
         self.reliable.lane_count()
@@ -536,7 +536,7 @@ impl Router {
     }
 
     /// Packets forwarded downstream by this router.
-    pub fn forwarded_count(&self) -> u64 {
+    pub(crate) fn forwarded_count(&self) -> u64 {
         self.forwarded
     }
 
@@ -560,7 +560,7 @@ impl Router {
     /// downstream routers depend on this node, the next expiry check prunes
     /// it off the tree and propagates `Leave_Req` upstream (the §3.2.2
     /// departure procedure over soft state).
-    pub fn leave_group(&mut self) {
+    pub(crate) fn leave_group(&mut self) {
         self.is_member = false;
     }
 
@@ -569,7 +569,7 @@ impl Router {
     /// tree state and timers stay as they are. A relay promoted while the
     /// `Setup` that makes it one is still in flight is grafted by that
     /// `Setup` and starts receiving when it lands.
-    pub fn join_group(&mut self) {
+    pub(crate) fn join_group(&mut self) {
         self.is_member = true;
     }
 

@@ -56,7 +56,7 @@ pub enum RecoveryStrategy {
     },
     /// Proactive protection: every on-tree node precomputes backup detours
     /// against its own upstream contingencies *before* any failure (see
-    /// [`ProtoSession::protection_plans`]) and keeps them cached;
+    /// `ProtoSession::protection_plans`) and keeps them cached;
     /// restoration is local plan activation with no search delay. Plans
     /// are computed without knowledge of the scenario actually injected —
     /// the fidelity point that separates protection from the
@@ -124,7 +124,7 @@ pub enum InjectionTiming {
 
 impl InjectionTiming {
     /// When the first outage begins.
-    pub fn fail_at(&self) -> SimTime {
+    pub(crate) fn fail_at(&self) -> SimTime {
         match *self {
             InjectionTiming::Once(t) => t.fail_at,
             InjectionTiming::Flapping { fail_at, .. } => fail_at,
@@ -299,7 +299,7 @@ impl<'g> ProtoSession<'g> {
     /// Fragment roots: usable on-tree nodes whose upstream link is broken
     /// by `scenario`. These are the nodes that detect the failure and
     /// initiate recovery for their subtree.
-    pub fn fragment_roots(&self, scenario: &FailureScenario) -> Vec<NodeId> {
+    pub(crate) fn fragment_roots(&self, scenario: &FailureScenario) -> Vec<NodeId> {
         let mut roots = Vec::new();
         for n in self.tree.on_tree_nodes() {
             if !scenario.node_usable(n) {
@@ -445,7 +445,7 @@ impl<'g> ProtoSession<'g> {
     /// ([`recovery::surviving_connected`]), which automatically excludes
     /// `v`'s own subtree. Batch computation goes through
     /// [`BackupPlanner`], the incremental-refresh half of the scheme.
-    pub fn protection_plans(&self) -> Vec<(NodeId, Vec<RecoveryPlan>)> {
+    pub(crate) fn protection_plans(&self) -> Vec<(NodeId, Vec<RecoveryPlan>)> {
         let mut planner = BackupPlanner::new();
         // Per request: which nodes its contingency still allows as graft
         // targets. Parallel to the planner's request ids.

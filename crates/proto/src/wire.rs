@@ -8,21 +8,17 @@
 //! from different checkouts either interoperate or fail loudly with
 //! [`WireError::UnknownVersion`].
 //!
-//! Three framings share one body encoding:
+//! Two framings share one body encoding:
 //!
 //! * [`encode_msg`]/[`decode_msg`] — `[version][body]`, for transports
 //!   that preserve message boundaries and carry the sender out of band;
 //! * [`encode_datagram`]/[`decode_datagram`] — `[version][sender][body]`,
 //!   for UDP where the protocol-level sender identity must ride in the
-//!   packet (socket addresses are transport trivia, not node ids);
-//! * [`write_frame`]/[`read_frame`] — `[len u32][datagram]`, for byte
-//!   streams that need explicit length prefixes.
+//!   packet (socket addresses are transport trivia, not node ids).
 //!
 //! The byte-exact fixtures in `tests/wire_snapshot.rs` pin the layout of
 //! every [`ProtoMsg`] variant; changing any of them requires bumping
 //! [`WIRE_VERSION`].
-
-use std::io::{self, Read, Write};
 
 use smrp_net::{GroupId, NodeId};
 
@@ -41,7 +37,7 @@ pub const MAX_NESTING: usize = 4;
 /// Maximum element count the decoder accepts for any length-prefixed
 /// sequence. Paths are bounded by the network diameter; anything beyond
 /// this is a corrupt or hostile length field, rejected before allocation.
-pub const MAX_SEQ_LEN: u32 = 1 << 16;
+pub(crate) const MAX_SEQ_LEN: u32 = 1 << 16;
 
 /// Why a byte sequence failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +50,7 @@ pub enum WireError {
     Truncated,
     /// The message ended before the input did (this many bytes left over).
     TrailingBytes(usize),
-    /// A length prefix exceeded [`MAX_SEQ_LEN`].
+    /// A length prefix exceeded `MAX_SEQ_LEN`.
     OversizedSequence(u32),
     /// [`ProtoMsg::Reliable`] envelopes nested deeper than [`MAX_NESTING`].
     TooDeep,
@@ -129,47 +125,6 @@ pub fn decode_datagram(bytes: &[u8]) -> Result<(NodeId, GroupMsg), WireError> {
     let msg = take_group_msg(&mut r)?;
     r.finish()?;
     Ok((from, msg))
-}
-
-/// Writes a length-prefixed datagram (`[len u32][datagram]`) to a byte
-/// stream.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_frame(w: &mut impl Write, from: NodeId, msg: &GroupMsg) -> io::Result<()> {
-    let body = encode_datagram(from, msg);
-    let len = u32::try_from(body.len()).expect("frame exceeds u32 length");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&body)
-}
-
-/// Reads one length-prefixed datagram from a byte stream. Returns
-/// `Ok(None)` on a clean end of stream (EOF before the first length byte).
-///
-/// # Errors
-///
-/// Propagates I/O errors; decode failures surface as
-/// [`io::ErrorKind::InvalidData`] wrapping the [`WireError`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(NodeId, GroupMsg)>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_SEQ_LEN * 8 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::OversizedSequence(len),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    decode_datagram(&body)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -378,28 +333,6 @@ mod tests {
         let from = NodeId::new(7);
         let bytes = encode_datagram(from, &msg);
         assert_eq!(decode_datagram(&bytes).unwrap(), (from, msg));
-    }
-
-    #[test]
-    fn stream_framing_round_trips_multiple_messages() {
-        let msgs = [
-            gm(ProtoMsg::Hello),
-            gm(ProtoMsg::Setup {
-                path: vec![NodeId::new(1), NodeId::new(2)],
-                idx: 1,
-            }),
-        ];
-        let mut buf = Vec::new();
-        for m in &msgs {
-            write_frame(&mut buf, NodeId::new(0), m).unwrap();
-        }
-        let mut cursor = &buf[..];
-        for m in &msgs {
-            let (from, got) = read_frame(&mut cursor).unwrap().unwrap();
-            assert_eq!(from, NodeId::new(0));
-            assert_eq!(&got, m);
-        }
-        assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! wall time onto the protocol's virtual timeline. [`MonotonicClock`]
 //! does that with an optional speedup factor, letting a replay of a
 //! 3-second scenario finish in a fraction of a wall second while every
-//! relative deadline keeps its meaning. [`ManualClock`] is the
-//! deterministic stand-in for unit tests.
+//! relative deadline keeps its meaning.
 
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use crate::time::SimTime;
@@ -42,22 +40,6 @@ pub struct MonotonicClock {
 }
 
 impl MonotonicClock {
-    /// Anchors a clock at the current instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed` is not finite and positive.
-    pub fn new(speed: f64) -> Self {
-        assert!(
-            speed.is_finite() && speed > 0.0,
-            "clock speed must be finite and positive, got {speed}"
-        );
-        MonotonicClock {
-            start: Instant::now(),
-            speed,
-        }
-    }
-
     /// Anchors a clock at an explicit instant (so several clocks can share
     /// one origin).
     pub fn anchored_at(start: Instant, speed: f64) -> Self {
@@ -66,11 +48,6 @@ impl MonotonicClock {
             "clock speed must be finite and positive, got {speed}"
         );
         MonotonicClock { start, speed }
-    }
-
-    /// The speedup factor: protocol nanoseconds per wall nanosecond.
-    pub fn speed(&self) -> f64 {
-        self.speed
     }
 
     /// Converts a protocol-timeline span into the wall-clock span that
@@ -89,79 +66,13 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// A hand-cranked clock for deterministic tests: time only moves when the
-/// test says so.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: Cell<u64>,
-}
-
-impl ManualClock {
-    /// A clock parked at time zero.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Moves the clock forward by `span`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on overflow of the underlying nanosecond counter.
-    pub fn advance(&self, span: SimTime) {
-        let next = self
-            .now
-            .get()
-            .checked_add(span.as_ns())
-            .expect("manual clock overflow");
-        self.now.set(next);
-    }
-
-    /// Jumps the clock to an absolute instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is earlier than the current time (clocks are
-    /// monotonic).
-    pub fn set(&self, to: SimTime) {
-        assert!(
-            to.as_ns() >= self.now.get(),
-            "manual clock cannot go backwards"
-        );
-        self.now.set(to.as_ns());
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_ns(self.now.get())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn manual_clock_advances_and_sets() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance(SimTime::from_ms(5.0));
-        assert_eq!(c.now(), SimTime::from_ms(5.0));
-        c.set(SimTime::from_ms(9.0));
-        assert_eq!(c.now(), SimTime::from_ms(9.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn manual_clock_rejects_backwards_set() {
-        let c = ManualClock::new();
-        c.advance(SimTime::from_ms(2.0));
-        c.set(SimTime::from_ms(1.0));
-    }
-
-    #[test]
     fn monotonic_clock_scales_wall_time() {
-        let c = MonotonicClock::new(1000.0);
+        let c = MonotonicClock::anchored_at(Instant::now(), 1000.0);
         std::thread::sleep(Duration::from_millis(2));
         // 2 ms wall at 1000x is at least 2 s of protocol time.
         assert!(c.now() >= SimTime::from_ms(2000.0));

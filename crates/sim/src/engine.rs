@@ -99,7 +99,7 @@ pub trait NodeBehavior: Sized {
     fn on_reboot(&mut self, _ctx: &mut Ctx<'_, Self>) {}
 
     /// Classifies a message for the degraded channel's per-class loss
-    /// accounting (see [`ChannelStats::lost_by_class`]). Purely
+    /// accounting (see `ChannelStats::lost_by_class`). Purely
     /// observational: the channel treats every class identically. The
     /// default lumps everything under `"message"`.
     fn classify(_msg: &Self::Msg) -> &'static str {
@@ -178,8 +178,8 @@ impl<'a, N: NodeBehavior> Ctx<'a, N> {
     /// handlers against a standalone context and interprets the resulting
     /// [`NodeCommand`]s over a real transport and a real timer driver.
     ///
-    /// `failures` is the host's *local view* of the failure state (it backs
-    /// [`Ctx::link_up`]), and `next_token` is the host's node-wide timer
+    /// `failures` is the host's *local view* of the failure state (the
+    /// context only carries it), and `next_token` is the host's node-wide timer
     /// token counter: it must be the same cell across every context built
     /// for one node so [`TimerToken`]s stay unique for the node's lifetime,
     /// exactly as the engine guarantees within a simulation.
@@ -213,16 +213,6 @@ impl<'a, N: NodeBehavior> Ctx<'a, N> {
     /// The topology.
     pub fn graph(&self) -> &'a Graph {
         self.graph
-    }
-
-    /// Whether the link from this node to `neighbor` is currently usable
-    /// (adjacent and not failed). Protocols must *not* use this as an
-    /// oracle — failure detection is the protocol's job — but it is handy
-    /// for modelling layer-2 loss-of-light notifications.
-    pub fn link_up(&self, neighbor: NodeId) -> bool {
-        self.graph
-            .link_between(self.me, neighbor)
-            .is_some_and(|l| self.failures.link_usable(self.graph, l))
     }
 
     /// Queues a message to an adjacent node. Delivery happens after the
@@ -334,7 +324,7 @@ impl DropCounts {
     }
 
     /// Total drops across all causes.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.link_down + self.node_down + self.sender_down + self.not_adjacent + self.channel_loss
     }
 }
@@ -560,11 +550,6 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         self.nodes
     }
 
-    /// The current failure scenario.
-    pub fn failures(&self) -> &FailureScenario {
-        &self.failures
-    }
-
     /// The trace recorded so far.
     pub fn trace(&self) -> &TraceLog<'g> {
         &self.trace
@@ -583,11 +568,6 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     /// Drop counters broken down by cause.
     pub fn drops(&self) -> &DropCounts {
         &self.dropped
-    }
-
-    /// Fails a link immediately.
-    pub fn fail_link_now(&mut self, link: LinkId) {
-        self.failures.fail_link(link);
     }
 
     /// Fails a node immediately.
@@ -777,7 +757,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     ///
     /// Each backend holds every pending event in one structure ordered by
     /// `(time, seq)`, so there is nothing to merge: pop and dispatch.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let next = match self.backend {
             TimerBackend::Wheel => self.wheel.pop().map(|(time, _seq, event)| (time, event)),
             TimerBackend::ReferenceHeap => self.queue.pop(),
@@ -1041,26 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn ctx_link_up_reflects_failures() {
-        let (g, ids) = line_graph();
-        let link = g.link_between(ids[0], ids[1]).unwrap();
-        let mut sim = NetSim::new(&g, fresh(&g));
-        let mut up_before = false;
-        let mut up_unrelated = false;
-        sim.with_node(ids[0], |_, ctx| {
-            up_before = ctx.link_up(ids[1]);
-            // Non-adjacent nodes are never "up".
-            up_unrelated = ctx.link_up(ids[2]);
-        });
-        assert!(up_before);
-        assert!(!up_unrelated);
-        sim.fail_link_now(link);
-        let mut up_after = true;
-        sim.with_node(ids[0], |_, ctx| up_after = ctx.link_up(ids[1]));
-        assert!(!up_after);
-    }
-
-    #[test]
     fn counters_and_debug_output() {
         let (g, ids) = line_graph();
         let mut sim = NetSim::new(&g, fresh(&g));
@@ -1087,7 +1047,7 @@ mod tests {
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         sim.run_until(SimTime::from_ms(20.0));
         assert_eq!(sim.node(ids[1]).received, 1);
-        assert!(sim.failures().failed_nodes().any(|n| n == ids[1]));
+        assert!(sim.failures.failed_nodes().any(|n| n == ids[1]));
     }
 
     #[test]
@@ -1312,7 +1272,7 @@ mod tests {
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         sim.run_until(SimTime::from_ms(10.0));
         assert_eq!(sim.node(ids[1]).received, 1);
-        assert!(sim.failures().is_empty());
+        assert!(sim.failures.is_empty());
     }
 
     #[test]
@@ -1327,7 +1287,14 @@ mod tests {
         assert_eq!(sim.node(ids[1]).received, 0);
         assert_eq!(sim.drops().channel_loss, 1);
         assert_eq!(sim.dropped_count(), 1);
-        assert_eq!(sim.channel_stats().unwrap().lost(), 1);
+        assert_eq!(
+            sim.channel_stats()
+                .unwrap()
+                .lost_by_class
+                .values()
+                .sum::<u64>(),
+            1
+        );
         assert!(matches!(
             sim.trace().entries().last(),
             Some(TraceEvent::Dropped {

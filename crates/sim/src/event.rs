@@ -79,7 +79,7 @@ impl<E> EventQueue<E> {
     ///
     /// Do not mix with [`EventQueue::schedule`] on the same queue — the
     /// internal counter knows nothing about caller-supplied values.
-    pub fn schedule_keyed(&mut self, time: SimTime, seq: u64, event: E) {
+    pub(crate) fn schedule_keyed(&mut self, time: SimTime, seq: u64, event: E) {
         self.heap.push(Entry { time, seq, event });
     }
 
@@ -88,23 +88,18 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// `(time, seq)` key of the earliest pending event.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+    pub(crate) fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|e| (e.time, e.seq))
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }
@@ -147,12 +142,12 @@ mod tests {
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ms(1.0), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ms(1.0)));
+        assert_eq!(q.peek_key().map(|(t, _)| t), Some(SimTime::from_ms(1.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key().map(|(t, _)| t), None);
     }
 
     #[test]

@@ -32,17 +32,17 @@
 //! Protocol logic plugs in through the [`NodeBehavior`] trait; see
 //! `smrp-proto` for the SMRP router implementation.
 
-pub mod channel;
-pub mod clock;
-pub mod engine;
-pub mod event;
-pub mod time;
-pub mod trace;
-pub mod wheel;
+mod channel;
+mod clock;
+mod engine;
+mod event;
+mod time;
+mod trace;
+mod wheel;
 
-pub use channel::{ChannelModel, ChannelParams, ChannelSpec, ChannelStats, LinkDegrade};
-pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use engine::{Ctx, DropCounts, NetSim, NodeBehavior, NodeCommand, TimerBackend, TimerToken};
+pub use channel::{ChannelModel, ChannelParams, ChannelSpec, LinkDegrade};
+pub use clock::{Clock, MonotonicClock};
+pub use engine::{Ctx, NetSim, NodeBehavior, NodeCommand, TimerBackend, TimerToken};
 pub use event::EventQueue;
 pub use time::SimTime;
 pub use trace::{Descriptor, SetupRoute, TraceEvent, TraceLog};

@@ -132,18 +132,6 @@ pub enum TraceEvent<W = Descriptor> {
     },
 }
 
-impl<W> TraceEvent<W> {
-    /// The virtual time of the event.
-    pub fn time(&self) -> SimTime {
-        match self {
-            TraceEvent::Sent { time, .. }
-            | TraceEvent::Delivered { time, .. }
-            | TraceEvent::Dropped { time, .. }
-            | TraceEvent::TimerFired { time, .. } => *time,
-        }
-    }
-}
-
 /// Why a message never reached its receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
@@ -214,7 +202,7 @@ impl<'o, W> TraceLog<'o, W> {
     /// Whether this log receives events at all. The engine skips
     /// describing events entirely for disabled logs.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.capacity > 0 || self.observer.is_some()
     }
 
@@ -281,7 +269,7 @@ mod tests {
         log.push(ev(3.0));
         assert_eq!(log.len(), 2);
         assert_eq!(log.discarded(), 1);
-        assert_eq!(log.entries()[0].time(), SimTime::from_ms(1.0));
+        assert_eq!(log.entries()[0], ev(1.0));
     }
 
     #[test]
@@ -296,14 +284,14 @@ mod tests {
     #[test]
     fn observer_sees_every_event_and_retains_none() {
         let mut seen = Vec::new();
-        let mut log = TraceLog::observer(|e: &TraceEvent| seen.push(e.time()));
+        let mut log = TraceLog::observer(|e: &TraceEvent| seen.push(*e));
         assert!(log.is_enabled());
         log.push(ev(1.0));
         log.push(ev(2.0));
         assert!(log.is_empty());
         assert_eq!(log.discarded(), 0);
         drop(log);
-        assert_eq!(seen, [SimTime::from_ms(1.0), SimTime::from_ms(2.0)]);
+        assert_eq!(seen, [ev(1.0), ev(2.0)]);
     }
 
     #[test]

@@ -35,9 +35,9 @@ use std::collections::VecDeque;
 use crate::time::SimTime;
 
 /// Slots per wheel level (64: slot indices are 6-bit fields of the tick).
-pub const SLOTS: usize = 64;
+pub(crate) const SLOTS: usize = 64;
 /// Number of wheel levels.
-pub const LEVELS: usize = 4;
+pub(crate) const LEVELS: usize = 4;
 const SLOT_BITS: u32 = 6;
 /// log2 of the level-0 tick length in nanoseconds (2^19 ns ≈ 0.524 ms).
 const TICK_BITS: u32 = 19;

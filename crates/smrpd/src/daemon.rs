@@ -1,10 +1,10 @@
-//! Daemon assembly: spawn one [`NodeRuntime`] thread per router, wire a
+//! Daemon assembly: spawn one `NodeRuntime` thread per router, wire a
 //! transport fabric, and (for replays) check the final state against a
 //! golden simulator digest.
 //!
 //! Two entry modes:
 //!
-//! * [`replay`] / [`launch_replay`] — conformance mode. A
+//! * [`replay`] / `launch_replay` — conformance mode. A
 //!   [`GoldenTrace`] (dumped by `faultlab --dump-trace`) carries the
 //!   topology, preloaded trees, recovery plans, failure schedule, and
 //!   the simulator's expected post-recovery state. The daemon re-runs
@@ -245,7 +245,10 @@ fn spawn_nodes(
 
 /// Starts a conformance replay of `trace`; returns with the node
 /// threads running.
-pub fn launch_replay(trace: &GoldenTrace, opts: &ReplayOptions) -> io::Result<RunningDaemon> {
+pub(crate) fn launch_replay(
+    trace: &GoldenTrace,
+    opts: &ReplayOptions,
+) -> io::Result<RunningDaemon> {
     let graph = Arc::new(trace.graph());
     let n = graph.node_count();
     // The simulator hardened its router config against the scripted
@@ -311,7 +314,7 @@ pub enum Topology {
 
 impl Topology {
     /// Builds the shape over `n` nodes with unit link delays.
-    pub fn build(self, n: usize) -> Graph {
+    pub(crate) fn build(self, n: usize) -> Graph {
         let mut g = Graph::with_nodes(n);
         let ids: Vec<NodeId> = g.node_ids().collect();
         match self {

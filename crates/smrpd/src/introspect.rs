@@ -78,7 +78,7 @@ pub struct HealthView {
 }
 
 /// Handle to the background server thread.
-pub struct Introspector {
+pub(crate) struct Introspector {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     handle: JoinHandle<()>,
@@ -86,19 +86,19 @@ pub struct Introspector {
 
 impl Introspector {
     /// The bound listening address (useful with a `:0` bind).
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Signals the server thread and waits for it to exit.
-    pub fn stop(self) {
+    pub(crate) fn stop(self) {
         self.shutdown.store(true, Ordering::Relaxed);
         let _ = self.handle.join();
     }
 }
 
 /// Starts serving `board` on `bind` (use port 0 for an ephemeral port).
-pub fn serve(board: Arc<StatusBoard>, bind: SocketAddr) -> io::Result<Introspector> {
+pub(crate) fn serve(board: Arc<StatusBoard>, bind: SocketAddr) -> io::Result<Introspector> {
     let listener = TcpListener::bind(bind)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;

@@ -9,17 +9,17 @@
 //! in-process channels or loopback UDP. The point is conformance, not a
 //! parallel implementation:
 //!
-//! * [`transport`] — the [`Transport`] seam with [`ChannelTransport`]
+//! * `transport` — the [`Transport`] seam with [`ChannelTransport`]
 //!   and [`UdpTransport`] backends;
-//! * [`timer`] — a wall-clock [`TimerDriver`] mirroring the engine's
+//! * `timer` — a wall-clock [`TimerDriver`] mirroring the engine's
 //!   [`smrp_sim::TimerToken`] semantics;
-//! * [`node`] — the per-node event loop, dispatching the router through
+//! * `node` — the per-node event loop, dispatching the router through
 //!   [`smrp_sim::Ctx::standalone`] exactly as the engine would;
 //! * [`daemon`] — assembly plus the conformance entry point
-//!   [`replay`]: re-run a golden trace dumped by
+//!   `replay`: re-run a golden trace dumped by
 //!   `faultlab --dump-trace` and compare final-state digests against
 //!   the simulator;
-//! * [`status`] / [`introspect`] — a live HTTP view (per-group tree,
+//! * `status` / `introspect` — a live HTTP view (per-group tree,
 //!   SHR, reliable-lane health) of a running daemon.
 //!
 //! ```no_run
@@ -39,17 +39,13 @@
 //! ```
 
 pub mod daemon;
-pub mod introspect;
-pub mod node;
-pub mod status;
-pub mod timer;
-pub mod transport;
+mod introspect;
+mod node;
+mod status;
+mod timer;
+mod transport;
 
-pub use daemon::{
-    launch_demo, launch_replay, replay, DemoOptions, ReplayOptions, ReplayOutcome, RunningDaemon,
-    Topology, TransportKind,
-};
-pub use introspect::{HealthView, Introspector, StatusView, TreeRow, TreeView};
-pub use status::{GroupStatus, NodeStatus, StatusBoard};
+pub use introspect::{HealthView, StatusView, TreeView};
+pub use status::NodeStatus;
 pub use timer::TimerDriver;
 pub use transport::{ChannelTransport, Transport, UdpTransport};

@@ -39,7 +39,7 @@ use crate::transport::Transport;
 
 /// One scripted change to the shared failure state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Injection {
+pub(crate) enum Injection {
     /// Cut a link.
     FailLink(LinkId),
     /// Restore a link.
@@ -52,7 +52,7 @@ pub enum Injection {
 
 /// An [`Injection`] with its protocol-time deadline.
 #[derive(Debug, Clone, Copy)]
-pub struct ScheduledInjection {
+pub(crate) struct ScheduledInjection {
     /// When the change takes effect.
     pub at: SimTime,
     /// What changes.
@@ -68,7 +68,7 @@ struct LossModel {
 
 /// Everything needed to run one node; [`run`](NodeRuntime::run)
 /// consumes it and returns the final router state.
-pub struct NodeRuntime {
+pub(crate) struct NodeRuntime {
     me: NodeId,
     graph: Arc<Graph>,
     router: MultiRouter,
@@ -97,7 +97,7 @@ impl NodeRuntime {
     /// positive `loss` enables seeded per-frame drops; the seed is
     /// decorrelated per node so parallel nodes don't drop in lockstep.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         me: NodeId,
         graph: Arc<Graph>,
         router: MultiRouter,
@@ -140,7 +140,7 @@ impl NodeRuntime {
 
     /// Runs the node until its clock passes the horizon; returns the
     /// final router state for snapshotting.
-    pub fn run(mut self) -> MultiRouter {
+    pub(crate) fn run(mut self) -> MultiRouter {
         // Arm the protocol's periodic timers exactly as the simulator
         // does before injecting anything.
         let now = self.clock.now();
@@ -189,11 +189,6 @@ impl NodeRuntime {
         let now = self.clock.now();
         self.publish_status(now);
         self.router
-    }
-
-    /// Frames sent and dropped (by failed links or the loss model).
-    pub fn wire_stats(&self) -> (u64, u64) {
-        (self.frames_sent, self.frames_dropped)
     }
 
     fn publish_status(&self, now: SimTime) {

@@ -52,7 +52,12 @@ pub struct NodeStatus {
 
 impl NodeStatus {
     /// Snapshots `router` as seen at `now`.
-    pub fn capture(me: NodeId, down: bool, now: SimTime, router: &MultiRouter) -> NodeStatus {
+    pub(crate) fn capture(
+        me: NodeId,
+        down: bool,
+        now: SimTime,
+        router: &MultiRouter,
+    ) -> NodeStatus {
         let mut groups = Vec::new();
         let mut health = ControlHealth::default();
         for g in router.groups() {
@@ -101,24 +106,19 @@ fn lock_slot(slot: &Mutex<Option<NodeStatus>>) -> std::sync::MutexGuard<'_, Opti
 
 impl StatusBoard {
     /// A board with `n` empty slots.
-    pub fn new(n: usize) -> StatusBoard {
+    pub(crate) fn new(n: usize) -> StatusBoard {
         StatusBoard {
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
         }
     }
 
     /// Number of slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// Whether the board has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Publishes `status` into its node's slot.
-    pub fn publish(&self, status: NodeStatus) {
+    pub(crate) fn publish(&self, status: NodeStatus) {
         let idx = status.node as usize;
         if let Some(slot) = self.slots.get(idx) {
             *lock_slot(slot) = Some(status);
@@ -132,7 +132,7 @@ impl StatusBoard {
     }
 
     /// Copies one node's slot.
-    pub fn node(&self, idx: usize) -> Option<NodeStatus> {
+    pub(crate) fn node(&self, idx: usize) -> Option<NodeStatus> {
         self.slots.get(idx).and_then(|s| lock_slot(s).clone())
     }
 

@@ -70,7 +70,7 @@ impl<T> TimerDriver<T> {
     }
 
     /// Earliest live deadline, if any.
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&mut self) -> Option<SimTime> {
         self.wheel.peek_key().map(|(at, _)| at)
     }
 
@@ -82,11 +82,6 @@ impl<T> TimerDriver<T> {
         let (_, _, (token, payload)) = self.wheel.pop()?;
         self.handles.remove(&token);
         Some((token, payload))
-    }
-
-    /// Number of live (non-cancelled) timers.
-    pub fn pending(&self) -> usize {
-        self.wheel.len()
     }
 }
 
@@ -115,7 +110,7 @@ mod tests {
         assert_eq!(d.pop_due(SimTime::from_ms(25.0)), Some((t2, "mid")));
         assert_eq!(d.pop_due(SimTime::from_ms(25.0)), None);
         assert_eq!(d.pop_due(SimTime::from_ms(30.0)), Some((t3, "late")));
-        assert_eq!(d.pending(), 0);
+        assert_eq!(d.wheel.len(), 0);
     }
 
     #[test]
@@ -126,7 +121,7 @@ mod tests {
         d.schedule(SimTime::from_ms(5.0), t1, 'a');
         d.schedule(SimTime::from_ms(6.0), t2, 'b');
         d.cancel(t1);
-        assert_eq!(d.pending(), 1);
+        assert_eq!(d.wheel.len(), 1);
         assert_eq!(d.next_deadline(), Some(SimTime::from_ms(6.0)));
         assert_eq!(d.pop_due(SimTime::from_ms(10.0)), Some((t2, 'b')));
         // Cancelling something already gone is a no-op.
@@ -141,7 +136,7 @@ mod tests {
         let t = tok(&mut c);
         d.schedule(SimTime::from_ms(5.0), t, 1u32);
         d.schedule(SimTime::from_ms(50.0), t, 2u32);
-        assert_eq!(d.pending(), 1);
+        assert_eq!(d.wheel.len(), 1);
         // The old 5 ms deadline is dead; nothing fires before 50 ms.
         assert_eq!(d.pop_due(SimTime::from_ms(40.0)), None);
         assert_eq!(d.pop_due(SimTime::from_ms(50.0)), Some((t, 2u32)));
@@ -166,6 +161,6 @@ mod tests {
         // Equal deadlines pop in arm order.
         assert_eq!(d.pop_due(SimTime::from_ms(500.0)), Some((far, "far")));
         assert_eq!(d.pop_due(SimTime::from_ms(500.0)), Some((tie, "tie")));
-        assert_eq!(d.pending(), 0);
+        assert_eq!(d.wheel.len(), 0);
     }
 }

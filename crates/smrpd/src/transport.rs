@@ -140,11 +140,6 @@ impl UdpTransport {
             })
             .collect()
     }
-
-    /// The socket address frames for this node should be sent to.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
 }
 
 impl Transport for UdpTransport {

@@ -5,7 +5,8 @@
 //! tests pin the round-trip behavior.
 
 use smrp_repro::core::{MulticastTree, SmrpConfig, SmrpSession};
-use smrp_repro::metrics::{ConfidenceInterval, Stats};
+use smrp_repro::experiments::ConfidenceInterval;
+use smrp_repro::metrics::Stats;
 use smrp_repro::net::waxman::WaxmanConfig;
 use smrp_repro::net::{FailureScenario, Graph};
 
