@@ -40,7 +40,7 @@ use smrp_core::SmrpConfig;
 use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, GroupId, LinkId, NetError, NodeId};
-use smrp_proto::hierarchy::{NLevelSession, WirePlan};
+use smrp_proto::hierarchy::NLevelSession;
 use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};
 use smrp_sim::{SimTime, TraceEvent, TraceLog};
 
@@ -253,25 +253,6 @@ struct Lab<'s> {
     allowed: &'s [Vec<bool>],
 }
 
-/// A repair's domain-confined restoration paths as installable wire
-/// plans of the owning domain's group.
-fn wire_plans(owner_group: usize, plans: &[WirePlan]) -> Vec<(GroupId, NodeId, RecoveryPlan)> {
-    plans
-        .iter()
-        .map(|p| {
-            (
-                GroupId::new(owner_group),
-                p.member,
-                RecoveryPlan {
-                    path: p.path.clone(),
-                    wait: SimTime::ZERO,
-                    path_delay: SimTime::from_ms(p.delay_ms),
-                },
-            )
-        })
-        .collect()
-}
-
 /// The DomainLocality audit of one run: every sent message of group `g`
 /// must stay inside `g`'s sanctioned node set. An election extends the
 /// *owner's* set by the installed corridor through the elected child
@@ -363,7 +344,12 @@ fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
         .iter()
         .position(|&d| d == rec.owner)
         .expect("owner of an affecting failure runs a session");
-    let plans = wire_plans(owner_group, &rec.plans);
+    let group = GroupId::new(owner_group);
+    let plans: Vec<_> = rec
+        .plans
+        .iter()
+        .map(|(m, p)| (group, *m, p.clone()))
+        .collect();
 
     let mut audit = LocalityAudit::new(lab.allowed, owner_group, &plans);
     let spec = FailureSpec::persistent(
@@ -737,7 +723,12 @@ mod tests {
             })
             .expect("some repairable tree link exists");
         let owner_group = domains.iter().position(|&d| d == rec.owner).unwrap();
-        let plans = wire_plans(owner_group, &rec.plans);
+        let group = GroupId::new(owner_group);
+        let plans: Vec<_> = rec
+            .plans
+            .iter()
+            .map(|(m, p)| (group, *m, p.clone()))
+            .collect();
         let scenario = FailureScenario::link(link);
         let spec = FailureSpec::persistent(
             &scenario,

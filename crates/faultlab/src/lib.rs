@@ -83,4 +83,4 @@ pub use hierarchy::{
 };
 pub use protect::{run_protect, ProtectConfig, ProtectReport};
 pub use report::{CampaignReport, Quantiles};
-pub use trace::{dump_traces, golden_scenarios, GoldenTrace};
+pub use trace::{dump_traces, golden_scenarios, GoldenTrace, RunInput};

@@ -8,35 +8,41 @@
 //! state the simulator converged to. The `smrpd` daemon replays traces
 //! over real transports and asserts digest identity
 //! ([`smrp_proto::SessionState`]), making the sim the model checker for
-//! the deployable artifact. The files are also handy standalone: a
-//! minimal, human-readable reproducer of one scripted experiment.
+//! the deployable artifact. A trace is also its own run input:
+//! [`GoldenTrace::sessions`] and [`GoldenTrace::run_input`] rebuild the
+//! sessions and [`FailureSpec`] it describes. The builder computes the
+//! expected state by running the simulator on exactly that input, and
+//! the daemon replays the same input, so both runtimes preload, fail and
+//! judge the routers with the same `smrp-proto` code. The files are also
+//! handy standalone: a minimal, human-readable reproducer of one
+//! scripted experiment.
 //!
 //! Determinism matters: `faultlab --dump-trace <dir>` must emit
 //! byte-identical files regardless of `--jobs`, so trace generation goes
 //! through the same ordered parallel map as the campaign runners.
 
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 use smrp_core::paper;
 use smrp_core::recovery::{self, DetourKind};
-use smrp_net::{FailureScenario, Graph, LinkWeights, NodeId};
+use smrp_core::MulticastTree;
+use smrp_net::{FailureScenario, Graph, GroupId, LinkId, LinkWeights, NodeId};
 use smrp_proto::snapshot::{AffectedGroup, SessionState};
 use smrp_proto::{
-    FailureSpec, MultiSession, ProtoSession, RecoveryStrategy, RouterConfig, TreeProtocol,
+    FailureSpec, FailureTiming, InjectionTiming, MultiSession, PlanSource, ProtoSession,
+    RecoveryPlan, TreeProtocol,
 };
 use smrp_sim::{ChannelSpec, SimTime, TraceLog};
 
 use crate::par::ordered_par_map;
 
-/// Version of the trace file format.
+/// Version of the trace file format; readers accept exactly this one.
 ///
 /// History: v1 had no per-plan `path_delay_ns`; v2 carries it so a
-/// replaying host can restore the full `PlanConfirm` window instead of
-/// falling back to the detection-horizon floor. v1 files still load,
-/// with the delay defaulting to zero.
+/// replaying host restores the full `PlanConfirm` window.
 pub(crate) const TRACE_VERSION: u32 = 2;
 
 /// One link of the trace's topology. Link ids are implicit: the link at
@@ -80,8 +86,7 @@ pub struct TracePlan {
     pub wait_ns: u64,
     /// One-way propagation delay of the restoration path. Sizes the
     /// replaying host's `PlanConfirm` window exactly as the simulator's
-    /// (`2 × detection horizon + 2 × path delay`); zero — the v1 reading —
-    /// shrinks the window to its detection-horizon floor.
+    /// (`2 × detection horizon + 2 × path delay`).
     pub path_delay_ns: u64,
 }
 
@@ -101,6 +106,33 @@ pub struct TraceGroup {
     /// Members the scripted failure disconnects (the restoration
     /// denominator).
     pub affected: Vec<u32>,
+}
+
+impl TraceGroup {
+    /// The group's initial tree over `graph`, rebuilt from its node
+    /// states breadth-first from the source, each node's children in the
+    /// trace's ascending order.
+    fn tree(&self, graph: &Graph) -> MulticastTree {
+        let node = |n: u32| NodeId::new(n as usize);
+        let mut tree = MulticastTree::new(graph, node(self.source))
+            .expect("golden trace sources are graph nodes");
+        let mut queue = VecDeque::from([self.source]);
+        while let Some(parent) = queue.pop_front() {
+            let Ok(i) = self.nodes.binary_search_by_key(&parent, |s| s.node) else {
+                continue;
+            };
+            let state = &self.nodes[i];
+            if state.member {
+                tree.set_member(node(parent), true)
+                    .expect("members are on the tree");
+            }
+            for &child in &state.downstream {
+                tree.attach_path(&smrp_net::Path::new(vec![node(child), node(parent)]));
+                queue.push_back(child);
+            }
+        }
+        tree
+    }
 }
 
 /// The scripted failure: what breaks, when, and whether it heals.
@@ -123,6 +155,44 @@ pub struct TraceChannel {
     pub loss: f64,
     /// Seed of the loss process.
     pub seed: u64,
+}
+
+impl TraceChannel {
+    /// The simulator channel these parameters describe.
+    fn spec(&self) -> ChannelSpec {
+        if self.loss > 0.0 {
+            ChannelSpec::uniform_loss(self.loss, self.seed)
+        } else {
+            ChannelSpec::perfect()
+        }
+    }
+}
+
+/// A golden trace as run input: the owned parts of the [`FailureSpec`]
+/// its scenario describes, with the trace's recovery plans installed
+/// verbatim ([`PlanSource::Explicit`]). Built by
+/// [`GoldenTrace::run_input`].
+#[derive(Debug, Clone)]
+pub struct RunInput {
+    scenario: FailureScenario,
+    plans: Vec<(GroupId, NodeId, RecoveryPlan)>,
+    timing: InjectionTiming,
+    channel: ChannelSpec,
+    until: SimTime,
+}
+
+impl RunInput {
+    /// The run's failure spec.
+    pub fn spec(&self) -> FailureSpec<'_> {
+        FailureSpec {
+            scenario: &self.scenario,
+            plans: PlanSource::Explicit(&self.plans),
+            timing: self.timing,
+            membership: &[],
+            channel: self.channel.clone(),
+            until: self.until,
+        }
+    }
 }
 
 /// A complete golden scenario: scripted inputs plus the sim's expected
@@ -185,16 +255,54 @@ impl GoldenTrace {
             .collect()
     }
 
-    /// Nodes that fail and never heal — excluded from state capture.
-    pub fn down_nodes(&self) -> BTreeSet<NodeId> {
-        if self.failure.repair_at_ns.is_some() {
-            BTreeSet::new()
-        } else {
-            self.failure
-                .nodes
+    /// The group sessions the scenario starts from, over `graph` (this
+    /// trace's [`graph`](Self::graph)); group `i` of the result is the
+    /// trace's `groups[i]`.
+    pub fn sessions<'g>(&self, graph: &'g Graph) -> MultiSession<'g> {
+        MultiSession::from_sessions(
+            self.groups
                 .iter()
-                .map(|&n| NodeId::new(n as usize))
-                .collect()
+                .map(|g| ProtoSession::from_tree(graph, g.tree(graph)))
+                .collect(),
+        )
+    }
+
+    /// The scripted failure, plans, timing, channel and horizon as run
+    /// input: with [`sessions`](Self::sessions), what the simulator ran
+    /// to produce `expected` and what a replaying host runs.
+    pub fn run_input(&self) -> RunInput {
+        let f = &self.failure;
+        let node = |n: u32| NodeId::new(n as usize);
+        let mut scenario = FailureScenario::links(f.links.iter().map(|&l| LinkId::new(l as usize)));
+        for &n in &f.nodes {
+            scenario.fail_node(node(n));
+        }
+        let plans = self
+            .groups
+            .iter()
+            .flat_map(|g| {
+                g.plans.iter().map(|p| {
+                    (
+                        GroupId::new(g.group as usize),
+                        node(p.member),
+                        RecoveryPlan {
+                            path: p.path.iter().map(|&n| node(n)).collect(),
+                            wait: SimTime::from_ns(p.wait_ns),
+                            path_delay: SimTime::from_ns(p.path_delay_ns),
+                        },
+                    )
+                })
+            })
+            .collect();
+        RunInput {
+            scenario,
+            plans,
+            timing: InjectionTiming::Once(FailureTiming {
+                fail_at: SimTime::from_ns(f.fail_at_ns),
+                repair_at: f.repair_at_ns.map(SimTime::from_ns),
+            }),
+            channel: self.channel.spec(),
+            until: SimTime::from_ns(self.horizon_ns),
         }
     }
 
@@ -206,33 +314,24 @@ impl GoldenTrace {
         s
     }
 
-    /// Parses a trace from JSON, rejecting unknown format versions.
-    ///
-    /// Older versions are upgraded in place: a v1 file loads with every
-    /// plan's `path_delay_ns` defaulting to zero, and the returned trace
-    /// reports the current `TRACE_VERSION`.
+    /// Parses a trace from JSON.
     ///
     /// # Errors
     ///
-    /// Returns an error string for malformed JSON or a version newer than
-    /// this reader.
+    /// Returns an error string for malformed JSON or a version other than
+    /// `TRACE_VERSION`.
     pub fn from_json(json: &str) -> Result<GoldenTrace, String> {
-        let mut value: serde::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let value: serde::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
         let version = value
             .get("version")
             .and_then(serde::Value::as_u64)
-            .unwrap_or(0) as u32;
-        if version == 0 || version > TRACE_VERSION {
+            .unwrap_or(0);
+        if version != u64::from(TRACE_VERSION) {
             return Err(format!(
-                "unsupported trace version {version} (expected 1..={TRACE_VERSION})"
+                "unsupported trace version {version} (expected {TRACE_VERSION})"
             ));
         }
-        if version < 2 {
-            upgrade_v1_plans(&mut value);
-        }
-        let mut trace = GoldenTrace::deserialize(&value).map_err(|e| e.to_string())?;
-        trace.version = TRACE_VERSION;
-        Ok(trace)
+        GoldenTrace::deserialize(&value).map_err(|e| e.to_string())
     }
 
     /// Reads a trace file.
@@ -247,34 +346,6 @@ impl GoldenTrace {
     }
 }
 
-/// In-place v1 → v2 upgrade: every plan map gains `path_delay_ns: 0`
-/// (v1 writers never knew the path delay, so the detection-horizon floor
-/// is the only faithful reading).
-fn upgrade_v1_plans(value: &mut serde::Value) {
-    use serde::Value;
-    fn entry_mut<'v>(v: &'v mut Value, key: &str) -> Option<&'v mut Value> {
-        match v {
-            Value::Map(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    let Some(Value::Seq(groups)) = entry_mut(value, "groups") else {
-        return;
-    };
-    for group in groups {
-        let Some(Value::Seq(plans)) = entry_mut(group, "plans") else {
-            continue;
-        };
-        for plan in plans {
-            if let Value::Map(entries) = plan {
-                if !entries.iter().any(|(k, _)| k == "path_delay_ns") {
-                    entries.push(("path_delay_ns".to_string(), Value::U64(0)));
-                }
-            }
-        }
-    }
-}
-
 /// A scripted scenario: the inputs [`build_trace`] turns into a
 /// [`GoldenTrace`] by running the simulator.
 struct Script {
@@ -284,7 +355,8 @@ struct Script {
     sessions: Vec<(NodeId, Vec<NodeId>)>,
     scenario: FailureScenario,
     channel: TraceChannel,
-    fail_at: SimTime,
+    /// When the scenario fails and, if it heals, when it is repaired.
+    timing: FailureTiming,
     horizon: SimTime,
 }
 
@@ -304,7 +376,7 @@ fn scripts() -> Vec<Script> {
             sessions: vec![(nodes.s, vec![nodes.c, nodes.d])],
             scenario,
             channel: TraceChannel { loss: 0.0, seed: 0 },
-            fail_at: SimTime::from_ms(100.0),
+            timing: FailureTiming::persistent(SimTime::from_ms(100.0)),
             horizon: SimTime::from_ms(3000.0),
         });
     }
@@ -334,7 +406,7 @@ fn scripts() -> Vec<Script> {
             sessions: vec![(s0, vec![m0]), (s1, vec![m1])],
             scenario: FailureScenario::links(srlg),
             channel: TraceChannel { loss: 0.0, seed: 0 },
-            fail_at: SimTime::from_ms(100.0),
+            timing: FailureTiming::persistent(SimTime::from_ms(100.0)),
             horizon: SimTime::from_ms(3000.0),
         });
     }
@@ -354,7 +426,23 @@ fn scripts() -> Vec<Script> {
                 loss: 0.10,
                 seed: 0xC0FFEE,
             },
-            fail_at: SimTime::from_ms(100.0),
+            timing: FailureTiming::persistent(SimTime::from_ms(100.0)),
+            horizon: SimTime::from_ms(3000.0),
+        });
+    }
+
+    // 4. Figure 1 with router A crashing and rebooting: the transient
+    // single-node failure, n1 down from 100 ms to 600 ms. A's members
+    // detour around it, and A comes back as a live (off-tree) router.
+    {
+        let (graph, nodes) = paper::figure1_graph();
+        out.push(Script {
+            name: "figure1_node_transient",
+            graph,
+            sessions: vec![(nodes.s, vec![nodes.c, nodes.d])],
+            scenario: FailureScenario::node(nodes.a),
+            channel: TraceChannel { loss: 0.0, seed: 0 },
+            timing: FailureTiming::transient(SimTime::from_ms(100.0), SimTime::from_ms(600.0)),
             horizon: SimTime::from_ms(3000.0),
         });
     }
@@ -370,7 +458,7 @@ fn build_trace(script: &Script) -> GoldenTrace {
         sessions,
         scenario,
         channel,
-        fail_at,
+        timing,
         horizon,
     } = script;
 
@@ -383,16 +471,6 @@ fn build_trace(script: &Script) -> GoldenTrace {
             })
             .collect(),
     );
-
-    let spec = FailureSpec {
-        channel: if channel.loss > 0.0 {
-            ChannelSpec::uniform_loss(channel.loss, channel.seed)
-        } else {
-            ChannelSpec::perfect()
-        },
-        ..FailureSpec::persistent(scenario, RecoveryStrategy::LocalDetour, *fail_at, *horizon)
-    };
-    let run = multi.run(&spec, TraceLog::disabled());
 
     let mut groups = Vec::with_capacity(multi.group_count());
     for g in multi.groups() {
@@ -448,25 +526,7 @@ fn build_trace(script: &Script) -> GoldenTrace {
         });
     }
 
-    let affected: Vec<AffectedGroup> = groups
-        .iter()
-        .map(|g| AffectedGroup {
-            group: g.group,
-            affected: g.affected.clone(),
-        })
-        .collect();
-    let down: BTreeSet<NodeId> = scenario.failed_nodes().collect();
-    let data_interval = RouterConfig::default().data_interval;
-    let expected = SessionState::capture(
-        &run.routers,
-        &affected,
-        &down,
-        run.report.fail_at,
-        data_interval,
-    );
-    let expected_digest = expected.digest();
-
-    GoldenTrace {
+    let mut trace = GoldenTrace {
         version: TRACE_VERSION,
         name: (*name).to_string(),
         nodes: graph.node_count() as u32,
@@ -486,14 +546,27 @@ fn build_trace(script: &Script) -> GoldenTrace {
         failure: TraceFailure {
             links: scenario.failed_links().map(|l| l.index() as u32).collect(),
             nodes: scenario.failed_nodes().map(|n| n.index() as u32).collect(),
-            fail_at_ns: fail_at.as_ns(),
-            repair_at_ns: None,
+            fail_at_ns: timing.fail_at.as_ns(),
+            repair_at_ns: timing.repair_at.map(SimTime::as_ns),
         },
         channel: channel.clone(),
         horizon_ns: horizon.as_ns(),
-        expected,
-        expected_digest,
-    }
+        expected: SessionState { groups: Vec::new() },
+        expected_digest: String::new(),
+    };
+    // The simulator runs the trace's own input, as a replaying host will.
+    let input = trace.run_input();
+    let spec = input.spec();
+    let replayed = trace.sessions(graph);
+    let run = replayed.run(&spec, TraceLog::disabled());
+    trace.expected = SessionState::capture(
+        &run.routers,
+        &trace.affected(),
+        &spec.down_at_horizon(),
+        run.report.fail_at,
+    );
+    trace.expected_digest = trace.expected.digest();
+    trace
 }
 
 /// Generates every golden scenario, in dump order. Deterministic: same
@@ -533,7 +606,7 @@ mod tests {
     #[test]
     fn figure1_trace_round_trips_through_json() {
         let traces = golden_scenarios();
-        assert_eq!(traces.len(), 3);
+        assert_eq!(traces.len(), 4);
         let fig1 = &traces[0];
         assert_eq!(fig1.name, "figure1");
         assert_eq!(fig1.version, TRACE_VERSION);
@@ -551,9 +624,11 @@ mod tests {
     #[test]
     fn unknown_trace_version_is_rejected() {
         let mut trace = golden_scenarios().remove(0);
-        trace.version = TRACE_VERSION + 1;
-        let err = GoldenTrace::from_json(&trace.to_json()).unwrap_err();
-        assert!(err.contains("unsupported trace version"), "{err}");
+        for version in [1, TRACE_VERSION + 1] {
+            trace.version = version;
+            let err = GoldenTrace::from_json(&trace.to_json()).unwrap_err();
+            assert!(err.contains("unsupported trace version"), "{err}");
+        }
     }
 
     #[test]
@@ -571,42 +646,6 @@ mod tests {
         // And it round-trips exactly.
         let back = GoldenTrace::from_json(&traces[0].to_json()).unwrap();
         assert_eq!(back, traces[0]);
-    }
-
-    #[test]
-    fn v1_traces_load_with_zero_path_delay() {
-        let trace = golden_scenarios().remove(0);
-        // Render a v1 file: version 1, no `path_delay_ns` keys anywhere.
-        use serde::Value;
-        fn strip(v: &mut Value) {
-            match v {
-                Value::Map(entries) => {
-                    entries.retain(|(k, _)| k != "path_delay_ns");
-                    for (k, v) in entries {
-                        if k == "version" {
-                            *v = Value::U64(1);
-                        }
-                        strip(v);
-                    }
-                }
-                Value::Seq(items) => items.iter_mut().for_each(strip),
-                _ => {}
-            }
-        }
-        let mut value = trace.serialize();
-        strip(&mut value);
-        let v1 = serde_json::to_string_pretty(&value).unwrap();
-
-        let back = GoldenTrace::from_json(&v1).expect("v1 traces still load");
-        assert_eq!(back.version, TRACE_VERSION);
-        assert!(back
-            .groups
-            .iter()
-            .flat_map(|g| &g.plans)
-            .all(|p| p.path_delay_ns == 0));
-        // Everything else survives the upgrade untouched.
-        assert_eq!(back.expected_digest, trace.expected_digest);
-        assert_eq!(back.groups.len(), trace.groups.len());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use smrp_core::SmrpConfig;
 use smrp_faultlab::{run_hierarchy, HierarchyConfig, HierarchyReport};
 use smrp_net::FailureScenario;
 use smrp_proto::hierarchy::NLevelSession;
-use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};
+use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession};
 use smrp_sim::{SimTime, TimerBackend, TraceEvent, TraceLog};
 
 fn levels2_config() -> HierarchyConfig {
@@ -91,20 +91,11 @@ fn run_fixed_case(backend: TimerBackend) -> u64 {
         .expect("some repairable tree link exists");
 
     let owner_group = domains.iter().position(|&d| d == rec.owner).unwrap();
+    let group = smrp_net::GroupId::new(owner_group);
     let plans: Vec<_> = rec
         .plans
         .iter()
-        .map(|p| {
-            (
-                smrp_net::GroupId::new(owner_group),
-                p.member,
-                RecoveryPlan {
-                    path: p.path.clone(),
-                    wait: SimTime::ZERO,
-                    path_delay: SimTime::from_ms(p.delay_ms),
-                },
-            )
-        })
+        .map(|(m, p)| (group, *m, p.clone()))
         .collect();
     let scenario = FailureScenario::link(link);
     let spec = FailureSpec::persistent(

@@ -25,7 +25,7 @@ use smrp_faultlab::HierarchyConfig;
 use smrp_net::nlevel::NLevelTopology;
 use smrp_net::{FailureScenario, GroupId, LinkId};
 use smrp_proto::hierarchy::NLevelSession;
-use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};
+use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession};
 use smrp_sim::{SimTime, TraceEvent, TraceLog};
 
 fn config(seed: u64, levels: u32) -> HierarchyConfig {
@@ -93,7 +93,7 @@ proptest! {
         // (child agents live in child domains by construction).
         prop_assert!(rec.elections.is_empty());
         let owner_nodes = nsess.domain_session_nodes(rec.owner).unwrap();
-        for plan in &rec.plans {
+        for (_, plan) in &rec.plans {
             for &n in &plan.path {
                 prop_assert!(
                     topo.domain_of(n) == rec.owner || owner_nodes.contains(&n),
@@ -110,19 +110,8 @@ proptest! {
             .collect();
         let multi = MultiSession::from_sessions(sessions);
         let owner_group = domains.iter().position(|&d| d == rec.owner).unwrap();
-        let plans: Vec<_> = rec
-            .plans
-            .iter()
-            .map(|p| (
-                GroupId::new(owner_group),
-                p.member,
-                RecoveryPlan {
-                    path: p.path.clone(),
-                    wait: SimTime::ZERO,
-                    path_delay: SimTime::from_ms(p.delay_ms),
-                },
-            ))
-            .collect();
+        let group = GroupId::new(owner_group);
+        let plans: Vec<_> = rec.plans.iter().map(|(m, p)| (group, *m, p.clone())).collect();
         let scenario = FailureScenario::link(link);
         let spec = FailureSpec::persistent(
             &scenario,

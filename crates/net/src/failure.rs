@@ -40,6 +40,21 @@ pub struct FailureScenario {
     failed_nodes: BTreeSet<NodeId>,
 }
 
+/// One timed change to a [`FailureScenario`]: the vocabulary a failure
+/// script is written in, whichever runtime (the simulator, a daemon node)
+/// applies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Injection {
+    /// Cut a link.
+    FailLink(LinkId),
+    /// Restore a link.
+    RepairLink(LinkId),
+    /// Crash a node: it stops processing and sending.
+    FailNode(NodeId),
+    /// Repair a node: it reboots with empty soft state.
+    RepairNode(NodeId),
+}
+
 impl FailureScenario {
     /// The empty scenario: nothing has failed.
     pub fn none() -> Self {
@@ -121,6 +136,16 @@ impl FailureScenario {
     pub fn repair_node(&mut self, node: NodeId) -> &mut Self {
         self.failed_nodes.remove(&node);
         self
+    }
+
+    /// Applies one scripted change.
+    pub fn apply(&mut self, injection: Injection) -> &mut Self {
+        match injection {
+            Injection::FailLink(l) => self.fail_link(l),
+            Injection::RepairLink(l) => self.repair_link(l),
+            Injection::FailNode(n) => self.fail_node(n),
+            Injection::RepairNode(n) => self.repair_node(n),
+        }
     }
 
     /// Whether nothing has failed.

@@ -15,7 +15,8 @@
 //!   2-level transit-stub model ([`transit_stub`]) for the hierarchical
 //!   recovery architecture of §3.3.3,
 //! * persistent-failure scenarios (`failure`) that mask out links/nodes
-//!   without mutating the underlying graph,
+//!   without mutating the underlying graph, and the [`Injection`]s that
+//!   change one over time,
 //! * batch backup-detour precomputation with incremental refresh
 //!   ([`backup`]), the network-layer half of proactive protection.
 //!
@@ -55,7 +56,7 @@ pub mod waxman;
 mod error;
 
 pub use error::NetError;
-pub use failure::FailureScenario;
+pub use failure::{FailureScenario, Injection};
 pub use geometry::Point;
 pub use graph::{Graph, LinkWeights};
 pub use ids::{GroupId, LinkId, NodeId};

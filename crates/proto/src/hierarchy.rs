@@ -31,6 +31,9 @@ use smrp_net::dijkstra::{self, Constraints};
 use smrp_net::nlevel::{AggregatedPopulation, NLevelTopology};
 use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId, Path};
+use smrp_sim::SimTime;
+
+use crate::RecoveryPlan;
 
 /// One per-domain session: a tree over a domain subgraph.
 #[derive(Debug, Clone)]
@@ -114,25 +117,6 @@ pub struct AgentElection {
     pub parent_attach: NodeId,
 }
 
-/// One wire-installable recovery plan: the restoration path to load into
-/// a fragment root's router lane ahead of a simulated failure run.
-///
-/// For a confined repair the path is exactly the analytic restoration
-/// path (fragment root → in-domain attach). For a new-agent election it
-/// runs from the orphaned child border through the child domain to the
-/// backup border, across the backup gateway, and up the owner domain
-/// toward the session root — the graft cascade merges at the first live
-/// on-tree relay it meets, so the tail past the merge point is unused.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WirePlan {
-    /// The fragment root the plan is installed at (global id).
-    pub member: NodeId,
-    /// Hop-adjacent restoration path in global ids, `member` first.
-    pub path: Vec<NodeId>,
-    /// One-way propagation delay of `path`, in milliseconds.
-    pub delay_ms: f64,
-}
-
 /// Outcome of an N-level domain-confined recovery.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DomainRecovery {
@@ -156,9 +140,18 @@ pub struct DomainRecovery {
     pub domains_involved: usize,
     /// New-agent elections performed (empty for a confined repair).
     pub elections: Vec<AgentElection>,
-    /// Wire-installable plans, one per disconnected fragment root — the
-    /// seam into [`crate::PlanSource::Explicit`].
-    pub plans: Vec<WirePlan>,
+    /// Wire-installable plans, one per disconnected fragment root, keyed
+    /// by the fragment root (global id) that installs them — the seam
+    /// into [`crate::PlanSource::Explicit`].
+    ///
+    /// For a confined repair the path is exactly the analytic restoration
+    /// path (fragment root → in-domain attach). For a new-agent election
+    /// it runs from the orphaned child border through the child domain to
+    /// the backup border, across the backup gateway, and up the owner
+    /// domain toward the session root — the graft cascade merges at the
+    /// first live on-tree relay it meets, so the tail past the merge
+    /// point is unused.
+    pub plans: Vec<(NodeId, RecoveryPlan)>,
 }
 
 /// An N-level hierarchical SMRP session (§3.3.3's generalization) over an
@@ -482,11 +475,16 @@ impl NLevelSession {
                         .iter()
                         .map(|ln| session.to_global[ln.index()])
                         .collect();
-                    plans.push(WirePlan {
-                        member: global[0],
-                        path: global.clone(),
-                        delay_ms: rec.restoration_path().delay(&session.graph),
-                    });
+                    plans.push((
+                        global[0],
+                        RecoveryPlan {
+                            path: global.clone(),
+                            wait: SimTime::ZERO,
+                            path_delay: SimTime::from_ms(
+                                rec.restoration_path().delay(&session.graph),
+                            ),
+                        },
+                    ));
                     paths.push(global);
                 }
                 Err(e) => {
@@ -497,8 +495,8 @@ impl NLevelSession {
                         Some((election, path, dist, plan)) => {
                             total_rd += dist;
                             paths.push(path);
+                            plans.push((election.old_agent, plan));
                             elections.push(election);
-                            plans.push(plan);
                         }
                         None => {
                             return Err(format!(
@@ -590,7 +588,7 @@ impl NLevelSession {
         scenario: &FailureScenario,
         local_scenario: &FailureScenario,
         n: NodeId,
-    ) -> Option<(AgentElection, Vec<NodeId>, f64, WirePlan)> {
+    ) -> Option<(AgentElection, Vec<NodeId>, f64, RecoveryPlan)> {
         let graph = self.topo.graph();
         let g = session.to_global[n.index()];
         let child = self.topo.children_of(owner).find(|c| {
@@ -654,10 +652,10 @@ impl NLevelSession {
                 },
                 global_path,
                 dist,
-                WirePlan {
-                    member: g,
+                RecoveryPlan {
                     path: wire_path,
-                    delay_ms: wire_delay,
+                    wait: SimTime::ZERO,
+                    path_delay: SimTime::from_ms(wire_delay),
                 },
             ));
         }

@@ -45,10 +45,16 @@
 //! [`InjectionTiming`], timed [`MemberChange`]s, a channel and a horizon;
 //! [`FailureSpec::persistent`] covers the paper's case — and hand it to
 //! [`MultiSession::run`] with a [`smrp_sim::TraceLog`] (disabled,
-//! buffering, or an observer). It loads every group's tree into one
-//! simulator, pumps data, injects the failure, applies the membership
-//! changes and returns a `FailureRun`: each member's **service
-//! restoration latency** per group, the trace, and the final routers.
+//! buffering, or an observer). It starts from
+//! [`MultiSession::preload`] — every group's tree loaded into its
+//! routers, plans installed — pumps data, schedules
+//! [`FailureSpec::injections`], applies the membership changes and
+//! returns a `FailureRun`: each member's **service restoration latency**
+//! per group ([`Router::restored_at`]), the trace, and the final routers.
+//! The preload, the injection list, the down-at-horizon set
+//! ([`FailureSpec::down_at_horizon`]) and the restoration rule are also
+//! what the `smrpd` daemon runs a golden trace with, so a replay differs
+//! from the simulator only in its runtime.
 //! [`ProtoSession::run`] is the same call for one session and
 //! [`ProtoSession::run_steady`] the same call with no failure: one loop,
 //! configured on the run (routers load [`RouterConfig::default`];

@@ -26,9 +26,11 @@
 //! ride the same run as [`FailureSpec::membership`] entries, which
 //! [`crate::MembershipMirror`] writes.
 
+use std::collections::BTreeSet;
+
 use smrp_core::recovery::{self, DetourKind};
 use smrp_metrics::{ControlHealth, ProtectionHealth};
-use smrp_net::{FailureScenario, Graph, GroupId, NodeId};
+use smrp_net::{FailureScenario, Graph, GroupId, Injection, NodeId};
 use smrp_sim::{
     ChannelModel, ChannelSpec, Ctx, Descriptor, NetSim, NodeBehavior, NodeCommand, SimTime,
     TimerBackend, TraceLog,
@@ -114,6 +116,45 @@ impl<'s> FailureSpec<'s> {
             channel: ChannelSpec::perfect(),
             until,
         }
+    }
+
+    /// The run's failure script: every injection of `scenario` on
+    /// `timing`, per outage window each failed link's fail then repair,
+    /// then each failed node's fail then repair. This is the order the
+    /// simulator schedules them in, so it decides which of two injections
+    /// at one instant applies first; a host applying them by time must
+    /// sort stably.
+    pub fn injections(&self) -> Vec<(SimTime, Injection)> {
+        let links = self
+            .scenario
+            .failed_links()
+            .map(|l| (Injection::FailLink(l), Injection::RepairLink(l)));
+        let nodes = self
+            .scenario
+            .failed_nodes()
+            .map(|n| (Injection::FailNode(n), Injection::RepairNode(n)));
+        let pairs: Vec<_> = links.chain(nodes).collect();
+        let mut out = Vec::new();
+        for (down_at, up_at) in self.timing.schedule() {
+            for &(fail, repair) in &pairs {
+                out.push((down_at, fail));
+                out.extend(up_at.map(|up_at| (up_at, repair)));
+            }
+        }
+        out
+    }
+
+    /// Nodes the script leaves down at the horizon — the ones
+    /// [`crate::snapshot::SessionState::capture`] records as down. A node
+    /// repaired by `until` is up, whatever happened before.
+    pub fn down_at_horizon(&self) -> BTreeSet<NodeId> {
+        let mut state = FailureScenario::none();
+        for (at, injection) in self.injections() {
+            if at <= self.until {
+                state.apply(injection);
+            }
+        }
+        state.failed_nodes().collect()
     }
 }
 
@@ -417,8 +458,20 @@ impl<'g> MultiSession<'g> {
         &self.sessions[group.index()]
     }
 
-    /// Router processes preloaded with every group's tree, under `config`.
-    fn processes(&self, config: RouterConfig) -> Vec<MultiRouter> {
+    /// The router processes `spec` starts from, in node-id order: every
+    /// group's tree loaded lane by lane, sources marked, and the recovery
+    /// plans of `spec.plans` installed. [`run`](Self::run) starts from
+    /// exactly these, and so does a host running the routers outside the
+    /// simulator (the `smrpd` daemon).
+    ///
+    /// Routers run [`RouterConfig::default`]. When the channel's *default*
+    /// lane is lossy, that config is hardened via
+    /// [`RouterConfig::hardened_for_loss`] — uniform loss is ambient noise
+    /// every router experiences, so timers must tolerate it. Gray-link
+    /// overrides do **not** harden: a single rotten link *should* look
+    /// like a failure to the routers behind it.
+    pub fn preload(&self, spec: &FailureSpec<'_>) -> Vec<MultiRouter> {
+        let config = RouterConfig::default().hardened_for_loss(spec.channel.default.loss);
         let mut procs: Vec<MultiRouter> = (0..self.graph.node_count())
             .map(|_| MultiRouter::new(config))
             .collect();
@@ -426,43 +479,14 @@ impl<'g> MultiSession<'g> {
             let group = GroupId::new(gi);
             let tree = sess.tree();
             for n in tree.on_tree_nodes() {
-                let upstream = tree.parent(n);
-                let downstream: Vec<NodeId> = tree.children(n).to_vec();
                 procs[n.index()].lane_mut(group).load_state(
-                    upstream,
-                    &downstream,
+                    tree.parent(n),
+                    tree.children(n),
                     tree.is_member(n),
                 );
             }
             procs[sess.source().index()].lane_mut(group).set_source();
         }
-        procs
-    }
-
-    /// Runs one experiment — the only function in this crate that builds a
-    /// simulator. Every group's tree is loaded into one [`NetSim`],
-    /// `spec.scenario` is injected once on `spec.timing` (an empty scenario
-    /// makes a failure-free run), each `spec.membership` entry is applied
-    /// to its member's lane at its instant, and each group detects and
-    /// recovers independently while contending for the same links (and,
-    /// when `spec.channel` is degraded, the same loss process).
-    ///
-    /// Routers run [`RouterConfig::default`]. When the channel's *default*
-    /// lane is lossy, that config is hardened via
-    /// [`RouterConfig::hardened_for_loss`] — uniform loss is
-    /// ambient noise every router experiences, so timers must tolerate it.
-    /// Gray-link overrides do **not** harden: a single rotten link
-    /// *should* look like a failure to the routers behind it.
-    ///
-    /// `trace` is the typed-event sink: [`TraceLog::disabled`] for plain
-    /// runs, [`TraceLog::new`] to get the buffered events back in
-    /// `FailureRun::trace` (golden tests), [`TraceLog::observer`] to see
-    /// every event as it happens (the locality audit).
-    pub fn run<'o>(&'o self, spec: &FailureSpec<'_>, trace: TraceLog<'o>) -> FailureRun<'o> {
-        let scenario = spec.scenario;
-        let fail_at = spec.timing.fail_at();
-        let config = RouterConfig::default().hardened_for_loss(spec.channel.default.loss);
-        let mut procs = self.processes(config);
 
         match spec.plans {
             PlanSource::Strategy(RecoveryStrategy::Protection) => {
@@ -489,7 +513,7 @@ impl<'g> MultiSession<'g> {
                 };
                 for (gi, sess) in self.sessions.iter().enumerate() {
                     let group = GroupId::new(gi);
-                    for rec in sess.plan_recoveries(scenario, kind).recoveries {
+                    for rec in sess.plan_recoveries(spec.scenario, kind).recoveries {
                         procs[rec.member().index()]
                             .lane_mut(group)
                             .install_recovery_plan(RecoveryPlan {
@@ -512,8 +536,27 @@ impl<'g> MultiSession<'g> {
                 }
             }
         }
+        procs
+    }
 
-        let mut sim = NetSim::new(self.graph, procs);
+    /// Runs one experiment — the only function in this crate that builds a
+    /// simulator. Every group's tree is loaded into one [`NetSim`],
+    /// `spec.scenario` is injected once on `spec.timing` (an empty scenario
+    /// makes a failure-free run), each `spec.membership` entry is applied
+    /// to its member's lane at its instant, and each group detects and
+    /// recovers independently while contending for the same links (and,
+    /// when `spec.channel` is degraded, the same loss process).
+    ///
+    /// Routers start from [`preload`](Self::preload); failures follow
+    /// [`FailureSpec::injections`].
+    ///
+    /// `trace` is the typed-event sink: [`TraceLog::disabled`] for plain
+    /// runs, [`TraceLog::new`] to get the buffered events back in
+    /// `FailureRun::trace` (golden tests), [`TraceLog::observer`] to see
+    /// every event as it happens (the locality audit).
+    pub fn run<'o>(&'o self, spec: &FailureSpec<'_>, trace: TraceLog<'o>) -> FailureRun<'o> {
+        let fail_at = spec.timing.fail_at();
+        let mut sim = NetSim::new(self.graph, self.preload(spec));
         sim.set_timer_backend(self.timer_backend);
         sim.set_trace(trace);
         if !spec.channel.is_perfect() {
@@ -527,19 +570,8 @@ impl<'g> MultiSession<'g> {
                 });
             }
         }
-        for (down_at, up_at) in spec.timing.schedule() {
-            for l in scenario.failed_links() {
-                sim.schedule_link_failure(down_at, l);
-                if let Some(up_at) = up_at {
-                    sim.schedule_link_repair(up_at, l);
-                }
-            }
-            for n in scenario.failed_nodes() {
-                sim.schedule_node_failure(down_at, n);
-                if let Some(up_at) = up_at {
-                    sim.schedule_node_repair(up_at, n);
-                }
-            }
+        for (at, injection) in spec.injections() {
+            sim.schedule_injection(at, injection);
         }
         let mut changes: Vec<_> = spec
             .membership
@@ -559,27 +591,15 @@ impl<'g> MultiSession<'g> {
         }
         sim.run_until(spec.until);
 
-        // Packets in flight when the failure hit don't count as restored
-        // service: only packets the source sent after `fail_at` qualify
-        // (the source emits seq `s` at `(s + 1) · data_interval`).
-        let interval = config.data_interval.as_ms();
-        let sent_at = |seq: u64| SimTime::from_ms(interval * (seq as f64 + 1.0));
-
         let mut groups = Vec::with_capacity(self.sessions.len());
         for (gi, sess) in self.sessions.iter().enumerate() {
             let group = GroupId::new(gi);
-            let affected = recovery::affected_members(self.graph, sess.tree(), scenario);
+            let affected = recovery::affected_members(self.graph, sess.tree(), spec.scenario);
             let restorations: Vec<(NodeId, Option<SimTime>)> = affected
                 .iter()
                 .map(|&m| {
-                    let latency = sim
-                        .node(m)
-                        .lane(group)
-                        .and_then(|lane| {
-                            lane.deliveries().iter().find(|d| sent_at(d.seq) > fail_at)
-                        })
-                        .map(|d| d.time - fail_at);
-                    (m, latency)
+                    let restored = sim.node(m).lane(group).and_then(|l| l.restored_at(fail_at));
+                    (m, restored.map(|t| t - fail_at))
                 })
                 .collect();
             let unaffected = sess
@@ -721,12 +741,78 @@ mod tests {
     }
 
     #[test]
+    fn injections_follow_the_engine_order_and_fold_to_the_down_set() {
+        use crate::runner::FailureTiming;
+        use smrp_net::LinkId;
+        use Injection::*;
+
+        let ms = SimTime::from_ms;
+        let (l1, l3, n) = (LinkId::new(1), LinkId::new(3), NodeId::new(2));
+        let spec = |scenario, timing, until| FailureSpec {
+            timing,
+            ..FailureSpec::persistent(scenario, RecoveryStrategy::LocalDetour, ms(100.0), until)
+        };
+        let both = FailureScenario::links([l3, l1]).with_node(n);
+        let transient = InjectionTiming::Once(FailureTiming::transient(ms(100.0), ms(600.0)));
+        let s = spec(&both, transient, ms(3000.0));
+        // Per outage window: each link's fail then repair, then the node's.
+        let times = [100.0, 600.0, 100.0, 600.0, 100.0, 600.0].map(ms);
+        let kinds = [
+            FailLink(l1),
+            RepairLink(l1),
+            FailLink(l3),
+            RepairLink(l3),
+            FailNode(n),
+            RepairNode(n),
+        ];
+        assert_eq!(
+            s.injections(),
+            times.into_iter().zip(kinds).collect::<Vec<_>>()
+        );
+        assert_eq!(s.down_at_horizon(), BTreeSet::new());
+        // A horizon inside the outage still sees the node down.
+        assert_eq!(
+            spec(&both, transient, ms(400.0)).down_at_horizon(),
+            BTreeSet::from([n])
+        );
+
+        let node = FailureScenario::node(n);
+        let persistent = InjectionTiming::Once(FailureTiming::persistent(ms(100.0)));
+        let s = spec(&node, persistent, ms(3000.0));
+        assert_eq!(s.injections(), vec![(ms(100.0), FailNode(n))]);
+        assert_eq!(s.down_at_horizon(), BTreeSet::from([n]));
+
+        // Flapping ends with the node up.
+        let flapping = InjectionTiming::Flapping {
+            fail_at: ms(100.0),
+            down: ms(250.0),
+            up: ms(400.0),
+            cycles: 2,
+        };
+        let s = spec(&node, flapping, ms(3000.0));
+        let times = [100.0, 350.0, 750.0, 1000.0].map(ms);
+        let kinds = [FailNode(n), RepairNode(n), FailNode(n), RepairNode(n)];
+        assert_eq!(
+            s.injections(),
+            times.into_iter().zip(kinds).collect::<Vec<_>>()
+        );
+        assert_eq!(s.down_at_horizon(), BTreeSet::new());
+    }
+
+    #[test]
     fn lanes_are_independent_per_group() {
         let (graph, nodes) = paper::figure1_graph();
         let g0 = spf_session(&graph, &nodes);
         let g1 = ProtoSession::build(&graph, nodes.b, &[nodes.d], TreeProtocol::Spf).unwrap();
         let multi = MultiSession::from_sessions(vec![g0, g1]);
-        let procs = multi.processes(RouterConfig::default());
+        let scenario = FailureScenario::none();
+        let spec = FailureSpec::persistent(
+            &scenario,
+            RecoveryStrategy::LocalDetour,
+            SimTime::ZERO,
+            SimTime::ZERO,
+        );
+        let procs = multi.preload(&spec);
         // S is the source of group 0 only; B of group 1 only.
         let s = &procs[nodes.s.index()];
         assert!(s.lane(GroupId::new(0)).is_some_and(Router::is_on_tree));

@@ -535,6 +535,18 @@ impl Router {
         &self.deliveries
     }
 
+    /// When service resumed after a failure at `fail_at`: the arrival of
+    /// the first packet the source *sent* after `fail_at` (packets in
+    /// flight when the failure hit do not count). The source emits
+    /// sequence `s` at `(s + 1) · data_interval`.
+    pub fn restored_at(&self, fail_at: SimTime) -> Option<SimTime> {
+        let interval = self.config.data_interval.as_ms();
+        self.deliveries
+            .iter()
+            .find(|d| SimTime::from_ms(interval * (d.seq as f64 + 1.0)) > fail_at)
+            .map(|d| d.time)
+    }
+
     /// Packets forwarded downstream by this router.
     pub(crate) fn forwarded_count(&self) -> u64 {
         self.forwarded
@@ -1532,7 +1544,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smrp_net::Graph;
+    use smrp_net::{Graph, Injection};
     use smrp_sim::NetSim;
 
     fn config() -> RouterConfig {
@@ -1832,7 +1844,7 @@ mod tests {
         let fail_at = sim.now();
         sim.fail_node_now(r);
         // The planned detour dies before the reconvergence timer fires.
-        sim.schedule_node_failure(SimTime::from_ms(100.0), x);
+        sim.schedule_injection(SimTime::from_ms(100.0), Injection::FailNode(x));
         sim.run_until(SimTime::from_ms(4000.0));
         let setups_then = sim.node(m).control_sent().setups;
         sim.run_until(SimTime::from_ms(8000.0));
@@ -1923,7 +1935,7 @@ mod tests {
         sim.fail_node_now(r);
         // X repairs well after the graft toward it has exhausted its
         // retry budget and the plan has been discarded.
-        sim.schedule_node_repair(SimTime::from_ms(4000.0), x);
+        sim.schedule_injection(SimTime::from_ms(4000.0), Injection::RepairNode(x));
         sim.run_until(SimTime::from_ms(3900.0));
         assert_eq!(sim.node(m).protection_counters().stale_discards, 1);
         assert!(sim
@@ -1960,7 +1972,7 @@ mod tests {
         let mut sim = NetSim::new(&g, routers);
         sim.with_node(s, |r, ctx| r.start_timers(ctx));
         sim.with_node(m, |r, ctx| r.initiate_setup(ctx, vec![m, s], true));
-        sim.schedule_link_failure(SimTime::from_ms(1.0), link);
+        sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailLink(link));
         // RTO is 4 × 40 ms; ×1.5 backoff over 8 retries exhausts the
         // budget within ~12 s of simulated time.
         sim.run_until(SimTime::from_ms(13_000.0));

@@ -78,20 +78,16 @@ impl SessionState {
     /// `procs` is the per-node router state in node-id order (from
     /// [`smrp_sim::NetSim::into_nodes`] or the daemon's joined node
     /// runtimes); `affected` names each group's failure-affected members;
-    /// `down_nodes` are nodes failed and never repaired; `fail_at` and
-    /// `data_interval` feed the restoration rule: the source emits
-    /// sequence `s` at `(s + 1) · data_interval`, and only packets sent
-    /// after `fail_at` count as restored service.
+    /// `down_nodes` are the nodes down at the horizon
+    /// ([`crate::FailureSpec::down_at_horizon`]); an affected member is
+    /// restored when [`crate::Router::restored_at`] finds service after
+    /// `fail_at`.
     pub fn capture(
         procs: &[MultiRouter],
         affected: &[AffectedGroup],
         down_nodes: &BTreeSet<NodeId>,
         fail_at: SimTime,
-        data_interval: SimTime,
     ) -> Self {
-        let interval_ms = data_interval.as_ms();
-        let sent_at = |seq: u64| SimTime::from_ms(interval_ms * (seq as f64 + 1.0));
-
         let mut group_ids = BTreeSet::new();
         for p in procs {
             group_ids.extend(p.groups());
@@ -145,7 +141,7 @@ impl SessionState {
                 let served = procs
                     .get(m as usize)
                     .and_then(|p| p.lane(group))
-                    .is_some_and(|lane| lane.deliveries().iter().any(|d| sent_at(d.seq) > fail_at));
+                    .is_some_and(|lane| lane.restored_at(fail_at).is_some());
                 if served {
                     restored.push(m);
                 } else {
@@ -248,7 +244,6 @@ mod tests {
             }],
             &BTreeSet::new(),
             SimTime::from_ms(100.0),
-            SimTime::from_ms(5.0),
         )
     }
 

@@ -9,7 +9,7 @@
 //! cancelled-then-refired timer cannot mutate router state, and reliable
 //! lanes are garbage-collected when a neighbor is declared dead.
 
-use smrp_net::{Graph, NodeId};
+use smrp_net::{Graph, Injection, NodeId};
 use smrp_proto::{Router, RouterConfig};
 use smrp_sim::{NetSim, SimTime};
 
@@ -62,7 +62,7 @@ fn quick_repair_does_not_duplicate_periodic_chains() {
 
     let mut sim = loaded_line_sim(&g, ids);
     sim.run_until(SimTime::from_ms(100.0));
-    sim.schedule_node_repair(SimTime::from_ms(102.0), ids[1]);
+    sim.schedule_injection(SimTime::from_ms(102.0), Injection::RepairNode(ids[1]));
     sim.fail_node_now(ids[1]);
     sim.run_until(until);
     let repaired_hellos = sim.node(ids[1]).control_sent().hellos;

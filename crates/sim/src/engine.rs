@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
+use smrp_net::{FailureScenario, Graph, Injection, LinkId, NodeId};
 
 use crate::channel::{ChannelModel, ChannelStats, Transmit};
 use crate::event::EventQueue;
@@ -91,10 +91,11 @@ pub trait NodeBehavior: Sized {
     /// Called when a previously armed timer fires.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Self::Timer);
 
-    /// Called when the node comes back up after a scheduled repair (see
-    /// [`NetSim::schedule_node_repair`]). Timer events that elapsed while
-    /// the node was down were silently dropped, so any periodic timer
-    /// chain is dead by now — protocols should re-arm their timers here.
+    /// Called when the node comes back up after a scheduled
+    /// [`Injection::RepairNode`] (see [`NetSim::schedule_injection`]).
+    /// Timer events that elapsed while the node was down were silently
+    /// dropped, so any periodic timer chain is dead by now — protocols
+    /// should re-arm their timers here.
     /// The default is a no-op (a rebooted node stays passive).
     fn on_reboot(&mut self, _ctx: &mut Ctx<'_, Self>) {}
 
@@ -352,10 +353,7 @@ enum SimEvent<M, T> {
         timer: T,
         token: TimerToken,
     },
-    FailLink(LinkId),
-    FailNode(NodeId),
-    RepairLink(LinkId),
-    RepairNode(NodeId),
+    Inject(Injection),
 }
 
 /// The network simulator: a [`Graph`], one [`NodeBehavior`] per node, an
@@ -575,29 +573,15 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         self.failures.fail_node(node);
     }
 
-    /// Schedules a link failure at absolute time `at`.
-    pub fn schedule_link_failure(&mut self, at: SimTime, link: LinkId) {
-        self.schedule(at, SimEvent::FailLink(link));
-    }
-
-    /// Schedules a node failure at absolute time `at`.
-    pub fn schedule_node_failure(&mut self, at: SimTime, node: NodeId) {
-        self.schedule(at, SimEvent::FailNode(node));
-    }
-
-    /// Schedules a link repair at absolute time `at` — models *transient*
-    /// failures (flapping interfaces, maintenance windows) as opposed to
-    /// the paper's persistent cuts. Messages sent while the link was down
-    /// stay lost; traffic sent after the repair flows normally.
-    pub fn schedule_link_repair(&mut self, at: SimTime, link: LinkId) {
-        self.schedule(at, SimEvent::RepairLink(link));
-    }
-
-    /// Schedules a node repair at absolute time `at`. The node resumes
-    /// forwarding on the next message it receives; timers that elapsed
-    /// while it was down are gone (a rebooted router restarts cold).
-    pub fn schedule_node_repair(&mut self, at: SimTime, node: NodeId) {
-        self.schedule(at, SimEvent::RepairNode(node));
+    /// Schedules one scripted change to the failure mask at absolute time
+    /// `at`. A failed link or node drops what crosses or reaches it from
+    /// then on, including messages already in flight; a repair only
+    /// affects traffic from then on (what was lost stays lost). A repaired
+    /// node reboots ([`NodeBehavior::on_reboot`]): timers that elapsed
+    /// while it was down are gone, so it restarts cold. Events at one
+    /// instant apply in the order they were scheduled.
+    pub fn schedule_injection(&mut self, at: SimTime, injection: Injection) {
+        self.schedule(at, SimEvent::Inject(injection));
     }
 
     /// Runs `f` against a node with a live [`Ctx`], applying any sends and
@@ -806,18 +790,11 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                     self.fire_timer(time, node, timer);
                 }
             }
-            SimEvent::FailLink(link) => {
-                self.failures.fail_link(link);
-            }
-            SimEvent::FailNode(node) => {
-                self.failures.fail_node(node);
-            }
-            SimEvent::RepairLink(link) => {
-                self.failures.repair_link(link);
-            }
-            SimEvent::RepairNode(node) => {
-                self.failures.repair_node(node);
-                self.with_node(node, |n, ctx| n.on_reboot(ctx));
+            SimEvent::Inject(injection) => {
+                self.failures.apply(injection);
+                if let Injection::RepairNode(node) = injection {
+                    self.with_node(node, |n, ctx| n.on_reboot(ctx));
+                }
             }
         }
         true
@@ -956,7 +933,7 @@ mod tests {
         let mut sim = NetSim::new(&g, fresh(&g));
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         // Cut the cable while the packet is in flight.
-        sim.schedule_link_failure(SimTime::from_ms(1.0), link);
+        sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailLink(link));
         sim.run_to_completion(10);
         assert_eq!(sim.node(ids[1]).received, 0);
         assert_eq!(sim.dropped_count(), 1);
@@ -1038,7 +1015,7 @@ mod tests {
     fn scheduled_node_failure_takes_effect_at_time() {
         let (g, ids) = line_graph();
         let mut sim = NetSim::new(&g, fresh(&g));
-        sim.schedule_node_failure(SimTime::from_ms(3.0), ids[1]);
+        sim.schedule_injection(SimTime::from_ms(3.0), Injection::FailNode(ids[1]));
         // A ping sent at t=0 arrives at t=2, before the failure.
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         sim.run_until(SimTime::from_ms(10.0));
@@ -1145,7 +1122,7 @@ mod tests {
         let mut sim = NetSim::new(&g, fresh(&g));
         // No timer was ever armed, but the failure already waits in the
         // wheel, where the heap backend would never look.
-        sim.schedule_link_failure(SimTime::from_ms(1.0), link);
+        sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailLink(link));
         sim.set_timer_backend(TimerBackend::ReferenceHeap);
     }
 
@@ -1158,10 +1135,10 @@ mod tests {
             sim.set_timer_backend(backend);
             // One event of every kind: a flap, a reboot, a timer chain, a
             // cancelled timer and deliveries both lost and echoed.
-            sim.schedule_link_failure(SimTime::from_ms(1.0), link);
-            sim.schedule_link_repair(SimTime::from_ms(5.0), link);
-            sim.schedule_node_failure(SimTime::from_ms(6.0), ids[2]);
-            sim.schedule_node_repair(SimTime::from_ms(9.0), ids[2]);
+            sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailLink(link));
+            sim.schedule_injection(SimTime::from_ms(5.0), Injection::RepairLink(link));
+            sim.schedule_injection(SimTime::from_ms(6.0), Injection::FailNode(ids[2]));
+            sim.schedule_injection(SimTime::from_ms(9.0), Injection::RepairNode(ids[2]));
             let mut token = None;
             sim.with_node(ids[0], |_, ctx| {
                 ctx.send(ids[1], Msg::Ping);
@@ -1261,8 +1238,8 @@ mod tests {
         let (g, ids) = line_graph();
         let link = g.link_between(ids[0], ids[1]).unwrap();
         let mut sim = NetSim::new(&g, fresh(&g));
-        sim.schedule_link_failure(SimTime::from_ms(1.0), link);
-        sim.schedule_link_repair(SimTime::from_ms(5.0), link);
+        sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailLink(link));
+        sim.schedule_injection(SimTime::from_ms(5.0), Injection::RepairLink(link));
         // Sent at t=0, in flight when the cut happens at t=1: lost.
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         sim.run_until(SimTime::from_ms(4.0));
@@ -1339,7 +1316,7 @@ mod tests {
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[2], Msg::Ping));
         // In flight when the link dies.
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
-        sim.schedule_link_failure(SimTime::from_ms(1.0), link);
+        sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailLink(link));
         sim.run_to_completion(10);
         let d = *sim.drops();
         assert_eq!(d.not_adjacent, 1);
@@ -1352,8 +1329,8 @@ mod tests {
     fn repaired_node_resumes_receiving() {
         let (g, ids) = line_graph();
         let mut sim = NetSim::new(&g, fresh(&g));
-        sim.schedule_node_failure(SimTime::from_ms(1.0), ids[1]);
-        sim.schedule_node_repair(SimTime::from_ms(5.0), ids[1]);
+        sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailNode(ids[1]));
+        sim.schedule_injection(SimTime::from_ms(5.0), Injection::RepairNode(ids[1]));
         // Sent at t=0, arrives t=2 while the node is down: dropped.
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         sim.run_until(SimTime::from_ms(4.0));

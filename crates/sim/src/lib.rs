@@ -18,9 +18,11 @@
 //! * hop-by-hop message delivery over the links of a
 //!   [`smrp_net::Graph`], honoring per-link propagation delay;
 //! * node-local timers;
-//! * persistent failures via [`smrp_net::FailureScenario`]: messages
-//!   crossing a failed link or addressed to a failed node are dropped,
-//!   failed nodes neither process nor send;
+//! * failures and repairs as timed [`smrp_net::Injection`]s
+//!   ([`NetSim::schedule_injection`]) applied to one
+//!   [`smrp_net::FailureScenario`] mask: messages crossing a failed link
+//!   or addressed to a failed node are dropped, failed nodes neither
+//!   process nor send, and a repaired node reboots;
 //! * an optional degraded channel ([`ChannelModel`]) adding seeded
 //!   per-link loss, duplication, reordering and latency jitter;
 //! * a typed event stream of everything that happened ([`TraceEvent`]

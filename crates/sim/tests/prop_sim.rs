@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use smrp_net::{Graph, NodeId};
+use smrp_net::{Graph, Injection, NodeId};
 use smrp_sim::{
     Ctx, Descriptor, EventQueue, NetSim, NodeBehavior, NodeCommand, SimTime, TimerBackend,
     TimerToken, TimerWheel, TraceEvent, TraceLog,
@@ -281,10 +281,11 @@ proptest! {
             let mut sim = NetSim::new(&g, nodes);
             sim.set_timer_backend(backend);
             sim.set_trace(TraceLog::new(1 << 16));
-            sim.schedule_link_failure(SimTime::from_ms(fail_at), flap);
-            sim.schedule_link_repair(SimTime::from_ms(fail_at + outage), flap);
-            sim.schedule_node_failure(SimTime::from_ms(outage), victim);
-            sim.schedule_node_repair(SimTime::from_ms(outage + fail_at), victim);
+            let ms = SimTime::from_ms;
+            sim.schedule_injection(ms(fail_at), Injection::FailLink(flap));
+            sim.schedule_injection(ms(fail_at + outage), Injection::RepairLink(flap));
+            sim.schedule_injection(ms(outage), Injection::FailNode(victim));
+            sim.schedule_injection(ms(outage + fail_at), Injection::RepairNode(victim));
             for &(who, tag) in &kicks {
                 sim.with_node(NodeId::new(who % n), |node, ctx| node.act(ctx, tag));
             }

@@ -4,11 +4,16 @@
 //!
 //! Two entry modes:
 //!
-//! * [`replay`] / `launch_replay` — conformance mode. A
-//!   [`GoldenTrace`] (dumped by `faultlab --dump-trace`) carries the
-//!   topology, preloaded trees, recovery plans, failure schedule, and
-//!   the simulator's expected post-recovery state. The daemon re-runs
-//!   the scenario on real threads and real (or in-process) datagrams;
+//! * [`replay`] — conformance mode. A [`GoldenTrace`] (dumped by
+//!   `faultlab --dump-trace`) carries the topology, preloaded trees,
+//!   recovery plans, failure schedule, and the simulator's expected
+//!   post-recovery state. The daemon turns it back into the simulator's
+//!   own run input — sessions plus a [`FailureSpec`] — so the routers
+//!   are preloaded ([`MultiSession::preload`]), failed
+//!   ([`FailureSpec::injections`]) and judged
+//!   ([`FailureSpec::down_at_horizon`], [`SessionState::capture`]) by the
+//!   same `smrp-proto` code as in the simulator, then re-runs the
+//!   scenario on real threads and real (or in-process) datagrams;
 //!   [`ReplayOutcome::matches`] is the conformance verdict.
 //! * [`launch_demo`] — a free-running multicast session over a
 //!   synthetic topology, for poking at the introspection API.
@@ -25,13 +30,15 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use smrp_faultlab::GoldenTrace;
-use smrp_net::{Graph, NodeId};
+use smrp_net::{FailureScenario, Graph, Injection, NodeId};
 use smrp_proto::snapshot::SessionState;
-use smrp_proto::{MultiRouter, ProtoSession, RecoveryPlan, RouterConfig, TreeProtocol};
+use smrp_proto::{
+    FailureSpec, MultiRouter, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
+};
 use smrp_sim::{MonotonicClock, SimTime};
 
 use crate::introspect::{self, Introspector};
-use crate::node::{Injection, NodeRuntime, ScheduledInjection};
+use crate::node::NodeRuntime;
 use crate::status::StatusBoard;
 use crate::transport::{ChannelTransport, Transport, UdpTransport};
 
@@ -134,92 +141,33 @@ fn boxed_fabric(kind: TransportKind, n: usize) -> io::Result<Vec<Box<dyn Transpo
     })
 }
 
-/// Builds the per-node router processes a trace describes: tree state
-/// loaded lane by lane, sources marked, recovery plans installed —
-/// exactly the preload the simulator run started from.
-fn preload_processes(trace: &GoldenTrace, config: RouterConfig) -> Vec<MultiRouter> {
-    let mut procs: Vec<MultiRouter> = (0..trace.nodes as usize)
-        .map(|_| MultiRouter::new(config))
-        .collect();
-    for g in &trace.groups {
-        let group = smrp_net::GroupId::new(g.group as usize);
-        for ns in &g.nodes {
-            let downstream: Vec<NodeId> = ns
-                .downstream
-                .iter()
-                .map(|&d| NodeId::new(d as usize))
-                .collect();
-            procs[ns.node as usize].lane_mut(group).load_state(
-                ns.upstream.map(|u| NodeId::new(u as usize)),
-                &downstream,
-                ns.member,
-            );
-        }
-        procs[g.source as usize].lane_mut(group).set_source();
-        for plan in &g.plans {
-            procs[plan.member as usize]
-                .lane_mut(group)
-                .install_recovery_plan(RecoveryPlan {
-                    path: plan.path.iter().map(|&n| NodeId::new(n as usize)).collect(),
-                    wait: SimTime::from_ns(plan.wait_ns),
-                    path_delay: SimTime::from_ns(plan.path_delay_ns),
-                });
-        }
-    }
-    procs
-}
-
-/// The scripted injection schedule shared verbatim by every node.
-fn injection_schedule(trace: &GoldenTrace) -> Vec<ScheduledInjection> {
-    let fail_at = SimTime::from_ns(trace.failure.fail_at_ns);
-    let mut schedule = Vec::new();
-    for &l in &trace.failure.links {
-        schedule.push(ScheduledInjection {
-            at: fail_at,
-            what: Injection::FailLink(smrp_net::LinkId::new(l as usize)),
-        });
-    }
-    for &n in &trace.failure.nodes {
-        schedule.push(ScheduledInjection {
-            at: fail_at,
-            what: Injection::FailNode(NodeId::new(n as usize)),
-        });
-    }
-    if let Some(up_ns) = trace.failure.repair_at_ns {
-        let up_at = SimTime::from_ns(up_ns);
-        for &l in &trace.failure.links {
-            schedule.push(ScheduledInjection {
-                at: up_at,
-                what: Injection::RepairLink(smrp_net::LinkId::new(l as usize)),
-            });
-        }
-        for &n in &trace.failure.nodes {
-            schedule.push(ScheduledInjection {
-                at: up_at,
-                what: Injection::RepairNode(NodeId::new(n as usize)),
-            });
-        }
-    }
-    schedule.sort_by_key(|s| s.at);
-    schedule
-}
-
+/// Starts one node thread per router of `procs` (node-id order) over a
+/// fresh `transport` fabric, every node applying `schedule` (sorted by
+/// time) and, for a positive `loss`, seeded per-frame drops.
 #[allow(clippy::too_many_arguments)]
-fn spawn_nodes(
-    graph: Arc<Graph>,
+fn launch(
+    graph: Graph,
     procs: Vec<MultiRouter>,
-    transports: Vec<Box<dyn Transport>>,
-    schedule: &[ScheduledInjection],
+    schedule: &[(SimTime, Injection)],
     horizon: SimTime,
     speed: f64,
+    transport: TransportKind,
+    introspect: Option<SocketAddr>,
     loss: f64,
     loss_seed: u64,
-    board: &Arc<StatusBoard>,
-) -> io::Result<Vec<JoinHandle<MultiRouter>>> {
+) -> io::Result<RunningDaemon> {
+    let n = graph.node_count();
+    let graph = Arc::new(graph);
+    let transports = boxed_fabric(transport, n)?;
+    let board = Arc::new(StatusBoard::new(n));
+    let introspector = match introspect {
+        Some(bind) => Some(introspect::serve(board.clone(), bind)?),
+        None => None,
+    };
     // Anchor far enough out that every thread is parked in its event
     // loop before protocol time starts moving.
     let origin = Instant::now() + Duration::from_millis(50);
-    procs
+    let handles = procs
         .into_iter()
         .zip(transports)
         .enumerate()
@@ -234,46 +182,13 @@ fn spawn_nodes(
                 schedule.to_vec(),
                 loss,
                 loss_seed,
-                Arc::clone(board),
+                Arc::clone(&board),
             );
             thread::Builder::new()
                 .name(format!("smrpd-node-{i}"))
                 .spawn(move || rt.run())
         })
-        .collect()
-}
-
-/// Starts a conformance replay of `trace`; returns with the node
-/// threads running.
-pub(crate) fn launch_replay(
-    trace: &GoldenTrace,
-    opts: &ReplayOptions,
-) -> io::Result<RunningDaemon> {
-    let graph = Arc::new(trace.graph());
-    let n = graph.node_count();
-    // The simulator hardened its router config against the scripted
-    // channel loss; the daemon must run the identical config or its
-    // soft-state timing diverges from the digest's provenance.
-    let config = RouterConfig::default().hardened_for_loss(trace.channel.loss);
-    let procs = preload_processes(trace, config);
-    let schedule = injection_schedule(trace);
-    let transports = boxed_fabric(opts.transport, n)?;
-    let board = Arc::new(StatusBoard::new(n));
-    let introspector = match opts.introspect {
-        Some(bind) => Some(introspect::serve(board.clone(), bind)?),
-        None => None,
-    };
-    let handles = spawn_nodes(
-        graph,
-        procs,
-        transports,
-        &schedule,
-        SimTime::from_ns(trace.horizon_ns),
-        opts.speed,
-        trace.channel.loss,
-        trace.channel.seed,
-        &board,
-    )?;
+        .collect::<io::Result<_>>()?;
     Ok(RunningDaemon {
         board,
         handles,
@@ -281,17 +196,34 @@ pub(crate) fn launch_replay(
     })
 }
 
-/// Runs a conformance replay to completion and captures the verdict.
+/// Runs a conformance replay of `trace` to completion and captures the
+/// verdict.
 pub fn replay(trace: &GoldenTrace, opts: &ReplayOptions) -> io::Result<ReplayOutcome> {
-    let routers = launch_replay(trace, opts)?.join()?;
+    let input = trace.run_input();
+    let spec = input.spec();
+    let graph = trace.graph();
+    let procs = trace.sessions(&graph).preload(&spec);
+    // Every node applies the simulator's injection list by time; the
+    // stable sort keeps the engine's order among simultaneous ones.
+    let mut schedule = spec.injections();
+    schedule.sort_by_key(|&(at, _)| at);
+    let routers = launch(
+        graph,
+        procs,
+        &schedule,
+        spec.until,
+        opts.speed,
+        opts.transport,
+        opts.introspect,
+        trace.channel.loss,
+        trace.channel.seed,
+    )?
+    .join()?;
     let state = SessionState::capture(
         &routers,
         &trace.affected(),
-        &trace.down_nodes(),
+        &spec.down_at_horizon(),
         SimTime::from_ns(trace.failure.fail_at_ns),
-        // Restoration is judged on the *paper* data cadence, matching
-        // the simulator's report (hardening never touches it).
-        RouterConfig::default().data_interval,
     );
     let digest = state.digest();
     Ok(ReplayOutcome {
@@ -379,55 +311,52 @@ impl Default for DemoOptions {
 /// three members spread around the topology.
 pub fn launch_demo(opts: &DemoOptions) -> io::Result<RunningDaemon> {
     let n = opts.nodes;
-    if n < 2 {
+    if n < 2 || opts.groups == 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            "demo needs at least 2 nodes",
+            "demo needs at least 2 nodes and 1 group",
         ));
     }
     let graph = opts.topology.build(n);
     let ids: Vec<NodeId> = graph.node_ids().collect();
-    let config = RouterConfig::default();
-    let mut procs: Vec<MultiRouter> = (0..n).map(|_| MultiRouter::new(config)).collect();
-    for gi in 0..opts.groups {
-        let group = smrp_net::GroupId::new(gi);
-        let source = ids[gi % n];
-        let members: Vec<NodeId> = (1..=3.min(n - 1))
-            .map(|k| ids[(gi + k * (n / 3).max(1)) % n])
-            .filter(|&m| m != source)
-            .collect();
-        let session = ProtoSession::build(&graph, source, &members, TreeProtocol::Spf)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("{e:?}")))?;
-        let tree = session.tree();
+    let sessions = (0..opts.groups)
+        .map(|gi| {
+            let source = ids[gi % n];
+            let members: Vec<NodeId> = (1..=3.min(n - 1))
+                .map(|k| ids[(gi + k * (n / 3).max(1)) % n])
+                .filter(|&m| m != source)
+                .collect();
+            ProtoSession::build(&graph, source, &members, TreeProtocol::Spf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("{e:?}")))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    let multi = MultiSession::from_sessions(sessions);
+    let no_failure = FailureScenario::none();
+    let spec = FailureSpec::persistent(
+        &no_failure,
+        RecoveryStrategy::LocalDetour,
+        SimTime::ZERO,
+        opts.duration,
+    );
+    let mut procs = multi.preload(&spec);
+    for group in multi.groups() {
+        let tree = multi.session(group).tree();
         for node in tree.on_tree_nodes() {
-            let lane = procs[node.index()].lane_mut(group);
-            lane.load_state(tree.parent(node), tree.children(node), tree.is_member(node));
-            lane.set_tree_metadata(tree.shr(node), 0.0);
+            procs[node.index()]
+                .lane_mut(group)
+                .set_tree_metadata(tree.shr(node), 0.0);
         }
-        procs[source.index()].lane_mut(group).set_source();
     }
 
-    let graph = Arc::new(graph);
-    let transports = boxed_fabric(opts.transport, n)?;
-    let board = Arc::new(StatusBoard::new(n));
-    let introspector = match opts.introspect {
-        Some(bind) => Some(introspect::serve(board.clone(), bind)?),
-        None => None,
-    };
-    let handles = spawn_nodes(
+    launch(
         graph,
         procs,
-        transports,
         &[],
         opts.duration,
         opts.speed,
+        opts.transport,
+        opts.introspect,
         0.0,
         0,
-        &board,
-    )?;
-    Ok(RunningDaemon {
-        board,
-        handles,
-        introspector,
-    })
+    )
 }

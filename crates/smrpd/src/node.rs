@@ -12,13 +12,14 @@
 //!   origin instant.
 //! * **Timers** — [`TimerDriver`] parks timers on the engine's own
 //!   wheel with its token semantics (never-reused tokens, O(1) cancel).
-//! * **Failures** — each node holds the scripted injection schedule and
-//!   applies it to a local [`FailureScenario`] view as its clock passes
-//!   each injection, mirroring the simulator's global oracle:
-//!   frames over failed links are dropped on both send and receive, a
-//!   down node neither dispatches timers nor processes frames (due
-//!   timers elapsing while down are *discarded*, ones due after repair
-//!   still fire), and repair triggers `on_reboot`.
+//! * **Failures** — each node holds the run's own injection list
+//!   ([`smrp_proto::FailureSpec::injections`], sorted stably by time) and
+//!   applies each [`Injection`] to a local [`FailureScenario`] view as its
+//!   clock passes it, mirroring the simulator's global oracle: frames
+//!   over failed links are dropped on both send and receive, a down node
+//!   neither dispatches timers nor processes frames (due timers elapsing
+//!   while down are *discarded*, ones due after repair still fire), and
+//!   its own repair triggers `on_reboot`.
 //! * **Loss** — a seeded Bernoulli drop per transmitted frame stands in
 //!   for the simulator's channel model on lossy scenarios.
 
@@ -28,7 +29,7 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
+use smrp_net::{FailureScenario, Graph, Injection, NodeId};
 use smrp_proto::wire;
 use smrp_proto::{GroupMsg, GroupTimer, MultiRouter};
 use smrp_sim::{Clock, Ctx, MonotonicClock, NodeBehavior, NodeCommand, SimTime};
@@ -36,28 +37,6 @@ use smrp_sim::{Clock, Ctx, MonotonicClock, NodeBehavior, NodeCommand, SimTime};
 use crate::status::{NodeStatus, StatusBoard};
 use crate::timer::TimerDriver;
 use crate::transport::Transport;
-
-/// One scripted change to the shared failure state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Injection {
-    /// Cut a link.
-    FailLink(LinkId),
-    /// Restore a link.
-    RepairLink(LinkId),
-    /// Crash a node (it stops processing and sending).
-    FailNode(NodeId),
-    /// Repair a node (it reboots with empty soft state).
-    RepairNode(NodeId),
-}
-
-/// An [`Injection`] with its protocol-time deadline.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScheduledInjection {
-    /// When the change takes effect.
-    pub at: SimTime,
-    /// What changes.
-    pub what: Injection,
-}
 
 /// Seeded uniform per-frame loss, the daemon analogue of the sim's
 /// lossy channel lane.
@@ -78,9 +57,8 @@ pub(crate) struct NodeRuntime {
     timers: TimerDriver<GroupTimer>,
     tokens: Cell<u64>,
     failures: FailureScenario,
-    schedule: Vec<ScheduledInjection>,
+    schedule: Vec<(SimTime, Injection)>,
     next_injection: usize,
-    down: bool,
     loss: Option<LossModel>,
     board: Arc<StatusBoard>,
     status_interval: SimTime,
@@ -92,7 +70,7 @@ pub(crate) struct NodeRuntime {
 impl NodeRuntime {
     /// Builds a runtime for `me`.
     ///
-    /// `schedule` must be sorted by `at` (it is shared verbatim by all
+    /// `schedule` must be sorted by time (it is shared verbatim by all
     /// nodes, mirroring the simulator's single failure oracle). A
     /// positive `loss` enables seeded per-frame drops; the seed is
     /// decorrelated per node so parallel nodes don't drop in lockstep.
@@ -104,12 +82,12 @@ impl NodeRuntime {
         transport: Box<dyn Transport>,
         clock: MonotonicClock,
         horizon: SimTime,
-        schedule: Vec<ScheduledInjection>,
+        schedule: Vec<(SimTime, Injection)>,
         loss: f64,
         loss_seed: u64,
         board: Arc<StatusBoard>,
     ) -> NodeRuntime {
-        debug_assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at));
+        debug_assert!(schedule.windows(2).all(|w| w[0].0 <= w[1].0));
         let loss = (loss > 0.0).then(|| LossModel {
             p: loss,
             rng: SmallRng::seed_from_u64(
@@ -128,7 +106,6 @@ impl NodeRuntime {
             failures: FailureScenario::none(),
             schedule,
             next_injection: 0,
-            down: false,
             loss,
             board,
             status_interval: SimTime::from_ms(25.0),
@@ -167,8 +144,8 @@ impl NodeRuntime {
             if let Some(d) = self.timers.next_deadline() {
                 next = next.min(d);
             }
-            if let Some(inj) = self.schedule.get(self.next_injection) {
-                next = next.min(inj.at);
+            if let Some(&(at, _)) = self.schedule.get(self.next_injection) {
+                next = next.min(at);
             }
             next = next.min(self.next_status_at);
             // `Sub` on SimTime saturates, so a deadline already behind
@@ -191,40 +168,28 @@ impl NodeRuntime {
         self.router
     }
 
-    fn publish_status(&self, now: SimTime) {
-        self.board
-            .publish(NodeStatus::capture(self.me, self.down, now, &self.router));
+    /// Whether this node is down under its current failure view.
+    fn down(&self) -> bool {
+        !self.failures.node_usable(self.me)
     }
 
-    /// Applies every scripted injection whose deadline has passed.
+    fn publish_status(&self, now: SimTime) {
+        self.board
+            .publish(NodeStatus::capture(self.me, self.down(), now, &self.router));
+    }
+
+    /// Applies every scripted injection whose deadline has passed; this
+    /// node's own repair reboots it with whatever durable state the
+    /// router kept, mirroring the engine's repair path.
     fn apply_injections(&mut self, now: SimTime) {
-        while let Some(&ScheduledInjection { at, what }) = self.schedule.get(self.next_injection) {
+        while let Some(&(at, injection)) = self.schedule.get(self.next_injection) {
             if at > now {
                 break;
             }
             self.next_injection += 1;
-            match what {
-                Injection::FailLink(l) => {
-                    self.failures.fail_link(l);
-                }
-                Injection::RepairLink(l) => {
-                    self.failures.repair_link(l);
-                }
-                Injection::FailNode(n) => {
-                    self.failures.fail_node(n);
-                    if n == self.me {
-                        self.down = true;
-                    }
-                }
-                Injection::RepairNode(n) => {
-                    self.failures.repair_node(n);
-                    if n == self.me {
-                        self.down = false;
-                        // Reboot with whatever durable state the router
-                        // kept, mirroring the engine's repair path.
-                        self.dispatch(now, |router, ctx| router.on_reboot(ctx));
-                    }
-                }
+            self.failures.apply(injection);
+            if injection == Injection::RepairNode(self.me) {
+                self.dispatch(now, |router, ctx| router.on_reboot(ctx));
             }
         }
     }
@@ -234,7 +199,7 @@ impl NodeRuntime {
     /// not running when they elapsed).
     fn fire_due_timers(&mut self, now: SimTime) {
         while let Some((_token, timer)) = self.timers.pop_due(now) {
-            if self.down {
+            if self.down() {
                 continue;
             }
             self.dispatch(now, |router, ctx| router.on_timer(ctx, timer));
@@ -245,7 +210,7 @@ impl NodeRuntime {
     /// delivery gates as the simulator: down receivers and unusable
     /// links eat the frame.
     fn handle_frame(&mut self, frame: Vec<u8>) {
-        if self.down {
+        if self.down() {
             return;
         }
         let Ok((from, msg)) = wire::decode_datagram(&frame) else {

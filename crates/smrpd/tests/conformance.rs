@@ -83,9 +83,19 @@ fn lossy_figure1_over_udp_matches_the_sim() {
 }
 
 #[test]
+fn transient_node_figure1_over_channels_matches_the_sim() {
+    assert_conformant("figure1_node_transient", TransportKind::Channel);
+}
+
+#[test]
+fn transient_node_figure1_over_udp_matches_the_sim() {
+    assert_conformant("figure1_node_transient", TransportKind::Udp);
+}
+
+#[test]
 fn divergence_is_actually_detectable() {
     // Sanity for the harness itself: a tampered expectation must fail,
-    // otherwise "6 conformant replays" proves nothing.
+    // otherwise "8 conformant replays" proves nothing.
     let mut trace = load("figure1");
     trace.expected_digest = "0000000000000000".into();
     let outcome = replay(&trace, &ReplayOptions::default()).expect("replay runs");
