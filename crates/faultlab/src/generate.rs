@@ -29,6 +29,11 @@
 //! Every case derives its own RNG seed from `(base_seed, case id)`, so a
 //! campaign is reproducible from its base seed alone and any single case is
 //! reproducible from its serialized [`FaultCase`].
+//!
+//! What a case draws from depends only on the topology, so it is tabled
+//! once per topology: a `FaultIndex` holds the link ids, the node ids and
+//! the shared-risk conduits of one `(graph, srlg_grid)`, and every case of
+//! a campaign or protection sweep reads that one table.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -274,6 +279,33 @@ pub(crate) fn derive_srlgs(graph: &Graph, grid: usize) -> Vec<Vec<LinkId>> {
     }
 }
 
+/// The per-topology table every generated case draws from: the link ids
+/// and node ids of `graph` in id order, and its [`derive_srlgs`] conduits.
+/// Built once per `(graph, srlg_grid)`; a case reads it and never writes.
+pub(crate) struct FaultIndex<'g> {
+    graph: &'g Graph,
+    links: Vec<LinkId>,
+    nodes: Vec<NodeId>,
+    srlgs: Vec<Vec<LinkId>>,
+}
+
+impl<'g> FaultIndex<'g> {
+    /// Tables `graph` for cases whose conduit grid is `srlg_grid`.
+    pub(crate) fn new(graph: &'g Graph, srlg_grid: usize) -> Self {
+        FaultIndex {
+            graph,
+            links: graph.link_ids().collect(),
+            nodes: graph.node_ids().collect(),
+            srlgs: derive_srlgs(graph, srlg_grid),
+        }
+    }
+
+    /// The shared-risk link groups, in [`derive_srlgs`] order.
+    pub(crate) fn srlgs(&self) -> &[Vec<LinkId>] {
+        &self.srlgs
+    }
+}
+
 /// Picks, from `srlgs`, the indices of the shared-risk groups whose
 /// failure would break *more than one* of the given trees — the
 /// shared-fate conduits of a multi-session deployment. `tree_links[g]`
@@ -307,8 +339,9 @@ fn sample_distinct(rng: &mut SmallRng, n: usize, k: usize) -> Vec<usize> {
 
 /// Generates the case with index `id` of `family`, seeded from
 /// `base_seed`. Identical arguments always produce identical cases.
+/// `index` must table the graph at `cfg.srlg_grid`.
 pub(crate) fn generate_case(
-    graph: &Graph,
+    index: &FaultIndex<'_>,
     cfg: &GeneratorConfig,
     family: FaultFamily,
     id: u32,
@@ -326,30 +359,24 @@ pub(crate) fn generate_case(
     let channel_seed = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
     let mut channel = ChannelSpec::perfect();
     let mut flapping = false;
+    let (graph, links, nodes) = (index.graph, &index.links, &index.nodes);
 
     let scenario = match family {
-        FaultFamily::KLink => {
-            let links: Vec<LinkId> = graph.link_ids().collect();
-            FailureScenario::links(
-                sample_distinct(&mut rng, links.len(), cfg.k_link)
-                    .into_iter()
-                    .map(|i| links[i]),
-            )
-        }
-        FaultFamily::KNode => {
-            let nodes: Vec<NodeId> = graph.node_ids().collect();
-            FailureScenario::nodes(
-                sample_distinct(&mut rng, nodes.len(), cfg.k_node)
-                    .into_iter()
-                    .map(|i| nodes[i]),
-            )
-        }
+        FaultFamily::KLink => FailureScenario::links(
+            sample_distinct(&mut rng, links.len(), cfg.k_link)
+                .into_iter()
+                .map(|i| links[i]),
+        ),
+        FaultFamily::KNode => FailureScenario::nodes(
+            sample_distinct(&mut rng, nodes.len(), cfg.k_node)
+                .into_iter()
+                .map(|i| nodes[i]),
+        ),
         FaultFamily::Srlg => {
-            let groups = derive_srlgs(graph, cfg.srlg_grid);
+            let groups = &index.srlgs;
             if groups.is_empty() {
                 // Degenerate topology with no shared conduits: fall back to
                 // a correlated double link cut.
-                let links: Vec<LinkId> = graph.link_ids().collect();
                 FailureScenario::links(
                     sample_distinct(&mut rng, links.len(), 2)
                         .into_iter()
@@ -361,7 +388,6 @@ pub(crate) fn generate_case(
             }
         }
         FaultFamily::Regional => {
-            let nodes: Vec<NodeId> = graph.node_ids().collect();
             let epicenter = nodes[rng.gen_range(0..nodes.len())];
             match graph.position(epicenter) {
                 Some(center) => FailureScenario::nodes(
@@ -388,7 +414,6 @@ pub(crate) fn generate_case(
         }
         FaultFamily::UniformLoss => {
             channel = ChannelSpec::uniform_loss(cfg.uniform_loss, channel_seed);
-            let links: Vec<LinkId> = graph.link_ids().collect();
             FailureScenario::link(links[rng.gen_range(0..links.len())])
         }
         FaultFamily::GrayLinks => {
@@ -396,7 +421,6 @@ pub(crate) fn generate_case(
             // but drop `gray_loss` of everything crossing them. Which of
             // the sampled links is the cut is drawn separately so the
             // sorted sampling order doesn't bias the cut toward low ids.
-            let links: Vec<LinkId> = graph.link_ids().collect();
             let picks = sample_distinct(&mut rng, links.len(), 1 + cfg.gray_links);
             let cut_at = rng.gen_range(0..picks.len());
             let overrides = picks
@@ -421,10 +445,8 @@ pub(crate) fn generate_case(
             // the reboot path (`on_reboot` re-arms timers and pending
             // retransmissions) on every up-edge.
             if rng.gen_bool(2.0 / 3.0) {
-                let links: Vec<LinkId> = graph.link_ids().collect();
                 FailureScenario::link(links[rng.gen_range(0..links.len())])
             } else {
-                let nodes: Vec<NodeId> = graph.node_ids().collect();
                 FailureScenario::node(nodes[rng.gen_range(0..nodes.len())])
             }
         }
@@ -454,10 +476,11 @@ pub fn generate_mix(
     count: usize,
     base_seed: u64,
 ) -> Vec<FaultCase> {
+    let index = FaultIndex::new(graph, cfg.srlg_grid);
     (0..count)
         .map(|i| {
             let family = FaultFamily::ALL[i % FaultFamily::ALL.len()];
-            generate_case(graph, cfg, family, i as u32, base_seed)
+            generate_case(&index, cfg, family, i as u32, base_seed)
         })
         .collect()
 }
@@ -474,6 +497,177 @@ mod tests {
             .generate()
             .unwrap()
             .into_graph()
+    }
+
+    /// The generator without a table: every case collects the ids it
+    /// needs and derives the conduit grid itself. Draws must match
+    /// [`generate_case`] one for one.
+    fn per_case_reference(
+        graph: &Graph,
+        cfg: &GeneratorConfig,
+        family: FaultFamily,
+        id: u32,
+        base_seed: u64,
+    ) -> FaultCase {
+        let seed = base_seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(u64::from(id).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add(1);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let channel_seed = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        let mut channel = ChannelSpec::perfect();
+        let links = || graph.link_ids().collect::<Vec<LinkId>>();
+        let nodes = || graph.node_ids().collect::<Vec<NodeId>>();
+        let scenario = match family {
+            FaultFamily::KLink => {
+                let links = links();
+                FailureScenario::links(
+                    sample_distinct(&mut rng, links.len(), cfg.k_link)
+                        .into_iter()
+                        .map(|i| links[i]),
+                )
+            }
+            FaultFamily::KNode => {
+                let nodes = nodes();
+                FailureScenario::nodes(
+                    sample_distinct(&mut rng, nodes.len(), cfg.k_node)
+                        .into_iter()
+                        .map(|i| nodes[i]),
+                )
+            }
+            FaultFamily::Srlg => {
+                let groups = derive_srlgs(graph, cfg.srlg_grid);
+                if groups.is_empty() {
+                    let links = links();
+                    FailureScenario::links(
+                        sample_distinct(&mut rng, links.len(), 2)
+                            .into_iter()
+                            .map(|i| links[i]),
+                    )
+                } else {
+                    let g = rng.gen_range(0..groups.len());
+                    FailureScenario::links(groups[g].iter().copied())
+                }
+            }
+            FaultFamily::Regional => {
+                let nodes = nodes();
+                let epicenter = nodes[rng.gen_range(0..nodes.len())];
+                match graph.position(epicenter) {
+                    Some(center) => FailureScenario::nodes(
+                        nodes
+                            .iter()
+                            .copied()
+                            .filter(|&n| {
+                                graph
+                                    .position(n)
+                                    .is_some_and(|p| p.distance(center) <= cfg.regional_radius)
+                            })
+                            .collect::<Vec<_>>(),
+                    ),
+                    None => {
+                        let mut s = FailureScenario::node(epicenter);
+                        for n in graph.neighbors(epicenter) {
+                            s.fail_node(n);
+                        }
+                        s
+                    }
+                }
+            }
+            FaultFamily::UniformLoss => {
+                channel = ChannelSpec::uniform_loss(cfg.uniform_loss, channel_seed);
+                let links = links();
+                FailureScenario::link(links[rng.gen_range(0..links.len())])
+            }
+            FaultFamily::GrayLinks => {
+                let links = links();
+                let picks = sample_distinct(&mut rng, links.len(), 1 + cfg.gray_links);
+                let cut_at = rng.gen_range(0..picks.len());
+                let overrides = picks
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != cut_at)
+                    .map(|(_, &i)| LinkDegrade {
+                        link: links[i],
+                        params: ChannelParams::lossy(cfg.gray_loss),
+                    })
+                    .collect();
+                channel = ChannelSpec {
+                    default: ChannelParams::PERFECT,
+                    overrides,
+                    seed: channel_seed,
+                };
+                FailureScenario::link(links[picks[cut_at]])
+            }
+            FaultFamily::Flapping => {
+                if rng.gen_bool(2.0 / 3.0) {
+                    let links = links();
+                    FailureScenario::link(links[rng.gen_range(0..links.len())])
+                } else {
+                    let nodes = nodes();
+                    FailureScenario::node(nodes[rng.gen_range(0..nodes.len())])
+                }
+            }
+        };
+        let timing = if family == FaultFamily::Flapping {
+            Timing::flapping(cfg.flap_cycles, cfg.flap_down_ms, cfg.flap_up_ms)
+        } else if cfg.transient_fraction > 0.0 && rng.gen_bool(cfg.transient_fraction) {
+            Timing::transient(cfg.repair_after_ms)
+        } else {
+            Timing::persistent()
+        };
+        FaultCase {
+            id,
+            family,
+            seed,
+            scenario,
+            timing,
+            channel,
+        }
+    }
+
+    /// `graph`'s nodes and links without positions, so conduits fall back
+    /// to node incidence and regions to neighbourhoods.
+    fn without_positions(graph: &Graph) -> Graph {
+        let mut g = Graph::with_nodes(graph.node_count());
+        for l in graph.link_ids() {
+            let link = graph.link(l);
+            g.add_link(link.a(), link.b(), link.delay()).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn one_table_generates_what_per_case_derivation_generates() {
+        let positioned = waxman(80, 13);
+        let positionless = without_positions(&waxman(60, 21));
+        // One link: no conduit qualifies, so `Srlg` takes its fallback.
+        let mut bare = Graph::with_nodes(2);
+        bare.add_link(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
+        let protect_like = GeneratorConfig {
+            k_link: 1,
+            k_node: 1,
+            srlg_grid: 3,
+            transient_fraction: 0.0,
+            ..GeneratorConfig::default()
+        };
+        for graph in [&positioned, &positionless, &bare] {
+            for cfg in [GeneratorConfig::default(), protect_like] {
+                for base_seed in [1, 7919, 20050628] {
+                    let count = 10 * FaultFamily::ALL.len();
+                    let reference: Vec<FaultCase> = (0..count)
+                        .map(|i| {
+                            let family = FaultFamily::ALL[i % FaultFamily::ALL.len()];
+                            per_case_reference(graph, &cfg, family, i as u32, base_seed)
+                        })
+                        .collect();
+                    assert_eq!(generate_mix(graph, &cfg, count, base_seed), reference);
+                }
+            }
+        }
+        // Grid conduits, node-incidence conduits and none at all.
+        assert!(!derive_srlgs(&positioned, 5).is_empty());
+        assert!(!derive_srlgs(&positionless, 5).is_empty());
+        assert!(derive_srlgs(&bare, 5).is_empty());
     }
 
     #[test]
@@ -605,7 +799,8 @@ mod tests {
             regional_radius: 0.2,
             ..GeneratorConfig::default()
         };
-        let case = generate_case(&g, &cfg, FaultFamily::Regional, 3, 1);
+        let index = FaultIndex::new(&g, cfg.srlg_grid);
+        let case = generate_case(&index, &cfg, FaultFamily::Regional, 3, 1);
         let failed: Vec<NodeId> = case.scenario.failed_nodes().collect();
         assert!(!failed.is_empty());
         // Every failed pair sits within one diameter of each other.
@@ -640,7 +835,9 @@ mod tests {
     #[test]
     fn cases_round_trip_through_json() {
         let g = waxman(40, 2);
-        let case = generate_case(&g, &GeneratorConfig::default(), FaultFamily::Srlg, 9, 4);
+        let cfg = GeneratorConfig::default();
+        let index = FaultIndex::new(&g, cfg.srlg_grid);
+        let case = generate_case(&index, &cfg, FaultFamily::Srlg, 9, 4);
         let text = serde_json::to_string(&case).unwrap();
         let back: FaultCase = serde_json::from_str(&text).unwrap();
         assert_eq!(case, back);

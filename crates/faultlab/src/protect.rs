@@ -40,7 +40,7 @@ use smrp_proto::{MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol};
 use smrp_sim::SimTime;
 
 use crate::campaign::{draw_members, evaluate_arm, waxman_topology, Outcome, ProtoOutcome};
-use crate::generate::{derive_srlgs, generate_case, FaultCase, FaultFamily, GeneratorConfig};
+use crate::generate::{generate_case, FaultCase, FaultFamily, FaultIndex, GeneratorConfig};
 use crate::par::ordered_par_map;
 use crate::report::{ArmTally, Quantiles};
 
@@ -97,9 +97,10 @@ pub struct ProtectConfig {
     /// Base RNG seed; topology, member set and every case derive their
     /// own sub-seeds from it.
     pub base_seed: u64,
-    /// Conduit-grid resolution for SRLG derivation (see
-    /// `derive_srlgs`); also feeds the session's SRLG metadata so
-    /// protection plans can cover whole conduits.
+    /// Conduit-grid resolution for SRLG derivation. The sweep derives the
+    /// conduits once per topology, and the one table feeds both the `Srlg`
+    /// fault family and the session's SRLG metadata, so protection plans
+    /// cover exactly the conduits that fail.
     pub srlg_grid: usize,
     /// Modelled on-demand detour-search delay charged to the reactive
     /// arm, in milliseconds.
@@ -175,9 +176,10 @@ impl ProtectConfig {
         )
     }
 
-    /// Generates every case of the sweep: `loss_points × PROTECT_FAMILIES
-    /// × scenarios_per_cell`, ids sequential in that order.
-    pub(crate) fn cases(&self, graph: &Graph) -> Vec<ProtectCase> {
+    /// Generates every case of the sweep from `index`, the sweep
+    /// topology's table: `loss_points × PROTECT_FAMILIES ×
+    /// scenarios_per_cell`, ids sequential in that order.
+    pub(crate) fn cases(&self, index: &FaultIndex<'_>) -> Vec<ProtectCase> {
         let gen_cfg = self.generator();
         let mut out = Vec::new();
         let mut id = 0u32;
@@ -185,7 +187,7 @@ impl ProtectConfig {
             for family in PROTECT_FAMILIES {
                 for _ in 0..self.scenarios_per_cell {
                     out.push(ProtectCase {
-                        case: generate_case(graph, &gen_cfg, family, id, self.base_seed),
+                        case: generate_case(index, &gen_cfg, family, id, self.base_seed),
                         loss,
                     });
                     id += 1;
@@ -272,12 +274,13 @@ pub fn run_protect(cfg: &ProtectConfig, jobs: usize) -> Result<ProtectRun, NetEr
         TreeProtocol::Smrp(SmrpConfig::default()),
     )
     .expect("SMRP session builds on a connected topology");
-    // Feed the geometric conduits into the session so protection plans
-    // cover whole shared-risk groups, matching the Srlg fault family.
-    session.set_srlgs(derive_srlgs(&graph, cfg.srlg_grid));
+    // Feed the conduits the Srlg fault family draws from into the session,
+    // so protection plans cover whole shared-risk groups.
+    let index = FaultIndex::new(&graph, cfg.srlg_grid);
+    session.set_srlgs(index.srlgs().to_vec());
     let multi = MultiSession::from_sessions(vec![session]);
 
-    let cases = cfg.cases(&graph);
+    let cases = cfg.cases(&index);
     let arms = ProtectMode::ALL.len();
     let evaluated = ordered_par_map(jobs, cases.len() * arms, |i| {
         cfg.evaluate(&graph, &multi, &cases[i / arms], ProtectMode::ALL[i % arms])

@@ -428,8 +428,12 @@ impl ShortestPathTree {
     /// The bucketed search from the source over the arcs `usable` admits
     /// (see the [module docs](self)).
     fn search(&mut self, graph: &Graph, usable: impl Fn(NodeId, LinkId) -> bool) {
-        let mut settled = vec![false; graph.node_count()];
         let mut queue = BucketQueue::new(graph, self.source);
+        // Only the ordered drain can tie a settled node, so only it tracks
+        // them: under the unordered one every relaxation lands at least two
+        // buckets ahead, so `nd > dist[v]` for any settled `v`.
+        let ordered = queue.buckets.ordered;
+        let mut settled = vec![false; if ordered { graph.node_count() } else { 0 }];
         self.dist[self.source.index()] = 0.0;
         while let Some((d, u)) = queue.pop() {
             // A node is pushed once per strictly shorter distance, so only
@@ -437,7 +441,9 @@ impl ShortestPathTree {
             if d > self.dist[u.index()] {
                 continue;
             }
-            settled[u.index()] = true;
+            if ordered {
+                settled[u.index()] = true;
+            }
             for &(v, l) in graph.adjacency(u) {
                 if !usable(v, l) {
                     continue;
@@ -449,7 +455,7 @@ impl ShortestPathTree {
                     self.parent[v.index()] = Some(u);
                     queue.push(nd, v);
                 } else if nd == *slot
-                    && !settled[v.index()]
+                    && !(ordered && settled[v.index()])
                     && self.parent[v.index()].is_some_and(|p| u < p)
                 {
                     // Deterministic tie-break: on equal distance keep the

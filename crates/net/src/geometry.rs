@@ -32,9 +32,16 @@ impl Point {
     /// Euclidean distance to another point.
     #[inline]
     pub fn distance(self, other: Point) -> f64 {
+        self.distance_squared(other).sqrt()
+    }
+
+    /// Squared Euclidean distance: [`distance`](Self::distance) before its
+    /// `sqrt`.
+    #[inline]
+    fn distance_squared(self, other: Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
-        (dx * dx + dy * dy).sqrt()
+        dx * dx + dy * dy
     }
 }
 
@@ -44,23 +51,51 @@ impl Point {
 /// "diameter" `L`; the original formulation uses the maximum pairwise
 /// Euclidean distance.
 ///
-/// Returns `0.0` for fewer than two points.
+/// Returns `0.0` for fewer than two points. The maximum is taken over
+/// squared distances with one `sqrt` at the end: `sqrt` is monotone and
+/// correctly rounded, so the result equals the largest per-pair
+/// [`Point::distance`] bit for bit.
 pub(crate) fn max_pairwise_distance(points: &[Point]) -> f64 {
     let mut max = 0.0f64;
     for (i, a) in points.iter().enumerate() {
         for b in &points[i + 1..] {
-            let d = a.distance(*b);
-            if d > max {
-                max = d;
-            }
+            max = max.max(a.distance_squared(*b));
         }
     }
-    max
+    max.sqrt()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A point on a coarse 4×4 lattice, so sets repeat points often, or
+    /// anywhere in the unit square.
+    fn arb_point() -> impl Strategy<Value = Point> {
+        prop_oneof![
+            (0u32..4, 0u32..4)
+                .prop_map(|(x, y)| Point::new(f64::from(x) / 3.0, f64::from(y) / 3.0)),
+            (0.0f64..1.0, 0.0f64..1.0).prop_map(|(x, y)| Point::new(x, y)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn max_pairwise_distance_is_the_largest_pair_distance(
+            points in proptest::collection::vec(arb_point(), 0..40),
+        ) {
+            let mut want = 0.0f64;
+            for (i, a) in points.iter().enumerate() {
+                for b in &points[i + 1..] {
+                    want = want.max(a.distance(*b));
+                }
+            }
+            prop_assert_eq!(max_pairwise_distance(&points).to_bits(), want.to_bits());
+        }
+    }
 
     #[test]
     fn distance_is_symmetric() {

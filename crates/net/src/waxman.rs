@@ -147,9 +147,18 @@ impl WaxmanConfig {
         let l = max_pairwise_distance(&points).max(f64::MIN_POSITIVE);
         for i in 0..self.nodes {
             for j in (i + 1)..self.nodes {
+                // Draw first, one draw per pair in pair order. A draw
+                // `r >= α` decides the pair on its own, and exactly:
+                // `validate` keeps α and β in (0, 1], so the exponent is
+                // ≤ 0, `exp` is ≤ 1 and the rounded `α · exp(…)` is
+                // ≤ α ≤ r. Only `r < α` pays for the distance and the `exp`.
+                let r = rng.gen::<f64>();
+                if r >= self.alpha {
+                    continue;
+                }
                 let d = points[i].distance(points[j]);
                 let p_edge = self.alpha * (-d / (self.beta * l)).exp();
-                if rng.gen::<f64>() < p_edge {
+                if r < p_edge {
                     graph
                         .add_link_weighted(NodeId::new(i), NodeId::new(j), self.link_weights(d))
                         .expect("generator produces valid links");
@@ -280,6 +289,85 @@ pub fn calibrate_alpha(nodes: usize, beta: f64, target_degree: f64, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sampler in its textbook order: distance, then `exp`, then the
+    /// draw, for every pair, with `L` the largest per-pair distance.
+    fn reference_sample(cfg: &WaxmanConfig, rng: &mut SmallRng) -> (Graph, Vec<Point>) {
+        let mut graph = Graph::new();
+        let mut points = Vec::with_capacity(cfg.nodes);
+        for _ in 0..cfg.nodes {
+            let p = Point::new(rng.gen::<f64>(), rng.gen::<f64>());
+            points.push(p);
+            graph.add_node_at(p);
+        }
+        let mut l = 0.0f64;
+        for (i, a) in points.iter().enumerate() {
+            for b in &points[i + 1..] {
+                l = l.max(a.distance(*b));
+            }
+        }
+        let l = l.max(f64::MIN_POSITIVE);
+        for i in 0..cfg.nodes {
+            for j in (i + 1)..cfg.nodes {
+                let d = points[i].distance(points[j]);
+                let p_edge = cfg.alpha * (-d / (cfg.beta * l)).exp();
+                if rng.gen::<f64>() < p_edge {
+                    graph
+                        .add_link_weighted(NodeId::new(i), NodeId::new(j), cfg.link_weights(d))
+                        .unwrap();
+                }
+            }
+        }
+        (graph, points)
+    }
+
+    /// [`WaxmanConfig::generate`]'s retry-then-patch loop over
+    /// [`reference_sample`].
+    fn reference_generate(cfg: &WaxmanConfig) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        for attempt in 1.. {
+            let (graph, points) = reference_sample(cfg, &mut rng);
+            if is_connected(&graph) {
+                return graph;
+            }
+            if attempt >= cfg.max_attempts {
+                return cfg.patch(graph, &points);
+            }
+        }
+        unreachable!()
+    }
+
+    /// `α` or `β` in (0, 1], with the bound itself drawn often.
+    fn unit_parameter() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(1.0), 1e-3f64..1.0]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn drawing_first_generates_the_reference_topology(
+            nodes in 2usize..121,
+            alpha in unit_parameter(),
+            beta in unit_parameter(),
+            seed in 0u64..u64::MAX,
+            max_attempts in 1u32..6,
+        ) {
+            let cfg = WaxmanConfig {
+                max_attempts,
+                ..WaxmanConfig::new(nodes).alpha(alpha).beta(beta).seed(seed)
+            };
+            let got = cfg.generate().unwrap().into_graph();
+            let want = reference_generate(&cfg);
+            prop_assert_eq!(got.link_count(), want.link_count());
+            for (a, b) in got.link_ids().zip(want.link_ids()) {
+                let (a, b) = (got.link(a), want.link(b));
+                prop_assert_eq!(a.endpoints(), b.endpoints());
+                prop_assert_eq!(a.delay().to_bits(), b.delay().to_bits());
+            }
+        }
+    }
 
     #[test]
     fn generated_graph_is_connected_and_sized() {
