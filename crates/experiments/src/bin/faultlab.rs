@@ -34,8 +34,8 @@
 //! * `--population N` — aggregated receivers spread over the hierarchy's
 //!   leaf domains, weighted into `SHR/N` per Eq. 2 (default 10000);
 //! * `--dump-trace DIR` — instead of a campaign, emit the golden scripted
-//!   scenario files (`figure1`, `shared_fate_srlg`, `figure1_lossy`) into
-//!   DIR: self-contained JSON traces with the sim's converged outcome and
+//!   scenario files (`figure1`, `shared_fate_srlg`, `figure1_lossy`,
+//!   `figure1_node_transient`) into DIR: self-contained JSON traces with the sim's converged outcome and
 //!   its digest embedded, replayable through the `smrpd` daemon and handy
 //!   standalone as minimal reproducers. Byte-identical for any `--jobs`;
 //! * `--loss P` — ambient control-plane loss probability applied to every

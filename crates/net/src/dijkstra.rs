@@ -76,7 +76,7 @@ impl<'a> Constraints<'a> {
         }
     }
 
-    fn node_allowed(&self, node: NodeId) -> bool {
+    pub(crate) fn node_allowed(&self, node: NodeId) -> bool {
         if let Some(f) = self.failures {
             if !f.node_usable(node) {
                 return false;
@@ -85,7 +85,7 @@ impl<'a> Constraints<'a> {
         !self.forbidden_nodes.contains(&node)
     }
 
-    fn link_allowed(&self, graph: &Graph, link: LinkId) -> bool {
+    pub(crate) fn link_allowed(&self, graph: &Graph, link: LinkId) -> bool {
         if let Some(f) = self.failures {
             if !f.link_usable(graph, link) {
                 return false;

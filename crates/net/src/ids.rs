@@ -105,7 +105,7 @@ pub struct GroupId(u32);
 impl GroupId {
     /// Creates a group id from a raw index.
     #[inline]
-    pub fn new(index: usize) -> Self {
+    pub const fn new(index: usize) -> Self {
         GroupId(index as u32)
     }
 

@@ -13,7 +13,7 @@ pub fn reachable_from(graph: &Graph, start: NodeId, constraints: Constraints<'_>
     let mut visited = vec![false; graph.node_count()];
     let mut order = Vec::new();
     let mut queue = VecDeque::new();
-    if !node_allowed(constraints, start) {
+    if !constraints.node_allowed(start) {
         return order;
     }
     visited[start.index()] = true;
@@ -21,10 +21,10 @@ pub fn reachable_from(graph: &Graph, start: NodeId, constraints: Constraints<'_>
     while let Some(u) = queue.pop_front() {
         order.push(u);
         for &(v, l) in graph.adjacency(u) {
-            if visited[v.index()] || !node_allowed(constraints, v) {
+            if visited[v.index()] || !constraints.node_allowed(v) {
                 continue;
             }
-            if !link_allowed(graph, constraints, l) {
+            if !constraints.link_allowed(graph, l) {
                 continue;
             }
             visited[v.index()] = true;
@@ -32,24 +32,6 @@ pub fn reachable_from(graph: &Graph, start: NodeId, constraints: Constraints<'_>
         }
     }
     order
-}
-
-fn node_allowed(c: Constraints<'_>, n: NodeId) -> bool {
-    if let Some(f) = c.failures {
-        if !f.node_usable(n) {
-            return false;
-        }
-    }
-    !c.forbidden_nodes.contains(&n)
-}
-
-fn link_allowed(g: &Graph, c: Constraints<'_>, l: crate::ids::LinkId) -> bool {
-    if let Some(f) = c.failures {
-        if !f.link_usable(g, l) {
-            return false;
-        }
-    }
-    !c.forbidden_links.contains(&l)
 }
 
 /// Whether the whole graph is a single connected component.

@@ -6,11 +6,12 @@
 //! `smrp-core` implements SMRP's *algorithms* (path selection, reshaping,
 //! detour computation); this crate implements SMRP as a *protocol*:
 //!
-//! * `router` — the per-node state machine: soft-state multicast routing
-//!   entries refreshed by periodic `Refresh` messages (and expired when
-//!   refreshes stop), hop-by-hop `Setup` propagation for joins and grafts,
-//!   data forwarding down the tree, and heartbeat (`Hello`) exchange with
-//!   the upstream neighbor for failure detection;
+//! * `router` — one group's state machine at a node (a lane of its
+//!   [`MultiRouter`]): soft-state multicast routing entries refreshed by
+//!   periodic `Refresh` messages (and expired when refreshes stop),
+//!   hop-by-hop `Setup` propagation for joins and grafts, data forwarding
+//!   down the tree, and heartbeat (`Hello`) exchange with the upstream
+//!   neighbor for failure detection;
 //! * `runner` — [`ProtoSession`]: one session's tree (built with
 //!   `smrp-core`, SMRP or the SPF baseline), its recovery planners
 //!   (scenario-aware detours, the precomputed protection plane) and the
@@ -25,7 +26,9 @@
 //!   node hosting independent per-group [`Router`] lanes (tree, SHR,
 //!   soft state and reliable-delivery sequence lanes all keyed by
 //!   [`smrp_net::GroupId`]) over shared links, and [`MultiSession`],
-//!   which runs N concurrent groups through one failure experiment;
+//!   which runs N concurrent groups through one failure experiment. The
+//!   process is the simulator node; a lane writes its group-tagged sends
+//!   and timers straight into the process's context;
 //! * [`hierarchy`] — the N-level recovery architecture of §3.3.3
 //!   ([`hierarchy::NLevelSession`]; the paper's 2-level transit-stub
 //!   shape is `NLevelTopology::from_transit_stub`): per-domain SMRP

@@ -12,7 +12,10 @@
 //!   per-group (the reliable lanes are effectively keyed by
 //!   `(neighbor, group)`, because each group lane owns its own
 //!   endpoint); the links, failure scenario and degraded channel
-//!   underneath are shared by every group.
+//!   underneath are shared by every group. A lane runs against the
+//!   process's own context and tags everything it queues with its group,
+//!   so the process is the only simulator node and the only router type
+//!   any runtime or test drives.
 //! * [`MultiSession`] — N [`ProtoSession`] trees loaded into one
 //!   simulator: a failure scenario is injected once and every group
 //!   detects and recovers concurrently, contending for the same links.
@@ -22,7 +25,7 @@
 //! [`MultiSession`] is how one session runs ([`ProtoSession::run`],
 //! [`ProtoSession::run_steady`]): the lane dispatch adds no virtual time
 //! and preserves event order, and `tests/multi_golden.rs` pins the Figure
-//! 1 numbers the retired single-`Router` loop produced. Joins and leaves
+//! 1 numbers the retired single-session loop produced. Joins and leaves
 //! ride the same run as [`FailureSpec::membership`] entries, which
 //! [`crate::MembershipMirror`] writes.
 
@@ -32,11 +35,11 @@ use smrp_core::recovery::{self, DetourKind};
 use smrp_metrics::{ControlHealth, ProtectionHealth};
 use smrp_net::{FailureScenario, Graph, GroupId, Injection, NodeId};
 use smrp_sim::{
-    ChannelModel, ChannelSpec, Ctx, Descriptor, NetSim, NodeBehavior, NodeCommand, SimTime,
-    TimerBackend, TraceLog,
+    ChannelModel, ChannelSpec, Ctx, Descriptor, NetSim, NodeBehavior, SimTime, TimerBackend,
+    TraceLog,
 };
 
-use crate::messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
+use crate::messages::{GroupMsg, GroupTimer};
 use crate::router::{ControlCounters, RecoveryPlan, Router, RouterConfig};
 use crate::runner::{FailureTiming, InjectionTiming, ProtoSession, RecoveryStrategy};
 
@@ -176,10 +179,11 @@ pub struct FailureRun<'o> {
 /// [`Router`] lanes over shared links.
 ///
 /// Messages and timers arrive tagged with their [`GroupId`]; the process
-/// dispatches each to the owning lane and re-tags everything the lane
-/// emits. Lanes never share mutable state, so one group's protocol
-/// activity cannot corrupt another's tree — the isolation property the
-/// cross-session proptest in `tests/multi_isolation.rs` exercises.
+/// hands each to the owning lane, which writes its sends and timers
+/// straight into the process's context, tagged with its own group. Lanes
+/// never share mutable state, so one group's protocol activity cannot
+/// corrupt another's tree — the isolation property the cross-session
+/// proptest in `tests/multi_isolation.rs` exercises.
 ///
 /// Lane storage is a dense arena rather than a `BTreeMap<GroupId,
 /// Router>`: `slots[group]` holds a `u32` handle into `routers`, so the
@@ -194,21 +198,18 @@ pub struct MultiRouter {
     slots: Vec<u32>,
     /// Dense lane storage, in first-touch order.
     routers: Vec<Router>,
-    /// The command buffer lent to each lane call's context in turn.
-    lane_commands: Vec<NodeCommand<ProtoMsg, TimerKind>>,
 }
 
 impl MultiRouter {
     /// Creates a router process with no lanes yet; lanes appear when
     /// state is loaded ([`MultiRouter::lane_mut`]) or when the first
     /// message or timer of a group arrives (off-tree nodes become relays
-    /// lazily, exactly like a fresh single-session [`Router`]).
+    /// lazily).
     pub fn new(config: RouterConfig) -> Self {
         MultiRouter {
             config,
             slots: Vec::new(),
             routers: Vec::new(),
-            lane_commands: Vec::new(),
         }
     }
 
@@ -229,7 +230,7 @@ impl MultiRouter {
         }
         if self.slots[gi] == NO_LANE {
             self.slots[gi] = u32::try_from(self.routers.len()).expect("lane arena exhausted");
-            self.routers.push(Router::new(self.config));
+            self.routers.push(Router::new(self.config, group));
         }
         &mut self.routers[self.slots[gi] as usize]
     }
@@ -242,46 +243,6 @@ impl MultiRouter {
             .filter(|(_, &s)| s != NO_LANE)
             .map(|(g, _)| GroupId::new(g))
     }
-
-    /// Runs `f` against one group's lane with a lane-scoped context, then
-    /// re-tags every command the lane issued with the group id and
-    /// replays it onto the outer context. This is the sharding seam: the
-    /// inner [`Router`] is oblivious to other groups' existence.
-    ///
-    /// Timer commands are re-issued under the lane's original
-    /// [`smrp_sim::TimerToken`], so a lane cancelling one of its timers
-    /// later still reaches the engine's entry for it.
-    pub fn with_lane(
-        &mut self,
-        ctx: &mut Ctx<'_, Self>,
-        group: GroupId,
-        f: impl FnOnce(&mut Router, &mut Ctx<'_, Router>),
-    ) {
-        let mut inner = ctx.derive_into::<Router>(std::mem::take(&mut self.lane_commands));
-        f(self.lane_mut(group), &mut inner);
-        let mut commands = inner.into_commands();
-        for cmd in commands.drain(..) {
-            match cmd {
-                NodeCommand::Send { to, msg } => ctx.send(to, GroupMsg { group, inner: msg }),
-                NodeCommand::Timer {
-                    delay,
-                    timer,
-                    token,
-                } => {
-                    ctx.set_timer_with_token(
-                        delay,
-                        GroupTimer {
-                            group,
-                            inner: timer,
-                        },
-                        token,
-                    );
-                }
-                NodeCommand::CancelTimer { token } => ctx.cancel_timer(token),
-            }
-        }
-        self.lane_commands = commands;
-    }
 }
 
 impl NodeBehavior for MultiRouter {
@@ -289,19 +250,21 @@ impl NodeBehavior for MultiRouter {
     type Timer = GroupTimer;
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: GroupMsg) {
-        self.with_lane(ctx, msg.group, |r, ictx| {
-            r.on_message(ictx, from, msg.inner)
-        });
+        self.lane_mut(msg.group).on_message(ctx, from, msg.inner);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: GroupTimer) {
-        self.with_lane(ctx, timer.group, |r, ictx| r.on_timer(ictx, timer.inner));
+        self.lane_mut(timer.group).on_timer(ctx, timer.inner);
     }
 
+    /// Reboots every lane in ascending group order (the `slots` order, not
+    /// the arena's first-touch order), so the re-armed timers take their
+    /// tokens in an order that does not depend on which group a node saw
+    /// first.
     fn on_reboot(&mut self, ctx: &mut Ctx<'_, Self>) {
-        for g in 0..self.slots.len() {
-            if self.slots[g] != NO_LANE {
-                self.with_lane(ctx, GroupId::new(g), |r, ictx| r.on_reboot(ictx));
+        for &slot in &self.slots {
+            if slot != NO_LANE {
+                self.routers[slot as usize].on_reboot(ctx);
             }
         }
     }
@@ -565,9 +528,7 @@ impl<'g> MultiSession<'g> {
         for (gi, sess) in self.sessions.iter().enumerate() {
             let group = GroupId::new(gi);
             for n in sess.tree().on_tree_nodes() {
-                sim.with_node(n, |p, ctx| {
-                    p.with_lane(ctx, group, |r, ictx| r.start_timers(ictx));
-                });
+                sim.with_node(n, |p, ctx| p.lane_mut(group).start_timers(ctx));
             }
         }
         for (at, injection) in spec.injections() {
@@ -582,11 +543,12 @@ impl<'g> MultiSession<'g> {
         for (at, group, member, change) in changes {
             sim.run_until(*at);
             sim.with_node(*member, |p, ctx| {
-                p.with_lane(ctx, *group, |r, ictx| match change {
-                    MemberChange::Setup(path) => r.initiate_setup(ictx, path.clone(), true),
-                    MemberChange::Promote => r.join_group(),
-                    MemberChange::Leave => r.leave_group(),
-                });
+                let lane = p.lane_mut(*group);
+                match change {
+                    MemberChange::Setup(path) => lane.initiate_setup(ctx, path.clone(), true),
+                    MemberChange::Promote => lane.join_group(),
+                    MemberChange::Leave => lane.leave_group(),
+                }
             });
         }
         sim.run_until(spec.until);

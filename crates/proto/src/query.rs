@@ -9,45 +9,68 @@
 
 use smrp_core::MulticastTree;
 use smrp_net::dijkstra::ShortestPathTree;
-use smrp_net::NodeId;
+use smrp_net::{GroupId, NodeId};
 use smrp_sim::NetSim;
 
-use crate::router::Router;
+use crate::multi::MultiRouter;
 
 /// Installs unicast routing state (next hop and distance to `source`) on
-/// every router, as OSPF convergence would. The tree is the graph's
-/// [`ShortestPathTree::shared`] one, usually left there by the session.
-pub fn install_unicast_routing(sim: &mut NetSim<'_, Router>, source: NodeId) {
+/// every router's `group` lane, as OSPF convergence would. The tree is the
+/// graph's [`ShortestPathTree::shared`] one, usually left there by the
+/// session.
+pub fn install_unicast_routing(sim: &mut NetSim<'_, MultiRouter>, group: GroupId, source: NodeId) {
     let spt = ShortestPathTree::shared(sim.graph(), source);
     for n in sim.graph().node_ids() {
         // The next hop toward the source is this node's parent in the
         // source-rooted shortest-path tree.
         let next = spt.parent(n);
         let dist = spt.distance(n).unwrap_or(f64::INFINITY);
-        sim.with_node(n, |r, _| r.set_unicast_routing(next, dist));
+        sim.with_node(n, |p, _| p.lane_mut(group).set_unicast_routing(next, dist));
     }
 }
 
-/// Publishes each on-tree router's `SHR` and tree delay so queries get
-/// accurate answers (the lazily-recomputed state of §3.3.2).
-pub fn sync_tree_metadata(sim: &mut NetSim<'_, Router>, tree: &MulticastTree) {
+/// Publishes each on-tree router's `SHR` and tree delay on its `group`
+/// lane so queries get accurate answers (the lazily-recomputed state of
+/// §3.3.2).
+pub fn sync_tree_metadata(sim: &mut NetSim<'_, MultiRouter>, group: GroupId, tree: &MulticastTree) {
     let graph = sim.graph();
     let values: Vec<(NodeId, u32, f64)> = tree
         .on_tree_nodes()
         .map(|n| (n, tree.shr(n), tree.delay_to(graph, n).unwrap_or(0.0)))
         .collect();
     for (n, shr, delay) in values {
-        sim.with_node(n, |r, _| r.set_tree_metadata(shr, delay));
+        sim.with_node(n, |p, _| p.lane_mut(group).set_tree_metadata(shr, delay));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RouterConfig;
+    use crate::router::{Router, RouterConfig};
     use smrp_core::paper;
     use smrp_core::select::{self, SelectionMode};
     use smrp_sim::SimTime;
+
+    /// The one group these tests run.
+    const GROUP: GroupId = GroupId::new(0);
+
+    /// One router process per node, each holding an idle lane for [`GROUP`].
+    fn processes(n: usize) -> Vec<MultiRouter> {
+        (0..n)
+            .map(|_| {
+                let mut p = MultiRouter::new(RouterConfig::default());
+                p.lane_mut(GROUP);
+                p
+            })
+            .collect()
+    }
+
+    /// Node `n`'s lane for [`GROUP`].
+    fn lane<'s>(sim: &'s NetSim<'_, MultiRouter>, n: NodeId) -> &'s Router {
+        sim.node(n)
+            .lane(GROUP)
+            .expect("every process holds a lane for GROUP")
+    }
 
     /// Wire up the Figure 4 tree state after E has joined, then drive G's
     /// join through real Query/QueryResp messages.
@@ -59,36 +82,35 @@ mod tests {
         tree.attach_path(&smrp_net::Path::new(vec![n.e, n.d, n.a, n.s]));
         tree.set_member(n.e, true).unwrap();
 
-        let mut routers: Vec<Router> = (0..graph.node_count())
-            .map(|_| Router::new(RouterConfig::default()))
-            .collect();
-        routers[n.s.index()].set_source();
+        let mut routers = processes(graph.node_count());
+        routers[n.s.index()].lane_mut(GROUP).set_source();
         for node in tree.on_tree_nodes() {
-            routers[node.index()].load_state(
+            routers[node.index()].lane_mut(GROUP).load_state(
                 tree.parent(node),
                 tree.children(node),
                 tree.is_member(node),
             );
         }
         let mut sim = NetSim::new(&graph, routers);
-        install_unicast_routing(&mut sim, n.s);
-        sync_tree_metadata(&mut sim, &tree);
+        install_unicast_routing(&mut sim, GROUP, n.s);
+        sync_tree_metadata(&mut sim, GROUP, &tree);
         for node in tree.on_tree_nodes() {
-            sim.with_node(node, |r, ctx| r.start_timers(ctx));
+            sim.with_node(node, |p, ctx| p.lane_mut(GROUP).start_timers(ctx));
         }
 
         // G joins via the query scheme.
-        sim.with_node(n.g, |r, ctx| {
-            r.start_query_join(ctx, 0.3, SimTime::from_ms(30.0))
+        sim.with_node(n.g, |p, ctx| {
+            p.lane_mut(GROUP)
+                .start_query_join(ctx, 0.3, SimTime::from_ms(30.0))
         });
         sim.run_until(SimTime::from_ms(400.0));
 
         // G must be on the tree and receiving data.
-        assert!(sim.node(n.g).is_on_tree());
-        assert!(sim.node(n.g).is_member());
-        assert!(!sim.node(n.g).query_join_pending());
+        assert!(lane(&sim, n.g).is_on_tree());
+        assert!(lane(&sim, n.g).is_member());
+        assert!(!lane(&sim, n.g).query_join_pending());
         assert!(
-            !sim.node(n.g).deliveries().is_empty(),
+            !lane(&sim, n.g).deliveries().is_empty(),
             "G never received data after its query join"
         );
 
@@ -104,7 +126,7 @@ mod tests {
             &[],
         )
         .unwrap();
-        let wire_upstream = sim.node(n.g).upstream().unwrap();
+        let wire_upstream = lane(&sim, n.g).upstream().unwrap();
         assert_eq!(
             wire_upstream,
             algo.candidate.approach.nodes()[1],
@@ -118,31 +140,28 @@ mod tests {
         // have no next hop installed (routing not converged): no response.
         let (graph, n) = paper::figure4_graph();
         let tree = smrp_core::MulticastTree::new(&graph, n.s).unwrap();
-        let mut routers: Vec<Router> = (0..graph.node_count())
-            .map(|_| Router::new(RouterConfig::default()))
-            .collect();
-        routers[n.s.index()].set_source();
+        let mut routers = processes(graph.node_count());
+        routers[n.s.index()].lane_mut(GROUP).set_source();
         let mut sim = NetSim::new(&graph, routers);
-        sync_tree_metadata(&mut sim, &tree);
+        sync_tree_metadata(&mut sim, GROUP, &tree);
         // Deliberately skip install_unicast_routing.
-        sim.with_node(n.g, |r, ctx| {
-            r.start_query_join(ctx, 0.3, SimTime::from_ms(20.0))
+        sim.with_node(n.g, |p, ctx| {
+            p.lane_mut(GROUP)
+                .start_query_join(ctx, 0.3, SimTime::from_ms(20.0))
         });
         sim.run_until(SimTime::from_ms(100.0));
-        assert!(!sim.node(n.g).is_on_tree());
-        assert!(!sim.node(n.g).query_join_pending());
+        assert!(!lane(&sim, n.g).is_on_tree());
+        assert!(!lane(&sim, n.g).query_join_pending());
     }
 
     #[test]
     fn metadata_sync_reflects_tree_values() {
         let (graph, tree, n) = paper::figure1();
-        let routers: Vec<Router> = (0..graph.node_count())
-            .map(|_| Router::new(RouterConfig::default()))
-            .collect();
+        let routers = processes(graph.node_count());
         let mut sim = NetSim::new(&graph, routers);
-        sync_tree_metadata(&mut sim, &tree);
-        assert_eq!(sim.node(n.c).advertised_shr(), 3);
-        assert_eq!(sim.node(n.a).advertised_shr(), 2);
-        assert_eq!(sim.node(n.s).advertised_shr(), 0);
+        sync_tree_metadata(&mut sim, GROUP, &tree);
+        assert_eq!(lane(&sim, n.c).advertised_shr(), 3);
+        assert_eq!(lane(&sim, n.a).advertised_shr(), 2);
+        assert_eq!(lane(&sim, n.s).advertised_shr(), 0);
     }
 }

@@ -1,4 +1,5 @@
-//! The per-node SMRP router state machine.
+//! The SMRP router state machine for one group at one node: a lane of the
+//! node's [`MultiRouter`] process, running against the process's context.
 //!
 //! Each router keeps PIM-style *soft state*: an upstream interface toward
 //! the source and a set of downstream interfaces, each with an expiry
@@ -10,10 +11,11 @@
 //! simulated unicast-reconvergence delay for the global detour baseline.
 
 use smrp_metrics::ProtectionHealth;
-use smrp_net::NodeId;
-use smrp_sim::{Ctx, Descriptor, NodeBehavior, SetupRoute, SimTime, TimerToken};
+use smrp_net::{GroupId, NodeId};
+use smrp_sim::{Ctx, Descriptor, SetupRoute, SimTime, TimerToken};
 
-use crate::messages::{ProtoMsg, TimerKind};
+use crate::messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
+use crate::multi::MultiRouter;
 use crate::reliable::{ReliabilityCounters, ReliableConfig, ReliableEndpoint, RetransmitAction};
 
 /// Protocol timing parameters shared by every router in a session.
@@ -198,10 +200,17 @@ pub struct Delivery {
     pub seq: u64,
 }
 
-/// SMRP router behavior for [`smrp_sim::NetSim`].
+/// One group's SMRP router: a lane of its node's [`MultiRouter`] process.
+///
+/// Its handlers run against the process's context. Every send and timer
+/// goes through two private emitters, `send` and `set_timer`, which tag
+/// it with the lane's group; they are the lane's only way out, so one
+/// group's traffic can never reach another group's lane.
 #[derive(Debug, Clone)]
 pub struct Router {
     config: RouterConfig,
+    /// The group this lane serves, stamped on everything it emits.
+    group: GroupId,
     is_source: bool,
     is_member: bool,
     on_tree: bool,
@@ -330,10 +339,11 @@ impl ControlCounters {
 }
 
 impl Router {
-    /// Creates an idle, off-tree router.
-    pub fn new(config: RouterConfig) -> Self {
+    /// Creates an idle, off-tree lane for `group`.
+    pub(crate) fn new(config: RouterConfig, group: GroupId) -> Self {
         Router {
             config,
+            group,
             is_source: false,
             is_member: false,
             on_tree: false,
@@ -478,7 +488,7 @@ impl Router {
     /// If that un-blocks a recovery that had stalled with every plan
     /// discarded, retry immediately — the starvation re-push is gated off
     /// while `recovering` is latched, so this is the only path back.
-    fn neighbor_heard(&mut self, ctx: &mut Ctx<'_, Self>, node: NodeId) {
+    fn neighbor_heard(&mut self, ctx: &mut Ctx<'_, MultiRouter>, node: NodeId) {
         if let Some(i) = self.dead_neighbors.iter().position(|&n| n == node) {
             self.dead_neighbors.swap_remove(i);
             self.bump_epoch_and_revalidate();
@@ -609,7 +619,12 @@ impl Router {
     /// relayed along that neighbor's unicast shortest path to the source
     /// until an on-tree router answers; after `timeout`, the best response
     /// wins and a `Setup` is issued along its approach path.
-    pub fn start_query_join(&mut self, ctx: &mut Ctx<'_, Self>, d_thresh: f64, timeout: SimTime) {
+    pub fn start_query_join(
+        &mut self,
+        ctx: &mut Ctx<'_, MultiRouter>,
+        d_thresh: f64,
+        timeout: SimTime,
+    ) {
         self.pending_join = Some(PendingJoin {
             d_thresh,
             responses: Vec::new(),
@@ -618,7 +633,8 @@ impl Router {
         let neighbors: Vec<NodeId> = ctx.graph().neighbors(me).collect();
         for nb in neighbors {
             self.control_sent.setups += 1;
-            ctx.send(
+            self.send(
+                ctx,
                 nb,
                 ProtoMsg::Query {
                     origin: me,
@@ -627,7 +643,7 @@ impl Router {
                 },
             );
         }
-        ctx.set_timer(timeout, TimerKind::QueryTimeout);
+        self.set_timer(ctx, timeout, TimerKind::QueryTimeout);
     }
 
     /// Whether a query-based join is still waiting for its timeout.
@@ -643,47 +659,53 @@ impl Router {
     /// Arms the periodic timers; the session calls this once per on-tree
     /// node at start-up (the source also starts the data pump). Safe to
     /// call again — timers are only armed once.
-    pub fn start_timers(&mut self, ctx: &mut Ctx<'_, Self>) {
+    pub fn start_timers(&mut self, ctx: &mut Ctx<'_, MultiRouter>) {
         self.last_upstream_heard = ctx.now();
         self.last_data_heard = ctx.now();
         self.activated_path = None;
         self.ensure_periodic_timers(ctx);
         self.ensure_upstream_check(ctx);
         if self.is_member && !self.is_source && self.starvation_token.is_none() {
-            self.starvation_token =
-                Some(ctx.set_timer(self.config.starvation_limit, TimerKind::StarvationCheck));
+            self.starvation_token = Some(self.set_timer(
+                ctx,
+                self.config.starvation_limit,
+                TimerKind::StarvationCheck,
+            ));
         }
         if self.is_source && self.data_token.is_none() {
-            self.data_token = Some(ctx.set_timer(self.config.data_interval, TimerKind::DataTick));
+            self.data_token =
+                Some(self.set_timer(ctx, self.config.data_interval, TimerKind::DataTick));
         }
         if self.protection && !self.plan_cache.is_empty() && self.plan_sweep_token.is_none() {
-            self.plan_sweep_token = Some(ctx.set_timer(self.config.holdtime, TimerKind::PlanSweep));
+            self.plan_sweep_token =
+                Some(self.set_timer(ctx, self.config.holdtime, TimerKind::PlanSweep));
         }
     }
 
-    fn ensure_periodic_timers(&mut self, ctx: &mut Ctx<'_, Self>) {
+    fn ensure_periodic_timers(&mut self, ctx: &mut Ctx<'_, MultiRouter>) {
         if self.hello_token.is_some() {
             return;
         }
-        self.hello_token = Some(ctx.set_timer(self.config.hello_interval, TimerKind::HelloTick));
+        self.hello_token =
+            Some(self.set_timer(ctx, self.config.hello_interval, TimerKind::HelloTick));
         self.refresh_token =
-            Some(ctx.set_timer(self.config.refresh_interval, TimerKind::RefreshTick));
-        self.expiry_token = Some(ctx.set_timer(self.config.holdtime, TimerKind::ExpiryCheck));
+            Some(self.set_timer(ctx, self.config.refresh_interval, TimerKind::RefreshTick));
+        self.expiry_token = Some(self.set_timer(ctx, self.config.holdtime, TimerKind::ExpiryCheck));
     }
 
-    fn ensure_upstream_check(&mut self, ctx: &mut Ctx<'_, Self>) {
+    fn ensure_upstream_check(&mut self, ctx: &mut Ctx<'_, MultiRouter>) {
         if self.upstream.is_none() || self.upstream_check_token.is_some() {
             return;
         }
         self.upstream_check_token =
-            Some(ctx.set_timer(self.config.hello_interval, TimerKind::UpstreamCheck));
+            Some(self.set_timer(ctx, self.config.hello_interval, TimerKind::UpstreamCheck));
     }
 
     /// Cancels every live timer chain and forgets the tokens. Used on
     /// reboot (pending chain links died conceptually with the node, but
     /// their wheel entries would survive a quick repair and duplicate the
     /// re-armed chains) and when a pruned router leaves the tree.
-    fn cancel_periodic_timers(&mut self, ctx: &mut Ctx<'_, Self>) {
+    fn cancel_periodic_timers(&mut self, ctx: &mut Ctx<'_, MultiRouter>) {
         for token in [
             self.hello_token.take(),
             self.refresh_token.take(),
@@ -700,10 +722,30 @@ impl Router {
         }
     }
 
+    /// Queues `inner` to the adjacent node `to`, tagged with this lane's
+    /// group.
+    fn send(&self, ctx: &mut Ctx<'_, MultiRouter>, to: NodeId, inner: ProtoMsg) {
+        let group = self.group;
+        ctx.send(to, GroupMsg { group, inner });
+    }
+
+    /// Arms timer `inner` to fire `delay` from now, tagged with this lane's
+    /// group. The token comes from the node's one counter, which every
+    /// lane shares.
+    fn set_timer(
+        &self,
+        ctx: &mut Ctx<'_, MultiRouter>,
+        delay: SimTime,
+        inner: TimerKind,
+    ) -> TimerToken {
+        let group = self.group;
+        ctx.set_timer(delay, GroupTimer { group, inner })
+    }
+
     /// The retransmission timeout toward `to`: 4× the one-way link delay,
     /// floored at the configured minimum, so slow Waxman links do not
     /// retransmit spuriously while short links retry promptly.
-    fn rto_for(&self, ctx: &Ctx<'_, Self>, to: NodeId) -> SimTime {
+    fn rto_for(&self, ctx: &Ctx<'_, MultiRouter>, to: NodeId) -> SimTime {
         let one_way = ctx.graph().delay_between(ctx.me(), to).unwrap_or(0.0);
         SimTime::from_ms((4.0 * one_way).max(self.config.reliable.rto_floor.as_ms()))
     }
@@ -711,9 +753,10 @@ impl Router {
     /// Sends a tree-mutating message through the reliable layer: assigns a
     /// per-neighbor sequence number, wraps it in an envelope and arms the
     /// first retransmission timer. Returns the assigned sequence number.
-    fn send_reliable(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, msg: ProtoMsg) -> u64 {
+    fn send_reliable(&mut self, ctx: &mut Ctx<'_, MultiRouter>, to: NodeId, msg: ProtoMsg) -> u64 {
         let seq = self.reliable.register(to, msg.clone());
-        ctx.send(
+        self.send(
+            ctx,
             to,
             ProtoMsg::Reliable {
                 seq,
@@ -722,7 +765,7 @@ impl Router {
             },
         );
         let rto = self.rto_for(ctx, to);
-        let token = ctx.set_timer(rto, TimerKind::Retransmit { to, seq });
+        let token = self.set_timer(ctx, rto, TimerKind::Retransmit { to, seq });
         self.reliable.set_retransmit_token(to, seq, token);
         seq
     }
@@ -730,7 +773,7 @@ impl Router {
     /// Sends a graft `Setup` toward the (freshly repointed) upstream `to`
     /// and remembers its envelope so the upstream check can tell an
     /// in-flight handshake from a dead upstream.
-    fn send_graft(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, msg: ProtoMsg) {
+    fn send_graft(&mut self, ctx: &mut Ctx<'_, MultiRouter>, to: NodeId, msg: ProtoMsg) {
         self.control_sent.setups += 1;
         let seq = self.send_reliable(ctx, to, msg);
         self.pending_graft = Some((to, seq));
@@ -740,7 +783,7 @@ impl Router {
     /// reliable traffic still pending toward the old upstream (retrying
     /// into a dead or bypassed branch is pointless and would otherwise be
     /// miscounted as retry exhaustion).
-    fn repoint_upstream(&mut self, ctx: &mut Ctx<'_, Self>, new_up: NodeId) {
+    fn repoint_upstream(&mut self, ctx: &mut Ctx<'_, MultiRouter>, new_up: NodeId) {
         if let Some(old) = self.upstream {
             if old != new_up {
                 for token in self.reliable.abandon(old) {
@@ -769,7 +812,12 @@ impl Router {
 
     /// Initiates a source-routed state installation along `path`
     /// (`path[0]` must be this router). Used for joins and grafts.
-    pub fn initiate_setup(&mut self, ctx: &mut Ctx<'_, Self>, path: Vec<NodeId>, member: bool) {
+    pub fn initiate_setup(
+        &mut self,
+        ctx: &mut Ctx<'_, MultiRouter>,
+        path: Vec<NodeId>,
+        member: bool,
+    ) {
         debug_assert!(path.len() >= 2, "setup path needs at least two hops");
         debug_assert_eq!(path[0], ctx.me(), "setup path starts at the initiator");
         self.on_tree = true;
@@ -784,7 +832,7 @@ impl Router {
         self.ensure_upstream_check(ctx);
     }
 
-    fn install_downstream(&mut self, ctx: &Ctx<'_, Self>, node: NodeId) {
+    fn install_downstream(&mut self, ctx: &Ctx<'_, MultiRouter>, node: NodeId) {
         self.downstream
             .refresh(node, ctx.now() + self.config.holdtime);
     }
@@ -794,7 +842,7 @@ impl Router {
     /// that cascades until it merges with live tree state (PIM-graft
     /// style). Returns `false` when there is nothing to re-extend to (the
     /// router was never on the tree).
-    fn rejoin_former_upstream(&mut self, ctx: &mut Ctx<'_, Self>) -> bool {
+    fn rejoin_former_upstream(&mut self, ctx: &mut Ctx<'_, MultiRouter>) -> bool {
         let Some(up) = self.former_upstream else {
             return false;
         };
@@ -816,7 +864,7 @@ impl Router {
         true
     }
 
-    fn detect_upstream_failure(&mut self, ctx: &mut Ctx<'_, Self>) {
+    fn detect_upstream_failure(&mut self, ctx: &mut Ctx<'_, MultiRouter>) {
         self.recovering = true;
         // The upstream is presumed dead: keeping envelopes in flight
         // toward it would only burn the retry budget, and its reliable
@@ -834,11 +882,11 @@ impl Router {
         if wait == SimTime::ZERO {
             self.execute_recovery(ctx);
         } else {
-            ctx.set_timer(wait, TimerKind::ReconvergenceDone);
+            self.set_timer(ctx, wait, TimerKind::ReconvergenceDone);
         }
     }
 
-    fn execute_recovery(&mut self, ctx: &mut Ctx<'_, Self>) {
+    fn execute_recovery(&mut self, ctx: &mut Ctx<'_, MultiRouter>) {
         // The plan is cloned, not consumed: under a lossy control plane a
         // graft can stall mid-cascade — a forwarding hop's upstream-failure
         // detection may abandon the pending Setup before a retransmission
@@ -886,7 +934,7 @@ impl Router {
             2.0 * self.config.hello_interval.as_ms() * self.config.miss_limit as f64
                 + 2.0 * plan.path_delay.as_ms(),
         );
-        ctx.set_timer(confirm, TimerKind::PlanConfirm);
+        self.set_timer(ctx, confirm, TimerKind::PlanConfirm);
     }
 
     /// Removes the cached plan with `path` — presumed to have failed
@@ -925,13 +973,10 @@ impl Router {
         let path = path.clone();
         self.discard_silent_plan(&path);
     }
-}
 
-impl NodeBehavior for Router {
-    type Msg = ProtoMsg;
-    type Timer = TimerKind;
-
-    fn on_reboot(&mut self, ctx: &mut Ctx<'_, Self>) {
+    /// Re-arms this lane after its node's repair (see
+    /// [`smrp_sim::NodeBehavior::on_reboot`]).
+    pub(crate) fn on_reboot(&mut self, ctx: &mut Ctx<'_, MultiRouter>) {
         // The periodic chains must be rebuilt from scratch — and the old
         // chains *cancelled*, not merely forgotten: a tick armed before
         // the outage survives in the timer wheel, and if the repair lands
@@ -956,14 +1001,15 @@ impl NodeBehavior for Router {
         // cancel whatever the old timer chain left in the wheel.
         for (to, seq) in self.reliable.pending_keys() {
             let rto = self.rto_for(ctx, to);
-            let token = ctx.set_timer(rto, TimerKind::Retransmit { to, seq });
+            let token = self.set_timer(ctx, rto, TimerKind::Retransmit { to, seq });
             if let Some(old) = self.reliable.set_retransmit_token(to, seq, token) {
                 ctx.cancel_timer(old);
             }
         }
     }
 
-    fn classify(msg: &ProtoMsg) -> &'static str {
+    /// The loss class of `msg` (see [`smrp_sim::NodeBehavior::classify`]).
+    pub(crate) fn classify(msg: &ProtoMsg) -> &'static str {
         match msg {
             ProtoMsg::Setup { .. } => "setup",
             ProtoMsg::LeaveReq => "leave",
@@ -977,7 +1023,9 @@ impl NodeBehavior for Router {
         }
     }
 
-    fn describe(msg: &ProtoMsg) -> Descriptor {
+    /// The trace descriptor of `msg` (see
+    /// [`smrp_sim::NodeBehavior::describe`]).
+    pub(crate) fn describe(msg: &ProtoMsg) -> Descriptor {
         let plain = Descriptor::of_class(Self::classify(msg));
         match msg {
             // An envelope is described as the control message it carries,
@@ -1009,7 +1057,8 @@ impl NodeBehavior for Router {
         }
     }
 
-    fn describe_timer(timer: &TimerKind) -> Descriptor {
+    /// The trace descriptor of a fired `timer`.
+    pub(crate) fn describe_timer(timer: &TimerKind) -> Descriptor {
         let class = match timer {
             TimerKind::HelloTick => "hello-tick",
             TimerKind::UpstreamCheck => "upstream-check",
@@ -1033,7 +1082,13 @@ impl NodeBehavior for Router {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: ProtoMsg) {
+    /// Handles a message from neighbor `from`.
+    pub(crate) fn on_message(
+        &mut self,
+        ctx: &mut Ctx<'_, MultiRouter>,
+        from: NodeId,
+        msg: ProtoMsg,
+    ) {
         // Hearing anything from a neighbor disproves its presumed death
         // and restores the validity of cached plans through it.
         self.neighbor_heard(ctx, from);
@@ -1057,7 +1112,7 @@ impl NodeBehavior for Router {
                 // Ack every copy — the sender's copy of the ack may have
                 // been lost even if the payload was already processed.
                 self.reliable.note_ack_sent();
-                ctx.send(from, ProtoMsg::Ack { seq });
+                self.send(ctx, from, ProtoMsg::Ack { seq });
                 for released in self.reliable.on_receive(from, seq, base, *inner) {
                     self.apply_control(ctx, from, released);
                 }
@@ -1066,17 +1121,11 @@ impl NodeBehavior for Router {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: TimerKind) {
-        self.handle_timer(ctx, timer);
-    }
-}
-
-impl Router {
     /// Applies one control message to the soft-state machine. Reliable
     /// payloads arrive here deduplicated and in per-neighbor sequence
     /// order; raw messages (`Hello`, `Data`, queries) arrive as the
     /// channel delivered them.
-    fn apply_control(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: ProtoMsg) {
+    fn apply_control(&mut self, ctx: &mut Ctx<'_, MultiRouter>, from: NodeId, msg: ProtoMsg) {
         match msg {
             ProtoMsg::Hello => {
                 if self.upstream == Some(from) {
@@ -1169,7 +1218,7 @@ impl Router {
                     });
                 }
                 for &d in self.downstream.nodes() {
-                    ctx.send(d, ProtoMsg::Data { seq });
+                    self.send(ctx, d, ProtoMsg::Data { seq });
                     self.forwarded += 1;
                 }
             }
@@ -1190,7 +1239,8 @@ impl Router {
                     // SHR and tree delay, retracing the query path.
                     let idx = path.len() - 2;
                     let back = path[idx];
-                    ctx.send(
+                    self.send(
+                        ctx,
                         back,
                         ProtoMsg::QueryResp {
                             approach: path,
@@ -1204,7 +1254,8 @@ impl Router {
                     // Relay along this node's unicast path to the source,
                     // unless that would loop.
                     if !path.contains(&next) {
-                        ctx.send(
+                        self.send(
+                            ctx,
                             next,
                             ProtoMsg::Query {
                                 origin,
@@ -1233,7 +1284,8 @@ impl Router {
                     }
                 } else {
                     let back = approach[idx - 1];
-                    ctx.send(
+                    self.send(
+                        ctx,
                         back,
                         ProtoMsg::QueryResp {
                             approach,
@@ -1253,21 +1305,22 @@ impl Router {
         }
     }
 
-    fn handle_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: TimerKind) {
+    /// Handles one of this lane's timers firing.
+    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_, MultiRouter>, timer: TimerKind) {
         match timer {
             TimerKind::HelloTick => {
                 if self.on_tree {
                     if let Some(up) = self.upstream {
                         self.control_sent.hellos += 1;
-                        ctx.send(up, ProtoMsg::Hello);
+                        self.send(ctx, up, ProtoMsg::Hello);
                     }
                     for &d in self.downstream.nodes() {
                         self.control_sent.hellos += 1;
-                        ctx.send(d, ProtoMsg::Hello);
+                        self.send(ctx, d, ProtoMsg::Hello);
                     }
                 }
                 self.hello_token =
-                    Some(ctx.set_timer(self.config.hello_interval, TimerKind::HelloTick));
+                    Some(self.set_timer(ctx, self.config.hello_interval, TimerKind::HelloTick));
             }
             TimerKind::UpstreamCheck => {
                 if let Some(up) = self.upstream.filter(|_| self.on_tree && !self.recovering) {
@@ -1309,8 +1362,11 @@ impl Router {
                     }
                 }
                 if self.upstream.is_some() {
-                    self.upstream_check_token =
-                        Some(ctx.set_timer(self.config.hello_interval, TimerKind::UpstreamCheck));
+                    self.upstream_check_token = Some(self.set_timer(
+                        ctx,
+                        self.config.hello_interval,
+                        TimerKind::UpstreamCheck,
+                    ));
                 } else {
                     self.upstream_check_token = None;
                 }
@@ -1325,14 +1381,14 @@ impl Router {
                             // refreshes so a repaired upstream re-learns
                             // this branch, but don't burn retry budget
                             // retransmitting into the outage.
-                            ctx.send(up, ProtoMsg::Refresh);
+                            self.send(ctx, up, ProtoMsg::Refresh);
                         } else {
                             self.send_reliable(ctx, up, ProtoMsg::Refresh);
                         }
                     }
                 }
                 self.refresh_token =
-                    Some(ctx.set_timer(self.config.refresh_interval, TimerKind::RefreshTick));
+                    Some(self.set_timer(ctx, self.config.refresh_interval, TimerKind::RefreshTick));
             }
             TimerKind::ExpiryCheck => {
                 let now = ctx.now();
@@ -1368,7 +1424,7 @@ impl Router {
                     self.on_tree = false;
                 }
                 self.expiry_token =
-                    Some(ctx.set_timer(self.config.holdtime, TimerKind::ExpiryCheck));
+                    Some(self.set_timer(ctx, self.config.holdtime, TimerKind::ExpiryCheck));
             }
             TimerKind::DataTick => {
                 if self.is_source {
@@ -1381,11 +1437,11 @@ impl Router {
                         });
                     }
                     for &d in self.downstream.nodes() {
-                        ctx.send(d, ProtoMsg::Data { seq });
+                        self.send(ctx, d, ProtoMsg::Data { seq });
                         self.forwarded += 1;
                     }
                     self.data_token =
-                        Some(ctx.set_timer(self.config.data_interval, TimerKind::DataTick));
+                        Some(self.set_timer(ctx, self.config.data_interval, TimerKind::DataTick));
                 } else {
                     self.data_token = None;
                 }
@@ -1424,7 +1480,11 @@ impl Router {
                     self.detect_upstream_failure(ctx);
                 }
                 self.starvation_token = if self.is_member {
-                    Some(ctx.set_timer(self.config.starvation_limit, TimerKind::StarvationCheck))
+                    Some(self.set_timer(
+                        ctx,
+                        self.config.starvation_limit,
+                        TimerKind::StarvationCheck,
+                    ))
                 } else {
                     None
                 };
@@ -1481,7 +1541,8 @@ impl Router {
                         // Recompute the base per copy: it is how news of
                         // abandoned lower sequence numbers reaches the
                         // receiver, letting a wedged lane skip the gap.
-                        ctx.send(
+                        self.send(
+                            ctx,
                             to,
                             ProtoMsg::Reliable {
                                 seq,
@@ -1489,7 +1550,7 @@ impl Router {
                                 inner: Box::new(msg),
                             },
                         );
-                        let token = ctx.set_timer(delay, TimerKind::Retransmit { to, seq });
+                        let token = self.set_timer(ctx, delay, TimerKind::Retransmit { to, seq });
                         self.reliable.set_retransmit_token(to, seq, token);
                     }
                     RetransmitAction::Exhausted => {
@@ -1532,7 +1593,7 @@ impl Router {
                 if self.protection && !self.plan_cache.is_empty() {
                     self.bump_epoch_and_revalidate();
                     self.plan_sweep_token =
-                        Some(ctx.set_timer(self.config.holdtime, TimerKind::PlanSweep));
+                        Some(self.set_timer(ctx, self.config.holdtime, TimerKind::PlanSweep));
                 } else {
                     self.plan_sweep_token = None;
                 }
@@ -1547,8 +1608,42 @@ mod tests {
     use smrp_net::{Graph, Injection};
     use smrp_sim::NetSim;
 
+    /// The one group these tests run.
+    const G: GroupId = GroupId::new(0);
+
     fn config() -> RouterConfig {
         RouterConfig::default()
+    }
+
+    /// `n` router processes, each holding an idle lane for [`G`].
+    fn processes(n: usize) -> Vec<MultiRouter> {
+        (0..n)
+            .map(|_| {
+                let mut p = MultiRouter::new(config());
+                p.lane_mut(G);
+                p
+            })
+            .collect()
+    }
+
+    /// Node `n`'s lane for [`G`].
+    fn lane<'s>(sim: &'s NetSim<'_, MultiRouter>, n: NodeId) -> &'s Router {
+        sim.node(n)
+            .lane(G)
+            .expect("every process holds a lane for G")
+    }
+
+    /// Node `n`'s lane for [`G`] while the processes are being loaded.
+    fn lane_of(routers: &mut [MultiRouter], n: NodeId) -> &mut Router {
+        routers[n.index()].lane_mut(G)
+    }
+
+    /// `msg` as group [`G`]'s wire message.
+    fn tagged(msg: ProtoMsg) -> GroupMsg {
+        GroupMsg {
+            group: G,
+            inner: msg,
+        }
     }
 
     /// Line: S - R - M.
@@ -1560,15 +1655,15 @@ mod tests {
         (g, ids)
     }
 
-    fn loaded_line_sim<'a>(g: &'a Graph, ids: &[NodeId]) -> NetSim<'a, Router> {
-        let mut routers: Vec<Router> = (0..g.node_count()).map(|_| Router::new(config())).collect();
-        routers[ids[0].index()].set_source();
-        routers[ids[0].index()].load_state(None, &[ids[1]], false);
-        routers[ids[1].index()].load_state(Some(ids[0]), &[ids[2]], false);
-        routers[ids[2].index()].load_state(Some(ids[1]), &[], true);
+    fn loaded_line_sim<'a>(g: &'a Graph, ids: &[NodeId]) -> NetSim<'a, MultiRouter> {
+        let mut routers = processes(g.node_count());
+        lane_of(&mut routers, ids[0]).set_source();
+        lane_of(&mut routers, ids[0]).load_state(None, &[ids[1]], false);
+        lane_of(&mut routers, ids[1]).load_state(Some(ids[0]), &[ids[2]], false);
+        lane_of(&mut routers, ids[2]).load_state(Some(ids[1]), &[], true);
         let mut sim = NetSim::new(g, routers);
         for &n in ids {
-            sim.with_node(n, |r, ctx| r.start_timers(ctx));
+            sim.with_node(n, |p, ctx| p.lane_mut(G).start_timers(ctx));
         }
         sim
     }
@@ -1578,7 +1673,7 @@ mod tests {
         let (g, ids) = line();
         let mut sim = loaded_line_sim(&g, &ids);
         sim.run_until(SimTime::from_ms(100.0));
-        let member = sim.node(ids[2]);
+        let member = lane(&sim, ids[2]);
         assert!(
             member.deliveries().len() >= 15,
             "got {}",
@@ -1597,10 +1692,9 @@ mod tests {
         let mut sim = loaded_line_sim(&g, &ids);
         // Far beyond the holdtime: refreshes must keep state alive.
         sim.run_until(SimTime::from_ms(1000.0));
-        assert!(sim.node(ids[1]).is_on_tree());
-        assert_eq!(sim.node(ids[1]).downstream(), vec![ids[2]]);
-        assert!(sim
-            .node(ids[2])
+        assert!(lane(&sim, ids[1]).is_on_tree());
+        assert_eq!(lane(&sim, ids[1]).downstream(), vec![ids[2]]);
+        assert!(lane(&sim, ids[2])
             .first_delivery_after(SimTime::from_ms(900.0))
             .is_some());
     }
@@ -1614,8 +1708,8 @@ mod tests {
         // itself off the tree.
         sim.fail_node_now(ids[2]);
         sim.run_until(SimTime::from_ms(800.0));
-        assert!(!sim.node(ids[1]).is_on_tree(), "relay should have pruned");
-        assert!(sim.node(ids[0]).downstream().is_empty());
+        assert!(!lane(&sim, ids[1]).is_on_tree(), "relay should have pruned");
+        assert!(lane(&sim, ids[0]).downstream().is_empty());
     }
 
     #[test]
@@ -1628,25 +1722,25 @@ mod tests {
         g.add_link(r, m, 1.0).unwrap();
         g.add_link(m, x, 1.0).unwrap();
         g.add_link(x, s, 1.0).unwrap();
-        let mut routers: Vec<Router> = (0..4).map(|_| Router::new(config())).collect();
-        routers[s.index()].set_source();
-        routers[s.index()].load_state(None, &[r], false);
-        routers[r.index()].load_state(Some(s), &[m], false);
-        routers[m.index()].load_state(Some(r), &[], true);
-        routers[m.index()].install_recovery_plan(RecoveryPlan {
+        let mut routers = processes(4);
+        lane_of(&mut routers, s).set_source();
+        lane_of(&mut routers, s).load_state(None, &[r], false);
+        lane_of(&mut routers, r).load_state(Some(s), &[m], false);
+        lane_of(&mut routers, m).load_state(Some(r), &[], true);
+        lane_of(&mut routers, m).install_recovery_plan(RecoveryPlan {
             path: vec![m, x, s],
             wait: SimTime::ZERO,
             path_delay: SimTime::ZERO,
         });
         let mut sim = NetSim::new(&g, routers);
         for &n in &ids {
-            sim.with_node(n, |rt, ctx| rt.start_timers(ctx));
+            sim.with_node(n, |p, ctx| p.lane_mut(G).start_timers(ctx));
         }
         sim.run_until(SimTime::from_ms(60.0));
         let fail_at = sim.now();
         sim.fail_node_now(r);
         sim.run_until(SimTime::from_ms(400.0));
-        let member = sim.node(m);
+        let member = lane(&sim, m);
         let resumed = member
             .first_delivery_after(fail_at + SimTime::from_ms(1.0))
             .expect("service must restore through the detour");
@@ -1654,7 +1748,7 @@ mod tests {
         let latency = (resumed.time - fail_at).as_ms();
         assert!(latency > 20.0 && latency < 120.0, "latency {latency}ms");
         assert_eq!(member.upstream(), Some(x));
-        assert!(sim.node(x).is_on_tree());
+        assert!(lane(&sim, x).is_on_tree());
     }
 
     #[test]
@@ -1666,27 +1760,26 @@ mod tests {
         g.add_link(r, m, 1.0).unwrap();
         g.add_link(m, x, 1.0).unwrap();
         g.add_link(x, s, 1.0).unwrap();
-        let mut routers: Vec<Router> = (0..4).map(|_| Router::new(config())).collect();
-        routers[s.index()].set_source();
-        routers[s.index()].load_state(None, &[r], false);
-        routers[r.index()].load_state(Some(s), &[m], false);
-        routers[m.index()].load_state(Some(r), &[], true);
+        let mut routers = processes(4);
+        lane_of(&mut routers, s).set_source();
+        lane_of(&mut routers, s).load_state(None, &[r], false);
+        lane_of(&mut routers, r).load_state(Some(s), &[m], false);
+        lane_of(&mut routers, m).load_state(Some(r), &[], true);
         let reconvergence = SimTime::from_ms(500.0);
-        routers[m.index()].install_recovery_plan(RecoveryPlan {
+        lane_of(&mut routers, m).install_recovery_plan(RecoveryPlan {
             path: vec![m, x, s],
             wait: reconvergence,
             path_delay: SimTime::ZERO,
         });
         let mut sim = NetSim::new(&g, routers);
         for &n in &ids {
-            sim.with_node(n, |rt, ctx| rt.start_timers(ctx));
+            sim.with_node(n, |p, ctx| p.lane_mut(G).start_timers(ctx));
         }
         sim.run_until(SimTime::from_ms(60.0));
         let fail_at = sim.now();
         sim.fail_node_now(r);
         sim.run_until(SimTime::from_ms(2000.0));
-        let resumed = sim
-            .node(m)
+        let resumed = lane(&sim, m)
             .first_delivery_after(fail_at + SimTime::from_ms(1.0))
             .expect("service restores after reconvergence");
         let latency = (resumed.time - fail_at).as_ms();
@@ -1699,20 +1792,21 @@ mod tests {
     #[test]
     fn message_level_join_builds_state() {
         let (g, ids) = line();
-        let mut routers: Vec<Router> = (0..3).map(|_| Router::new(config())).collect();
-        routers[ids[0].index()].set_source();
+        let mut routers = processes(3);
+        lane_of(&mut routers, ids[0]).set_source();
         let mut sim = NetSim::new(&g, routers);
-        sim.with_node(ids[0], |r, ctx| r.start_timers(ctx));
+        sim.with_node(ids[0], |p, ctx| p.lane_mut(G).start_timers(ctx));
         // M joins via R toward S with an explicit Setup.
-        sim.with_node(ids[2], |r, ctx| {
-            r.initiate_setup(ctx, vec![ids[2], ids[1], ids[0]], true)
+        sim.with_node(ids[2], |p, ctx| {
+            p.lane_mut(G)
+                .initiate_setup(ctx, vec![ids[2], ids[1], ids[0]], true)
         });
         sim.run_until(SimTime::from_ms(100.0));
-        assert!(sim.node(ids[1]).is_on_tree());
-        assert_eq!(sim.node(ids[1]).upstream(), Some(ids[0]));
-        assert_eq!(sim.node(ids[0]).downstream(), vec![ids[1]]);
+        assert!(lane(&sim, ids[1]).is_on_tree());
+        assert_eq!(lane(&sim, ids[1]).upstream(), Some(ids[0]));
+        assert_eq!(lane(&sim, ids[0]).downstream(), vec![ids[1]]);
         assert!(
-            !sim.node(ids[2]).deliveries().is_empty(),
+            !lane(&sim, ids[2]).deliveries().is_empty(),
             "member receives data after joining"
         );
     }
@@ -1721,9 +1815,11 @@ mod tests {
     fn leave_req_removes_downstream() {
         let (g, ids) = line();
         let mut sim = loaded_line_sim(&g, &ids);
-        sim.with_node(ids[1], |_, ctx| ctx.send(ids[0], ProtoMsg::LeaveReq));
+        sim.with_node(ids[1], |_, ctx| {
+            ctx.send(ids[0], tagged(ProtoMsg::LeaveReq))
+        });
         sim.run_until(SimTime::from_ms(5.0));
-        assert!(sim.node(ids[0]).downstream().is_empty());
+        assert!(lane(&sim, ids[0]).downstream().is_empty());
     }
 
     #[test]
@@ -1734,9 +1830,8 @@ mod tests {
         let fail_at = sim.now();
         sim.fail_node_now(ids[1]);
         sim.run_until(SimTime::from_ms(500.0));
-        assert!(sim.node(ids[2]).is_recovering());
-        assert!(sim
-            .node(ids[2])
+        assert!(lane(&sim, ids[2]).is_recovering());
+        assert!(lane(&sim, ids[2])
             .first_delivery_after(fail_at + SimTime::from_ms(1.0))
             .is_none());
     }
@@ -1747,11 +1842,11 @@ mod tests {
         let mut sim = loaded_line_sim(&g, &ids);
         // Forge a data packet from the member up to the relay.
         sim.with_node(ids[2], |_, ctx| {
-            ctx.send(ids[1], ProtoMsg::Data { seq: 999 })
+            ctx.send(ids[1], tagged(ProtoMsg::Data { seq: 999 }))
         });
         sim.run_until(SimTime::from_ms(3.0));
         // The relay must not have forwarded seq 999 back down.
-        assert!(sim.node(ids[2]).deliveries().iter().all(|d| d.seq != 999));
+        assert!(lane(&sim, ids[2]).deliveries().iter().all(|d| d.seq != 999));
     }
 
     /// A 2-node graph whose single link is slower than the hello miss
@@ -1775,19 +1870,21 @@ mod tests {
         // reachability signal during the handshake.
         let (g, ids) = slow_pair();
         let [s, m] = [ids[0], ids[1]];
-        let mut routers: Vec<Router> = (0..2).map(|_| Router::new(config())).collect();
-        routers[s.index()].set_source();
+        let mut routers = processes(2);
+        lane_of(&mut routers, s).set_source();
         let mut sim = NetSim::new(&g, routers);
-        sim.with_node(s, |r, ctx| r.start_timers(ctx));
-        sim.with_node(m, |r, ctx| r.initiate_setup(ctx, vec![m, s], true));
+        sim.with_node(s, |p, ctx| p.lane_mut(G).start_timers(ctx));
+        sim.with_node(m, |p, ctx| {
+            p.lane_mut(G).initiate_setup(ctx, vec![m, s], true)
+        });
         sim.run_until(SimTime::from_ms(300.0));
-        let member = sim.node(m);
+        let member = lane(&sim, m);
         assert!(
             !member.is_recovering(),
             "handshake silence must not be mistaken for upstream death"
         );
         assert_eq!(member.upstream(), Some(s));
-        assert_eq!(sim.node(s).downstream(), vec![m]);
+        assert_eq!(lane(&sim, s).downstream(), vec![m]);
         assert!(
             member
                 .first_delivery_after(SimTime::from_ms(80.0))
@@ -1810,13 +1907,13 @@ mod tests {
         (g, [s, r, m, x, y])
     }
 
-    fn loaded_pentagon(g: &Graph, nodes: &[NodeId; 5]) -> Vec<Router> {
+    fn loaded_pentagon(g: &Graph, nodes: &[NodeId; 5]) -> Vec<MultiRouter> {
         let [s, r, m, _, _] = *nodes;
-        let mut routers: Vec<Router> = (0..5).map(|_| Router::new(config())).collect();
-        routers[s.index()].set_source();
-        routers[s.index()].load_state(None, &[r], false);
-        routers[r.index()].load_state(Some(s), &[m], false);
-        routers[m.index()].load_state(Some(r), &[], true);
+        let mut routers = processes(5);
+        lane_of(&mut routers, s).set_source();
+        lane_of(&mut routers, s).load_state(None, &[r], false);
+        lane_of(&mut routers, r).load_state(Some(s), &[m], false);
+        lane_of(&mut routers, m).load_state(Some(r), &[], true);
         let _ = g;
         routers
     }
@@ -1831,14 +1928,14 @@ mod tests {
         let (g, nodes) = pentagon();
         let [s, r, m, x, _] = nodes;
         let mut routers = loaded_pentagon(&g, &nodes);
-        routers[m.index()].install_recovery_plan(RecoveryPlan {
+        lane_of(&mut routers, m).install_recovery_plan(RecoveryPlan {
             path: vec![m, x, s],
             wait: SimTime::from_ms(500.0),
             path_delay: SimTime::ZERO,
         });
         let mut sim = NetSim::new(&g, routers);
         for &n in &nodes {
-            sim.with_node(n, |rt, ctx| rt.start_timers(ctx));
+            sim.with_node(n, |p, ctx| p.lane_mut(G).start_timers(ctx));
         }
         sim.run_until(SimTime::from_ms(60.0));
         let fail_at = sim.now();
@@ -1846,9 +1943,9 @@ mod tests {
         // The planned detour dies before the reconvergence timer fires.
         sim.schedule_injection(SimTime::from_ms(100.0), Injection::FailNode(x));
         sim.run_until(SimTime::from_ms(4000.0));
-        let setups_then = sim.node(m).control_sent().setups;
+        let setups_then = lane(&sim, m).control_sent().setups;
         sim.run_until(SimTime::from_ms(8000.0));
-        let member = sim.node(m);
+        let member = lane(&sim, m);
         // Both paths to S are gone: nothing can restore service — but the
         // stale plan must not keep grafting into dead X either.
         assert!(member
@@ -1873,7 +1970,7 @@ mod tests {
         let (g, nodes) = pentagon();
         let [s, r, m, x, y] = nodes;
         let mut routers = loaded_pentagon(&g, &nodes);
-        routers[m.index()].install_backup_plans(vec![
+        lane_of(&mut routers, m).install_backup_plans(vec![
             RecoveryPlan {
                 path: vec![m, x, s],
                 wait: SimTime::ZERO,
@@ -1887,7 +1984,7 @@ mod tests {
         ]);
         let mut sim = NetSim::new(&g, routers);
         for &n in &nodes {
-            sim.with_node(n, |rt, ctx| rt.start_timers(ctx));
+            sim.with_node(n, |p, ctx| p.lane_mut(G).start_timers(ctx));
         }
         sim.run_until(SimTime::from_ms(40.0));
         sim.fail_node_now(x); // second-failure-to-be, before detection
@@ -1895,7 +1992,7 @@ mod tests {
         let fail_at = sim.now();
         sim.fail_node_now(r);
         sim.run_until(SimTime::from_ms(4000.0));
-        let member = sim.node(m);
+        let member = lane(&sim, m);
         let resumed = member
             .first_delivery_after(fail_at + SimTime::from_ms(1.0))
             .expect("the fallback plan must restore service");
@@ -1919,14 +2016,14 @@ mod tests {
         let (g, nodes) = pentagon();
         let [s, r, m, x, _] = nodes;
         let mut routers = loaded_pentagon(&g, &nodes);
-        routers[m.index()].install_recovery_plan(RecoveryPlan {
+        lane_of(&mut routers, m).install_recovery_plan(RecoveryPlan {
             path: vec![m, x, s],
             wait: SimTime::ZERO,
             path_delay: SimTime::ZERO,
         });
         let mut sim = NetSim::new(&g, routers);
         for &n in &nodes {
-            sim.with_node(n, |rt, ctx| rt.start_timers(ctx));
+            sim.with_node(n, |p, ctx| p.lane_mut(G).start_timers(ctx));
         }
         sim.run_until(SimTime::from_ms(40.0));
         sim.fail_node_now(x);
@@ -1937,17 +2034,16 @@ mod tests {
         // retry budget and the plan has been discarded.
         sim.schedule_injection(SimTime::from_ms(4000.0), Injection::RepairNode(x));
         sim.run_until(SimTime::from_ms(3900.0));
-        assert_eq!(sim.node(m).protection_counters().stale_discards, 1);
-        assert!(sim
-            .node(m)
+        assert_eq!(lane(&sim, m).protection_counters().stale_discards, 1);
+        assert!(lane(&sim, m)
             .first_delivery_after(fail_at + SimTime::from_ms(1.0))
             .is_none());
         // The repaired X announces itself to its former peer (an off-tree
         // node arms no timers, so the contact is injected explicitly).
         sim.run_until(SimTime::from_ms(4500.0));
-        sim.with_node(x, |_, ctx| ctx.send(m, ProtoMsg::Hello));
+        sim.with_node(x, |_, ctx| ctx.send(m, tagged(ProtoMsg::Hello)));
         sim.run_until(SimTime::from_ms(10_000.0));
-        let member = sim.node(m);
+        let member = lane(&sim, m);
         assert!(
             member
                 .first_delivery_after(SimTime::from_ms(4000.0))
@@ -1967,17 +2063,19 @@ mod tests {
         let (g, ids) = slow_pair();
         let [s, m] = [ids[0], ids[1]];
         let link = g.link_between(s, m).unwrap();
-        let mut routers: Vec<Router> = (0..2).map(|_| Router::new(config())).collect();
-        routers[s.index()].set_source();
+        let mut routers = processes(2);
+        lane_of(&mut routers, s).set_source();
         let mut sim = NetSim::new(&g, routers);
-        sim.with_node(s, |r, ctx| r.start_timers(ctx));
-        sim.with_node(m, |r, ctx| r.initiate_setup(ctx, vec![m, s], true));
+        sim.with_node(s, |p, ctx| p.lane_mut(G).start_timers(ctx));
+        sim.with_node(m, |p, ctx| {
+            p.lane_mut(G).initiate_setup(ctx, vec![m, s], true)
+        });
         sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailLink(link));
         // RTO is 4 × 40 ms; ×1.5 backoff over 8 retries exhausts the
         // budget within ~12 s of simulated time.
         sim.run_until(SimTime::from_ms(13_000.0));
         assert!(
-            sim.node(m).is_recovering(),
+            lane(&sim, m).is_recovering(),
             "exhaustion must end the handshake grace and surface the failure"
         );
     }

@@ -1,12 +1,12 @@
-//! A relay's `HelloTick` through `MultiRouter::with_lane` allocates
+//! A relay's `HelloTick` through its `MultiRouter` lane allocates
 //! nothing.
 //!
 //! A star of router processes: the hub relays several groups (one
 //! upstream, two downstream neighbors each) and only its hello chains
 //! run. Once buffers have grown, each tick — lane dispatch, three hellos
-//! re-tagged onto the outer context, the re-arm, and the three
-//! deliveries into the neighbors' lanes — must not touch the heap. The
-//! sim-side counterpart is `crates/sim/tests/alloc_free.rs`.
+//! the lane writes group-tagged into the node's context, the re-arm, and
+//! the three deliveries into the neighbors' lanes — must not touch the
+//! heap. The sim-side counterpart is `crates/sim/tests/alloc_free.rs`.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;

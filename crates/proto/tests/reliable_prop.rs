@@ -15,9 +15,12 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use smrp_net::{Graph, NodeId};
-use smrp_proto::{ProtoMsg, Router, RouterConfig};
+use smrp_net::{Graph, GroupId, NodeId};
+use smrp_proto::{GroupMsg, MultiRouter, ProtoMsg, RouterConfig};
 use smrp_sim::{NetSim, NodeBehavior, SimTime};
+
+/// The one group the script runs in.
+const G: GroupId = GroupId::new(0);
 
 /// One node's structural soft state; the property compares these.
 type Digest = (bool, bool, Option<NodeId>, Vec<NodeId>, bool, u32);
@@ -60,17 +63,26 @@ fn script_msg(choice: u8) -> ProtoMsg {
 fn run_delivery(script: &[ProtoMsg], arrivals: &[usize]) -> Vec<Digest> {
     let graph = line3();
     let (a, b) = (NodeId::new(0), NodeId::new(1));
-    let routers: Vec<Router> = (0..3).map(|_| Router::new(quiet_config())).collect();
+    let routers: Vec<MultiRouter> = (0..3)
+        .map(|_| {
+            let mut p = MultiRouter::new(quiet_config());
+            p.lane_mut(G);
+            p
+        })
+        .collect();
     let mut sim = NetSim::new(&graph, routers);
 
     for (k, &i) in arrivals.iter().enumerate() {
         sim.run_until(SimTime::from_ms(10.0 * (k as f64 + 1.0)));
-        let envelope = ProtoMsg::Reliable {
-            seq: i as u64,
-            base: 0,
-            inner: Box::new(script[i].clone()),
+        let envelope = GroupMsg {
+            group: G,
+            inner: ProtoMsg::Reliable {
+                seq: i as u64,
+                base: 0,
+                inner: Box::new(script[i].clone()),
+            },
         };
-        sim.with_node(b, |r, ctx| r.on_message(ctx, a, envelope));
+        sim.with_node(b, |p, ctx| p.on_message(ctx, a, envelope));
     }
     // Long enough for the B → C cascade (reliable hops + acks) to finish,
     // short enough that no periodic timer of `quiet_config` has fired.
@@ -78,7 +90,10 @@ fn run_delivery(script: &[ProtoMsg], arrivals: &[usize]) -> Vec<Digest> {
 
     (0..3)
         .map(|i| {
-            let r = sim.node(NodeId::new(i));
+            let r = sim
+                .node(NodeId::new(i))
+                .lane(G)
+                .expect("every node has a lane");
             (
                 r.is_on_tree(),
                 r.is_member(),

@@ -9,9 +9,30 @@
 //! cancelled-then-refired timer cannot mutate router state, and reliable
 //! lanes are garbage-collected when a neighbor is declared dead.
 
-use smrp_net::{Graph, Injection, NodeId};
-use smrp_proto::{Router, RouterConfig};
+use smrp_net::{Graph, GroupId, Injection, NodeId};
+use smrp_proto::{MultiRouter, Router, RouterConfig};
 use smrp_sim::{NetSim, SimTime};
+
+/// The one group these tests run.
+const G: GroupId = GroupId::new(0);
+
+/// Three router processes, each holding an idle lane for [`G`].
+fn processes() -> Vec<MultiRouter> {
+    (0..3)
+        .map(|_| {
+            let mut p = MultiRouter::new(RouterConfig::default());
+            p.lane_mut(G);
+            p
+        })
+        .collect()
+}
+
+/// Node `n`'s lane for [`G`].
+fn lane<'s>(sim: &'s NetSim<'_, MultiRouter>, n: NodeId) -> &'s Router {
+    sim.node(n)
+        .lane(G)
+        .expect("every process holds a lane for G")
+}
 
 /// Line topology: S — R — M.
 fn line() -> (Graph, [NodeId; 3]) {
@@ -23,17 +44,19 @@ fn line() -> (Graph, [NodeId; 3]) {
 }
 
 /// Pre-loaded S—R—M session with all periodic chains running.
-fn loaded_line_sim<'a>(g: &'a Graph, [s, r, m]: [NodeId; 3]) -> NetSim<'a, Router> {
-    let mut routers: Vec<Router> = (0..3)
-        .map(|_| Router::new(RouterConfig::default()))
-        .collect();
-    routers[s.index()].set_source();
-    routers[s.index()].load_state(None, &[r], false);
-    routers[r.index()].load_state(Some(s), &[m], false);
-    routers[m.index()].load_state(Some(r), &[], true);
+fn loaded_line_sim<'a>(g: &'a Graph, [s, r, m]: [NodeId; 3]) -> NetSim<'a, MultiRouter> {
+    let mut routers = processes();
+    routers[s.index()].lane_mut(G).set_source();
+    routers[s.index()].lane_mut(G).load_state(None, &[r], false);
+    routers[r.index()]
+        .lane_mut(G)
+        .load_state(Some(s), &[m], false);
+    routers[m.index()]
+        .lane_mut(G)
+        .load_state(Some(r), &[], true);
     let mut sim = NetSim::new(g, routers);
     for &n in &[s, r, m] {
-        sim.with_node(n, |rt, ctx| rt.start_timers(ctx));
+        sim.with_node(n, |p, ctx| p.lane_mut(G).start_timers(ctx));
     }
     sim
 }
@@ -54,7 +77,7 @@ fn quick_repair_does_not_duplicate_periodic_chains() {
     let (g, ids) = line();
     let mut baseline = loaded_line_sim(&g, ids);
     baseline.run_until(until);
-    let baseline_hellos = baseline.node(ids[1]).control_sent().hellos;
+    let baseline_hellos = lane(&baseline, ids[1]).control_sent().hellos;
     assert!(
         baseline_hellos > 50,
         "sanity: chains ran ({baseline_hellos})"
@@ -65,7 +88,7 @@ fn quick_repair_does_not_duplicate_periodic_chains() {
     sim.schedule_injection(SimTime::from_ms(102.0), Injection::RepairNode(ids[1]));
     sim.fail_node_now(ids[1]);
     sim.run_until(until);
-    let repaired_hellos = sim.node(ids[1]).control_sent().hellos;
+    let repaired_hellos = lane(&sim, ids[1]).control_sent().hellos;
 
     let ratio = repaired_hellos as f64 / baseline_hellos as f64;
     assert!(
@@ -80,9 +103,8 @@ fn quick_repair_does_not_duplicate_periodic_chains() {
     );
 
     // And the repaired relay still behaves: on tree, serving its member.
-    assert!(sim.node(ids[1]).is_on_tree());
-    assert!(sim
-        .node(ids[2])
+    assert!(lane(&sim, ids[1]).is_on_tree());
+    assert!(lane(&sim, ids[2])
         .first_delivery_after(SimTime::from_ms(1000.0))
         .is_some());
 }
@@ -100,27 +122,27 @@ fn quick_repair_does_not_duplicate_periodic_chains() {
 #[test]
 fn lane_count_returns_to_baseline_after_node_death() {
     let (g, [s, r, m]) = line();
-    let mut routers: Vec<Router> = (0..3)
-        .map(|_| Router::new(RouterConfig::default()))
-        .collect();
-    routers[s.index()].set_source();
+    let mut routers = processes();
+    routers[s.index()].lane_mut(G).set_source();
     let mut sim = NetSim::new(&g, routers);
 
-    assert_eq!(sim.node(s).reliable_lane_count(), 0, "pre-join baseline");
-    assert_eq!(sim.node(m).reliable_lane_count(), 0, "pre-join baseline");
+    assert_eq!(lane(&sim, s).reliable_lane_count(), 0, "pre-join baseline");
+    assert_eq!(lane(&sim, m).reliable_lane_count(), 0, "pre-join baseline");
 
-    sim.with_node(s, |rt, ctx| rt.start_timers(ctx));
-    sim.with_node(m, |rt, ctx| rt.initiate_setup(ctx, vec![m, r, s], true));
+    sim.with_node(s, |p, ctx| p.lane_mut(G).start_timers(ctx));
+    sim.with_node(m, |p, ctx| {
+        p.lane_mut(G).initiate_setup(ctx, vec![m, r, s], true)
+    });
     sim.run_until(SimTime::from_ms(200.0));
 
     // The join's reliable envelopes opened lanes along the path.
-    assert!(sim.node(m).deliveries().len() > 10, "join must take");
+    assert!(lane(&sim, m).deliveries().len() > 10, "join must take");
     assert!(
-        sim.node(s).reliable_lane_count() >= 1,
+        lane(&sim, s).reliable_lane_count() >= 1,
         "the relay's Setup opened a lane at the source"
     );
     assert!(
-        sim.node(r).reliable_lane_count() >= 1,
+        lane(&sim, r).reliable_lane_count() >= 1,
         "the member's Setup opened a lane at the relay"
     );
 
@@ -132,17 +154,17 @@ fn lane_count_returns_to_baseline_after_node_death() {
     sim.run_until(SimTime::from_ms(1000.0));
 
     assert!(
-        sim.node(s).downstream().is_empty(),
+        lane(&sim, s).downstream().is_empty(),
         "source must expire the dead relay's branch"
     );
     assert_eq!(
-        sim.node(s).reliable_lane_count(),
+        lane(&sim, s).reliable_lane_count(),
         0,
         "downstream expiry must reclaim the dead relay's lane"
     );
-    assert!(sim.node(m).is_recovering());
+    assert!(lane(&sim, m).is_recovering());
     assert_eq!(
-        sim.node(m).reliable_lane_count(),
+        lane(&sim, m).reliable_lane_count(),
         0,
         "upstream-failure detection must reclaim the dead relay's lane"
     );

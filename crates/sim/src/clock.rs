@@ -1,5 +1,5 @@
-//! Pluggable time sources for hosts that drive protocol behaviors
-//! outside the discrete-event engine.
+//! Wall-clock time for hosts that drive protocol behaviors outside the
+//! discrete-event engine.
 //!
 //! Inside [`crate::NetSim`] virtual time is whatever the event queue says
 //! it is. A real host — the `smrpd` daemon — still wants to speak the
@@ -13,17 +13,6 @@
 use std::time::{Duration, Instant};
 
 use crate::time::SimTime;
-
-/// A source of protocol-timeline timestamps.
-///
-/// Implementations must be monotonic: successive calls never go
-/// backwards. The engine itself does not use this trait — it exists for
-/// external hosts (daemons, replay harnesses) that interpret
-/// [`crate::NodeCommand`] timers against real time.
-pub trait Clock {
-    /// The current instant on the protocol timeline.
-    fn now(&self) -> SimTime;
-}
 
 /// Wall-clock time mapped onto the protocol timeline, anchored at
 /// construction and scaled by a speedup factor.
@@ -57,10 +46,10 @@ impl MonotonicClock {
     pub fn to_wall(&self, span: SimTime) -> Duration {
         Duration::from_nanos((span.as_ns() as f64 / self.speed).ceil() as u64)
     }
-}
 
-impl Clock for MonotonicClock {
-    fn now(&self) -> SimTime {
+    /// The current instant on the protocol timeline. Successive calls
+    /// never go backwards.
+    pub fn now(&self) -> SimTime {
         let wall_ns = self.start.elapsed().as_nanos() as f64;
         SimTime::from_ns((wall_ns * self.speed) as u64)
     }

@@ -1,4 +1,11 @@
 //! The simulation engine: nodes, message delivery, timers, failures.
+//!
+//! Each handler call gets one [`Ctx`]: it queues sends, timer arms and
+//! cancels into a buffer the engine lends it, and the engine applies them
+//! in issue order once the handler returns. Timer tokens come from one
+//! counter per simulation. Hosts outside the engine build the same
+//! context with [`Ctx::standalone`] and apply its [`NodeCommand`]s
+//! themselves.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -125,12 +132,9 @@ pub trait NodeBehavior: Sized {
 /// One queued output of a behavior handler, captured by a [`Ctx`].
 ///
 /// Normally the engine applies commands internally and protocols never see
-/// this type. It is public for *multiplexing* behaviors — e.g. a router
-/// process hosting independent per-group protocol lanes — which run an
-/// inner behavior's handler against a [`Ctx::derive_into`] context, then
-/// translate the inner commands (tagging messages and timers with the lane
-/// id) back onto their own context. See `smrp-proto`'s multi-session
-/// router for the canonical use.
+/// this type. It is public for hosts that run handlers against a
+/// [`Ctx::standalone`] context and apply the commands themselves (the
+/// `smrpd` daemon over a real transport and timer driver).
 #[derive(Debug, Clone)]
 pub enum NodeCommand<M, T> {
     /// Send `msg` to the adjacent node `to`.
@@ -147,9 +151,6 @@ pub enum NodeCommand<M, T> {
         /// The timer tag.
         timer: T,
         /// The engine-issued identity of this timer (see [`TimerToken`]).
-        /// Multiplexers re-issuing an inner lane's timer must preserve it
-        /// via [`Ctx::set_timer_with_token`], so the lane's later
-        /// [`Ctx::cancel_timer`] still targets the right entry.
         token: TimerToken,
     },
     /// Revoke a previously armed timer before it fires.
@@ -168,7 +169,6 @@ pub struct Ctx<'a, N: NodeBehavior> {
     now: SimTime,
     me: NodeId,
     graph: &'a Graph,
-    failures: &'a FailureScenario,
     commands: Vec<NodeCommand<N::Msg, N::Timer>>,
     next_token: &'a Cell<u64>,
 }
@@ -179,23 +179,23 @@ impl<'a, N: NodeBehavior> Ctx<'a, N> {
     /// handlers against a standalone context and interprets the resulting
     /// [`NodeCommand`]s over a real transport and a real timer driver.
     ///
-    /// `failures` is the host's *local view* of the failure state (the
-    /// context only carries it), and `next_token` is the host's node-wide timer
-    /// token counter: it must be the same cell across every context built
-    /// for one node so [`TimerToken`]s stay unique for the node's lifetime,
-    /// exactly as the engine guarantees within a simulation.
+    /// The host's view of the failure state is taken but not consulted:
+    /// like the engine, the host gates deliveries and timers on failures
+    /// itself. `next_token` is the host's node-wide timer token counter: it
+    /// must be the same cell across every context built for one node so
+    /// [`TimerToken`]s stay unique for the node's lifetime, exactly as the
+    /// engine guarantees within a simulation.
     pub fn standalone(
         now: SimTime,
         me: NodeId,
         graph: &'a Graph,
-        failures: &'a FailureScenario,
+        _failures: &'a FailureScenario,
         next_token: &'a Cell<u64>,
     ) -> Self {
         Ctx {
             now,
             me,
             graph,
-            failures,
             commands: Vec::new(),
             next_token,
         }
@@ -237,19 +237,6 @@ impl<'a, N: NodeBehavior> Ctx<'a, N> {
         token
     }
 
-    /// Arms a timer under a caller-supplied token instead of allocating a
-    /// fresh one. This is for multiplexing behaviors translating an inner
-    /// lane's [`NodeCommand::Timer`] onto the outer context: re-issuing
-    /// under the *original* token keeps the lane's handle valid, so its
-    /// later cancellation still reaches the engine entry.
-    pub fn set_timer_with_token(&mut self, delay: SimTime, timer: N::Timer, token: TimerToken) {
-        self.commands.push(NodeCommand::Timer {
-            delay,
-            timer,
-            token,
-        });
-    }
-
     /// Revokes a previously armed timer. Cancelling a timer that already
     /// fired (or was already cancelled) is a no-op: tokens are unique for
     /// the lifetime of the simulation, so a stale token matches nothing.
@@ -257,37 +244,8 @@ impl<'a, N: NodeBehavior> Ctx<'a, N> {
         self.commands.push(NodeCommand::CancelTimer { token });
     }
 
-    /// Derives a context for an *inner* behavior `N2` sharing this node's
-    /// view of the simulation (same time, node, topology and failure
-    /// state) but collecting its own commands into `buffer` (cleared
-    /// first; pass `Vec::new()` when there is none to reuse).
-    ///
-    /// This is the hook for multiplexing behaviors: run the inner
-    /// behavior's handler against the derived context, then drain its
-    /// commands with [`Ctx::into_commands`] and re-issue them through the
-    /// outer context, tagging messages and timers with the lane they
-    /// belong to. A multiplexer dispatching many handler calls keeps one
-    /// buffer's capacity by passing the drained vector to the next call.
-    pub fn derive_into<N2: NodeBehavior>(
-        &self,
-        mut buffer: Vec<NodeCommand<N2::Msg, N2::Timer>>,
-    ) -> Ctx<'a, N2> {
-        buffer.clear();
-        Ctx {
-            now: self.now,
-            me: self.me,
-            graph: self.graph,
-            failures: self.failures,
-            commands: buffer,
-            // The token counter is shared: tokens allocated by inner
-            // lanes stay globally unique, so re-issuing them on the outer
-            // context cannot collide.
-            next_token: self.next_token,
-        }
-    }
-
     /// Consumes the context, yielding the commands its handler queued, in
-    /// issue order. Only useful on [`Ctx::derive_into`] contexts — contexts
+    /// issue order. Only useful on [`Ctx::standalone`] contexts — contexts
     /// handed out by the engine are applied by the engine itself.
     pub fn into_commands(self) -> Vec<NodeCommand<N::Msg, N::Timer>> {
         self.commands
@@ -592,7 +550,6 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             now: self.now,
             me: id,
             graph: self.graph,
-            failures: &self.failures,
             commands: std::mem::take(&mut self.commands),
             next_token: &self.next_token,
         };

@@ -43,7 +43,7 @@ mod trace;
 mod wheel;
 
 pub use channel::{ChannelModel, ChannelParams, ChannelSpec, LinkDegrade};
-pub use clock::{Clock, MonotonicClock};
+pub use clock::MonotonicClock;
 pub use engine::{Ctx, NetSim, NodeBehavior, NodeCommand, TimerBackend, TimerToken};
 pub use event::EventQueue;
 pub use time::SimTime;

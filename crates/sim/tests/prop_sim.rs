@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use smrp_net::{Graph, Injection, NodeId};
 use smrp_sim::{
-    Ctx, Descriptor, EventQueue, NetSim, NodeBehavior, NodeCommand, SimTime, TimerBackend,
-    TimerToken, TimerWheel, TraceEvent, TraceLog,
+    Ctx, Descriptor, EventQueue, NetSim, NodeBehavior, SimTime, TimerBackend, TimerToken,
+    TimerWheel, TraceEvent, TraceLog,
 };
 
 #[derive(Default, Clone)]
@@ -85,8 +85,7 @@ fn heap_next(
 /// A node that answers every event with a choice drawn from its own
 /// seeded generator: forward to a neighbor, arm a timer (same instant,
 /// sub-tick, a few ticks, past a level-0 lap), cancel the pending one and
-/// re-arm, or arm one the way a multiplexed lane does. `budget` bounds the
-/// run.
+/// re-arm, or arm another beside it. `budget` bounds the run.
 struct Chatter {
     rng: u64,
     budget: u32,
@@ -126,22 +125,10 @@ impl Chatter {
                 self.pending = Some(ctx.set_timer(delay, tag));
             }
             4 => {
-                // The lane path every protocol timer takes: the token comes
-                // from a derived context, the timer is re-armed on this one
-                // under that token, and a later handler may cancel it.
-                let mut lane = ctx.derive_into::<Self>(Vec::new());
-                let token = lane.set_timer(delay, tag);
-                for cmd in lane.into_commands() {
-                    if let NodeCommand::Timer {
-                        delay,
-                        timer,
-                        token,
-                    } = cmd
-                    {
-                        ctx.set_timer_with_token(delay, timer, token);
-                    }
-                }
-                self.pending = Some(token);
+                // Arm another timer without revoking the pending one: the
+                // earlier token stays live in the engine but is forgotten
+                // here, so only its firing can retire it.
+                self.pending = Some(ctx.set_timer(delay, tag));
             }
             _ => {
                 // Fan out: several deliveries scheduled in one handler.

@@ -4,8 +4,10 @@
 //! The runtime is the daemon-side mirror of the simulator's event loop
 //! for a single node. The router code is *identical* — the same
 //! [`MultiRouter`] the simulator schedules is dispatched here through
-//! [`Ctx::standalone`], so the protocol cannot diverge by construction;
-//! only the surrounding machinery differs:
+//! [`Ctx::standalone`], and its lanes write their group-tagged commands
+//! into that context exactly as they do in the simulator, so the protocol
+//! cannot diverge by construction; only the surrounding machinery
+//! differs:
 //!
 //! * **Clock** — a [`MonotonicClock`] maps wall time onto protocol
 //!   [`SimTime`], optionally sped up, all nodes anchored to one shared
@@ -32,7 +34,7 @@ use rand::{Rng, SeedableRng};
 use smrp_net::{FailureScenario, Graph, Injection, NodeId};
 use smrp_proto::wire;
 use smrp_proto::{GroupMsg, GroupTimer, MultiRouter};
-use smrp_sim::{Clock, Ctx, MonotonicClock, NodeBehavior, NodeCommand, SimTime};
+use smrp_sim::{Ctx, MonotonicClock, NodeBehavior, NodeCommand, SimTime};
 
 use crate::status::{NodeStatus, StatusBoard};
 use crate::timer::TimerDriver;
@@ -124,7 +126,7 @@ impl NodeRuntime {
         self.dispatch(now, |router, ctx| {
             let groups: Vec<_> = router.groups().collect();
             for g in groups {
-                router.with_lane(ctx, g, |r, ictx| r.start_timers(ictx));
+                router.lane_mut(g).start_timers(ctx);
             }
         });
 
