@@ -150,7 +150,7 @@ pub fn reachable_from_source(
     mask[source.index()] = true;
     let mut stack = vec![source];
     while let Some(u) = stack.pop() {
-        for &(v, l) in graph.adjacency(u) {
+        for &(v, l, _) in graph.arcs(u) {
             if mask[v.index()] || !scenario.node_usable(v) || !scenario.link_usable(graph, l) {
                 continue;
             }

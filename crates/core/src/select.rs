@@ -289,8 +289,8 @@ fn sink_constrained_candidates(
                 continue;
             }
         }
-        for &(v, l) in graph.adjacency(u) {
-            let nd = d + graph.link(l).delay();
+        for &(v, _, w) in graph.arcs(u) {
+            let nd = d + w;
             // Outside the ellipse (which, once there is a limit, includes
             // everything the source cannot reach).
             if spt.distance(v).map_or(f64::INFINITY, |sv| nd + sv) > limit {

@@ -43,6 +43,18 @@
 //!   per group; on `multigroup_cut`, where every group has its own source,
 //!   it almost never hits.
 //!
+//! # What a tree costs to hold
+//!
+//! A session's tree spans a few dozen nodes of a graph of thousands, so
+//! per-node state is laid out for a tree that touches few of them. Every
+//! per-node field reads zero for an off-tree node — `parent` stores the
+//! index plus one, with 0 for none; `on_tree` and `member` are bitsets —
+//! so [`MulticastTree::new`] asks for zeroed memory and writes none of it,
+//! and a clone copies only on-tree slots. Child lists exist only for
+//! nodes that have children, each behind an 8-byte slot; an emptied list
+//! goes back to none, so two trees of one shape compare equal whatever
+//! their history.
+//!
 //! [`recompute_stats`](MulticastTree::recompute_stats) retains the
 //! from-scratch evaluation of `N` and serves as the oracle: under
 //! `debug_assertions` (or the `audit-stats` feature) every mutating
@@ -58,18 +70,22 @@ use crate::error::SmrpError;
 
 /// A rooted multicast (Steiner) tree with SMRP bookkeeping.
 ///
-/// See the module documentation for the maintained state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// See the module documentation for the maintained state and its layout.
+/// Every off-tree node's slots hold zero (no parent, no children, `N = 0`),
+/// which [`Clone`] relies on.
+#[derive(Debug, PartialEq)]
 pub struct MulticastTree {
     source: NodeId,
-    /// Parent (upstream node `R_u`) of each on-tree node; `None` for the
-    /// source, for off-tree nodes and for a temporarily detached fragment
-    /// root.
-    parent: Vec<Option<NodeId>>,
-    /// Children of each node (downstream interfaces).
-    children: Vec<Vec<NodeId>>,
-    on_tree: Vec<bool>,
-    member: Vec<bool>,
+    /// Parent (upstream node `R_u`) of each on-tree node as its index plus
+    /// one; 0 for the source, for off-tree nodes and for a temporarily
+    /// detached fragment root.
+    parent: Vec<u32>,
+    /// Children of each node (downstream interfaces); `None` when it has
+    /// none. The outer box makes the slot one thin pointer, half the size
+    /// of a boxed slice's.
+    children: Vec<Option<Box<Box<[NodeId]>>>>,
+    on_tree: NodeSet,
+    member: NodeSet,
     /// `N_R`: members in the subtree rooted at each node, each weighted by
     /// its aggregated population (see [`set_member_weight`]). Valid for
     /// on-tree nodes; 0 for a pruned one.
@@ -81,6 +97,59 @@ pub struct MulticastTree {
     /// receiver). Lazily materialized: an empty vector means every member
     /// weighs 1, which keeps unweighted trees byte-compatible.
     weight: Vec<u32>,
+}
+
+/// A set of node ids, one bit per node of the graph.
+#[derive(Debug, Clone, PartialEq)]
+struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    fn empty(nodes: usize) -> Self {
+        NodeSet(vec![0; nodes.div_ceil(64)])
+    }
+
+    #[inline]
+    fn contains(&self, node: NodeId) -> bool {
+        let i = node.index();
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    #[inline]
+    fn insert(&mut self, node: NodeId) {
+        let i = node.index();
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, node: NodeId) {
+        let i = node.index();
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// The members in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.0.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    NodeId::new(word * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
+/// `parent` as stored: the index plus one, 0 for none.
+#[inline]
+fn encode_parent(parent: Option<NodeId>) -> u32 {
+    parent.map_or(0, |p| p.index() as u32 + 1)
+}
+
+#[inline]
+fn decode_parent(slot: u32) -> Option<NodeId> {
+    slot.checked_sub(1).map(|i| NodeId::new(i as usize))
 }
 
 /// What [`MulticastTree::detach_recorded`] removed: enough to restore the
@@ -110,6 +179,94 @@ impl Detached {
     }
 }
 
+/// Copies the on-tree slots into zeroed vectors: an off-tree node's slots
+/// are zero already, so a clone costs the tree, not the graph.
+impl Clone for MulticastTree {
+    fn clone(&self) -> Self {
+        let mut copy = MulticastTree::bare(self.source, self.parent.len());
+        for v in self.on_tree.iter() {
+            let i = v.index();
+            copy.parent[i] = self.parent[i];
+            copy.children[i].clone_from(&self.children[i]);
+            copy.n[i] = self.n[i];
+        }
+        copy.on_tree.clone_from(&self.on_tree);
+        copy.member.clone_from(&self.member);
+        copy.member_count = self.member_count;
+        copy.weight.clone_from(&self.weight);
+        debug_assert!(copy == *self, "off-tree state outside the on-tree slots");
+        copy
+    }
+}
+
+// Written out because the offline serde derive cannot read boxed child
+// slots. The form is dense per-node lists, node by node in id order, so it
+// does not depend on the order the tree was built in.
+impl Serialize for MulticastTree {
+    fn serialize(&self) -> serde::Value {
+        let nodes = || (0..self.parent.len()).map(NodeId::new);
+        let parent: Vec<Option<NodeId>> = nodes().map(|v| self.parent(v)).collect();
+        let children: Vec<&[NodeId]> = nodes().map(|v| self.children(v)).collect();
+        let on_tree: Vec<bool> = nodes().map(|v| self.is_on_tree(v)).collect();
+        let member: Vec<bool> = nodes().map(|v| self.is_member(v)).collect();
+        serde::Value::Map(vec![
+            ("source".to_string(), self.source.serialize()),
+            ("parent".to_string(), parent.serialize()),
+            ("children".to_string(), children.serialize()),
+            ("on_tree".to_string(), on_tree.serialize()),
+            ("member".to_string(), member.serialize()),
+            ("n".to_string(), self.n.serialize()),
+            ("member_count".to_string(), self.member_count.serialize()),
+            ("weight".to_string(), self.weight.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for MulticastTree {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let read = |name| serde::field(value, name);
+        let parent: Vec<Option<NodeId>> = Deserialize::deserialize(read("parent")?)?;
+        let children: Vec<Vec<NodeId>> = Deserialize::deserialize(read("children")?)?;
+        let on_tree: Vec<bool> = Deserialize::deserialize(read("on_tree")?)?;
+        let member: Vec<bool> = Deserialize::deserialize(read("member")?)?;
+        let n: Vec<u32> = Deserialize::deserialize(read("n")?)?;
+        let weight: Vec<u32> = Deserialize::deserialize(read("weight")?)?;
+        let source: NodeId = Deserialize::deserialize(read("source")?)?;
+        let nodes = parent.len();
+        let in_range = |v: &NodeId| v.index() < nodes;
+        let off_tree_blank =
+            |i: usize| on_tree[i] || (parent[i].is_none() && children[i].is_empty() && n[i] == 0);
+        if [children.len(), on_tree.len(), member.len(), n.len()] != [nodes; 4]
+            || !(weight.is_empty() || weight.len() == nodes)
+            || !in_range(&source)
+            || !parent
+                .iter()
+                .flatten()
+                .chain(children.iter().flatten())
+                .all(in_range)
+            || !(0..nodes).all(off_tree_blank)
+        {
+            return Err(serde::Error::custom("inconsistent per-node tree state"));
+        }
+        let mut tree = MulticastTree::bare(source, nodes);
+        for (i, list) in children.into_iter().enumerate() {
+            let v = NodeId::new(i);
+            tree.set_parent(v, parent[i]);
+            tree.edit_children(v, |children| *children = list);
+            if on_tree[i] {
+                tree.on_tree.insert(v);
+            }
+            if member[i] {
+                tree.member.insert(v);
+            }
+        }
+        tree.n = n;
+        tree.member_count = Deserialize::deserialize(read("member_count")?)?;
+        tree.weight = weight;
+        Ok(tree)
+    }
+}
+
 impl MulticastTree {
     /// Creates a tree containing only the source.
     ///
@@ -120,19 +277,24 @@ impl MulticastTree {
         if !graph.contains_node(source) {
             return Err(SmrpError::UnknownNode(source));
         }
-        let n = graph.node_count();
-        let mut tree = MulticastTree {
+        let mut tree = MulticastTree::bare(source, graph.node_count());
+        tree.on_tree.insert(source);
+        Ok(tree)
+    }
+
+    /// A tree over `nodes` nodes with nothing on it, not even `source`:
+    /// every per-node slot zero, in memory nothing has written yet.
+    fn bare(source: NodeId, nodes: usize) -> Self {
+        MulticastTree {
             source,
-            parent: vec![None; n],
-            children: vec![Vec::new(); n],
-            on_tree: vec![false; n],
-            member: vec![false; n],
-            n: vec![0; n],
+            parent: vec![0; nodes],
+            children: vec![None; nodes],
+            on_tree: NodeSet::empty(nodes),
+            member: NodeSet::empty(nodes),
+            n: vec![0; nodes],
             member_count: 0,
             weight: Vec::new(),
-        };
-        tree.on_tree[source.index()] = true;
-        Ok(tree)
+        }
     }
 
     /// The multicast source (tree root).
@@ -144,25 +306,53 @@ impl MulticastTree {
     /// Whether `node` is on the tree (member or relay).
     #[inline]
     pub fn is_on_tree(&self, node: NodeId) -> bool {
-        self.on_tree[node.index()]
+        self.on_tree.contains(node)
     }
 
     /// Whether `node` is a member (receiver).
     #[inline]
     pub fn is_member(&self, node: NodeId) -> bool {
-        self.member[node.index()]
+        self.member.contains(node)
     }
 
     /// Upstream node `R_u` of `node`, if any.
     #[inline]
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.parent[node.index()]
+        decode_parent(self.parent[node.index()])
+    }
+
+    #[inline]
+    fn set_parent(&mut self, node: NodeId, parent: Option<NodeId>) {
+        self.parent[node.index()] = encode_parent(parent);
     }
 
     /// Children (downstream interfaces) of `node`.
     #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.children[node.index()]
+        self.children[node.index()]
+            .as_deref()
+            .map_or(&[], |list| list)
+    }
+
+    /// Applies `edit` to `node`'s child list, storing `None` if it leaves
+    /// the list empty.
+    fn edit_children(&mut self, node: NodeId, edit: impl FnOnce(&mut Vec<NodeId>)) {
+        let slot = &mut self.children[node.index()];
+        let mut list = Vec::from(slot.as_deref_mut().map(std::mem::take).unwrap_or_default());
+        edit(&mut list);
+        match slot {
+            _ if list.is_empty() => *slot = None,
+            Some(outer) => **outer = list.into_boxed_slice(),
+            None => *slot = Some(Box::new(list.into_boxed_slice())),
+        }
+    }
+
+    /// Inserts `child` into `parent`'s child list at `at`, or last.
+    fn insert_child(&mut self, parent: NodeId, at: Option<usize>, child: NodeId) {
+        self.edit_children(parent, |list| {
+            list.reserve_exact(1);
+            list.insert(at.unwrap_or(list.len()), child);
+        });
     }
 
     /// `N_R`: number of members in the subtree rooted at `node`.
@@ -175,12 +365,12 @@ impl MulticastTree {
     /// asked: Eq. 2 unrolled, the sum of `N` over the tree path `S → node`
     /// without the source. 0 for the source and for an off-tree node.
     pub fn shr(&self, node: NodeId) -> u32 {
-        if !self.on_tree[node.index()] {
+        if !self.is_on_tree(node) {
             return 0;
         }
         let mut shr = 0;
         let mut cur = node;
-        while let Some(p) = self.parent[cur.index()] {
+        while let Some(p) = self.parent(cur) {
             shr += self.n[cur.index()];
             cur = p;
         }
@@ -199,7 +389,7 @@ impl MulticastTree {
     /// point, 0 for a non-member.
     #[inline]
     pub fn member_weight(&self, node: NodeId) -> u32 {
-        if self.member[node.index()] {
+        if self.is_member(node) {
             self.weight_of(node.index())
         } else {
             0
@@ -208,11 +398,8 @@ impl MulticastTree {
 
     /// Total receiver population over all members (sum of member weights).
     pub fn population(&self) -> u64 {
-        self.member
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| u64::from(self.weight_of(i)))
+        self.members()
+            .map(|m| u64::from(self.weight_of(m.index())))
             .sum()
     }
 
@@ -225,27 +412,19 @@ impl MulticastTree {
     /// Materializes the weight vector (all-1) so a slot can be written.
     fn weight_slot(&mut self, i: usize) -> &mut u32 {
         if self.weight.is_empty() {
-            self.weight = vec![1; self.member.len()];
+            self.weight = vec![1; self.parent.len()];
         }
         &mut self.weight[i]
     }
 
     /// Iterator over members in node-id order.
     pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.member
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| NodeId::new(i))
+        self.member.iter()
     }
 
     /// Iterator over all on-tree nodes in node-id order.
     pub fn on_tree_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.on_tree
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t)
-            .map(|(i, _)| NodeId::new(i))
+        self.on_tree.iter()
     }
 
     /// On-tree nodes reachable from the source through parent/child links —
@@ -255,7 +434,7 @@ impl MulticastTree {
         let mut stack = vec![self.source];
         while let Some(u) = stack.pop() {
             out.push(u);
-            stack.extend(self.children[u.index()].iter().copied());
+            stack.extend_from_slice(self.children(u));
         }
         out
     }
@@ -263,13 +442,13 @@ impl MulticastTree {
     /// The on-tree path from the source to `node` (`P_T(S, R)` in the
     /// paper), or `None` if `node` is off-tree or detached.
     pub fn path_from_source(&self, node: NodeId) -> Option<Path> {
-        if !self.on_tree[node.index()] {
+        if !self.is_on_tree(node) {
             return None;
         }
         let mut nodes = vec![node];
         let mut cur = node;
         while cur != self.source {
-            let p = self.parent[cur.index()]?;
+            let p = self.parent(cur)?;
             nodes.push(p);
             cur = p;
         }
@@ -281,7 +460,7 @@ impl MulticastTree {
     ///
     /// Returns `None` for off-tree or detached nodes.
     pub fn delay_to(&self, graph: &Graph, node: NodeId) -> Option<f64> {
-        if !self.on_tree[node.index()] {
+        if !self.is_on_tree(node) {
             return None;
         }
         // Upstream-link delays, collected walking up and summed source-first
@@ -289,7 +468,7 @@ impl MulticastTree {
         let mut delays = Vec::new();
         let mut cur = node;
         while cur != self.source {
-            let p = self.parent[cur.index()]?;
+            let p = self.parent(cur)?;
             let delay = graph
                 .delay_between(cur, p)
                 .expect("tree edges correspond to graph links");
@@ -303,7 +482,7 @@ impl MulticastTree {
     pub fn links(&self, graph: &Graph) -> Vec<LinkId> {
         let mut links = Vec::new();
         for u in self.source_connected_nodes() {
-            if let Some(p) = self.parent[u.index()] {
+            if let Some(p) = self.parent(u) {
                 let l = graph
                     .link_between(u, p)
                     .expect("tree edges correspond to graph links");
@@ -360,28 +539,25 @@ impl MulticastTree {
     pub fn attach_path(&mut self, path: &Path) {
         let nodes = path.nodes();
         let merger = *nodes.last().expect("paths are non-empty");
-        debug_assert!(
-            self.on_tree[merger.index()],
-            "merger {merger} must be on-tree"
-        );
+        debug_assert!(self.is_on_tree(merger), "merger {merger} must be on-tree");
         if nodes.len() == 1 {
             // Trivial: attaching a node that is already the merger.
             return;
         }
         let new_root = nodes[0];
         debug_assert!(
-            self.parent[new_root.index()].is_none(),
+            self.parent(new_root).is_none(),
             "attached root {new_root} must not already have a parent"
         );
         for w in nodes.windows(2) {
             let (child, up) = (w[0], w[1]);
             debug_assert!(
-                child == new_root || !self.on_tree[child.index()],
+                child == new_root || !self.is_on_tree(child),
                 "interior node {child} must be off-tree"
             );
-            self.parent[child.index()] = Some(up);
-            self.on_tree[child.index()] = true;
-            self.children[up.index()].push(child);
+            self.set_parent(child, Some(up));
+            self.on_tree.insert(child);
+            self.insert_child(up, None, child);
         }
 
         // Members carried in by the graft. A reattached fragment keeps
@@ -410,7 +586,7 @@ impl MulticastTree {
         let mut cur = pivot;
         loop {
             self.n[cur.index()] = (i64::from(self.n[cur.index()]) + delta) as u32;
-            match self.parent[cur.index()] {
+            match self.parent(cur) {
                 Some(p) => cur = p,
                 None => break,
             }
@@ -452,11 +628,11 @@ impl MulticastTree {
     /// error when setting membership on an off-tree node.
     pub fn set_member(&mut self, node: NodeId, is_member: bool) -> Result<(), SmrpError> {
         if is_member {
-            if !self.on_tree[node.index()] {
+            if !self.is_on_tree(node) {
                 return Err(SmrpError::UnknownNode(node));
             }
-            if !self.member[node.index()] {
-                self.member[node.index()] = true;
+            if !self.is_member(node) {
+                self.member.insert(node);
                 self.member_count += 1;
                 // A fresh membership always starts at weight 1; aggregated
                 // populations are declared afterwards via
@@ -468,11 +644,11 @@ impl MulticastTree {
                 self.audit_stats();
             }
         } else {
-            if !self.member[node.index()] {
+            if !self.is_member(node) {
                 return Err(SmrpError::NotMember(node));
             }
             let removed = i64::from(self.weight_of(node.index()));
-            self.member[node.index()] = false;
+            self.member.remove(node);
             self.member_count -= 1;
             if !self.weight.is_empty() {
                 self.weight[node.index()] = 1;
@@ -501,7 +677,7 @@ impl MulticastTree {
                 reason: "aggregated populations must serve at least one receiver",
             });
         }
-        if !self.member[node.index()] {
+        if !self.is_member(node) {
             return Err(SmrpError::NotMember(node));
         }
         let old = i64::from(self.weight_of(node.index()));
@@ -523,21 +699,20 @@ impl MulticastTree {
         // them changes no other node's `N` — no propagation needed.
         let mut cur = node;
         loop {
-            let i = cur.index();
-            if !self.on_tree[i]
+            if !self.is_on_tree(cur)
                 || cur == self.source
-                || self.member[i]
-                || !self.children[i].is_empty()
+                || self.is_member(cur)
+                || !self.children(cur).is_empty()
             {
                 break;
             }
-            let up = self.parent[i];
-            self.on_tree[i] = false;
-            self.parent[i] = None;
-            self.n[i] = 0;
+            let up = self.parent(cur);
+            self.on_tree.remove(cur);
+            self.set_parent(cur, None);
+            self.n[cur.index()] = 0;
             match up {
                 Some(p) => {
-                    self.children[p.index()].retain(|&c| c != cur);
+                    self.edit_children(p, |list| list.retain(|&c| c != cur));
                     cur = p;
                 }
                 None => break,
@@ -574,16 +749,18 @@ impl MulticastTree {
         if node == self.source {
             return Err(SmrpError::SourceOperation(node));
         }
-        if !self.on_tree[node.index()] {
+        if !self.is_on_tree(node) {
             return Err(SmrpError::UnknownNode(node));
         }
-        let Some(old_parent) = self.parent[node.index()] else {
+        let Some(old_parent) = self.parent(node) else {
             return Err(SmrpError::UnknownNode(node));
         };
         let removed = i64::from(self.n[node.index()]);
-        self.parent[node.index()] = None;
+        self.set_parent(node, None);
         let mut slot = self.child_slot(old_parent, node);
-        self.children[old_parent.index()].remove(slot);
+        self.edit_children(old_parent, |list| {
+            list.remove(slot);
+        });
         // The fragment keeps its internal `N` values (its subtrees did not
         // change); upstream, the surviving path loses `removed` members.
         self.propagate_member_delta(old_parent, -removed);
@@ -592,11 +769,13 @@ impl MulticastTree {
         // non-members, each the only child of the next.
         let mut relays = Vec::new();
         let mut anchor = old_parent;
-        let mut childless = self.children[old_parent.index()].is_empty();
-        while anchor != self.source && !self.member[anchor.index()] && childless {
-            let up = self.parent[anchor.index()].expect("connected chain reaches the source");
+        let mut childless = self.children(old_parent).is_empty();
+        while anchor != self.source && !self.is_member(anchor) && childless {
+            let up = self
+                .parent(anchor)
+                .expect("connected chain reaches the source");
             slot = self.child_slot(up, anchor);
-            childless = self.children[up.index()].len() == 1;
+            childless = self.children(up).len() == 1;
             relays.push(anchor);
             anchor = up;
         }
@@ -628,13 +807,13 @@ impl MulticastTree {
         // whole source path.
         let mut below = node;
         for &relay in &relays {
-            self.on_tree[relay.index()] = true;
-            self.parent[below.index()] = Some(relay);
-            self.children[relay.index()].push(below);
+            self.on_tree.insert(relay);
+            self.set_parent(below, Some(relay));
+            self.insert_child(relay, None, below);
             below = relay;
         }
-        self.parent[below.index()] = Some(anchor);
-        self.children[anchor.index()].insert(slot, below);
+        self.set_parent(below, Some(anchor));
+        self.insert_child(anchor, Some(slot), below);
         let old_parent = relays.first().copied().unwrap_or(anchor);
         self.propagate_member_delta(old_parent, removed);
         self.audit_stats();
@@ -642,7 +821,7 @@ impl MulticastTree {
 
     /// Position of `child` among `parent`'s children.
     fn child_slot(&self, parent: NodeId, child: NodeId) -> usize {
-        self.children[parent.index()]
+        self.children(parent)
             .iter()
             .position(|&c| c == child)
             .expect("child is listed under its parent")
@@ -655,7 +834,7 @@ impl MulticastTree {
         let mut stack = vec![node];
         while let Some(u) = stack.pop() {
             out.push(u);
-            stack.extend(self.children[u.index()].iter().copied());
+            stack.extend_from_slice(self.children(u));
         }
         out
     }
@@ -672,7 +851,7 @@ impl MulticastTree {
         // Post-order accumulation: children before parents.
         for u in self.source_connected_nodes().into_iter().rev() {
             let mut count = self.member_weight(u);
-            for &c in &self.children[u.index()] {
+            for &c in self.children(u) {
                 count += self.n[c.index()];
             }
             self.n[u.index()] = count;
@@ -699,11 +878,11 @@ impl MulticastTree {
     pub fn validate(&self, graph: &Graph) -> Result<(), String> {
         // (1) parent/child consistency.
         for u in self.on_tree_nodes() {
-            if let Some(p) = self.parent[u.index()] {
-                if !self.on_tree[p.index()] {
+            if let Some(p) = self.parent(u) {
+                if !self.is_on_tree(p) {
                     return Err(format!("parent {p} of {u} is off-tree"));
                 }
-                if !self.children[p.index()].contains(&u) {
+                if !self.children(p).contains(&u) {
                     return Err(format!("{u} missing from children of {p}"));
                 }
                 // (2) edges are graph links.
@@ -713,8 +892,8 @@ impl MulticastTree {
             }
         }
         for u in self.on_tree_nodes() {
-            for &c in &self.children[u.index()] {
-                if self.parent[c.index()] != Some(u) {
+            for &c in self.children(u) {
+                if self.parent(c) != Some(u) {
                     return Err(format!("child {c} of {u} has wrong parent"));
                 }
             }
@@ -736,7 +915,7 @@ impl MulticastTree {
         }
         // (5) no relay leaves.
         for u in self.on_tree_nodes() {
-            if u != self.source && self.children[u.index()].is_empty() && !self.member[u.index()] {
+            if u != self.source && self.children(u).is_empty() && !self.is_member(u) {
                 return Err(format!("leaf {u} is a relay, tree was not pruned"));
             }
         }
@@ -787,6 +966,8 @@ impl MulticastTree {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// Figure 1(a) of the paper: tree S -> A -> {C, D}, members C and D.
@@ -1155,5 +1336,219 @@ mod tests {
         assert_eq!(t.shr(ids[2]), 5);
         assert_eq!(t.shr(ids[3]), 6);
         t.validate(&g).unwrap();
+    }
+
+    /// The tree as dense per-node vectors, driven through the same
+    /// operations in their plainest form: the layout oracle.
+    #[derive(Debug, Clone)]
+    struct Dense {
+        source: NodeId,
+        parent: Vec<Option<NodeId>>,
+        children: Vec<Vec<NodeId>>,
+        on_tree: Vec<bool>,
+        member: Vec<bool>,
+    }
+
+    impl Dense {
+        fn new(nodes: usize, source: NodeId) -> Self {
+            let mut on_tree = vec![false; nodes];
+            on_tree[source.index()] = true;
+            Dense {
+                source,
+                parent: vec![None; nodes],
+                children: vec![Vec::new(); nodes],
+                on_tree,
+                member: vec![false; nodes],
+            }
+        }
+
+        fn attach(&mut self, path: &[NodeId]) {
+            for w in path.windows(2) {
+                self.parent[w[0].index()] = Some(w[1]);
+                self.on_tree[w[0].index()] = true;
+                self.children[w[1].index()].push(w[0]);
+            }
+        }
+
+        fn prune(&mut self, mut v: NodeId) {
+            let i = |v: NodeId| v.index();
+            while self.on_tree[i(v)]
+                && v != self.source
+                && !self.member[i(v)]
+                && self.children[i(v)].is_empty()
+            {
+                self.on_tree[i(v)] = false;
+                let Some(p) = self.parent[i(v)].take() else {
+                    break;
+                };
+                self.children[i(p)].retain(|&c| c != v);
+                v = p;
+            }
+        }
+
+        fn detach(&mut self, v: NodeId) {
+            let p = self.parent[v.index()].take().unwrap();
+            self.children[p.index()].retain(|&c| c != v);
+            self.prune(p);
+        }
+
+        /// `N` recounted over the children lists.
+        fn n(&self, v: NodeId) -> u32 {
+            let below: u32 = self.children[v.index()].iter().map(|&c| self.n(c)).sum();
+            u32::from(self.member[v.index()]) + below
+        }
+
+        /// `SHR` summed up the parent pointers.
+        fn shr(&self, v: NodeId) -> u32 {
+            let mut shr = 0;
+            let mut cur = v;
+            while self.on_tree[v.index()] {
+                let Some(p) = self.parent[cur.index()] else {
+                    break;
+                };
+                shr += self.n(cur);
+                cur = p;
+            }
+            shr
+        }
+
+        /// A tree of this shape built fresh: every edge attached once, in
+        /// child order, then the members marked.
+        fn rebuilt(&self, graph: &Graph) -> MulticastTree {
+            let mut t = MulticastTree::new(graph, self.source).unwrap();
+            let mut queue = std::collections::VecDeque::from([self.source]);
+            while let Some(u) = queue.pop_front() {
+                for &c in &self.children[u.index()] {
+                    t.attach_path(&Path::new(vec![c, u]));
+                    queue.push_back(c);
+                }
+            }
+            for (i, &m) in self.member.iter().enumerate() {
+                if m {
+                    t.set_member(NodeId::new(i), true).unwrap();
+                }
+            }
+            t
+        }
+    }
+
+    /// Every accessor of `t` against the oracle, plus the serde round trip
+    /// and a clone.
+    fn same_as_dense(t: &MulticastTree, dense: &Dense) -> Result<(), String> {
+        let ids = (0..dense.parent.len()).map(NodeId::new);
+        for v in ids.clone() {
+            let i = v.index();
+            let n = if dense.on_tree[i] { dense.n(v) } else { 0 };
+            let got = (t.parent(v), t.children(v), t.is_on_tree(v), t.is_member(v));
+            let want = (
+                dense.parent[i],
+                &dense.children[i][..],
+                dense.on_tree[i],
+                dense.member[i],
+            );
+            if got != want || t.subtree_members(v) != n || t.shr(v) != dense.shr(v) {
+                return Err(format!(
+                    "{v}: (parent, children, on-tree, member) {got:?}, N {}, SHR {}; \
+                     oracle {want:?}, N {n}, SHR {}",
+                    t.subtree_members(v),
+                    t.shr(v),
+                    dense.shr(v)
+                ));
+            }
+        }
+        let members: Vec<NodeId> = ids.clone().filter(|v| dense.member[v.index()]).collect();
+        let on_tree: Vec<NodeId> = ids.filter(|v| dense.on_tree[v.index()]).collect();
+        if t.members().collect::<Vec<_>>() != members
+            || t.on_tree_nodes().collect::<Vec<_>>() != on_tree
+            || t.member_count() != members.len()
+        {
+            return Err(format!(
+                "members or on-tree nodes differ from {members:?}, {on_tree:?}"
+            ));
+        }
+        let back = MulticastTree::deserialize(&t.serialize()).map_err(|e| e.0)?;
+        if back != *t || t.clone() != *t {
+            return Err("serde round trip or clone differs".into());
+        }
+        Ok(())
+    }
+
+    /// A ring of `n` nodes with chords.
+    fn ring_with_chords(n: usize, seed: u64) -> Graph {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut g = Graph::with_nodes(n);
+        for i in 0..n {
+            let _ = g.add_link(NodeId::new(i), NodeId::new((i + 1) % n), 1.0);
+        }
+        for _ in 0..n {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let _ = g.add_link(NodeId::new(a), NodeId::new(b), rng.gen_range(1..5) as f64);
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn layout_matches_dense_oracle_through_random_histories(
+            n in 2usize..61,
+            seed in 0u64..1 << 32,
+            ops in proptest::collection::vec((0u8..5, 0usize..60), 1..40),
+        ) {
+            use smrp_net::dijkstra::{shortest_path_to_any, Constraints};
+
+            let graph = ring_with_chords(n, seed);
+            let source = NodeId::new(seed as usize % n);
+            let mut t = MulticastTree::new(&graph, source).unwrap();
+            let mut dense = Dense::new(n, source);
+            for (op, pick) in ops {
+                let v = NodeId::new(pick % n);
+                match op {
+                    // Join: graft `v` along its shortest path to the tree.
+                    0 if !t.is_on_tree(v) => {
+                        let path = shortest_path_to_any(
+                            &graph, v, Constraints::unrestricted(), |x| t.is_on_tree(x),
+                        ).unwrap();
+                        t.attach_path(&path);
+                        dense.attach(path.nodes());
+                        t.set_member(v, true).unwrap();
+                        dense.member[v.index()] = true;
+                    }
+                    // Leave, pruning.
+                    1 if t.is_member(v) => {
+                        t.set_member(v, false).unwrap();
+                        t.prune_from(v);
+                        dense.member[v.index()] = false;
+                        dense.prune(v);
+                    }
+                    // Leave without pruning: a relay leaf for `prune_from`.
+                    2 if t.is_member(v) => {
+                        t.set_member(v, false).unwrap();
+                        dense.member[v.index()] = false;
+                    }
+                    3 => {
+                        t.prune_from(v);
+                        dense.prune(v);
+                    }
+                    // Detach, check the fragment state, and undo.
+                    4 if t.parent(v).is_some() => {
+                        let before = (t.clone(), dense.clone());
+                        let record = t.detach_recorded(v).unwrap();
+                        dense.detach(v);
+                        let detached = same_as_dense(&t, &dense);
+                        prop_assert!(detached.is_ok(), "detached {v}: {}", detached.unwrap_err());
+                        t.reattach(record);
+                        dense = before.1;
+                        prop_assert_eq!(&t, &before.0);
+                    }
+                    _ => continue,
+                }
+                let checked = same_as_dense(&t, &dense);
+                prop_assert!(checked.is_ok(), "after op {op} on {v}: {}", checked.unwrap_err());
+                prop_assert_eq!(&dense.rebuilt(&graph), &t, "same shape, other history");
+            }
+        }
     }
 }

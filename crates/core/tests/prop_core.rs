@@ -265,6 +265,38 @@ proptest! {
     }
 
     #[test]
+    fn physical_reachability_is_the_adjacency_walk(
+        seed in 0u64..300,
+        kill_links in proptest::collection::vec(0usize..1000, 0..6),
+        kill_node in 0usize..40,
+    ) {
+        let graph = either_graph(seed);
+        let ids: Vec<NodeId> = graph.node_ids().collect();
+        let mut scenario = FailureScenario::node(ids[kill_node % ids.len()]);
+        for l in kill_links {
+            scenario.fail_link(LinkId::new(l % graph.link_count()));
+        }
+        for &source in ids.iter().step_by(7) {
+            // The walk as it read `adjacency()` before the arc view.
+            let mut want = vec![false; graph.node_count()];
+            let mut stack = Vec::new();
+            if scenario.node_usable(source) {
+                want[source.index()] = true;
+                stack.push(source);
+            }
+            while let Some(u) = stack.pop() {
+                for &(v, l) in graph.adjacency(u) {
+                    if !want[v.index()] && scenario.node_usable(v) && scenario.link_usable(&graph, l) {
+                        want[v.index()] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+            prop_assert_eq!(recovery::reachable_from_source(&graph, source, &scenario), want);
+        }
+    }
+
+    #[test]
     fn incremental_stats_match_oracle_under_churn(seed in 0u64..200, nodes in 16usize..40) {
         // Drive a session through a random join/leave/reshape churn and,
         // after every step, compare the incrementally maintained N_R against

@@ -204,13 +204,18 @@ pub fn audit_recovery(
         });
     }
 
-    // (2) all reachable members attached.
-    let reach = recovery::reachable_from_source(graph, source, scenario);
+    // (2) all reachable members attached. Physical reachability is a walk
+    // over the whole graph, so it is taken only once a member is missing.
+    let mut reach = None;
     for m in tree.members() {
-        if !scenario.node_usable(m) || !reach[m.index()] {
-            continue; // dead or partitioned: nothing any protocol can do.
+        if post.is_member(m) && post.path_from_source(m).is_some() {
+            continue;
         }
-        if !post.is_member(m) || post.path_from_source(m).is_none() {
+        let reach =
+            reach.get_or_insert_with(|| recovery::reachable_from_source(graph, source, scenario));
+        if scenario.node_usable(m) && reach[m.index()] {
+            // Dead or partitioned members are skipped: nothing any
+            // protocol can do for them.
             violations.push(Violation {
                 invariant: Invariant::MembersAttached,
                 detail: format!("reachable member {m} is not attached after recovery"),
@@ -300,6 +305,30 @@ mod tests {
                     || v.invariant == Invariant::AttachOnSurvivingTree),
             "stale plans must violate something: {violations:?}"
         );
+    }
+
+    #[test]
+    fn only_reachable_members_left_off_the_tree_are_flagged() {
+        let (graph, nodes, session) = figure1_session();
+        let no_plans = RecoveryPlans {
+            recoveries: Vec::new(),
+            cornered_roots: Vec::new(),
+            unrecoverable: Vec::new(),
+        };
+        let missing = |scenario: &FailureScenario| -> Vec<String> {
+            audit_recovery(&graph, session.tree(), scenario, &no_plans)
+                .into_iter()
+                .filter(|v| v.invariant == Invariant::MembersAttached)
+                .map(|v| v.detail)
+                .collect()
+        };
+        // Cut above A with no detour planned: C and D still reach S via B.
+        let l_sa = graph.link_between(nodes.s, nodes.a).unwrap();
+        assert_eq!(missing(&FailureScenario::link(l_sa)).len(), 2);
+        // C loses both its links: partitioned, so no protocol could attach it.
+        let mut isolated = FailureScenario::link(graph.link_between(nodes.a, nodes.c).unwrap());
+        isolated.fail_link(graph.link_between(nodes.c, nodes.d).unwrap());
+        assert_eq!(missing(&isolated), Vec::<String>::new());
     }
 
     #[test]

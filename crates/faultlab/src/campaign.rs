@@ -29,7 +29,8 @@ use smrp_net::waxman::{WaxmanConfig, DEFAULT_BETA};
 use smrp_net::{FailureScenario, Graph, GroupId, NetError, NodeId};
 use smrp_proto::{
     ControlCounters, FailureSpec, FailureTiming, GroupRecoveryReport, InjectionTiming,
-    MultiSession, PlanSource, ProtoSession, RecoveryPlans, RecoveryStrategy, TreeProtocol,
+    MultiSession, PlanSource, ProtoSession, RecoveryPlan, RecoveryPlans, RecoveryStrategy,
+    TreeProtocol,
 };
 use smrp_sim::{ChannelSpec, SimTime, TraceLog};
 
@@ -456,9 +457,11 @@ fn classify(
 /// [`RecoveryStrategy`] all its groups recover with — and classifies it:
 /// plans and audits every group, runs the shared simulation once if any
 /// group needs it, and classifies each group independently before rolling
-/// up the aggregate. This is the one evaluator behind both the campaign
-/// (SMRP against SPF) and the protection sweep (protection against
-/// reactive search).
+/// up the aggregate. A reactive arm's run installs the plans the audit
+/// passed, so each group is planned once; a protection arm's routers
+/// carry their own precomputed plans. This is the one evaluator behind
+/// both the campaign (SMRP against SPF) and the protection sweep
+/// (protection against reactive search).
 ///
 /// Only the global strategy plans global detours, and only a local arm
 /// can restore by a clean local detour. Cases with their own degraded
@@ -512,9 +515,25 @@ pub(crate) fn evaluate_arm(
         } else {
             ChannelSpec::uniform_loss(ambient_loss, case.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93))
         };
+        let audited: Vec<(GroupId, NodeId, RecoveryPlan)>;
+        let plans = if strategy == RecoveryStrategy::Protection {
+            PlanSource::Strategy(strategy)
+        } else {
+            audited = multi
+                .groups()
+                .zip(&pre)
+                .filter_map(|(g, p)| Some((g, p.plans.as_ref()?)))
+                .flat_map(|(g, plans)| {
+                    plans
+                        .router_plans(graph, strategy)
+                        .map(move |(member, plan)| (g, member, plan))
+                })
+                .collect();
+            PlanSource::Explicit(&audited)
+        };
         let spec = FailureSpec {
             scenario,
-            plans: PlanSource::Strategy(strategy),
+            plans,
             timing,
             membership: &[],
             channel,

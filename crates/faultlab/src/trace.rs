@@ -33,7 +33,7 @@ use smrp_net::{FailureScenario, Graph, GroupId, LinkId, LinkWeights, NodeId};
 use smrp_proto::snapshot::{AffectedGroup, SessionState};
 use smrp_proto::{
     FailureSpec, FailureTiming, InjectionTiming, MultiSession, PlanSource, ProtoSession,
-    RecoveryPlan, TreeProtocol,
+    RecoveryPlan, RecoveryStrategy, TreeProtocol,
 };
 use smrp_sim::{ChannelSpec, SimTime, TraceLog};
 
@@ -495,18 +495,12 @@ fn build_trace(script: &Script) -> GoldenTrace {
 
         let plans: Vec<TracePlan> = sess
             .plan_recoveries(scenario, DetourKind::Local)
-            .recoveries
-            .iter()
-            .map(|rec| TracePlan {
-                member: rec.member().index() as u32,
-                path: rec
-                    .restoration_path()
-                    .nodes()
-                    .iter()
-                    .map(|n| n.index() as u32)
-                    .collect(),
-                wait_ns: 0,
-                path_delay_ns: SimTime::from_ms(rec.restoration_path().delay(graph)).as_ns(),
+            .router_plans(graph, RecoveryStrategy::LocalDetour)
+            .map(|(member, plan)| TracePlan {
+                member: member.index() as u32,
+                path: plan.path.iter().map(|n| n.index() as u32).collect(),
+                wait_ns: plan.wait.as_ns(),
+                path_delay_ns: plan.path_delay.as_ns(),
             })
             .collect();
 

@@ -444,11 +444,11 @@ impl ShortestPathTree {
             if ordered {
                 settled[u.index()] = true;
             }
-            for &(v, l) in graph.adjacency(u) {
+            for &(v, l, w) in graph.arcs(u) {
                 if !usable(v, l) {
                     continue;
                 }
-                let nd = d + graph.link(l).delay();
+                let nd = d + w;
                 let slot = &mut self.dist[v.index()];
                 if nd < *slot {
                     *slot = nd;
@@ -582,14 +582,14 @@ where
             nodes.reverse();
             return Some(Path::new(nodes));
         }
-        for &(v, l) in graph.adjacency(u) {
+        for &(v, l, w) in graph.arcs(u) {
             if done[v.index()]
                 || !constraints.node_allowed(v)
                 || !constraints.link_allowed(graph, l)
             {
                 continue;
             }
-            let nd = d + graph.link(l).delay();
+            let nd = d + w;
             if nd < dist[v.index()]
                 || (nd == dist[v.index()] && parent[v.index()].is_some_and(|p| u < p))
             {

@@ -13,7 +13,7 @@
 //! unit-cost experiments ("tree cost as link count") remain expressible.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -122,6 +122,9 @@ pub struct Graph {
     /// over this graph. Not part of the topology: every `&mut self` method
     /// empties it, and a clone or a deserialized graph starts without one.
     spt: SptSlot,
+    /// Every node's arcs in one array, built by the first
+    /// [`Graph::arcs`] call. Derived like `spt`, with the same lifecycle.
+    arcs: ArcSlot,
 }
 
 /// At most one shared source SPT, behind a lock so `&Graph` can fill it.
@@ -148,6 +151,48 @@ impl fmt::Debug for SptSlot {
     }
 }
 
+/// The graph's arcs in one flat array: node `i`'s are
+/// `arcs[offsets[i]..offsets[i + 1]]`, as `(neighbor, link, delay)` in
+/// adjacency order, so a search reads each arc's delay without a second
+/// lookup in the link table.
+struct ArcView {
+    offsets: Vec<u32>,
+    arcs: Vec<(NodeId, LinkId, f64)>,
+}
+
+impl ArcView {
+    fn build(nodes: &[NodeRecord], links: &[Link]) -> Self {
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut arcs = Vec::with_capacity(2 * links.len());
+        offsets.push(0);
+        for node in nodes {
+            arcs.extend(
+                node.adjacency
+                    .iter()
+                    .map(|&(v, l)| (v, l, links[l.index()].delay())),
+            );
+            offsets.push(arcs.len() as u32);
+        }
+        ArcView { offsets, arcs }
+    }
+}
+
+/// At most one [`ArcView`], filled on first read through `&Graph`.
+#[derive(Default)]
+struct ArcSlot(OnceLock<ArcView>);
+
+impl Clone for ArcSlot {
+    fn clone(&self) -> Self {
+        ArcSlot::default()
+    }
+}
+
+impl fmt::Debug for ArcSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ArcSlot")
+    }
+}
+
 // Written out because the offline serde derive has no `#[serde(skip)]`:
 // the serialized form is the topology, `nodes` and `links`, and nothing else.
 impl Serialize for Graph {
@@ -169,6 +214,7 @@ impl Deserialize for Graph {
             links,
             delay_range,
             spt: SptSlot::default(),
+            arcs: ArcSlot::default(),
         })
     }
 }
@@ -188,6 +234,7 @@ impl Default for Graph {
             links: Vec::new(),
             delay_range: NO_DELAYS,
             spt: SptSlot::default(),
+            arcs: ArcSlot::default(),
         }
     }
 }
@@ -209,7 +256,7 @@ impl Graph {
 
     /// Adds a node without a plane position and returns its id.
     pub(crate) fn add_node(&mut self) -> NodeId {
-        self.spt.clear();
+        self.clear_derived();
         let id = NodeId::new(self.nodes.len());
         self.nodes.push(NodeRecord {
             position: None,
@@ -260,7 +307,7 @@ impl Graph {
         if self.link_between(a, b).is_some() {
             return Err(NetError::DuplicateLink(a, b));
         }
-        self.spt.clear();
+        self.clear_derived();
         self.delay_range = widen(self.delay_range, weights.delay);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let id = LinkId::new(self.links.len());
@@ -285,6 +332,13 @@ impl Graph {
     /// shared-SPT slot. The tree it replaces is dropped.
     pub(crate) fn cache_spt(&self, spt: Arc<ShortestPathTree>) {
         *self.spt.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(spt);
+    }
+
+    /// Empties the shared-SPT slot and the arc view: both describe the
+    /// topology as it was.
+    fn clear_derived(&mut self) {
+        self.spt.clear();
+        self.arcs.0.take();
     }
 
     fn check_node(&self, n: NodeId) -> Result<(), NetError> {
@@ -345,6 +399,24 @@ impl Graph {
     #[inline]
     pub fn adjacency(&self, node: NodeId) -> &[(NodeId, LinkId)] {
         &self.nodes[node.index()].adjacency
+    }
+
+    /// `node`'s arcs as `(neighbor, link, delay)` triples in
+    /// [`adjacency`](Self::adjacency) order, the delay being
+    /// `link(link).delay()`.
+    ///
+    /// Every arc of the graph sits in one array that the first call builds
+    /// and every `&mut self` method empties, so a search reads one
+    /// contiguous run per node. A clone or a deserialized graph builds its
+    /// own.
+    #[inline]
+    pub fn arcs(&self, node: NodeId) -> &[(NodeId, LinkId, f64)] {
+        let view = self
+            .arcs
+            .0
+            .get_or_init(|| ArcView::build(&self.nodes, &self.links));
+        let i = node.index();
+        &view.arcs[view.offsets[i] as usize..view.offsets[i + 1] as usize]
     }
 
     /// Iterator over the neighbors of `node`.
@@ -618,6 +690,63 @@ mod tests {
         assert_eq!(back.delay_range(), (0.25, 7.5));
         let empty: Graph = Deserialize::deserialize(&Graph::with_nodes(2).serialize()).unwrap();
         assert_eq!(empty.delay_range(), (f64::INFINITY, 0.0));
+    }
+
+    /// `g.arcs(u)` for every node, delays as bits.
+    fn all_arcs(g: &Graph) -> Vec<Vec<(NodeId, LinkId, u64)>> {
+        g.node_ids()
+            .map(|u| {
+                g.arcs(u)
+                    .iter()
+                    .map(|&(v, l, w)| (v, l, w.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn arc_view_follows_mutation_clones_and_deserialization() {
+        use crate::dijkstra::ShortestPathTree;
+
+        let (mut g, [a, b, c], [ab, bc, ca]) = triangle();
+        assert_eq!(g.arcs(a), &[(b, ab, 1.0), (c, ca, 3.0)]);
+        assert_eq!(ShortestPathTree::compute(&g, a).distance(c), Some(3.0));
+
+        // A search built the view; a new link must not be missed by the next.
+        let d = g.add_node();
+        assert_eq!(g.arcs(d), &[]);
+        let weights = LinkWeights {
+            delay: 0.5,
+            cost: 4.0,
+        };
+        let ad = g.add_link_weighted(a, d, weights).unwrap();
+        let dc = g.add_link(d, c, 0.25).unwrap();
+        assert_eq!(g.arcs(a), &[(b, ab, 1.0), (c, ca, 3.0), (d, ad, 0.5)]);
+        assert_eq!(g.arcs(c), &[(b, bc, 2.0), (a, ca, 3.0), (d, dc, 0.25)]);
+        let spt = ShortestPathTree::compute(&g, a);
+        assert_eq!(spt.distance(c), Some(0.75));
+        assert_eq!(spt.parent(c), Some(d));
+
+        // A clone and a deserialized copy build views equal to the original,
+        // and a mutation of the original reaches neither.
+        let copy = g.clone();
+        let back: Graph = Deserialize::deserialize(&g.serialize()).unwrap();
+        assert_eq!(all_arcs(&copy), all_arcs(&g));
+        assert_eq!(all_arcs(&back), all_arcs(&g));
+        g.add_link(b, d, 9.0).unwrap();
+        assert_eq!(g.degree(d), 3);
+        assert_eq!(copy.arcs(d).len(), 2);
+        assert_eq!(back.arcs(d).len(), 2);
+        let want: Vec<Vec<_>> = g
+            .node_ids()
+            .map(|u| {
+                g.adjacency(u)
+                    .iter()
+                    .map(|&(v, l)| (v, l, g.link(l).delay().to_bits()))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(all_arcs(&g), want);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub fn reachable_from(graph: &Graph, start: NodeId, constraints: Constraints<'_>
     queue.push_back(start);
     while let Some(u) = queue.pop_front() {
         order.push(u);
-        for &(v, l) in graph.adjacency(u) {
+        for &(v, l, _) in graph.arcs(u) {
             if visited[v.index()] || !constraints.node_allowed(v) {
                 continue;
             }

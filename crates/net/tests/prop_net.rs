@@ -371,3 +371,186 @@ fn bucketed_tree_is_the_heap_tree_on_transit_stub() {
         same_as_heap(&g, src, restricted).unwrap();
     }
 }
+
+/// `shortest_path_to_any` as it read `adjacency()` and `link().delay()`
+/// before the arc view: the path to the first target it settles.
+fn heap_path_to_any(
+    g: &Graph,
+    src: NodeId,
+    c: Constraints<'_>,
+    is_target: impl Fn(NodeId) -> bool,
+) -> Option<Vec<NodeId>> {
+    let node_allowed =
+        |n: NodeId| c.failures.is_none_or(|f| f.node_usable(n)) && !c.forbidden_nodes.contains(&n);
+    let link_allowed = |l: LinkId| {
+        c.failures.is_none_or(|f| f.link_usable(g, l)) && !c.forbidden_links.contains(&l)
+    };
+    if !node_allowed(src) {
+        return None;
+    }
+    if is_target(src) {
+        return Some(vec![src]);
+    }
+    let n = g.node_count();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut done = vec![false; n];
+    let mut heap = BinaryHeap::new();
+    dist[src.index()] = 0.0;
+    heap.push(HeapEntry {
+        dist: 0.0,
+        node: src,
+    });
+    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+        if done[u.index()] {
+            continue;
+        }
+        done[u.index()] = true;
+        if u != src && is_target(u) {
+            let mut nodes = vec![u];
+            while let Some(p) = parent[nodes.last().unwrap().index()] {
+                nodes.push(p);
+            }
+            nodes.reverse();
+            return Some(nodes);
+        }
+        for &(v, l) in g.adjacency(u) {
+            if done[v.index()] || !node_allowed(v) || !link_allowed(l) {
+                continue;
+            }
+            let nd = d + g.link(l).delay();
+            if nd < dist[v.index()]
+                || (nd == dist[v.index()] && parent[v.index()].is_some_and(|p| u < p))
+            {
+                dist[v.index()] = nd;
+                parent[v.index()] = Some(u);
+                heap.push(HeapEntry { dist: nd, node: v });
+            }
+        }
+    }
+    None
+}
+
+/// `reachable_from` as it read `adjacency()`: BFS order.
+fn bfs_reachable(g: &Graph, start: NodeId, c: Constraints<'_>) -> Vec<NodeId> {
+    let node_allowed =
+        |n: NodeId| c.failures.is_none_or(|f| f.node_usable(n)) && !c.forbidden_nodes.contains(&n);
+    let link_allowed = |l: LinkId| {
+        c.failures.is_none_or(|f| f.link_usable(g, l)) && !c.forbidden_links.contains(&l)
+    };
+    let mut order = Vec::new();
+    if !node_allowed(start) {
+        return order;
+    }
+    let mut seen = vec![false; g.node_count()];
+    seen[start.index()] = true;
+    let mut queue = std::collections::VecDeque::from([start]);
+    while let Some(u) = queue.pop_front() {
+        order.push(u);
+        for &(v, l) in g.adjacency(u) {
+            if !seen[v.index()] && node_allowed(v) && link_allowed(l) {
+                seen[v.index()] = true;
+                queue.push_back(v);
+            }
+        }
+    }
+    order
+}
+
+/// The arc view holds each node's `adjacency()` in order with every
+/// link's delay, and each search that reads it — the source SPT, the
+/// nearest-target search and BFS reachability — answers what its
+/// adjacency-loop reference answers, from every source, unrestricted and
+/// under `restricted`.
+fn arc_searches_match_adjacency_loops(
+    g: &Graph,
+    restricted: Constraints<'_>,
+    targets: &[NodeId],
+) -> Result<(), String> {
+    for u in g.node_ids() {
+        let want: Vec<_> = g
+            .adjacency(u)
+            .iter()
+            .map(|&(v, l)| (v, l, g.link(l).delay().to_bits()))
+            .collect();
+        let got: Vec<_> = g
+            .arcs(u)
+            .iter()
+            .map(|&(v, l, w)| (v, l, w.to_bits()))
+            .collect();
+        if got != want {
+            return Err(format!("arcs of {u}: {got:?}, adjacency says {want:?}"));
+        }
+    }
+    for src in g.node_ids() {
+        for c in [Constraints::unrestricted(), restricted] {
+            same_as_heap(g, src, c)?;
+            let is_target = |x: NodeId| targets.contains(&x);
+            let got =
+                dijkstra::shortest_path_to_any(g, src, c, is_target).map(|p| p.nodes().to_vec());
+            let want = heap_path_to_any(g, src, c, is_target);
+            if got != want {
+                return Err(format!(
+                    "{src} to any of {targets:?}: {got:?}, want {want:?}"
+                ));
+            }
+            let (got, want) = (reachable_from(g, src, c), bfs_reachable(g, src, c));
+            if got != want {
+                return Err(format!("reachable from {src}: {got:?}, want {want:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arc_view_searches_are_the_adjacency_searches(
+        family in 0usize..5,
+        n in 2usize..60,
+        degree in 1usize..7,
+        seed in 0u64..1 << 40,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = random_graph(family, n, degree, &mut rng);
+        let (failures, forbidden_nodes, forbidden_links) = random_restrictions(&g, &mut rng);
+        let restricted = Constraints {
+            failures: Some(&failures),
+            forbidden_nodes: &forbidden_nodes,
+            forbidden_links: &forbidden_links,
+        };
+        let targets: Vec<NodeId> = (0..3).map(|_| NodeId::new(rng.gen_range(0..n))).collect();
+        let checked = arc_searches_match_adjacency_loops(&g, restricted, &targets);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+}
+
+#[test]
+fn arc_view_searches_match_on_ordered_drain_graphs() {
+    // A ring with chords: delay ratio 10⁵ widens the bucket ring, and
+    // 10⁻²⁰ next to 10²⁰ lets a path sum absorb a delay. Both drain each
+    // bucket in order, where ties between absorbed sums decide parents.
+    for (small, large) in [(1.0, 1e5), (1e-20, 1e20)] {
+        let n = 48;
+        let mut g = Graph::with_nodes(n);
+        for i in 0..n {
+            let w = if i % 3 == 0 { large } else { small };
+            g.add_link(NodeId::new(i), NodeId::new((i + 1) % n), w)
+                .unwrap();
+        }
+        for i in (0..n).step_by(5) {
+            let _ = g.add_link(NodeId::new(i), NodeId::new((i + n / 2) % n), small);
+        }
+        let failures = FailureScenario::link(LinkId::new(7));
+        let forbidden_nodes = [NodeId::new(11)];
+        let restricted = Constraints {
+            failures: Some(&failures),
+            forbidden_nodes: &forbidden_nodes,
+            forbidden_links: &[],
+        };
+        let targets = [NodeId::new(3), NodeId::new(30)];
+        arc_searches_match_adjacency_loops(&g, restricted, &targets).unwrap();
+    }
+}

@@ -466,26 +466,17 @@ impl<'g> MultiSession<'g> {
                 }
             }
             PlanSource::Strategy(strategy) => {
-                let (kind, wait) = match strategy {
-                    RecoveryStrategy::LocalDetour => (DetourKind::Local, SimTime::ZERO),
-                    RecoveryStrategy::ReactiveSearch { search } => (DetourKind::Local, search),
-                    RecoveryStrategy::GlobalDetour { reconvergence } => {
-                        (DetourKind::Global, reconvergence)
-                    }
-                    RecoveryStrategy::Protection => unreachable!(),
+                let kind = match strategy {
+                    RecoveryStrategy::GlobalDetour { .. } => DetourKind::Global,
+                    _ => DetourKind::Local,
                 };
                 for (gi, sess) in self.sessions.iter().enumerate() {
                     let group = GroupId::new(gi);
-                    for rec in sess.plan_recoveries(spec.scenario, kind).recoveries {
-                        procs[rec.member().index()]
+                    let plans = sess.plan_recoveries(spec.scenario, kind);
+                    for (member, plan) in plans.router_plans(self.graph, strategy) {
+                        procs[member.index()]
                             .lane_mut(group)
-                            .install_recovery_plan(RecoveryPlan {
-                                path: rec.restoration_path().nodes().to_vec(),
-                                wait,
-                                path_delay: SimTime::from_ms(
-                                    rec.restoration_path().delay(self.graph),
-                                ),
-                            });
+                            .install_recovery_plan(plan);
                     }
                 }
             }

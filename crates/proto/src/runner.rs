@@ -177,6 +177,31 @@ impl RecoveryPlans {
     pub fn all_root_grafts(&self) -> bool {
         self.cornered_roots.is_empty()
     }
+
+    /// The plan each recovery installs in its member's router lane under
+    /// `strategy`, in `recoveries` order: the restoration path, the
+    /// strategy's wait before the graft (search or reconvergence; none for
+    /// a local detour) and the path's delay over `graph`.
+    pub fn router_plans<'a>(
+        &'a self,
+        graph: &'a Graph,
+        strategy: RecoveryStrategy,
+    ) -> impl Iterator<Item = (NodeId, RecoveryPlan)> + 'a {
+        let wait = match strategy {
+            RecoveryStrategy::ReactiveSearch { search } => search,
+            RecoveryStrategy::GlobalDetour { reconvergence } => reconvergence,
+            RecoveryStrategy::LocalDetour | RecoveryStrategy::Protection => SimTime::ZERO,
+        };
+        self.recoveries.iter().map(move |rec| {
+            let path = rec.restoration_path();
+            let plan = RecoveryPlan {
+                path: path.nodes().to_vec(),
+                wait,
+                path_delay: SimTime::from_ms(path.delay(graph)),
+            };
+            (rec.member(), plan)
+        })
+    }
 }
 
 /// Steady-state control-plane overhead of a session (§3.3.2).
