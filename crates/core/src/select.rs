@@ -155,6 +155,23 @@ impl SearchScratch {
         }
         slot
     }
+
+    /// The approach `[NR, …, merger]` the last search settled, read off
+    /// its parents (exact-size, one allocation).
+    fn approach(&self, nr: NodeId, merger: NodeId) -> Path {
+        let parent = |v: NodeId| {
+            let slot = &self.slots[v.index()];
+            debug_assert_eq!(slot.epoch, self.epoch, "{v} not reached by the last search");
+            slot.parent
+        };
+        let hops = std::iter::successors(parent(merger), |&v| parent(v)).count();
+        let mut nodes = vec![merger; hops + 1];
+        for i in (0..hops).rev() {
+            nodes[i] = parent(nodes[i + 1]).expect("counted above");
+        }
+        debug_assert_eq!(nodes[0], nr, "the approach starts at the joiner");
+        Path::new(nodes)
+    }
 }
 
 /// Enumerates all merge candidates for `nr` under `mode`.
@@ -179,31 +196,49 @@ pub fn enumerate_candidates(
     mode: SelectionMode,
     excluded: &[NodeId],
 ) -> Vec<JoinCandidate> {
-    let mut scratch = SearchScratch::default();
-    candidates_within(&mut scratch, graph, tree, spt, nr, mode, excluded, None)
-}
-
-/// [`enumerate_candidates`] on caller-owned scratch, optionally restricted
-/// to what a delay `limit` on the whole multicast path can admit (see
-/// [`sink_constrained_candidates`]; the neighbor-query scheme explores at
-/// most one short walk per neighbor and ignores it).
-#[allow(clippy::too_many_arguments)]
-fn candidates_within(
-    scratch: &mut SearchScratch,
-    graph: &Graph,
-    tree: &MulticastTree,
-    spt: &ShortestPathTree,
-    nr: NodeId,
-    mode: SelectionMode,
-    excluded: &[NodeId],
-    limit: Option<f64>,
-) -> Vec<JoinCandidate> {
+    let mut candidates: Vec<JoinCandidate> = Vec::new();
     match mode {
         SelectionMode::FullTopology => {
-            sink_constrained_candidates(scratch, graph, tree, spt, nr, excluded, limit)
+            let mut scratch = SearchScratch::default();
+            sink_search(
+                &mut scratch,
+                graph,
+                tree,
+                spt,
+                nr,
+                excluded,
+                None,
+                |s, u, total| {
+                    candidates.push(JoinCandidate {
+                        merger: u,
+                        approach: s.approach(nr, u),
+                        total_delay: total,
+                        shr: tree.shr(u),
+                    });
+                },
+            );
         }
-        SelectionMode::NeighborQuery => neighbor_query_candidates(graph, tree, spt, nr, excluded),
+        SelectionMode::NeighborQuery => {
+            relay_walks(graph, tree, spt, nr, excluded, |neighbor, merger, total| {
+                let candidate = JoinCandidate {
+                    merger,
+                    approach: relayed_approach(spt, nr, neighbor, merger),
+                    total_delay: total,
+                    shr: tree.shr(merger),
+                };
+                // Deduplicate by merger, keeping the shorter approach.
+                match candidates.iter_mut().find(|c| c.merger == merger) {
+                    Some(existing) => {
+                        if candidate.total_delay < existing.total_delay {
+                            *existing = candidate;
+                        }
+                    }
+                    None => candidates.push(candidate),
+                }
+            });
+        }
     }
+    candidates
 }
 
 /// Tree delay `S → node` if `node` is a valid merge target — on-tree,
@@ -223,6 +258,9 @@ fn sink_delay(
 /// Single-source Dijkstra from `nr` in which on-tree nodes absorb: their
 /// outgoing edges are never relaxed, so the settled path to each on-tree
 /// node is the shortest approach whose first on-tree contact is that node.
+/// Each candidate is handed to `found` as it settles, with its total delay;
+/// its approach is then in the scratch's parents ([`SearchScratch::approach`]),
+/// and stays there until the scratch's next search.
 ///
 /// With a `limit`, a node `v` is not relaxed when
 /// `d(NR,v) + D_SPF(S,v) > limit`, where `D_SPF(S,·)` is read off `spt`.
@@ -238,7 +276,8 @@ fn sink_delay(
 /// (tie-equal ones included) passes the test. The argument needs
 /// `D_SPF(S,v)` to be a lower bound over the graph this search walks, so
 /// callers pass a limit only with an unrestricted `spt`.
-fn sink_constrained_candidates(
+#[allow(clippy::too_many_arguments)]
+fn sink_search(
     scratch: &mut SearchScratch,
     graph: &Graph,
     tree: &MulticastTree,
@@ -246,10 +285,10 @@ fn sink_constrained_candidates(
     nr: NodeId,
     excluded: &[NodeId],
     limit: Option<f64>,
-) -> Vec<JoinCandidate> {
-    let mut candidates = Vec::new();
+    mut found: impl FnMut(&SearchScratch, NodeId, f64),
+) {
     if excluded.contains(&nr) {
-        return candidates;
+        return;
     }
     let limit = limit.unwrap_or(f64::INFINITY);
     scratch.begin(graph.node_count());
@@ -268,19 +307,7 @@ fn sink_constrained_candidates(
         if u != nr {
             if let Some(tree_delay) = sink_delay(graph, tree, u, excluded) {
                 // Record the candidate and absorb: do not relax outgoing edges.
-                let mut nodes = vec![u];
-                let mut cur = u;
-                while let Some(p) = scratch.slot(cur).parent {
-                    nodes.push(p);
-                    cur = p;
-                }
-                nodes.reverse(); // now NR -> ... -> u
-                candidates.push(JoinCandidate {
-                    merger: u,
-                    total_delay: tree_delay + d,
-                    approach: Path::new(nodes),
-                    shr: tree.shr(u),
-                });
+                found(scratch, u, tree_delay + d);
                 continue;
             }
             // An excluded node may not be traversed at all, and neither may
@@ -307,71 +334,72 @@ fn sink_constrained_candidates(
             }
         }
     }
-    candidates
+}
+
+/// The hops a query relayed by `neighbor` takes toward the source: the
+/// neighbor, then its unicast route read off `spt`.
+fn relay_route(spt: &ShortestPathTree, neighbor: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    std::iter::successors(Some(neighbor), |&hop| spt.parent(hop))
 }
 
 /// §3.3.1 query scheme: each neighbor forwards the query along its own
 /// unicast shortest path to the source; the first on-tree node met becomes
-/// a candidate.
-fn neighbor_query_candidates(
+/// a candidate, handed to `found` as `(neighbor, merger, total delay)` in
+/// neighbor order.
+fn relay_walks(
     graph: &Graph,
     tree: &MulticastTree,
     spt: &ShortestPathTree,
     nr: NodeId,
     excluded: &[NodeId],
-) -> Vec<JoinCandidate> {
-    let mut candidates: Vec<JoinCandidate> = Vec::new();
-
+    mut found: impl FnMut(NodeId, NodeId, f64),
+) {
     for neighbor in graph.neighbors(nr) {
         if excluded.contains(&neighbor) {
             continue;
         }
-        // The approach so far: NR -> neighbor; from there the query follows
-        // the neighbor's unicast shortest path toward the source, read off
-        // the caller's cached source SPT hop by hop.
-        let mut approach_nodes = vec![nr, neighbor];
-        let mut hop = neighbor;
-        let tree_delay = loop {
+        let mut hops = 0;
+        let hit = relay_route(spt, neighbor).find_map(|hop| {
+            hops += 1;
             // Meeting NR again ends the walk: the SPT path itself is
             // simple, so that is the only way the relayed path could loop.
             if hop == nr {
-                break None;
+                return Some(None);
             }
             if let Some(tree_delay) = sink_delay(graph, tree, hop, excluded) {
-                break Some(tree_delay);
+                return Some(Some((hop, tree_delay)));
             }
-            if excluded.contains(&hop) {
-                break None;
-            }
-            let Some(next) = spt.parent(hop) else {
-                break None;
-            };
-            approach_nodes.push(next);
-            hop = next;
-        };
-        let Some(tree_delay) = tree_delay else {
+            excluded.contains(&hop).then_some(None)
+        });
+        let Some(Some((merger, tree_delay))) = hit else {
             continue;
         };
-        let merger = hop;
-        let approach = Path::new(approach_nodes);
-        let total_delay = tree_delay + approach.delay(graph);
-        let candidate = JoinCandidate {
-            merger,
-            approach,
-            total_delay,
-            shr: tree.shr(merger),
-        };
-        // Deduplicate by merger, keeping the shorter approach.
-        match candidates.iter_mut().find(|c| c.merger == merger) {
-            Some(existing) => {
-                if candidate.total_delay < existing.total_delay {
-                    *existing = candidate;
-                }
-            }
-            None => candidates.push(candidate),
-        }
+        // The approach delay summed hop by hop from NR, as
+        // `Path::delay` sums it.
+        let approach_delay: f64 = std::iter::once(nr)
+            .chain(relay_route(spt, neighbor))
+            .zip(relay_route(spt, neighbor))
+            .take(hops)
+            .map(|(a, b)| {
+                graph
+                    .delay_between(a, b)
+                    .expect("relay routes follow graph links")
+            })
+            .sum();
+        found(neighbor, merger, tree_delay + approach_delay);
     }
-    candidates
+}
+
+/// The approach of a relayed candidate: `[NR, neighbor, …, merger]`.
+fn relayed_approach(spt: &ShortestPathTree, nr: NodeId, neighbor: NodeId, merger: NodeId) -> Path {
+    let hops = relay_route(spt, neighbor)
+        .position(|hop| hop == merger)
+        .expect("the merger lies on the relay route")
+        + 1;
+    let mut nodes = Vec::with_capacity(hops + 1);
+    nodes.push(nr);
+    nodes.extend(relay_route(spt, neighbor).take(hops));
+    Path::new(nodes)
 }
 
 /// Applies the paper's path selection criterion over `candidates`.
@@ -386,36 +414,16 @@ pub fn apply_criterion(
     d_thresh: f64,
     nr: NodeId,
 ) -> Result<Selection, SmrpError> {
-    if candidates.is_empty() {
-        return Err(SmrpError::NoFeasiblePath(nr));
-    }
-    let admit = admission_limit(spf_delay, d_thresh, 1.0);
-    let mut best_in: Option<&JoinCandidate> = None;
-    let mut best_any: Option<&JoinCandidate> = None;
+    let mut standings = Standings::new(admission_limit(spf_delay, d_thresh, 1.0));
     for c in &candidates {
-        if c.total_delay <= admit {
-            best_in = Some(match best_in {
-                None => c,
-                Some(b) => pick_by_criterion(b, c),
-            });
-        }
-        best_any = Some(match best_any {
-            None => c,
-            Some(b) => pick_by_delay(b, c),
-        });
+        standings.offer(c.key(), c);
     }
-    match best_in {
-        Some(win) => Ok(Selection {
-            candidate: win.clone(),
-            spf_delay,
-            within_bound: true,
-        }),
-        None => Ok(Selection {
-            candidate: best_any.expect("candidates is non-empty").clone(),
-            spf_delay,
-            within_bound: false,
-        }),
-    }
+    let (win, within_bound) = standings.winner().ok_or(SmrpError::NoFeasiblePath(nr))?;
+    Ok(Selection {
+        candidate: win.clone(),
+        spf_delay,
+        within_bound,
+    })
 }
 
 /// `(1 + d_thresh) · spf_delay` plus `tolerances` times the floating-point
@@ -426,27 +434,146 @@ fn admission_limit(spf_delay: f64, d_thresh: f64, tolerances: f64) -> f64 {
     bound + tolerances * (1e-9 * bound.max(1.0))
 }
 
-fn pick_by_criterion<'a>(a: &'a JoinCandidate, b: &'a JoinCandidate) -> &'a JoinCandidate {
-    match a
-        .shr
-        .cmp(&b.shr)
-        .then(a.total_delay.total_cmp(&b.total_delay))
-        .then(a.merger.cmp(&b.merger))
-    {
-        Ordering::Greater => b,
-        _ => a,
+/// What the criterion compares: `SHR`, total delay, merger.
+type Key = (u32, f64, NodeId);
+
+impl JoinCandidate {
+    fn key(&self) -> Key {
+        (self.shr, self.total_delay, self.merger)
     }
 }
 
-fn pick_by_delay<'a>(a: &'a JoinCandidate, b: &'a JoinCandidate) -> &'a JoinCandidate {
-    match a
-        .total_delay
-        .total_cmp(&b.total_delay)
-        .then(a.merger.cmp(&b.merger))
-    {
-        Ordering::Greater => b,
-        _ => a,
+/// The leaders among candidates offered in enumeration order: the
+/// criterion's pick inside the bound (lower `SHR`, then shorter, then lower
+/// merger id) and the minimum-delay pick over all (shorter, then lower
+/// merger id), for when nothing fits. A tie keeps the earlier candidate.
+struct Standings<T> {
+    admit: f64,
+    within: Option<(Key, T)>,
+    any: Option<(Key, T)>,
+}
+
+impl<T: Copy> Standings<T> {
+    fn new(admit: f64) -> Self {
+        Standings {
+            admit,
+            within: None,
+            any: None,
+        }
     }
+
+    fn offer(&mut self, key: Key, c: T) {
+        let (shr, delay, merger) = key;
+        let beats_within = |(b, _): (Key, T)| {
+            (b.0.cmp(&shr))
+                .then(b.1.total_cmp(&delay))
+                .then(b.2.cmp(&merger))
+                .is_gt()
+        };
+        if delay <= self.admit && self.within.is_none_or(beats_within) {
+            self.within = Some((key, c));
+        }
+        let beats_any = |(b, _): (Key, T)| b.1.total_cmp(&delay).then(b.2.cmp(&merger)).is_gt();
+        if self.any.is_none_or(beats_any) {
+            self.any = Some((key, c));
+        }
+    }
+
+    /// The criterion's pick and `true`, else the fallback and `false`;
+    /// `None` if nothing was offered.
+    fn winner(self) -> Option<(T, bool)> {
+        match (self.within, self.any) {
+            (Some((_, win)), _) => Some((win, true)),
+            (None, any) => any.map(|(_, win)| (win, false)),
+        }
+    }
+}
+
+/// A candidate as the criterion reads it, without its approach path: a
+/// search ranks every candidate this way and builds one [`Path`], the
+/// winner's ([`Ranked::approach`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ranked {
+    /// The on-tree merger.
+    pub(crate) merger: NodeId,
+    /// Tree delay to the merger plus approach delay.
+    total_delay: f64,
+    /// `SHR(S, merger)` at evaluation time.
+    pub(crate) shr: u32,
+    /// The neighbor that relayed the query; `None` for a full-topology
+    /// candidate, whose approach is in the search scratch.
+    relayed_by: Option<NodeId>,
+}
+
+impl Ranked {
+    fn key(&self) -> Key {
+        (self.shr, self.total_delay, self.merger)
+    }
+
+    /// The approach `[NR, …, merger]`. A full-topology candidate reads it
+    /// off `scratch`, so no other search may have run on it since.
+    pub(crate) fn approach(
+        &self,
+        scratch: &SearchScratch,
+        spt: &ShortestPathTree,
+        nr: NodeId,
+    ) -> Path {
+        match self.relayed_by {
+            None => scratch.approach(nr, self.merger),
+            Some(neighbor) => relayed_approach(spt, nr, neighbor, self.merger),
+        }
+    }
+}
+
+/// Runs the `mode` search for `nr` and ranks what it finds.
+#[allow(clippy::too_many_arguments)]
+fn rank(
+    scratch: &mut SearchScratch,
+    graph: &Graph,
+    tree: &MulticastTree,
+    spt: &ShortestPathTree,
+    nr: NodeId,
+    mode: SelectionMode,
+    excluded: &[NodeId],
+    admit: f64,
+    limit: Option<f64>,
+) -> Standings<Ranked> {
+    let mut standings = Standings::new(admit);
+    match mode {
+        SelectionMode::FullTopology => {
+            sink_search(
+                scratch,
+                graph,
+                tree,
+                spt,
+                nr,
+                excluded,
+                limit,
+                |_, u, total| {
+                    let c = Ranked {
+                        merger: u,
+                        total_delay: total,
+                        shr: tree.shr(u),
+                        relayed_by: None,
+                    };
+                    standings.offer(c.key(), c);
+                },
+            );
+        }
+        // At most one short walk per neighbor: nothing to confine.
+        SelectionMode::NeighborQuery => {
+            relay_walks(graph, tree, spt, nr, excluded, |neighbor, merger, total| {
+                let c = Ranked {
+                    merger,
+                    total_delay: total,
+                    shr: tree.shr(merger),
+                    relayed_by: Some(neighbor),
+                };
+                standings.offer(c.key(), c);
+            });
+        }
+    }
+    standings
 }
 
 /// Convenience: enumerate candidates and apply the criterion in one step.
@@ -472,12 +599,14 @@ pub fn select_path(
     select_path_in(&mut scratch, graph, tree, spt, nr, d_thresh, mode, excluded)
 }
 
-/// [`select_path`] on caller-owned scratch.
+/// [`select_path`] on caller-owned scratch, with what
+/// [`enumerate_candidates`] and [`apply_criterion`] would answer.
 ///
 /// The criterion only ever accepts a candidate inside the delay bound, so
-/// the search is first confined to what the bound can admit; the full
-/// candidate set is enumerated only when nothing fits and the
-/// minimum-delay fallback has to range over all of it.
+/// the search is first confined to what the bound can admit; the whole
+/// graph is searched only when nothing fits and the minimum-delay
+/// fallback has to range over every candidate. Candidates are ranked as
+/// they are found, and only the winner's approach becomes a [`Path`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_path_in(
     scratch: &mut SearchScratch,
@@ -489,19 +618,42 @@ pub(crate) fn select_path_in(
     mode: SelectionMode,
     excluded: &[NodeId],
 ) -> Result<Selection, SmrpError> {
-    if let Some(sel) = select_within_bound(scratch, graph, tree, spt, nr, d_thresh, mode, excluded)
-    {
-        return Ok(sel);
-    }
     let spf_delay = spt.distance(nr).ok_or(SmrpError::NoFeasiblePath(nr))?;
-    let candidates = candidates_within(scratch, graph, tree, spt, nr, mode, excluded, None);
-    apply_criterion(candidates, spf_delay, d_thresh, nr)
+    let admit = admission_limit(spf_delay, d_thresh, 1.0);
+    let limit = search_limit(spt, spf_delay, d_thresh);
+    let mut standings = rank(scratch, graph, tree, spt, nr, mode, excluded, admit, limit);
+    if standings.within.is_none() && limit.is_some() {
+        standings = rank(scratch, graph, tree, spt, nr, mode, excluded, admit, None);
+    }
+    let (win, within_bound) = standings.winner().ok_or(SmrpError::NoFeasiblePath(nr))?;
+    Ok(Selection {
+        candidate: JoinCandidate {
+            merger: win.merger,
+            approach: win.approach(scratch, spt, nr),
+            total_delay: win.total_delay,
+            shr: win.shr,
+        },
+        spf_delay,
+        within_bound,
+    })
+}
+
+/// How far a search for a candidate inside the bound must look, `None` for
+/// everywhere. A constrained `spt` gives no lower bound over the graph the
+/// search walks, so it cannot confine it. Otherwise: twice the criterion's
+/// tolerance, once for the candidates it admits at `bound + eps`, once
+/// more so rounding along the way (orders of magnitude smaller) can never
+/// prune one of them.
+fn search_limit(spt: &ShortestPathTree, spf_delay: f64, d_thresh: f64) -> Option<f64> {
+    spt.is_unrestricted()
+        .then(|| admission_limit(spf_delay, d_thresh, 2.0))
 }
 
 /// The criterion's winner if some candidate satisfies the delay bound,
 /// `None` otherwise (which is all reshaping needs to know: an out-of-bound
 /// winner never displaces the current path, so it skips the fallback
-/// search of [`select_path_in`]).
+/// search of [`select_path_in`]). Its approach is built only on request,
+/// from `scratch` as this search left it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_within_bound(
     scratch: &mut SearchScratch,
@@ -512,20 +664,12 @@ pub(crate) fn select_within_bound(
     d_thresh: f64,
     mode: SelectionMode,
     excluded: &[NodeId],
-) -> Option<Selection> {
+) -> Option<Ranked> {
     let spf_delay = spt.distance(nr)?;
-    // A constrained `spt` gives no lower bound over the graph the search
-    // walks, so it cannot confine it. Otherwise: twice the criterion's
-    // tolerance, once for the candidates it admits at `bound + eps`, once
-    // more so rounding along the way (orders of magnitude smaller) can
-    // never prune one of them.
-    let limit = spt
-        .is_unrestricted()
-        .then(|| admission_limit(spf_delay, d_thresh, 2.0));
-    let candidates = candidates_within(scratch, graph, tree, spt, nr, mode, excluded, limit);
-    apply_criterion(candidates, spf_delay, d_thresh, nr)
-        .ok()
-        .filter(|sel| sel.within_bound)
+    let admit = admission_limit(spf_delay, d_thresh, 1.0);
+    let limit = search_limit(spt, spf_delay, d_thresh);
+    let standings = rank(scratch, graph, tree, spt, nr, mode, excluded, admit, limit);
+    standings.within.map(|(_, win)| win)
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use smrp_net::{Graph, NodeId, Path};
 
 use crate::error::SmrpError;
 use crate::select::{self, SearchScratch, SelectionMode};
-use crate::tree::MulticastTree;
+use crate::tree::{Detached, MulticastTree};
 
 /// Tunable parameters of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,6 +148,13 @@ pub struct SmrpSession<'g> {
     /// Working memory of the candidate searches, reused across joins and
     /// reshape attempts.
     scratch: SearchScratch,
+    /// Buffers a reshape attempt lends and takes back, so one that settles
+    /// allocates nothing and one that searches nothing of its own: the
+    /// members a Condition I pass or sweep walks, the moving branch, and
+    /// the relay chain a detach records.
+    members: Vec<NodeId>,
+    branch: Vec<NodeId>,
+    relays: Vec<NodeId>,
     reshape_stats: ReshapeStats,
 }
 
@@ -168,6 +175,9 @@ impl<'g> SmrpSession<'g> {
             shr_baseline: vec![0; graph.node_count()],
             spt,
             scratch: SearchScratch::default(),
+            members: Vec::new(),
+            branch: Vec::new(),
+            relays: Vec::new(),
             reshape_stats: ReshapeStats::default(),
         })
     }
@@ -347,8 +357,8 @@ impl<'g> SmrpSession<'g> {
     /// switched paths.
     fn condition_i_pass(&mut self, joined: NodeId) -> Vec<NodeId> {
         let mut switched = Vec::new();
-        let members: Vec<NodeId> = self.tree.members().collect();
-        for m in members {
+        let mut members = self.take_members();
+        for &m in &members {
             if m == joined {
                 continue;
             }
@@ -360,21 +370,32 @@ impl<'g> SmrpSession<'g> {
                 }
             }
         }
+        members.clear();
+        self.members = members;
         switched
+    }
+
+    /// The current members, in the session's buffer (hand it back to
+    /// `self.members` when done).
+    fn take_members(&mut self) -> Vec<NodeId> {
+        let mut members = std::mem::take(&mut self.members);
+        members.extend(self.tree.members());
+        members
     }
 
     /// Attempts to reshape `member` (both conditions funnel here).
     ///
-    /// The member's subtree is detached from the tree, candidates are
-    /// enumerated against that reduced tree (yielding *adjusted* `SHR`
-    /// values), and the best candidate is compared with the member's
-    /// current merger. The switch happens only when the new merger's
-    /// adjusted `SHR` is strictly smaller, the new path respects the
-    /// `D_thresh` bound, and the approach path can actually carry the
+    /// The comparison is against the tree reduced by the member's branch,
+    /// which yields *adjusted* `SHR` values. The detach is planned first,
+    /// reading the tree only: a current merger whose adjusted `SHR` is 0
+    /// cannot be beaten, so then the attempt settles as `Kept` without
+    /// writing anything. Otherwise the branch is detached, candidates are
+    /// searched against the reduced tree, and the best one is compared
+    /// with the current merger. The switch happens only when the new
+    /// merger's adjusted `SHR` is strictly smaller, the new path respects
+    /// the `D_thresh` bound, and the approach path can actually carry the
     /// subtree (no interior node of the new path belongs to the subtree);
-    /// otherwise the subtree is put back exactly where it was. A current
-    /// merger whose adjusted `SHR` is 0 cannot be beaten, so then the
-    /// subtree goes straight back and no candidate is searched.
+    /// otherwise the subtree is put back exactly where it was.
     ///
     /// # Errors
     ///
@@ -395,20 +416,28 @@ impl<'g> SmrpSession<'g> {
         }
         self.reshape_stats.attempts += 1;
 
-        // Reduce the tree by the member's branch.
-        let detached = self.tree.detach_recorded(member)?;
-        let old_merger = detached.keeper();
-        let old_shr = self.tree.shr(old_merger);
-        if old_shr == 0 {
-            self.tree.reattach(detached);
+        let (plan, old_shr) = self
+            .tree
+            .plan_detach(member, std::mem::take(&mut self.relays))?;
+        let outcome = if old_shr == 0 {
             self.reshape_stats.settled_without_search += 1;
-            return Ok(ReshapeOutcome::Kept);
-        }
+            ReshapeOutcome::Kept
+        } else {
+            self.search_and_move(member, &plan, old_shr)
+        };
+        self.relays = plan.into_relays();
+        Ok(outcome)
+    }
 
+    /// The searching half of [`reshape_member`](Self::reshape_member):
+    /// detach by `plan`, look for a merger with `SHR` below `old_shr`, and
+    /// either move the branch there or put it back.
+    fn search_and_move(&mut self, member: NodeId, plan: &Detached, old_shr: u32) -> ReshapeOutcome {
+        self.tree.detach_planned(plan);
         // Candidates against the reduced tree; the moving subtree may be
         // neither merger nor relay.
-        let mut excluded = self.tree.subtree_nodes(member);
-        excluded.retain(|&n| n != member);
+        let mut branch = std::mem::take(&mut self.branch);
+        self.tree.collect_subtree(member, &mut branch);
         let selection = select::select_within_bound(
             &mut self.scratch,
             self.graph,
@@ -417,46 +446,54 @@ impl<'g> SmrpSession<'g> {
             member,
             self.config.d_thresh,
             self.config.selection,
-            &excluded,
+            &branch[1..],
         );
         // Adjusted comparison: candidate merger vs current merger, both in
         // the reduced tree.
-        let Some(sel) = selection.filter(|sel| self.tree.shr(sel.candidate.merger) < old_shr)
-        else {
-            self.tree.reattach(detached);
-            return Ok(ReshapeOutcome::Kept);
-        };
-
-        // Commit: the branch is already detached; reattach it along the
-        // new path.
-        self.tree.attach_path(&sel.candidate.approach);
-        // The move changed SHR for *every* member carried along in the
-        // subtree, not just the reshaped one; all of their Condition I
-        // baselines restart from the post-move values. Refreshing only the
-        // moved member would leave the others comparing against SHR values
-        // of a path that no longer exists.
-        for n in self.tree.subtree_nodes(member) {
-            if self.tree.is_member(n) {
-                self.shr_baseline[n.index()] = self.tree.shr(n);
+        let outcome = match selection.filter(|win| win.shr < old_shr) {
+            None => {
+                self.tree.reattach(plan);
+                ReshapeOutcome::Kept
             }
-        }
-        self.reshape_stats.switched += 1;
-        Ok(ReshapeOutcome::Switched {
-            old_merger,
-            new_merger: sel.candidate.merger,
-        })
+            Some(win) => {
+                // Commit: the branch is already detached; reattach it along
+                // the new path.
+                let approach = win.approach(&self.scratch, &self.spt, member);
+                self.tree.attach_path(&approach);
+                // The move changed SHR for *every* member carried along in
+                // the subtree, not just the reshaped one; all of their
+                // Condition I baselines restart from the post-move values.
+                // Refreshing only the moved member would leave the others
+                // comparing against SHR values of a path that no longer
+                // exists.
+                for &n in &branch {
+                    if self.tree.is_member(n) {
+                        self.shr_baseline[n.index()] = self.tree.shr(n);
+                    }
+                }
+                self.reshape_stats.switched += 1;
+                ReshapeOutcome::Switched {
+                    old_merger: plan.keeper(),
+                    new_merger: win.merger,
+                }
+            }
+        };
+        self.branch = branch;
+        outcome
     }
 
     /// Condition II: one periodic sweep re-evaluating every member (in
     /// node-id order). Returns how many members switched paths.
     pub fn reshape_sweep(&mut self) -> usize {
-        let members: Vec<NodeId> = self.tree.members().collect();
+        let mut members = self.take_members();
         let mut switched = 0;
-        for m in members {
+        for &m in &members {
             if matches!(self.reshape_member(m), Ok(ReshapeOutcome::Switched { .. })) {
                 switched += 1;
             }
         }
+        members.clear();
+        self.members = members;
         switched
     }
 

@@ -152,14 +152,18 @@ fn decode_parent(slot: u32) -> Option<NodeId> {
     slot.checked_sub(1).map(|i| NodeId::new(i as usize))
 }
 
-/// What [`MulticastTree::detach_recorded`] removed: enough to restore the
-/// tree exactly with [`MulticastTree::reattach`].
-#[derive(Debug)]
+/// What a detach removes (planned by [`MulticastTree::plan_detach`],
+/// done by [`MulticastTree::detach_planned`]): enough to restore the tree
+/// exactly with [`MulticastTree::reattach`].
+#[derive(Debug, PartialEq)]
 pub(crate) struct Detached {
     /// Root of the detached fragment.
     node: NodeId,
     /// First surviving ancestor of the fragment.
     anchor: NodeId,
+    /// What [`MulticastTree::detach_subtree`] reports as the node the
+    /// fragment hung off (see the defect noted there).
+    keeper: NodeId,
     /// Relays pruned between `node` and `anchor`, bottom-up (`node`'s old
     /// parent first). Each had the chain below it as its only child.
     relays: Vec<NodeId>,
@@ -167,15 +171,19 @@ pub(crate) struct Detached {
     /// (`node` itself when no relay was pruned) occupied.
     slot: usize,
     /// `N` of the fragment at detach time.
-    removed: i64,
+    removed: u32,
 }
 
 impl Detached {
-    /// What [`MulticastTree::detach_subtree`] reports as the node the
-    /// fragment hung off: the old parent if it survived, else the old
-    /// parent's parent (see the defect noted there).
+    /// The node the fragment is reported to have hung off.
     pub(crate) fn keeper(&self) -> NodeId {
-        self.relays.get(1).copied().unwrap_or(self.anchor)
+        self.keeper
+    }
+
+    /// Hands back the relay list's buffer for the next
+    /// [`plan_detach`](MulticastTree::plan_detach).
+    pub(crate) fn into_relays(self) -> Vec<NodeId> {
+        self.relays
     }
 }
 
@@ -445,14 +453,17 @@ impl MulticastTree {
         if !self.is_on_tree(node) {
             return None;
         }
-        let mut nodes = vec![node];
+        let mut hops = 0;
         let mut cur = node;
         while cur != self.source {
-            let p = self.parent(cur)?;
-            nodes.push(p);
-            cur = p;
+            cur = self.parent(cur)?;
+            hops += 1;
         }
-        nodes.reverse();
+        // Filled from the member end, so the one allocation is exact.
+        let mut nodes = vec![node; hops + 1];
+        for i in (0..hops).rev() {
+            nodes[i] = self.parent(nodes[i + 1]).expect("walked above");
+        }
         Some(Path::new(nodes))
     }
 
@@ -464,18 +475,27 @@ impl MulticastTree {
             return None;
         }
         // Upstream-link delays, collected walking up and summed source-first
-        // so the result is bit-identical to `path_from_source(..).delay(..)`.
-        let mut delays = Vec::new();
+        // so the result is bit-identical to `path_from_source(..).delay(..)`:
+        // the first `NEAR` on the stack, any deeper ones in `far`.
+        const NEAR: usize = 32;
+        let mut near = [0.0; NEAR];
+        let mut far = Vec::new();
+        let mut hops = 0;
         let mut cur = node;
         while cur != self.source {
             let p = self.parent(cur)?;
             let delay = graph
                 .delay_between(cur, p)
                 .expect("tree edges correspond to graph links");
-            delays.push(delay);
+            match near.get_mut(hops) {
+                Some(slot) => *slot = delay,
+                None => far.push(delay),
+            }
+            hops += 1;
             cur = p;
         }
-        Some(delays.iter().rev().sum())
+        let near = &near[..hops.min(NEAR)];
+        Some(far.iter().rev().chain(near.iter().rev()).sum())
     }
 
     /// All tree links (the upstream link of every non-root connected node).
@@ -730,7 +750,9 @@ impl MulticastTree {
     /// the branch leaves *two or more* relays childless, the node returned
     /// is the old parent's parent — itself pruned, so its `SHR` reads 0 and
     /// a reshape comparing against it never switches. Returning the true
-    /// survivor changes which members reshape (see ROADMAP).
+    /// survivor changes which members reshape (see ROADMAP). The rule is
+    /// one line of the crate-private `plan_detach`, which every detach
+    /// and every reshape attempt reads.
     ///
     /// The fragment keeps its internal structure; its nodes remain marked
     /// on-tree but are no longer connected to the source. Reattach with
@@ -740,12 +762,35 @@ impl MulticastTree {
     ///
     /// Fails if `node` is the source, off-tree, or already detached.
     pub fn detach_subtree(&mut self, node: NodeId) -> Result<NodeId, SmrpError> {
-        self.detach_recorded(node).map(|d| d.keeper())
+        self.detach_recorded(node).map(|d| d.keeper)
     }
 
     /// [`detach_subtree`](Self::detach_subtree) that also returns what it
     /// removed, so [`reattach`](Self::reattach) can put it back exactly.
     pub(crate) fn detach_recorded(&mut self, node: NodeId) -> Result<Detached, SmrpError> {
+        let (plan, _) = self.plan_detach(node, Vec::new())?;
+        self.detach_planned(&plan);
+        Ok(plan)
+    }
+
+    /// What detaching `node` would remove, and the `SHR` its keeper would
+    /// read afterwards, without touching the tree: one walk up the relay
+    /// chain and one up the anchor's source path, O(depth) reads.
+    ///
+    /// The keeper's `SHR` is 0 when it is a relay the detach prunes (the
+    /// defect noted on [`detach_subtree`](Self::detach_subtree)); otherwise
+    /// it is the anchor's, less the fragment's `N` on each of its
+    /// `depth(anchor)` source-path nodes. `relays` is the buffer the chain
+    /// is recorded in (cleared first); [`Detached::into_relays`] returns it.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `node` is the source, off-tree, or already detached.
+    pub(crate) fn plan_detach(
+        &self,
+        node: NodeId,
+        mut relays: Vec<NodeId>,
+    ) -> Result<(Detached, u32), SmrpError> {
         if node == self.source {
             return Err(SmrpError::SourceOperation(node));
         }
@@ -755,21 +800,13 @@ impl MulticastTree {
         let Some(old_parent) = self.parent(node) else {
             return Err(SmrpError::UnknownNode(node));
         };
-        let removed = i64::from(self.n[node.index()]);
-        self.set_parent(node, None);
+        let removed = self.n[node.index()];
+        // The relays the detach prunes, bottom-up: non-members left
+        // childless, each the only child of the next.
+        relays.clear();
         let mut slot = self.child_slot(old_parent, node);
-        self.edit_children(old_parent, |list| {
-            list.remove(slot);
-        });
-        // The fragment keeps its internal `N` values (its subtrees did not
-        // change); upstream, the surviving path loses `removed` members.
-        self.propagate_member_delta(old_parent, -removed);
-
-        // The relays `prune_from` is about to remove, bottom-up: childless
-        // non-members, each the only child of the next.
-        let mut relays = Vec::new();
         let mut anchor = old_parent;
-        let mut childless = self.children(old_parent).is_empty();
+        let mut childless = self.children(old_parent).len() == 1;
         while anchor != self.source && !self.is_member(anchor) && childless {
             let up = self
                 .parent(anchor)
@@ -779,34 +816,69 @@ impl MulticastTree {
             relays.push(anchor);
             anchor = up;
         }
-        self.prune_from(old_parent);
-        Ok(Detached {
+        let keeper = relays.get(1).copied().unwrap_or(anchor);
+        let keeper_shr = if keeper == anchor {
+            let (mut shr, mut depth) = (0, 0);
+            let mut cur = anchor;
+            while let Some(p) = self.parent(cur) {
+                shr += self.n[cur.index()];
+                depth += 1;
+                cur = p;
+            }
+            shr - removed * depth
+        } else {
+            0
+        };
+        let plan = Detached {
             node,
             anchor,
+            keeper,
             relays,
             slot,
             removed,
-        })
+        };
+        Ok((plan, keeper_shr))
     }
 
-    /// Undoes a [`detach_recorded`](Self::detach_recorded) while the
-    /// fragment is still detached and nothing else has changed: parent
-    /// links, child positions, the pruned relay chain and every `N` return
-    /// to their pre-detach values, so the tree compares equal to its
-    /// earlier self.
-    pub(crate) fn reattach(&mut self, detached: Detached) {
+    /// Detaches as `plan` says: `plan` must come from
+    /// [`plan_detach`](Self::plan_detach) on the tree as it is now.
+    pub(crate) fn detach_planned(&mut self, plan: &Detached) {
+        let old_parent = plan.relays.first().copied().unwrap_or(plan.anchor);
+        self.set_parent(plan.node, None);
+        // The fragment keeps its internal `N` values (its subtrees did not
+        // change); upstream, the surviving path loses `removed` members and
+        // each pruned relay, which carried only the fragment, reaches 0.
+        self.propagate_member_delta(old_parent, -i64::from(plan.removed));
+        for &relay in &plan.relays {
+            debug_assert_eq!(self.n[relay.index()], 0, "relay {relay} carried more");
+            self.on_tree.remove(relay);
+            self.set_parent(relay, None);
+            self.children[relay.index()] = None;
+        }
+        self.edit_children(plan.anchor, |list| {
+            list.remove(plan.slot);
+        });
+        self.audit_stats();
+    }
+
+    /// Undoes a detach while the fragment is still detached and nothing
+    /// else has changed: parent links, child positions, the pruned relay
+    /// chain and every `N` return to their pre-detach values, so the tree
+    /// compares equal to its earlier self.
+    pub(crate) fn reattach(&mut self, detached: &Detached) {
         let Detached {
             node,
             anchor,
-            relays,
+            ref relays,
             slot,
             removed,
-        } = detached;
+            ..
+        } = *detached;
         // Relays re-enter as an empty chain below `anchor` (N = 0); the
         // propagation below then restores the fragment's weight along the
         // whole source path.
         let mut below = node;
-        for &relay in &relays {
+        for &relay in relays {
             self.on_tree.insert(relay);
             self.set_parent(below, Some(relay));
             self.insert_child(relay, None, below);
@@ -815,7 +887,7 @@ impl MulticastTree {
         self.set_parent(below, Some(anchor));
         self.insert_child(anchor, Some(slot), below);
         let old_parent = relays.first().copied().unwrap_or(anchor);
-        self.propagate_member_delta(old_parent, removed);
+        self.propagate_member_delta(old_parent, i64::from(removed));
         self.audit_stats();
     }
 
@@ -837,6 +909,21 @@ impl MulticastTree {
             stack.extend_from_slice(self.children(u));
         }
         out
+    }
+
+    /// Replaces `out` with the nodes of the subtree rooted at `node`,
+    /// `node` first and then breadth-first: [`subtree_nodes`] without a
+    /// stack, in a buffer the caller keeps.
+    ///
+    /// [`subtree_nodes`]: Self::subtree_nodes
+    pub(crate) fn collect_subtree(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.push(node);
+        let mut next = 0;
+        while let Some(&u) = out.get(next) {
+            out.extend_from_slice(self.children(u));
+            next += 1;
+        }
     }
 
     /// Recomputes `N_R` for the source-connected component from scratch
@@ -1145,7 +1232,7 @@ mod tests {
         let d = t.detach_recorded(m).unwrap();
         assert_eq!(d.keeper(), r2);
         assert_ne!(t, before);
-        t.reattach(d);
+        t.reattach(&d);
         assert_eq!(t, before);
 
         t.set_member(x, false).unwrap();
@@ -1157,7 +1244,7 @@ mod tests {
         assert_eq!(d.keeper(), r1);
         assert!(!t.is_on_tree(r1) && !t.is_on_tree(r2));
         assert_eq!(t.shr(d.keeper()), 0);
-        t.reattach(d);
+        t.reattach(&d);
         assert_eq!(t, before);
         t.validate(&g).unwrap();
     }
@@ -1169,7 +1256,7 @@ mod tests {
         let before = t.clone();
         let rec = t.detach_recorded(c).unwrap();
         assert_eq!(t.children(a), &[d]);
-        t.reattach(rec);
+        t.reattach(&rec);
         assert_eq!(t, before);
         t.validate(&g).unwrap();
     }
@@ -1539,7 +1626,7 @@ mod tests {
                         dense.detach(v);
                         let detached = same_as_dense(&t, &dense);
                         prop_assert!(detached.is_ok(), "detached {v}: {}", detached.unwrap_err());
-                        t.reattach(record);
+                        t.reattach(&record);
                         dense = before.1;
                         prop_assert_eq!(&t, &before.0);
                     }
@@ -1548,6 +1635,61 @@ mod tests {
                 let checked = same_as_dense(&t, &dense);
                 prop_assert!(checked.is_ok(), "after op {op} on {v}: {}", checked.unwrap_err());
                 prop_assert_eq!(&dense.rebuilt(&graph), &t, "same shape, other history");
+            }
+        }
+
+        #[test]
+        fn planned_detach_is_the_detach_and_reads_the_keepers_shr(
+            n in 2usize..61,
+            seed in 0u64..1 << 32,
+            ops in proptest::collection::vec((0u8..4, 0usize..60), 1..40),
+        ) {
+            use smrp_net::dijkstra::{shortest_path_to_any, Constraints};
+
+            let graph = ring_with_chords(n, seed);
+            let source = NodeId::new(seed as usize % n);
+            let mut t = MulticastTree::new(&graph, source).unwrap();
+            for (op, pick) in ops {
+                let v = NodeId::new(pick % n);
+                match op {
+                    0 if !t.is_on_tree(v) => {
+                        let path = shortest_path_to_any(
+                            &graph, v, Constraints::unrestricted(), |x| t.is_on_tree(x),
+                        ).unwrap();
+                        t.attach_path(&path);
+                        t.set_member(v, true).unwrap();
+                    }
+                    1 if t.is_member(v) => {
+                        t.set_member(v, false).unwrap();
+                        t.prune_from(v);
+                    }
+                    // Weights make `N` differ from the member count.
+                    2 if t.is_member(v) => t.set_member_weight(v, 1 + pick as u32 % 5).unwrap(),
+                    3 => t.prune_from(v),
+                    _ => continue,
+                }
+                let nodes: Vec<NodeId> = t.on_tree_nodes().filter(|&u| u != source).collect();
+                for u in nodes {
+                    let before = t.clone();
+                    let (plan, keeper_shr) = t.plan_detach(u, Vec::new()).unwrap();
+                    prop_assert_eq!(&t, &before, "planning {} wrote to the tree", u);
+
+                    // The detach as it was before plans: unlink, then let
+                    // `prune_from` find the relay chain on its own.
+                    let mut pruned = before.clone();
+                    let old_parent = pruned.parent(u).unwrap();
+                    pruned.set_parent(u, None);
+                    pruned.edit_children(old_parent, |list| list.retain(|&c| c != u));
+                    pruned.propagate_member_delta(old_parent, -i64::from(pruned.n[u.index()]));
+                    pruned.prune_from(old_parent);
+
+                    let record = t.detach_recorded(u).unwrap();
+                    prop_assert_eq!(&record, &plan, "detaching {}", u);
+                    prop_assert_eq!(&t, &pruned, "detaching {}", u);
+                    prop_assert_eq!(t.shr(record.keeper()), keeper_shr, "keeper of {}", u);
+                    t.reattach(&record);
+                    prop_assert_eq!(&t, &before, "undoing {}", u);
+                }
             }
         }
     }

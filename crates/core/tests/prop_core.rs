@@ -8,6 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::select::{self, SelectionMode};
+use smrp_core::session::ReshapeStats;
 use smrp_core::{
     MulticastTree, ReshapeOutcome, SmrpConfig, SmrpSession, SpfSession, SteinerSession,
 };
@@ -72,16 +73,24 @@ fn churned_session<'g>(
 /// used to run, kept as its oracle: reduce a *copy* of the tree by the
 /// member's branch, enumerate every candidate against it, apply the
 /// criterion, and move the branch only for a strictly smaller adjusted
-/// `SHR` inside the bound. Returns the tree the attempt should leave.
+/// `SHR` inside the bound. Returns the tree the attempt should leave, its
+/// outcome, and what it adds to `reshape_stats()`: one attempt, settled
+/// without a search exactly when the reduced `SHR` of the old merger is 0.
 fn reference_reshape(
     graph: &Graph,
     tree: &MulticastTree,
     spt: &ShortestPathTree,
     config: &SmrpConfig,
     member: NodeId,
-) -> (MulticastTree, ReshapeOutcome) {
+) -> (MulticastTree, ReshapeOutcome, ReshapeStats) {
     let mut reduced = tree.clone();
     let old_merger = reduced.detach_subtree(member).unwrap();
+    let settled = reduced.shr(old_merger) == 0;
+    let delta = |switched: bool| ReshapeStats {
+        attempts: 1,
+        switched: u64::from(switched),
+        settled_without_search: u64::from(settled),
+    };
     let mut excluded = reduced.subtree_nodes(member);
     excluded.retain(|&n| n != member);
     let candidates =
@@ -99,9 +108,10 @@ fn reference_reshape(
                     old_merger,
                     new_merger,
                 },
+                delta(true),
             )
         }
-        _ => (tree.clone(), ReshapeOutcome::Kept),
+        _ => (tree.clone(), ReshapeOutcome::Kept, delta(false)),
     }
 }
 
@@ -189,6 +199,11 @@ proptest! {
         for c in &query {
             prop_assert!(sess.tree().is_on_tree(c.merger));
             prop_assert!(c.approach.validate(&graph).is_ok());
+            prop_assert_eq!(c.approach.source(), nr);
+            prop_assert_eq!(c.approach.target(), c.merger);
+            // Summed hop by hop from the joiner, as the approach path sums.
+            let tree_delay = sess.tree().delay_to(&graph, c.merger).unwrap();
+            prop_assert_eq!(c.total_delay.to_bits(), (tree_delay + c.approach.delay(&graph)).to_bits());
         }
     }
 
@@ -448,7 +463,8 @@ proptest! {
     ) {
         // `reshape_member` works on the live tree: a `Kept` attempt must
         // leave it exactly as it was, a `Switched` one exactly as the
-        // reference (which works on a copy) builds it.
+        // reference (which works on a copy) builds it, and each must count
+        // as the reference says.
         let graph = either_graph(seed.wrapping_add(5000));
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x6C07_8965));
         let config = SmrpConfig { auto_reshape, selection: mode, d_thresh, ..SmrpConfig::default() };
@@ -461,10 +477,19 @@ proptest! {
         let members: Vec<NodeId> = sess.members().collect();
         for m in members {
             let before = sess.tree().clone();
-            let (want_tree, want) = reference_reshape(&graph, &before, sess.spt(), &config, m);
+            let (want_tree, want, want_delta) =
+                reference_reshape(&graph, &before, sess.spt(), &config, m);
+            let stats = sess.reshape_stats();
             let got = sess.reshape_member(m).unwrap();
+            let after = sess.reshape_stats();
+            let got_delta = ReshapeStats {
+                attempts: after.attempts - stats.attempts,
+                switched: after.switched - stats.switched,
+                settled_without_search: after.settled_without_search - stats.settled_without_search,
+            };
             prop_assert_eq!(got, want, "member {}", m);
             prop_assert_eq!(sess.tree(), &want_tree, "member {}", m);
+            prop_assert_eq!(got_delta, want_delta, "member {}", m);
         }
     }
 }

@@ -391,7 +391,7 @@ impl ShortestPathTree {
             parent: vec![None; n],
             unrestricted: false,
         };
-        spt.recompute_constrained(graph, constraints);
+        spt.search_constrained(graph, constraints);
         spt
     }
 
@@ -408,11 +408,17 @@ impl ShortestPathTree {
             self.dist.len(),
             "graph size changed under the SPT"
         );
+        self.dist.fill(f64::INFINITY);
+        self.parent.fill(None);
+        self.search_constrained(graph, constraints);
+    }
+
+    /// Runs the search under `constraints` into `dist`/`parent`, which must
+    /// read unreached everywhere (infinite, no parent).
+    fn search_constrained(&mut self, graph: &Graph, constraints: Constraints<'_>) {
         self.unrestricted = constraints.failures.is_none()
             && constraints.forbidden_nodes.is_empty()
             && constraints.forbidden_links.is_empty();
-        self.dist.fill(f64::INFINITY);
-        self.parent.fill(None);
         if !constraints.node_allowed(self.source) {
             return;
         }
