@@ -18,6 +18,12 @@
 //!
 //! The worst-case failure model of §4.3.1 — "the link closest to the source
 //! node on R's multicast path" — is provided by [`worst_case_failure_for`].
+//!
+//! Every recovery planner — reactive plans, protection chains and
+//! hierarchical domains — asks its questions of one [`Contingency`], which
+//! computes the surviving tree-connected set once per scenario.
+
+use std::cell::OnceCell;
 
 use smrp_net::dijkstra::{self, Constraints};
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId, Path};
@@ -67,7 +73,6 @@ impl std::error::Error for RecoveryError {}
 pub struct Recovery {
     member: NodeId,
     restoration_path: Path,
-    attach: NodeId,
     recovery_distance: f64,
     new_end_to_end_delay: f64,
 }
@@ -85,7 +90,7 @@ impl Recovery {
 
     /// The still-connected on-tree node the member re-attaches to.
     pub fn attach(&self) -> NodeId {
-        self.attach
+        self.restoration_path.target()
     }
 
     /// `RD_R`: delay of the restoration path (§4.2).
@@ -97,6 +102,135 @@ impl Recovery {
     /// attach point plus the restoration path).
     pub fn new_end_to_end_delay(&self) -> f64 {
         self.new_end_to_end_delay
+    }
+}
+
+/// One contingency — a failure scenario laid over one tree — and the
+/// questions every recovery planner asks of it (§3.1): which members it
+/// cuts off, which on-tree nodes detect it, and where each cut-off node
+/// detours to.
+///
+/// The surviving tree-connected set ([`surviving_connected`]) is computed
+/// once, by the first question that needs it, and read by every later
+/// one; [`fragment_roots`](Self::fragment_roots) and
+/// [`anchored_detour`](Self::anchored_detour) never compute it.
+#[derive(Debug)]
+pub struct Contingency<'a> {
+    graph: &'a Graph,
+    tree: &'a MulticastTree,
+    scenario: &'a FailureScenario,
+    /// Per-node mask of [`surviving_connected`], filled on first use.
+    connected: OnceCell<Vec<bool>>,
+}
+
+impl<'a> Contingency<'a> {
+    /// `scenario` laid over `tree` on `graph`. Computes nothing yet.
+    pub fn new(graph: &'a Graph, tree: &'a MulticastTree, scenario: &'a FailureScenario) -> Self {
+        Contingency {
+            graph,
+            tree,
+            scenario,
+            connected: OnceCell::new(),
+        }
+    }
+
+    fn connected(&self) -> &[bool] {
+        self.connected.get_or_init(|| {
+            let mut mask = vec![false; self.graph.node_count()];
+            for n in surviving_connected(self.graph, self.tree, self.scenario) {
+                mask[n.index()] = true;
+            }
+            mask
+        })
+    }
+
+    /// Members whose tree path to the source the scenario broke (members
+    /// that failed themselves included), in [`MulticastTree::members`]
+    /// order.
+    pub fn affected_members(&self) -> Vec<NodeId> {
+        let connected = self.connected();
+        self.tree
+            .members()
+            .filter(|m| !connected[m.index()])
+            .collect()
+    }
+
+    /// Fragment roots: usable on-tree nodes whose upstream link the
+    /// scenario broke, in [`MulticastTree::on_tree_nodes`] order. These
+    /// are the nodes that detect the failure and recover for their
+    /// subtree.
+    pub fn fragment_roots(&self) -> Vec<NodeId> {
+        let (graph, tree, scenario) = (self.graph, self.tree, self.scenario);
+        let broken = |n: NodeId| {
+            let upstream = tree.parent(n).and_then(|p| graph.link_between(n, p));
+            upstream.is_some_and(|l| !scenario.link_usable(graph, l))
+        };
+        tree.on_tree_nodes()
+            .filter(|&n| scenario.node_usable(n) && broken(n))
+            .collect()
+    }
+
+    /// The restoration path of `kind` from the cut-off node `from`.
+    ///
+    /// # Errors
+    ///
+    /// * [`RecoveryError::NotAffected`] — `from` is still connected;
+    /// * [`RecoveryError::Unrecoverable`] — `from` failed or no non-faulty
+    ///   route to the surviving tree exists.
+    pub fn detour(&self, from: NodeId, kind: DetourKind) -> Result<Recovery, RecoveryError> {
+        let (graph, tree, scenario) = (self.graph, self.tree, self.scenario);
+        let unrecoverable = RecoveryError::Unrecoverable(from);
+        if !scenario.node_usable(from) {
+            return Err(unrecoverable);
+        }
+        let connected = self.connected();
+        if connected[from.index()] {
+            return Err(RecoveryError::NotAffected(from));
+        }
+
+        let constraints = Constraints::avoiding_failures(scenario);
+        let restoration = match kind {
+            DetourKind::Local => {
+                dijkstra::shortest_path_to_any(graph, from, constraints, |n| connected[n.index()])
+                    .ok_or(unrecoverable)?
+            }
+            DetourKind::Global => {
+                let spf =
+                    dijkstra::shortest_path_constrained(graph, from, tree.source(), constraints)
+                        .ok_or(unrecoverable)?;
+                // PIM join propagation stops at the first still-connected
+                // on-tree router along the new unicast path.
+                let nodes = spf.nodes();
+                let cut = nodes
+                    .iter()
+                    .position(|n| connected[n.index()])
+                    .expect("path ends at the source, which is connected");
+                Path::new(nodes[..=cut].to_vec())
+            }
+        };
+
+        let recovery_distance = restoration.delay(graph);
+        let attach_delay = tree
+            .delay_to(graph, restoration.target())
+            .expect("attach point is connected to the source");
+        Ok(Recovery {
+            member: from,
+            restoration_path: restoration,
+            recovery_distance,
+            new_end_to_end_delay: attach_delay + recovery_distance,
+        })
+    }
+
+    /// The shortest non-faulty path from `from` to the source itself,
+    /// treating no other on-tree node as a target — the one attach point
+    /// no failure outside the scenario can cut off. `None` when the
+    /// scenario disconnects `from` from the source.
+    pub fn anchored_detour(&self, from: NodeId) -> Option<Path> {
+        let (source, constraints) = (
+            self.tree.source(),
+            Constraints::avoiding_failures(self.scenario),
+        );
+        dijkstra::shortest_path_to_any(self.graph, from, constraints, |n| n == source)
     }
 }
 
@@ -117,13 +251,8 @@ pub fn surviving_connected(
     while let Some(u) = stack.pop() {
         out.push(u);
         for &c in tree.children(u) {
-            if !scenario.node_usable(c) {
-                continue;
-            }
-            let Some(l) = graph.link_between(u, c) else {
-                continue;
-            };
-            if scenario.link_usable(graph, l) {
+            let link = graph.link_between(u, c);
+            if scenario.node_usable(c) && link.is_some_and(|l| scenario.link_usable(graph, l)) {
                 stack.push(c);
             }
         }
@@ -163,17 +292,13 @@ pub fn reachable_from_source(
 
 /// Members whose tree path to the source was broken by `scenario` (the
 /// member node itself may also have failed; such members are included).
+/// [`Contingency::affected_members`] on a one-question contingency.
 pub fn affected_members(
     graph: &Graph,
     tree: &MulticastTree,
     scenario: &FailureScenario,
 ) -> Vec<NodeId> {
-    let connected = surviving_connected(graph, tree, scenario);
-    let mut mask = vec![false; graph.node_count()];
-    for n in &connected {
-        mask[n.index()] = true;
-    }
-    tree.members().filter(|m| !mask[m.index()]).collect()
+    Contingency::new(graph, tree, scenario).affected_members()
 }
 
 /// The worst-case failure for `member` (§4.3.1): the tree link incident to
@@ -195,7 +320,10 @@ pub fn worst_case_failure_for(
     graph.link_between(nodes[0], nodes[1])
 }
 
-/// Computes a restoration path for `member` under `scenario`.
+/// Computes a restoration path for `member` under `scenario`:
+/// [`Contingency::detour`] on a one-question contingency. Planners that
+/// ask about several nodes under one scenario build the [`Contingency`]
+/// once instead.
 ///
 /// # Errors
 ///
@@ -230,51 +358,7 @@ pub fn recover(
     member: NodeId,
     kind: DetourKind,
 ) -> Result<Recovery, RecoveryError> {
-    if !scenario.node_usable(member) {
-        return Err(RecoveryError::Unrecoverable(member));
-    }
-    let connected = surviving_connected(graph, tree, scenario);
-    let mut mask = vec![false; graph.node_count()];
-    for n in &connected {
-        mask[n.index()] = true;
-    }
-    if mask[member.index()] {
-        return Err(RecoveryError::NotAffected(member));
-    }
-
-    let constraints = Constraints::avoiding_failures(scenario);
-    let restoration = match kind {
-        DetourKind::Local => {
-            dijkstra::shortest_path_to_any(graph, member, constraints, |n| mask[n.index()])
-                .ok_or(RecoveryError::Unrecoverable(member))?
-        }
-        DetourKind::Global => {
-            let spf =
-                dijkstra::shortest_path_constrained(graph, member, tree.source(), constraints)
-                    .ok_or(RecoveryError::Unrecoverable(member))?;
-            // PIM join propagation stops at the first still-connected
-            // on-tree router along the new unicast path.
-            let nodes = spf.nodes();
-            let cut = nodes
-                .iter()
-                .position(|n| mask[n.index()])
-                .expect("path ends at the source, which is connected");
-            Path::new(nodes[..=cut].to_vec())
-        }
-    };
-
-    let attach = restoration.target();
-    let recovery_distance = restoration.delay(graph);
-    let attach_delay = tree
-        .delay_to(graph, attach)
-        .expect("attach point is connected to the source");
-    Ok(Recovery {
-        member,
-        restoration_path: restoration,
-        attach,
-        recovery_distance,
-        new_end_to_end_delay: attach_delay + recovery_distance,
-    })
+    Contingency::new(graph, tree, scenario).detour(member, kind)
 }
 
 #[cfg(test)]
@@ -312,6 +396,29 @@ mod tests {
         assert_eq!(rec.restoration_path().nodes(), &[d, c]);
         // New end-to-end delay: S->A->C (2) + C->D (2).
         assert_eq!(rec.new_end_to_end_delay(), 4.0);
+    }
+
+    #[test]
+    fn figure1_contingency_answers_every_question() {
+        let (g, t, [s, a, _, c, d]) = figure1();
+        let l_ad = g.link_between(a, d).unwrap();
+        let scenario = FailureScenario::link(l_ad);
+        let contingency = Contingency::new(&g, &t, &scenario);
+        assert_eq!(contingency.fragment_roots(), vec![d]);
+        assert_eq!(contingency.affected_members(), vec![d]);
+        let rec = contingency.detour(d, DetourKind::Local).unwrap();
+        assert_eq!(
+            rec,
+            recover(&g, &t, &scenario, d, DetourKind::Local).unwrap()
+        );
+        assert_eq!(rec.attach(), c);
+        // Anchored at the source: D -> B -> S, never the nearer C.
+        let anchored = contingency.anchored_detour(d).unwrap();
+        assert_eq!(anchored.nodes(), &[d, NodeId::new(2), s]);
+        assert_eq!(
+            contingency.detour(c, DetourKind::Local),
+            Err(RecoveryError::NotAffected(c))
+        );
     }
 
     #[test]

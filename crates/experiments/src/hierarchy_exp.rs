@@ -6,7 +6,7 @@
 //! session, fail it and record (a) how many members lose service and
 //! (b) whether the hierarchical repair stays inside one recovery domain.
 
-use smrp_core::recovery::{self, DetourKind};
+use smrp_core::recovery::{Contingency, DetourKind};
 use smrp_core::{SmrpConfig, SmrpSession};
 use smrp_metrics::Stats;
 use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
@@ -94,7 +94,8 @@ pub(crate) fn run(effort: Effort) -> HierarchyResult {
         // Fail every flat tree link once.
         for link in flat.tree().links(graph) {
             let scenario = FailureScenario::link(link);
-            let affected = recovery::affected_members(graph, flat.tree(), &scenario);
+            let contingency = Contingency::new(graph, flat.tree(), &scenario);
+            let affected = contingency.affected_members();
             if affected.is_empty() {
                 continue;
             }
@@ -103,16 +104,8 @@ pub(crate) fn run(effort: Effort) -> HierarchyResult {
 
             // Flat recovery: fragment-root local detours.
             let mut flat_rd = 0.0;
-            for n in flat.tree().on_tree_nodes() {
-                let Some(p) = flat.tree().parent(n) else {
-                    continue;
-                };
-                if graph.link_between(n, p) != Some(link) {
-                    continue;
-                }
-                if let Ok(rec) =
-                    recovery::recover(graph, flat.tree(), &scenario, n, DetourKind::Local)
-                {
+            for n in contingency.fragment_roots() {
+                if let Ok(rec) = contingency.detour(n, DetourKind::Local) {
                     flat_rd += rec.recovery_distance();
                 }
             }

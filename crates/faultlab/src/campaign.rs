@@ -476,10 +476,7 @@ pub(crate) fn evaluate_arm(
     run_until_ms: f64,
 ) -> ProtoOutcome {
     let scenario = &case.scenario;
-    let kind = match strategy {
-        RecoveryStrategy::GlobalDetour { .. } => DetourKind::Global,
-        _ => DetourKind::Local,
-    };
+    let kind = strategy.detour_kind();
 
     let pre: Vec<Triage> = multi
         .groups()

@@ -409,21 +409,18 @@ fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
     }
 }
 
-/// Generates the case list: the union of every domain session's tree
-/// links (in link-id order), sampled down to `scenarios` with a seeded
-/// shuffle when there are more.
+/// Generates the case list: the union of every domain group's tree links
+/// (in link-id order), sampled down to `scenarios` with a seeded shuffle
+/// when there are more.
 fn generate_cases(
     cfg: &HierarchyConfig,
     nsess: &NLevelSession,
-    domains: &[DomainId],
+    multi: &MultiSession<'_>,
 ) -> Vec<HierarchyCase> {
     let graph = nsess.topology().graph();
     let mut seen = vec![false; graph.link_count()];
-    for &d in domains {
-        let tree = nsess
-            .domain_tree_global(d)
-            .expect("active domains have trees");
-        for l in tree.links(graph) {
+    for g in multi.groups() {
+        for l in multi.session(g).tree().links(graph) {
             seen[l.index()] = true;
         }
     }
@@ -489,7 +486,7 @@ pub fn run_hierarchy(cfg: &HierarchyConfig, jobs: usize) -> Result<HierarchyRun,
     }
     let multi = MultiSession::from_sessions(sessions);
 
-    let cases = generate_cases(cfg, &nsess, &domains);
+    let cases = generate_cases(cfg, &nsess, &multi);
     let lab = Lab {
         cfg,
         nsess: &nsess,

@@ -3,7 +3,7 @@
 //! Reactive restoration searches for a detour *after* a failure is
 //! detected; protection computes the detour *ahead of time* against a
 //! hypothetical contingency and keeps it warm, so activation is a local
-//! table lookup. This module is the network-layer half of that scheme: a
+//! table lookup. This module batches such searches: a
 //! [`BackupPlanner`] holds one [`DetourRequest`] per protected node —
 //! "starting at `from`, assuming the components in `avoid` are already
 //! gone, reach the nearest acceptable target" — and batch-computes the

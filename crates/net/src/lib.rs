@@ -18,7 +18,10 @@
 //!   without mutating the underlying graph, and the [`Injection`]s that
 //!   change one over time,
 //! * batch backup-detour precomputation with incremental refresh
-//!   ([`backup`]), the network-layer half of proactive protection.
+//!   ([`backup`]). No planner uses it: protection chains are planned
+//!   through `smrp_core::recovery::Contingency`, and it stays only for the
+//!   benchmark's `net.detour_refresh_us_per_req` row until that row is
+//!   retired.
 //!
 //! All randomness is funneled through seeded [`rand::rngs::SmallRng`] values
 //! so every topology and experiment in this repository is reproducible.

@@ -25,7 +25,7 @@
 //! the `hierarchy_differential` test proves it reproduces the original
 //! 2-level engine case-for-case.
 
-use smrp_core::recovery::{self, DetourKind};
+use smrp_core::recovery::{Contingency, DetourKind};
 use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession};
 use smrp_net::dijkstra::{self, Constraints};
 use smrp_net::nlevel::{AggregatedPopulation, NLevelTopology};
@@ -78,6 +78,14 @@ impl DomainSession {
             to_local,
             tree,
         })
+    }
+
+    /// `path`'s nodes in global ids.
+    fn to_global_nodes(&self, path: &Path) -> Vec<NodeId> {
+        path.nodes()
+            .iter()
+            .map(|n| self.to_global[n.index()])
+            .collect()
     }
 
     fn localize_scenario(&self, parent: &Graph, scenario: &FailureScenario) -> FailureScenario {
@@ -444,48 +452,21 @@ impl NLevelSession {
             // nothing on the tree is affected.
             return Ok(empty(owner));
         }
+        let contingency = Contingency::new(&session.graph, &session.tree, &local_scenario);
         let mut paths = Vec::new();
         let mut plans = Vec::new();
         let mut total_rd = 0.0;
         let mut any_affected = false;
         let mut elections: Vec<AgentElection> = Vec::new();
-        for n in session.tree.on_tree_nodes() {
-            let Some(p) = session.tree.parent(n) else {
-                continue;
-            };
-            let Some(l) = session.graph.link_between(n, p) else {
-                continue;
-            };
-            if local_scenario.link_usable(&session.graph, l) {
-                continue;
-            }
+        for n in contingency.fragment_roots() {
             any_affected = true;
-            match recovery::recover(
-                &session.graph,
-                &session.tree,
-                &local_scenario,
-                n,
-                DetourKind::Local,
-            ) {
+            match contingency.detour(n, DetourKind::Local) {
                 Ok(rec) => {
                     total_rd += rec.recovery_distance();
-                    let global: Vec<NodeId> = rec
-                        .restoration_path()
-                        .nodes()
-                        .iter()
-                        .map(|ln| session.to_global[ln.index()])
-                        .collect();
-                    plans.push((
-                        global[0],
-                        RecoveryPlan {
-                            path: global.clone(),
-                            wait: SimTime::ZERO,
-                            path_delay: SimTime::from_ms(
-                                rec.restoration_path().delay(&session.graph),
-                            ),
-                        },
-                    ));
-                    paths.push(global);
+                    let global = Path::new(session.to_global_nodes(rec.restoration_path()));
+                    let plan = RecoveryPlan::new(graph, &global, SimTime::ZERO);
+                    plans.push((global.source(), plan));
+                    paths.push(global.nodes().to_vec());
                 }
                 Err(e) => {
                     // No in-domain detour. If the fragment root is a child
@@ -527,9 +508,7 @@ impl NLevelSession {
                     affected_population += u64::from(p.receivers);
                 }
             }
-            let affected_local =
-                recovery::affected_members(&session.graph, &session.tree, &local_scenario);
-            for a in affected_local {
+            for a in contingency.affected_members() {
                 let g = session.to_global[a.index()];
                 let agent_domain = self.topo.domain_of(g);
                 if agent_domain == owner {
@@ -624,23 +603,9 @@ impl NLevelSession {
                 child_session.to_local[b2.index()]?,
                 Constraints::avoiding_failures(&child_scenario),
             )?;
-            let mut wire_path: Vec<NodeId> = child_leg
-                .nodes()
-                .iter()
-                .map(|ln| child_session.to_global[ln.index()])
-                .collect();
-            wire_path.extend(
-                path.nodes()
-                    .iter()
-                    .rev()
-                    .map(|ln| session.to_global[ln.index()]),
-            );
-            let wire_delay = Path::new(wire_path.clone()).delay(graph);
-            let mut global_path: Vec<NodeId> = path
-                .nodes()
-                .iter()
-                .map(|ln| session.to_global[ln.index()])
-                .collect();
+            let mut global_path = session.to_global_nodes(&path);
+            let mut wire_path = child_session.to_global_nodes(&child_leg);
+            wire_path.extend(global_path.iter().rev());
             let dist = path.delay(&session.graph) + graph.link(l).delay();
             global_path.push(b2);
             return Some((
@@ -652,11 +617,7 @@ impl NLevelSession {
                 },
                 global_path,
                 dist,
-                RecoveryPlan {
-                    path: wire_path,
-                    wait: SimTime::ZERO,
-                    path_delay: SimTime::from_ms(wire_delay),
-                },
+                RecoveryPlan::new(graph, &Path::new(wire_path), SimTime::ZERO),
             ));
         }
         None

@@ -31,7 +31,7 @@
 
 use std::collections::BTreeSet;
 
-use smrp_core::recovery::{self, DetourKind};
+use smrp_core::recovery;
 use smrp_metrics::{ControlHealth, ProtectionHealth};
 use smrp_net::{FailureScenario, Graph, GroupId, Injection, NodeId};
 use smrp_sim::{
@@ -466,10 +466,7 @@ impl<'g> MultiSession<'g> {
                 }
             }
             PlanSource::Strategy(strategy) => {
-                let kind = match strategy {
-                    RecoveryStrategy::GlobalDetour { .. } => DetourKind::Global,
-                    _ => DetourKind::Local,
-                };
+                let kind = strategy.detour_kind();
                 for (gi, sess) in self.sessions.iter().enumerate() {
                     let group = GroupId::new(gi);
                     let plans = sess.plan_recoveries(spec.scenario, kind);

@@ -11,7 +11,7 @@
 //! simulated unicast-reconvergence delay for the global detour baseline.
 
 use smrp_metrics::ProtectionHealth;
-use smrp_net::{GroupId, NodeId};
+use smrp_net::{Graph, GroupId, NodeId, Path};
 use smrp_sim::{Ctx, Descriptor, SetupRoute, SimTime, TimerToken};
 
 use crate::messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
@@ -110,6 +110,19 @@ pub struct RecoveryPlan {
     /// "the plan failed silently". `ZERO` is always safe — the window
     /// never shrinks below twice the detection horizon.
     pub path_delay: SimTime,
+}
+
+impl RecoveryPlan {
+    /// The plan that walks `path` after `wait`, its `path_delay` summed
+    /// hop by hop over `graph` ([`Path::delay`]). Every planner builds its
+    /// plans here.
+    pub fn new(graph: &Graph, path: &Path, wait: SimTime) -> Self {
+        RecoveryPlan {
+            path: path.nodes().to_vec(),
+            wait,
+            path_delay: SimTime::from_ms(path.delay(graph)),
+        }
+    }
 }
 
 /// A [`RecoveryPlan`] in the router's plan cache, stamped with the

@@ -13,9 +13,8 @@
 //! [`MultiSession::run`]; [`ProtoSession::run`] is its one-group case and
 //! [`ProtoSession::run_steady`] its one-group, failure-free case.
 
-use smrp_core::recovery::{self, DetourKind, Recovery};
+use smrp_core::recovery::{Contingency, DetourKind, Recovery};
 use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession, SpfSession};
-use smrp_net::backup::{BackupPlanner, DetourRequest};
 use smrp_net::{FailureScenario, Graph, GroupId, LinkId, NodeId};
 use smrp_sim::{SimTime, TraceLog};
 
@@ -62,6 +61,17 @@ pub enum RecoveryStrategy {
     /// the fidelity point that separates protection from the
     /// scenario-aware plan installation of the reactive strategies.
     Protection,
+}
+
+impl RecoveryStrategy {
+    /// The detour this strategy plans: global for
+    /// [`GlobalDetour`](Self::GlobalDetour), local for every other.
+    pub fn detour_kind(self) -> DetourKind {
+        match self {
+            RecoveryStrategy::GlobalDetour { .. } => DetourKind::Global,
+            _ => DetourKind::Local,
+        }
+    }
 }
 
 /// When a failure is injected and (optionally) repaired during a run.
@@ -193,12 +203,7 @@ impl RecoveryPlans {
             RecoveryStrategy::LocalDetour | RecoveryStrategy::Protection => SimTime::ZERO,
         };
         self.recoveries.iter().map(move |rec| {
-            let path = rec.restoration_path();
-            let plan = RecoveryPlan {
-                path: path.nodes().to_vec(),
-                wait,
-                path_delay: SimTime::from_ms(path.delay(graph)),
-            };
+            let plan = RecoveryPlan::new(graph, rec.restoration_path(), wait);
             (rec.member(), plan)
         })
     }
@@ -321,28 +326,6 @@ impl<'g> ProtoSession<'g> {
         self.source
     }
 
-    /// Fragment roots: usable on-tree nodes whose upstream link is broken
-    /// by `scenario`. These are the nodes that detect the failure and
-    /// initiate recovery for their subtree.
-    pub(crate) fn fragment_roots(&self, scenario: &FailureScenario) -> Vec<NodeId> {
-        let mut roots = Vec::new();
-        for n in self.tree.on_tree_nodes() {
-            if !scenario.node_usable(n) {
-                continue;
-            }
-            let Some(p) = self.tree.parent(n) else {
-                continue;
-            };
-            let Some(l) = self.graph.link_between(n, p) else {
-                continue;
-            };
-            if !scenario.link_usable(self.graph, l) {
-                roots.push(n);
-            }
-        }
-        roots
-    }
-
     /// Runs the session with no failures for `duration` and reports the
     /// control-plane overhead (§3.3.2): how many hellos, refreshes and
     /// setups the tree costs per unit of useful data delivered. This is
@@ -385,15 +368,17 @@ impl<'g> ProtoSession<'g> {
     /// whole subtree; cornered roots delegate to their members, who recover
     /// individually (§3.1: each disconnected member locates its own
     /// restoration path). Members with no non-faulty route at all are
-    /// reported as unrecoverable.
+    /// reported as unrecoverable. Every question goes to one
+    /// [`Contingency`], so the surviving set is computed once per call.
     pub fn plan_recoveries(&self, scenario: &FailureScenario, kind: DetourKind) -> RecoveryPlans {
+        let contingency = Contingency::new(self.graph, &self.tree, scenario);
         let mut plans = RecoveryPlans {
             recoveries: Vec::new(),
             cornered_roots: Vec::new(),
             unrecoverable: Vec::new(),
         };
-        for root in self.fragment_roots(scenario) {
-            match recovery::recover(self.graph, &self.tree, scenario, root, kind) {
+        for root in contingency.fragment_roots() {
+            match contingency.detour(root, kind) {
                 Ok(rec) => plans.recoveries.push(rec),
                 Err(_) => {
                     // The fragment root itself is cornered (e.g. its only
@@ -403,7 +388,7 @@ impl<'g> ProtoSession<'g> {
                         if !self.tree.is_member(n) {
                             continue;
                         }
-                        match recovery::recover(self.graph, &self.tree, scenario, n, kind) {
+                        match contingency.detour(n, kind) {
                             Ok(rec) => plans.recoveries.push(rec),
                             Err(_) => plans.unrecoverable.push(n),
                         }
@@ -421,25 +406,15 @@ impl<'g> ProtoSession<'g> {
             .map(|r| r.member())
             .chain(plans.cornered_roots.iter().copied())
             .collect();
+        // Planned itself, or below a planned graft point.
         let covered = |m: NodeId| {
-            if planned.contains(&m) {
-                return true;
-            }
-            // Below a planned graft point? Walk up the tree.
-            let mut cur = m;
-            while let Some(p) = self.tree.parent(cur) {
-                if planned.contains(&p) {
-                    return true;
-                }
-                cur = p;
-            }
-            false
+            std::iter::successors(Some(m), |&n| self.tree.parent(n)).any(|n| planned.contains(&n))
         };
-        for m in recovery::affected_members(self.graph, &self.tree, scenario) {
+        for m in contingency.affected_members() {
             if covered(m) || plans.unrecoverable.contains(&m) {
                 continue;
             }
-            match recovery::recover(self.graph, &self.tree, scenario, m, kind) {
+            match contingency.detour(m, kind) {
                 Ok(rec) => plans.recoveries.push(rec),
                 Err(_) => plans.unrecoverable.push(m),
             }
@@ -465,18 +440,12 @@ impl<'g> ProtoSession<'g> {
     /// that contingency actually failing, so the primary plan already
     /// covers single-link, single-node and shared-fate SRLG failures; the
     /// relaxed fallbacks only matter when the conservative contingency
-    /// disconnects `v` entirely. Each detour targets the nearest on-tree
-    /// node still tree-connected to the source under the contingency
-    /// ([`recovery::surviving_connected`]), which automatically excludes
-    /// `v`'s own subtree. Batch computation goes through
-    /// [`BackupPlanner`], the incremental-refresh half of the scheme.
+    /// disconnects `v` entirely. Each detour is asked of the entry's own
+    /// [`Contingency`]: [`detour`](Contingency::detour) targets the nearest
+    /// on-tree node still tree-connected to the source under the
+    /// contingency, which automatically excludes `v`'s own subtree.
     pub(crate) fn protection_plans(&self) -> Vec<(NodeId, Vec<RecoveryPlan>)> {
-        let mut planner = BackupPlanner::new();
-        // Per request: which nodes its contingency still allows as graft
-        // targets. Parallel to the planner's request ids.
-        let mut target_masks: Vec<Vec<bool>> = Vec::new();
-        // Per protected node: its request ids, most conservative first.
-        let mut per_node: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        let mut out = Vec::new();
         for v in self.tree.on_tree_nodes() {
             let Some(u) = self.tree.parent(v) else {
                 continue;
@@ -484,21 +453,12 @@ impl<'g> ProtoSession<'g> {
             let Some(l) = self.graph.link_between(v, u) else {
                 continue;
             };
-            let link_only = FailureScenario::link(l);
-            let node_and_link = FailureScenario::link(l).with_node(u);
-            let mut conservative = FailureScenario::link(l).with_node(u);
-            let mut group_links = FailureScenario::link(l);
-            let mut shares_fate = false;
-            for group in self.srlgs.iter().filter(|g| g.contains(&l)) {
-                shares_fate = true;
-                for &gl in group {
-                    conservative.fail_link(gl);
-                    group_links.fail_link(gl);
-                }
-            }
             // The fallback chain, ordered by contingency *robustness*, not
-            // by detour optimality. Each entry is `(avoid, anchored)`;
-            // anchored requests graft straight onto the source — the one
+            // by detour optimality: tier by tier — the shared-risk cell of
+            // `v–u` when it has one, then the link `v–u` alone — each tier
+            // first with `u` failed too, then without, and each of those
+            // first towards the nearest surviving target, then anchored.
+            // Anchored entries graft straight onto the source — the one
             // target no remote failure can cut off from itself — instead
             // of the nearest on-tree node judged surviving under the
             // contingency (that judgment is only as good as the
@@ -520,49 +480,40 @@ impl<'g> ProtoSession<'g> {
             // plus `u` often disconnects `v` locally while the cell alone
             // — exactly robust for a shared-fate cut, which leaves `u`
             // itself alive — survives far more topologies.
-            let mut chain: Vec<(FailureScenario, bool)> = Vec::new();
-            if shares_fate {
-                chain.push((conservative.clone(), false));
-                chain.push((group_links.clone(), false));
-                chain.push((conservative, true));
-                chain.push((group_links, true));
+            let cell: Vec<LinkId> = self
+                .srlgs
+                .iter()
+                .filter(|g| g.contains(&l))
+                .flatten()
+                .copied()
+                .collect();
+            let mut tiers = vec![FailureScenario::link(l)];
+            if !cell.is_empty() {
+                tiers.insert(0, FailureScenario::links(cell));
             }
-            chain.push((node_and_link.clone(), false));
-            chain.push((link_only.clone(), false));
-            chain.push((node_and_link, true));
-            chain.push((link_only, true));
-
-            let mut ids = Vec::new();
-            for (avoid, anchored) in chain {
-                let mut mask = vec![false; self.graph.node_count()];
-                if anchored {
-                    mask[self.tree.source().index()] = true;
-                } else {
-                    for t in recovery::surviving_connected(self.graph, &self.tree, &avoid) {
-                        mask[t.index()] = true;
-                    }
-                }
-                ids.push(planner.insert(DetourRequest { from: v, avoid }));
-                target_masks.push(mask);
-            }
-            per_node.push((v, ids));
-        }
-        planner.refresh(self.graph, |id, n| target_masks[id][n.index()]);
-
-        let mut out = Vec::new();
-        for (v, ids) in per_node {
             let mut plans: Vec<RecoveryPlan> = Vec::new();
-            for id in ids {
-                if let Some(p) = planner.plan(id) {
-                    let path = p.nodes().to_vec();
+            for links in tiers {
+                let [with_u, alone] = [links.clone().with_node(u), links];
+                for (avoid, anchored) in [
+                    (&with_u, false),
+                    (&alone, false),
+                    (&with_u, true),
+                    (&alone, true),
+                ] {
+                    let contingency = Contingency::new(self.graph, &self.tree, avoid);
+                    let path = if anchored {
+                        contingency.anchored_detour(v)
+                    } else {
+                        let rec = contingency.detour(v, DetourKind::Local).ok();
+                        rec.map(|rec| rec.restoration_path().clone())
+                    };
+                    let Some(path) = path else {
+                        continue;
+                    };
                     // Relaxed contingencies often rediscover the primary
                     // detour; keep the chain free of duplicates.
-                    if !plans.iter().any(|rp| rp.path == path) {
-                        plans.push(RecoveryPlan {
-                            path,
-                            wait: SimTime::ZERO,
-                            path_delay: SimTime::from_ms(p.delay(self.graph)),
-                        });
+                    if plans.iter().all(|rp| rp.path != path.nodes()) {
+                        plans.push(RecoveryPlan::new(self.graph, &path, SimTime::ZERO));
                     }
                 }
             }
@@ -656,10 +607,12 @@ mod tests {
         let session =
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
         let l_sa = graph.link_between(nodes.s, nodes.a).unwrap();
-        let roots = session.fragment_roots(&FailureScenario::link(l_sa));
+        let fragment_roots = |scenario: &FailureScenario| {
+            Contingency::new(&graph, session.tree(), scenario).fragment_roots()
+        };
+        let roots = fragment_roots(&FailureScenario::link(l_sa));
         assert_eq!(roots, vec![nodes.a]);
-        let roots = session.fragment_roots(&FailureScenario::node(nodes.a));
-        let mut roots = roots;
+        let mut roots = fragment_roots(&FailureScenario::node(nodes.a));
         roots.sort();
         assert_eq!(roots, vec![nodes.c, nodes.d]);
     }
@@ -1100,5 +1053,135 @@ mod tests {
             latency >= SimTime::from_ms(400.0),
             "service resumed only after the repair: {latency:?}"
         );
+    }
+
+    /// The protection plane as it was planned before every chain entry
+    /// asked its own `Contingency`: the same chain, one target mask per
+    /// request (the source alone for an anchored entry, else the surviving
+    /// set under the entry's contingency), every request searched in one
+    /// batch, then each node's answers in chain order, relaxed duplicates
+    /// dropped.
+    fn reference_protection_plans(session: &ProtoSession<'_>) -> Vec<(NodeId, Vec<RecoveryPlan>)> {
+        let (graph, tree) = (session.graph, &session.tree);
+        let mut requests: Vec<(NodeId, FailureScenario, Vec<bool>)> = Vec::new();
+        let mut per_node: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        for v in tree.on_tree_nodes() {
+            let Some(u) = tree.parent(v) else {
+                continue;
+            };
+            let Some(l) = graph.link_between(v, u) else {
+                continue;
+            };
+            let node_and_link = FailureScenario::link(l).with_node(u);
+            let mut conservative = node_and_link.clone();
+            let mut group_links = FailureScenario::link(l);
+            let groups: Vec<&Vec<LinkId>> =
+                session.srlgs.iter().filter(|g| g.contains(&l)).collect();
+            for &gl in groups.iter().copied().flatten() {
+                conservative.fail_link(gl);
+                group_links.fail_link(gl);
+            }
+            let mut chain = Vec::new();
+            if !groups.is_empty() {
+                chain.push((conservative.clone(), false));
+                chain.push((group_links.clone(), false));
+                chain.push((conservative, true));
+                chain.push((group_links, true));
+            }
+            chain.push((node_and_link.clone(), false));
+            chain.push((FailureScenario::link(l), false));
+            chain.push((node_and_link, true));
+            chain.push((FailureScenario::link(l), true));
+            let mut ids = Vec::new();
+            for (avoid, anchored) in chain {
+                let mut mask = vec![false; graph.node_count()];
+                if anchored {
+                    mask[tree.source().index()] = true;
+                } else {
+                    for t in smrp_core::recovery::surviving_connected(graph, tree, &avoid) {
+                        mask[t.index()] = true;
+                    }
+                }
+                ids.push(requests.len());
+                requests.push((v, avoid, mask));
+            }
+            per_node.push((v, ids));
+        }
+        let found: Vec<Option<smrp_net::Path>> = requests
+            .iter()
+            .map(|(v, avoid, mask)| {
+                smrp_net::dijkstra::shortest_path_to_any(
+                    graph,
+                    *v,
+                    smrp_net::dijkstra::Constraints::avoiding_failures(avoid),
+                    |n| mask[n.index()],
+                )
+            })
+            .collect();
+        let mut out = Vec::new();
+        for (v, ids) in per_node {
+            let mut plans: Vec<RecoveryPlan> = Vec::new();
+            for p in ids.into_iter().filter_map(|id| found[id].as_ref()) {
+                let path = p.nodes().to_vec();
+                if !plans.iter().any(|rp| rp.path == path) {
+                    plans.push(RecoveryPlan::new(graph, p, SimTime::ZERO));
+                }
+            }
+            if !plans.is_empty() {
+                out.push((v, plans));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// On random Waxman graphs with SMRP and SPF trees and random
+        /// shared-risk groups, every node's protection chain equals the
+        /// batched reference, plan by plan and in order.
+        #[test]
+        fn protection_plans_are_the_batched_reference(seed in 0u64..1_000_000) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let nodes = rng.gen_range(10..41);
+            let graph = smrp_net::waxman::WaxmanConfig::new(nodes)
+                .alpha([0.15, 0.25, 0.4][rng.gen_range(0..3)])
+                .seed(seed)
+                .generate()
+                .expect("valid generator settings")
+                .into_graph();
+            let ids: Vec<NodeId> = graph.node_ids().collect();
+            let mut members: Vec<NodeId> = (0..rng.gen_range(2..12))
+                .map(|_| ids[rng.gen_range(1..ids.len())])
+                .collect();
+            members.sort();
+            members.dedup();
+            let protocol = if rng.gen_range(0u32..2) == 0 {
+                TreeProtocol::Spf
+            } else {
+                TreeProtocol::Smrp(SmrpConfig::default())
+            };
+            let mut session = ProtoSession::build(&graph, ids[0], &members, protocol)
+                .expect("connected Waxman graph");
+            // Shared-risk groups: a random subset of the links at a few
+            // random nodes, so some cover tree links and some overlap.
+            let srlgs = (0..rng.gen_range(0..4))
+                .map(|_| {
+                    let at = ids[rng.gen_range(0..ids.len())];
+                    graph
+                        .arcs(at)
+                        .iter()
+                        .filter(|_| rng.gen_range(0u32..3) != 0)
+                        .map(|&(_, l, _)| l)
+                        .collect()
+                })
+                .collect();
+            session.set_srlgs(srlgs);
+            proptest::prop_assert_eq!(
+                session.protection_plans(),
+                reference_protection_plans(&session)
+            );
+        }
     }
 }
