@@ -1,16 +1,17 @@
 //! Hierarchical recovery confinement (§3.3.3, Figure 6).
 //!
-//! On transit-stub topologies, compares flat SMRP recovery against the
-//! 2-level hierarchical architecture (the N-level engine on
-//! `NLevelTopology::from_transit_stub`): for every tree link of the flat
-//! session, fail it and record (a) how many members lose service and
-//! (b) whether the hierarchical repair stays inside one recovery domain.
+//! On transit-stub topologies (depth-2 `NLevelTopology`s: the transit
+//! domain is the root, the stubs its children), compares flat SMRP
+//! recovery against the 2-level hierarchical architecture run by the
+//! N-level engine: for every tree link of the flat session, fail it and
+//! record (a) how many members lose service and (b) whether the
+//! hierarchical repair stays inside one recovery domain.
 
 use smrp_core::recovery::{Contingency, DetourKind};
 use smrp_core::{SmrpConfig, SmrpSession};
 use smrp_metrics::Stats;
 use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
-use smrp_net::transit_stub::{TransitStubConfig, TransitStubTopology};
+use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::FailureScenario;
 use smrp_proto::hierarchy::NLevelSession;
 
@@ -37,7 +38,7 @@ pub(crate) struct HierarchyResult {
     pub hier_rd: Stats,
 }
 
-fn build_topology(seed: u64) -> TransitStubTopology {
+fn build_topology(seed: u64) -> NLevelTopology {
     TransitStubConfig::new()
         .transit_nodes(4)
         .stubs_per_transit_node(2)
@@ -65,7 +66,7 @@ pub(crate) fn run(effort: Effort) -> HierarchyResult {
         let topo = build_topology(seed * 71 + 13);
         let graph = topo.graph();
         // Source in the first stub; members spread over stubs.
-        let stubs: Vec<_> = topo.stub_domains().collect();
+        let stubs: Vec<_> = topo.leaf_domains().collect();
         let source = stubs[0].nodes()[0];
         let members: Vec<_> = stubs
             .iter()
@@ -83,13 +84,8 @@ pub(crate) fn run(effort: Effort) -> HierarchyResult {
         }
         // Hierarchical session: the transit domain is the root, the stubs
         // its children.
-        let hier = NLevelSession::build(
-            &NLevelTopology::from_transit_stub(&topo),
-            source,
-            &members,
-            SmrpConfig::default(),
-        )
-        .expect("hierarchy builds");
+        let hier = NLevelSession::build(&topo, source, &members, SmrpConfig::default())
+            .expect("hierarchy builds");
 
         // Fail every flat tree link once.
         for link in flat.tree().links(graph) {

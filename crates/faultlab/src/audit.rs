@@ -311,6 +311,7 @@ mod tests {
     fn only_reachable_members_left_off_the_tree_are_flagged() {
         let (graph, nodes, session) = figure1_session();
         let no_plans = RecoveryPlans {
+            affected: Vec::new(),
             recoveries: Vec::new(),
             cornered_roots: Vec::new(),
             unrecoverable: Vec::new(),

@@ -359,8 +359,8 @@ impl CaseResult {
 /// audit verdict, and — when the session cannot possibly need the
 /// simulator — its already-decided outcome.
 struct Triage {
-    affected: Vec<NodeId>,
-    /// `None` only when nothing was affected (so nothing was planned).
+    affected: usize,
+    /// `None` only when nothing was affected (the plans are dropped).
     plans: Option<RecoveryPlans>,
     violations: Vec<Violation>,
     /// `Unaffected` (the failure misses the tree), `InvariantViolation`
@@ -378,16 +378,15 @@ fn triage(
     scenario: &FailureScenario,
     kind: DetourKind,
 ) -> Triage {
-    let affected = recovery::affected_members(graph, session.tree(), scenario);
-    if affected.is_empty() {
+    let plans = session.plan_recoveries(scenario, kind);
+    if plans.affected.is_empty() {
         return Triage {
-            affected,
+            affected: 0,
             plans: None,
             violations: Vec::new(),
             fixed: Some(Outcome::Unaffected),
         };
     }
-    let plans = session.plan_recoveries(scenario, kind);
     let violations = audit_recovery(graph, session.tree(), scenario, &plans);
     let fixed = if !violations.is_empty() {
         Some(Outcome::InvariantViolation)
@@ -397,7 +396,7 @@ fn triage(
         None
     };
     Triage {
-        affected,
+        affected: plans.affected.len(),
         plans: Some(plans),
         violations,
         fixed,
@@ -559,7 +558,7 @@ pub(crate) fn evaluate_arm(
             GroupOutcome {
                 group: g,
                 outcome,
-                affected: p.affected.len() as u32,
+                affected: p.affected as u32,
                 restored: latencies_ms.len() as u32,
                 latencies_ms,
                 // Only a failed audit leaves violations, and it decides

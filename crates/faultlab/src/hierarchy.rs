@@ -37,8 +37,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use smrp_core::SmrpConfig;
-use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
-use smrp_net::transit_stub::DomainId;
+use smrp_net::nlevel::{DomainId, NLevelConfig, NLevelTopology};
 use smrp_net::{FailureScenario, GroupId, LinkId, NetError, NodeId};
 use smrp_proto::hierarchy::NLevelSession;
 use smrp_proto::{FailureSpec, MultiSession, PlanSource, ProtoSession, RecoveryPlan};

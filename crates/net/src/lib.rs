@@ -11,9 +11,10 @@
 //! * shortest-path machinery ([`dijkstra`]): plain, avoid-set constrained and
 //!   multi-target Dijkstra,
 //! * random topology generators matching the paper's simulation setup:
-//!   the Waxman model ([`waxman`], GT-ITM's "pure random" model) and a
-//!   2-level transit-stub model ([`transit_stub`]) for the hierarchical
-//!   recovery architecture of §3.3.3,
+//!   the Waxman model ([`waxman`], GT-ITM's "pure random" model) and one
+//!   domain-hierarchy generator ([`nlevel`]) for the hierarchical
+//!   recovery architecture of §3.3.3, whose 2-level transit-stub preset
+//!   is [`transit_stub`],
 //! * persistent-failure scenarios (`failure`) that mask out links/nodes
 //!   without mutating the underlying graph, and the [`Injection`]s that
 //!   change one over time,

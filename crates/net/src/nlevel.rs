@@ -16,8 +16,29 @@ use serde::{Deserialize, Serialize};
 use crate::error::NetError;
 use crate::graph::Graph;
 use crate::ids::{LinkId, NodeId};
-use crate::transit_stub::DomainId;
-use crate::transit_stub::{DomainKind, TransitStubTopology};
+
+/// Identifier of a recovery domain inside an [`NLevelTopology`]: its index
+/// in [`NLevelTopology::domains`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct DomainId(u32);
+
+impl DomainId {
+    /// Creates a domain id from a raw index.
+    pub fn new(index: usize) -> Self {
+        DomainId(index as u32)
+    }
+
+    /// Raw dense index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl std::fmt::Display for DomainId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "d{}", self.0)
+    }
+}
 
 /// An aggregated member population: thousands of receivers served through
 /// one attachment node of a leaf domain. Campaigns weight this node's
@@ -208,123 +229,75 @@ impl NLevelConfig {
     /// Returns [`NetError::InvalidParameter`] for out-of-range settings.
     pub fn generate(&self) -> Result<NLevelTopology, NetError> {
         self.validate()?;
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut graph = Graph::new();
-        let mut domains: Vec<LevelDomain> = Vec::new();
-
-        let root_nodes: Vec<NodeId> = (0..self.root_nodes).map(|_| graph.add_node()).collect();
-        connect_domain(
-            &mut graph,
-            &root_nodes,
+        // Delays shrink with depth; gateways sit between the scales.
+        let levels: Vec<Level> = (1..)
+            .zip(&self.fanout)
+            .map(|(level, &(per_node, nodes))| {
+                let scale = 0.5f64.powi(level);
+                let delay = (self.base_delay.0 * scale, self.base_delay.1 * scale);
+                Level {
+                    per_node,
+                    nodes,
+                    delay,
+                    gateway: (delay.1, self.base_delay.0 * 0.5f64.powi(level - 1)),
+                }
+            })
+            .collect();
+        let (mut topo, mut rng) = grow(
+            self.seed,
+            self.root_nodes,
             self.base_delay,
             self.extra_edge_prob,
-            &mut rng,
+            &levels,
         );
-        domains.push(LevelDomain {
-            id: DomainId::new(0),
-            level: 0,
-            parent: None,
-            nodes: root_nodes,
-            attachment: None,
-            backups: Vec::new(),
-        });
-
-        // Frontier of (domain index, level) whose nodes receive children.
-        let mut frontier: Vec<usize> = vec![0];
-        for (depth, &(per_node, size)) in self.fanout.iter().enumerate() {
-            let level = depth as u32 + 1;
-            // Delays shrink with depth; gateways sit between the scales.
-            let scale = 0.5f64.powi(level as i32);
-            let delay = (self.base_delay.0 * scale, self.base_delay.1 * scale);
-            let gateway = (delay.1, self.base_delay.0 * 0.5f64.powi(level as i32 - 1));
-            let mut next_frontier = Vec::new();
-            for &di in &frontier {
-                let parent_id = domains[di].id;
-                let parent_nodes = domains[di].nodes.clone();
-                for &up in &parent_nodes {
-                    for _ in 0..per_node {
-                        let nodes: Vec<NodeId> = (0..size).map(|_| graph.add_node()).collect();
-                        connect_domain(&mut graph, &nodes, delay, self.extra_edge_prob, &mut rng);
-                        let border = nodes[rng.gen_range(0..nodes.len())];
-                        let gw = if gateway.0 < gateway.1 {
-                            rng.gen_range(gateway.0..gateway.1)
-                        } else {
-                            gateway.0
-                        };
-                        graph
-                            .add_link(border, up, gw)
-                            .expect("gateway endpoints are distinct and fresh");
-                        let id = DomainId::new(domains.len());
-                        domains.push(LevelDomain {
-                            id,
-                            level,
-                            parent: Some(parent_id),
-                            nodes,
-                            attachment: Some((border, up)),
-                            backups: Vec::new(),
-                        });
-                        next_frontier.push(domains.len() - 1);
-                    }
-                }
-            }
-            frontier = next_frontier;
-        }
 
         // Optional redundant backup gateways: the RNG is only consulted
         // when the knob is set, so existing seeds stay byte-identical.
         if self.redundant_gateway_prob > 0.0 {
-            for di in 1..domains.len() {
-                if domains[di].nodes.len() < 2 {
+            for di in 1..topo.domains.len() {
+                let domain = &topo.domains[di];
+                if domain.nodes.len() < 2 {
                     continue;
                 }
                 if rng.gen::<f64>() >= self.redundant_gateway_prob {
                     continue;
                 }
-                let (border, _) = domains[di].attachment.expect("non-root has attachment");
-                let level = domains[di].level;
-                let parent = domains[di].parent.expect("non-root has a parent");
-                let candidates: Vec<NodeId> = domains[di]
+                let (border, _) = domain.attachment.expect("non-root has attachment");
+                let parent = domain.parent.expect("non-root has a parent");
+                let candidates: Vec<NodeId> = domain
                     .nodes
                     .iter()
                     .copied()
                     .filter(|&n| n != border)
                     .collect();
                 let b2 = candidates[rng.gen_range(0..candidates.len())];
-                let parent_nodes = &domains[parent.index()].nodes;
+                let parent_nodes = &topo.domains[parent.index()].nodes;
                 let up2 = parent_nodes[rng.gen_range(0..parent_nodes.len())];
-                let lo = self.base_delay.1 * 0.5f64.powi(level as i32);
-                let hi = self.base_delay.0 * 0.5f64.powi(level as i32 - 1);
-                let gw = if lo < hi { rng.gen_range(lo..hi) } else { lo };
-                if graph.link_between(b2, up2).is_none() {
-                    graph.add_link(b2, up2, gw).expect("fresh backup gateway");
+                let gw = draw(levels[domain.level as usize - 1].gateway, &mut rng);
+                if topo.graph.link_between(b2, up2).is_none() {
+                    topo.graph
+                        .add_link(b2, up2, gw)
+                        .expect("fresh backup gateway");
                 }
-                domains[di].backups.push((b2, up2));
+                topo.domains[di].backups.push((b2, up2));
             }
         }
-
-        let depth = self.fanout.len() as u32 + 1;
 
         // Spread the aggregated receiver population evenly over the leaf
         // domains; remainder receivers land on the earliest leaves. The
         // attachment point is the first non-border node so intra-domain
         // repairs exercise real subtree structure.
-        let mut populations = Vec::new();
         if self.population > 0 {
-            let leaves: Vec<usize> = domains
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.level == depth - 1)
-                .map(|(i, _)| i)
-                .collect();
+            let leaves: Vec<&LevelDomain> = topo.leaf_domains().collect();
             let per = self.population / leaves.len() as u64;
             let rem = (self.population % leaves.len() as u64) as usize;
-            for (i, &di) in leaves.iter().enumerate() {
+            let mut populations = Vec::new();
+            for (i, d) in leaves.into_iter().enumerate() {
                 let receivers = per + u64::from(i < rem);
                 if receivers == 0 {
                     continue;
                 }
                 let receivers = u32::try_from(receivers).unwrap_or(u32::MAX);
-                let d = &domains[di];
                 let border = d.attachment.map(|(b, _)| b);
                 let node = d
                     .nodes
@@ -338,25 +311,115 @@ impl NLevelConfig {
                     receivers,
                 });
             }
+            topo.populations = populations;
         }
-
-        let mut node_domain = vec![DomainId::new(0); graph.node_count()];
-        for d in &domains {
-            for &n in &d.nodes {
-                node_domain[n.index()] = d.id;
-            }
-        }
-        Ok(NLevelTopology {
-            graph,
-            domains,
-            node_domain,
-            depth,
-            populations,
-        })
+        Ok(topo)
     }
 }
 
-/// Random connected subgraph: spanning tree plus chords.
+/// One level under the root, as plain data: `per_node` child domains of
+/// `nodes` nodes hang off every node of the level above, their internal
+/// links draw delays from `delay` and each one's gateway link from
+/// `gateway`.
+pub(crate) struct Level {
+    pub(crate) per_node: usize,
+    pub(crate) nodes: usize,
+    pub(crate) delay: (f64, f64),
+    pub(crate) gateway: (f64, f64),
+}
+
+/// Grows a domain hierarchy from `seed`: a `root_nodes`-node root domain
+/// with delays in `root_delay`, then each of `levels` in turn, breadth
+/// first. Every
+/// domain is a random connected subgraph whose border is one random node
+/// linked to its parent-level node. Returns the topology (no backups, no
+/// populations) and the RNG, positioned after the last draw, for callers
+/// that draw more.
+pub(crate) fn grow(
+    seed: u64,
+    root_nodes: usize,
+    root_delay: (f64, f64),
+    extra_edge_prob: f64,
+    levels: &[Level],
+) -> (NLevelTopology, SmallRng) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut graph = Graph::new();
+    let root_nodes: Vec<NodeId> = (0..root_nodes).map(|_| graph.add_node()).collect();
+    connect_domain(
+        &mut graph,
+        &root_nodes,
+        root_delay,
+        extra_edge_prob,
+        &mut rng,
+    );
+    let mut domains = vec![LevelDomain {
+        id: DomainId::new(0),
+        level: 0,
+        parent: None,
+        nodes: root_nodes,
+        attachment: None,
+        backups: Vec::new(),
+    }];
+
+    // The domains whose nodes receive the next level's children.
+    let mut frontier = 0..1;
+    for (level, spec) in (1..).zip(levels) {
+        let next = domains.len();
+        for di in frontier {
+            let parent = domains[di].id;
+            for k in 0..domains[di].nodes.len() {
+                let up = domains[di].nodes[k];
+                for _ in 0..spec.per_node {
+                    let nodes: Vec<NodeId> = (0..spec.nodes).map(|_| graph.add_node()).collect();
+                    connect_domain(&mut graph, &nodes, spec.delay, extra_edge_prob, &mut rng);
+                    let border = nodes[rng.gen_range(0..nodes.len())];
+                    let gw = draw(spec.gateway, &mut rng);
+                    graph
+                        .add_link(border, up, gw)
+                        .expect("gateway endpoints are distinct and fresh");
+                    domains.push(LevelDomain {
+                        id: DomainId::new(domains.len()),
+                        level,
+                        parent: Some(parent),
+                        nodes,
+                        attachment: Some((border, up)),
+                        backups: Vec::new(),
+                    });
+                }
+            }
+        }
+        frontier = next..domains.len();
+    }
+
+    let mut node_domain = vec![DomainId::new(0); graph.node_count()];
+    for d in &domains {
+        for &n in &d.nodes {
+            node_domain[n.index()] = d.id;
+        }
+    }
+    let topo = NLevelTopology {
+        graph,
+        domains,
+        node_domain,
+        depth: levels.len() as u32 + 1,
+        populations: Vec::new(),
+    };
+    (topo, rng)
+}
+
+/// A delay drawn uniformly from `range`, or its low end when the range
+/// is empty (no draw then).
+fn draw(range: (f64, f64), rng: &mut SmallRng) -> f64 {
+    if range.0 < range.1 {
+        rng.gen_range(range.0..range.1)
+    } else {
+        range.0
+    }
+}
+
+/// Connects `nodes` into a random connected subgraph: a random spanning
+/// tree (each node attached to a random earlier one) plus chords drawn
+/// with `extra_edge_prob`.
 fn connect_domain(
     graph: &mut Graph,
     nodes: &[NodeId],
@@ -364,16 +427,9 @@ fn connect_domain(
     extra_edge_prob: f64,
     rng: &mut SmallRng,
 ) {
-    let sample = |rng: &mut SmallRng| {
-        if delay.0 < delay.1 {
-            rng.gen_range(delay.0..delay.1)
-        } else {
-            delay.0
-        }
-    };
     for (i, &n) in nodes.iter().enumerate().skip(1) {
         let parent = nodes[rng.gen_range(0..i)];
-        let d = sample(rng);
+        let d = draw(delay, rng);
         graph.add_link(n, parent, d).expect("fresh spanning edge");
     }
     for i in 0..nodes.len() {
@@ -382,7 +438,7 @@ fn connect_domain(
                 continue;
             }
             if rng.gen::<f64>() < extra_edge_prob {
-                let d = sample(rng);
+                let d = draw(delay, rng);
                 graph.add_link(nodes[i], nodes[j], d).expect("fresh chord");
             }
         }
@@ -444,6 +500,11 @@ impl NLevelTopology {
         out
     }
 
+    /// Consumes the topology, returning the graph.
+    pub fn into_graph(self) -> Graph {
+        self.graph
+    }
+
     /// Aggregated receiver populations attached to leaf domains.
     pub fn populations(&self) -> &[AggregatedPopulation] {
         &self.populations
@@ -482,46 +543,6 @@ impl NLevelTopology {
             da
         } else {
             db
-        }
-    }
-
-    /// Reinterprets a 2-level transit-stub topology as a depth-2 N-level
-    /// hierarchy with an identity [`DomainId`] mapping: the transit domain
-    /// becomes the level-0 root (id 0) and the stub domains become its
-    /// level-1 children in their original order. The flat graph is shared
-    /// byte-for-byte (same node and link ids), which is what makes the
-    /// differential levels=2 comparison against the legacy 2-level
-    /// recovery engine exact.
-    pub fn from_transit_stub(ts: &TransitStubTopology) -> NLevelTopology {
-        let graph = ts.graph().clone();
-        let root_id = ts.transit_domain().id();
-        let mut domains = Vec::with_capacity(ts.domains().len());
-        for d in ts.domains() {
-            let (level, parent) = match d.kind() {
-                DomainKind::Transit => (0, None),
-                DomainKind::Stub => (1, Some(root_id)),
-            };
-            domains.push(LevelDomain {
-                id: d.id(),
-                level,
-                parent,
-                nodes: d.nodes().to_vec(),
-                attachment: d.attachment(),
-                backups: Vec::new(),
-            });
-        }
-        let mut node_domain = vec![DomainId::new(0); graph.node_count()];
-        for d in &domains {
-            for &n in &d.nodes {
-                node_domain[n.index()] = d.id;
-            }
-        }
-        NLevelTopology {
-            graph,
-            domains,
-            node_domain,
-            depth: 2,
-            populations: Vec::new(),
         }
     }
 }
@@ -834,38 +855,6 @@ mod tests {
                 assert_eq!(owner, od);
                 assert_eq!(t.domains()[other.index()].parent(), Some(owner));
             }
-        }
-    }
-
-    #[test]
-    fn transit_stub_converts_with_identity_domain_ids() {
-        let ts = crate::transit_stub::TransitStubConfig::new()
-            .transit_nodes(4)
-            .stubs_per_transit_node(2)
-            .stub_nodes(5)
-            .seed(21)
-            .generate()
-            .unwrap();
-        let t = NLevelTopology::from_transit_stub(&ts);
-        assert_eq!(t.depth, 2);
-        assert_eq!(t.domains().len(), ts.domains().len());
-        assert_eq!(t.graph().node_count(), ts.graph().node_count());
-        assert_eq!(t.graph().link_count(), ts.graph().link_count());
-        assert_eq!(t.root().id(), ts.transit_domain().id());
-        assert_eq!(t.root().level(), 0);
-        for (nd, od) in t.domains().iter().zip(ts.domains()) {
-            assert_eq!(nd.id(), od.id());
-            assert_eq!(nd.nodes(), od.nodes());
-            assert_eq!(nd.attachment(), od.attachment());
-        }
-        for n in t.graph().node_ids() {
-            assert_eq!(t.domain_of(n), ts.domain_of(n));
-        }
-        // Gateway links are owned by the transit (root) side.
-        for stub in ts.stub_domains() {
-            let (border, up) = stub.attachment().unwrap();
-            let l = t.graph().link_between(border, up).unwrap();
-            assert_eq!(t.owning_domain_of_link(l), t.root().id());
         }
     }
 }

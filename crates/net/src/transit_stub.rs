@@ -1,88 +1,26 @@
-//! Two-level transit-stub topology generator.
+//! Two-level transit-stub topologies: the [`nlevel`](crate::nlevel)
+//! generator's depth-2 preset.
 //!
 //! §3.3.3 of the paper maps the hierarchical recovery architecture onto the
 //! "current transit-stub Internet structure": a top-level *transit* domain
 //! interconnects several *stub* domains, each of which clusters multicast
-//! members by proximity. This module generates such topologies and exposes
-//! the domain structure so the hierarchical protocol can confine failures to
-//! a single recovery domain.
+//! members by proximity. [`TransitStubConfig`] generates such a topology as
+//! an [`NLevelTopology`] of depth 2: the transit domain is the level-0
+//! root, the stubs its level-1 children, so the hierarchical protocol can
+//! confine failures to a single recovery domain.
 //!
-//! The generator builds each domain as a random connected subgraph (random
-//! spanning tree plus extra chords) with intra-domain delays much smaller
-//! than the inter-domain (transit) link delays, matching the proximity
-//! clustering assumption.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+//! Each domain is a random connected subgraph (random spanning tree plus
+//! extra chords). Delays are fixed ranges rather than the N-level
+//! generator's depth-scaled ones: transit links 20–50, stub links 1–5 and
+//! gateways 5–15, so intra-stub delays sit well below transit delays,
+//! matching the proximity clustering assumption.
 
 use crate::error::NetError;
-use crate::graph::Graph;
-use crate::ids::NodeId;
+use crate::nlevel::{grow, Level, NLevelTopology};
 
-/// Identifier of a recovery domain inside a [`TransitStubTopology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct DomainId(u32);
-
-impl DomainId {
-    /// Creates a domain id from a raw index.
-    pub fn new(index: usize) -> Self {
-        DomainId(index as u32)
-    }
-
-    /// Raw dense index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl std::fmt::Display for DomainId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "d{}", self.0)
-    }
-}
-
-/// Role of a domain in the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) enum DomainKind {
-    /// Top-level domain interconnecting stub gateways.
-    Transit,
-    /// Leaf domain containing multicast members.
-    Stub,
-}
-
-/// One recovery domain: its nodes and its gateway into the parent level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Domain {
-    id: DomainId,
-    kind: DomainKind,
-    nodes: Vec<NodeId>,
-    /// For a stub domain: the stub-side border node, and the transit node it
-    /// attaches to. `None` for the transit domain itself.
-    attachment: Option<(NodeId, NodeId)>,
-}
-
-impl Domain {
-    /// Domain id.
-    pub fn id(&self) -> DomainId {
-        self.id
-    }
-
-    /// Whether this is the transit domain or a stub.
-    pub(crate) fn kind(&self) -> DomainKind {
-        self.kind
-    }
-
-    /// Nodes belonging to this domain.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// `(stub_border, transit_attachment)` for stub domains.
-    pub fn attachment(&self) -> Option<(NodeId, NodeId)> {
-        self.attachment
-    }
-}
+const TRANSIT_DELAY: (f64, f64) = (20.0, 50.0);
+const STUB_DELAY: (f64, f64) = (1.0, 5.0);
+const GATEWAY_DELAY: (f64, f64) = (5.0, 15.0);
 
 /// Configuration for transit-stub generation.
 ///
@@ -108,9 +46,6 @@ pub struct TransitStubConfig {
     stubs_per_transit_node: usize,
     stub_nodes: usize,
     extra_edge_prob: f64,
-    transit_delay: (f64, f64),
-    stub_delay: (f64, f64),
-    gateway_delay: (f64, f64),
     seed: u64,
 }
 
@@ -121,9 +56,6 @@ impl Default for TransitStubConfig {
             stubs_per_transit_node: 2,
             stub_nodes: 8,
             extra_edge_prob: 0.3,
-            transit_delay: (20.0, 50.0),
-            stub_delay: (1.0, 5.0),
-            gateway_delay: (5.0, 15.0),
             seed: 0,
         }
     }
@@ -189,152 +121,29 @@ impl TransitStubConfig {
         Ok(())
     }
 
-    /// Generates the topology.
+    /// Generates the topology: an [`NLevelTopology`] of depth 2 whose
+    /// root (domain 0) is the transit domain and whose leaves are the stubs,
+    /// `stubs_per_transit_node` per transit node in transit-node order.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::InvalidParameter`] for out-of-range settings.
-    pub fn generate(&self) -> Result<TransitStubTopology, NetError> {
+    pub fn generate(&self) -> Result<NLevelTopology, NetError> {
         self.validate()?;
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut graph = Graph::new();
-        let mut domains = Vec::new();
-
-        // Transit domain.
-        let transit_nodes: Vec<NodeId> =
-            (0..self.transit_nodes).map(|_| graph.add_node()).collect();
-        connect_domain(
-            &mut graph,
-            &transit_nodes,
-            self.transit_delay,
+        let stubs = Level {
+            per_node: self.stubs_per_transit_node,
+            nodes: self.stub_nodes,
+            delay: STUB_DELAY,
+            gateway: GATEWAY_DELAY,
+        };
+        let (topo, _) = grow(
+            self.seed,
+            self.transit_nodes,
+            TRANSIT_DELAY,
             self.extra_edge_prob,
-            &mut rng,
+            &[stubs],
         );
-        domains.push(Domain {
-            id: DomainId::new(0),
-            kind: DomainKind::Transit,
-            nodes: transit_nodes.clone(),
-            attachment: None,
-        });
-
-        // Stub domains.
-        for &t in &transit_nodes {
-            for _ in 0..self.stubs_per_transit_node {
-                let stub: Vec<NodeId> = (0..self.stub_nodes).map(|_| graph.add_node()).collect();
-                connect_domain(
-                    &mut graph,
-                    &stub,
-                    self.stub_delay,
-                    self.extra_edge_prob,
-                    &mut rng,
-                );
-                let border = stub[rng.gen_range(0..stub.len())];
-                let delay = sample_delay(self.gateway_delay, &mut rng);
-                graph
-                    .add_link(border, t, delay)
-                    .expect("gateway endpoints are distinct and fresh");
-                domains.push(Domain {
-                    id: DomainId::new(domains.len()),
-                    kind: DomainKind::Stub,
-                    nodes: stub,
-                    attachment: Some((border, t)),
-                });
-            }
-        }
-
-        let mut node_domain = vec![DomainId::new(0); graph.node_count()];
-        for d in &domains {
-            for &n in &d.nodes {
-                node_domain[n.index()] = d.id;
-            }
-        }
-
-        Ok(TransitStubTopology {
-            graph,
-            domains,
-            node_domain,
-        })
-    }
-}
-
-fn sample_delay(range: (f64, f64), rng: &mut SmallRng) -> f64 {
-    if range.0 >= range.1 {
-        range.0
-    } else {
-        rng.gen_range(range.0..range.1)
-    }
-}
-
-/// Connects `nodes` into a random connected subgraph: a random spanning tree
-/// plus chords drawn with `extra_edge_prob`.
-fn connect_domain(
-    graph: &mut Graph,
-    nodes: &[NodeId],
-    delay: (f64, f64),
-    extra_edge_prob: f64,
-    rng: &mut SmallRng,
-) {
-    // Random spanning tree: attach each node to a random earlier node.
-    for (i, &n) in nodes.iter().enumerate().skip(1) {
-        let parent = nodes[rng.gen_range(0..i)];
-        let d = sample_delay(delay, rng);
-        graph
-            .add_link(n, parent, d)
-            .expect("spanning-tree edges are fresh");
-    }
-    // Extra chords.
-    for i in 0..nodes.len() {
-        for j in (i + 1)..nodes.len() {
-            if graph.link_between(nodes[i], nodes[j]).is_some() {
-                continue;
-            }
-            if rng.gen::<f64>() < extra_edge_prob {
-                let d = sample_delay(delay, rng);
-                graph
-                    .add_link(nodes[i], nodes[j], d)
-                    .expect("chord endpoints are distinct and unlinked");
-            }
-        }
-    }
-}
-
-/// A generated transit-stub topology with its domain structure.
-#[derive(Debug, Clone)]
-pub struct TransitStubTopology {
-    graph: Graph,
-    domains: Vec<Domain>,
-    node_domain: Vec<DomainId>,
-}
-
-impl TransitStubTopology {
-    /// The underlying flat graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// All domains; index 0 is always the transit domain.
-    pub fn domains(&self) -> &[Domain] {
-        &self.domains
-    }
-
-    /// The transit domain.
-    pub fn transit_domain(&self) -> &Domain {
-        &self.domains[0]
-    }
-
-    /// Stub domains only.
-    pub fn stub_domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.iter().filter(|d| d.kind == DomainKind::Stub)
-    }
-
-    /// The domain a node belongs to.
-    pub fn domain_of(&self, node: NodeId) -> DomainId {
-        self.node_domain[node.index()]
-    }
-
-    /// Consumes the topology, returning the graph.
-    pub fn into_graph(self) -> Graph {
-        self.graph
+        Ok(topo)
     }
 }
 
@@ -343,7 +152,7 @@ mod tests {
     use super::*;
     use crate::traversal::is_connected;
 
-    fn sample() -> TransitStubTopology {
+    fn sample() -> NLevelTopology {
         TransitStubConfig::new()
             .transit_nodes(4)
             .stubs_per_transit_node(2)
@@ -363,8 +172,10 @@ mod tests {
     #[test]
     fn domain_zero_is_transit() {
         let t = sample();
-        assert_eq!(t.transit_domain().kind(), DomainKind::Transit);
-        assert_eq!(t.stub_domains().count(), 8);
+        assert_eq!(t.root().id().index(), 0);
+        assert_eq!(t.root().level(), 0);
+        assert_eq!(t.root().nodes().len(), 4);
+        assert_eq!(t.leaf_domains().count(), 8);
     }
 
     #[test]
@@ -379,10 +190,10 @@ mod tests {
     #[test]
     fn stub_attachments_link_to_transit() {
         let t = sample();
-        for stub in t.stub_domains() {
+        for stub in t.leaf_domains() {
             let (border, attach) = stub.attachment().unwrap();
             assert!(stub.nodes().contains(&border));
-            assert!(t.transit_domain().nodes().contains(&attach));
+            assert!(t.root().nodes().contains(&attach));
             assert!(t.graph().link_between(border, attach).is_some());
         }
     }
@@ -391,7 +202,7 @@ mod tests {
     fn stub_delays_are_smaller_than_transit_delays() {
         let t = sample();
         let g = t.graph();
-        let transit = t.transit_domain();
+        let transit = t.root();
         let mut max_stub: f64 = 0.0;
         let mut min_transit = f64::INFINITY;
         for l in g.link_ids() {

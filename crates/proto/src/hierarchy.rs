@@ -20,16 +20,16 @@
 //! second domain participate.
 //!
 //! The 2-level transit-stub instantiation the paper evaluates is
-//! [`NLevelSession`] on [`NLevelTopology::from_transit_stub`] (the transit
-//! domain is the root, so "owner == root" is the paper's transit scope);
+//! [`NLevelSession`] on a `TransitStubConfig` topology, a depth-2
+//! [`NLevelTopology`] (the transit domain is the root, so "owner == root"
+//! is the paper's transit scope);
 //! the `hierarchy_differential` test proves it reproduces the original
 //! 2-level engine case-for-case.
 
 use smrp_core::recovery::{Contingency, DetourKind};
 use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession};
 use smrp_net::dijkstra::{self, Constraints};
-use smrp_net::nlevel::{AggregatedPopulation, NLevelTopology};
-use smrp_net::transit_stub::DomainId;
+use smrp_net::nlevel::{AggregatedPopulation, DomainId, NLevelTopology};
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId, Path};
 use smrp_sim::SimTime;
 

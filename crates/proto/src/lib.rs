@@ -31,9 +31,9 @@
 //!   and timers straight into the process's context;
 //! * [`hierarchy`] — the N-level recovery architecture of §3.3.3
 //!   ([`hierarchy::NLevelSession`]; the paper's 2-level transit-stub
-//!   shape is `NLevelTopology::from_transit_stub`): per-domain SMRP
-//!   sessions with border *agents*, failure attribution to a domain,
-//!   and confinement metrics;
+//!   shape is a `TransitStubConfig` topology, a depth-2
+//!   `NLevelTopology`): per-domain SMRP sessions with border *agents*,
+//!   failure attribution to a domain, and confinement metrics;
 //! * [`wire`] — the versioned binary codec that puts [`GroupMsg`] values
 //!   on a real transport (the `smrpd` daemon's UDP datagrams and framed
 //!   streams);

@@ -169,6 +169,9 @@ impl InjectionTiming {
 /// restoration paths the routers will execute.
 #[derive(Debug, Clone)]
 pub struct RecoveryPlans {
+    /// Members the scenario cut off from the source, in tree member order
+    /// ([`Contingency::affected_members`]).
+    pub affected: Vec<NodeId>,
     /// Computed restoration paths, one per grafting node: fragment roots
     /// when the root itself can detour, otherwise individual members of the
     /// cornered root's fragment.
@@ -373,6 +376,7 @@ impl<'g> ProtoSession<'g> {
     pub fn plan_recoveries(&self, scenario: &FailureScenario, kind: DetourKind) -> RecoveryPlans {
         let contingency = Contingency::new(self.graph, &self.tree, scenario);
         let mut plans = RecoveryPlans {
+            affected: contingency.affected_members(),
             recoveries: Vec::new(),
             cornered_roots: Vec::new(),
             unrecoverable: Vec::new(),
@@ -410,7 +414,7 @@ impl<'g> ProtoSession<'g> {
         let covered = |m: NodeId| {
             std::iter::successors(Some(m), |&n| self.tree.parent(n)).any(|n| planned.contains(&n))
         };
-        for m in contingency.affected_members() {
+        for &m in &plans.affected {
             if covered(m) || plans.unrecoverable.contains(&m) {
                 continue;
             }

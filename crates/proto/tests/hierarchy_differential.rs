@@ -2,17 +2,17 @@
 //!
 //! The original 2-level transit-stub recovery engine is vendored below,
 //! verbatim in behavior, as `legacy`. The gate drives it and the new
-//! N-level engine (`NLevelSession` on `NLevelTopology::from_transit_stub`,
-//! i.e. `levels = 2`) through every single-link failure on a battery of seeded transit-stub
-//! topologies — including the `hierarchy.csv` experiment's exact
+//! N-level engine (`NLevelSession` on the same `TransitStubConfig`
+//! topology, i.e. `levels = 2`) through every single-link failure on a
+//! battery of seeded transit-stub topologies — including the `hierarchy.csv` experiment's exact
 //! parameters — and demands *identical* outcomes case by case, plus an
 //! FNV-1a digest over the full outcome stream that must match bit for
 //! bit. Only because this gate is green was the legacy engine allowed to
 //! be deleted from `src/hierarchy.rs`.
 
 use smrp_core::SmrpConfig;
-use smrp_net::nlevel::NLevelTopology;
-use smrp_net::transit_stub::{DomainId, TransitStubConfig, TransitStubTopology};
+use smrp_net::nlevel::{DomainId, NLevelTopology};
+use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::NodeId;
 use smrp_proto::hierarchy::{DomainRecovery, NLevelSession};
 
@@ -20,7 +20,7 @@ use smrp_proto::hierarchy::{DomainRecovery, NLevelSession};
 mod legacy {
     use smrp_core::recovery::{self, DetourKind};
     use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession};
-    use smrp_net::transit_stub::{DomainId, TransitStubTopology};
+    use smrp_net::nlevel::{DomainId, NLevelTopology};
     use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +102,7 @@ mod legacy {
 
     #[derive(Debug, Clone)]
     pub struct HierarchicalSession<'t> {
-        topo: &'t TransitStubTopology,
+        topo: &'t NLevelTopology,
         stubs: Vec<Option<DomainSession>>,
         transit: DomainSession,
         members: Vec<NodeId>,
@@ -110,14 +110,14 @@ mod legacy {
 
     impl<'t> HierarchicalSession<'t> {
         pub fn build(
-            topo: &'t TransitStubTopology,
+            topo: &'t NLevelTopology,
             source: NodeId,
             members: &[NodeId],
             config: SmrpConfig,
         ) -> Result<Self, SmrpError> {
             let graph = topo.graph();
             let source_domain = topo.domain_of(source);
-            if source_domain == topo.transit_domain().id() {
+            if source_domain == topo.root().id() {
                 return Err(SmrpError::InvalidConfig {
                     name: "source",
                     reason: "the source must live in a stub domain",
@@ -127,7 +127,7 @@ mod legacy {
             let mut stubs: Vec<Option<DomainSession>> = vec![None; topo.domains().len()];
             let mut active_agents: Vec<(DomainId, NodeId)> = Vec::new();
 
-            for stub in topo.stub_domains() {
+            for stub in topo.leaf_domains() {
                 let mut domain_members: Vec<NodeId> = members
                     .iter()
                     .copied()
@@ -156,7 +156,7 @@ mod legacy {
             let (source_agent, _) = topo.domains()[source_domain.index()]
                 .attachment()
                 .expect("source domain is a stub");
-            let mut transit_nodes: Vec<NodeId> = topo.transit_domain().nodes().to_vec();
+            let mut transit_nodes: Vec<NodeId> = topo.root().nodes().to_vec();
             for &(_, agent) in &active_agents {
                 transit_nodes.push(agent);
             }
@@ -185,7 +185,7 @@ mod legacy {
             let l = self.topo.graph().link(link);
             let da = self.topo.domain_of(l.a());
             let db = self.topo.domain_of(l.b());
-            let transit_id = self.topo.transit_domain().id();
+            let transit_id = self.topo.root().id();
             if da == db && da != transit_id {
                 FailureScope::Stub(da)
             } else {
@@ -404,7 +404,7 @@ fn new_outcome(r: Result<DomainRecovery, String>, transit: DomainId) -> Outcome 
 /// One differential case: a topology plus source/member picks.
 struct Case {
     name: &'static str,
-    topo: TransitStubTopology,
+    topo: NLevelTopology,
     source: NodeId,
     members: Vec<NodeId>,
 }
@@ -424,7 +424,7 @@ impl Case {
     /// ignored members living in the transit domain; the comparison keeps
     /// that contract by not handing them over.
     fn nlevel(&self) -> NLevelSession {
-        let transit = self.topo.transit_domain().id();
+        let transit = self.topo.root().id();
         let stub_members: Vec<NodeId> = self
             .members
             .iter()
@@ -432,7 +432,7 @@ impl Case {
             .filter(|&m| self.topo.domain_of(m) != transit)
             .collect();
         NLevelSession::build(
-            &NLevelTopology::from_transit_stub(&self.topo),
+            &self.topo,
             self.source,
             &stub_members,
             SmrpConfig::default(),
@@ -442,8 +442,8 @@ impl Case {
 }
 
 /// The `hierarchy.csv` experiment's exact member-selection scheme.
-fn experiment_pick(topo: &TransitStubTopology) -> (NodeId, Vec<NodeId>) {
-    let stubs: Vec<_> = topo.stub_domains().collect();
+fn experiment_pick(topo: &NLevelTopology) -> (NodeId, Vec<NodeId>) {
+    let stubs: Vec<_> = topo.leaf_domains().collect();
     let source = stubs[0].nodes()[0];
     let members: Vec<_> = stubs
         .iter()
@@ -507,7 +507,7 @@ fn cases() -> Vec<Case> {
 fn nlevel_at_two_levels_matches_legacy_case_for_case() {
     for case in cases() {
         let (old, new) = (case.legacy(), case.nlevel());
-        let transit = case.topo.transit_domain().id();
+        let transit = case.topo.root().id();
         for link in case.topo.graph().link_ids() {
             let a = legacy_outcome(old.recover(link));
             let b = new_outcome(new.recover(link), transit);
@@ -528,7 +528,7 @@ fn differential_digest_is_identical() {
     let mut new_h = Fnv::new();
     for case in cases() {
         let (old, new) = (case.legacy(), case.nlevel());
-        let transit = case.topo.transit_domain().id();
+        let transit = case.topo.root().id();
         for link in case.topo.graph().link_ids() {
             legacy_outcome(old.recover(link)).digest_into(&mut old_h);
             new_outcome(new.recover(link), transit).digest_into(&mut new_h);
@@ -547,7 +547,7 @@ fn differential_digest_is_identical() {
 fn attribution_matches_legacy_on_every_link() {
     for case in cases() {
         let (old, new) = (case.legacy(), case.nlevel());
-        let transit = case.topo.transit_domain().id();
+        let transit = case.topo.root().id();
         for link in case.topo.graph().link_ids() {
             let owner = new.owning_domain(link);
             let same = match old.domain_of_link(link) {

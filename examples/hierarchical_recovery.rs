@@ -1,11 +1,11 @@
 //! The 2-level hierarchical recovery architecture of §3.3.3 (Figure 6):
 //! stub recovery domains with agents, failure attribution, and in-domain
-//! repair on a transit-stub topology.
+//! repair on a transit-stub topology (a depth-2 N-level hierarchy whose
+//! root is the transit domain and whose leaves are the stubs).
 //!
 //! Run with: `cargo run --example hierarchical_recovery`
 
 use smrp_repro::core::SmrpConfig;
-use smrp_repro::net::nlevel::NLevelTopology;
 use smrp_repro::net::transit_stub::TransitStubConfig;
 use smrp_repro::proto::hierarchy::NLevelSession;
 
@@ -20,12 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "transit-stub topology: {} nodes ({} transit, {} stub domains)",
         topo.graph().node_count(),
-        topo.transit_domain().nodes().len(),
-        topo.stub_domains().count()
+        topo.root().nodes().len(),
+        topo.leaf_domains().count()
     );
 
     // The source lives in the first stub; members spread over three stubs.
-    let stubs: Vec<_> = topo.stub_domains().collect();
+    let stubs: Vec<_> = topo.leaf_domains().collect();
     let source = stubs[0].nodes()[0];
     let members = vec![
         stubs[0].nodes()[3],
@@ -35,14 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     // Two levels of recovery domains: the transit domain is the root, the
     // stubs are its children.
-    let transit = topo.transit_domain().id();
-    let session = NLevelSession::build(
-        &NLevelTopology::from_transit_stub(&topo),
-        source,
-        &members,
-        SmrpConfig::default(),
-    )
-    .map_err(|e| format!("hierarchy failed to build: {e}"))?;
+    let transit = topo.root().id();
+    let session = NLevelSession::build(&topo, source, &members, SmrpConfig::default())
+        .map_err(|e| format!("hierarchy failed to build: {e}"))?;
     println!("source {source}, members {members:?}\n");
 
     // Walk over every link; show where failures land and how they are
