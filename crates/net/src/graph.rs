@@ -482,28 +482,52 @@ impl Graph {
     /// Returns the new graph plus the mapping from new node ids to the
     /// original ids (`mapping[new.index()] == old`). Nodes are renumbered
     /// densely in the order given; duplicate entries are ignored after the
-    /// first occurrence.
+    /// first occurrence. Links keep their relative order (ascending id in
+    /// `self`).
+    ///
+    /// Costs O(k log k + Σ deg · log k) for the k distinct nodes: induced
+    /// links are found from the kept nodes' own adjacency lists, and
+    /// membership is a search in a table of those k nodes, so nothing is
+    /// sized to `self`.
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
+        // `(old, position of its first occurrence)`, sorted by old id.
+        let mut to_new: Vec<(NodeId, usize)> =
+            nodes.iter().enumerate().map(|(i, &old)| (old, i)).collect();
+        to_new.sort_unstable();
+        to_new.dedup_by_key(|e| e.0);
+        // New ids follow first occurrences; rewrite positions into them.
+        let mut firsts: Vec<usize> = to_new.iter().map(|e| e.1).collect();
+        firsts.sort_unstable();
+        for e in &mut to_new {
+            e.1 = firsts.binary_search(&e.1).expect("a kept first occurrence");
+        }
+        let new_id = |old: NodeId| {
+            to_new
+                .binary_search_by_key(&old, |e| e.0)
+                .ok()
+                .map(|i| NodeId::new(to_new[i].1))
+        };
+
         let mut sub = Graph::new();
-        let mut mapping = Vec::new();
-        let mut old_to_new: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        for &old in nodes {
-            if old_to_new[old.index()].is_some() {
-                continue;
-            }
-            let new = match self.position(old) {
+        let mapping: Vec<NodeId> = firsts.iter().map(|&i| nodes[i]).collect();
+        let mut induced = Vec::new();
+        for &old in &mapping {
+            let a = match self.position(old) {
                 Some(p) => sub.add_node_at(p),
                 None => sub.add_node(),
             };
-            old_to_new[old.index()] = Some(new);
-            mapping.push(old);
+            for &(v, l) in self.adjacency(old) {
+                // Each link once, from its lower endpoint.
+                if old < v {
+                    if let Some(b) = new_id(v) {
+                        induced.push((l, a, b));
+                    }
+                }
+            }
         }
-        for link in &self.links {
-            let (Some(a), Some(b)) = (old_to_new[link.a.index()], old_to_new[link.b.index()])
-            else {
-                continue;
-            };
-            sub.add_link_weighted(a, b, link.weights)
+        induced.sort_unstable_by_key(|e| e.0);
+        for (l, a, b) in induced {
+            sub.add_link_weighted(a, b, self.links[l.index()].weights)
                 .expect("induced links are fresh and valid");
         }
         (sub, mapping)

@@ -8,10 +8,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use smrp_net::dijkstra::{self, Constraints, ShortestPathTree};
+use smrp_net::nlevel::{DomainId, NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::traversal::{connected_components, is_connected, reachable_from};
 use smrp_net::waxman::WaxmanConfig;
-use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
+use smrp_net::{FailureScenario, Graph, LinkId, NodeId, Point};
 
 /// A small random graph built edge-by-edge from arbitrary pairs.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -552,5 +553,156 @@ fn arc_view_searches_match_on_ordered_drain_graphs() {
         };
         let targets = [NodeId::new(3), NodeId::new(30)];
         arc_searches_match_adjacency_loops(&g, restricted, &targets).unwrap();
+    }
+}
+
+/// A subgraph read back as plain data: the new-to-old mapping, every new
+/// node's position and adjacency, and every link `(a, b, delay, cost)` in
+/// id order.
+type Induced = (
+    Vec<NodeId>,
+    Vec<Option<Point>>,
+    Vec<Vec<(NodeId, LinkId)>>,
+    Vec<(NodeId, NodeId, f64, f64)>,
+);
+
+fn read_back(sub: &Graph, mapping: Vec<NodeId>) -> Induced {
+    let positions = sub.node_ids().map(|n| sub.position(n)).collect();
+    let adjacency = sub.node_ids().map(|n| sub.adjacency(n).to_vec()).collect();
+    let links = sub
+        .link_ids()
+        .map(|l| {
+            let k = sub.link(l);
+            (k.a(), k.b(), k.delay(), k.cost())
+        })
+        .collect();
+    (mapping, positions, adjacency, links)
+}
+
+/// The induced subgraph as `Graph::induced_subgraph` first computed it,
+/// kept as the oracle: a graph-sized old-to-new table, then one scan over
+/// every link of `g`, appending each link with both endpoints kept.
+fn whole_link_scan(g: &Graph, nodes: &[NodeId]) -> Induced {
+    let mut old_to_new: Vec<Option<NodeId>> = vec![None; g.node_count()];
+    let mut mapping = Vec::new();
+    for &old in nodes {
+        if old_to_new[old.index()].is_none() {
+            old_to_new[old.index()] = Some(NodeId::new(mapping.len()));
+            mapping.push(old);
+        }
+    }
+    let positions = mapping.iter().map(|&n| g.position(n)).collect();
+    let mut adjacency = vec![Vec::new(); mapping.len()];
+    let mut links = Vec::new();
+    for l in g.link_ids() {
+        let link = g.link(l);
+        let (Some(a), Some(b)) = (old_to_new[link.a().index()], old_to_new[link.b().index()])
+        else {
+            continue;
+        };
+        let id = LinkId::new(links.len());
+        adjacency[a.index()].push((b, id));
+        adjacency[b.index()].push((a, id));
+        links.push((a.min(b), a.max(b), link.delay(), link.cost()));
+    }
+    (mapping, positions, adjacency, links)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn induced_subgraph_is_the_whole_link_scan(
+        placed in 0usize..3,
+        n in 2usize..40,
+        alpha in 0.05f64..1.0,
+        seed in 0u64..1 << 40,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Two in three graphs carry plane positions (Waxman); the rest
+        // are unplaced random graphs over five delay families.
+        let g = if placed < 2 {
+            WaxmanConfig::new(n).alpha(alpha).seed(seed).generate().unwrap().into_graph()
+        } else {
+            random_graph(rng.gen_range(0..5), n, rng.gen_range(1..7), &mut rng)
+        };
+        // Any order, duplicates included, possibly empty.
+        let nodes: Vec<NodeId> = (0..rng.gen_range(0..2 * n + 1))
+            .map(|_| NodeId::new(rng.gen_range(0..n)))
+            .collect();
+        let (sub, mapping) = g.induced_subgraph(&nodes);
+        prop_assert_eq!(read_back(&sub, mapping), whole_link_scan(&g, &nodes));
+    }
+}
+
+/// Every node sits in exactly one domain roster, and `domain_of` names
+/// that domain: so "`domain_of(n) == d`" and "`d`'s roster holds `n`"
+/// are one fact, and a caller may bucket nodes by `domain_of` instead of
+/// searching rosters.
+fn rosters_partition_the_nodes(topo: &NLevelTopology) -> Result<(), String> {
+    let mut roster_of: Vec<Option<DomainId>> = vec![None; topo.graph().node_count()];
+    for d in topo.domains() {
+        for &n in d.nodes() {
+            if let Some(first) = roster_of[n.index()].replace(d.id()) {
+                return Err(format!(
+                    "{n} is in the rosters of {first:?} and {:?}",
+                    d.id()
+                ));
+            }
+        }
+    }
+    for n in topo.graph().node_ids() {
+        match roster_of[n.index()] {
+            None => return Err(format!("{n} is in no roster")),
+            Some(d) if d != topo.domain_of(n) => {
+                return Err(format!(
+                    "{n} is in {d:?}'s roster, domain_of says {:?}",
+                    topo.domain_of(n)
+                ));
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn nlevel_rosters_partition_the_nodes(
+        root in 2usize..6,
+        levels in proptest::collection::vec((1usize..3, 1usize..4), 0..4),
+        backups in 0.0f64..1.0,
+        population in 0u64..50,
+        seed in 0u64..1 << 40,
+    ) {
+        let mut c = NLevelConfig::new(root)
+            .redundant_gateway_prob(backups)
+            .population(population)
+            .seed(seed);
+        for (per_node, nodes) in levels {
+            c = c.level(per_node, nodes);
+        }
+        let checked = rosters_partition_the_nodes(&c.generate().unwrap());
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    #[test]
+    fn transit_stub_rosters_partition_the_nodes(
+        transit in 2usize..10,
+        stubs in 0usize..4,
+        stub_nodes in 1usize..7,
+        seed in 0u64..1 << 40,
+    ) {
+        let topo = TransitStubConfig::new()
+            .transit_nodes(transit)
+            .stubs_per_transit_node(stubs)
+            .stub_nodes(stub_nodes)
+            .seed(seed)
+            .generate()
+            .unwrap();
+        let checked = rosters_partition_the_nodes(&topo);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 }

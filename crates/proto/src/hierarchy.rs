@@ -43,10 +43,20 @@ struct DomainSession {
     graph: Graph,
     /// Local-to-global node id mapping.
     to_global: Vec<NodeId>,
-    /// Global-to-local (dense, indexed by global id).
-    to_local: Vec<Option<NodeId>>,
+    /// `(global, local)` for every session node, sorted by global id: a
+    /// table sized to the domain, read through [`DomainSession::to_local`].
+    by_global: Vec<(NodeId, NodeId)>,
     /// The multicast tree within the domain, rooted at the agent.
     tree: MulticastTree,
+}
+
+/// The local id of global node `g` in a `(global, local)` table sorted by
+/// global id, or `None` when `g` is not a session node.
+fn local_id(by_global: &[(NodeId, NodeId)], g: NodeId) -> Option<NodeId> {
+    by_global
+        .binary_search_by_key(&g, |e| e.0)
+        .ok()
+        .map(|i| by_global[i].1)
 }
 
 impl DomainSession {
@@ -58,15 +68,17 @@ impl DomainSession {
         config: SmrpConfig,
     ) -> Result<Self, SmrpError> {
         let (graph, to_global) = parent.induced_subgraph(nodes);
-        let mut to_local = vec![None; parent.node_count()];
-        for (local_idx, &global) in to_global.iter().enumerate() {
-            to_local[global.index()] = Some(NodeId::new(local_idx));
-        }
+        let mut by_global: Vec<(NodeId, NodeId)> = to_global
+            .iter()
+            .enumerate()
+            .map(|(local, &global)| (global, NodeId::new(local)))
+            .collect();
+        by_global.sort_unstable();
         let source =
-            to_local[source_global.index()].ok_or(SmrpError::UnknownNode(source_global))?;
+            local_id(&by_global, source_global).ok_or(SmrpError::UnknownNode(source_global))?;
         let mut sess = SmrpSession::new(&graph, source, config)?;
         for &(m, w) in members_global {
-            let local = to_local[m.index()].ok_or(SmrpError::UnknownNode(m))?;
+            let local = local_id(&by_global, m).ok_or(SmrpError::UnknownNode(m))?;
             if local != source {
                 sess.join_weighted(local, w)?;
             }
@@ -75,9 +87,14 @@ impl DomainSession {
         Ok(DomainSession {
             graph,
             to_global,
-            to_local,
+            by_global,
             tree,
         })
+    }
+
+    /// The local id of global node `g`, if it is a session node.
+    fn to_local(&self, g: NodeId) -> Option<NodeId> {
+        local_id(&self.by_global, g)
     }
 
     /// `path`'s nodes in global ids.
@@ -91,16 +108,13 @@ impl DomainSession {
     fn localize_scenario(&self, parent: &Graph, scenario: &FailureScenario) -> FailureScenario {
         let mut local = FailureScenario::none();
         for n in scenario.failed_nodes() {
-            if let Some(l) = self.to_local[n.index()] {
+            if let Some(l) = self.to_local(n) {
                 local.fail_node(l);
             }
         }
         for lk in scenario.failed_links() {
             let link = parent.link(lk);
-            let (Some(a), Some(b)) = (
-                self.to_local[link.a().index()],
-                self.to_local[link.b().index()],
-            ) else {
+            let (Some(a), Some(b)) = (self.to_local(link.a()), self.to_local(link.b())) else {
                 continue;
             };
             if let Some(local_link) = self.graph.link_between(a, b) {
@@ -188,6 +202,35 @@ fn push_weighted(list: &mut Vec<(NodeId, u32)>, node: NodeId, w: u32) {
     }
 }
 
+/// Items grouped by a dense key, each group in input order, so reading a
+/// group costs its own length.
+struct Buckets<T> {
+    /// Group `k` is `items[start[k]..start[k + 1]]`.
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Buckets<T> {
+    fn new(keys: usize, keyed: impl Iterator<Item = (usize, T)>) -> Self {
+        let mut keyed: Vec<(usize, T)> = keyed.collect();
+        // Stable, so each group keeps input order.
+        keyed.sort_by_key(|e| e.0);
+        let mut start = vec![0; keys + 1];
+        for &(k, _) in &keyed {
+            start[k + 1] += 1;
+        }
+        for k in 0..keys {
+            start[k + 1] += start[k];
+        }
+        let items = keyed.into_iter().map(|e| e.1).collect();
+        Buckets { start, items }
+    }
+
+    fn of(&self, key: usize) -> &[T] {
+        &self.items[self.start[key]..self.start[key + 1]]
+    }
+}
+
 impl NLevelSession {
     /// Builds the hierarchy of per-domain sessions, using the aggregated
     /// populations declared on the topology.
@@ -255,6 +298,27 @@ impl NLevelSession {
         // The source's ancestry chain (domain ids), for root selection.
         let source_chain = topo.ancestry(topo.domain_of(source));
 
+        // Each domain's children, and the members then populations it
+        // hosts, bucketed in one pass each and in input order, so no
+        // domain scans the domain list or the member list.
+        let children = Buckets::new(
+            n_domains,
+            topo.domains()
+                .iter()
+                .filter_map(|c| Some((c.parent()?.index(), c))),
+        );
+        let hosted = Buckets::new(
+            n_domains,
+            members
+                .iter()
+                .map(|&m| (topo.domain_of(m).index(), (m, 1)))
+                .chain(
+                    populations
+                        .iter()
+                        .map(|p| (p.domain.index(), (p.node, p.receivers))),
+                ),
+        );
+
         let mut sessions: Vec<Option<DomainSession>> = vec![None; n_domains];
         for domain in topo.domains() {
             if !active[domain.id().index()] {
@@ -267,7 +331,7 @@ impl NLevelSession {
             let mut nodes: Vec<NodeId> = domain.nodes().to_vec();
             let mut child_agents: Vec<(NodeId, u32)> = Vec::new();
             let mut source_child_agent = None;
-            for child in topo.children_of(domain.id()) {
+            for child in children.of(domain.id().index()) {
                 if !active[child.id().index()] {
                     continue;
                 }
@@ -283,7 +347,7 @@ impl NLevelSession {
 
             // Local root: the real source, the agent relaying it upward,
             // or this domain's border.
-            let local_root = if domain.contains(source) {
+            let local_root = if topo.domain_of(source) == domain.id() {
                 source
             } else if let Some(agent) = source_child_agent {
                 agent
@@ -299,15 +363,8 @@ impl NLevelSession {
             // on the source chain below the root domain — this domain's own
             // border so data keeps flowing upward.
             let mut local_members: Vec<(NodeId, u32)> = Vec::new();
-            for &m in members {
-                if domain.contains(m) {
-                    push_weighted(&mut local_members, m, 1);
-                }
-            }
-            for p in populations {
-                if p.domain == domain.id() {
-                    push_weighted(&mut local_members, p.node, p.receivers);
-                }
+            for &(node, w) in hosted.of(domain.id().index()) {
+                push_weighted(&mut local_members, node, w);
             }
             for (agent, w) in child_agents {
                 push_weighted(&mut local_members, agent, w);
@@ -583,7 +640,7 @@ impl NLevelSession {
             }
             // Reach the backup's parent attachment from the owner session's
             // root without touching the failed component.
-            let up2_local = session.to_local[up2.index()]?;
+            let up2_local = session.to_local(up2)?;
             let path = dijkstra::shortest_path_constrained(
                 &session.graph,
                 session.tree.source(),
@@ -599,8 +656,8 @@ impl NLevelSession {
             let child_scenario = child_session.localize_scenario(graph, scenario);
             let child_leg = dijkstra::shortest_path_constrained(
                 &child_session.graph,
-                child_session.to_local[g.index()]?,
-                child_session.to_local[b2.index()]?,
+                child_session.to_local(g)?,
+                child_session.to_local(b2)?,
                 Constraints::avoiding_failures(&child_scenario),
             )?;
             let mut global_path = session.to_global_nodes(&path);
