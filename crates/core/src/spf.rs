@@ -10,11 +10,11 @@
 //! Joining walks the member's unicast shortest path toward the source and
 //! grafts the suffix beyond the first on-tree node encountered — exactly
 //! PIM's `Join` propagation, which stops at the first router that already
-//! has state for the group.
+//! has state for the group. The paths come from a [`GrowingSpt`], which
+//! searches only the blocks between the source and the members asked
+//! about, so a small group pays for its tree, not for the graph.
 
-use std::sync::Arc;
-
-use smrp_net::dijkstra::ShortestPathTree;
+use smrp_net::dijkstra::GrowingSpt;
 use smrp_net::{Graph, NodeId, Path};
 
 use crate::error::SmrpError;
@@ -44,9 +44,9 @@ pub struct SpfSession<'g> {
     graph: &'g Graph,
     tree: MulticastTree,
     /// Shortest-path tree from the source, reused across joins (unicast
-    /// routing state is stable absent failures) and shared through the
-    /// graph ([`ShortestPathTree::shared`]).
-    spt: Arc<ShortestPathTree>,
+    /// routing state is stable absent failures) and grown to each new
+    /// member on its join.
+    spt: GrowingSpt<'g>,
 }
 
 impl<'g> SpfSession<'g> {
@@ -57,7 +57,7 @@ impl<'g> SpfSession<'g> {
     /// Fails on an unknown source node.
     pub fn new(graph: &'g Graph, source: NodeId) -> Result<Self, SmrpError> {
         let tree = MulticastTree::new(graph, source)?;
-        let spt = ShortestPathTree::shared(graph, source);
+        let spt = GrowingSpt::new(graph, source);
         Ok(SpfSession { graph, tree, spt })
     }
 
@@ -214,5 +214,25 @@ mod tests {
             sess.join(ids[2]),
             Err(SmrpError::NoFeasiblePath(_))
         ));
+    }
+
+    #[test]
+    fn member_in_another_component_is_rejected_after_joins() {
+        // A triangle with a pendant chain, and a second component 5-6.
+        let mut g = Graph::with_nodes(7);
+        let ids: Vec<_> = g.node_ids().collect();
+        for (a, b) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 6)] {
+            g.add_link(ids[a], ids[b], 1.0).unwrap();
+        }
+        let mut sess = SpfSession::new(&g, ids[3]).unwrap();
+        assert_eq!(
+            sess.join(ids[1]).unwrap().nodes(),
+            &[ids[3], ids[2], ids[1]]
+        );
+        for m in [ids[5], ids[6]] {
+            assert!(matches!(sess.join(m), Err(SmrpError::NoFeasiblePath(_))));
+        }
+        assert_eq!(sess.join(ids[4]).unwrap().nodes(), &[ids[3], ids[4]]);
+        sess.tree().validate(&g).unwrap();
     }
 }

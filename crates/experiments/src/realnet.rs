@@ -174,18 +174,31 @@ impl RealnetResult {
         csv
     }
 
-    /// Textual summary.
+    /// Textual summary: the advantage carries over only if SMRP shortens
+    /// recovery paths (RD_rel above 0) on every backbone.
     pub(crate) fn summary(&self) -> String {
         let parts: Vec<String> = self
             .rows
             .iter()
             .map(|r| format!("{}: RD_rel {:.1}%", r.name, r.rd_rel.mean() * 100.0))
             .collect();
-        format!(
-            "{} — SMRP's local-recovery advantage carries over to real backbone \
-             structure (paper future work)",
-            parts.join("; ")
-        )
+        let behind: Vec<&str> = self
+            .rows
+            .iter()
+            .filter(|r| r.rd_rel.mean() <= 0.0)
+            .map(|r| r.name)
+            .collect();
+        let claim = if behind.is_empty() {
+            "SMRP's local-recovery advantage carries over to real backbone structure".to_string()
+        } else {
+            format!(
+                "SMRP does not shorten recovery paths on the {} backbone{}, so its \
+                 local-recovery advantage does not carry over to every real backbone",
+                behind.join(" and "),
+                if behind.len() == 1 { "" } else { "s" }
+            )
+        };
+        format!("{} — {claim} (paper future work)", parts.join("; "))
     }
 }
 
@@ -211,6 +224,42 @@ mod tests {
         }
         // The protocol-level spot check restored service.
         assert!(r.rows[0].local_latency_ms.is_some());
+    }
+
+    fn rows(rd_rel: &[(&'static str, f64)]) -> RealnetResult {
+        let stats = |x: f64| {
+            let mut s = Stats::new();
+            s.push(x);
+            s
+        };
+        RealnetResult {
+            rows: rd_rel
+                .iter()
+                .map(|&(name, rd)| BackboneRow {
+                    name,
+                    nodes: 10,
+                    rd_rel: stats(rd),
+                    delay_rel: stats(0.01),
+                    cost_rel: stats(0.02),
+                    local_latency_ms: None,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn summary_claims_the_advantage_only_when_every_backbone_gains() {
+        let all = rows(&[("A", 0.104), ("B", 0.136)]).summary();
+        assert_eq!(
+            all,
+            "A: RD_rel 10.4%; B: RD_rel 13.6% — SMRP's local-recovery advantage \
+             carries over to real backbone structure (paper future work)"
+        );
+        let one = rows(&[("A", -0.016), ("B", 0.035)]).summary();
+        assert!(one.contains("does not shorten recovery paths on the A backbone,"));
+        assert!(!one.contains("carries over"));
+        let none = rows(&[("A", 0.0), ("B", -0.2)]).summary();
+        assert!(none.contains("on the A and B backbones,"));
     }
 
     #[test]

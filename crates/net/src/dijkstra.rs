@@ -8,7 +8,9 @@
 //!   faulty component, and for merger-candidate paths that must not cross
 //!   other on-tree nodes);
 //! * [`ShortestPathTree`] — full single-source tree with path extraction
-//!   (used by the SPF baseline protocol and by the neighbor-query scheme);
+//!   (used by the neighbor-query scheme and the audits);
+//! * [`GrowingSpt`] — the same tree, searched one block at a time as far
+//!   as the nodes asked about (used by the SPF baseline protocol);
 //! * [`shortest_path_to_any`] — shortest path from a source to the nearest
 //!   member of a target set (used by local-detour recovery: "connect to the
 //!   nearest still-connected on-tree node").
@@ -212,7 +214,9 @@ fn drain_key(&(dist, node): &(f64, NodeId)) -> (u64, NodeId) {
 /// A min-distance bucket queue over one graph's delay range.
 ///
 /// Each ring slot holds an intrusive list in one `entries` vector, so a
-/// search allocates a few vectors, not one per bucket.
+/// search allocates a few vectors, not one per bucket. A drained queue can
+/// be seeded again, so a tree that searches in steps allocates them once.
+#[derive(Debug, Clone)]
 struct BucketQueue {
     buckets: Buckets,
     /// Absolute index of the bucket being drained.
@@ -228,23 +232,32 @@ struct BucketQueue {
 }
 
 impl BucketQueue {
-    /// A queue holding `source` at distance 0.
-    fn new(graph: &Graph, source: NodeId) -> Self {
+    /// An empty queue over `graph`'s delays, with room for `capacity`
+    /// pushes.
+    fn new(graph: &Graph, capacity: usize) -> Self {
         let buckets = Buckets::for_graph(graph);
-        let mut queue = BucketQueue {
+        BucketQueue {
             buckets,
             current: 0,
             heads: vec![NIL; buckets.mask as usize + 1],
-            entries: Vec::with_capacity(graph.node_count()),
-            queued: 1,
+            entries: Vec::with_capacity(capacity),
+            queued: 0,
             draining: Vec::new(),
-        };
-        if buckets.ordered {
-            queue.draining.push((0.0, source));
-        } else {
-            queue.link(0, 0.0, source);
         }
-        queue
+    }
+
+    /// Starts a search from `node` at `dist`. The queue must be drained,
+    /// which leaves every list empty.
+    fn seed(&mut self, node: NodeId, dist: f64) {
+        assert_eq!(self.queued, 0, "seeding a queue that is not drained");
+        self.entries.clear();
+        self.current = self.buckets.bucket(dist);
+        self.queued = 1;
+        if self.buckets.ordered {
+            self.draining.push((dist, node));
+        } else {
+            self.link(self.current, dist, node);
+        }
     }
 
     fn link(&mut self, bucket: u64, dist: f64, node: NodeId) {
@@ -422,25 +435,40 @@ impl ShortestPathTree {
         if !constraints.node_allowed(self.source) {
             return;
         }
+        let source = self.source;
+        self.dist[source.index()] = 0.0;
+        let queue = &mut BucketQueue::new(graph, graph.node_count());
         if self.unrestricted {
-            self.search(graph, |_, _| true);
+            self.search(graph, queue, source, |_, _| true);
         } else {
-            self.search(graph, |v, l| {
+            self.search(graph, queue, source, |v, l| {
                 constraints.node_allowed(v) && constraints.link_allowed(graph, l)
             });
         }
     }
 
-    /// The bucketed search from the source over the arcs `usable` admits
-    /// (see the [module docs](self)).
-    fn search(&mut self, graph: &Graph, usable: impl Fn(NodeId, LinkId) -> bool) {
-        let mut queue = BucketQueue::new(graph, self.source);
+    /// The bucketed search (see the [module docs](self)) from `seed`, whose
+    /// `dist` is final, over the arcs `usable` admits, through `queue`.
+    ///
+    /// From the source this is Dijkstra. From a settled cut vertex, with
+    /// `usable` admitting only blocks beyond it, it is the same search's
+    /// continuation into those blocks ([`GrowingSpt`]): every path into
+    /// them passes the seed, and the seed settles before anything it
+    /// reaches, so distance bits and tie-broken parents come out as the
+    /// full search's.
+    fn search(
+        &mut self,
+        graph: &Graph,
+        queue: &mut BucketQueue,
+        seed: NodeId,
+        usable: impl Fn(NodeId, LinkId) -> bool,
+    ) {
+        queue.seed(seed, self.dist[seed.index()]);
         // Only the ordered drain can tie a settled node, so only it tracks
         // them: under the unordered one every relaxation lands at least two
         // buckets ahead, so `nd > dist[v]` for any settled `v`.
         let ordered = queue.buckets.ordered;
         let mut settled = vec![false; if ordered { graph.node_count() } else { 0 }];
-        self.dist[self.source.index()] = 0.0;
         while let Some((d, u)) = queue.pop() {
             // A node is pushed once per strictly shorter distance, so only
             // its last entry carries `dist[u]`.
@@ -510,12 +538,154 @@ impl ShortestPathTree {
         while let Some(p) = self.parent[cur.index()] {
             nodes.push(p);
             cur = p;
+            assert!(nodes.len() <= self.parent.len(), "parent cycle at {cur}");
         }
         if cur != self.source {
             return None;
         }
         nodes.reverse();
         Some(Path::new(nodes))
+    }
+}
+
+/// A [`ShortestPathTree`] from one source that searches a block at a
+/// time, only as far as the targets asked about.
+///
+/// [`path_to`](Self::path_to) and [`distance`](Self::distance) answer
+/// bit for bit what `ShortestPathTree::compute(graph, source)` answers.
+/// The first query for a node climbs the graph's block-cut forest from it
+/// to the blocks already searched, which it meets at a settled cut vertex
+/// `a`, and continues the bucketed search from `(a, D(a))` over the links
+/// of the blocks in between only. A simple path between two nodes uses
+/// links of exactly the blocks on the block-cut path between them, so a
+/// shortest path never leaves those blocks, and every equal-distance
+/// predecessor of a node beyond `a` lies in its own blocks or is `a`.
+/// A group whose members sit in a few small blocks thus settles those
+/// blocks and the ones between them and the source, not the graph.
+///
+/// # Example
+///
+/// ```
+/// use smrp_net::{Graph, dijkstra::{GrowingSpt, ShortestPathTree}};
+///
+/// # fn main() -> Result<(), smrp_net::NetError> {
+/// let mut g = Graph::with_nodes(4);
+/// let ids: Vec<_> = g.node_ids().collect();
+/// g.add_link(ids[0], ids[1], 1.0)?;
+/// g.add_link(ids[1], ids[2], 1.0)?;
+/// g.add_link(ids[2], ids[0], 3.0)?;
+/// g.add_link(ids[2], ids[3], 1.0)?;
+/// let mut tree = GrowingSpt::new(&g, ids[0]);
+/// let full = ShortestPathTree::compute(&g, ids[0]);
+/// assert_eq!(tree.path_to(ids[3]), full.path_to(ids[3]));
+/// assert_eq!(tree.distance(ids[3]), Some(3.0));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct GrowingSpt<'g> {
+    graph: &'g Graph,
+    /// Final distances and parents of the nodes settled so far; the rest
+    /// read unreached.
+    spt: ShortestPathTree,
+    /// The settled node nearest its component's block-cut root. Every
+    /// block above it is unsearched.
+    top: NodeId,
+    /// The growth that searched each block; a growth numbers itself
+    /// `round` and admits the links of its blocks only.
+    grown_in: Vec<u32>,
+    round: u32,
+    /// Blocks above `top` on the climb to the meeting node.
+    climbed: Vec<usize>,
+    /// Drained between growths and seeded again by the next.
+    queue: BucketQueue,
+}
+
+impl<'g> GrowingSpt<'g> {
+    /// A tree from `source` that has settled only the source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is not a node of `graph`.
+    pub fn new(graph: &'g Graph, source: NodeId) -> Self {
+        let n = graph.node_count();
+        let mut spt = ShortestPathTree {
+            source,
+            dist: vec![f64::INFINITY; n],
+            parent: vec![None; n],
+            unrestricted: true,
+        };
+        spt.dist[source.index()] = 0.0;
+        GrowingSpt {
+            graph,
+            spt,
+            top: source,
+            grown_in: vec![0; graph.blocks().count()],
+            round: 0,
+            climbed: Vec::new(),
+            queue: BucketQueue::new(graph, 0),
+        }
+    }
+
+    /// The source→`node` path of [`ShortestPathTree::path_to`], or `None`
+    /// if `node` is in another component.
+    pub fn path_to(&mut self, node: NodeId) -> Option<Path> {
+        self.grow_to(node);
+        self.spt.path_to(node)
+    }
+
+    /// Shortest distance to `node`, or `None` if unreachable.
+    pub fn distance(&mut self, node: NodeId) -> Option<f64> {
+        self.grow_to(node);
+        self.spt.distance(node)
+    }
+
+    fn settled(&self, node: NodeId) -> bool {
+        self.spt.dist[node.index()].is_finite()
+    }
+
+    /// Searches the blocks between `target` and the settled ones, unless
+    /// `target` is settled or in another component.
+    fn grow_to(&mut self, target: NodeId) {
+        if self.settled(target) {
+            return;
+        }
+        let graph = self.graph;
+        let blocks = graph.blocks();
+        self.round += 1;
+        let round = self.round;
+        // Climb from the target and from `top`, deeper side first, until
+        // the target's side meets a settled node (a cut vertex below
+        // `top`'s blocks, or `top`) or the two sides meet above `top`.
+        let (mut x, mut y) = (target, self.top);
+        self.climbed.clear();
+        let seed = loop {
+            if self.settled(x) {
+                break x;
+            }
+            if x == y {
+                for &b in &self.climbed {
+                    self.grown_in[b] = round;
+                }
+                break std::mem::replace(&mut self.top, x);
+            }
+            if blocks.depth(x) >= blocks.depth(y) {
+                // Two roots: `target` is in another component.
+                let Some((b, up)) = blocks.parent(x) else {
+                    return;
+                };
+                self.grown_in[b] = round;
+                x = up;
+            } else {
+                let (b, up) = blocks.parent(y).expect("only a root has depth 0");
+                self.climbed.push(b);
+                y = up;
+            }
+        };
+        let grown_in = &self.grown_in;
+        self.spt.search(graph, &mut self.queue, seed, |_, l| {
+            grown_in[blocks.of_link(l)] == round
+        });
     }
 }
 
@@ -956,6 +1126,135 @@ mod tests {
         assert_eq!(spt.distance(ids[2]), Some(2.0 * tiny));
         assert_eq!(spt.parent(ids[2]), Some(ids[0]));
         assert_eq!(spt.parent(ids[1]), Some(ids[0]));
+    }
+
+    /// Asks `source`'s growing tree for `targets` in order, then for every
+    /// node. After each query every settled node's distance bits and parent
+    /// must be the full tree's; returns the nodes `targets` settled.
+    fn grow_and_compare(g: &Graph, source: NodeId, targets: &[NodeId]) -> Vec<NodeId> {
+        let full = ShortestPathTree::compute(g, source);
+        let mut tree = GrowingSpt::new(g, source);
+        let check = |tree: &mut GrowingSpt<'_>, t: NodeId| {
+            assert_eq!(tree.path_to(t), full.path_to(t), "{source}->{t}");
+            for v in g.node_ids().filter(|&v| tree.settled(v)) {
+                assert_eq!(
+                    tree.spt.distance(v).map(f64::to_bits),
+                    full.distance(v).map(f64::to_bits),
+                    "{source}->{v} after {t}"
+                );
+                assert_eq!(tree.spt.parent(v), full.parent(v), "{source}->{v}");
+            }
+        };
+        for &t in targets {
+            check(&mut tree, t);
+        }
+        let settled = g.node_ids().filter(|&v| tree.settled(v)).collect();
+        for t in g.node_ids() {
+            check(&mut tree, t);
+        }
+        settled
+    }
+
+    fn chain(delays: &[f64]) -> Graph {
+        let mut g = Graph::with_nodes(delays.len() + 1);
+        for (i, &w) in delays.iter().enumerate() {
+            g.add_link(NodeId::new(i), NodeId::new(i + 1), w).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn growing_tree_on_one_block_searches_it_whole() {
+        let (g, [s, a, b, c, d]) = figure1_graph();
+        for src in [s, a, b, c, d] {
+            let settled = grow_and_compare(&g, src, &[d, c]);
+            assert_eq!(settled.len(), 5);
+        }
+    }
+
+    #[test]
+    fn growing_tree_on_a_bridge_chain_stops_at_the_target() {
+        let g = chain(&[1.0, 2.0, 0.5, 4.0, 1.0]);
+        let id = NodeId::new;
+        // From the middle: each side grows only as far as asked.
+        let settled = grow_and_compare(&g, id(2), &[id(3)]);
+        assert_eq!(settled, [id(2), id(3)]);
+        let settled = grow_and_compare(&g, id(2), &[id(3), id(0), id(5)]);
+        assert_eq!(settled.len(), 6);
+        // From a leaf, a far query climbs past the DFS root (node 0).
+        let settled = grow_and_compare(&g, id(5), &[id(3)]);
+        assert_eq!(settled, [id(3), id(4), id(5)]);
+        grow_and_compare(&g, id(5), &[id(1), id(4), id(0)]);
+    }
+
+    #[test]
+    fn growing_tree_from_a_cut_vertex_and_across_a_star() {
+        // Triangles 0-1-2 and 2-3-4 share node 2; node 5 hangs off 4.
+        let mut g = Graph::with_nodes(6);
+        let id = NodeId::new;
+        for (a, b, w) in [
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 0, 1.0),
+            (2, 3, 2.0),
+            (3, 4, 1.0),
+            (4, 2, 3.0),
+            (4, 5, 1.0),
+        ] {
+            g.add_link(id(a), id(b), w).unwrap();
+        }
+        let settled = grow_and_compare(&g, id(2), &[id(1)]);
+        assert_eq!(settled, [id(0), id(1), id(2)]);
+        let settled = grow_and_compare(&g, id(2), &[id(5)]);
+        assert_eq!(settled, [id(2), id(3), id(4), id(5)]);
+        for src in g.node_ids() {
+            grow_and_compare(&g, src, &[id(5), id(0), id(3)]);
+        }
+        // A star: from one leaf, a second leaf settles only the hub.
+        let mut star = Graph::with_nodes(5);
+        for leaf in 1..5 {
+            star.add_link(id(0), id(leaf), leaf as f64).unwrap();
+        }
+        let settled = grow_and_compare(&star, id(3), &[id(1)]);
+        assert_eq!(settled, [id(0), id(1), id(3)]);
+        grow_and_compare(&star, id(0), &[id(4), id(2)]);
+    }
+
+    #[test]
+    fn growing_tree_never_reaches_another_component() {
+        // Nodes 0-1-2 in a triangle, 3-4 linked, 5 isolated.
+        let mut g = Graph::with_nodes(6);
+        let id = NodeId::new;
+        for (a, b) in [(0, 1), (1, 2), (2, 0), (3, 4)] {
+            g.add_link(id(a), id(b), 1.0).unwrap();
+        }
+        let settled = grow_and_compare(&g, id(1), &[id(4), id(5), id(2), id(3)]);
+        assert_eq!(settled, [id(0), id(1), id(2)]);
+        let settled = grow_and_compare(&g, id(5), &[id(0), id(5)]);
+        assert_eq!(settled, [id(5)]);
+        let mut isolated = GrowingSpt::new(&g, id(5));
+        assert_eq!(isolated.path_to(id(5)).map(|p| p.hop_count()), Some(0));
+        assert_eq!(isolated.path_to(id(4)), None);
+        assert_eq!(isolated.distance(id(4)), None);
+    }
+
+    #[test]
+    fn growing_tree_continues_an_ordered_drain() {
+        // Delays across eighteen decades on a chain of triangles: sums
+        // absorb the small delays, so the ordered drain decides ties.
+        let mut g = Graph::with_nodes(41);
+        let id = NodeId::new;
+        for i in 0..20 {
+            let k = |j: usize| 10f64.powi(((i * 7 + j) % 19) as i32 - 9);
+            g.add_link(id(2 * i), id(2 * i + 1), k(0)).unwrap();
+            g.add_link(id(2 * i + 1), id(2 * i + 2), k(3)).unwrap();
+            g.add_link(id(2 * i), id(2 * i + 2), k(5)).unwrap();
+        }
+        assert!(Buckets::for_graph(&g).ordered);
+        for src in [0, 7, 20, 40] {
+            grow_and_compare(&g, id(src), &[id(40), id(0), id(13)]);
+            grow_and_compare(&g, id(src), &[id(21), id(3)]);
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
+use crate::blocks::Blocks;
 use crate::dijkstra::ShortestPathTree;
 use crate::error::NetError;
 use crate::geometry::Point;
@@ -124,7 +125,10 @@ pub struct Graph {
     spt: SptSlot,
     /// Every node's arcs in one array, built by the first
     /// [`Graph::arcs`] call. Derived like `spt`, with the same lifecycle.
-    arcs: ArcSlot,
+    arcs: Derived<ArcView>,
+    /// The biconnected blocks and block-cut forest, built by the first
+    /// `Graph::blocks` call, with the same lifecycle.
+    blocks: Derived<Blocks>,
 }
 
 /// At most one shared source SPT, behind a lock so `&Graph` can fill it.
@@ -177,19 +181,25 @@ impl ArcView {
     }
 }
 
-/// At most one [`ArcView`], filled on first read through `&Graph`.
-#[derive(Default)]
-struct ArcSlot(OnceLock<ArcView>);
+/// At most one `T` derived from the topology, filled on first read
+/// through `&Graph`. A clone starts without one.
+struct Derived<T>(OnceLock<T>);
 
-impl Clone for ArcSlot {
-    fn clone(&self) -> Self {
-        ArcSlot::default()
+impl<T> Default for Derived<T> {
+    fn default() -> Self {
+        Derived(OnceLock::new())
     }
 }
 
-impl fmt::Debug for ArcSlot {
+impl<T> Clone for Derived<T> {
+    fn clone(&self) -> Self {
+        Derived::default()
+    }
+}
+
+impl<T> fmt::Debug for Derived<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ArcSlot")
+        f.write_str("Derived")
     }
 }
 
@@ -214,7 +224,8 @@ impl Deserialize for Graph {
             links,
             delay_range,
             spt: SptSlot::default(),
-            arcs: ArcSlot::default(),
+            arcs: Derived::default(),
+            blocks: Derived::default(),
         })
     }
 }
@@ -234,7 +245,8 @@ impl Default for Graph {
             links: Vec::new(),
             delay_range: NO_DELAYS,
             spt: SptSlot::default(),
-            arcs: ArcSlot::default(),
+            arcs: Derived::default(),
+            blocks: Derived::default(),
         }
     }
 }
@@ -334,11 +346,12 @@ impl Graph {
         *self.spt.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(spt);
     }
 
-    /// Empties the shared-SPT slot and the arc view: both describe the
-    /// topology as it was.
+    /// Empties the shared-SPT slot, the arc view and the blocks: all
+    /// describe the topology as it was.
     fn clear_derived(&mut self) {
         self.spt.clear();
         self.arcs.0.take();
+        self.blocks.0.take();
     }
 
     fn check_node(&self, n: NodeId) -> Result<(), NetError> {
@@ -417,6 +430,13 @@ impl Graph {
             .get_or_init(|| ArcView::build(&self.nodes, &self.links));
         let i = node.index();
         &view.arcs[view.offsets[i] as usize..view.offsets[i + 1] as usize]
+    }
+
+    /// The graph's biconnected blocks and block-cut forest, built by the
+    /// first call and emptied by every `&mut self` method, like
+    /// [`arcs`](Self::arcs).
+    pub(crate) fn blocks(&self) -> &Blocks {
+        self.blocks.0.get_or_init(|| Blocks::build(self))
     }
 
     /// Iterator over the neighbors of `node`.
@@ -726,6 +746,26 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn blocks_follow_mutation_clones_and_deserialization() {
+        let (mut g, [a, ..], [ab, ..]) = triangle();
+        assert_eq!(g.blocks().count(), 1);
+        assert!(g.clone().blocks.0.get().is_none());
+        let back: Graph = Deserialize::deserialize(&g.serialize()).unwrap();
+        assert!(back.blocks.0.get().is_none());
+        assert_eq!(back.blocks().of_link(ab), 0);
+
+        // A pendant node is a block of its own once linked.
+        let d = g.add_node();
+        assert!(g.blocks.0.get().is_none());
+        assert_eq!(g.blocks().count(), 1);
+        let ad = g.add_link(a, d, 0.5).unwrap();
+        assert!(g.blocks.0.get().is_none());
+        let blocks = g.blocks();
+        assert_eq!(blocks.count(), 2);
+        assert_ne!(blocks.of_link(ad), blocks.of_link(ab));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * an arena-style undirected weighted [`Graph`] with typed [`NodeId`] /
 //!   [`LinkId`] handles,
 //! * shortest-path machinery ([`dijkstra`]): plain, avoid-set constrained and
-//!   multi-target Dijkstra,
+//!   multi-target Dijkstra, and a source tree that searches the graph's
+//!   biconnected blocks one at a time, only as far as it is asked,
 //! * random topology generators matching the paper's simulation setup:
 //!   the Waxman model ([`waxman`], GT-ITM's "pure random" model) and one
 //!   domain-hierarchy generator ([`nlevel`]) for the hierarchical
@@ -45,6 +46,7 @@
 //! ```
 
 pub mod backup;
+mod blocks;
 pub mod dijkstra;
 mod failure;
 mod geometry;

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use smrp_net::dijkstra::{self, Constraints, ShortestPathTree};
+use smrp_net::dijkstra::{self, Constraints, GrowingSpt, ShortestPathTree};
 use smrp_net::nlevel::{DomainId, NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::traversal::{connected_components, is_connected, reachable_from};
@@ -370,6 +370,122 @@ fn bucketed_tree_is_the_heap_tree_on_transit_stub() {
     for src in g.node_ids().step_by(127) {
         same_as_heap(&g, src, Constraints::unrestricted()).unwrap();
         same_as_heap(&g, src, restricted).unwrap();
+    }
+}
+
+/// A random core of `core` nodes and about `degree·core/2` links, with
+/// `parts` pieces hung off random nodes so that cut vertices are common:
+/// pendant chains of one to four links and cycles of three to six nodes
+/// through one existing node. One piece in eight hangs off nothing and
+/// starts another component. Delays are `family`'s.
+fn cactus_graph(
+    family: usize,
+    core: usize,
+    degree: usize,
+    parts: usize,
+    rng: &mut SmallRng,
+) -> Graph {
+    let mut links = Vec::new();
+    for _ in 0..degree * core / 2 {
+        links.push((rng.gen_range(0..core), rng.gen_range(0..core)));
+    }
+    let mut n = core;
+    for _ in 0..parts {
+        let len = rng.gen_range(1..5);
+        let cycle = rng.gen_bool(0.5);
+        let start = if rng.gen_range(0..8) == 0 {
+            n += 1;
+            n - 1
+        } else {
+            rng.gen_range(0..n)
+        };
+        let mut prev = start;
+        for _ in 0..len + usize::from(cycle) {
+            links.push((prev, n));
+            prev = n;
+            n += 1;
+        }
+        if cycle {
+            links.push((prev, start));
+        }
+    }
+    let mut g = Graph::with_nodes(n);
+    for (a, b) in links {
+        if a != b {
+            let _ = g.add_link(NodeId::new(a), NodeId::new(b), draw_delay(family, rng));
+        }
+    }
+    g
+}
+
+/// Asks a growing tree from `source` for `targets` in order; every answer
+/// must be the full tree's, path and distance bits.
+fn growing_matches_full(g: &Graph, source: NodeId, targets: &[NodeId]) -> Result<(), String> {
+    let full = ShortestPathTree::compute(g, source);
+    let mut tree = GrowingSpt::new(g, source);
+    for &t in targets {
+        let (got, want) = (tree.path_to(t), full.path_to(t));
+        if got != want {
+            return Err(format!(
+                "{source}->{t}: path {got:?}, full tree says {want:?}"
+            ));
+        }
+        let (got, want) = (
+            tree.distance(t).map(f64::to_bits),
+            full.distance(t).map(f64::to_bits),
+        );
+        if got != want {
+            return Err(format!(
+                "{source}->{t}: dist {got:?}, full tree says {want:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn growing_tree_is_the_full_tree_bit_for_bit(
+        family in 0usize..5,
+        core in 1usize..30,
+        degree in 1usize..5,
+        parts in 0usize..24,
+        seed in 0u64..1 << 40,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = cactus_graph(family, core, degree, parts, &mut rng);
+        let n = g.node_count();
+        for _ in 0..4 {
+            let source = NodeId::new(rng.gen_range(0..n));
+            let count = rng.gen_range(1..16);
+            let targets: Vec<NodeId> =
+                (0..count).map(|_| NodeId::new(rng.gen_range(0..n))).collect();
+            let checked = growing_matches_full(&g, source, &targets);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+}
+
+#[test]
+fn growing_tree_is_the_full_tree_on_transit_stub() {
+    // The n = 4000 shape of `multigroup_cut`: a 40-node core and hundreds
+    // of small stub blocks.
+    let g = TransitStubConfig::new()
+        .transit_nodes(40)
+        .stubs_per_transit_node(9)
+        .stub_nodes(11)
+        .seed(20050628)
+        .generate()
+        .unwrap()
+        .into_graph();
+    let mut rng = SmallRng::seed_from_u64(7);
+    for src in g.node_ids().step_by(97) {
+        let targets: Vec<NodeId> = (0..24)
+            .map(|_| NodeId::new(rng.gen_range(0..4000)))
+            .collect();
+        growing_matches_full(&g, src, &targets).unwrap();
     }
 }
 

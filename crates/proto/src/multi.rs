@@ -552,10 +552,12 @@ impl<'g> MultiSession<'g> {
                     (m, restored.map(|t| t - fail_at))
                 })
                 .collect();
+            // `affected` is in member order too, so one merge splits them.
+            let mut cut_off = affected.iter().peekable();
             let unaffected = sess
                 .tree()
                 .members()
-                .filter(|m| !affected.contains(m))
+                .filter(|m| cut_off.next_if_eq(&m).is_none())
                 .collect();
             let mut reliability = ControlHealth::default();
             let mut control = ControlCounters::default();
