@@ -21,8 +21,6 @@
 //!   healthy *and* activation strictly beats search at every loss point;
 //! * `--protect-smoke` — small CI protection sweep (n=18, 36 cases),
 //!   byte-identical for any `--jobs`;
-//! * `--search-ms X` — modelled on-demand detour-search delay charged to
-//!   the reactive arm of a protection sweep (default 25);
 //! * `--hierarchy` — wire-level N-level recovery-domain campaign: every
 //!   active domain's session runs as one group over the shared topology,
 //!   repairs stay confined to the owning domain, and the full message
@@ -144,14 +142,6 @@ fn parse_args() -> Result<Args, String> {
                 protect_config.base_seed = 11;
                 protect_config.run_until_ms = 2000.0;
             }
-            "--search-ms" => {
-                protect_config.search_ms = value("--search-ms")?
-                    .parse()
-                    .map_err(|e| format!("--search-ms: {e}"))?;
-                if !(protect_config.search_ms.is_finite() && protect_config.search_ms >= 0.0) {
-                    return Err("--search-ms expects a non-negative delay".into());
-                }
-            }
             "--dump-trace" => {
                 dump_trace = Some(value("--dump-trace")?.into());
             }
@@ -265,7 +255,6 @@ fn flags_read_by(mode: Option<&str>) -> &'static [&'static str] {
         Some("--protect" | "--protect-smoke") => &[
             "--protect",
             "--protect-smoke",
-            "--search-ms",
             "--loss",
             "--scenarios",
             "--nodes",

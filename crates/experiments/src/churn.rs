@@ -207,14 +207,31 @@ impl ChurnResult {
         csv
     }
 
-    /// Textual summary.
+    /// Textual summary. It claims §3.2.3's skew repair only when no
+    /// reshaping policy leaves the mean worst-case recovery distance above
+    /// the no-reshaping row, and names every policy that does.
     pub(crate) fn summary(&self) -> String {
         let none = &self.rows[0];
         let full = &self.rows[2];
+        let worse: Vec<String> = self.rows[1..]
+            .iter()
+            .filter(|r| r.rd.mean() > none.rd.mean())
+            .map(|r| format!("{} ({:.2})", r.name, r.rd.mean()))
+            .collect();
+        let claim = match worse.len() {
+            0 => " — §3.2.3's skew-repair in action".to_string(),
+            n => format!(
+                ", but {} {} worse than no reshaping ({:.2}) — §3.2.3's skew-repair \
+                 does not hold for every policy",
+                worse.join(" and "),
+                if n == 1 { "is" } else { "are" },
+                none.rd.mean(),
+            ),
+        };
         format!(
             "over {} churn events, reshaping keeps the mean worst-case recovery \
              distance at {:.1} vs {:.1} without it ({} path switches out of {} \
-             reshape attempts) — §3.2.3's skew-repair in action",
+             reshape attempts){claim}",
             self.events,
             full.rd.mean(),
             none.rd.mean(),
@@ -249,6 +266,50 @@ mod tests {
         assert!(full.switches > 0, "the sweeps never switched a path");
         assert!(full.attempts >= full.switches as u64 + full.settled_without_search);
         assert_eq!(none.attempts, 0, "reshaping was off");
+    }
+
+    /// Three policy rows with the given mean worst-case RDs.
+    fn result(rd: [f64; 3]) -> ChurnResult {
+        let names = [
+            "no reshaping",
+            "Condition I only",
+            "Condition I + periodic sweep",
+        ];
+        let rows = names
+            .into_iter()
+            .zip(rd)
+            .map(|(name, rd)| PolicyRow {
+                name,
+                rd: [rd].into_iter().collect(),
+                delay: [70.0].into_iter().collect(),
+                switches: 49,
+                attempts: 776,
+                settled_without_search: 227,
+            })
+            .collect();
+        ChurnResult { rows, events: 400 }
+    }
+
+    #[test]
+    fn summary_claims_the_repair_only_when_no_policy_is_worse() {
+        assert_eq!(
+            result([40.21, 39.9, 39.58]).summary(),
+            "over 400 churn events, reshaping keeps the mean worst-case recovery \
+             distance at 39.6 vs 40.2 without it (49 path switches out of 776 reshape \
+             attempts) — §3.2.3's skew-repair in action"
+        );
+        assert_eq!(
+            result([40.21, 40.64, 39.58]).summary(),
+            "over 400 churn events, reshaping keeps the mean worst-case recovery \
+             distance at 39.6 vs 40.2 without it (49 path switches out of 776 reshape \
+             attempts), but Condition I only (40.64) is worse than no reshaping \
+             (40.21) — §3.2.3's skew-repair does not hold for every policy"
+        );
+        let both = result([40.21, 40.64, 40.3]).summary();
+        assert!(both.contains(
+            "Condition I only (40.64) and Condition I + periodic sweep (40.30) are worse"
+        ));
+        assert!(!both.contains("in action"));
     }
 
     #[test]

@@ -60,8 +60,11 @@
 //! from the simulator only in its runtime.
 //! [`ProtoSession::run`] is the same call for one session and
 //! [`ProtoSession::run_steady`] the same call with no failure: one loop,
-//! configured on the run (routers load [`RouterConfig::default`];
-//! [`MultiSession::set_timer_backend`] is the one backend switch).
+//! configured on the run ([`MultiSession::set_timer_backend`] is the one
+//! backend switch). Router timing is not a run setting: every timer is a
+//! protocol constant except the miss limit and holdtime, which
+//! [`RouterConfig::hardened_for_loss`] derives from the channel's
+//! default-lane loss (DESIGN.md, "Protocol timing").
 //! [`MembershipMirror`] writes joins, leaves and reshapes from an
 //! `smrp-core` mirror. `MultiSession::run_failure_spec` and
 //! `run_failure_spec_traced` are one-expression shims over `run`, kept
@@ -84,7 +87,7 @@ pub use multi::{
     FailureSpec, GroupRecoveryReport, MemberChange, MultiRecoveryReport, MultiRouter, MultiSession,
     PlanSource,
 };
-pub use router::{ControlCounters, RecoveryPlan, Router, RouterConfig};
+pub use router::{ControlCounters, RecoveryPlan, Router, RouterConfig, HELLO_INTERVAL};
 pub use runner::{
     FailureTiming, InjectionTiming, ProtoSession, RecoveryPlans, RecoveryStrategy, TreeProtocol,
 };

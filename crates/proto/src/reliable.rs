@@ -13,10 +13,8 @@
 //!   has its own monotone lane;
 //! * **acks + retransmission** — every envelope is acked individually;
 //!   unacked envelopes are retransmitted with exponential backoff
-//!   ([`ReliableConfig::backoff`]) starting from an adaptive RTO
-//!   (≈4× the one-way link delay, floored at
-//!   [`ReliableConfig::rto_floor`]) up to [`ReliableConfig::max_retries`]
-//!   attempts;
+//!   (×1.5 per attempt) starting from an adaptive RTO (≈4× the one-way
+//!   link delay, floored at 15 ms) up to 8 retries;
 //! * **duplicate suppression + in-order release** — receivers ack every
 //!   copy but deliver each sequence number exactly once, in sequence
 //!   order, buffering gaps; re-applied control traffic therefore cannot
@@ -60,40 +58,24 @@ use smrp_sim::{SimTime, TimerToken};
 
 use crate::messages::ProtoMsg;
 
-/// Tunables of the reliable-delivery layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReliableConfig {
-    /// Minimum retransmission timeout. The effective RTO per neighbor is
-    /// `max(rto_floor, 4 × one-way link delay)` — Waxman links in this
-    /// workspace carry tens of milliseconds of propagation delay, so a
-    /// fixed RTO would retransmit spuriously on long links.
-    pub rto_floor: SimTime,
-    /// Multiplier applied to the RTO after each retransmission.
-    pub backoff: f64,
-    /// Retransmissions allowed before the sender gives up (the envelope is
-    /// sent `1 + max_retries` times in total).
-    pub max_retries: u32,
-}
+/// Minimum retransmission timeout. The effective RTO per neighbor is
+/// `max(RTO_FLOOR, 4 × one-way link delay)` — Waxman links in this
+/// workspace carry tens of milliseconds of propagation delay, so a fixed
+/// RTO would retransmit spuriously on long links.
+pub(crate) const RTO_FLOOR: SimTime = SimTime::from_ns(15_000_000);
+/// Multiplier applied to the RTO after each retransmission.
+const BACKOFF: f64 = 1.5;
+/// Retransmissions allowed before the sender gives up (the envelope is
+/// sent `1 + MAX_RETRIES` times in total). With the 15 ms floor and ×1.5
+/// backoff this survives 10% uniform loss with failure probability 1e-9
+/// per envelope, and gives up on a neighbor that never acks about 1.1 s
+/// after the first copy (the last copy goes out at ≈0.74 s).
+const MAX_RETRIES: u32 = 8;
 
-impl Default for ReliableConfig {
-    /// 15 ms floor, ×1.5 backoff, 8 retries: survives 10% uniform loss
-    /// with failure probability 1e-9 per envelope while giving up within
-    /// ~0.7 s of a genuinely dead neighbor.
-    fn default() -> Self {
-        ReliableConfig {
-            rto_floor: SimTime::from_ms(15.0),
-            backoff: 1.5,
-            max_retries: 8,
-        }
-    }
-}
-
-impl ReliableConfig {
-    /// Retransmission delay before attempt `attempts + 1`, given the
-    /// neighbor's base RTO.
-    pub(crate) fn delay_for_attempt(&self, base_rto: SimTime, attempts: u32) -> SimTime {
-        SimTime::from_ms(base_rto.as_ms() * self.backoff.powi(attempts as i32))
-    }
+/// Retransmission delay before attempt `attempts + 1`, given the
+/// neighbor's base RTO.
+fn delay_for_attempt(base_rto: SimTime, attempts: u32) -> SimTime {
+    SimTime::from_ms(base_rto.as_ms() * BACKOFF.powi(attempts as i32))
 }
 
 /// What the reliable layer has done so far on one router.
@@ -313,7 +295,6 @@ impl ReliableEndpoint {
         &mut self,
         to: NodeId,
         seq: u64,
-        config: &ReliableConfig,
         base_rto: SimTime,
     ) -> RetransmitAction {
         let Some(s) = self.slot(to) else {
@@ -323,7 +304,7 @@ impl ReliableEndpoint {
             return RetransmitAction::Done;
         };
         let entry = &mut self.pending[s][i];
-        if entry.attempts >= config.max_retries {
+        if entry.attempts >= MAX_RETRIES {
             self.pending[s].remove(i);
             self.counters.retry_exhaustions += 1;
             return RetransmitAction::Exhausted;
@@ -334,7 +315,7 @@ impl ReliableEndpoint {
         self.counters.retransmits += 1;
         RetransmitAction::Retry {
             msg,
-            delay: config.delay_for_attempt(base_rto, attempts),
+            delay: delay_for_attempt(base_rto, attempts),
         }
     }
 
@@ -406,42 +387,47 @@ mod tests {
         let seq = ep.register(n(1), ProtoMsg::LeaveReq);
         ep.on_ack(n(1), seq);
         assert_eq!(ep.counters().acks_received, 1);
-        let act = ep.on_retransmit_timer(
-            n(1),
-            seq,
-            &ReliableConfig::default(),
-            SimTime::from_ms(15.0),
-        );
+        let act = ep.on_retransmit_timer(n(1), seq, RTO_FLOOR);
         assert_eq!(act, RetransmitAction::Done);
     }
 
     #[test]
-    fn unacked_envelope_retries_with_backoff_then_exhausts() {
+    fn unacked_envelope_retries_on_the_protocol_schedule_then_exhausts() {
         let mut ep = ReliableEndpoint::default();
-        let cfg = ReliableConfig {
-            rto_floor: SimTime::from_ms(10.0),
-            backoff: 2.0,
-            max_retries: 2,
-        };
         let seq = ep.register(n(1), ProtoMsg::Refresh);
-        let rto = SimTime::from_ms(10.0);
-        match ep.on_retransmit_timer(n(1), seq, &cfg, rto) {
-            RetransmitAction::Retry { delay, .. } => assert_eq!(delay, SimTime::from_ms(20.0)),
-            other => panic!("expected retry, got {other:?}"),
-        }
-        match ep.on_retransmit_timer(n(1), seq, &cfg, rto) {
-            RetransmitAction::Retry { delay, .. } => assert_eq!(delay, SimTime::from_ms(40.0)),
-            other => panic!("expected retry, got {other:?}"),
+        // Eight retries, each ×1.5 the last, from the 15 ms floor.
+        let schedule = [
+            22.5,
+            33.75,
+            50.625,
+            75.9375,
+            113.90625,
+            170.859375,
+            256.2890625,
+            384.43359375,
+        ];
+        let mut fired_at = RTO_FLOOR;
+        for (attempt, ms) in schedule.into_iter().enumerate() {
+            match ep.on_retransmit_timer(n(1), seq, RTO_FLOOR) {
+                RetransmitAction::Retry { delay, .. } => {
+                    assert_eq!(delay, SimTime::from_ms(ms), "retry {}", attempt + 1);
+                    fired_at += delay;
+                }
+                other => panic!("expected retry {}, got {other:?}", attempt + 1),
+            }
         }
         assert_eq!(
-            ep.on_retransmit_timer(n(1), seq, &cfg, rto),
+            ep.on_retransmit_timer(n(1), seq, RTO_FLOOR),
             RetransmitAction::Exhausted
         );
-        assert_eq!(ep.counters().retransmits, 2);
+        // A neighbor that never acks is given up on about 1.1 s after the
+        // first copy went out.
+        assert_eq!(fired_at, SimTime::from_ns(1_123_300_782));
+        assert_eq!(ep.counters().retransmits, 8);
         assert_eq!(ep.counters().retry_exhaustions, 1);
         // The entry is gone; a late timer is a no-op.
         assert_eq!(
-            ep.on_retransmit_timer(n(1), seq, &cfg, rto),
+            ep.on_retransmit_timer(n(1), seq, RTO_FLOOR),
             RetransmitAction::Done
         );
     }
@@ -512,14 +498,12 @@ mod tests {
         let s2 = ep.register(n(2), ProtoMsg::Refresh);
         ep.abandon(n(1));
         assert_eq!(ep.counters().abandoned, 1);
-        let cfg = ReliableConfig::default();
-        let rto = SimTime::from_ms(15.0);
         assert_eq!(
-            ep.on_retransmit_timer(n(1), s1, &cfg, rto),
+            ep.on_retransmit_timer(n(1), s1, RTO_FLOOR),
             RetransmitAction::Done
         );
         assert!(matches!(
-            ep.on_retransmit_timer(n(2), s2, &cfg, rto),
+            ep.on_retransmit_timer(n(2), s2, RTO_FLOOR),
             RetransmitAction::Retry { .. }
         ));
         assert_eq!(ep.pending_keys(), vec![(n(2), s2)]);

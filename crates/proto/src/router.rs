@@ -16,46 +16,44 @@ use smrp_sim::{Ctx, Descriptor, SetupRoute, SimTime, TimerToken};
 
 use crate::messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
 use crate::multi::MultiRouter;
-use crate::reliable::{ReliabilityCounters, ReliableConfig, ReliableEndpoint, RetransmitAction};
+use crate::reliable::{ReliabilityCounters, ReliableEndpoint, RetransmitAction, RTO_FLOOR};
 
-/// Protocol timing parameters shared by every router in a session.
+/// Interval between heartbeats to tree neighbors.
+pub const HELLO_INTERVAL: SimTime = ms(10);
+/// Interval between soft-state refreshes sent upstream.
+const REFRESH_INTERVAL: SimTime = ms(50);
+/// Source-only: interval between multicast data packets.
+const DATA_INTERVAL: SimTime = ms(5);
+/// Member-side failure detection: a member that receives no data for this
+/// long executes its recovery plan even though its own upstream heartbeats
+/// are healthy (the failure sits further up the fragment). Comfortably
+/// exceeds heartbeat detection plus graft restoration, so healthy members
+/// do not graft spuriously.
+const STARVATION_LIMIT: SimTime = ms(400);
+
+const fn ms(ms: u64) -> SimTime {
+    SimTime::from_ns(ms * 1_000_000)
+}
+
+/// The two soft-state timers that depend on the channel: the hello miss
+/// limit and the downstream holdtime. Every other timer is a protocol
+/// constant (DESIGN.md, "Protocol timing").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterConfig {
-    /// Interval between heartbeats to tree neighbors.
-    pub hello_interval: SimTime,
     /// Consecutive missed hello intervals before the upstream is declared
     /// dead.
-    pub miss_limit: u32,
-    /// Interval between soft-state refreshes sent upstream.
-    pub refresh_interval: SimTime,
+    miss_limit: u32,
     /// Downstream state lifetime without a refresh.
-    pub holdtime: SimTime,
-    /// Source-only: interval between multicast data packets.
-    pub data_interval: SimTime,
-    /// Member-side failure detection: a member that receives no data for
-    /// this long executes its recovery plan even though its own upstream
-    /// heartbeats are healthy (the failure sits further up the fragment).
-    /// Must comfortably exceed the normal heartbeat-detection + graft
-    /// restoration time to avoid spurious grafts.
-    pub starvation_limit: SimTime,
-    /// Reliable-delivery tunables for tree-mutating messages (see
-    /// [`crate::reliable`]).
-    pub reliable: ReliableConfig,
+    holdtime: SimTime,
 }
 
 impl Default for RouterConfig {
-    /// Millisecond-scale defaults: 10 ms hellos with a 3-miss limit
-    /// (≈30 ms detection), 50 ms refreshes with a 175 ms holdtime, 5 ms
-    /// data cadence.
+    /// The lossless timing: a 3-miss limit (≈30 ms detection with 10 ms
+    /// hellos) and a 175 ms holdtime (3.5 refresh intervals).
     fn default() -> Self {
         RouterConfig {
-            hello_interval: SimTime::from_ms(10.0),
             miss_limit: 3,
-            refresh_interval: SimTime::from_ms(50.0),
-            holdtime: SimTime::from_ms(175.0),
-            data_interval: SimTime::from_ms(5.0),
-            starvation_limit: SimTime::from_ms(400.0),
-            reliable: ReliableConfig::default(),
+            holdtime: ms(175),
         }
     }
 }
@@ -86,6 +84,12 @@ impl RouterConfig {
         self.miss_limit = self.miss_limit.max(needed);
         self.holdtime = SimTime::from_ms(self.holdtime.as_ms() * (1.0 + 5.0 * loss));
         self
+    }
+
+    /// Heartbeat detection horizon in milliseconds: `miss_limit` hello
+    /// intervals of silence.
+    fn detection_ms(&self) -> f64 {
+        HELLO_INTERVAL.as_ms() * self.miss_limit as f64
     }
 }
 
@@ -563,7 +567,7 @@ impl Router {
     /// flight when the failure hit do not count). The source emits
     /// sequence `s` at `(s + 1) · data_interval`.
     pub fn restored_at(&self, fail_at: SimTime) -> Option<SimTime> {
-        let interval = self.config.data_interval.as_ms();
+        let interval = DATA_INTERVAL.as_ms();
         self.deliveries
             .iter()
             .find(|d| SimTime::from_ms(interval * (d.seq as f64 + 1.0)) > fail_at)
@@ -679,15 +683,11 @@ impl Router {
         self.ensure_periodic_timers(ctx);
         self.ensure_upstream_check(ctx);
         if self.is_member && !self.is_source && self.starvation_token.is_none() {
-            self.starvation_token = Some(self.set_timer(
-                ctx,
-                self.config.starvation_limit,
-                TimerKind::StarvationCheck,
-            ));
+            self.starvation_token =
+                Some(self.set_timer(ctx, STARVATION_LIMIT, TimerKind::StarvationCheck));
         }
         if self.is_source && self.data_token.is_none() {
-            self.data_token =
-                Some(self.set_timer(ctx, self.config.data_interval, TimerKind::DataTick));
+            self.data_token = Some(self.set_timer(ctx, DATA_INTERVAL, TimerKind::DataTick));
         }
         if self.protection && !self.plan_cache.is_empty() && self.plan_sweep_token.is_none() {
             self.plan_sweep_token =
@@ -699,10 +699,8 @@ impl Router {
         if self.hello_token.is_some() {
             return;
         }
-        self.hello_token =
-            Some(self.set_timer(ctx, self.config.hello_interval, TimerKind::HelloTick));
-        self.refresh_token =
-            Some(self.set_timer(ctx, self.config.refresh_interval, TimerKind::RefreshTick));
+        self.hello_token = Some(self.set_timer(ctx, HELLO_INTERVAL, TimerKind::HelloTick));
+        self.refresh_token = Some(self.set_timer(ctx, REFRESH_INTERVAL, TimerKind::RefreshTick));
         self.expiry_token = Some(self.set_timer(ctx, self.config.holdtime, TimerKind::ExpiryCheck));
     }
 
@@ -711,7 +709,7 @@ impl Router {
             return;
         }
         self.upstream_check_token =
-            Some(self.set_timer(ctx, self.config.hello_interval, TimerKind::UpstreamCheck));
+            Some(self.set_timer(ctx, HELLO_INTERVAL, TimerKind::UpstreamCheck));
     }
 
     /// Cancels every live timer chain and forgets the tokens. Used on
@@ -756,11 +754,11 @@ impl Router {
     }
 
     /// The retransmission timeout toward `to`: 4× the one-way link delay,
-    /// floored at the configured minimum, so slow Waxman links do not
+    /// floored at [`RTO_FLOOR`], so slow Waxman links do not
     /// retransmit spuriously while short links retry promptly.
     fn rto_for(&self, ctx: &Ctx<'_, MultiRouter>, to: NodeId) -> SimTime {
         let one_way = ctx.graph().delay_between(ctx.me(), to).unwrap_or(0.0);
-        SimTime::from_ms((4.0 * one_way).max(self.config.reliable.rto_floor.as_ms()))
+        SimTime::from_ms((4.0 * one_way).max(RTO_FLOOR.as_ms()))
     }
 
     /// Sends a tree-mutating message through the reliable layer: assigns a
@@ -943,10 +941,8 @@ impl Router {
         // the first data packets to travel back; twice the plan's own
         // path delay on top covers long detours, whose cascade + data
         // round trip is dominated by propagation, not by timer grain.
-        let confirm = SimTime::from_ms(
-            2.0 * self.config.hello_interval.as_ms() * self.config.miss_limit as f64
-                + 2.0 * plan.path_delay.as_ms(),
-        );
+        let confirm =
+            SimTime::from_ms(2.0 * self.config.detection_ms() + 2.0 * plan.path_delay.as_ms());
         self.set_timer(ctx, confirm, TimerKind::PlanConfirm);
     }
 
@@ -1174,9 +1170,7 @@ impl Router {
                     // paths into a cycle no soft-state refresh dissolves.
                     // A merge at the first live relay is always at least
                     // as good as the planned attach point.
-                    let horizon = SimTime::from_ms(
-                        self.config.hello_interval.as_ms() * self.config.miss_limit as f64,
-                    );
+                    let horizon = SimTime::from_ms(self.config.detection_ms());
                     let live = self.is_source
                         || (self.on_tree
                             && !self.recovering
@@ -1332,8 +1326,7 @@ impl Router {
                         self.send(ctx, d, ProtoMsg::Hello);
                     }
                 }
-                self.hello_token =
-                    Some(self.set_timer(ctx, self.config.hello_interval, TimerKind::HelloTick));
+                self.hello_token = Some(self.set_timer(ctx, HELLO_INTERVAL, TimerKind::HelloTick));
             }
             TimerKind::UpstreamCheck => {
                 if let Some(up) = self.upstream.filter(|_| self.on_tree && !self.recovering) {
@@ -1352,10 +1345,7 @@ impl Router {
                     } else {
                         ctx.graph().delay_between(ctx.me(), up).unwrap_or(0.0)
                     };
-                    let deadline = SimTime::from_ms(
-                        self.config.hello_interval.as_ms() * self.config.miss_limit as f64
-                            + cold_start,
-                    );
+                    let deadline = SimTime::from_ms(self.config.detection_ms() + cold_start);
                     // An upstream that has never helloed us is still
                     // mid-handshake: it only starts heartbeating once the
                     // graft's `Setup` reaches it and is applied, and a few
@@ -1375,11 +1365,8 @@ impl Router {
                     }
                 }
                 if self.upstream.is_some() {
-                    self.upstream_check_token = Some(self.set_timer(
-                        ctx,
-                        self.config.hello_interval,
-                        TimerKind::UpstreamCheck,
-                    ));
+                    self.upstream_check_token =
+                        Some(self.set_timer(ctx, HELLO_INTERVAL, TimerKind::UpstreamCheck));
                 } else {
                     self.upstream_check_token = None;
                 }
@@ -1401,7 +1388,7 @@ impl Router {
                     }
                 }
                 self.refresh_token =
-                    Some(self.set_timer(ctx, self.config.refresh_interval, TimerKind::RefreshTick));
+                    Some(self.set_timer(ctx, REFRESH_INTERVAL, TimerKind::RefreshTick));
             }
             TimerKind::ExpiryCheck => {
                 let now = ctx.now();
@@ -1453,8 +1440,7 @@ impl Router {
                         self.send(ctx, d, ProtoMsg::Data { seq });
                         self.forwarded += 1;
                     }
-                    self.data_token =
-                        Some(self.set_timer(ctx, self.config.data_interval, TimerKind::DataTick));
+                    self.data_token = Some(self.set_timer(ctx, DATA_INTERVAL, TimerKind::DataTick));
                 } else {
                     self.data_token = None;
                 }
@@ -1477,7 +1463,7 @@ impl Router {
                     && !self.recovering
                     && !graft_in_flight
                     && self.has_viable_plan()
-                    && ctx.now() - self.last_data_heard > self.config.starvation_limit
+                    && ctx.now() - self.last_data_heard > STARVATION_LIMIT
                 {
                     // The stream died but this node's own upstream is alive:
                     // the failure sits higher in a fragment whose root could
@@ -1493,11 +1479,7 @@ impl Router {
                     self.detect_upstream_failure(ctx);
                 }
                 self.starvation_token = if self.is_member {
-                    Some(self.set_timer(
-                        ctx,
-                        self.config.starvation_limit,
-                        TimerKind::StarvationCheck,
-                    ))
+                    Some(self.set_timer(ctx, STARVATION_LIMIT, TimerKind::StarvationCheck))
                 } else {
                     None
                 };
@@ -1546,10 +1528,7 @@ impl Router {
             }
             TimerKind::Retransmit { to, seq } => {
                 let rto = self.rto_for(ctx, to);
-                match self
-                    .reliable
-                    .on_retransmit_timer(to, seq, &self.config.reliable, rto)
-                {
+                match self.reliable.on_retransmit_timer(to, seq, rto) {
                     RetransmitAction::Retry { msg, delay } => {
                         // Recompute the base per copy: it is how news of
                         // abandoned lower sequence numbers reaches the
@@ -1624,15 +1603,11 @@ mod tests {
     /// The one group these tests run.
     const G: GroupId = GroupId::new(0);
 
-    fn config() -> RouterConfig {
-        RouterConfig::default()
-    }
-
     /// `n` router processes, each holding an idle lane for [`G`].
     fn processes(n: usize) -> Vec<MultiRouter> {
         (0..n)
             .map(|_| {
-                let mut p = MultiRouter::new(config());
+                let mut p = MultiRouter::new(RouterConfig::default());
                 p.lane_mut(G);
                 p
             })
@@ -1863,7 +1838,7 @@ mod tests {
     }
 
     /// A 2-node graph whose single link is slower than the hello miss
-    /// window (default config: 3 × 10 ms), so a grafted upstream cannot
+    /// window (lossless timing: 3 × 10 ms), so a grafted upstream cannot
     /// possibly heartbeat the grafting node before the window elapses.
     fn slow_pair() -> (Graph, Vec<NodeId>) {
         let mut g = Graph::with_nodes(2);
@@ -2091,5 +2066,55 @@ mod tests {
             lane(&sim, m).is_recovering(),
             "exhaustion must end the handshake grace and surface the failure"
         );
+    }
+
+    /// `MultiSession::preload` hardens the timers for uniform loss on the
+    /// channel's default lane only; a gray link alone leaves them as on a
+    /// perfect channel.
+    #[test]
+    fn preload_hardens_only_for_uniform_loss() {
+        use crate::multi::{FailureSpec, MultiSession};
+        use crate::runner::{ProtoSession, RecoveryStrategy, TreeProtocol};
+        use smrp_core::paper;
+        use smrp_net::FailureScenario;
+        use smrp_sim::{ChannelParams, ChannelSpec, LinkDegrade};
+
+        let (graph, nodes) = paper::figure1_graph();
+        let session =
+            ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
+        let multi = MultiSession::from_sessions(vec![session]);
+        let scenario = FailureScenario::none();
+        let timing = |channel: ChannelSpec| {
+            let spec = FailureSpec {
+                channel,
+                ..FailureSpec::persistent(
+                    &scenario,
+                    RecoveryStrategy::LocalDetour,
+                    SimTime::ZERO,
+                    SimTime::ZERO,
+                )
+            };
+            let mut configs: Vec<(u32, SimTime)> = multi
+                .preload(&spec)
+                .iter()
+                .filter_map(|p| p.lane(G))
+                .map(|lane| (lane.config.miss_limit, lane.config.holdtime))
+                .collect();
+            configs.dedup();
+            assert_eq!(configs.len(), 1, "every lane runs one timing");
+            configs[0]
+        };
+        let ms = SimTime::from_ms;
+        assert_eq!(timing(ChannelSpec::perfect()), (3, ms(175.0)));
+        let gray = ChannelSpec {
+            overrides: vec![LinkDegrade {
+                link: graph.link_between(nodes.a, nodes.d).unwrap(),
+                params: ChannelParams::lossy(0.5),
+            }],
+            ..ChannelSpec::perfect()
+        };
+        assert_eq!(timing(gray), (3, ms(175.0)));
+        assert_eq!(timing(ChannelSpec::uniform_loss(0.05, 1)), (7, ms(218.75)));
+        assert_eq!(timing(ChannelSpec::uniform_loss(0.10, 1)), (9, ms(262.5)));
     }
 }

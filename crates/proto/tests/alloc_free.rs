@@ -13,7 +13,7 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use smrp_net::{Graph, GroupId, NodeId};
-use smrp_proto::{GroupTimer, MultiRouter, RouterConfig, TimerKind};
+use smrp_proto::{GroupTimer, MultiRouter, RouterConfig, TimerKind, HELLO_INTERVAL};
 use smrp_sim::{NetSim, NodeBehavior, SimTime, TraceLog};
 
 const GROUPS: usize = 8;
@@ -27,8 +27,10 @@ fn relay_hello_ticks_allocate_nothing() {
         graph.add_link(hub, n, 1.0 + i as f64).unwrap();
     }
 
-    let config = RouterConfig::default();
-    let mut procs: Vec<MultiRouter> = ids.iter().map(|_| MultiRouter::new(config)).collect();
+    let mut procs: Vec<MultiRouter> = ids
+        .iter()
+        .map(|_| MultiRouter::new(RouterConfig::default()))
+        .collect();
     for g in 0..GROUPS {
         procs[hub.index()]
             .lane_mut(GroupId::new(g))
@@ -48,7 +50,7 @@ fn relay_hello_ticks_allocate_nothing() {
         }
     });
 
-    let period = config.hello_interval.as_ms();
+    let period = HELLO_INTERVAL.as_ms();
     sim.run_until(SimTime::from_ms(400.0 * period));
     let delivered_before = sim.delivered_count();
     let before = allocations();

@@ -15,7 +15,9 @@
 use std::cell::Cell;
 
 use smrp_net::{FailureScenario, Graph, GroupId, NodeId};
-use smrp_proto::{GroupMsg, GroupTimer, MultiRouter, ProtoMsg, RouterConfig, TimerKind};
+use smrp_proto::{
+    GroupMsg, GroupTimer, MultiRouter, ProtoMsg, RouterConfig, TimerKind, HELLO_INTERVAL,
+};
 use smrp_sim::{Ctx, NodeBehavior, NodeCommand, SimTime, TimerToken};
 
 type Command = NodeCommand<GroupMsg, GroupTimer>;
@@ -55,10 +57,9 @@ fn timer(cmd: &Command) -> (GroupId, TimerKind, TimerToken) {
 #[test]
 fn lane_output_carries_its_group_in_issue_order_with_node_tokens() {
     let (graph, [up, me, _]) = line();
-    let config = RouterConfig::default();
     let g5 = GroupId::new(5);
     let g1 = GroupId::new(1);
-    let mut process = MultiRouter::new(config);
+    let mut process = MultiRouter::new(RouterConfig::default());
     // The node's counter is already past some other handler's timers.
     let counter = Cell::new(7);
 
@@ -124,7 +125,7 @@ fn lane_output_carries_its_group_in_issue_order_with_node_tokens() {
         (g1, TimerKind::HelloTick, TimerToken::from_raw(12))
     );
     match &ticked[1] {
-        NodeCommand::Timer { delay, .. } => assert_eq!(*delay, config.hello_interval),
+        NodeCommand::Timer { delay, .. } => assert_eq!(*delay, HELLO_INTERVAL),
         _ => unreachable!(),
     }
 }

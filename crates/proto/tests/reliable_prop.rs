@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use smrp_net::{Graph, GroupId, NodeId};
-use smrp_proto::{GroupMsg, MultiRouter, ProtoMsg, RouterConfig};
+use smrp_proto::{GroupMsg, MultiRouter, ProtoMsg, RouterConfig, HELLO_INTERVAL};
 use smrp_sim::{NetSim, NodeBehavior, SimTime};
 
 /// The one group the script runs in.
@@ -32,19 +32,14 @@ fn line3() -> Graph {
     g
 }
 
-/// Timers stretched far past the test horizon: the property is about
-/// message handling, so soft-state expiry, heartbeat checks and refresh
-/// ticks must not fire mid-experiment and entangle timing with structure.
-fn quiet_config() -> RouterConfig {
-    RouterConfig {
-        hello_interval: SimTime::from_ms(1_000.0),
-        refresh_interval: SimTime::from_ms(2_000.0),
-        holdtime: SimTime::from_ms(10_000.0),
-        data_interval: SimTime::from_ms(1_000.0),
-        starvation_limit: SimTime::from_ms(50_000.0),
-        ..RouterConfig::default()
-    }
-}
+/// Spacing between scripted arrivals. The longest script (6 messages
+/// plus 6 duplicates) lands within 3 ms, its `B → C` cascade and acks
+/// within 4 more link delays, and the run stops at the first hello
+/// interval — before any timer armed by the first arrival can fire. The
+/// property is about message handling, so soft-state expiry, heartbeat
+/// checks, refresh ticks and retransmissions must not entangle timing
+/// with structure.
+const ARRIVAL_STEP_MS: f64 = 0.25;
 
 fn script_msg(choice: u8) -> ProtoMsg {
     match choice % 3 {
@@ -65,7 +60,7 @@ fn run_delivery(script: &[ProtoMsg], arrivals: &[usize]) -> Vec<Digest> {
     let (a, b) = (NodeId::new(0), NodeId::new(1));
     let routers: Vec<MultiRouter> = (0..3)
         .map(|_| {
-            let mut p = MultiRouter::new(quiet_config());
+            let mut p = MultiRouter::new(RouterConfig::default());
             p.lane_mut(G);
             p
         })
@@ -73,7 +68,7 @@ fn run_delivery(script: &[ProtoMsg], arrivals: &[usize]) -> Vec<Digest> {
     let mut sim = NetSim::new(&graph, routers);
 
     for (k, &i) in arrivals.iter().enumerate() {
-        sim.run_until(SimTime::from_ms(10.0 * (k as f64 + 1.0)));
+        sim.run_until(SimTime::from_ms(ARRIVAL_STEP_MS * (k as f64 + 1.0)));
         let envelope = GroupMsg {
             group: G,
             inner: ProtoMsg::Reliable {
@@ -84,9 +79,9 @@ fn run_delivery(script: &[ProtoMsg], arrivals: &[usize]) -> Vec<Digest> {
         };
         sim.with_node(b, |p, ctx| p.on_message(ctx, a, envelope));
     }
-    // Long enough for the B → C cascade (reliable hops + acks) to finish,
-    // short enough that no periodic timer of `quiet_config` has fired.
-    sim.run_until(SimTime::from_ms(10.0 * arrivals.len() as f64 + 500.0));
+    // Every timer was armed at or after the first arrival, so none is due
+    // yet; the B → C cascade (reliable hops + acks) has long finished.
+    sim.run_until(HELLO_INTERVAL);
 
     (0..3)
         .map(|i| {
@@ -94,6 +89,12 @@ fn run_delivery(script: &[ProtoMsg], arrivals: &[usize]) -> Vec<Digest> {
                 .node(NodeId::new(i))
                 .lane(G)
                 .expect("every node has a lane");
+            let (sent, reliability) = (r.control_sent(), r.reliability());
+            assert_eq!(
+                (sent.hellos, sent.refreshes, reliability.retransmits),
+                (0, 0, 0),
+                "a periodic or retransmission timer fired before the script settled"
+            );
             (
                 r.is_on_tree(),
                 r.is_member(),

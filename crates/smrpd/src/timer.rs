@@ -8,18 +8,11 @@
 //! parks its timers on the engine's own [`TimerWheel`]:
 //!
 //! * [`schedule`](TimerDriver::schedule) files a `(deadline, payload)`
-//!   entry under a caller-supplied token (the one the router saw from
-//!   its [`smrp_sim::Ctx`]) and remembers the token's wheel handle;
+//!   entry under a caller-supplied token (the fresh one the router drew
+//!   from its [`smrp_sim::Ctx`]) and remembers the token's wheel handle;
 //! * [`cancel`](TimerDriver::cancel) cancels that handle, O(1);
 //! * timers pop in `(deadline, arm order)` order, the engine's
 //!   `(time, seq)` order.
-//!
-//! Re-arming a token that is still pending cancels its old entry, so
-//! only the latest deadline fires. The engine does not do this — it
-//! overwrites the token's handle and both entries fire — but the two
-//! never disagree in practice: routers arm every timer under a fresh
-//! token, and the multi-group router forwards its lanes' tokens
-//! unchanged.
 
 use std::collections::HashMap;
 
@@ -52,12 +45,14 @@ impl<T> TimerDriver<T> {
         }
     }
 
-    /// Arms (or re-arms) `token` to deliver `payload` at `deadline`.
+    /// Arms `token` to deliver `payload` at `deadline`. The token must not
+    /// be pending, the engine's rule: every token a router arms is fresh
+    /// from its context's counter.
     pub fn schedule(&mut self, deadline: SimTime, token: TimerToken, payload: T) {
-        self.cancel(token);
         let handle = self.wheel.schedule(deadline, self.seq, (token, payload));
         self.seq += 1;
-        self.handles.insert(token, handle);
+        let pending = self.handles.insert(token, handle);
+        debug_assert!(pending.is_none(), "{token:?} armed while still pending");
     }
 
     /// Silences `token` if it is armed; unknown tokens are a no-op,
@@ -130,16 +125,14 @@ mod tests {
     }
 
     #[test]
-    fn rearming_a_token_supersedes_the_old_entry() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "armed while still pending")]
+    fn arming_a_pending_token_is_a_bug() {
         let mut c = 0;
         let mut d = TimerDriver::new();
         let t = tok(&mut c);
         d.schedule(SimTime::from_ms(5.0), t, 1u32);
         d.schedule(SimTime::from_ms(50.0), t, 2u32);
-        assert_eq!(d.wheel.len(), 1);
-        // The old 5 ms deadline is dead; nothing fires before 50 ms.
-        assert_eq!(d.pop_due(SimTime::from_ms(40.0)), None);
-        assert_eq!(d.pop_due(SimTime::from_ms(50.0)), Some((t, 2u32)));
     }
 
     /// The daemon's loop peeks the next deadline to size its sleep, and a
