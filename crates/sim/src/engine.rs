@@ -8,7 +8,7 @@
 //! themselves.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use smrp_net::{FailureScenario, Graph, Injection, LinkId, NodeId};
@@ -17,7 +17,7 @@ use crate::channel::{ChannelModel, ChannelStats, Transmit};
 use crate::event::EventQueue;
 use crate::time::SimTime;
 use crate::trace::{Descriptor, DropReason, TraceEvent, TraceLog};
-use crate::wheel::{TimerHandle, TimerWheel};
+use crate::wheel::TimerWheel;
 
 /// An engine-issued identity for one armed timer.
 ///
@@ -40,7 +40,7 @@ impl TimerToken {
     }
 }
 
-/// Hasher for the token → wheel-handle map. Tokens are a private dense
+/// Hasher for the cancelled-token set. Tokens are a private dense
 /// counter, never outside input, so one multiply spreads them as well as
 /// SipHash at a fraction of the cost.
 #[derive(Default)]
@@ -64,20 +64,20 @@ impl Hasher for TokenHasher {
 /// deliveries, timers, scheduled failures and repairs.
 ///
 /// The default [`TimerBackend::Wheel`] parks every event in one
-/// hierarchical [`TimerWheel`] with O(1) schedule/cancel and no sifting of
-/// fat entries. [`TimerBackend::ReferenceHeap`] keeps every event in one
-/// binary-heap [`EventQueue`] (the pre-wheel engine layout) and realizes
-/// timer cancellation by filtering tokens at fire time; it exists so
+/// hierarchical [`TimerWheel`] with O(1) schedule and no sifting of fat
+/// entries. [`TimerBackend::ReferenceHeap`] keeps every event in one
+/// binary-heap [`EventQueue`] (the pre-wheel engine layout); it exists so
 /// differential tests can assert that both engines pop the same
-/// `(time, seq)` order and produce byte-identical traces.
+/// `(time, seq)` order and produce byte-identical traces. Both cancel a
+/// timer the same way: the token is remembered, and the timer is skipped
+/// when it pops at its due instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimerBackend {
     /// Hierarchical event wheel (the production path).
     #[default]
     Wheel,
-    /// Everything rides the binary-heap event queue; timer cancellations
-    /// are filtered at fire time. Reference semantics for differential
-    /// tests.
+    /// Everything rides the binary-heap event queue. Reference semantics
+    /// for differential tests.
     ReferenceHeap,
 }
 
@@ -365,14 +365,15 @@ pub struct NetSim<'g, N: NodeBehavior> {
     hop_rows: Vec<usize>,
     /// Timer-token allocator, shared with every [`Ctx`] handed out.
     next_token: Cell<u64>,
-    /// Wheel backend: token → wheel handle, for cancellation. Entries are
-    /// removed when the timer fires or is cancelled.
-    timer_handles: HashMap<u64, TimerHandle, BuildHasherDefault<TokenHasher>>,
-    /// Reference backend: tokens cancelled before firing; the heap entry
-    /// is filtered when it surfaces.
-    cancelled_tokens: HashSet<u64>,
+    /// Cancelled tokens; a timer pops at its due instant and is skipped if
+    /// its token is here. A cancel of a timer already fired or discarded
+    /// stays until the simulation ends.
+    cancelled_tokens: HashSet<u64, BuildHasherDefault<TokenHasher>>,
     now: SimTime,
-    failures: FailureScenario,
+    /// The failure mask, by node and by link index. A link whose endpoint
+    /// is down carries nothing, whatever its own flag says.
+    node_down: Vec<bool>,
+    link_down: Vec<bool>,
     trace: TraceLog<'g>,
     channel: Option<ChannelModel>,
     delivered: u64,
@@ -417,10 +418,10 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             hops,
             hop_rows,
             next_token: Cell::new(0),
-            timer_handles: HashMap::default(),
-            cancelled_tokens: HashSet::new(),
+            cancelled_tokens: HashSet::default(),
             now: SimTime::ZERO,
-            failures: FailureScenario::none(),
+            node_down: vec![false; graph.node_count()],
+            link_down: vec![false; graph.link_count()],
             trace: TraceLog::new(4096),
             channel: None,
             delivered: 0,
@@ -447,17 +448,15 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     }
 
     /// Parks `event` at `at` in the backend's structure under the next
-    /// global sequence number. Returns the wheel's handle, which only a
-    /// cancellable event (a timer) keeps.
-    fn schedule(&mut self, at: SimTime, event: SimEvent<N::Msg, N::Timer>) -> Option<TimerHandle> {
+    /// global sequence number.
+    fn schedule(&mut self, at: SimTime, event: SimEvent<N::Msg, N::Timer>) {
         let seq = self.seq;
         self.seq += 1;
         match self.backend {
-            TimerBackend::Wheel => Some(self.wheel.schedule(at, seq, event)),
-            TimerBackend::ReferenceHeap => {
-                self.queue.schedule_keyed(at, seq, event);
-                None
+            TimerBackend::Wheel => {
+                self.wheel.schedule(at, seq, event);
             }
+            TimerBackend::ReferenceHeap => self.queue.schedule_keyed(at, seq, event),
         }
     }
 
@@ -528,7 +527,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
 
     /// Fails a node immediately.
     pub fn fail_node_now(&mut self, node: NodeId) {
-        self.failures.fail_node(node);
+        self.node_down[node.index()] = true;
     }
 
     /// Schedules one scripted change to the failure mask at absolute time
@@ -577,7 +576,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         for c in commands.drain(..) {
             match c {
                 NodeCommand::Send { to, msg } => {
-                    if !self.failures.node_usable(from) {
+                    if self.node_down[from.index()] {
                         self.drop_msg(self.now, from, to, DropReason::SenderDown);
                         continue;
                     }
@@ -623,20 +622,11 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                         timer,
                         token,
                     };
-                    if let Some(handle) = self.schedule(self.now + delay, event) {
-                        self.timer_handles.insert(token.0, handle);
-                    }
+                    self.schedule(self.now + delay, event);
                 }
-                NodeCommand::CancelTimer { token } => match self.backend {
-                    TimerBackend::Wheel => {
-                        if let Some(handle) = self.timer_handles.remove(&token.0) {
-                            self.wheel.cancel(handle);
-                        }
-                    }
-                    TimerBackend::ReferenceHeap => {
-                        self.cancelled_tokens.insert(token.0);
-                    }
-                },
+                NodeCommand::CancelTimer { token } => {
+                    self.cancelled_tokens.insert(token.0);
+                }
             }
         }
     }
@@ -681,7 +671,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     /// Fires a timer on `node`, unless the node is down (dead nodes do
     /// not tick).
     fn fire_timer(&mut self, time: SimTime, node: NodeId, timer: N::Timer) {
-        if !self.failures.node_usable(node) {
+        if self.node_down[node.index()] {
             return;
         }
         if self.trace.is_enabled() {
@@ -714,12 +704,11 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                 link,
                 msg,
             } => {
-                if !self.failures.link_usable(self.graph, link) {
+                if self.link_down[link.index()]
+                    || self.node_down[from.index()]
+                    || self.node_down[to.index()]
+                {
                     self.drop_msg(time, from, to, DropReason::LinkDown);
-                    return true;
-                }
-                if !self.failures.node_usable(to) {
-                    self.drop_msg(time, from, to, DropReason::NodeDown);
                     return true;
                 }
                 self.delivered += 1;
@@ -734,25 +723,19 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                 self.with_node(to, |n, ctx| n.on_message(ctx, from, msg));
             }
             SimEvent::Timer { node, timer, token } => {
-                // The wheel never surfaces a cancelled timer; the heap
-                // cannot remove one, so its token is filtered here.
-                let cancelled = match self.backend {
-                    TimerBackend::Wheel => {
-                        self.timer_handles.remove(&token.0);
-                        false
-                    }
-                    TimerBackend::ReferenceHeap => self.cancelled_tokens.remove(&token.0),
-                };
-                if !cancelled {
+                if self.cancelled_tokens.is_empty() || !self.cancelled_tokens.remove(&token.0) {
                     self.fire_timer(time, node, timer);
                 }
             }
-            SimEvent::Inject(injection) => {
-                self.failures.apply(injection);
-                if let Injection::RepairNode(node) = injection {
+            SimEvent::Inject(injection) => match injection {
+                Injection::FailLink(link) => self.link_down[link.index()] = true,
+                Injection::RepairLink(link) => self.link_down[link.index()] = false,
+                Injection::FailNode(node) => self.node_down[node.index()] = true,
+                Injection::RepairNode(node) => {
+                    self.node_down[node.index()] = false;
                     self.with_node(node, |n, ctx| n.on_reboot(ctx));
                 }
-            }
+            },
         }
         true
     }
@@ -770,7 +753,8 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     }
 
     /// Runs until the queue drains or `max_events` were processed; returns
-    /// the number processed.
+    /// the number processed. A cancelled timer still pops at its due
+    /// instant: it counts as processed, and the clock may stop there.
     pub fn run_to_completion(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while n < max_events && self.step() {
@@ -981,7 +965,7 @@ mod tests {
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         sim.run_until(SimTime::from_ms(20.0));
         assert_eq!(sim.node(ids[1]).received, 1);
-        assert!(sim.failures.failed_nodes().any(|n| n == ids[1]));
+        assert!(sim.node_down[ids[1].index()]);
     }
 
     #[test]
@@ -1029,6 +1013,44 @@ mod tests {
             });
             sim.run_to_completion(10);
             assert_eq!(sim.node(ids[0]).received, 200, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn stale_cancel_after_a_reboot_is_a_noop() {
+        for backend in [TimerBackend::Wheel, TimerBackend::ReferenceHeap] {
+            let (g, ids) = line_graph();
+            let mut sim = NetSim::new(&g, fresh(&g));
+            sim.set_timer_backend(backend);
+            let mut token = None;
+            sim.with_node(ids[1], |_, ctx| {
+                token = Some(ctx.set_timer(SimTime::from_ms(5.0), 3));
+            });
+            // The timer comes due while its node is down and is discarded.
+            sim.schedule_injection(SimTime::from_ms(1.0), Injection::FailNode(ids[1]));
+            sim.schedule_injection(SimTime::from_ms(8.0), Injection::RepairNode(ids[1]));
+            sim.run_until(SimTime::from_ms(8.0));
+            // The rebooted node cancels the dead timer and arms new ones.
+            sim.with_node(ids[1], |_, ctx| {
+                ctx.cancel_timer(token.unwrap());
+                ctx.set_timer(SimTime::from_ms(1.0), 3);
+                ctx.set_timer(SimTime::from_ms(2.0), 3);
+            });
+            sim.run_to_completion(10);
+            assert_eq!(sim.node(ids[1]).received, 200, "{backend:?}");
+            let fired: Vec<SimTime> = sim
+                .trace()
+                .entries()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::TimerFired { time, .. } => Some(*time),
+                    _ => None,
+                })
+                .collect();
+            let ms = SimTime::from_ms;
+            assert_eq!(fired, [ms(9.0), ms(10.0)], "{backend:?}");
+            // The stale token stays in the set: its timer will never pop.
+            assert_eq!(sim.cancelled_tokens.len(), 1, "{backend:?}");
         }
     }
 
@@ -1206,7 +1228,7 @@ mod tests {
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         sim.run_until(SimTime::from_ms(10.0));
         assert_eq!(sim.node(ids[1]).received, 1);
-        assert!(sim.failures.is_empty());
+        assert!(!sim.node_down.contains(&true) && !sim.link_down.contains(&true));
     }
 
     #[test]

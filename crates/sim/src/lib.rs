@@ -11,18 +11,19 @@
 //! * integer-nanosecond virtual time ([`SimTime`]) and one deterministic
 //!   event structure ordered by `(time, insertion sequence)`: every event
 //!   — delivery, timer, scheduled failure or repair — rides a
-//!   hierarchical [`TimerWheel`] with O(1) schedule and cancel
-//!   ([`TimerToken`]); a binary-heap [`EventQueue`] carries the same
-//!   events under [`TimerBackend::ReferenceHeap`] as the reference the
-//!   differential tests compare against;
+//!   hierarchical [`TimerWheel`] with O(1) schedule, and a cancelled
+//!   [`TimerToken`] is skipped when its timer pops; a binary-heap
+//!   [`EventQueue`] carries the same events under
+//!   [`TimerBackend::ReferenceHeap`] as the reference the differential
+//!   tests compare against;
 //! * hop-by-hop message delivery over the links of a
 //!   [`smrp_net::Graph`], honoring per-link propagation delay;
 //! * node-local timers;
 //! * failures and repairs as timed [`smrp_net::Injection`]s
-//!   ([`NetSim::schedule_injection`]) applied to one
-//!   [`smrp_net::FailureScenario`] mask: messages crossing a failed link
-//!   or addressed to a failed node are dropped, failed nodes neither
-//!   process nor send, and a repaired node reboots;
+//!   ([`NetSim::schedule_injection`]) applied to per-node and per-link
+//!   down flags under [`smrp_net::FailureScenario`]'s rules: messages
+//!   crossing a failed link or addressed to a failed node are dropped,
+//!   failed nodes neither process nor send, and a repaired node reboots;
 //! * an optional degraded channel ([`ChannelModel`]) adding seeded
 //!   per-link loss, duplication, reordering and latency jitter;
 //! * a typed event stream of everything that happened ([`TraceEvent`]

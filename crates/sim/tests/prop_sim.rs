@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use smrp_net::{Graph, Injection, NodeId};
+use smrp_net::{FailureScenario, Graph, Injection, LinkId, NodeId};
 use smrp_sim::{
     Ctx, Descriptor, EventQueue, NetSim, NodeBehavior, SimTime, TimerBackend, TimerToken,
     TimerWheel, TraceEvent, TraceLog,
@@ -289,6 +289,115 @@ proptest! {
             prop_assert_eq!(w, r);
         }
         prop_assert_eq!((wheel.2, wheel.3), (reference.2, reference.3));
+    }
+
+    /// The engine's failure flags say what a [`FailureScenario`] says.
+    /// Links and nodes fail and heal on a script that overlaps them (a
+    /// node and one of its own links down together, healed in either
+    /// order, one failure repeated, and random extra injections); every
+    /// traced event is checked against the script replayed up to its
+    /// instant.
+    #[test]
+    fn failure_masks_agree_with_the_scenario(
+        n in 4usize..10,
+        stride in 2usize..4,
+        seed in 0u64..u64::MAX,
+        kicks in proptest::collection::vec((0usize..10, 0u32..5), 1..6),
+        targets in (0usize..10, 0usize..8, 0usize..64),
+        times in proptest::collection::vec(1u32..60, 6..7),
+        node_healed_first in 0u8..2,
+        extra in proptest::collection::vec((0u8..4, 0usize..64, 1u32..60), 0..8),
+    ) {
+        let g = ring_with_chords(n, stride);
+        let ms = |t: u32| SimTime::from_ms(f64::from(t) * 0.7);
+        let (victim, own, flap) = targets;
+        let victim = NodeId::new(victim % n);
+        let adjacency = g.adjacency(victim);
+        let own = adjacency[own % adjacency.len()].1;
+        let flap = LinkId::new(flap % g.link_count());
+        let (node_heal, link_heal) = if node_healed_first == 1 { (4, 5) } else { (5, 4) };
+        let mut script = vec![
+            (ms(times[0]), Injection::FailLink(flap)),
+            (ms(times[0] + times[1] / 2), Injection::FailLink(flap)),
+            (ms(times[0] + times[1]), Injection::RepairLink(flap)),
+            (ms(times[2]), Injection::FailNode(victim)),
+            (ms(times[2] + times[3] / 2), Injection::FailLink(own)),
+            (ms(times[2] + times[3] + times[node_heal]), Injection::RepairNode(victim)),
+            (ms(times[2] + times[3] + times[link_heal]), Injection::RepairLink(own)),
+        ];
+        script.extend(extra.iter().map(|&(kind, target, t)| {
+            let (link, node) = (LinkId::new(target % g.link_count()), NodeId::new(target % n));
+            let injection = match kind {
+                0 => Injection::FailLink(link),
+                1 => Injection::RepairLink(link),
+                2 => Injection::FailNode(node),
+                _ => Injection::RepairNode(node),
+            };
+            (ms(t), injection)
+        }));
+        // Injections at one instant apply in the order they were
+        // scheduled, and before any traffic at that instant.
+        let mut replay = script.clone();
+        replay.sort_by_key(|&(at, _)| at);
+
+        let mut scenario = FailureScenario::none();
+        let mut applied = 0;
+        let mut violations = Vec::new();
+        let mut seen = 0u64;
+        {
+            let nodes = (0..n as u64)
+                .map(|i| Chatter { rng: seed ^ i, budget: 80, pending: None })
+                .collect();
+            let mut sim = NetSim::new(&g, nodes);
+            sim.set_trace(TraceLog::observer(|ev| {
+                let time = match *ev {
+                    TraceEvent::Sent { time, .. }
+                    | TraceEvent::Delivered { time, .. }
+                    | TraceEvent::Dropped { time, .. }
+                    | TraceEvent::TimerFired { time, .. } => time,
+                };
+                while applied < replay.len() && replay[applied].0 <= time {
+                    scenario.apply(replay[applied].1);
+                    applied += 1;
+                }
+                let link_up = |from, to| {
+                    let link = g.link_between(from, to).expect("sends go to neighbors");
+                    scenario.link_usable(&g, link)
+                };
+                seen += 1;
+                let agrees = match *ev {
+                    TraceEvent::Sent { from, .. } => scenario.node_usable(from),
+                    TraceEvent::Delivered { from, to, .. } => link_up(from, to),
+                    // `DropReason` is not exported; its text names it.
+                    TraceEvent::Dropped { from, to, reason, .. } => {
+                        match reason.to_string().as_str() {
+                            "link down" => !link_up(from, to),
+                            "sender down" => !scenario.node_usable(from),
+                            "receiver down" => false,
+                            _ => true,
+                        }
+                    }
+                    TraceEvent::TimerFired { node, .. } => scenario.node_usable(node),
+                };
+                if !agrees {
+                    violations.push(format!("{ev:?} under {scenario}"));
+                }
+            }));
+            for &(at, injection) in &script {
+                sim.schedule_injection(at, injection);
+            }
+            for &(who, tag) in &kicks {
+                sim.with_node(NodeId::new(who % n), |node, ctx| node.act(ctx, tag));
+            }
+            // Kick again mid-script, when some senders may be down.
+            sim.run_until(ms(times[2] + times[3] / 2));
+            for &(who, tag) in &kicks {
+                sim.with_node(NodeId::new(who % n), |node, ctx| node.act(ctx, tag));
+            }
+            sim.run_until(SimTime::from_ms(500.0));
+        }
+        prop_assert!(seen > kicks.len() as u64, "nothing ran");
+        prop_assert!(violations.is_empty(), "{:#?}", violations);
     }
 
     #[test]
