@@ -46,14 +46,21 @@
 //! # What a tree costs to hold
 //!
 //! A session's tree spans a few dozen nodes of a graph of thousands, so
-//! per-node state is laid out for a tree that touches few of them. Every
-//! per-node field reads zero for an off-tree node — `parent` stores the
-//! index plus one, with 0 for none; `on_tree` and `member` are bitsets —
-//! so [`MulticastTree::new`] asks for zeroed memory and writes none of it,
-//! and a clone copies only on-tree slots. Child lists exist only for
-//! nodes that have children, each behind an 8-byte slot; an emptied list
-//! goes back to none, so two trees of one shape compare equal whatever
-//! their history.
+//! it keeps the per-node state of Figure 3 — parent, `N`, weight and the
+//! child list — only for on-tree nodes, one 28-byte record each. What
+//! stays graph-sized is two bits per node, the `on_tree` and `member`
+//! bitsets. A hash map from node id to record finds an on-tree node's
+//! record in O(1). Records do not move while their node is on the tree,
+//! so each keeps its parent's place and a walk toward the source reads
+//! records only; a node that joins takes over the record of one that
+//! left, if any. Child lists sit in one vector per tree, each in a block
+//! with room to grow: a full block moves to the end with twice the room,
+//! and the gaps close once they are half the vector. [`MulticastTree::new`]
+//! thus asks for n/4 bytes and the source's record and map entries
+//! (≈ 1.2 KB at n = 4 000, where the per-node vectors it replaced asked
+//! for ≈ 65 KB). Equality compares shapes, not where records and blocks
+//! happen to sit, so two trees of one shape compare equal whatever their
+//! history.
 //!
 //! [`recompute_stats`](MulticastTree::recompute_stats) retains the
 //! from-scratch evaluation of `N` and serves as the oracle: under
@@ -63,6 +70,9 @@
 //! additionally re-checks [`shr`](MulticastTree::shr) against the Eq. 1
 //! link-sharing definition, independent of the Eq. 2 recurrence.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use serde::{Deserialize, Serialize};
 use smrp_net::{Graph, LinkId, NodeId, Path};
 
@@ -71,32 +81,111 @@ use crate::error::SmrpError;
 /// A rooted multicast (Steiner) tree with SMRP bookkeeping.
 ///
 /// See the module documentation for the maintained state and its layout.
-/// Every off-tree node's slots hold zero (no parent, no children, `N = 0`),
-/// which [`Clone`] relies on.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MulticastTree {
     source: NodeId,
-    /// Parent (upstream node `R_u`) of each on-tree node as its index plus
-    /// one; 0 for the source, for off-tree nodes and for a temporarily
-    /// detached fragment root.
-    parent: Vec<u32>,
-    /// Children of each node (downstream interfaces); `None` when it has
-    /// none. The outer box makes the slot one thin pointer, half the size
-    /// of a boxed slice's.
-    children: Vec<Option<Box<Box<[NodeId]>>>>,
+    /// Nodes of the graph.
+    nodes: usize,
     on_tree: NodeSet,
     member: NodeSet,
-    /// `N_R`: members in the subtree rooted at each node, each weighted by
-    /// its aggregated population (see [`set_member_weight`]). Valid for
-    /// on-tree nodes; 0 for a pruned one.
-    ///
-    /// [`set_member_weight`]: Self::set_member_weight
-    n: Vec<u32>,
+    /// Where each on-tree node's record is in `records`.
+    index: HashMap<NodeId, u32, BuildHasherDefault<NodeHasher>>,
+    /// The records; those of nodes that left the tree stay behind, listed
+    /// in `free`, until a node that joins takes one over.
+    records: Vec<Record>,
+    free: Vec<u32>,
+    /// The child lists of every on-tree node, each in a block of this
+    /// vector its record points to.
+    children: Vec<NodeId>,
+    /// Entries of `children` in no record's block.
+    spare: usize,
     member_count: usize,
-    /// Aggregated receiver population behind each member (1 = a plain
-    /// receiver). Lazily materialized: an empty vector means every member
-    /// weighs 1, which keeps unweighted trees byte-compatible.
-    weight: Vec<u32>,
+    /// Whether a weight was ever set: only then does the serialized form
+    /// list every node's weight, which keeps unweighted trees
+    /// byte-compatible.
+    weighted: bool,
+}
+
+/// What the tree holds for an on-tree node.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// Upstream node `R_u` as its index plus one; 0 for the source and for
+    /// a temporarily detached fragment root.
+    parent: u32,
+    /// Where the parent's record is, plus one (0 with `parent`): records
+    /// stay where they are while their node is on the tree, so a walk up
+    /// the tree reads records only.
+    up: u32,
+    /// `N_R`: members in the subtree rooted here, each weighted by its
+    /// aggregated population (see [`set_member_weight`]).
+    ///
+    /// [`set_member_weight`]: MulticastTree::set_member_weight
+    n: u32,
+    /// Aggregated receiver population behind a member (1 = a plain
+    /// receiver, and for every non-member).
+    weight: u32,
+    /// The block of `MulticastTree::children` holding the downstream
+    /// interfaces, in the order they were attached: `len` of them from
+    /// `start`, room for `cap`.
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Record {
+    /// A record without parent, children or members.
+    fn new() -> Self {
+        Record {
+            parent: 0,
+            up: 0,
+            n: 0,
+            weight: 1,
+            start: 0,
+            len: 0,
+            cap: 0,
+        }
+    }
+
+    #[inline]
+    fn parent(&self) -> Option<NodeId> {
+        self.parent.checked_sub(1).map(|i| NodeId::new(i as usize))
+    }
+
+    /// Index of the parent's record.
+    #[inline]
+    fn up(&self) -> Option<usize> {
+        self.up.checked_sub(1).map(|at| at as usize)
+    }
+
+    #[inline]
+    fn children(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Equal shapes, whatever their history: where records and child lists
+/// are kept, and the room left around them, are not compared.
+impl PartialEq for MulticastTree {
+    fn eq(&self, other: &Self) -> bool {
+        let same_record = |a: usize, b: usize| {
+            let (a, b) = (&self.records[a], &other.records[b]);
+            (a.parent, a.n, a.weight) == (b.parent, b.n, b.weight)
+                && self.children[a.children()] == other.children[b.children()]
+        };
+        (self.source, self.nodes, self.member_count, self.weighted)
+            == (
+                other.source,
+                other.nodes,
+                other.member_count,
+                other.weighted,
+            )
+            && self.on_tree == other.on_tree
+            && self.member == other.member
+            && self
+                .on_tree
+                .iter()
+                .all(|v| same_record(self.slot_of(v), other.slot_of(v)))
+    }
 }
 
 /// A set of node ids, one bit per node of the graph.
@@ -141,15 +230,24 @@ impl NodeSet {
     }
 }
 
-/// `parent` as stored: the index plus one, 0 for none.
-#[inline]
-fn encode_parent(parent: Option<NodeId>) -> u32 {
-    parent.map_or(0, |p| p.index() as u32 + 1)
-}
+/// Hashes a node id with one multiplication (Fibonacci hashing): ids are
+/// small dense integers, and the table takes its bucket from the low bits
+/// and its tag from the high ones.
+#[derive(Default)]
+struct NodeHasher(u64);
 
-#[inline]
-fn decode_parent(slot: u32) -> Option<NodeId> {
-    slot.checked_sub(1).map(|i| NodeId::new(i as usize))
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("node ids hash through write_u32");
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// What a detach removes (planned by [`MulticastTree::plan_detach`],
@@ -187,45 +285,31 @@ impl Detached {
     }
 }
 
-/// Copies the on-tree slots into zeroed vectors: an off-tree node's slots
-/// are zero already, so a clone costs the tree, not the graph.
-impl Clone for MulticastTree {
-    fn clone(&self) -> Self {
-        let mut copy = MulticastTree::bare(self.source, self.parent.len());
-        for v in self.on_tree.iter() {
-            let i = v.index();
-            copy.parent[i] = self.parent[i];
-            copy.children[i].clone_from(&self.children[i]);
-            copy.n[i] = self.n[i];
-        }
-        copy.on_tree.clone_from(&self.on_tree);
-        copy.member.clone_from(&self.member);
-        copy.member_count = self.member_count;
-        copy.weight.clone_from(&self.weight);
-        debug_assert!(copy == *self, "off-tree state outside the on-tree slots");
-        copy
-    }
-}
-
-// Written out because the offline serde derive cannot read boxed child
-// slots. The form is dense per-node lists, node by node in id order, so it
-// does not depend on the order the tree was built in.
+// Written out because the form is not the layout: dense per-node lists,
+// node by node in id order (an off-tree node reads no parent, no children,
+// `N = 0` and weight 1), and `weight` empty until a weight is set.
 impl Serialize for MulticastTree {
     fn serialize(&self) -> serde::Value {
-        let nodes = || (0..self.parent.len()).map(NodeId::new);
+        let nodes = || (0..self.nodes).map(NodeId::new);
         let parent: Vec<Option<NodeId>> = nodes().map(|v| self.parent(v)).collect();
         let children: Vec<&[NodeId]> = nodes().map(|v| self.children(v)).collect();
         let on_tree: Vec<bool> = nodes().map(|v| self.is_on_tree(v)).collect();
         let member: Vec<bool> = nodes().map(|v| self.is_member(v)).collect();
+        let n: Vec<u32> = nodes().map(|v| self.subtree_members(v)).collect();
+        let weight: Vec<u32> = if self.weighted {
+            nodes().map(|v| self.weight_of(v)).collect()
+        } else {
+            Vec::new()
+        };
         serde::Value::Map(vec![
             ("source".to_string(), self.source.serialize()),
             ("parent".to_string(), parent.serialize()),
             ("children".to_string(), children.serialize()),
             ("on_tree".to_string(), on_tree.serialize()),
             ("member".to_string(), member.serialize()),
-            ("n".to_string(), self.n.serialize()),
+            ("n".to_string(), n.serialize()),
             ("member_count".to_string(), self.member_count.serialize()),
-            ("weight".to_string(), self.weight.serialize()),
+            ("weight".to_string(), weight.serialize()),
         ])
     }
 }
@@ -242,8 +326,13 @@ impl Deserialize for MulticastTree {
         let source: NodeId = Deserialize::deserialize(read("source")?)?;
         let nodes = parent.len();
         let in_range = |v: &NodeId| v.index() < nodes;
-        let off_tree_blank =
-            |i: usize| on_tree[i] || (parent[i].is_none() && children[i].is_empty() && n[i] == 0);
+        let off_tree_blank = |i: usize| {
+            on_tree[i]
+                || (parent[i].is_none()
+                    && children[i].is_empty()
+                    && n[i] == 0
+                    && weight.get(i).is_none_or(|&w| w == 1))
+        };
         if [children.len(), on_tree.len(), member.len(), n.len()] != [nodes; 4]
             || !(weight.is_empty() || weight.len() == nodes)
             || !in_range(&source)
@@ -253,24 +342,38 @@ impl Deserialize for MulticastTree {
                 .chain(children.iter().flatten())
                 .all(in_range)
             || !(0..nodes).all(off_tree_blank)
+            || !parent.iter().flatten().all(|p| on_tree[p.index()])
         {
             return Err(serde::Error::custom("inconsistent per-node tree state"));
         }
         let mut tree = MulticastTree::bare(source, nodes);
         for (i, list) in children.into_iter().enumerate() {
             let v = NodeId::new(i);
-            tree.set_parent(v, parent[i]);
-            tree.edit_children(v, |children| *children = list);
             if on_tree[i] {
                 tree.on_tree.insert(v);
+                tree.index.insert(v, tree.records.len() as u32);
+                let (start, len) = (tree.children.len() as u32, list.len() as u32);
+                tree.children.extend(list);
+                tree.records.push(Record {
+                    n: n[i],
+                    weight: weight.get(i).copied().unwrap_or(1),
+                    start,
+                    len,
+                    cap: len,
+                    ..Record::new()
+                });
             }
             if member[i] {
                 tree.member.insert(v);
             }
         }
-        tree.n = n;
+        for (at, v) in (0..nodes).filter(|&i| on_tree[i]).enumerate() {
+            let up = parent[v].map(|p| (p, tree.slot(p).expect("checked on the tree")));
+            tree.link(at, up);
+        }
+
         tree.member_count = Deserialize::deserialize(read("member_count")?)?;
-        tree.weight = weight;
+        tree.weighted = !weight.is_empty();
         Ok(tree)
     }
 }
@@ -286,23 +389,144 @@ impl MulticastTree {
             return Err(SmrpError::UnknownNode(source));
         }
         let mut tree = MulticastTree::bare(source, graph.node_count());
-        tree.on_tree.insert(source);
+        tree.insert_record(source, None);
         Ok(tree)
     }
 
-    /// A tree over `nodes` nodes with nothing on it, not even `source`:
-    /// every per-node slot zero, in memory nothing has written yet.
+    /// A tree over `nodes` nodes with nothing on it, not even `source`.
     fn bare(source: NodeId, nodes: usize) -> Self {
         MulticastTree {
             source,
-            parent: vec![0; nodes],
-            children: vec![None; nodes],
+            nodes,
             on_tree: NodeSet::empty(nodes),
             member: NodeSet::empty(nodes),
-            n: vec![0; nodes],
+            index: HashMap::default(),
+            records: Vec::new(),
+            free: Vec::new(),
+            children: Vec::new(),
+            spare: 0,
             member_count: 0,
-            weight: Vec::new(),
+            weighted: false,
         }
+    }
+
+    /// Where `node`'s record is, if it is on the tree.
+    #[inline]
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        self.on_tree
+            .contains(node)
+            .then(|| self.index[&node] as usize)
+    }
+
+    #[inline]
+    fn record(&self, node: NodeId) -> Option<&Record> {
+        self.slot(node).map(|at| &self.records[at])
+    }
+
+    /// Where the record of `node`, which must be on the tree, is.
+    #[inline]
+    fn slot_of(&self, node: NodeId) -> usize {
+        self.slot(node).expect("node is on the tree")
+    }
+
+    /// Puts an off-tree `node` on the tree below `parent` (with where its
+    /// record is), with no children and `N = 0`, and returns where the
+    /// node's record is.
+    fn insert_record(&mut self, node: NodeId, parent: Option<(NodeId, usize)>) -> usize {
+        debug_assert!(!self.is_on_tree(node), "{node} is on the tree already");
+        self.on_tree.insert(node);
+        let at = match self.free.pop() {
+            Some(at) => {
+                self.records[at as usize] = Record::new();
+                at
+            }
+            None => {
+                self.records.push(Record::new());
+                self.records.len() as u32 - 1
+            }
+        };
+        self.index.insert(node, at);
+        self.link(at as usize, parent);
+        at as usize
+    }
+
+    /// Takes an on-tree, childless `node` off the tree and returns its
+    /// record.
+    fn remove_record(&mut self, node: NodeId) -> Record {
+        debug_assert!(self.children(node).is_empty(), "{node} has children");
+        debug_assert!(self.is_on_tree(node), "{node} is not on the tree");
+        let at = self.index.remove(&node).expect("node is on the tree");
+        self.on_tree.remove(node);
+        self.free.push(at);
+        let removed = self.records[at as usize];
+        self.spare += removed.cap as usize;
+        removed
+    }
+
+    /// The parent of the node whose record is at `at`, and where the
+    /// parent's record is.
+    #[inline]
+    fn step_up(&self, at: usize) -> Option<(NodeId, usize)> {
+        let record = &self.records[at];
+        Some((record.parent()?, record.up()?))
+    }
+
+    /// Sets the parent of the node whose record is at `at`: a node on the
+    /// tree and where its record is.
+    #[inline]
+    fn link(&mut self, at: usize, parent: Option<(NodeId, usize)>) {
+        let record = &mut self.records[at];
+        record.parent = parent.map_or(0, |(p, _)| p.index() as u32 + 1);
+        record.up = parent.map_or(0, |(_, up)| up as u32 + 1);
+    }
+
+    /// Inserts `child` into the child list of the record at `slot`, at
+    /// `at` or last. A full block moves to the end of `children` with
+    /// twice the room; once half of `children` is spare, every block moves
+    /// up to close the gaps.
+    fn insert_child(&mut self, slot: usize, at: Option<usize>, child: NodeId) {
+        let mut record = self.records[slot];
+        if record.len == record.cap {
+            let start = self.children.len();
+            self.children.extend_from_within(record.children());
+            self.children
+                .resize(start + (record.cap as usize * 2).max(1), child);
+            self.spare += record.cap as usize;
+            record.start = start as u32;
+            record.cap = (record.cap * 2).max(1);
+        }
+        let at = at.unwrap_or(record.len as usize);
+        record.len += 1;
+        let list = &mut self.children[record.children()];
+        list.copy_within(at..list.len() - 1, at + 1);
+        list[at] = child;
+        self.records[slot] = record;
+        if self.spare * 2 > self.children.len() {
+            self.close_gaps();
+        }
+    }
+
+    /// Removes the child at `at` from the child list of the record at
+    /// `slot`; its block keeps the room.
+    fn remove_child(&mut self, slot: usize, at: usize) {
+        let record = &mut self.records[slot];
+        let list = &mut self.children[record.children()];
+        list.copy_within(at + 1.., at);
+        record.len -= 1;
+    }
+
+    /// Packs the child blocks, each keeping its room.
+    fn close_gaps(&mut self) {
+        let mut packed = Vec::with_capacity(self.children.len() - self.spare);
+        for &at in self.index.values() {
+            let record = &mut self.records[at as usize];
+            let start = packed.len();
+            packed
+                .extend_from_slice(&self.children[record.start as usize..][..record.cap as usize]);
+            record.start = start as u32;
+        }
+        self.children = packed;
+        self.spare = 0;
     }
 
     /// The multicast source (tree root).
@@ -326,61 +550,33 @@ impl MulticastTree {
     /// Upstream node `R_u` of `node`, if any.
     #[inline]
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        decode_parent(self.parent[node.index()])
-    }
-
-    #[inline]
-    fn set_parent(&mut self, node: NodeId, parent: Option<NodeId>) {
-        self.parent[node.index()] = encode_parent(parent);
+        self.record(node).and_then(Record::parent)
     }
 
     /// Children (downstream interfaces) of `node`.
     #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        self.children[node.index()]
-            .as_deref()
-            .map_or(&[], |list| list)
-    }
-
-    /// Applies `edit` to `node`'s child list, storing `None` if it leaves
-    /// the list empty.
-    fn edit_children(&mut self, node: NodeId, edit: impl FnOnce(&mut Vec<NodeId>)) {
-        let slot = &mut self.children[node.index()];
-        let mut list = Vec::from(slot.as_deref_mut().map(std::mem::take).unwrap_or_default());
-        edit(&mut list);
-        match slot {
-            _ if list.is_empty() => *slot = None,
-            Some(outer) => **outer = list.into_boxed_slice(),
-            None => *slot = Some(Box::new(list.into_boxed_slice())),
-        }
-    }
-
-    /// Inserts `child` into `parent`'s child list at `at`, or last.
-    fn insert_child(&mut self, parent: NodeId, at: Option<usize>, child: NodeId) {
-        self.edit_children(parent, |list| {
-            list.reserve_exact(1);
-            list.insert(at.unwrap_or(list.len()), child);
-        });
+        self.record(node)
+            .map_or(&[], |r| &self.children[r.children()])
     }
 
     /// `N_R`: number of members in the subtree rooted at `node`.
     #[inline]
     pub fn subtree_members(&self, node: NodeId) -> u32 {
-        self.n[node.index()]
+        self.record(node).map_or(0, |r| r.n)
     }
 
     /// `SHR(S, node)` — the sharing metric of Eq. 1, read per §3.3.2 when
     /// asked: Eq. 2 unrolled, the sum of `N` over the tree path `S → node`
     /// without the source. 0 for the source and for an off-tree node.
     pub fn shr(&self, node: NodeId) -> u32 {
-        if !self.is_on_tree(node) {
+        let Some(mut at) = self.slot(node) else {
             return 0;
-        }
+        };
         let mut shr = 0;
-        let mut cur = node;
-        while let Some(p) = self.parent(cur) {
-            shr += self.n[cur.index()];
-            cur = p;
+        while let Some(up) = self.records[at].up() {
+            shr += self.records[at].n;
+            at = up;
         }
         shr
     }
@@ -398,7 +594,7 @@ impl MulticastTree {
     #[inline]
     pub fn member_weight(&self, node: NodeId) -> u32 {
         if self.is_member(node) {
-            self.weight_of(node.index())
+            self.weight_of(node)
         } else {
             0
         }
@@ -406,23 +602,13 @@ impl MulticastTree {
 
     /// Total receiver population over all members (sum of member weights).
     pub fn population(&self) -> u64 {
-        self.members()
-            .map(|m| u64::from(self.weight_of(m.index())))
-            .sum()
+        self.members().map(|m| u64::from(self.weight_of(m))).sum()
     }
 
-    /// The weight slot for a node index; an unmaterialized vector means 1.
+    /// `node`'s weight: 1 for an off-tree node.
     #[inline]
-    fn weight_of(&self, i: usize) -> u32 {
-        self.weight.get(i).copied().unwrap_or(1)
-    }
-
-    /// Materializes the weight vector (all-1) so a slot can be written.
-    fn weight_slot(&mut self, i: usize) -> &mut u32 {
-        if self.weight.is_empty() {
-            self.weight = vec![1; self.parent.len()];
-        }
-        &mut self.weight[i]
+    fn weight_of(&self, node: NodeId) -> u32 {
+        self.record(node).map_or(1, |r| r.weight)
     }
 
     /// Iterator over members in node-id order.
@@ -450,19 +636,17 @@ impl MulticastTree {
     /// The on-tree path from the source to `node` (`P_T(S, R)` in the
     /// paper), or `None` if `node` is off-tree or detached.
     pub fn path_from_source(&self, node: NodeId) -> Option<Path> {
-        if !self.is_on_tree(node) {
-            return None;
-        }
-        let mut hops = 0;
-        let mut cur = node;
+        let first = self.slot(node)?;
+        let (mut hops, mut cur, mut at) = (0, node, first);
         while cur != self.source {
-            cur = self.parent(cur)?;
+            (cur, at) = self.step_up(at)?;
             hops += 1;
         }
         // Filled from the member end, so the one allocation is exact.
         let mut nodes = vec![node; hops + 1];
+        let mut at = first;
         for i in (0..hops).rev() {
-            nodes[i] = self.parent(nodes[i + 1]).expect("walked above");
+            (nodes[i], at) = self.step_up(at).expect("walked above");
         }
         Some(Path::new(nodes))
     }
@@ -482,8 +666,10 @@ impl MulticastTree {
         let mut far = Vec::new();
         let mut hops = 0;
         let mut cur = node;
+        let mut at = self.slot(node)?;
         while cur != self.source {
-            let p = self.parent(cur)?;
+            let p;
+            (p, at) = self.step_up(at)?;
             let delay = graph
                 .delay_between(cur, p)
                 .expect("tree edges correspond to graph links");
@@ -501,12 +687,14 @@ impl MulticastTree {
     /// All tree links (the upstream link of every non-root connected node).
     pub fn links(&self, graph: &Graph) -> Vec<LinkId> {
         let mut links = Vec::new();
-        for u in self.source_connected_nodes() {
-            if let Some(p) = self.parent(u) {
+        let mut stack = vec![self.source];
+        while let Some(p) = stack.pop() {
+            for &u in self.children(p) {
                 let l = graph
                     .link_between(u, p)
                     .expect("tree edges correspond to graph links");
                 links.push(l);
+                stack.push(u);
             }
         }
         links.sort_unstable();
@@ -569,49 +757,58 @@ impl MulticastTree {
             self.parent(new_root).is_none(),
             "attached root {new_root} must not already have a parent"
         );
-        for w in nodes.windows(2) {
+        // Members carried in by the graft: a reattached fragment keeps its
+        // internal `N` values, and a fresh node carries none.
+        let delta = self.subtree_members(new_root);
+        let merger_at = self.slot_of(merger);
+        // Merger first, so each link hangs below a node already on the tree.
+        let mut up_at = merger_at;
+        for w in nodes.windows(2).rev() {
             let (child, up) = (w[0], w[1]);
-            debug_assert!(
-                child == new_root || !self.is_on_tree(child),
-                "interior node {child} must be off-tree"
-            );
-            self.set_parent(child, Some(up));
-            self.on_tree.insert(child);
-            self.insert_child(up, None, child);
+            let at = match self.slot(child) {
+                Some(at) if child == new_root => {
+                    self.link(at, Some((up, up_at)));
+                    at
+                }
+                _ => {
+                    debug_assert!(
+                        !self.is_on_tree(child),
+                        "interior node {child} must be off-tree"
+                    );
+                    let at = self.insert_record(child, Some((up, up_at)));
+                    // Every chain node's subtree is exactly the grafted
+                    // fragment.
+                    self.records[at].n = delta;
+                    at
+                }
+            };
+            self.insert_child(up_at, None, child);
+            up_at = at;
         }
-
-        // Members carried in by the graft. A reattached fragment keeps
-        // correct internal `N` values, but a fresh node may hold stale state
-        // from an earlier on-tree stint, so recount from member flags.
-        let delta: i64 = self
-            .subtree_nodes(new_root)
-            .iter()
-            .map(|&v| i64::from(self.member_weight(v)))
-            .sum();
-        // Every chain node's subtree is exactly the grafted fragment.
-        for &v in &nodes[..nodes.len() - 1] {
-            self.n[v.index()] = delta as u32;
-        }
-        self.propagate_member_delta(merger, delta);
+        self.propagate_member_delta(merger_at, i64::from(delta));
         self.audit_stats();
     }
 
     /// Propagates a change of `delta` members in the subtree hanging below
-    /// `pivot`: `N` gains `delta` along the whole `S → pivot` path (see the
-    /// [module documentation](self)).
-    fn propagate_member_delta(&mut self, pivot: NodeId, delta: i64) {
+    /// the pivot whose record is at `at`: `N` gains `delta` along the whole
+    /// `S → pivot` path (see the [module documentation](self)).
+    fn propagate_member_delta(&mut self, mut at: usize, delta: i64) {
         if delta == 0 {
             return;
         }
-        let mut cur = pivot;
         loop {
-            self.n[cur.index()] = (i64::from(self.n[cur.index()]) + delta) as u32;
-            match self.parent(cur) {
-                Some(p) => cur = p,
+            let record = &mut self.records[at];
+            record.n = (i64::from(record.n) + delta) as u32;
+            match record.up() {
+                Some(up) => at = up,
                 None => break,
             }
         }
-        debug_assert_eq!(cur, self.source, "pivot {pivot} must be source-connected");
+        debug_assert_eq!(
+            Some(at),
+            self.slot(self.source),
+            "pivot must be source-connected"
+        );
     }
 
     /// Asserts the incremental `N` equals a from-scratch
@@ -621,12 +818,13 @@ impl MulticastTree {
     /// a no-op in plain release builds.
     #[cfg(any(debug_assertions, feature = "audit-stats"))]
     fn audit_stats(&mut self) {
-        let n_inc = self.n.clone();
+        let connected = self.source_connected_nodes();
+        let n_inc: Vec<u32> = connected.iter().map(|&u| self.subtree_members(u)).collect();
         self.recompute_stats();
-        for u in self.source_connected_nodes() {
+        for (&u, n) in connected.iter().zip(n_inc) {
             assert_eq!(
-                n_inc[u.index()],
-                self.n[u.index()],
+                n,
+                self.subtree_members(u),
                 "incremental N_{u} diverged from the from-scratch oracle"
             );
         }
@@ -657,23 +855,21 @@ impl MulticastTree {
                 // A fresh membership always starts at weight 1; aggregated
                 // populations are declared afterwards via
                 // `set_member_weight`.
-                if !self.weight.is_empty() {
-                    self.weight[node.index()] = 1;
-                }
-                self.propagate_member_delta(node, 1);
+                let at = self.slot_of(node);
+                self.records[at].weight = 1;
+                self.propagate_member_delta(at, 1);
                 self.audit_stats();
             }
         } else {
             if !self.is_member(node) {
                 return Err(SmrpError::NotMember(node));
             }
-            let removed = i64::from(self.weight_of(node.index()));
+            let at = self.slot_of(node);
+            let removed = i64::from(self.records[at].weight);
             self.member.remove(node);
             self.member_count -= 1;
-            if !self.weight.is_empty() {
-                self.weight[node.index()] = 1;
-            }
-            self.propagate_member_delta(node, -removed);
+            self.records[at].weight = 1;
+            self.propagate_member_delta(at, -removed);
             self.audit_stats();
         }
         Ok(())
@@ -700,10 +896,11 @@ impl MulticastTree {
         if !self.is_member(node) {
             return Err(SmrpError::NotMember(node));
         }
-        let old = i64::from(self.weight_of(node.index()));
-        let delta = i64::from(weight) - old;
-        *self.weight_slot(node.index()) = weight;
-        self.propagate_member_delta(node, delta);
+        let at = self.slot_of(node);
+        let delta = i64::from(weight) - i64::from(self.records[at].weight);
+        self.records[at].weight = weight;
+        self.weighted = true;
+        self.propagate_member_delta(at, delta);
         self.audit_stats();
         Ok(())
     }
@@ -718,25 +915,16 @@ impl MulticastTree {
         // Pruned relays carry `N_R = 0` (childless non-members), so removing
         // them changes no other node's `N` — no propagation needed.
         let mut cur = node;
-        loop {
-            if !self.is_on_tree(cur)
-                || cur == self.source
-                || self.is_member(cur)
-                || !self.children(cur).is_empty()
-            {
+        while let Some(at) = self.slot(cur) {
+            if cur == self.source || self.is_member(cur) || self.records[at].len != 0 {
                 break;
             }
-            let up = self.parent(cur);
-            self.on_tree.remove(cur);
-            self.set_parent(cur, None);
-            self.n[cur.index()] = 0;
-            match up {
-                Some(p) => {
-                    self.edit_children(p, |list| list.retain(|&c| c != cur));
-                    cur = p;
-                }
-                None => break,
-            }
+            let record = self.remove_record(cur);
+            let (Some(p), Some(up)) = (record.parent(), record.up()) else {
+                break;
+            };
+            self.remove_child(up, self.position(up, cur));
+            cur = p;
         }
         self.audit_stats();
     }
@@ -794,36 +982,34 @@ impl MulticastTree {
         if node == self.source {
             return Err(SmrpError::SourceOperation(node));
         }
-        if !self.is_on_tree(node) {
-            return Err(SmrpError::UnknownNode(node));
-        }
-        let Some(old_parent) = self.parent(node) else {
+        let Some(record) = self.record(node) else {
             return Err(SmrpError::UnknownNode(node));
         };
-        let removed = self.n[node.index()];
+        let (Some(old_parent), Some(mut at)) = (record.parent(), record.up()) else {
+            return Err(SmrpError::UnknownNode(node));
+        };
+        let removed = record.n;
         // The relays the detach prunes, bottom-up: non-members left
-        // childless, each the only child of the next.
+        // childless, each the only child of the next. The walk reads
+        // records by index: `at` is `anchor`'s.
         relays.clear();
-        let mut slot = self.child_slot(old_parent, node);
+        let mut slot = self.position(at, node);
         let mut anchor = old_parent;
-        let mut childless = self.children(old_parent).len() == 1;
-        while anchor != self.source && !self.is_member(anchor) && childless {
-            let up = self
-                .parent(anchor)
-                .expect("connected chain reaches the source");
-            slot = self.child_slot(up, anchor);
-            childless = self.children(up).len() == 1;
+        while anchor != self.source && !self.is_member(anchor) && self.records[at].len == 1 {
+            let record = &self.records[at];
+            let up = record.parent().expect("connected chain reaches the source");
+            at = record.up().expect("parent is on the tree");
+            slot = self.position(at, anchor);
             relays.push(anchor);
             anchor = up;
         }
         let keeper = relays.get(1).copied().unwrap_or(anchor);
         let keeper_shr = if keeper == anchor {
             let (mut shr, mut depth) = (0, 0);
-            let mut cur = anchor;
-            while let Some(p) = self.parent(cur) {
-                shr += self.n[cur.index()];
+            while let Some(up) = self.records[at].up() {
+                shr += self.records[at].n;
                 depth += 1;
-                cur = p;
+                at = up;
             }
             shr - removed * depth
         } else {
@@ -843,21 +1029,22 @@ impl MulticastTree {
     /// Detaches as `plan` says: `plan` must come from
     /// [`plan_detach`](Self::plan_detach) on the tree as it is now.
     pub(crate) fn detach_planned(&mut self, plan: &Detached) {
-        let old_parent = plan.relays.first().copied().unwrap_or(plan.anchor);
-        self.set_parent(plan.node, None);
+        let at = self.slot_of(plan.node);
+        // The old parent's record, then each pruned relay's parent's.
+        let mut up = self.records[at].up().expect("a planned node has a parent");
+        self.link(at, None);
         // The fragment keeps its internal `N` values (its subtrees did not
         // change); upstream, the surviving path loses `removed` members and
         // each pruned relay, which carried only the fragment, reaches 0.
-        self.propagate_member_delta(old_parent, -i64::from(plan.removed));
+        self.propagate_member_delta(up, -i64::from(plan.removed));
         for &relay in &plan.relays {
-            debug_assert_eq!(self.n[relay.index()], 0, "relay {relay} carried more");
-            self.on_tree.remove(relay);
-            self.set_parent(relay, None);
-            self.children[relay.index()] = None;
+            // Its one child is the chain below it.
+            self.remove_child(up, 0);
+            let record = self.remove_record(relay);
+            debug_assert_eq!(record.n, 0, "relay {relay} carried more");
+            up = record.up().expect("a pruned relay has a parent");
         }
-        self.edit_children(plan.anchor, |list| {
-            list.remove(plan.slot);
-        });
+        self.remove_child(up, plan.slot);
         self.audit_stats();
     }
 
@@ -877,23 +1064,27 @@ impl MulticastTree {
         // Relays re-enter as an empty chain below `anchor` (N = 0); the
         // propagation below then restores the fragment's weight along the
         // whole source path.
-        let mut below = node;
-        for &relay in relays {
-            self.on_tree.insert(relay);
-            self.set_parent(below, Some(relay));
-            self.insert_child(relay, None, below);
-            below = relay;
+        let anchor_at = self.slot_of(anchor);
+        let (mut below, mut below_at) = (node, self.slot_of(node));
+        let mut old_parent = anchor_at;
+        for (i, &relay) in relays.iter().enumerate() {
+            let at = self.insert_record(relay, None);
+            self.insert_child(at, None, below);
+            self.link(below_at, Some((relay, at)));
+            if i == 0 {
+                old_parent = at;
+            }
+            (below, below_at) = (relay, at);
         }
-        self.set_parent(below, Some(anchor));
-        self.insert_child(anchor, Some(slot), below);
-        let old_parent = relays.first().copied().unwrap_or(anchor);
+        self.link(below_at, Some((anchor, anchor_at)));
+        self.insert_child(anchor_at, Some(slot), below);
         self.propagate_member_delta(old_parent, i64::from(removed));
         self.audit_stats();
     }
 
-    /// Position of `child` among `parent`'s children.
-    fn child_slot(&self, parent: NodeId, child: NodeId) -> usize {
-        self.children(parent)
+    /// Position of `child` in the child list of the record at `at`.
+    fn position(&self, at: usize, child: NodeId) -> usize {
+        self.children[self.records[at].children()]
             .iter()
             .position(|&c| c == child)
             .expect("child is listed under its parent")
@@ -937,11 +1128,13 @@ impl MulticastTree {
     pub fn recompute_stats(&mut self) {
         // Post-order accumulation: children before parents.
         for u in self.source_connected_nodes().into_iter().rev() {
-            let mut count = self.member_weight(u);
-            for &c in self.children(u) {
-                count += self.n[c.index()];
-            }
-            self.n[u.index()] = count;
+            let below: u32 = self
+                .children(u)
+                .iter()
+                .map(|&c| self.subtree_members(c))
+                .sum();
+            let at = self.slot_of(u);
+            self.records[at].n = self.member_weight(u) + below;
         }
     }
 
@@ -1013,10 +1206,10 @@ impl MulticastTree {
             for v in self.subtree_nodes(u) {
                 recount += self.member_weight(v);
             }
-            if recount != self.n[u.index()] {
+            if recount != self.subtree_members(u) {
                 return Err(format!(
                     "N_{u} is {} but recount gives {recount}",
-                    self.n[u.index()]
+                    self.subtree_members(u)
                 ));
             }
         }
@@ -1678,9 +1871,10 @@ mod tests {
                     // `prune_from` find the relay chain on its own.
                     let mut pruned = before.clone();
                     let old_parent = pruned.parent(u).unwrap();
-                    pruned.set_parent(u, None);
-                    pruned.edit_children(old_parent, |list| list.retain(|&c| c != u));
-                    pruned.propagate_member_delta(old_parent, -i64::from(pruned.n[u.index()]));
+                    let (at, up) = (pruned.slot_of(u), pruned.slot_of(old_parent));
+                    pruned.link(at, None);
+                    pruned.remove_child(up, pruned.position(up, u));
+                    pruned.propagate_member_delta(up, -i64::from(pruned.subtree_members(u)));
                     pruned.prune_from(old_parent);
 
                     let record = t.detach_recorded(u).unwrap();

@@ -493,3 +493,366 @@ proptest! {
         }
     }
 }
+
+/// The tree as dense per-node vectors, driven through the same operations
+/// in their plainest form: the reference every layout must read like.
+#[derive(Debug, Clone)]
+struct DenseTree {
+    source: NodeId,
+    parent: Vec<Option<NodeId>>,
+    children: Vec<Vec<NodeId>>,
+    on_tree: Vec<bool>,
+    member: Vec<bool>,
+    weight: Vec<u32>,
+    /// Whether a weight was ever set.
+    weighted: bool,
+}
+
+impl DenseTree {
+    fn new(nodes: usize, source: NodeId) -> Self {
+        let mut on_tree = vec![false; nodes];
+        on_tree[source.index()] = true;
+        DenseTree {
+            source,
+            parent: vec![None; nodes],
+            children: vec![Vec::new(); nodes],
+            on_tree,
+            member: vec![false; nodes],
+            weight: vec![1; nodes],
+            weighted: false,
+        }
+    }
+
+    fn attach(&mut self, path: &[NodeId]) {
+        for w in path.windows(2) {
+            self.parent[w[0].index()] = Some(w[1]);
+            self.on_tree[w[0].index()] = true;
+            self.children[w[1].index()].push(w[0]);
+        }
+    }
+
+    fn set_member(&mut self, v: NodeId, member: bool) {
+        self.member[v.index()] = member;
+        self.weight[v.index()] = 1;
+    }
+
+    fn prune(&mut self, mut v: NodeId) {
+        while self.on_tree[v.index()]
+            && v != self.source
+            && !self.member[v.index()]
+            && self.children[v.index()].is_empty()
+        {
+            self.on_tree[v.index()] = false;
+            let Some(p) = self.parent[v.index()].take() else {
+                break;
+            };
+            self.children[p.index()].retain(|&c| c != v);
+            v = p;
+        }
+    }
+
+    fn detach(&mut self, v: NodeId) {
+        let p = self.parent[v.index()].take().unwrap();
+        self.children[p.index()].retain(|&c| c != v);
+        self.prune(p);
+    }
+
+    /// `N` recounted over the child lists.
+    fn n(&self, v: NodeId) -> u32 {
+        let below: u32 = self.children[v.index()].iter().map(|&c| self.n(c)).sum();
+        let own = if self.member[v.index()] {
+            self.weight[v.index()]
+        } else {
+            0
+        };
+        own + below
+    }
+
+    /// `SHR` summed up the parent pointers.
+    fn shr(&self, v: NodeId) -> u32 {
+        let mut shr = 0;
+        let mut cur = v;
+        while self.on_tree[v.index()] {
+            let Some(p) = self.parent[cur.index()] else {
+                break;
+            };
+            shr += self.n(cur);
+            cur = p;
+        }
+        shr
+    }
+
+    /// A tree of this shape built fresh: every edge attached once, in
+    /// child order, then the members marked and weighed.
+    fn rebuilt(&self, graph: &Graph) -> MulticastTree {
+        let mut t = MulticastTree::new(graph, self.source).unwrap();
+        let mut queue = std::collections::VecDeque::from([self.source]);
+        while let Some(u) = queue.pop_front() {
+            for &c in &self.children[u.index()] {
+                t.attach_path(&smrp_net::Path::new(vec![c, u]));
+                queue.push_back(c);
+            }
+        }
+        if self.weighted {
+            // A weight written once, through the source, leaves no trace
+            // but the flag.
+            t.set_member(self.source, true).unwrap();
+            t.set_member_weight(self.source, 1).unwrap();
+            t.set_member(self.source, false).unwrap();
+        }
+        for (i, &m) in self.member.iter().enumerate() {
+            let v = NodeId::new(i);
+            if m {
+                t.set_member(v, true).unwrap();
+                if self.weight[i] != 1 {
+                    t.set_member_weight(v, self.weight[i]).unwrap();
+                }
+            }
+        }
+        t
+    }
+}
+
+/// Every accessor of `t` against the dense reference, plus a clone and the
+/// serde round trip.
+fn reads_like_dense(t: &MulticastTree, dense: &DenseTree) -> Result<(), String> {
+    use serde::{Deserialize, Serialize};
+
+    let ids = (0..dense.parent.len()).map(NodeId::new);
+    for v in ids.clone() {
+        let i = v.index();
+        let n = if dense.on_tree[i] { dense.n(v) } else { 0 };
+        let weight = if dense.member[i] { dense.weight[i] } else { 0 };
+        let got = (
+            t.parent(v),
+            t.children(v),
+            t.is_on_tree(v),
+            t.is_member(v),
+            t.subtree_members(v),
+            t.shr(v),
+            t.member_weight(v),
+        );
+        let want = (
+            dense.parent[i],
+            &dense.children[i][..],
+            dense.on_tree[i],
+            dense.member[i],
+            n,
+            dense.shr(v),
+            weight,
+        );
+        if got != want {
+            return Err(format!(
+                "{v}: (parent, children, on-tree, member, N, SHR, weight) {got:?}, \
+                 reference {want:?}"
+            ));
+        }
+    }
+    let members: Vec<NodeId> = ids.clone().filter(|v| dense.member[v.index()]).collect();
+    let on_tree: Vec<NodeId> = ids.filter(|v| dense.on_tree[v.index()]).collect();
+    let population: u64 = members
+        .iter()
+        .map(|m| u64::from(dense.weight[m.index()]))
+        .sum();
+    if t.members().collect::<Vec<_>>() != members
+        || t.on_tree_nodes().collect::<Vec<_>>() != on_tree
+        || t.member_count() != members.len()
+        || t.population() != population
+    {
+        return Err(format!(
+            "members or on-tree nodes differ from {members:?}, {on_tree:?}"
+        ));
+    }
+    let back = MulticastTree::deserialize(&t.serialize()).map_err(|e| e.0)?;
+    if back != *t || t.clone() != *t {
+        return Err("serde round trip or clone differs".into());
+    }
+    Ok(())
+}
+
+/// `value` with `field` rewritten by `edit`.
+fn with_field(
+    value: &serde::Value,
+    field: &str,
+    edit: impl FnOnce(&mut serde::Value),
+) -> serde::Value {
+    let mut value = value.clone();
+    let serde::Value::Map(fields) = &mut value else {
+        panic!("a tree serializes to a map");
+    };
+    let (_, slot) = fields.iter_mut().find(|(name, _)| name == field).unwrap();
+    edit(slot);
+    value
+}
+
+/// The inputs `Deserialize` rejects: a missing field, lists of another
+/// length, ids out of range, and an off-tree node that is not blank.
+fn rejected_corruptions(t: &MulticastTree, nodes: usize) -> Result<(), String> {
+    use serde::{Deserialize, Serialize};
+
+    let value = t.serialize();
+    let seq = |v: &mut serde::Value| match v {
+        serde::Value::Seq(items) => std::mem::take(items),
+        other => panic!("expected a list, got {other:?}"),
+    };
+    let off_tree = (0..nodes).find(|&i| !t.is_on_tree(NodeId::new(i)));
+    let on_tree = t.source().index();
+    let mut corrupt: Vec<(&str, serde::Value)> = vec![
+        ("missing n", {
+            let mut v = value.clone();
+            if let serde::Value::Map(fields) = &mut v {
+                fields.retain(|(name, _)| name != "n");
+            }
+            v
+        }),
+        (
+            "short on_tree",
+            with_field(&value, "on_tree", |v| {
+                let mut items = seq(v);
+                items.pop();
+                *v = serde::Value::Seq(items);
+            }),
+        ),
+        (
+            "short weight",
+            with_field(&value, "weight", |v| {
+                *v = serde::Value::Seq(vec![serde::Value::U64(1); nodes - 1]);
+            }),
+        ),
+        (
+            "source out of range",
+            with_field(&value, "source", |v| {
+                *v = serde::Value::U64(nodes as u64);
+            }),
+        ),
+        (
+            "child out of range",
+            with_field(&value, "children", |v| {
+                let mut items = seq(v);
+                items[on_tree] = serde::Value::Seq(vec![serde::Value::U64(nodes as u64)]);
+                *v = serde::Value::Seq(items);
+            }),
+        ),
+    ];
+    if let Some(i) = off_tree {
+        corrupt.push((
+            "off-tree node with a parent",
+            with_field(&value, "parent", |v| {
+                let mut items = seq(v);
+                items[i] = serde::Value::U64(on_tree as u64);
+                *v = serde::Value::Seq(items);
+            }),
+        ));
+        corrupt.push((
+            "off-tree node with N",
+            with_field(&value, "n", |v| {
+                let mut items = seq(v);
+                items[i] = serde::Value::U64(1);
+                *v = serde::Value::Seq(items);
+            }),
+        ));
+    }
+    for (what, v) in corrupt {
+        if MulticastTree::deserialize(&v).is_ok() {
+            return Err(format!("{what}: accepted"));
+        }
+    }
+    Ok(())
+}
+
+/// A ring of `n` nodes with chords.
+fn ring_with_chords(n: usize, seed: u64) -> Graph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut g = Graph::with_nodes(n);
+    for i in 0..n {
+        let _ = g.add_link(NodeId::new(i), NodeId::new((i + 1) % n), 1.0);
+    }
+    for _ in 0..n {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        let _ = g.add_link(NodeId::new(a), NodeId::new(b), rng.gen_range(1..5) as f64);
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn tree_reads_like_the_dense_reference_whatever_its_history(
+        n in 2usize..130,
+        seed in 0u64..1 << 32,
+        ops in proptest::collection::vec((0u8..6, 0usize..130), 1..48),
+    ) {
+        use serde::Serialize;
+        use smrp_net::dijkstra::{shortest_path_to_any, Constraints};
+
+        let graph = ring_with_chords(n, seed);
+        let source = NodeId::new(seed as usize % n);
+        let mut t = MulticastTree::new(&graph, source).unwrap();
+        let mut dense = DenseTree::new(n, source);
+        for (op, pick) in ops {
+            let v = NodeId::new(pick % n);
+            match op {
+                // Join: graft `v` along its shortest path to the tree.
+                0 if !t.is_on_tree(v) => {
+                    let path = shortest_path_to_any(
+                        &graph, v, Constraints::unrestricted(), |x| t.is_on_tree(x),
+                    ).unwrap();
+                    t.attach_path(&path);
+                    dense.attach(path.nodes());
+                    t.set_member(v, true).unwrap();
+                    dense.set_member(v, true);
+                }
+                // Leave, pruning.
+                1 if t.is_member(v) => {
+                    t.set_member(v, false).unwrap();
+                    t.prune_from(v);
+                    dense.set_member(v, false);
+                    dense.prune(v);
+                }
+                // Leave without pruning: a relay leaf for `prune_from`.
+                2 if t.is_member(v) => {
+                    t.set_member(v, false).unwrap();
+                    dense.set_member(v, false);
+                }
+                3 => {
+                    t.prune_from(v);
+                    dense.prune(v);
+                }
+                4 if t.is_member(v) => {
+                    let w = 1 + (pick / n) as u32 % 4;
+                    t.set_member_weight(v, w).unwrap();
+                    dense.weight[v.index()] = w;
+                    dense.weighted = true;
+                }
+                // Detach, check the fragment, and graft it back along its
+                // old route up to the first node still on the tree (last
+                // among that node's children now).
+                5 if t.parent(v).is_some() => {
+                    let old = t.path_from_source(v).unwrap();
+                    t.detach_subtree(v).unwrap();
+                    dense.detach(v);
+                    let detached = reads_like_dense(&t, &dense);
+                    prop_assert!(detached.is_ok(), "detached {}: {}", v, detached.unwrap_err());
+                    let mut back = vec![v];
+                    for &u in old.nodes().iter().rev().skip(1) {
+                        back.push(u);
+                        if t.is_on_tree(u) {
+                            break;
+                        }
+                    }
+                    t.attach_path(&smrp_net::Path::new(back.clone()));
+                    dense.attach(&back);
+                }
+                _ => continue,
+            }
+            let checked = reads_like_dense(&t, &dense);
+            prop_assert!(checked.is_ok(), "after op {} on {}: {}", op, v, checked.unwrap_err());
+            let fresh = dense.rebuilt(&graph);
+            prop_assert_eq!(&fresh, &t, "same shape, other history");
+            prop_assert!(fresh.serialize() == t.serialize(), "same shape, other bytes");
+            let rejected = rejected_corruptions(&t, n);
+            prop_assert!(rejected.is_ok(), "{}", rejected.unwrap_err());
+        }
+    }
+}

@@ -561,7 +561,10 @@ impl ShortestPathTree {
 /// shortest path never leaves those blocks, and every equal-distance
 /// predecessor of a node beyond `a` lies in its own blocks or is `a`.
 /// A group whose members sit in a few small blocks thus settles those
-/// blocks and the ones between them and the source, not the graph.
+/// blocks and the ones between them and the source, not the graph. When
+/// the graph's shared slot ([`ShortestPathTree::shared`]) already holds
+/// the source's tree, the growing tree is that tree, complete from the
+/// start: it searches nothing and builds neither blocks nor queue.
 ///
 /// # Example
 ///
@@ -587,7 +590,14 @@ pub struct GrowingSpt<'g> {
     graph: &'g Graph,
     /// Final distances and parents of the nodes settled so far; the rest
     /// read unreached.
-    spt: ShortestPathTree,
+    spt: Arc<ShortestPathTree>,
+    /// What is left to search; `None` when `spt` is complete.
+    growth: Option<Growth>,
+}
+
+/// The search state of a [`GrowingSpt`] that is not complete.
+#[derive(Debug, Clone)]
+struct Growth {
     /// The settled node nearest its component's block-cut root. Every
     /// block above it is unsearched.
     top: NodeId,
@@ -602,12 +612,20 @@ pub struct GrowingSpt<'g> {
 }
 
 impl<'g> GrowingSpt<'g> {
-    /// A tree from `source` that has settled only the source.
+    /// A tree from `source`: the shared slot's if it holds `source`, else
+    /// one that has settled only the source.
     ///
     /// # Panics
     ///
     /// Panics if `source` is not a node of `graph`.
     pub fn new(graph: &'g Graph, source: NodeId) -> Self {
+        if let Some(spt) = graph.cached_spt(source) {
+            return GrowingSpt {
+                graph,
+                spt,
+                growth: None,
+            };
+        }
         let n = graph.node_count();
         let mut spt = ShortestPathTree {
             source,
@@ -616,14 +634,17 @@ impl<'g> GrowingSpt<'g> {
             unrestricted: true,
         };
         spt.dist[source.index()] = 0.0;
-        GrowingSpt {
-            graph,
-            spt,
+        let growth = Growth {
             top: source,
             grown_in: vec![0; graph.blocks().count()],
             round: 0,
             climbed: Vec::new(),
             queue: BucketQueue::new(graph, 0),
+        };
+        GrowingSpt {
+            graph,
+            spt: Arc::new(spt),
+            growth: Some(growth),
         }
     }
 
@@ -650,40 +671,45 @@ impl<'g> GrowingSpt<'g> {
         if self.settled(target) {
             return;
         }
+        let Some(growth) = &mut self.growth else {
+            return;
+        };
         let graph = self.graph;
         let blocks = graph.blocks();
-        self.round += 1;
-        let round = self.round;
+        growth.round += 1;
+        let round = growth.round;
         // Climb from the target and from `top`, deeper side first, until
         // the target's side meets a settled node (a cut vertex below
         // `top`'s blocks, or `top`) or the two sides meet above `top`.
-        let (mut x, mut y) = (target, self.top);
-        self.climbed.clear();
+        let (mut x, mut y) = (target, growth.top);
+        growth.climbed.clear();
         let seed = loop {
-            if self.settled(x) {
+            if self.spt.dist[x.index()].is_finite() {
                 break x;
             }
             if x == y {
-                for &b in &self.climbed {
-                    self.grown_in[b] = round;
+                for &b in &growth.climbed {
+                    growth.grown_in[b] = round;
                 }
-                break std::mem::replace(&mut self.top, x);
+                break std::mem::replace(&mut growth.top, x);
             }
             if blocks.depth(x) >= blocks.depth(y) {
                 // Two roots: `target` is in another component.
                 let Some((b, up)) = blocks.parent(x) else {
                     return;
                 };
-                self.grown_in[b] = round;
+                growth.grown_in[b] = round;
                 x = up;
             } else {
                 let (b, up) = blocks.parent(y).expect("only a root has depth 0");
-                self.climbed.push(b);
+                growth.climbed.push(b);
                 y = up;
             }
         };
-        let grown_in = &self.grown_in;
-        self.spt.search(graph, &mut self.queue, seed, |_, l| {
+        let Growth {
+            grown_in, queue, ..
+        } = growth;
+        Arc::make_mut(&mut self.spt).search(graph, queue, seed, |_, l| {
             grown_in[blocks.of_link(l)] == round
         });
     }

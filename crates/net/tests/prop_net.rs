@@ -419,8 +419,20 @@ fn cactus_graph(
 }
 
 /// Asks a growing tree from `source` for `targets` in order; every answer
-/// must be the full tree's, path and distance bits.
-fn growing_matches_full(g: &Graph, source: NodeId, targets: &[NodeId]) -> Result<(), String> {
+/// must be the full tree's, path and distance bits. With `slot_filled`
+/// the graph's shared slot holds the source's tree when the growing tree
+/// starts, which then starts complete; without, the slot is empty.
+fn growing_matches_full(
+    g: &Graph,
+    source: NodeId,
+    targets: &[NodeId],
+    slot_filled: bool,
+) -> Result<(), String> {
+    // A clone starts with an empty slot.
+    let g = &g.clone();
+    if slot_filled {
+        ShortestPathTree::shared(g, source);
+    }
     let full = ShortestPathTree::compute(g, source);
     let mut tree = GrowingSpt::new(g, source);
     for &t in targets {
@@ -462,8 +474,12 @@ proptest! {
             let count = rng.gen_range(1..16);
             let targets: Vec<NodeId> =
                 (0..count).map(|_| NodeId::new(rng.gen_range(0..n))).collect();
-            let checked = growing_matches_full(&g, source, &targets);
-            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+            // A `cactus_graph` can have several components, so some
+            // targets are unreachable in either arm.
+            for slot_filled in [false, true] {
+                let checked = growing_matches_full(&g, source, &targets, slot_filled);
+                prop_assert!(checked.is_ok(), "slot filled {}: {}", slot_filled, checked.unwrap_err());
+            }
         }
     }
 }
@@ -485,7 +501,8 @@ fn growing_tree_is_the_full_tree_on_transit_stub() {
         let targets: Vec<NodeId> = (0..24)
             .map(|_| NodeId::new(rng.gen_range(0..4000)))
             .collect();
-        growing_matches_full(&g, src, &targets).unwrap();
+        growing_matches_full(&g, src, &targets, false).unwrap();
+        growing_matches_full(&g, src, &targets, true).unwrap();
     }
 }
 

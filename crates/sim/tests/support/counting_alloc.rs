@@ -50,6 +50,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations (and reallocations) made by the calling thread so far.
+#[allow(dead_code)] // `tree_bytes` counts bytes only.
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
