@@ -324,8 +324,8 @@ pub struct ProtoOutcome {
     /// empty), in group order.
     pub violations: Vec<Violation>,
     /// Control-plane health during the run: every group's reliable-layer
-    /// counters plus channel loss/duplication/reordering tallies (which
-    /// are per *link*, so they only exist at this aggregate level).
+    /// counters plus the channel's loss tallies (which are per *link*,
+    /// so they only exist at this aggregate level).
     /// All-zero for cases short-circuited before simulation.
     pub health: ControlHealth,
     /// Protection-plane counters summed over groups.

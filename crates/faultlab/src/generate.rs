@@ -39,7 +39,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
-use smrp_sim::{ChannelParams, ChannelSpec, LinkDegrade};
+use smrp_sim::ChannelSpec;
 
 /// The family a generated scenario belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -427,15 +427,12 @@ pub(crate) fn generate_case(
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| i != cut_at)
-                .map(|(_, &i)| LinkDegrade {
-                    link: links[i],
-                    params: ChannelParams::lossy(cfg.gray_loss),
-                })
+                .map(|(_, &i)| (links[i], cfg.gray_loss))
                 .collect();
             channel = ChannelSpec {
-                default: ChannelParams::PERFECT,
                 overrides,
                 seed: channel_seed,
+                ..ChannelSpec::perfect()
             };
             FailureScenario::link(links[picks[cut_at]])
         }
@@ -586,15 +583,12 @@ mod tests {
                     .iter()
                     .enumerate()
                     .filter(|&(i, _)| i != cut_at)
-                    .map(|(_, &i)| LinkDegrade {
-                        link: links[i],
-                        params: ChannelParams::lossy(cfg.gray_loss),
-                    })
+                    .map(|(_, &i)| (links[i], cfg.gray_loss))
                     .collect();
                 channel = ChannelSpec {
-                    default: ChannelParams::PERFECT,
                     overrides,
                     seed: channel_seed,
+                    ..ChannelSpec::perfect()
                 };
                 FailureScenario::link(links[picks[cut_at]])
             }
@@ -705,16 +699,16 @@ mod tests {
                 }
                 FaultFamily::UniformLoss => {
                     assert_eq!(case.scenario.failed_links().count(), 1);
-                    assert_eq!(case.channel.default.loss, cfg.uniform_loss);
+                    assert_eq!(case.channel.loss, cfg.uniform_loss);
                     assert!(case.channel.overrides.is_empty());
                 }
                 FaultFamily::GrayLinks => {
                     assert_eq!(case.scenario.failed_links().count(), 1);
                     assert_eq!(case.channel.overrides.len(), cfg.gray_links);
                     let cut = case.scenario.failed_links().next().unwrap();
-                    for o in &case.channel.overrides {
-                        assert_ne!(o.link, cut, "gray links stay up");
-                        assert_eq!(o.params.loss, cfg.gray_loss);
+                    for &(link, loss) in &case.channel.overrides {
+                        assert_ne!(link, cut, "gray links stay up");
+                        assert_eq!(loss, cfg.gray_loss);
                     }
                 }
                 FaultFamily::Flapping => {

@@ -27,9 +27,14 @@ pub struct ControlHealth {
     pub retry_exhaustions: u64,
     /// Acks delivered back to senders.
     pub acks: u64,
-    /// Extra copies the channel injected.
+    /// Always 0: the simulator's channel only loses messages, it never
+    /// copies one. The field stays because pinned campaign reports
+    /// serialize it; it leaves when `ControlHealth` moves out of this
+    /// crate.
     pub channel_dupes: u64,
-    /// Messages the channel held past their natural order.
+    /// Always 0: the channel never reorders a message. Kept, like
+    /// [`channel_dupes`](Self::channel_dupes), for the pinned report
+    /// bytes.
     pub channel_reorders: u64,
     /// Messages the channel lost, keyed by message class (`"setup"`,
     /// `"refresh"`, `"hello"`, `"data"`, ...).

@@ -301,9 +301,9 @@ pub struct GroupRecoveryReport {
     pub restorations: Vec<(NodeId, Option<SimTime>)>,
     /// Members of this group the failure never touched.
     pub unaffected: Vec<NodeId>,
-    /// Reliable-layer counters of this group's lanes only. Channel-level
-    /// counters (loss, duplication, reordering) are per *link*, not per
-    /// group, and live in [`MultiRecoveryReport::health`].
+    /// Reliable-layer counters of this group's lanes only. The channel's
+    /// loss counters are per *link*, not per group, and live in
+    /// [`MultiRecoveryReport::health`].
     pub reliability: ControlHealth,
     /// Control messages this group's lanes sent, by type — the per-group
     /// overhead of sharing the substrate.
@@ -427,14 +427,15 @@ impl<'g> MultiSession<'g> {
     /// exactly these, and so does a host running the routers outside the
     /// simulator (the `smrpd` daemon).
     ///
-    /// Routers run [`RouterConfig::default`]. When the channel's *default*
-    /// lane is lossy, that config is hardened via
+    /// Routers run [`RouterConfig::default`]. When the channel's default
+    /// loss (every link without an override) is positive, that config is
+    /// hardened via
     /// [`RouterConfig::hardened_for_loss`] — uniform loss is ambient noise
     /// every router experiences, so timers must tolerate it. Gray-link
     /// overrides do **not** harden: a single rotten link *should* look
     /// like a failure to the routers behind it.
     pub fn preload(&self, spec: &FailureSpec<'_>) -> Vec<MultiRouter> {
-        let config = RouterConfig::default().hardened_for_loss(spec.channel.default.loss);
+        let config = RouterConfig::default().hardened_for_loss(spec.channel.loss);
         let mut procs: Vec<MultiRouter> = (0..self.graph.node_count())
             .map(|_| MultiRouter::new(config))
             .collect();
@@ -586,10 +587,8 @@ impl<'g> MultiSession<'g> {
         }
 
         let mut health = ControlHealth::merged(groups.iter().map(|g| &g.reliability));
-        if let Some(ch) = sim.channel_stats() {
-            health.channel_dupes = ch.duplicated;
-            health.channel_reorders = ch.reordered;
-            for (&class, &n) in &ch.lost_by_class {
+        if let Some(lost) = sim.channel_losses() {
+            for (&class, &n) in lost {
                 *health.loss_by_class.entry(class.to_string()).or_insert(0) += n;
             }
         }

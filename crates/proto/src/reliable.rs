@@ -4,8 +4,9 @@
 //! `Refresh` is covered by the next one — but not against unlucky streaks:
 //! over a degraded channel (see `smrp_sim::channel`) a run of lost
 //! refreshes expires live branches, a lost recovery `Setup` strands a
-//! member until starvation kicks in, and a duplicated or reordered
-//! `Setup`/`LeaveReq` pair can install state the tree oracle rejects. This
+//! member until starvation kicks in, and a retransmitted copy, or a
+//! retransmission landing behind later traffic, can replay a
+//! `Setup`/`LeaveReq` pair into state the tree oracle rejects. This
 //! module adds the standard cure, scoped to the three tree-mutating
 //! messages (`Setup`, `LeaveReq`, `Refresh`):
 //!

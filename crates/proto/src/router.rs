@@ -2068,8 +2068,8 @@ mod tests {
         );
     }
 
-    /// `MultiSession::preload` hardens the timers for uniform loss on the
-    /// channel's default lane only; a gray link alone leaves them as on a
+    /// `MultiSession::preload` hardens the timers for the channel's
+    /// default (uniform) loss only; a gray link alone leaves them as on a
     /// perfect channel.
     #[test]
     fn preload_hardens_only_for_uniform_loss() {
@@ -2077,7 +2077,7 @@ mod tests {
         use crate::runner::{ProtoSession, RecoveryStrategy, TreeProtocol};
         use smrp_core::paper;
         use smrp_net::FailureScenario;
-        use smrp_sim::{ChannelParams, ChannelSpec, LinkDegrade};
+        use smrp_sim::ChannelSpec;
 
         let (graph, nodes) = paper::figure1_graph();
         let session =
@@ -2107,10 +2107,7 @@ mod tests {
         let ms = SimTime::from_ms;
         assert_eq!(timing(ChannelSpec::perfect()), (3, ms(175.0)));
         let gray = ChannelSpec {
-            overrides: vec![LinkDegrade {
-                link: graph.link_between(nodes.a, nodes.d).unwrap(),
-                params: ChannelParams::lossy(0.5),
-            }],
+            overrides: vec![(graph.link_between(nodes.a, nodes.d).unwrap(), 0.5)],
             ..ChannelSpec::perfect()
         };
         assert_eq!(timing(gray), (3, ms(175.0)));

@@ -23,7 +23,7 @@ use smrp_proto::{
     FailureSpec, FailureTiming, InjectionTiming, MultiRecoveryReport, MultiSession, PlanSource,
     ProtoSession, RecoveryPlan, RecoveryStrategy, TreeProtocol,
 };
-use smrp_sim::{ChannelParams, ChannelSpec, LinkDegrade, SimTime, TimerBackend, TraceLog};
+use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceLog};
 
 /// The local-detour experiment every test here runs: `scenario` cut for
 /// good at 100 ms.
@@ -152,8 +152,8 @@ fn shared_fate_srlg_is_byte_identical_across_backends() {
 /// The Figure 1 SPF session in the regimes a clean cut does not reach:
 /// 10 % uniform loss under the A–D cut (retransmission timers, every ack
 /// cancels one); relay A crashes and reboots (`on_reboot` re-arms its
-/// timers mid-run); link A–D flaps three times; a gray link S–A (lossy,
-/// duplicating, reordering, jittery, but up) under the A–D cut; and the
+/// timers mid-run); link A–D flaps three times; a gray link S–A (losing
+/// 30 % of its traffic, but up) under the A–D cut; and the
 /// SPF baseline's global detour, which waits out unicast reconvergence.
 #[test]
 fn figure1_spf_regimes_are_byte_identical_across_backends() {
@@ -165,16 +165,7 @@ fn figure1_spf_regimes_are_byte_identical_across_backends() {
     let cut = FailureScenario::link(graph.link_between(nodes.a, nodes.d).unwrap());
     let cut_spec = local_detour_spec(&cut, &ChannelSpec::perfect(), at(3000.0));
     let gray = ChannelSpec {
-        overrides: vec![LinkDegrade {
-            link: graph.link_between(nodes.s, nodes.a).unwrap(),
-            params: ChannelParams {
-                loss: 0.3,
-                duplicate: 0.1,
-                reorder: 0.2,
-                reorder_window_ms: 3.0,
-                jitter_ms: 1.0,
-            },
-        }],
+        overrides: vec![(graph.link_between(nodes.s, nodes.a).unwrap(), 0.3)],
         seed: 0x6EA7,
         ..ChannelSpec::perfect()
     };

@@ -1,24 +1,22 @@
-//! Degraded-channel model: seeded per-link loss, duplication, reordering
-//! and latency jitter.
+//! Degraded-channel model: seeded per-link message loss.
 //!
 //! The engine's baseline channel is perfect — a message crossing a usable
 //! link always arrives, exactly once, after the link's propagation delay.
 //! Real control planes are not so lucky, least of all *during* the failure
 //! events that restoration protocols exist to survive. A [`ChannelModel`]
 //! sits between [`crate::Ctx::send`] and the event queue and, per
-//! transmission, may:
-//!
-//! * **lose** the message (probability `loss`),
-//! * **duplicate** it (probability `duplicate`; the copy takes an
-//!   independent jitter draw, so duplicates arrive at distinct times),
-//! * **delay** it by uniform jitter in `[0, jitter_ms)`,
-//! * **reorder** it (probability `reorder`) by an extra uniform hold of up
-//!   to `reorder_window_ms` — enough to land it behind later sends.
+//! transmission, decides one fate: the message is lost (with the link's
+//! loss probability) or it arrives as on a perfect channel. The channel
+//! never duplicates, reorders or delays a message; duplicates and
+//! out-of-order arrivals still reach the protocol's reliable layer, from
+//! its own retransmissions.
 //!
 //! All draws come from one [`SmallRng`] seeded by [`ChannelSpec::seed`],
-//! consumed in event order, so a campaign case replays bit-identically for
-//! any worker count. Per-link overrides model *gray* links — interfaces
-//! that stay "up" while discarding a large fraction of traffic.
+//! consumed in event order, one `gen_bool(loss)` per transmission over a
+//! lossy link and none over a clean one, so a campaign case replays
+//! bit-identically for any worker count. Per-link overrides model *gray*
+//! links — interfaces that stay "up" while discarding a large fraction of
+//! traffic.
 
 use std::collections::BTreeMap;
 
@@ -27,90 +25,20 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use smrp_net::LinkId;
 
-/// Per-link degradation knobs. All probabilities are in `[0, 1]`; the
-/// default is a perfect channel (all zeros).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChannelParams {
-    /// Probability that a transmission is silently lost.
-    pub loss: f64,
-    /// Probability that a delivered transmission is duplicated once.
-    pub duplicate: f64,
-    /// Probability that a delivered transmission is held back long enough
-    /// to arrive behind later traffic.
-    pub reorder: f64,
-    /// Maximum extra hold applied to reordered messages (milliseconds).
-    pub reorder_window_ms: f64,
-    /// Maximum uniform latency jitter added to every delivery
-    /// (milliseconds).
-    pub jitter_ms: f64,
-}
-
-impl ChannelParams {
-    /// A perfect channel: nothing lost, duplicated, reordered or jittered.
-    pub const PERFECT: ChannelParams = ChannelParams {
-        loss: 0.0,
-        duplicate: 0.0,
-        reorder: 0.0,
-        reorder_window_ms: 0.0,
-        jitter_ms: 0.0,
-    };
-
-    /// Uniform loss at probability `p`, everything else perfect.
-    pub fn lossy(p: f64) -> Self {
-        ChannelParams {
-            loss: p,
-            ..ChannelParams::PERFECT
-        }
-    }
-
-    /// Whether this is the perfect channel (lets the engine skip RNG draws
-    /// entirely on clean links).
-    pub(crate) fn is_perfect(&self) -> bool {
-        *self == ChannelParams::PERFECT
-    }
-
-    fn validate(&self) {
-        for (name, p) in [
-            ("loss", self.loss),
-            ("duplicate", self.duplicate),
-            ("reorder", self.reorder),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "channel {name} probability out of range: {p}"
-            );
-        }
-        assert!(self.reorder_window_ms >= 0.0 && self.jitter_ms >= 0.0);
-    }
-}
-
-impl Default for ChannelParams {
-    fn default() -> Self {
-        ChannelParams::PERFECT
-    }
-}
-
-/// A single-link override inside a [`ChannelSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkDegrade {
-    /// The degraded link.
-    pub link: LinkId,
-    /// Its channel parameters (replacing the spec default entirely).
-    pub params: ChannelParams,
-}
-
-/// Serializable description of a degraded channel: a default applied to
-/// every link, per-link overrides for gray links, and the RNG seed.
+/// Serializable description of a degraded channel: a loss probability
+/// applied to every link, per-link overrides for gray links, and the RNG
+/// seed.
 ///
 /// A spec is an *address*, not an artifact — reconstructing a
 /// [`ChannelModel`] from the same spec replays the same loss pattern, which
 /// is what lets faultlab reproducers capture lossy cases exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChannelSpec {
-    /// Parameters applied to links without an override.
-    pub default: ChannelParams,
-    /// Gray-link overrides.
-    pub overrides: Vec<LinkDegrade>,
+    /// Loss probability, in `[0, 1]`, on links without an override.
+    pub loss: f64,
+    /// Gray links: `(link, loss)`, the loss replacing [`loss`](Self::loss)
+    /// on that link.
+    pub overrides: Vec<(LinkId, f64)>,
     /// Seed for the channel's RNG.
     pub seed: u64,
 }
@@ -118,81 +46,31 @@ pub struct ChannelSpec {
 impl ChannelSpec {
     /// A perfect channel (no loss anywhere).
     pub fn perfect() -> Self {
-        ChannelSpec {
-            default: ChannelParams::PERFECT,
-            overrides: Vec::new(),
-            seed: 0,
-        }
+        ChannelSpec::uniform_loss(0.0, 0)
     }
 
     /// Uniform loss at probability `p` on every link.
     pub fn uniform_loss(p: f64, seed: u64) -> Self {
         ChannelSpec {
-            default: ChannelParams::lossy(p),
+            loss: p,
             overrides: Vec::new(),
             seed,
         }
     }
 
-    /// Whether the spec degrades nothing (perfect default, no overrides).
+    /// Whether the spec loses nothing on any link.
     pub fn is_perfect(&self) -> bool {
-        self.default.is_perfect() && self.overrides.iter().all(|o| o.params.is_perfect())
+        self.loss == 0.0 && self.overrides.iter().all(|&(_, p)| p == 0.0)
     }
 }
 
-impl Default for ChannelSpec {
-    fn default() -> Self {
-        ChannelSpec::perfect()
-    }
-}
-
-/// Counters of everything the channel did to traffic, split by message
-/// class (see [`crate::NodeBehavior::classify`]) for losses.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Messages lost, keyed by the sender-declared message class.
-    pub lost_by_class: BTreeMap<&'static str, u64>,
-    /// Extra copies injected.
-    pub duplicated: u64,
-    /// Messages held past their natural arrival order.
-    pub reordered: u64,
-}
-
-/// The runtime channel: spec + RNG + stats.
-#[derive(Debug, Clone)]
+/// The runtime channel: per-link loss, the RNG, and what it lost.
+#[derive(Debug)]
 pub struct ChannelModel {
-    default: ChannelParams,
-    overrides: BTreeMap<LinkId, ChannelParams>,
+    loss: f64,
+    overrides: BTreeMap<LinkId, f64>,
     rng: SmallRng,
-    stats: ChannelStats,
-}
-
-/// Outcome of pushing one message through the channel: the extra delay
-/// (beyond link propagation) of each copy to deliver, held by value. No
-/// copies means lost; two mean a duplicate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Transmit {
-    delays_ms: [f64; 2],
-    copies: u8,
-}
-
-impl Transmit {
-    /// One copy, no extra delay: what a perfect link does.
-    pub(crate) const PERFECT: Transmit = Transmit {
-        delays_ms: [0.0; 2],
-        copies: 1,
-    };
-
-    const LOST: Transmit = Transmit {
-        delays_ms: [0.0; 2],
-        copies: 0,
-    };
-
-    /// Extra delay in milliseconds for each delivered copy, in delivery
-    /// scheduling order.
-    pub(crate) fn delays_ms(&self) -> &[f64] {
-        &self.delays_ms[..usize::from(self.copies)]
-    }
+    lost_by_class: BTreeMap<&'static str, u64>,
 }
 
 impl ChannelModel {
@@ -200,67 +78,39 @@ impl ChannelModel {
     ///
     /// # Panics
     ///
-    /// Panics if any probability lies outside `[0, 1]` or any window is
-    /// negative.
+    /// Panics if any loss probability lies outside `[0, 1]`.
     pub fn new(spec: &ChannelSpec) -> Self {
-        spec.default.validate();
-        let mut overrides = BTreeMap::new();
-        for o in &spec.overrides {
-            o.params.validate();
-            overrides.insert(o.link, o.params);
+        let overrides: BTreeMap<LinkId, f64> = spec.overrides.iter().copied().collect();
+        for p in std::iter::once(spec.loss).chain(overrides.values().copied()) {
+            assert!(
+                (0.0..=1.0).contains(&p),
+                "channel loss probability out of range: {p}"
+            );
         }
         ChannelModel {
-            default: spec.default,
+            loss: spec.loss,
             overrides,
             rng: SmallRng::seed_from_u64(spec.seed),
-            stats: ChannelStats::default(),
+            lost_by_class: BTreeMap::new(),
         }
     }
 
-    /// Parameters in effect on `link`.
-    pub(crate) fn params_for(&self, link: LinkId) -> ChannelParams {
-        self.overrides.get(&link).copied().unwrap_or(self.default)
+    /// Messages lost so far, keyed by the sender-declared message class
+    /// (see [`crate::NodeBehavior::classify`]).
+    pub(crate) fn lost_by_class(&self) -> &BTreeMap<&'static str, u64> {
+        &self.lost_by_class
     }
 
-    /// What happened so far.
-    pub(crate) fn stats(&self) -> &ChannelStats {
-        &self.stats
-    }
-
-    /// Pushes one `class`-tagged message through `link`, drawing loss,
-    /// jitter, reorder and duplication in that fixed order.
-    pub fn transmit(&mut self, link: LinkId, class: &'static str) -> Transmit {
-        let p = self.params_for(link);
-        if p.is_perfect() {
-            return Transmit::PERFECT;
+    /// Pushes one `class`-tagged message through `link`; `true` if it
+    /// survives. A lossy link takes one `gen_bool(loss)` draw, a clean
+    /// link none.
+    pub fn transmit(&mut self, link: LinkId, class: &'static str) -> bool {
+        let loss = self.overrides.get(&link).copied().unwrap_or(self.loss);
+        if loss > 0.0 && self.rng.gen_bool(loss) {
+            *self.lost_by_class.entry(class).or_insert(0) += 1;
+            return false;
         }
-        if p.loss > 0.0 && self.rng.gen_bool(p.loss) {
-            *self.stats.lost_by_class.entry(class).or_insert(0) += 1;
-            return Transmit::LOST;
-        }
-        let mut first = self.draw_jitter(p.jitter_ms);
-        if p.reorder > 0.0 && self.rng.gen_bool(p.reorder) {
-            first += self.draw_jitter(p.reorder_window_ms);
-            self.stats.reordered += 1;
-        }
-        let mut out = Transmit {
-            delays_ms: [first, 0.0],
-            copies: 1,
-        };
-        if p.duplicate > 0.0 && self.rng.gen_bool(p.duplicate) {
-            out.delays_ms[1] = self.draw_jitter(p.jitter_ms.max(p.reorder_window_ms));
-            out.copies = 2;
-            self.stats.duplicated += 1;
-        }
-        out
-    }
-
-    fn draw_jitter(&mut self, window_ms: f64) -> f64 {
-        if window_ms > 0.0 {
-            self.rng.gen_range(0.0..window_ms)
-        } else {
-            0.0
-        }
+        true
     }
 }
 
@@ -276,19 +126,17 @@ mod tests {
     fn perfect_channel_passes_everything_untouched() {
         let mut ch = ChannelModel::new(&ChannelSpec::perfect());
         for _ in 0..100 {
-            assert_eq!(ch.transmit(link(0), "m").delays_ms(), [0.0]);
+            assert!(ch.transmit(link(0), "m"));
         }
-        assert!(ch.stats().lost_by_class.is_empty());
+        assert!(ch.lost_by_class().is_empty());
     }
 
     #[test]
     fn uniform_loss_drops_roughly_p() {
         let mut ch = ChannelModel::new(&ChannelSpec::uniform_loss(0.2, 7));
-        let lost = (0..10_000)
-            .filter(|_| ch.transmit(link(0), "m").delays_ms().is_empty())
-            .count();
+        let lost = (0..10_000).filter(|_| !ch.transmit(link(0), "m")).count();
         assert!((1_600..=2_400).contains(&lost), "lost {lost} of 10000");
-        assert_eq!(ch.stats().lost_by_class.get("m"), Some(&(lost as u64)));
+        assert_eq!(ch.lost_by_class().get("m"), Some(&(lost as u64)));
     }
 
     #[test]
@@ -304,72 +152,70 @@ mod tests {
     #[test]
     fn overrides_apply_per_link() {
         let spec = ChannelSpec {
-            default: ChannelParams::PERFECT,
-            overrides: vec![LinkDegrade {
-                link: link(1),
-                params: ChannelParams::lossy(1.0),
-            }],
-            seed: 0,
+            overrides: vec![(link(1), 1.0)],
+            ..ChannelSpec::perfect()
         };
         let mut ch = ChannelModel::new(&spec);
-        assert_eq!(ch.transmit(link(0), "m").delays_ms().len(), 1);
-        assert!(ch.transmit(link(1), "m").delays_ms().is_empty());
+        assert!(ch.transmit(link(0), "m"));
+        assert!(!ch.transmit(link(1), "m"));
     }
 
+    /// The draw discipline every pinned lossy output rests on: a lossy
+    /// link consumes exactly one `gen_bool(p)` of the seeded stream and a
+    /// perfect link consumes nothing, whatever the mix of links.
     #[test]
-    fn duplication_and_jitter_produce_extra_copies() {
+    fn transmit_is_the_reference_gen_bool_sequence() {
+        let seed = 0x5EED_CAFE;
+        // Links 0..4 follow the default (10 % loss), except gray link 2
+        // (40 %) and perfect overrides 1 and 3; link 4 is lossy too.
         let spec = ChannelSpec {
-            default: ChannelParams {
-                loss: 0.0,
-                duplicate: 1.0,
-                reorder: 0.0,
-                reorder_window_ms: 0.0,
-                jitter_ms: 2.0,
-            },
-            overrides: Vec::new(),
-            seed: 9,
+            loss: 0.1,
+            overrides: vec![(link(1), 0.0), (link(2), 0.4), (link(3), 0.0)],
+            seed,
+        };
+        let loss_of = |l: usize| match l {
+            1 | 3 => 0.0,
+            2 => 0.4,
+            _ => 0.1,
         };
         let mut ch = ChannelModel::new(&spec);
-        let t = ch.transmit(link(0), "m");
-        assert_eq!(t.delays_ms().len(), 2);
-        assert!(t.delays_ms().iter().all(|&d| (0.0..2.0).contains(&d)));
-        assert_eq!(ch.stats().duplicated, 1);
-    }
+        let mut reference = SmallRng::seed_from_u64(seed);
+        let mut lost = 0;
+        for i in 0..5_000usize {
+            let l = (i * 7 + i / 3) % 5;
+            let p = loss_of(l);
+            let expected = p == 0.0 || !reference.gen_bool(p);
+            assert_eq!(
+                ch.transmit(link(l), "m"),
+                expected,
+                "transmission {i} on link {l}"
+            );
+            lost += u64::from(!expected);
+        }
+        // Both streams stand at the same place: nothing was drawn for the
+        // perfect links.
+        assert_eq!(ch.rng.gen::<u64>(), reference.gen::<u64>());
+        assert_eq!(ch.lost_by_class().get("m"), Some(&lost));
 
-    #[test]
-    fn reorder_holds_within_window() {
-        let spec = ChannelSpec {
-            default: ChannelParams {
-                loss: 0.0,
-                duplicate: 0.0,
-                reorder: 1.0,
-                reorder_window_ms: 10.0,
-                jitter_ms: 0.0,
-            },
-            overrides: Vec::new(),
-            seed: 11,
-        };
-        let mut ch = ChannelModel::new(&spec);
-        let t = ch.transmit(link(0), "m");
-        assert_eq!(t.delays_ms().len(), 1);
-        assert!((0.0..10.0).contains(&t.delays_ms()[0]));
-        assert_eq!(ch.stats().reordered, 1);
+        // A perfect channel draws nothing at all.
+        let mut clean = ChannelModel::new(&ChannelSpec {
+            seed,
+            ..ChannelSpec::perfect()
+        });
+        for i in 0..100 {
+            assert!(clean.transmit(link(i % 5), "m"));
+        }
+        assert_eq!(
+            clean.rng.gen::<u64>(),
+            SmallRng::seed_from_u64(seed).gen::<u64>()
+        );
     }
 
     #[test]
     fn spec_roundtrips_through_json() {
         let spec = ChannelSpec {
-            default: ChannelParams::lossy(0.1),
-            overrides: vec![LinkDegrade {
-                link: link(4),
-                params: ChannelParams {
-                    loss: 0.4,
-                    duplicate: 0.05,
-                    reorder: 0.1,
-                    reorder_window_ms: 5.0,
-                    jitter_ms: 1.0,
-                },
-            }],
+            loss: 0.1,
+            overrides: vec![(link(4), 0.4)],
             seed: 123,
         };
         let json = serde_json::to_string(&spec).unwrap();

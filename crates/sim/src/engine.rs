@@ -8,12 +8,12 @@
 //! themselves.
 
 use std::cell::Cell;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use smrp_net::{FailureScenario, Graph, Injection, LinkId, NodeId};
 
-use crate::channel::{ChannelModel, ChannelStats, Transmit};
+use crate::channel::ChannelModel;
 use crate::event::EventQueue;
 use crate::time::SimTime;
 use crate::trace::{Descriptor, DropReason, TraceEvent, TraceLog};
@@ -88,7 +88,7 @@ pub enum TimerBackend {
 /// enforces hop-by-hop communication) and arm node-local timers.
 pub trait NodeBehavior: Sized {
     /// Message type exchanged between nodes.
-    type Msg: Clone + std::fmt::Debug;
+    type Msg: std::fmt::Debug;
     /// Timer tag type.
     type Timer: Clone + std::fmt::Debug;
 
@@ -107,7 +107,7 @@ pub trait NodeBehavior: Sized {
     fn on_reboot(&mut self, _ctx: &mut Ctx<'_, Self>) {}
 
     /// Classifies a message for the degraded channel's per-class loss
-    /// accounting (see `ChannelStats::lost_by_class`). Purely
+    /// accounting (see [`NetSim::channel_losses`]). Purely
     /// observational: the channel treats every class identically. The
     /// default lumps everything under `"message"`.
     fn classify(_msg: &Self::Msg) -> &'static str {
@@ -285,17 +285,6 @@ impl DropCounts {
     /// Total drops across all causes.
     pub(crate) fn total(&self) -> u64 {
         self.link_down + self.node_down + self.sender_down + self.not_adjacent + self.channel_loss
-    }
-}
-
-/// A channel's extra delay as [`SimTime`]. Zero — every copy on a perfect
-/// or merely lossy channel — skips the float conversion it would round
-/// to anyway.
-fn extra_delay(ms: f64) -> SimTime {
-    if ms == 0.0 {
-        SimTime::ZERO
-    } else {
-        SimTime::from_ms(ms)
     }
 }
 
@@ -477,9 +466,10 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         self.channel = channel;
     }
 
-    /// Channel statistics, if a degraded channel is installed.
-    pub fn channel_stats(&self) -> Option<&ChannelStats> {
-        self.channel.as_ref().map(ChannelModel::stats)
+    /// Messages the degraded channel lost, keyed by
+    /// [`NodeBehavior::classify`] class, if a channel is installed.
+    pub fn channel_losses(&self) -> Option<&BTreeMap<&'static str, u64>> {
+        self.channel.as_ref().map(ChannelModel::lost_by_class)
     }
 
     /// Current virtual time.
@@ -592,25 +582,16 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                             what: N::describe(&msg),
                         });
                     }
-                    // The degraded channel may lose the message, duplicate
-                    // it, or stretch its delay; a perfect channel delivers
-                    // exactly one copy with no extra delay.
-                    let transmit = match &mut self.channel {
-                        Some(ch) => ch.transmit(link, N::classify(&msg)),
-                        None => Transmit::PERFECT,
-                    };
-                    let Some((&last, duplicates)) = transmit.delays_ms().split_last() else {
-                        self.drop_msg(self.now, from, to, DropReason::ChannelLoss);
-                        continue;
-                    };
-                    let base = self.now + propagation;
-                    // Only a duplicate costs a clone; the message itself
-                    // moves into the last copy's event.
-                    for &extra in duplicates {
-                        let msg = msg.clone();
-                        self.schedule_delivery(base + extra_delay(extra), from, to, link, msg);
+                    // The degraded channel may lose the message; whatever
+                    // survives arrives once, after the link's propagation
+                    // delay, and the message moves into its event.
+                    if let Some(ch) = &mut self.channel {
+                        if !ch.transmit(link, N::classify(&msg)) {
+                            self.drop_msg(self.now, from, to, DropReason::ChannelLoss);
+                            continue;
+                        }
                     }
-                    self.schedule_delivery(base + extra_delay(last), from, to, link, msg);
+                    self.schedule_delivery(self.now + propagation, from, to, link, msg);
                 }
                 NodeCommand::Timer {
                     delay,
@@ -1243,14 +1224,7 @@ mod tests {
         assert_eq!(sim.node(ids[1]).received, 0);
         assert_eq!(sim.drops().channel_loss, 1);
         assert_eq!(sim.dropped_count(), 1);
-        assert_eq!(
-            sim.channel_stats()
-                .unwrap()
-                .lost_by_class
-                .values()
-                .sum::<u64>(),
-            1
-        );
+        assert_eq!(sim.channel_losses().unwrap().values().sum::<u64>(), 1);
         assert!(matches!(
             sim.trace().entries().last(),
             Some(TraceEvent::Dropped {
@@ -1263,27 +1237,6 @@ mod tests {
         sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
         sim.run_to_completion(10);
         assert_eq!(sim.node(ids[1]).received, 1);
-    }
-
-    #[test]
-    fn channel_duplication_delivers_twice() {
-        use crate::channel::{ChannelModel, ChannelParams, ChannelSpec};
-        let (g, ids) = line_graph();
-        let mut sim = NetSim::new(&g, fresh(&g));
-        let spec = ChannelSpec {
-            default: ChannelParams {
-                duplicate: 1.0,
-                ..ChannelParams::PERFECT
-            },
-            overrides: Vec::new(),
-            seed: 5,
-        };
-        sim.set_channel(Some(ChannelModel::new(&spec)));
-        sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Msg::Ping));
-        sim.run_to_completion(10);
-        assert_eq!(sim.node(ids[1]).received, 2, "duplicate arrives too");
-        // The ping and the echoed pong each picked up one duplicate.
-        assert_eq!(sim.channel_stats().unwrap().duplicated, 2);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   down flags under [`smrp_net::FailureScenario`]'s rules: messages
 //!   crossing a failed link or addressed to a failed node are dropped,
 //!   failed nodes neither process nor send, and a repaired node reboots;
-//! * an optional degraded channel ([`ChannelModel`]) adding seeded
-//!   per-link loss, duplication, reordering and latency jitter;
+//! * an optional degraded channel ([`ChannelModel`]) losing messages
+//!   with a seeded per-link probability (it never duplicates, reorders
+//!   or delays one);
 //! * a typed event stream of everything that happened ([`TraceEvent`]
 //!   with a `Copy` [`Descriptor`], no formatting and no allocation per
 //!   event), delivered to a [`TraceLog`]: a bounded buffer for tests and
@@ -43,7 +44,7 @@ mod time;
 mod trace;
 mod wheel;
 
-pub use channel::{ChannelModel, ChannelParams, ChannelSpec, LinkDegrade};
+pub use channel::{ChannelModel, ChannelSpec};
 pub use clock::MonotonicClock;
 pub use engine::{Ctx, NetSim, NodeBehavior, NodeCommand, TimerBackend, TimerToken};
 pub use event::EventQueue;

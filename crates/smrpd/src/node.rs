@@ -22,30 +22,24 @@
 //!   neither dispatches timers nor processes frames (due timers elapsing
 //!   while down are *discarded*, ones due after repair still fire), and
 //!   its own repair triggers `on_reboot`.
-//! * **Loss** — a seeded Bernoulli drop per transmitted frame stands in
-//!   for the simulator's channel model on lossy scenarios.
+//! * **Loss** — each node owns a simulator [`ChannelModel`] over uniform
+//!   loss, seeded per node, and every transmitted frame takes its one
+//!   draw, as a message does in the simulator.
 
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use smrp_net::{FailureScenario, Graph, Injection, NodeId};
 use smrp_proto::wire;
 use smrp_proto::{GroupMsg, GroupTimer, MultiRouter};
-use smrp_sim::{Ctx, MonotonicClock, NodeBehavior, NodeCommand, SimTime};
+use smrp_sim::{
+    ChannelModel, ChannelSpec, Ctx, MonotonicClock, NodeBehavior, NodeCommand, SimTime,
+};
 
 use crate::status::{NodeStatus, StatusBoard};
 use crate::timer::TimerDriver;
 use crate::transport::Transport;
-
-/// Seeded uniform per-frame loss, the daemon analogue of the sim's
-/// lossy channel lane.
-struct LossModel {
-    p: f64,
-    rng: SmallRng,
-}
 
 /// Everything needed to run one node; [`run`](NodeRuntime::run)
 /// consumes it and returns the final router state.
@@ -61,7 +55,7 @@ pub(crate) struct NodeRuntime {
     failures: FailureScenario,
     schedule: Vec<(SimTime, Injection)>,
     next_injection: usize,
-    loss: Option<LossModel>,
+    channel: ChannelModel,
     board: Arc<StatusBoard>,
     status_interval: SimTime,
     next_status_at: SimTime,
@@ -76,6 +70,10 @@ impl NodeRuntime {
     /// nodes, mirroring the simulator's single failure oracle). A
     /// positive `loss` enables seeded per-frame drops; the seed is
     /// decorrelated per node so parallel nodes don't drop in lockstep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loss` lies outside `[0, 1]`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         me: NodeId,
@@ -90,12 +88,8 @@ impl NodeRuntime {
         board: Arc<StatusBoard>,
     ) -> NodeRuntime {
         debug_assert!(schedule.windows(2).all(|w| w[0].0 <= w[1].0));
-        let loss = (loss > 0.0).then(|| LossModel {
-            p: loss,
-            rng: SmallRng::seed_from_u64(
-                loss_seed ^ (me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
-        });
+        let seed = loss_seed ^ (me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let channel = ChannelModel::new(&ChannelSpec::uniform_loss(loss, seed));
         NodeRuntime {
             me,
             graph,
@@ -108,7 +102,7 @@ impl NodeRuntime {
             failures: FailureScenario::none(),
             schedule,
             next_injection: 0,
-            loss,
+            channel,
             board,
             status_interval: SimTime::from_ms(25.0),
             next_status_at: SimTime::ZERO,
@@ -255,7 +249,7 @@ impl NodeRuntime {
 
     /// Encodes and transmits one protocol message, subject to the
     /// failure view (frames onto failed links vanish, as in the sim's
-    /// delivery check) and the loss model.
+    /// delivery check) and the node's channel.
     fn send_frame(&mut self, to: NodeId, msg: GroupMsg) {
         let Some(link) = self.graph.link_between(self.me, to) else {
             return;
@@ -264,11 +258,9 @@ impl NodeRuntime {
             self.frames_dropped += 1;
             return;
         }
-        if let Some(loss) = &mut self.loss {
-            if loss.rng.gen_bool(loss.p) {
-                self.frames_dropped += 1;
-                return;
-            }
+        if !self.channel.transmit(link, MultiRouter::classify(&msg)) {
+            self.frames_dropped += 1;
+            return;
         }
         let bytes = wire::encode_datagram(self.me, &msg);
         self.frames_sent += 1;
